@@ -40,6 +40,7 @@ from .divergence import (
     as_weight_vec,
     chi_squared,
     f_divergence,
+    f_divergence_rows,
     integral_representation,
     total_variation,
 )

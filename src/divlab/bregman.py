@@ -18,6 +18,8 @@ from typing import Callable
 
 import numpy as np
 
+from .divergence import _gauss_legendre
+
 __all__ = [
     "SmoothConvexFn",
     "quadratic_fn",
@@ -86,9 +88,7 @@ def bregman_integral(fd: SmoothConvexFn, x, y, quad_nodes: int = 64) -> float:
     x = _check_point(fd, x)
     y = _check_point(fd, y)
     d = x - y
-    nodes, weights = np.polynomial.legendre.leggauss(quad_nodes)
-    t = 0.5 * (nodes + 1.0)
-    w = 0.5 * weights
+    t, w = _gauss_legendre(quad_nodes)
     total = 0.0
     for tk, wk in zip(t, w):
         lam = (1.0 - tk) * y + tk * x

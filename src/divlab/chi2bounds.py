@@ -16,7 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divergence import as_weight_vec, chi_squared, f_divergence, total_variation
+from .divergence import (
+    SUPPORT_EPSILON,
+    as_weight_vec,
+    chi_squared,
+    f_divergence,
+    total_variation,
+)
 from .generators import CONSTANT, Generator, NONDECREASING, NONINCREASING
 
 __all__ = [
@@ -30,6 +36,11 @@ __all__ = [
 ]
 
 _TINY = 1e-300
+# t-grid size for non-monotone f''
+_T_GRID_N = 1025
+# candidate rows per block of _kappa_up_rows' t-grid keep a block near this
+# many f'' evaluations, so memory does not grow with the number of rows
+_KAPPA_BLOCK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -59,7 +70,7 @@ def _require_dominated(p: np.ndarray, q: np.ndarray) -> None:
         raise ValueError("requires p << q")
 
 
-def kappa_bounds(g: Generator, p, q, t_grid_n: int = 1025) -> KappaPair:
+def kappa_bounds(g: Generator, p, q, t_grid_n: int = _T_GRID_N) -> KappaPair:
     """Extremes of f'' along the coordinate segments from q toward p."""
     p = as_weight_vec(p)
     q = as_weight_vec(q)
@@ -116,7 +127,39 @@ def kappa_bounds(g: Generator, p, q, t_grid_n: int = 1025) -> KappaPair:
     )
 
 
-def chi2_sandwich(g: Generator, p, q, t_grid_n: int = 1025):
+def _kappa_up_rows(g: Generator, P: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """``kappa_bounds(g, P[k], q).kappa_up`` for every row of P at once.
+
+    Rows not dominated by q come out as NaN, where kappa_bounds raises; the
+    caller decides whether that is an error.
+    """
+    P = np.where(P < SUPPORT_EPSILON, 0.0, P)
+    q = np.where(q < SUPPORT_EPSILON, 0.0, q)
+    supp = q > 0.0
+    undominated = np.where(supp, 0.0, P).sum(axis=1) > 0.0
+    R = P[:, supp] / q[supp]
+    at_zero = R == 0.0
+    if not g.f2_at_zero_finite:
+        # the t = 1 endpoint of a segment with ratio 0 hits f''(0+) = +inf;
+        # evaluate a harmless point there and overwrite it below
+        R = np.where(at_zero, 1.0, R)
+    R = np.maximum(R, _TINY)
+    if g.f2_monotonicity in (NONINCREASING, NONDECREASING, CONSTANT):
+        kup = np.maximum(float(g.f2(1.0)), g.f2(R).max(axis=1))
+    else:
+        ts = np.linspace(0.0, 1.0, _T_GRID_N)
+        block = max(1, _KAPPA_BLOCK // (R.shape[1] * _T_GRID_N))
+        kup = np.empty(R.shape[0])
+        for s in range(0, R.shape[0], block):
+            args = 1.0 + ts * (R[s : s + block, :, np.newaxis] - 1.0)
+            kup[s : s + block] = g.f2(np.maximum(args, _TINY)).max(axis=(1, 2))
+    if not g.f2_at_zero_finite:
+        kup[at_zero.any(axis=1)] = math.inf
+    kup[undominated] = math.nan
+    return kup
+
+
+def chi2_sandwich(g: Generator, p, q, t_grid_n: int = _T_GRID_N):
     """(kappa_down/2) chi^2 <= D_f <= (kappa_up/2) chi^2."""
     kp = kappa_bounds(g, p, q, t_grid_n=t_grid_n)
     chi2 = chi_squared(p, q)

@@ -11,12 +11,18 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .chi2bounds import kappa_bounds, q_min_on_support
-from .divergence import as_prob_vec, chi_squared, f_divergence, total_variation
+from .chi2bounds import _kappa_up_rows, q_min_on_support
+from .divergence import (
+    SUPPORT_EPSILON,
+    as_prob_vec,
+    chi_squared,
+    f_divergence_rows,
+    total_variation,
+)
 from .generators import Generator
 from .markov import as_channel, iterate, stationary_distribution, structure
 
@@ -25,8 +31,6 @@ __all__ = [
     "eta_chi2",
     "eta_f_estimate",
     "eta_f_upper_bounds",
-    "contraction_report",
-    "ContractionReport",
     "contraction_rate_profile",
     "RatePoint",
     "convergence_bound",
@@ -97,16 +101,22 @@ def _candidate_inputs(n: int, q: np.ndarray, budget: SampleBudget) -> np.ndarray
 NUMERATOR_NOISE_FLOOR = 1e-13
 
 
-def _ratio(g: Generator, W: np.ndarray, q: np.ndarray, p: np.ndarray) -> float:
-    denom = f_divergence(g, p, q)
-    if not (1e-12 < denom < math.inf):
-        return -math.inf
-    num = f_divergence(g, W @ p, W @ q)
-    if math.isinf(num):
-        return -math.inf
-    if num < NUMERATOR_NOISE_FLOOR:
-        num = 0.0
-    return num / denom
+def _ratios(g: Generator, W: np.ndarray, q: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """Scores of D_f(Wp || Wq) / D_f(p || q) for every row p of P.
+
+    Each ratio r is lowered by its rounding bound (e_num + |r| e_den) / den,
+    so rounding noise does not lift a score above the exact ratio of its
+    input; inputs with a denominator outside (1e-12, inf) or an infinite
+    numerator score -inf.
+    """
+    den, e_den = f_divergence_rows(g, P, q, rounding_error=True)
+    num, e_num = f_divergence_rows(g, P @ W.T, W @ q, rounding_error=True)
+    feasible = (den > 1e-12) & (den < math.inf) & np.isfinite(num)
+    num = np.where(feasible & (num >= NUMERATOR_NOISE_FLOOR), num, 0.0)
+    den = np.where(feasible, den, 1.0)
+    r = num / den
+    score = r - (e_num + np.abs(r) * e_den) / den
+    return np.where(feasible, score, -math.inf)
 
 
 def eta_f_estimate(
@@ -116,25 +126,23 @@ def eta_f_estimate(
 
     Samples the simplex, excludes infeasible inputs (divergence zero or
     infinite), and refines the best candidate by coordinate hill-climbing.
+    Ratios are scored net of their rounding bound (see ``_ratios``).
     """
     W = as_channel(W)
     q = as_prob_vec(q)
     if budget is None:
         budget = SampleBudget()
     n = q.shape[0]
-    best = -math.inf
-    witness = None
-    for p in _candidate_inputs(n, q, budget):
-        r = _ratio(g, W, q, p)
-        if r > best:
-            best = r
-            witness = p
-    if witness is None or best == -math.inf:
+    cloud = _candidate_inputs(n, q, budget)
+    scores = _ratios(g, W, q, cloud)
+    k = int(np.argmax(scores))
+    best = float(scores[k])
+    if best == -math.inf:
         warnings.warn("no feasible input found; estimate 0")
         return 0.0, None
     rng = np.random.default_rng(budget.seed + 1)
     scale = 0.25
-    current = witness.copy()
+    current = cloud[k].copy()
     for step in range(budget.refine_steps):
         i, j = rng.integers(0, n, size=2)
         if i == j:
@@ -145,7 +153,7 @@ def eta_f_estimate(
         prop[j] += move
         prop = np.maximum(prop, 0.0)
         prop /= prop.sum()
-        r = _ratio(g, W, q, prop)
+        r = float(_ratios(g, W, q, prop[np.newaxis, :])[0])
         if r > best:
             best, current = r, prop
         scale *= 0.98
@@ -155,19 +163,20 @@ def eta_f_estimate(
 def _kappa_up_sup(
     g: Generator, W: np.ndarray, q: np.ndarray, budget: SampleBudget
 ) -> float:
-    """Sampled sup over inputs p of kappa_up(Wp, Wq).
+    """Sup over the candidate cloud of kappa_up(Wp, Wq).
 
     Output ratios are linear-fractional in p, so extremes concentrate at
-    simplex vertices; the sampling cloud is kept as a safety net.
+    simplex vertices; the sampling cloud is kept as a safety net.  Raises
+    like ``kappa_bounds`` when a candidate output escapes supp(Wq) before
+    any candidate reaches +inf.
     """
-    Wq = W @ q
-    sup = -math.inf
-    for p in _candidate_inputs(q.shape[0], q, budget):
-        kp = kappa_bounds(g, W @ p, Wq)
-        sup = max(sup, kp.kappa_up)
-        if math.isinf(sup):
-            break
-    return sup
+    cloud = _candidate_inputs(q.shape[0], q, budget)
+    kup = _kappa_up_rows(g, cloud @ W.T, W @ q)
+    bad = np.flatnonzero(np.isnan(kup))
+    inf = np.flatnonzero(np.isinf(kup))
+    if bad.size and (not inf.size or bad[0] < inf[0]):
+        raise ValueError("requires p << q")
+    return float(np.nanmax(kup))
 
 
 def eta_f_upper_bounds(
@@ -209,29 +218,6 @@ def eta_f_upper_bounds(
     if g.g_concave and math.isfinite(g.f_at_zero) and q_full:
         linear = 4.0 * (float(g.f1(1.0)) + g.f_at_zero) / (L * qmin) * eta2
     return nonlinear, linear
-
-
-@dataclass(frozen=True)
-class ContractionReport:
-    eta_chi2: float
-    eta_f_estimate: float
-    nonlinear_upper: float
-    linear_upper: float | None
-    witness_p: np.ndarray | None
-
-
-def contraction_report(
-    W, q, g: Generator, budget: SampleBudget | None = None
-) -> ContractionReport:
-    est, witness = eta_f_estimate(W, q, g, budget)
-    nonlinear, linear = eta_f_upper_bounds(W, q, g, budget)
-    return ContractionReport(
-        eta_chi2=eta_chi2(W, q),
-        eta_f_estimate=est,
-        nonlinear_upper=nonlinear,
-        linear_upper=linear,
-        witness_p=witness,
-    )
 
 
 @dataclass(frozen=True)
@@ -330,15 +316,21 @@ class MixingTimeReport:
     pi_min: float
     empirical_within_bound: bool
     generator: str | None = None
-    warnings: tuple[str, ...] = field(default=())
 
 
-def _empirical_mixing(W, pi, delta, dist_fn, n_cap: int) -> int | None:
-    n_sym = W.shape[0]
-    P = np.eye(n_sym)
+def _tv_rows(P: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """total_variation(P[k], q) for every row of P."""
+    P = np.where(P < SUPPORT_EPSILON, 0.0, P)
+    q = np.where(q < SUPPORT_EPSILON, 0.0, q)
+    return 0.5 * np.abs(P - q).sum(axis=1)
+
+
+def _empirical_mixing(W, pi, delta, dist_rows, n_cap: int) -> int | None:
+    """First n <= n_cap at which every vertex input is within delta of pi,
+    scoring all columns of W^n per step with a row-wise distance."""
+    P = np.eye(W.shape[0])
     for n in range(n_cap + 1):
-        worst = max(dist_fn(P[:, x], pi) for x in range(n_sym))
-        if worst <= delta:
+        if dist_rows(np.ascontiguousarray(P.T), pi).max() <= delta:
             return n
         P = W @ P
     return None
@@ -357,7 +349,6 @@ def mixing_time_bounds(
     if delta <= 0.0:
         raise ValueError("delta must be positive")
     pi, unique = stationary_distribution(W)
-    notes = []
     if not unique:
         raise ValueError("mixing times require a unique stationary distribution")
     if not np.all(pi > 0.0):
@@ -388,11 +379,11 @@ def mixing_time_bounds(
             f_bound = max(0, math.ceil(raw - 1e-12))
 
     cap = n_cap if n_cap is not None else max(2 * tv_bound, 64)
-    empirical_tv = _empirical_mixing(W, pi, delta, total_variation, cap)
+    empirical_tv = _empirical_mixing(W, pi, delta, _tv_rows, cap)
     empirical_f = None
     if g is not None:
         empirical_f = _empirical_mixing(
-            W, pi, delta, lambda a, b: f_divergence(g, a, b), max(cap, 2 * f_bound)
+            W, pi, delta, lambda P, q: f_divergence_rows(g, P, q), max(cap, 2 * f_bound)
         )
     within = empirical_tv is not None and empirical_tv <= tv_bound
     return MixingTimeReport(
@@ -404,5 +395,4 @@ def mixing_time_bounds(
         pi_min=pi_min,
         empirical_within_bound=within,
         generator=g.label if g is not None else None,
-        warnings=tuple(notes),
     )

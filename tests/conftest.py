@@ -10,12 +10,6 @@ def registry():
     return default_registry()
 
 
-@pytest.fixture(scope="session")
-def smooth_registry(registry):
-    """Registry entries whose f'' is finite at every positive argument."""
-    return registry
-
-
 def random_prob_pairs(rng, n_pairs, dim, interior=True):
     """Seeded batches of probability-vector pairs; interior keeps every entry
     bounded away from zero so ratios stay in (0, inf)."""

@@ -3,8 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from divlab import chi2bounds, contraction
+from divlab.chi2bounds import kappa_bounds
 from divlab.contraction import (
     SampleBudget,
+    _candidate_inputs,
+    _kappa_up_sup,
+    _ratios,
     contraction_rate_profile,
     convergence_bound,
     eta_chi2,
@@ -13,8 +18,8 @@ from divlab.contraction import (
     mixing_time_bounds,
 )
 from divlab.divergence import f_divergence
-from divlab.generators import make_generator
-from divlab.markov import bsc
+from divlab.generators import custom_generator, make_generator
+from divlab.markov import bsc, stationary_distribution
 
 UNIFORM2 = np.array([0.5, 0.5])
 FAST = SampleBudget(n_samples=100, refine_steps=40)
@@ -274,3 +279,165 @@ def test_determinism_same_seed():
     b = eta_f_estimate(W, q, kl, budget)
     assert a[0] == b[0]
     assert np.array_equal(a[1], b[1])
+
+
+# ---------------------------------------------------------------------------
+# batched kappa sup against the per-candidate kappa_bounds loop
+
+
+def _loop_kappa_sup(g, outputs, Wq):
+    sup = -math.inf
+    for row in outputs:
+        sup = max(sup, kappa_bounds(g, row, Wq).kappa_up)
+        if math.isinf(sup):
+            break
+    return sup
+
+
+def _bump():
+    # f'' = 1 + (t-1)^2 has its minimum at t = 1: not monotone
+    return custom_generator(
+        "bump",
+        lambda t: 0.5 * (t - 1.0) ** 2 + (t - 1.0) ** 4 / 12.0,
+        lambda t: (t - 1.0) + (t - 1.0) ** 3 / 3.0,
+        lambda t: 1.0 + (t - 1.0) ** 2,
+        f_at_zero=7.0 / 12.0,
+        f2_at_zero_finite=True,
+    )
+
+
+def _kappa_generators(registry):
+    return registry + [make_generator("chi_alpha", alpha=2.5), _bump()]
+
+
+def _check_kappa_parity(g, W, q, budget):
+    cloud = _candidate_inputs(q.shape[0], q, budget)
+    try:
+        expected = _loop_kappa_sup(g, cloud @ W.T, W @ q)
+    except ValueError:
+        with pytest.raises(ValueError, match="p << q"):
+            _kappa_up_sup(g, W, q, budget)
+        return
+    assert _kappa_up_sup(g, W, q, budget) == expected, g.label
+
+
+def test_kappa_sup_matches_kappa_bounds_loop(registry):
+    rng = np.random.default_rng(31)
+    for n in (2, 3, 5):
+        W = rng.dirichlet(np.ones(n), size=n).T
+        q = rng.dirichlet(2.0 * np.ones(n))
+        q_zero = q.copy()
+        q_zero[-1] = 0.0
+        q_zero /= q_zero.sum()
+        for g in _kappa_generators(registry):
+            _check_kappa_parity(g, W, q, FAST)
+            # W maps the last input only to the last output, which Wq misses
+            _check_kappa_parity(g, np.eye(n), q_zero, FAST)
+
+
+def test_kappa_sup_chunked_non_monotone(monkeypatch):
+    # one candidate row per block of the 1025-point t-grid
+    monkeypatch.setattr(chi2bounds, "_KAPPA_BLOCK", 4000)
+    rng = np.random.default_rng(37)
+    W = rng.dirichlet(np.ones(3), size=3).T
+    q = np.array([0.2, 0.3, 0.5])
+    for g in (make_generator("chi_alpha", alpha=2.5), _bump()):
+        _check_kappa_parity(g, W, q, FAST)
+    # f''(0+) = inf with a zero output ratio gives +inf, as in kappa_bounds
+    sing = custom_generator(
+        "bump_singular", lambda t: t * np.log(t), lambda t: np.log(t) + 1.0,
+        lambda t: 1.0 / t + (t - 1.0) ** 2,
+    )
+    _check_kappa_parity(sing, np.eye(3), q, FAST)
+    assert _kappa_up_sup(sing, np.eye(3), q, FAST) == math.inf
+
+
+def test_kappa_sup_raises_only_before_first_infinity(monkeypatch):
+    # the loop stops at the first +inf, so an escaping candidate after it
+    # does not raise; one before it does
+    kl = make_generator("kl")
+    q = np.array([0.5, 0.5, 0.0])
+    vertex, escaping = np.array([1.0, 0.0, 0.0]), np.array([0.4, 0.4, 0.2])
+    for rows, raises in (([vertex, escaping], False), ([escaping, vertex], True)):
+        cloud = np.array(rows)
+        monkeypatch.setattr(contraction, "_candidate_inputs", lambda n, q, b: cloud)
+        if raises:
+            with pytest.raises(ValueError, match="p << q"):
+                _loop_kappa_sup(kl, cloud, q)
+            with pytest.raises(ValueError, match="p << q"):
+                _kappa_up_sup(kl, np.eye(3), q, FAST)
+        else:
+            assert _loop_kappa_sup(kl, cloud, q) == math.inf
+            assert _kappa_up_sup(kl, np.eye(3), q, FAST) == math.inf
+
+
+# ---------------------------------------------------------------------------
+# rounding-corrected ratio scores
+
+
+def test_estimate_not_above_exact_on_chain_powers():
+    # near the reference, plain ratios carry rounding noise of up to ~1e-6
+    # above the exact coefficient; the scores are net of their rounding bound
+    kl = make_generator("kl")
+    pc = make_generator("pearson_chi2")
+    rng = np.random.default_rng(41)
+    for _ in range(3):
+        p = float(rng.uniform(0.05, 0.45))
+        W = bsc(p)
+        for n in range(1, 7):
+            est, _ = eta_f_estimate(np.linalg.matrix_power(W, n), UNIFORM2, kl)
+            assert est <= (1.0 - 2.0 * p) ** (2 * n) + 1e-9, (p, n)
+        a, b = rng.uniform(0.05, 0.6, size=2)
+        W = np.array([[1.0 - a, b], [a, 1.0 - b]])
+        pi, _ = stationary_distribution(W)
+        for n in range(1, 7):
+            Wn = np.linalg.matrix_power(W, n)
+            est, _ = eta_f_estimate(Wn, pi, pc)
+            assert est <= eta_chi2(Wn, pi) + 1e-9, (a, b, n)
+
+
+# generator formulas evaluated in extended precision
+_LONGDOUBLE_F = {
+    "kl": lambda t: t * np.log(t),
+    "reverse_kl": lambda t: -np.log(t),
+    "pearson_chi2": lambda t: t * t - 1,
+    "neyman_chi2": lambda t: 1 / t - 1,
+    "jeffrey": lambda t: (t - 1) * np.log(t),
+    "squared_hellinger": lambda t: (np.sqrt(t) - 1) ** 2 / 2,
+    "jensen_shannon": lambda t: (t * np.log(t) - (t + 1) * np.log((t + 1) / 2)) / 2,
+    "triangular": lambda t: (t - 1) ** 2 / (t + 1),
+}
+
+
+def _longdouble_divergence(g, f, P, q):
+    """Rows of D_f(P[k] || q) in longdouble, for q of full support."""
+    P = np.where(P < 1e-12, 0, P)
+    inner = P > 0
+    t = np.where(inner, P / q, 1)
+    value = np.where(inner, q * f(t), 0).sum(axis=1)
+    mass = np.where(inner, 0, q + 0 * P).sum(axis=1)
+    hit = mass > 0
+    value[hit] += mass[hit] * np.longdouble(g.f_at_zero)
+    return value
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).eps == np.finfo(float).eps,
+    reason="longdouble is no wider than float64 on this platform",
+)
+def test_ratio_scores_below_longdouble_oracle():
+    rng = np.random.default_rng(43)
+    for n in (2, 3, 8):
+        W = rng.dirichlet(np.ones(n), size=n).T
+        q = 0.9 * rng.dirichlet(3.0 * np.ones(n)) + 0.1 / n
+        near = [q + d * (np.eye(n)[i] - q) for d in 10.0 ** -np.arange(2, 8) for i in range(n)]
+        P = np.vstack([_candidate_inputs(n, q, FAST)] + near)
+        Wl, ql, Pl = (x.astype(np.longdouble) for x in (W, q, P))
+        for name, f in _LONGDOUBLE_F.items():
+            g = make_generator(name)
+            scores = _ratios(g, W, q, P)
+            feasible = np.isfinite(scores)
+            assert feasible.sum() > len(near), (name, n)
+            num = _longdouble_divergence(g, f, Pl[feasible] @ Wl.T, Wl @ ql)
+            den = _longdouble_divergence(g, f, Pl[feasible], ql)
+            assert np.all(scores[feasible] <= num / den), (name, n)

@@ -6,14 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from divlab.divergence import (
+    _gauss_legendre,
     as_prob_vec,
     as_weight_vec,
     chi_squared,
     f_divergence,
+    f_divergence_rows,
     integral_representation,
     total_variation,
 )
-from divlab.generators import make_generator
+from divlab.generators import from_spec, make_generator, registry_names
 
 from conftest import random_prob_pairs
 
@@ -117,6 +119,67 @@ def test_definiteness_small_divergence_means_small_tv(eps, center, name):
     q = q / q.sum()
     if f_divergence(g, p, q) <= 1e-10:
         assert total_variation(p, q) <= 1e-5
+
+
+# zeros, entries below SUPPORT_EPSILON (1e-12) that count as zeros, entries
+# just above it, and ordinary weights
+_ENTRY = st.one_of(
+    st.just(0.0),
+    st.sampled_from([1e-13, 5e-13, 1e-12, 2e-12]),
+    st.floats(min_value=1e-6, max_value=1.0),
+)
+
+
+@st.composite
+def _weight_rows(draw):
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(1, 4))
+    row = st.lists(_ENTRY, min_size=n, max_size=n)
+    P = np.array(draw(st.lists(row, min_size=m, max_size=m)))
+    if draw(st.booleans()):
+        return P, np.array(draw(row))
+    return P, np.array(draw(st.lists(row, min_size=m, max_size=m)))
+
+
+@given(_weight_rows(), st.sampled_from(registry_names()))
+@settings(max_examples=600, deadline=None)
+def test_f_divergence_rows_matches_single_pairs(PQ, name):
+    # every registry entry (piecewise_example included) at default parameters
+    g = from_spec(name)
+    P, Q = PQ
+    got = f_divergence_rows(g, P, Q)
+    for p, q, value in zip(P, np.broadcast_to(Q, P.shape), got):
+        ref = f_divergence(g, p, q)
+        if math.isinf(ref):
+            assert value == ref
+            continue
+        # f_divergence sums the interior terms with np.dot, the kernel with
+        # a row sum; the two orders differ by at most n eps sum |terms|
+        p, q = np.where(p < 1e-12, 0.0, p), np.where(q < 1e-12, 0.0, q)
+        inner = (p > 0.0) & (q > 0.0)
+        terms = np.abs(q[inner] * g.f(p[inner] / q[inner])).sum()
+        tol = 1e-12 * abs(ref) + 4.0 * p.size * np.finfo(float).eps * terms
+        assert abs(value - ref) <= tol, (p, q, value, ref)
+
+
+def test_f_divergence_rows_rounding_error_scale():
+    kl = make_generator("kl")
+    P = np.array([[0.5, 0.5], [1.0, 0.0], [0.0, 1.0]])
+    values, err = f_divergence_rows(kl, P, [0.5, 0.5], rounding_error=True)
+    assert values[0] == 0.0 and values[1] == pytest.approx(math.log(2.0))
+    # t = 1 on both entries: 4 eps sum q (|f(1)| + |1 f'(1)| + 1) = 8 eps
+    assert err[0] == pytest.approx(8.0 * np.finfo(float).eps)
+    assert err[1] == err[2] > 0.0
+    with pytest.raises(ValueError):
+        f_divergence_rows(kl, [0.5, 0.5], [0.5, 0.5])
+
+
+def test_gauss_legendre_nodes_cached_read_only():
+    t, w = _gauss_legendre(16)
+    assert _gauss_legendre(16)[0] is t
+    assert not t.flags.writeable and not w.flags.writeable
+    assert w.sum() == pytest.approx(1.0, abs=1e-14)
+    assert np.all((t > 0.0) & (t < 1.0))
 
 
 def test_support_restriction_padding(registry):
