@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .divergence import (
-    SUPPORT_EPSILON,
+    _clamp,
     as_weight_vec,
     chi_squared,
     f_divergence,
@@ -127,17 +127,20 @@ def kappa_bounds(g: Generator, p, q, t_grid_n: int = _T_GRID_N) -> KappaPair:
     )
 
 
-def _kappa_up_rows(g: Generator, P: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """``kappa_bounds(g, P[k], q).kappa_up`` for every row of P at once.
+def _kappa_up_rows(g: Generator, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """``kappa_bounds(g, P[k], Q[k]).kappa_up`` for every row of P at once.
 
-    Rows not dominated by q come out as NaN, where kappa_bounds raises; the
+    Q is one row shared by all rows of P or a matrix of P's shape.  Rows not
+    dominated by their Q come out as NaN, where kappa_bounds raises; the
     caller decides whether that is an error.
     """
-    P = np.where(P < SUPPORT_EPSILON, 0.0, P)
-    q = np.where(q < SUPPORT_EPSILON, 0.0, q)
-    supp = q > 0.0
+    # column-major, so that the reductions over each row sweep whole columns
+    P = np.asfortranarray(_clamp(P))
+    Q = _clamp(Q)
+    supp = Q > 0.0
     undominated = np.where(supp, 0.0, P).sum(axis=1) > 0.0
-    R = P[:, supp] / q[supp]
+    # off the support the ratio is 1, and f''(1) is in every row's max anyway
+    R = np.divide(P, Q, out=np.ones_like(P), where=supp)
     at_zero = R == 0.0
     if not g.f2_at_zero_finite:
         # the t = 1 endpoint of a segment with ratio 0 hits f''(0+) = +inf;
@@ -157,6 +160,17 @@ def _kappa_up_rows(g: Generator, P: np.ndarray, q: np.ndarray) -> np.ndarray:
         kup[at_zero.any(axis=1)] = math.inf
     kup[undominated] = math.nan
     return kup
+
+
+def _kappa_up_max(g: Generator, P: np.ndarray, Q: np.ndarray) -> float:
+    """max_k kappa_bounds(g, P[k], Q[k]).kappa_up; raises like kappa_bounds
+    for a row escaping its support before the first row at +inf."""
+    kup = _kappa_up_rows(g, P, Q)
+    bad = np.flatnonzero(np.isnan(kup))
+    inf = np.flatnonzero(np.isinf(kup))
+    if bad.size and (not inf.size or bad[0] < inf[0]):
+        raise ValueError("requires p << q")
+    return float(np.nanmax(kup))
 
 
 def chi2_sandwich(g: Generator, p, q, t_grid_n: int = _T_GRID_N):

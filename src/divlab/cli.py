@@ -7,9 +7,11 @@ single JSON document.  Exit codes: 0 on success, 2 when an asserted
 inequality fails (the report is still emitted), 1 on input errors.
 
 Numbers are printed with 17 significant digits; infinities appear as the
-string "inf".  Values in divergence units are reported in nats unless
-``--bits`` is given, which applies the 1/ln(2) conversion at presentation
-time only.  The environment variable DIVLAB_SEED overrides ``--seed``.
+string "inf".  The ``divergence`` value is reported in nats unless ``--bits``
+is given, which applies the 1/ln(2) conversion at presentation time only.
+The environment variable DIVLAB_SEED overrides ``--seed``; verify-constants
+and mixing-time sample nothing and take no ``--seed``, but echo DIVLAB_SEED
+(or 0) in the ``seed`` field like every report.
 """
 
 from __future__ import annotations
@@ -499,7 +501,6 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("verify-constants", help="certify all Pinsker constants")
     s.add_argument("--grid", type=int, default=512)
     s.add_argument("--boundary-eps", type=float, default=1e-4)
-    s.add_argument("--seed", type=int, default=0)
     s.set_defaults(func=_cmd_verify_constants)
 
     s = sub.add_parser("divergence", help="evaluate one f-divergence")
@@ -516,14 +517,12 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--delta", type=float, default=0.01)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--profile-n", type=int, default=6)
-    s.add_argument("--bits", action="store_true")
     s.set_defaults(func=_cmd_analyze_chain)
 
     s = sub.add_parser("mixing-time", help="mixing-time bounds only")
     s.add_argument("--matrix", required=True)
     s.add_argument("--delta", type=float, default=0.01)
     s.add_argument("--generator", default=None)
-    s.add_argument("--seed", type=int, default=0)
     s.set_defaults(func=_cmd_mixing_time)
 
     s = sub.add_parser("quantum-analyze", help="Petz-divergence channel report")

@@ -12,12 +12,14 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .chi2bounds import _kappa_up_rows, q_min_on_support
+from .chi2bounds import _kappa_up_max, q_min_on_support
 from .divergence import (
-    SUPPORT_EPSILON,
+    _clamp,
+    _divergence_rows,
     as_prob_vec,
     chi_squared,
     f_divergence_rows,
@@ -102,15 +104,21 @@ NUMERATOR_NOISE_FLOOR = 1e-13
 
 
 def _ratios(g: Generator, W: np.ndarray, q: np.ndarray, P: np.ndarray) -> np.ndarray:
-    """Scores of D_f(Wp || Wq) / D_f(p || q) for every row p of P.
+    """Scores of D_f(Wp || Wq) / D_f(p || q) for every row p of P."""
+    return _ratio_scores(g, (_clamp(P), _clamp(q)), (_clamp(P @ W.T), _clamp(W @ q)))
+
+
+def _ratio_scores(g: Generator, den_rows, num_rows) -> np.ndarray:
+    """Scores of D_f(num_rows[k]) / D_f(den_rows[k]) for every row k, each
+    argument a (P, Q) pair of rows for the unclamped kernel body.
 
     Each ratio r is lowered by its rounding bound (e_num + |r| e_den) / den,
     so rounding noise does not lift a score above the exact ratio of its
     input; inputs with a denominator outside (1e-12, inf) or an infinite
     numerator score -inf.
     """
-    den, e_den = f_divergence_rows(g, P, q, rounding_error=True)
-    num, e_num = f_divergence_rows(g, P @ W.T, W @ q, rounding_error=True)
+    den, e_den = _divergence_rows(g, *den_rows, rounding_error=True)
+    num, e_num = _divergence_rows(g, *num_rows, rounding_error=True)
     feasible = (den > 1e-12) & (den < math.inf) & np.isfinite(num)
     num = np.where(feasible & (num >= NUMERATOR_NOISE_FLOOR), num, 0.0)
     den = np.where(feasible, den, 1.0)
@@ -133,27 +141,51 @@ def eta_f_estimate(
     if budget is None:
         budget = SampleBudget()
     n = q.shape[0]
-    cloud = _candidate_inputs(n, q, budget)
-    scores = _ratios(g, W, q, cloud)
-    k = int(np.argmax(scores))
-    best = float(scores[k])
-    if best == -math.inf:
-        warnings.warn("no feasible input found; estimate 0")
-        return 0.0, None
-    rng = np.random.default_rng(budget.seed + 1)
-    scale = 0.25
-    current = cloud[k].copy()
-    for step in range(budget.refine_steps):
+
+    def propose(current, rng, scale):
         i, j = rng.integers(0, n, size=2)
         if i == j:
-            continue
+            return None
         move = scale * rng.random() * min(1.0, current[i])
         prop = current.copy()
         prop[i] -= move
         prop[j] += move
         prop = np.maximum(prop, 0.0)
-        prop /= prop.sum()
-        r = float(_ratios(g, W, q, prop[np.newaxis, :])[0])
+        return prop / prop.sum()
+
+    return _hill_climb(
+        lambda P: _ratios(g, W, q, P), _candidate_inputs(n, q, budget), propose,
+        budget, 0.25,
+    )
+
+
+def _hill_climb(scores, cloud, propose, budget, scale: float):
+    """Best score over the candidate cloud, refined by hill-climbing.
+
+    ``scores`` maps a stack of inputs to their scores; ``propose(current,
+    rng, scale)`` moves the best input so far or returns None, and the scale
+    shrinks by 0.98 per move.  The refine stream is seeded with seed + 1.
+    Returns (max(best, 0), witness), or (0, None) and a warning when no
+    candidate is feasible.
+    """
+    # blocks of about 2^12 entries keep the kernels' temporaries small and
+    # in cache; rows are scored independently, so blocking changes no score
+    block = max(1, (1 << 12) // cloud[0].size)
+    all_scores = np.concatenate(
+        [scores(cloud[s : s + block]) for s in range(0, len(cloud), block)]
+    )
+    k = int(np.argmax(all_scores))
+    best = float(all_scores[k])
+    if best == -math.inf:
+        warnings.warn("no feasible input found; estimate 0")
+        return 0.0, None
+    rng = np.random.default_rng(budget.seed + 1)
+    current = cloud[k].copy()
+    for _ in range(budget.refine_steps):
+        prop = propose(current, rng, scale)
+        if prop is None:
+            continue
+        r = float(scores(prop[np.newaxis])[0])
         if r > best:
             best, current = r, prop
         scale *= 0.98
@@ -166,17 +198,10 @@ def _kappa_up_sup(
     """Sup over the candidate cloud of kappa_up(Wp, Wq).
 
     Output ratios are linear-fractional in p, so extremes concentrate at
-    simplex vertices; the sampling cloud is kept as a safety net.  Raises
-    like ``kappa_bounds`` when a candidate output escapes supp(Wq) before
-    any candidate reaches +inf.
+    simplex vertices; the sampling cloud is kept as a safety net.
     """
     cloud = _candidate_inputs(q.shape[0], q, budget)
-    kup = _kappa_up_rows(g, cloud @ W.T, W @ q)
-    bad = np.flatnonzero(np.isnan(kup))
-    inf = np.flatnonzero(np.isinf(kup))
-    if bad.size and (not inf.size or bad[0] < inf[0]):
-        raise ValueError("requires p << q")
-    return float(np.nanmax(kup))
+    return _kappa_up_max(g, cloud @ W.T, W @ q)
 
 
 def eta_f_upper_bounds(
@@ -206,17 +231,20 @@ def eta_f_upper_bounds(
     qmin = q_min_on_support(q)
 
     q_full = bool(np.all(q > 0.0))
-    if not (math.isinf(g.fprime_at_inf) or q_full):
-        nonlinear = math.inf
-    else:
+    kappa_sup = math.inf
+    if math.isinf(g.fprime_at_inf) or q_full:
         kappa_sup = _kappa_up_sup(g, W, q, budget)
-        nonlinear = (
-            4.0 / (L * qmin) * kappa_sup * eta2 if math.isfinite(kappa_sup) else math.inf
-        )
+    return _upper_bounds(g, 4.0, L * qmin, eta2, kappa_sup, q_full)
 
+
+def _upper_bounds(g: Generator, factor, denom, eta, kup, full: bool):
+    """nonlinear = factor / denom * kup * eta (inf with the kappa sup kup) and
+    linear = factor (f'(1) + f(0)) / denom * eta, None unless (f(t)-f(0))/t
+    is concave, f(0+) is finite and the reference has full support."""
+    nonlinear = factor / denom * kup * eta if math.isfinite(kup) else math.inf
     linear = None
-    if g.g_concave and math.isfinite(g.f_at_zero) and q_full:
-        linear = 4.0 * (float(g.f1(1.0)) + g.f_at_zero) / (L * qmin) * eta2
+    if g.g_concave and math.isfinite(g.f_at_zero) and full:
+        linear = factor * (float(g.f1(1.0)) + g.f_at_zero) / denom * eta
     return nonlinear, linear
 
 
@@ -320,20 +348,25 @@ class MixingTimeReport:
 
 def _tv_rows(P: np.ndarray, q: np.ndarray) -> np.ndarray:
     """total_variation(P[k], q) for every row of P."""
-    P = np.where(P < SUPPORT_EPSILON, 0.0, P)
-    q = np.where(q < SUPPORT_EPSILON, 0.0, q)
-    return 0.5 * np.abs(P - q).sum(axis=1)
+    return 0.5 * np.abs(_clamp(P) - _clamp(q)).sum(axis=1)
 
 
-def _empirical_mixing(W, pi, delta, dist_rows, n_cap: int) -> int | None:
-    """First n <= n_cap at which every vertex input is within delta of pi,
-    scoring all columns of W^n per step with a row-wise distance."""
-    P = np.eye(W.shape[0])
+def _empirical_mixing(step, X, within, n_cap: int) -> int | None:
+    """First n <= n_cap at which ``within(step^n(X))`` holds, else None; X
+    stacks every probe input, so each step moves all of them at once."""
     for n in range(n_cap + 1):
-        if dist_rows(np.ascontiguousarray(P.T), pi).max() <= delta:
+        if within(X):
             return n
-        P = W @ P
+        X = step(X)
     return None
+
+
+def _mixing_steps(eta: float, log_target: float, at_zero: int) -> int:
+    """ceil(log_target / ln(1/eta) - 1e-12) floored at 0, so that eta^n
+    reaches exp(-log_target); ``at_zero`` when eta = 0 (no finite rate)."""
+    if eta == 0.0:
+        return at_zero
+    return max(0, math.ceil(log_target / math.log(1.0 / eta) - 1e-12))
 
 
 def mixing_time_bounds(
@@ -357,13 +390,8 @@ def mixing_time_bounds(
     if eta >= 1.0 - 1e-12:
         raise ValueError("eta_chi2 >= 1: no finite mixing bound")
     pi_min = float(pi.min())
-    log_rate = math.log(1.0 / eta) if eta > 0.0 else math.inf
-
-    if eta == 0.0:
-        tv_bound = 1 if math.sqrt(2.0 * pi_min) * delta < 1.0 else 0
-    else:
-        raw = 2.0 * math.log(1.0 / (math.sqrt(2.0 * pi_min) * delta)) / log_rate
-        tv_bound = max(0, math.ceil(raw - 1e-12))
+    x = math.sqrt(2.0 * pi_min) * delta
+    tv_bound = _mixing_steps(eta, 2.0 * math.log(1.0 / x), int(x < 1.0))
 
     f_bound = None
     if g is not None:
@@ -372,19 +400,22 @@ def mixing_time_bounds(
                 "f-divergence bound requires finite f(0+) and (f(t)-f(0))/t concave"
             )
         coeff = float(g.f1(1.0)) + g.f_at_zero
-        if eta == 0.0:
-            f_bound = 1
-        else:
-            raw = (math.log(2.0 / (delta * pi_min)) + math.log(coeff)) / log_rate
-            f_bound = max(0, math.ceil(raw - 1e-12))
+        f_bound = _mixing_steps(
+            eta, math.log(2.0 / (delta * pi_min)) + math.log(coeff), 1
+        )
+
+    def done(dist_rows):
+        # the columns of W^n are the outputs of the vertex inputs
+        return lambda P: dist_rows(np.ascontiguousarray(P.T), pi).max() <= delta
 
     cap = n_cap if n_cap is not None else max(2 * tv_bound, 64)
-    empirical_tv = _empirical_mixing(W, pi, delta, _tv_rows, cap)
+    vertices = np.eye(W.shape[0])
+    empirical_tv = _empirical_mixing(W.__matmul__, vertices, done(_tv_rows), cap)
     empirical_f = None
     if g is not None:
-        empirical_f = _empirical_mixing(
-            W, pi, delta, lambda P, q: f_divergence_rows(g, P, q), max(cap, 2 * f_bound)
-        )
+        cap_f = max(cap, 2 * f_bound)
+        f_done = done(partial(f_divergence_rows, g))
+        empirical_f = _empirical_mixing(W.__matmul__, vertices, f_done, cap_f)
     within = empirical_tv is not None and empirical_tv <= tv_bound
     return MixingTimeReport(
         tv_bound=tv_bound,

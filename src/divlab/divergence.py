@@ -96,9 +96,20 @@ def f_divergence_rows(g: Generator, P, Q, rounding_error: bool = False):
     P = np.asarray(P, dtype=float)
     if P.ndim != 2:
         raise ValueError("P must be a 2-D array of rows")
-    Q = np.broadcast_to(np.asarray(Q, dtype=float), P.shape)
-    P = np.where(P < SUPPORT_EPSILON, 0.0, P)
-    Q = np.where(Q < SUPPORT_EPSILON, 0.0, Q)
+    Q = np.asarray(Q, dtype=float)
+    return _divergence_rows(g, _clamp(P), _clamp(Q), rounding_error)
+
+
+def _clamp(A: np.ndarray) -> np.ndarray:
+    """Entries below SUPPORT_EPSILON become exact zeros."""
+    return np.where(A < SUPPORT_EPSILON, 0.0, A)
+
+
+def _divergence_rows(g: Generator, P: np.ndarray, Q: np.ndarray, rounding_error=False):
+    """``f_divergence_rows`` on rows as given, unclamped.  A boundary mass
+    below SUPPORT_EPSILON counts as zero; on clamped rows no nonzero mass is
+    that small, so the rule only drops rounding noise of unclamped rows."""
+    Q = np.broadcast_to(Q, P.shape)
     pos = Q > 0.0
     inner = pos & (P > 0.0)
     t = np.divide(P, Q, out=np.ones_like(P), where=inner)
@@ -110,7 +121,7 @@ def f_divergence_rows(g: Generator, P, Q, rounding_error: bool = False):
         (np.where(pos, 0.0, P).sum(axis=1), g.fprime_at_inf),
         (np.where(pos & ~inner, Q, 0.0).sum(axis=1), g.f_at_zero),
     ):
-        hit = mass > 0.0
+        hit = mass >= SUPPORT_EPSILON
         total[hit] += mass[hit] * limit
     total += np.where(inner, Q * ft, 0.0).sum(axis=1)
     if not rounding_error:

@@ -1,23 +1,35 @@
 """Petz f-divergences and quantum channel ergodics.
 
-Petz divergences are evaluated spectrally through the Nussbaum-Szkola joint
-distributions, which reduces every quantum bound to the classical machinery.
-Channels are Kraus operator lists; powers and fixed points go through the
-transition superoperator.  Contraction coefficients are sampled lower
-estimates only — no efficient exact algorithm is claimed for the Petz
+A Petz divergence is the classical f-divergence of the Nussbaum-Szkola (NS)
+distributions: one batched NS builder turns stacks of states into rows for
+the classical row kernel, scorer, kappa sup and mixing scanner.  NS rows are
+not clamped at SUPPORT_EPSILON, as lam_x |<e_x|f_y>|^2 can fall below it
+while lam_x does not; eigenvalues below EIG_CLAMP, overlaps below 1e-20 and
+boundary masses below SUPPORT_EPSILON count as zero.  Channels are Kraus
+operator lists; fixed points go through the transition superoperator.
+Contraction coefficients are sampled lower estimates, scored net of their
+rounding bound — no efficient exact algorithm is claimed for the Petz
 chi-squared coefficient.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
-from .chi2bounds import kappa_bounds, q_min_on_support
-from .divergence import total_variation
+from .chi2bounds import _kappa_up_max, kappa_bounds, q_min_on_support
+from .contraction import (
+    SampleBudget,
+    _empirical_mixing,
+    _hill_climb,
+    _mixing_steps,
+    _ratio_scores,
+    _upper_bounds,
+)
+from .divergence import _divergence_rows, total_variation
 from .generators import Generator, make_generator
 
 __all__ = [
@@ -50,6 +62,9 @@ __all__ = [
 ]
 
 EIG_CLAMP = 1e-12
+# eigenvector overlaps |<e_x|f_y>|^2 below this are rounding noise; any floor
+# from 1e-24 to 1e-16 gives the spectral double sum's values and infinities
+_OVERLAP_FLOOR = 1e-20
 
 
 def check_density_matrix(rho, atol: float = 1e-10) -> np.ndarray:
@@ -67,10 +82,13 @@ def check_density_matrix(rho, atol: float = 1e-10) -> np.ndarray:
     return rho
 
 
-def trace_distance(rho, sigma) -> float:
-    """Half the Schatten 1-norm of the difference."""
+def trace_distance(rho, sigma):
+    """Half the Schatten 1-norm of the difference; an array of them for a
+    stack of states rho."""
     diff = np.asarray(rho, dtype=complex) - np.asarray(sigma, dtype=complex)
-    return 0.5 * float(np.abs(np.linalg.eigvalsh(0.5 * (diff + diff.conj().T))).sum())
+    herm = 0.5 * (diff + np.swapaxes(diff, -1, -2).conj())
+    td = 0.5 * np.abs(np.linalg.eigvalsh(herm)).sum(axis=-1)
+    return float(td) if td.ndim == 0 else td
 
 
 def hs_norm_sq(A) -> float:
@@ -95,62 +113,48 @@ class NSPair:
 
 
 def _spectral(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """eigh over the leading axes, eigenvalues below EIG_CLAMP set to zero."""
     eigs, vecs = np.linalg.eigh(rho)
-    eigs = np.where(np.abs(eigs) < EIG_CLAMP, 0.0, eigs)
-    return eigs, vecs
+    return np.where(eigs < EIG_CLAMP, 0.0, eigs), vecs
+
+
+def _ns_rows(rho: np.ndarray, sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """NS rows (P, Q), each (N, d^2), of a stack rho (N, d, d) or one state
+    against sigma: p(x,y) = lam_x |<e_x|f_y>|^2, q(x,y) = mu_y |<e_x|f_y>|^2,
+    overlaps below _OVERLAP_FLOOR zeroed, for the unclamped kernel body."""
+    lam, e = _spectral(rho)
+    mu, f = _spectral(sigma)
+    overlap = np.abs(np.swapaxes(e, -1, -2).conj() @ f) ** 2  # overlap[x, y]
+    overlap = np.where(overlap < _OVERLAP_FLOOR, 0.0, overlap)
+    d = overlap.shape[-1]
+    P = lam[..., :, np.newaxis] * overlap
+    Q = mu[..., np.newaxis, :] * overlap
+    return P.reshape(-1, d * d), Q.reshape(-1, d * d)
+
+
+def _checked_pair(rho, sigma) -> tuple[np.ndarray, np.ndarray]:
+    rho = check_density_matrix(rho)
+    sigma = check_density_matrix(sigma)
+    if rho.shape != sigma.shape:
+        raise ValueError("dimension mismatch")
+    return rho, sigma
 
 
 def ns_distributions(rho, sigma) -> NSPair:
     """p(x,y) = lam_x |<e_x|f_y>|^2, q(x,y) = mu_y |<e_x|f_y>|^2."""
-    rho = check_density_matrix(rho)
-    sigma = check_density_matrix(sigma)
-    if rho.shape != sigma.shape:
-        raise ValueError("dimension mismatch")
-    lam, e = _spectral(rho)
-    mu, f = _spectral(sigma)
-    overlap = np.abs(e.conj().T @ f) ** 2  # overlap[x, y]
-    p_xy = lam[:, np.newaxis] * overlap
-    q_xy = mu[np.newaxis, :] * overlap
-    return NSPair(p_xy=p_xy.ravel(), q_xy=q_xy.ravel())
+    P, Q = _ns_rows(*_checked_pair(rho, sigma))
+    return NSPair(p_xy=P[0], q_xy=Q[0])
 
 
 def petz_f_divergence(g: Generator, rho, sigma) -> float:
-    """Double spectral sum plus the f(0+), f'(inf) boundary corrections."""
-    rho = check_density_matrix(rho)
-    sigma = check_density_matrix(sigma)
-    if rho.shape != sigma.shape:
-        raise ValueError("dimension mismatch")
-    lam, e = _spectral(rho)
-    mu, f = _spectral(sigma)
-    overlap = np.abs(e.conj().T @ f) ** 2
-    px = lam > 0.0
-    py = mu > 0.0
-    total = 0.0
-    if np.any(px) and np.any(py):
-        sub = overlap[np.ix_(px, py)]
-        ratios = lam[px][:, np.newaxis] / mu[py][np.newaxis, :]
-        total += float(np.sum(mu[py][np.newaxis, :] * g.f(ratios) * sub))
-    # f(0+) Tr[(I - P^0) Q]: sigma-mass outside the support of rho
-    mass = float(np.sum(mu[py][np.newaxis, :] * overlap[np.ix_(~px, py)]))
-    if mass > EIG_CLAMP:
-        if math.isinf(g.f_at_zero):
-            return math.inf
-        total += mass * g.f_at_zero
-    # f'(inf) Tr[P (I - Q^0)]: rho-mass outside the support of sigma
-    mass = float(np.sum(lam[px][:, np.newaxis] * overlap[np.ix_(px, ~py)]))
-    if mass > EIG_CLAMP:
-        if math.isinf(g.fprime_at_inf):
-            return math.inf
-        total += mass * g.fprime_at_inf
-    return total
+    """The classical f-divergence of the NS distributions, with the f(0+)
+    and f'(inf) boundary conventions."""
+    return float(_divergence_rows(g, *_ns_rows(*_checked_pair(rho, sigma)))[0])
 
 
 def petz_chi2(rho, sigma) -> float:
     """Tr[sigma^+ (rho-sigma)^2] on supp(sigma); +inf when rho !<< sigma."""
-    rho = check_density_matrix(rho)
-    sigma = check_density_matrix(sigma)
-    if rho.shape != sigma.shape:
-        raise ValueError("dimension mismatch")
+    rho, sigma = _checked_pair(rho, sigma)
     mu, f = _spectral(sigma)
     pos = mu > 0.0
     if not np.all(pos):
@@ -200,19 +204,11 @@ class KrausChannel:
 
 
 def apply_channel(channel: KrausChannel, rho) -> np.ndarray:
+    """E(rho) for one state or for a stack of states along the leading axes."""
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (channel.dim_in, channel.dim_in):
+    if rho.shape[-2:] != (channel.dim_in, channel.dim_in):
         raise ValueError("dimension mismatch between channel and state")
     return sum(K @ rho @ K.conj().T for K in channel.kraus)
-
-
-def apply_channel_n(channel: KrausChannel, rho, n: int) -> np.ndarray:
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    out = np.asarray(rho, dtype=complex)
-    for _ in range(n):
-        out = apply_channel(channel, out)
-    return out
 
 
 def compose(second: KrausChannel, first: KrausChannel) -> KrausChannel:
@@ -288,19 +284,15 @@ def classical_embedding(W) -> KrausChannel:
     return KrausChannel(kraus=tuple(ops))
 
 
-def _probe_states(d: int) -> list[np.ndarray]:
-    """A spanning set of pure states: basis vectors plus pairwise
+def _probe_states(d: int) -> np.ndarray:
+    """A spanning set of pure states, stacked: basis vectors plus pairwise
     superpositions with and without a relative phase."""
-    states = []
     eye = np.eye(d, dtype=complex)
-    for i in range(d):
-        states.append(np.outer(eye[:, i], eye[:, i].conj()))
-    for i in range(d):
-        for j in range(i + 1, d):
-            for phase in (1.0, 1j):
-                v = (eye[:, i] + phase * eye[:, j]) / math.sqrt(2.0)
-                states.append(np.outer(v, v.conj()))
-    return states
+    vecs = list(eye) + [
+        (eye[i] + phase * eye[j]) / math.sqrt(2.0)
+        for i in range(d) for j in range(i + 1, d) for phase in (1.0, 1j)
+    ]
+    return np.array([np.outer(v, v.conj()) for v in vecs])
 
 
 @dataclass(frozen=True)
@@ -317,9 +309,11 @@ def channel_structure(
 ) -> QuantumChannelStructure:
     """Fixed point, uniqueness, and mixing predicates via the superoperator.
 
-    Mixing is probed by iterating a spanning set of initial states n_cap
-    times; strong mixing asks additionally for eventually strictly positive
-    outputs on the probe set (equivalent to a full-rank unique fixed point).
+    A channel with a unique fixed point is mixing when every other eigenvalue
+    of its superoperator has modulus below 1 - 1e-8, so that E^n(rho) tends
+    to the fixed point for every rho; strong mixing asks additionally for
+    strictly positive outputs (eigenvalues above tol) on a spanning probe
+    set within n_cap steps (equivalent to a full-rank unique fixed point).
     """
     if channel.dim_in != channel.dim_out:
         raise ValueError("structure requires a square channel")
@@ -342,27 +336,17 @@ def channel_structure(
             if eigs.min() > -1e-9:
                 fixed_point = M
 
-    mixing = False
-    strongly_mixing = False
+    second = np.sort(np.abs(eigvals))[-2] if eigvals.size > 1 else 0.0
+    mixing = fixed_point is not None and unique and bool(second < 1.0 - 1e-8)
     positivity_index = None
-    if fixed_point is not None and unique:
-        probes = _probe_states(d)
-        finals = []
-        all_mixed = True
-        for rho in probes:
-            out = apply_channel_n(channel, rho, n_cap)
-            finals.append(out)
-            if trace_distance(out, fixed_point) > tol:
-                all_mixed = False
-        mixing = all_mixed
-        if mixing:
-            outs = [p.copy() for p in probes]
-            for n in range(1, n_cap + 1):
-                outs = [apply_channel(channel, o) for o in outs]
-                if all(np.linalg.eigvalsh(o).min() > tol for o in outs):
-                    positivity_index = n
-                    strongly_mixing = True
-                    break
+    if mixing:
+        step = partial(apply_channel, channel)
+        n = _empirical_mixing(
+            step, step(_probe_states(d)), lambda S: np.linalg.eigvalsh(S).min() > tol,
+            n_cap - 1,
+        )
+        positivity_index = None if n is None else n + 1
+    strongly_mixing = positivity_index is not None
     return QuantumChannelStructure(
         fixed_point=fixed_point,
         unique=unique,
@@ -414,18 +398,18 @@ def _skip(bound_id: str, note: str) -> BoundCheck:
 def petz_bounds_report(g: Generator, rho, sigma) -> PetzBoundsReport:
     """Evaluate and check the Petz sandwich, quantum Pinsker, chi-squared vs
     trace-distance, and NS reverse-Pinsker bounds for one state pair."""
-    rho = check_density_matrix(rho)
-    sigma = check_density_matrix(sigma)
-    value = petz_f_divergence(g, rho, sigma)
+    rho, sigma = _checked_pair(rho, sigma)
+    P, Q = _ns_rows(rho, sigma)
+    value = float(_divergence_rows(g, P, Q)[0])
     chi2 = petz_chi2(rho, sigma)
     td = trace_distance(rho, sigma)
-    ns = ns_distributions(rho, sigma)
+    ns = NSPair(p_xy=P[0], q_xy=Q[0])
     checks: list[BoundCheck] = []
 
     dominated = math.isfinite(chi2)
     sigma_dom_rho = petz_chi2(sigma, rho) < math.inf
+    kp = kappa_bounds(g, ns.p_xy, ns.q_xy) if dominated else None
     if dominated and (g.f2_at_zero_finite or sigma_dom_rho):
-        kp = kappa_bounds(g, ns.p_xy, ns.q_xy)
         checks.append(_check("petz-sandwich-lower", 0.5 * kp.kappa_down * chi2, value))
         upper = 0.5 * kp.kappa_up * chi2 if math.isfinite(kp.kappa_up) else math.inf
         checks.append(_check("petz-sandwich-upper", value, upper))
@@ -455,7 +439,6 @@ def petz_bounds_report(g: Generator, rho, sigma) -> PetzBoundsReport:
             )
         else:
             checks.append(_skip("petz-f-lower-chi2", "needs operator-convex f"))
-        kp = kappa_bounds(g, ns.p_xy, ns.q_xy)
         if math.isfinite(kp.kappa_up):
             qmin = q_min_on_support(ns.q_xy)
             dns = ns.p_xy - ns.q_xy
@@ -487,18 +470,13 @@ def petz_bounds_report(g: Generator, rho, sigma) -> PetzBoundsReport:
 
 
 @dataclass(frozen=True)
-class QuantumBudget:
-    """Sampling configuration for quantum contraction estimates."""
+class QuantumBudget(SampleBudget):
+    """Sampling configuration for quantum contraction estimates: the
+    classical budget with smaller defaults plus the eigenbasis grid."""
 
     n_samples: int = 200
-    seed: int = 0
     refine_steps: int = 120
-    blend_weights: tuple[float, ...] = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
     eigenbasis_grid: int = 257
-
-    def __post_init__(self):
-        if self.n_samples < 100:
-            raise ValueError("budget requires at least 100 samples")
 
 
 def _haar_pure(d: int, rng: np.random.Generator) -> np.ndarray:
@@ -507,71 +485,44 @@ def _haar_pure(d: int, rng: np.random.Generator) -> np.ndarray:
     return np.outer(v, v.conj())
 
 
-def _candidate_states(sigma: np.ndarray, budget: QuantumBudget) -> list[np.ndarray]:
-    """Haar pure states blended toward sigma, plus sigma-eigenbasis mixtures
-    (the latter make classically-embedded suprema grid-exact)."""
+def _candidate_states(sigma: np.ndarray, budget: QuantumBudget) -> np.ndarray:
+    """Stack of Haar pure states blended toward sigma, plus sigma-eigenbasis
+    mixtures (the latter make classically-embedded suprema grid-exact)."""
     d = sigma.shape[0]
     rng = np.random.default_rng(budget.seed)
+    w = np.asarray(budget.blend_weights)[:, np.newaxis, np.newaxis]
     out = []
     for _ in range(budget.n_samples):
         pure = _haar_pure(d, rng)
-        out.append(pure)
-        for w in budget.blend_weights:
-            out.append((1.0 - w) * pure + w * sigma)
-    _, vecs = _spectral(sigma)
-    for i in range(d):
-        for j in range(i + 1, d):
-            Pi = np.outer(vecs[:, i], vecs[:, i].conj())
-            Pj = np.outer(vecs[:, j], vecs[:, j].conj())
-            for a in np.linspace(0.0, 1.0, budget.eigenbasis_grid):
-                out.append(a * Pi + (1.0 - a) * Pj)
-    return out
-
-
-# see contraction.NUMERATOR_NOISE_FLOOR: numerators below the rounding noise
-# of the spectral sums count as zero so estimates stay lower bounds
-_NOISE_FLOOR = 1e-13
-
-
-def _quantum_ratio(
-    g: Generator, channel: KrausChannel, sigma_out: np.ndarray, sigma: np.ndarray,
-    rho: np.ndarray,
-) -> float:
-    denom = petz_f_divergence(g, rho, sigma)
-    if not (1e-12 < denom < math.inf):
-        return -math.inf
-    num = petz_f_divergence(g, apply_channel(channel, rho), sigma_out)
-    if math.isinf(num):
-        return -math.inf
-    if num < _NOISE_FLOOR:
-        num = 0.0
-    return num / denom
+        out += [pure[np.newaxis], (1.0 - w) * pure + w * sigma]
+    v = _spectral(sigma)[1].T
+    proj = v[:, :, np.newaxis] * v[:, np.newaxis, :].conj()  # |f_k><f_k| of sigma
+    a = np.linspace(0.0, 1.0, budget.eigenbasis_grid)[:, np.newaxis, np.newaxis]
+    out += [a * proj[i] + (1 - a) * proj[j] for i in range(d) for j in range(i + 1, d)]
+    return np.concatenate(out)
 
 
 def quantum_eta_estimate(
     channel: KrausChannel, sigma, g: Generator, budget: QuantumBudget | None = None
 ) -> tuple[float, np.ndarray | None]:
     """Sampled lower estimate of the Petz input-dependent contraction
-    coefficient, with its witness state."""
+    coefficient, with its witness state.
+
+    Scores D_f(E(rho) || E(sigma)) / D_f(rho || sigma) on NS rows with the
+    classical scorer, net of its rounding bound, over the whole candidate
+    stack at once and then per refine proposal.
+    """
     sigma = check_density_matrix(sigma)
     if budget is None:
         budget = QuantumBudget()
     sigma_out = apply_channel(channel, sigma)
-    best = -math.inf
-    witness = None
-    for rho in _candidate_states(sigma, budget):
-        r = _quantum_ratio(g, channel, sigma_out, sigma, rho)
-        if r > best:
-            best = r
-            witness = rho
-    if witness is None:
-        warnings.warn("no feasible state found; estimate 0")
-        return 0.0, None
-    rng = np.random.default_rng(budget.seed + 1)
-    weight = 0.3
-    current = witness.copy()
     d = sigma.shape[0]
-    for _ in range(budget.refine_steps):
+
+    def scores(states: np.ndarray) -> np.ndarray:
+        outputs = apply_channel(channel, states)
+        return _ratio_scores(g, _ns_rows(states, sigma), _ns_rows(outputs, sigma_out))
+
+    def propose(current, rng, weight):
         prop = (1.0 - weight * rng.random()) * current
         prop = prop + (1.0 - np.trace(prop).real) * _haar_pure(d, rng)
         prop = 0.5 * (prop + prop.conj().T)
@@ -579,13 +530,10 @@ def quantum_eta_estimate(
         eigs = np.maximum(eigs, 0.0)
         s = eigs.sum()
         if s <= 0.0:
-            continue
-        prop = (vecs * (eigs / s)[np.newaxis, :]) @ vecs.conj().T
-        r = _quantum_ratio(g, channel, sigma_out, sigma, prop)
-        if r > best:
-            best, current = r, prop
-        weight *= 0.98
-    return max(best, 0.0), current
+            return None
+        return (vecs * (eigs / s)[np.newaxis, :]) @ vecs.conj().T
+
+    return _hill_climb(scores, _candidate_states(sigma, budget), propose, budget, 0.3)
 
 
 def quantum_eta_bounds(
@@ -618,27 +566,11 @@ def quantum_eta_bounds(
     )
     lmin = min_positive_eigenvalue(sigma)
 
-    if not (g.f2_at_zero_finite and (sigma_full or math.isinf(g.fprime_at_inf))):
-        nonlinear = math.inf
-    else:
-        sigma_out = apply_channel(channel, sigma)
-        sup = -math.inf
-        for rho in _candidate_states(sigma, budget):
-            ns = ns_distributions(
-                check_density_matrix(apply_channel(channel, rho), atol=1e-8), sigma_out
-            )
-            kp = kappa_bounds(g, ns.p_xy, ns.q_xy)
-            sup = max(sup, kp.kappa_up)
-            if math.isinf(sup):
-                break
-        nonlinear = (
-            8.0 / (L * lmin) * sup * eta_chi2_hat if math.isfinite(sup) else math.inf
-        )
-
-    linear = None
-    if g.g_concave and math.isfinite(g.f_at_zero) and sigma_full:
-        linear = 8.0 * (float(g.f1(1.0)) + g.f_at_zero) / (L * lmin) * eta_chi2_hat
-    return nonlinear, linear
+    kappa_sup = math.inf
+    if g.f2_at_zero_finite and (sigma_full or math.isinf(g.fprime_at_inf)):
+        outputs = apply_channel(channel, _candidate_states(sigma, budget))
+        kappa_sup = _kappa_up_max(g, *_ns_rows(outputs, apply_channel(channel, sigma)))
+    return _upper_bounds(g, 8.0, L * lmin, eta_chi2_hat, kappa_sup, sigma_full)
 
 
 @dataclass(frozen=True)
@@ -679,46 +611,32 @@ def quantum_mixing_time_bounds(
     if eta_hat >= 1.0 - 1e-12:
         raise ValueError("estimated eta_chi2 >= 1: no finite bound")
     lmin = min_positive_eigenvalue(pi)
-    notes = ["eta_chi2 is a sampled estimate; bounds are estimate-based"]
-    log_rate = math.log(1.0 / eta_hat) if eta_hat > 0.0 else math.inf
-
-    if eta_hat == 0.0:
-        td_bound = 1 if lmin * delta**2 < 1.0 else 0
-    else:
-        raw = math.log(1.0 / (lmin * delta**2)) / log_rate
-        td_bound = max(0, math.ceil(raw - 1e-12))
+    td_bound = _mixing_steps(
+        eta_hat, math.log(1.0 / (lmin * delta**2)), int(lmin * delta**2 < 1.0)
+    )
 
     f_bound = None
     if g is not None:
-        if not (
-            g.operator_convex and g.g_concave and math.isfinite(g.f_at_zero)
-        ):
+        if not (g.operator_convex and g.g_concave and math.isfinite(g.f_at_zero)):
             raise ValueError(
                 "f-divergence bound needs operator-convex f with finite f(0+) "
                 "and (f(t)-f(0))/t concave"
             )
         coeff = float(g.f1(1.0)) + g.f_at_zero
-        if eta_hat == 0.0:
-            f_bound = 1
-        else:
-            raw = math.log(4.0 * coeff / (lmin * delta)) / log_rate
-            f_bound = max(0, math.ceil(raw - 1e-12))
+        f_bound = _mixing_steps(eta_hat, math.log(4.0 * coeff / (lmin * delta)), 1)
 
+    step = partial(apply_channel, channel)
     probes = _probe_states(channel.dim_in)
-
-    def least_n(dist_fn, cap):
-        outs = [p.copy() for p in probes]
-        for n in range(cap + 1):
-            if max(dist_fn(o) for o in outs) <= delta:
-                return n
-            outs = [apply_channel(channel, o) for o in outs]
-        return None
-
-    empirical_td = least_n(lambda o: trace_distance(o, pi), max(2 * td_bound, 64))
+    empirical_td = _empirical_mixing(
+        step, probes, lambda S: trace_distance(S, pi).max() <= delta,
+        max(2 * td_bound, 64),
+    )
     empirical_f = None
     if g is not None:
-        empirical_f = least_n(
-            lambda o: petz_f_divergence(g, check_density_matrix(o, atol=1e-8), pi),
+        empirical_f = _empirical_mixing(
+            step,
+            probes,
+            lambda S: _divergence_rows(g, *_ns_rows(S, pi)).max() <= delta,
             max(2 * (f_bound or 0), 64),
         )
     return QuantumMixingReport(
@@ -728,5 +646,5 @@ def quantum_mixing_time_bounds(
         empirical_f=empirical_f,
         eta_chi2_estimate=eta_hat,
         lambda_min=lmin,
-        warnings=tuple(notes),
+        warnings=("eta_chi2 is a sampled estimate; bounds are estimate-based",),
     )

@@ -214,6 +214,21 @@ def test_env_seed_override(bsc_csv, capsys, monkeypatch):
     assert report["seed"] == 99
 
 
+def test_unused_flags_are_rejected(bsc_csv, capsys, monkeypatch):
+    # --bits relabelled no analyze-chain value; the other two sample nothing
+    for argv in (
+        ["analyze-chain", "--matrix", bsc_csv, "--generator", "kl", "--bits"],
+        ["verify-constants", "--seed", "3"],
+        ["mixing-time", "--matrix", bsc_csv, "--seed", "3"],
+    ):
+        with pytest.raises(SystemExit):
+            run(argv)
+    capsys.readouterr()
+    monkeypatch.setenv("DIVLAB_SEED", "5")
+    run(["mixing-time", "--matrix", bsc_csv])
+    assert _load_json(capsys.readouterr().out)["seed"] == 5
+
+
 def test_input_error_exit_code(tmp_path, capsys):
     path = tmp_path / "bad.csv"
     path.write_text("0.5,0.2\n0.4,0.8\n")

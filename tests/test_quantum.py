@@ -2,12 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from divlab.contraction import _ratio_scores
 from divlab.contraction import eta_chi2 as classical_eta_chi2
-from divlab.divergence import f_divergence, total_variation
-from divlab.generators import make_generator
+from divlab.divergence import _divergence_rows, f_divergence, total_variation
+from divlab.generators import from_spec, make_generator, registry_names
 from divlab.markov import bsc
 from divlab.quantum import (
+    EIG_CLAMP,
     KrausChannel,
     QuantumBudget,
     apply_channel,
@@ -27,6 +31,7 @@ from divlab.quantum import (
     quantum_mixing_time_bounds,
     replacer_channel,
     trace_distance,
+    _ns_rows,
 )
 
 PLUS = np.full((2, 2), 0.5, dtype=complex)
@@ -45,6 +50,50 @@ def random_kraus(rng, d, k=3):
     A = rng.normal(size=(k * d, d)) + 1j * rng.normal(size=(k * d, d))
     Q, _ = np.linalg.qr(A)
     return KrausChannel(kraus=tuple(Q[i * d : (i + 1) * d, :] for i in range(k)))
+
+
+def petz_spectral_sum(g, rho, sigma):
+    """Reference Petz f-divergence: the double sum over eigenpairs
+    sum mu_y f(lam_x / mu_y) |<e_x|f_y>|^2 on both supports, plus the f(0+)
+    and f'(inf) corrections for the masses outside them; a mass of at most
+    EIG_CLAMP counts as rounding noise."""
+
+    def spectral(a):
+        eigs, vecs = np.linalg.eigh(a)
+        return np.where(np.abs(eigs) < EIG_CLAMP, 0.0, eigs), vecs
+
+    lam, e = spectral(np.asarray(rho, dtype=complex))
+    mu, f = spectral(np.asarray(sigma, dtype=complex))
+    overlap = np.abs(e.conj().T @ f) ** 2
+    px = lam > 0.0
+    py = mu > 0.0
+    total = 0.0
+    if np.any(px) and np.any(py):
+        sub = overlap[np.ix_(px, py)]
+        ratios = lam[px][:, np.newaxis] / mu[py][np.newaxis, :]
+        total += float(np.sum(mu[py][np.newaxis, :] * g.f(ratios) * sub))
+    # f(0+) Tr[(I - P^0) Q]: sigma-mass outside the support of rho
+    mass = float(np.sum(mu[py][np.newaxis, :] * overlap[np.ix_(~px, py)]))
+    if mass > EIG_CLAMP:
+        if math.isinf(g.f_at_zero):
+            return math.inf
+        total += mass * g.f_at_zero
+    # f'(inf) Tr[P (I - Q^0)]: rho-mass outside the support of sigma
+    mass = float(np.sum(lam[px][:, np.newaxis] * overlap[np.ix_(px, ~py)]))
+    if mass > EIG_CLAMP:
+        if math.isinf(g.fprime_at_inf):
+            return math.inf
+        total += mass * g.fprime_at_inf
+    return total
+
+
+def random_unitary(rng, d):
+    Q, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    return Q
+
+
+def state_in_basis(U, weights):
+    return (U * weights[np.newaxis, :]) @ U.conj().T
 
 
 def test_density_matrix_validation():
@@ -201,6 +250,17 @@ def test_channel_structure_depolarizing():
     assert st.unique and st.mixing and st.strongly_mixing
     assert st.positivity_index == 1
     assert st.fixed_point == pytest.approx(MAXMIX2, abs=1e-9)
+
+
+def test_channel_structure_mixing_is_spectral():
+    # second eigenvalue 1 - lam = 0.9: 64 iterations still leave a trace
+    # distance near 1e-3, yet every state converges to I/2
+    st = channel_structure(depolarizing_channel(2, 0.1))
+    assert st.unique and st.mixing and st.strongly_mixing
+    assert st.positivity_index == 1
+    # the embedded swap has the unique fixed point I/2 and the eigenvalue -1
+    swap = channel_structure(classical_embedding(np.array([[0.0, 1.0], [1.0, 0.0]])))
+    assert swap.unique and not swap.mixing and swap.positivity_index is None
 
 
 def test_channel_structure_identity_not_unique():
@@ -408,3 +468,106 @@ def test_dephasing_consistency_for_classical_embeddings(operator_convex_registry
         assert trace_distance(rho, sigma) == pytest.approx(
             total_variation(p, q), abs=1e-12
         )
+
+
+def spectral_pair(seed, d, kind, log_angle):
+    """A seeded state pair of one kind: full-rank, rank-deficient (rho,
+    sigma or both), commuting rank-deficient, or near-commuting with rho's
+    eigenbasis rotated by 10^log_angle rad from sigma's."""
+    rng = np.random.default_rng(seed)
+    if kind == "full":
+        return random_state(rng, d), random_state(rng, d)
+    if kind == "rank-deficient":
+        ranks = [(1, d), (d, 1), (1, d - 1), (d - 1, d - 1)][seed % 4]
+        return random_state(rng, d, ranks[0]), random_state(rng, d, ranks[1])
+    # spectra with zeros at random places, in one basis or two nearby ones
+    spectra = rng.dirichlet(np.ones(d), size=2)
+    for w in spectra:
+        w[rng.random(d) < 0.3] = 0.0
+        if w.sum() == 0.0:
+            w[rng.integers(d)] = 1.0
+        w /= w.sum()
+    U = random_unitary(rng, d)
+    V = U
+    if kind == "near-commuting":
+        H = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        H = 0.5 * (H + H.conj().T)
+        eigs, vecs = np.linalg.eigh(H / np.linalg.norm(H, 2))
+        rotation = (vecs * np.exp(1j * 10.0**log_angle * eigs)) @ vecs.conj().T
+        V = rotation @ U
+    return state_in_basis(V, spectra[0]), state_in_basis(U, spectra[1])
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(2, 4),
+    st.sampled_from(["full", "rank-deficient", "commuting", "near-commuting"]),
+    st.floats(min_value=-9.0, max_value=-4.0),
+    st.sampled_from(registry_names()),
+)
+@settings(max_examples=400, deadline=None)
+def test_petz_matches_spectral_sum(seed, d, kind, log_angle, name):
+    # every registry entry at default parameters
+    g = from_spec(name)
+    rho, sigma = spectral_pair(seed, d, kind, log_angle)
+    ref = petz_spectral_sum(g, rho, sigma)
+    value = petz_f_divergence(g, rho, sigma)
+    if math.isinf(ref) or math.isinf(value):
+        assert value == ref
+        return
+    # the NS route forms p/q as (lam |<e|f>|^2) / (mu |<e|f>|^2) and sums in
+    # another order; its own rounding bound covers both
+    _, err = _divergence_rows(g, *_ns_rows(rho, sigma), rounding_error=True)
+    assert abs(value - ref) <= 1e-12 * abs(ref) + d * d * err[0], (value, ref)
+
+
+def test_petz_near_commuting_reverse_kl():
+    # rho's eigenvalue 0.001 sits well above EIG_CLAMP while its NS products
+    # lam_x |<e_x|f_y>|^2 off the diagonal fall below SUPPORT_EPSILON; clamping
+    # them would read sigma-mass outside supp(rho) and give +inf
+    theta = 3e-6
+    c, s = math.cos(theta), math.sin(theta)
+    rho = state_in_basis(np.array([[c, -s], [s, c]], dtype=complex), np.array([0.999, 0.001]))
+    sigma = np.diag([0.3, 0.7]).astype(complex)
+    rkl = make_generator("reverse_kl")
+    value = petz_f_divergence(rkl, rho, sigma)
+    closed = 0.3 * math.log(0.3 / 0.999) + 0.7 * math.log(0.7 / 0.001)
+    assert value == pytest.approx(closed, rel=1e-6)
+    assert value == pytest.approx(petz_spectral_sum(rkl, rho, sigma), rel=1e-12)
+    jeffrey = make_generator("jeffrey")
+    assert math.isfinite(petz_f_divergence(jeffrey, rho, sigma))
+
+
+def test_batched_quantum_scores_match_single_rows(registry):
+    rng = np.random.default_rng(23)
+    d = 3
+    channel = random_kraus(rng, d)
+    sigma = random_state(rng, d)
+    sigma_out = apply_channel(channel, sigma)
+    states = np.array(
+        [random_state(rng, d, rank=1 + k % d) for k in range(12)] + [sigma]
+    )
+    outputs = apply_channel(channel, states)
+    for g in registry:
+        P, Q = _ns_rows(states, sigma)
+        values = _divergence_rows(g, P, Q)
+        scores = _ratio_scores(g, (P, Q), _ns_rows(outputs, sigma_out))
+        for k, rho in enumerate(states):
+            one = _ratio_scores(
+                g, _ns_rows(rho, sigma), _ns_rows(apply_channel(channel, rho), sigma_out)
+            )
+            assert scores[k] == pytest.approx(one[0], rel=1e-12, abs=1e-15), g.label
+            assert values[k] == pytest.approx(
+                petz_f_divergence(g, rho, sigma), rel=1e-12, abs=1e-15
+            ), g.label
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_petz_chi2_estimate_not_above_exact_depolarizing(d):
+    # every feasible input of depolarizing(lam) has ratio exactly (1-lam)^2;
+    # rounding noise in the ratios must not lift the estimate above it
+    pc = make_generator("pearson_chi2")
+    for lam in (0.1, 0.3, 0.5, 0.7, 0.9):
+        est, _ = quantum_eta_estimate(depolarizing_channel(d, lam), np.eye(d) / d, pc, FAST)
+        assert est <= (1.0 - lam) ** 2, (lam, est)
+        assert est == pytest.approx((1.0 - lam) ** 2, rel=1e-9)
