@@ -2,17 +2,19 @@
 
 The matrix convention follows the channel convention: outputs are W @ p, so
 every column of W sums to one.  Structural predicates (irreducible, aperiodic,
-scrambling, indecomposable) are decided by boolean matrix powering and
-connected components at desk scale; stationary distributions come from the
-eigenvalue-1 eigenspace with a non-negative least-squares fallback when that
-eigenspace is degenerate.
+scrambling, indecomposable) are decided on the support graph of W with
+graph algorithms: strongly connected components, BFS levels for the period,
+one column-overlap product for scrambling, and a step-by-step reachability
+walk capped at Wielandt's bound for the positivity index.  No matrix power
+is stored.  Stationary distributions come from the eigenvalue-1 eigenspace
+with a non-negative least-squares fallback when that eigenspace is
+degenerate.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from math import gcd
 
 import numpy as np
 import scipy.optimize
@@ -117,55 +119,58 @@ class ChainStructure:
     positivity_index: int | None
 
 
-def _boolean_powers(adj: np.ndarray, n_cap: int) -> list[np.ndarray]:
-    """adj^1 .. adj^n_cap over the boolean semiring."""
-    powers = [adj.copy()]
-    current = adj.copy()
-    for _ in range(n_cap - 1):
-        current = (current.astype(np.uint8) @ adj.astype(np.uint8)) > 0
-        powers.append(current)
-    return powers
-
-
-def structure(W, n_cap: int | None = None) -> ChainStructure:
+def structure(W) -> ChainStructure:
     """Structural report: scrambling, irreducibility, aperiodicity,
-    indecomposability, stationary distribution, and positivity index."""
+    indecomposability, stationary distribution, and positivity index.
+
+    The support graph has an edge between x and y whenever W(y|x) is
+    positive.  A state with no return has period 0, so aperiodic means that
+    every state lies on a cycle and every strongly connected component has
+    period 1.  The positivity index is the least k with W^k entrywise
+    positive; it exists exactly for irreducible aperiodic (primitive) chains,
+    and Wielandt's bound (n-1)^2 + 1 caps it (Seneta, *Non-negative Matrices
+    and Markov Chains*).
+    """
     W = as_channel(W)
     _require_square(W)
     n = W.shape[0]
-    if n_cap is None:
-        n_cap = max(n * n, 64)
-    if n_cap < n * n:
-        raise ValueError("n_cap must be at least |X|^2")
+    adj = scipy.sparse.csr_matrix(W > SUPPORT_EPSILON, dtype=float)
 
-    pos = W > SUPPORT_EPSILON
-    # scrambling: every pair of columns shares a positive output
-    overlap = pos.astype(np.uint8).T @ pos.astype(np.uint8)
-    scrambling = bool(np.all(overlap > 0))
+    # scrambling: every pair of columns shares a positive output; the
+    # overlap counts are float64 (exact far beyond any n that fits in memory)
+    # and the sparse product stores only the positive ones
+    scrambling = bool(np.count_nonzero((adj.T @ adj).data) == n * n)
 
-    powers = _boolean_powers(pos, n_cap)
-    reach = np.zeros_like(pos)
-    for Bk in powers:
-        reach |= Bk
-    irreducible = bool(np.all(reach))
-
-    periods = []
-    for x in range(n):
-        returns = [t + 1 for t, Bk in enumerate(powers) if Bk[x, x]]
-        if not returns:
-            periods.append(0)
-            continue
-        d = 0
-        for t in returns:
-            d = gcd(d, t)
-        periods.append(d)
-    aperiodic = all(d == 1 for d in periods)
+    # period of each strongly connected component: the gcd of
+    # level[u] + 1 - level[v] over its internal edges, with BFS levels from
+    # one root per component; a component without internal edges (a state
+    # with no return) keeps period 0
+    n_comp, labels = scipy.sparse.csgraph.connected_components(
+        adj, directed=True, connection="strong"
+    )
+    src, dst = adj.nonzero()
+    inner = labels[src] == labels[dst]
+    src, dst = src[inner], dst[inner]
+    roots = np.unique(labels, return_index=True)[1]
+    level = scipy.sparse.csgraph.dijkstra(
+        scipy.sparse.csr_matrix((np.ones(src.size), (src, dst)), shape=(n, n)),
+        indices=roots,
+        unweighted=True,
+        min_only=True,
+    ).astype(np.int64)
+    period = np.zeros(n_comp, dtype=np.int64)
+    np.gcd.at(period, labels[src], level[src] + 1 - level[dst])
+    irreducible = n_comp == 1  # a lone state always has its self-loop
+    aperiodic = bool(np.all(period == 1))
 
     positivity_index = None
-    for t, Bk in enumerate(powers):
-        if np.all(Bk):
-            positivity_index = t + 1
-            break
+    if irreducible and aperiodic:
+        reach = adj.toarray()  # support of W^k, as 0/1
+        for k in range(1, (n - 1) ** 2 + 2):
+            if np.all(reach > 0.0):
+                positivity_index = k
+                break
+            reach = np.minimum(adj @ reach, 1.0)
 
     try:
         pi, unique = stationary_distribution(W)

@@ -1,8 +1,16 @@
+from dataclasses import fields
+from math import gcd
+
 import numpy as np
 import pytest
+import scipy.sparse
+import scipy.sparse.csgraph
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from divlab.divergence import total_variation
+from divlab.divergence import SUPPORT_EPSILON, total_variation
 from divlab.markov import (
+    ChainStructure,
     as_channel,
     bsc,
     iterate,
@@ -93,9 +101,163 @@ def test_structure_bsc_positivity():
     assert st.scrambling and st.irreducible and st.aperiodic and st.indecomposable
 
 
-def test_structure_n_cap_validation():
-    with pytest.raises(ValueError):
-        structure(bsc(0.1), n_cap=2)
+def test_structure_all_positive_256_states():
+    # 256 overlapping outputs per column pair: a uint8 count wraps to 0 here
+    W = np.full((256, 256), 1.0 / 256)
+    st_ = structure(W)
+    assert st_.scrambling and st_.irreducible and st_.aperiodic
+    assert st_.positivity_index == 1
+
+
+def _boolean_powers(adj, n_cap):
+    """adj^1 .. adj^n_cap over the boolean semiring."""
+    powers = [adj.copy()]
+    current = adj.copy()
+    for _ in range(n_cap - 1):
+        current = (current.astype(np.uint8) @ adj.astype(np.uint8)) > 0
+        powers.append(current)
+    return powers
+
+
+def structure_by_powers(W) -> ChainStructure:
+    """Brute-force oracle for ``structure``: every boolean power of the
+    support up to max(n^2, 64), O(n^5) time and O(n^4) memory; n <= 12."""
+    W = as_channel(W)
+    n = W.shape[0]
+    n_cap = max(n * n, 64)
+
+    pos = W > SUPPORT_EPSILON
+    overlap = pos.astype(np.int64).T @ pos.astype(np.int64)
+    scrambling = bool(np.all(overlap > 0))
+
+    powers = _boolean_powers(pos, n_cap)
+    reach = np.zeros_like(pos)
+    for Bk in powers:
+        reach |= Bk
+    irreducible = bool(np.all(reach))
+
+    periods = []
+    for x in range(n):
+        returns = [t + 1 for t, Bk in enumerate(powers) if Bk[x, x]]
+        if not returns:
+            periods.append(0)
+            continue
+        d = 0
+        for t in returns:
+            d = gcd(d, t)
+        periods.append(d)
+    aperiodic = all(d == 1 for d in periods)
+
+    positivity_index = None
+    for t, Bk in enumerate(powers):
+        if np.all(Bk):
+            positivity_index = t + 1
+            break
+
+    try:
+        pi, unique = stationary_distribution(W)
+    except ValueError:
+        pi, unique = None, False
+
+    indecomposable = False
+    if pi is not None:
+        joint = W * pi[np.newaxis, :]  # joint[y, x] = W(y|x) pi(x)
+        x_keep = np.flatnonzero(pi > SUPPORT_EPSILON)
+        y_keep = np.flatnonzero(joint.sum(axis=1) > SUPPORT_EPSILON)
+        edges = joint[np.ix_(y_keep, x_keep)] > SUPPORT_EPSILON
+        ny, nx = edges.shape
+        bip = np.zeros((nx + ny, nx + ny), dtype=bool)
+        bip[:nx, nx:] = edges.T
+        bip[nx:, :nx] = edges
+        n_comp, _ = scipy.sparse.csgraph.connected_components(
+            scipy.sparse.csr_matrix(bip), directed=False
+        )
+        indecomposable = n_comp == 1
+
+    return ChainStructure(
+        scrambling=scrambling,
+        irreducible=irreducible,
+        aperiodic=aperiodic,
+        indecomposable=indecomposable,
+        stationary=pi,
+        stationary_unique=unique,
+        positivity_index=positivity_index,
+    )
+
+
+def wielandt_support(n):
+    """n-cycle 0 -> 1 -> ... -> n-1 -> 0 plus the chord n-1 -> 1: the
+    primitive support with the largest exponent, (n - 1)^2 + 1."""
+    mask = np.zeros((n, n), dtype=bool)  # mask[y, x]: edge x -> y
+    mask[(np.arange(n) + 1) % n, np.arange(n)] = True
+    mask[1, n - 1] = True
+    return mask
+
+
+def chain_on(mask, rng):
+    """A column-stochastic chain with support ``mask`` and random weights."""
+    W = np.where(mask, rng.uniform(0.05, 1.0, mask.shape), 0.0)
+    return W / W.sum(axis=0)
+
+
+@st.composite
+def supports(draw):
+    """Supports of chains with n <= 12; column x holds the edges out of x.
+
+    random: independent edges at a drawn density.
+    cyclic: states dealt into d classes, edges only from each class to the
+        next, so every cycle has a length divisible by d (periodic cycles).
+    reducible: blocks in a random order, edges only within a block or to an
+        earlier block, so later blocks are transient; blocks of one state
+        with and without a self-loop, and absorbing states, arise here.
+    wielandt: the n-cycle plus one chord for n = 5 .. 12.
+    Empty columns get a self-loop, which makes that state absorbing.
+    """
+    kind = draw(st.sampled_from(["random", "cyclic", "reducible", "wielandt"]))
+    if kind == "wielandt":
+        return wielandt_support(draw(st.integers(5, 12)))
+    n = draw(st.sampled_from(range(1, 13)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mask = rng.random((n, n)) < rng.uniform(0.05, 1.0)
+    if kind == "cyclic":
+        d = draw(st.integers(1, n))
+        cls = rng.permutation(np.arange(n) % d)
+        allowed = cls[:, None] == (cls[None, :] + 1) % d
+        mask &= allowed
+        for x in np.flatnonzero(~mask.any(axis=0)):
+            mask[rng.choice(np.flatnonzero(allowed[:, x])), x] = True
+    elif kind == "reducible":
+        block = rng.permutation(np.sort(rng.integers(0, n, n)))
+        mask &= block[:, None] <= block[None, :]
+    empty = ~mask.any(axis=0)
+    mask[empty, empty] = True
+    return mask
+
+
+def assert_same_structure(got, want):
+    for field in (f.name for f in fields(ChainStructure)):
+        a, b = getattr(got, field), getattr(want, field)
+        if field == "stationary":
+            assert (a is None) == (b is None)
+            assert a is None or np.array_equal(a, b)
+        else:
+            assert a == b and type(a) is type(b), field
+
+
+@given(supports(), st.integers(0, 2**32 - 1))
+@example(np.ones((1, 1), dtype=bool), 0)
+@settings(max_examples=400, deadline=None)
+def test_structure_matches_boolean_powers(mask, seed):
+    W = chain_on(mask, np.random.default_rng(seed))
+    assert_same_structure(structure(W), structure_by_powers(W))
+
+
+@pytest.mark.parametrize("n", range(5, 13))
+def test_structure_wielandt_exponent(n):
+    W = chain_on(wielandt_support(n), np.random.default_rng(n))
+    st_ = structure(W)
+    assert st_.positivity_index == (n - 1) ** 2 + 1
+    assert_same_structure(st_, structure_by_powers(W))
 
 
 def test_iterate_basics():
