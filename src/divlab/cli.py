@@ -340,7 +340,9 @@ def _cmd_analyze_chain(args) -> int:
 
     info = structure(W)
     results: dict = {"structure": _structure_dict(info)}
-    pi, unique = stationary_distribution(W)
+    if info.stationary is None:  # raises the solver's input error
+        stationary_distribution(W)
+    pi = info.stationary
     eta2 = eta_chi2(W, pi)
     est, witness = eta_f_estimate(W, pi, g, budget)
     nonlinear, linear = eta_f_upper_bounds(W, pi, g, budget)

@@ -103,9 +103,16 @@ def _candidate_inputs(n: int, q: np.ndarray, budget: SampleBudget) -> np.ndarray
 NUMERATOR_NOISE_FLOOR = 1e-13
 
 
-def _ratios(g: Generator, W: np.ndarray, q: np.ndarray, P: np.ndarray) -> np.ndarray:
-    """Scores of D_f(Wp || Wq) / D_f(p || q) for every row p of P."""
-    return _ratio_scores(g, (_clamp(P), _clamp(q)), (_clamp(P @ W.T), _clamp(W @ q)))
+def _ratios(
+    g: Generator, W: np.ndarray, q: np.ndarray, P: np.ndarray, rowwise: bool = False
+) -> np.ndarray:
+    """Scores of D_f(Wp || Wq) / D_f(p || q) for every row p of P.
+
+    With ``rowwise`` each Wp is a one-row product, bit-equal to scoring p
+    alone; the product over all rows at once may round differently.
+    """
+    WP = (P[:, np.newaxis, :] @ W.T)[:, 0] if rowwise else P @ W.T
+    return _ratio_scores(g, (_clamp(P), _clamp(q)), (_clamp(WP), _clamp(W @ q)))
 
 
 def _ratio_scores(g: Generator, den_rows, num_rows) -> np.ndarray:
@@ -133,8 +140,10 @@ def eta_f_estimate(
     """Certified lower estimate of eta_f(W, q) with its witness input.
 
     Samples the simplex, excludes infeasible inputs (divergence zero or
-    infinite), and refines the best candidate by coordinate hill-climbing.
-    Ratios are scored net of their rounding bound (see ``_ratios``).
+    infinite), and refines the best candidate by coordinate hill-climbing:
+    each refine step draws a pair i != j and moves a random share of p_i,
+    at most the step's scale, to p_j.  Ratios are scored net of their
+    rounding bound (see ``_ratios``).
     """
     W = as_channel(W)
     q = as_prob_vec(q)
@@ -142,29 +151,48 @@ def eta_f_estimate(
         budget = SampleBudget()
     n = q.shape[0]
 
-    def propose(current, rng, scale):
-        i, j = rng.integers(0, n, size=2)
-        if i == j:
-            return None
-        move = scale * rng.random() * min(1.0, current[i])
-        prop = current.copy()
-        prop[i] -= move
-        prop[j] += move
-        prop = np.maximum(prop, 0.0)
-        return prop / prop.sum()
+    def draw(rng, steps):
+        # a step that draws i == j is skipped and keeps the scale
+        i, j, u = [], [], []
+        for _ in range(steps):
+            a, b = rng.integers(0, n, size=2)
+            if a != b:
+                i.append(a)
+                j.append(b)
+                u.append(rng.random())
+        return np.array(i, dtype=np.intp), np.array(j, dtype=np.intp), np.array(u)
+
+    def build(current, draws, scales):
+        i, j, u = draws
+        rows = np.arange(len(u))
+        move = scales * u * np.minimum(1.0, current[i])
+        P = np.repeat(current[np.newaxis], len(u), axis=0)
+        P[rows, i] -= move
+        P[rows, j] += move
+        P = np.maximum(P, 0.0)
+        return P / P.sum(axis=1, keepdims=True), np.ones(len(u), dtype=bool)
 
     return _hill_climb(
-        lambda P: _ratios(g, W, q, P), _candidate_inputs(n, q, budget), propose,
-        budget, 0.25,
+        partial(_ratios, g, W, q), _candidate_inputs(n, q, budget), draw, build,
+        budget, 0.25, window_scores=partial(_ratios, g, W, q, rowwise=True),
     )
 
 
-def _hill_climb(scores, cloud, propose, budget, scale: float):
-    """Best score over the candidate cloud, refined by hill-climbing.
+def _hill_climb(scores, cloud, draw, build, budget, scale: float, window_scores=None):
+    """Best score over the candidate cloud, refined by first-improvement
+    hill-climbing.
 
-    ``scores`` maps a stack of inputs to their scores; ``propose(current,
-    rng, scale)`` moves the best input so far or returns None, and the scale
-    shrinks by 0.98 per move.  The refine stream is seeded with seed + 1.
+    ``scores`` maps a stack of inputs to their scores.  ``draw(rng, steps)``
+    takes every refine step's random numbers from the stream seeded with
+    seed + 1, in the order a step-by-step climb would, and returns them as a
+    tuple of per-step arrays.  ``build(current, draws, scales)`` turns a run
+    of those steps into a stack of proposals from ``current`` and a mask of
+    the valid ones; the scale shrinks by 0.98 per valid proposal.
+    A window of up to the block size of proposals is built from the current
+    point and scored by one ``window_scores`` call (default ``scores``);
+    the first proposal above the best score is taken and the next window
+    starts at the step after it.  That is exactly the climb that scores one
+    proposal at a time, so the result is bit-identical to it.
     Returns (max(best, 0), witness), or (0, None) and a warning when no
     candidate is feasible.
     """
@@ -179,16 +207,29 @@ def _hill_climb(scores, cloud, propose, budget, scale: float):
     if best == -math.inf:
         warnings.warn("no feasible input found; estimate 0")
         return 0.0, None
-    rng = np.random.default_rng(budget.seed + 1)
+    window_scores = window_scores or scores
+    draws = draw(np.random.default_rng(budget.seed + 1), budget.refine_steps)
     current = cloud[k].copy()
-    for _ in range(budget.refine_steps):
-        prop = propose(current, rng, scale)
-        if prop is None:
-            continue
-        r = float(scores(prop[np.newaxis])[0])
-        if r > best:
-            best, current = r, prop
-        scale *= 0.98
+    step, n_steps = 0, len(draws[0])
+    while step < n_steps:
+        scales = [scale]
+        for _ in range(min(block, n_steps - step) - 1):
+            scales.append(scales[-1] * 0.98)
+        stack, valid = build(current, [a[step : step + len(scales)] for a in draws],
+                             np.array(scales))
+        # an invalid proposal keeps the scale, so the ones after it were
+        # built with the wrong scale: the window ends there
+        m = len(scales) if valid.all() else int(np.argmin(valid))
+        window = window_scores(stack[:m]) if m else np.empty(0)
+        above = np.flatnonzero(window > best)
+        if above.size:
+            t = int(above[0])
+            best, current = float(window[t]), stack[t].copy()
+            scale, step = scales[t] * 0.98, step + t + 1
+        elif m < len(scales):
+            scale, step = scales[m], step + m + 1
+        else:
+            scale, step = scales[-1] * 0.98, step + m
     return max(best, 0.0), current
 
 

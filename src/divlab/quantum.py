@@ -510,7 +510,11 @@ def quantum_eta_estimate(
 
     Scores D_f(E(rho) || E(sigma)) / D_f(rho || sigma) on NS rows with the
     classical scorer, net of its rounding bound, over the whole candidate
-    stack at once and then per refine proposal.
+    stack at once and then per window of refine proposals.  A refine step
+    draws a share u and a Haar pure state psi and proposes the state
+    (1 - w u) rho + (1 - Tr[(1 - w u) rho]) psi, eigenvalues clipped at zero
+    and renormalized, for the step's weight w; a proposal whose clipped
+    spectrum sums to zero is skipped.
     """
     sigma = check_density_matrix(sigma)
     if budget is None:
@@ -522,18 +526,27 @@ def quantum_eta_estimate(
         outputs = apply_channel(channel, states)
         return _ratio_scores(g, _ns_rows(states, sigma), _ns_rows(outputs, sigma_out))
 
-    def propose(current, rng, weight):
-        prop = (1.0 - weight * rng.random()) * current
-        prop = prop + (1.0 - np.trace(prop).real) * _haar_pure(d, rng)
-        prop = 0.5 * (prop + prop.conj().T)
+    def draw(rng, steps):
+        u, psi = [], []
+        for _ in range(steps):
+            u.append(rng.random())
+            psi.append(_haar_pure(d, rng))
+        return np.array(u), np.array(psi, dtype=complex).reshape(steps, d, d)
+
+    def build(current, draws, weights):
+        u, psi = draws
+        prop = (1.0 - weights * u)[:, np.newaxis, np.newaxis] * current
+        trace = np.trace(prop, axis1=1, axis2=2).real
+        prop = prop + (1.0 - trace)[:, np.newaxis, np.newaxis] * psi
+        prop = 0.5 * (prop + np.swapaxes(prop, 1, 2).conj())
         eigs, vecs = np.linalg.eigh(prop)
         eigs = np.maximum(eigs, 0.0)
-        s = eigs.sum()
-        if s <= 0.0:
-            return None
-        return (vecs * (eigs / s)[np.newaxis, :]) @ vecs.conj().T
+        s = eigs.sum(axis=1)
+        valid = ~(s <= 0.0)  # a NaN sum is scored, as one at a time
+        eigs = eigs / np.where(valid, s, 1.0)[:, np.newaxis]
+        return (vecs * eigs[:, np.newaxis, :]) @ np.swapaxes(vecs, 1, 2).conj(), valid
 
-    return _hill_climb(scores, _candidate_states(sigma, budget), propose, budget, 0.3)
+    return _hill_climb(scores, _candidate_states(sigma, budget), draw, build, budget, 0.3)
 
 
 def quantum_eta_bounds(

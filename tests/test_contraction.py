@@ -1,14 +1,18 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from divlab import chi2bounds, contraction
+from divlab import chi2bounds, contraction, quantum
 from divlab.chi2bounds import kappa_bounds
 from divlab.contraction import (
     SampleBudget,
     _candidate_inputs,
     _kappa_up_sup,
+    _ratio_scores,
     _ratios,
     contraction_rate_profile,
     convergence_bound,
@@ -17,9 +21,9 @@ from divlab.contraction import (
     eta_f_upper_bounds,
     mixing_time_bounds,
 )
-from divlab.divergence import f_divergence
+from divlab.divergence import as_prob_vec, f_divergence
 from divlab.generators import custom_generator, make_generator
-from divlab.markov import bsc, stationary_distribution
+from divlab.markov import as_channel, bsc, stationary_distribution
 
 UNIFORM2 = np.array([0.5, 0.5])
 FAST = SampleBudget(n_samples=100, refine_steps=40)
@@ -441,3 +445,228 @@ def test_ratio_scores_below_longdouble_oracle():
             num = _longdouble_divergence(g, f, Pl[feasible] @ Wl.T, Wl @ ql)
             den = _longdouble_divergence(g, f, Pl[feasible], ql)
             assert np.all(scores[feasible] <= num / den), (name, n)
+
+
+# ---------------------------------------------------------------------------
+# the batched refine against the step-by-step climb
+
+
+def hill_climb_sequential(scores, cloud, propose, budget, scale):
+    """Oracle for ``_hill_climb``: the climb that scores one proposal per
+    call.  ``propose(current, rng, scale)`` moves the best input so far or
+    returns None, and the scale shrinks by 0.98 per move."""
+    block = max(1, (1 << 12) // cloud[0].size)
+    all_scores = np.concatenate(
+        [scores(cloud[s : s + block]) for s in range(0, len(cloud), block)]
+    )
+    k = int(np.argmax(all_scores))
+    best = float(all_scores[k])
+    if best == -math.inf:
+        warnings.warn("no feasible input found; estimate 0")
+        return 0.0, None
+    rng = np.random.default_rng(budget.seed + 1)
+    current = cloud[k].copy()
+    for _ in range(budget.refine_steps):
+        prop = propose(current, rng, scale)
+        if prop is None:
+            continue
+        r = float(scores(prop[np.newaxis])[0])
+        if r > best:
+            best, current = r, prop
+        scale *= 0.98
+    return max(best, 0.0), current
+
+
+def eta_f_estimate_sequential(W, q, g, budget, accepted=None):
+    """``eta_f_estimate`` through the step-by-step climb; ``accepted``
+    collects the refine scores that beat the best so far."""
+    W, q = as_channel(W), as_prob_vec(q)
+    n = q.shape[0]
+
+    def propose(current, rng, scale):
+        i, j = rng.integers(0, n, size=2)
+        if i == j:
+            return None
+        move = scale * rng.random() * min(1.0, current[i])
+        prop = current.copy()
+        prop[i] -= move
+        prop[j] += move
+        prop = np.maximum(prop, 0.0)
+        return prop / prop.sum()
+
+    def scores(P):
+        out = _ratios(g, W, q, P)
+        if accepted is not None and len(P) == 1 and out[0] > max(accepted, default=-math.inf):
+            accepted.append(float(out[0]))
+        return out
+
+    cloud = _candidate_inputs(n, q, budget)
+    if accepted is not None:
+        accepted.append(float(np.max(_ratios(g, W, q, cloud))))
+    return hill_climb_sequential(scores, cloud, propose, budget, 0.25)
+
+
+def quantum_eta_estimate_sequential(channel, sigma, g, budget):
+    sigma = quantum.check_density_matrix(sigma)
+    sigma_out = quantum.apply_channel(channel, sigma)
+    d = sigma.shape[0]
+
+    def scores(states):
+        outputs = quantum.apply_channel(channel, states)
+        return _ratio_scores(
+            g, quantum._ns_rows(states, sigma), quantum._ns_rows(outputs, sigma_out)
+        )
+
+    def propose(current, rng, weight):
+        prop = (1.0 - weight * rng.random()) * current
+        prop = prop + (1.0 - np.trace(prop).real) * quantum._haar_pure(d, rng)
+        prop = 0.5 * (prop + prop.conj().T)
+        eigs, vecs = np.linalg.eigh(prop)
+        eigs = np.maximum(eigs, 0.0)
+        s = eigs.sum()
+        if s <= 0.0:
+            return None
+        return (vecs * (eigs / s)[np.newaxis, :]) @ vecs.conj().T
+
+    cloud = quantum._candidate_states(sigma, budget)
+    return hill_climb_sequential(scores, cloud, propose, budget, 0.3)
+
+
+def assert_same_climb(batched, sequential):
+    """Bit-equal (best, witness) and the same warnings from both calls."""
+    results = []
+    for call in (batched, sequential):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            results.append((call(), [str(w.message) for w in caught]))
+    ((best, witness), msgs), ((best_s, witness_s), msgs_s) = results
+    assert msgs == msgs_s
+    assert best == best_s
+    if witness_s is None:
+        assert witness is None
+    else:
+        assert witness.shape == witness_s.shape
+        assert np.array_equal(witness, witness_s)
+
+
+def _random_chain(rng, n, sparse):
+    if not sparse:
+        return rng.dirichlet(np.ones(n), size=n).T
+    # a self-loop, the next state and up to four more per column
+    W = np.zeros((n, n))
+    for x in range(n):
+        rows = np.unique(np.r_[x, (x + 1) % n, rng.integers(0, n, size=4)])
+        W[rows, x] = rng.dirichlet(np.ones(rows.size))
+    return W
+
+
+_CLIMB_GENERATORS = {
+    "kl": make_generator("kl"),
+    "pearson_chi2": make_generator("pearson_chi2"),
+    "chi_alpha": make_generator("chi_alpha", alpha=1.5),
+}
+
+
+@given(
+    n=st.sampled_from([2, 3, 8, 64]),
+    name=st.sampled_from(sorted(_CLIMB_GENERATORS)),
+    reference=st.sampled_from(["full", "zero-entry", "point-mass"]),
+    sparse=st.booleans(),
+    refine_steps=st.sampled_from([0, 1, 200]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=100, deadline=None)
+def test_batched_climb_matches_sequential(n, name, reference, sparse, refine_steps, seed):
+    rng = np.random.default_rng(seed)
+    W = _random_chain(rng, n, sparse)
+    q = 0.8 * rng.dirichlet(np.ones(n)) + 0.2 / n
+    if reference == "zero-entry":
+        q[rng.integers(n)] = 0.0
+        q /= q.sum()
+    elif reference == "point-mass":
+        q = np.eye(n)[rng.integers(n)]
+    budget = SampleBudget(n_samples=100, seed=int(rng.integers(1 << 31)),
+                          refine_steps=refine_steps)
+    g = _CLIMB_GENERATORS[name]
+    assert_same_climb(
+        lambda: eta_f_estimate(W, q, g, budget),
+        lambda: eta_f_estimate_sequential(W, q, g, budget),
+    )
+
+
+@pytest.mark.parametrize(
+    "n, sparse, name, seed",
+    [(2, False, "pearson_chi2", 4), (8, True, "kl", 8), (64, True, "pearson_chi2", 65)],
+)
+def test_batched_climb_matches_sequential_across_windows(n, sparse, name, seed):
+    # cases with several acceptances, so windows end at an accepted
+    # proposal and restart from it
+    rng = np.random.default_rng(seed)
+    W = _random_chain(rng, n, sparse)
+    pi, _ = stationary_distribution(W)
+    g = _CLIMB_GENERATORS[name]
+    budget = SampleBudget(seed=5)
+    accepted = []
+    assert_same_climb(
+        lambda: eta_f_estimate(W, pi, g, budget),
+        lambda: eta_f_estimate_sequential(W, pi, g, budget, accepted),
+    )
+    assert len(accepted) >= 3  # the cloud's best and at least two moves
+
+
+@given(
+    d=st.sampled_from([2, 3]),
+    rank=st.sampled_from(["full", "deficient", "pure"]),
+    name=st.sampled_from(["kl", "pearson_chi2"]),
+    refine_steps=st.sampled_from([0, 1, 120]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=25, deadline=None)
+def test_batched_quantum_climb_matches_sequential(d, rank, name, refine_steps, seed):
+    rng = np.random.default_rng(seed)
+    r = {"full": d, "deficient": d - 1, "pure": 1}[rank]
+    A = rng.normal(size=(d, r)) + 1j * rng.normal(size=(d, r))
+    sigma = A @ A.conj().T
+    sigma /= np.trace(sigma).real
+    U = np.linalg.qr(rng.normal(size=(2 * d, d)) + 1j * rng.normal(size=(2 * d, d)))[0]
+    channel = quantum.KrausChannel(kraus=(U[:d], U[d:]))
+    budget = quantum.QuantumBudget(n_samples=100, seed=int(rng.integers(1 << 31)),
+                                   refine_steps=refine_steps)
+    g = _CLIMB_GENERATORS[name]
+    assert_same_climb(
+        lambda: quantum.quantum_eta_estimate(channel, sigma, g, budget),
+        lambda: quantum_eta_estimate_sequential(channel, sigma, g, budget),
+    )
+
+
+@given(seed=st.integers(0, 2**32 - 1), refine_steps=st.integers(0, 60))
+@settings(max_examples=50, deadline=None)
+def test_hill_climb_windows_with_invalid_proposals(seed, refine_steps):
+    # inputs of 1024 entries make windows of 4 proposals; a proposal leaving
+    # the box x0 < 0.9 is invalid, which depends on the point and the scale
+    rng = np.random.default_rng(seed)
+    direction = np.zeros(1024)
+    direction[:2] = (1.0, -1.0)
+    target = rng.uniform(0.0, 1.0, size=2)
+    cloud = np.zeros((8, 1024))
+    cloud[:, :2] = rng.uniform(0.0, 0.9, size=(8, 2))
+
+    def scores(P):
+        return -((P[:, :2] - target) ** 2).sum(axis=1)
+
+    def propose(current, rng, scale):
+        prop = current + scale * (rng.random() - 0.5) * direction
+        return None if prop[0] >= 0.9 else prop
+
+    def draw(rng, steps):
+        return (np.array([rng.random() for _ in range(steps)]),)
+
+    def build(current, draws, scales):
+        P = current + (scales * (draws[0] - 0.5))[:, np.newaxis] * direction
+        return P, P[:, 0] < 0.9
+
+    budget = SampleBudget(n_samples=100, seed=seed, refine_steps=refine_steps)
+    assert_same_climb(
+        lambda: contraction._hill_climb(scores, cloud, draw, build, budget, 0.5),
+        lambda: hill_climb_sequential(scores, cloud, propose, budget, 0.5),
+    )

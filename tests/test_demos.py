@@ -7,8 +7,11 @@ import pytest
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-# the two demos that reach markov.structure()
-@pytest.mark.parametrize("demo", ["05_markov_chains.py", "06_contraction_and_mixing.py"])
+# the two demos that reach markov.structure() and the one that runs the
+# quantum refine end to end
+@pytest.mark.parametrize(
+    "demo", ["05_markov_chains.py", "06_contraction_and_mixing.py", "07_quantum_petz.py"]
+)
 def test_demo_runs(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
