@@ -34,7 +34,7 @@ print()
 print("Estimates and upper bounds for KL on BSC(0.25):")
 kl = make_generator("kl")
 est, witness = eta_f_estimate(bsc(0.25), UNIFORM, kl, BUDGET)
-nonlinear, linear = eta_f_upper_bounds(bsc(0.25), UNIFORM, kl, BUDGET)
+nonlinear, linear = eta_f_upper_bounds(bsc(0.25), UNIFORM, kl)
 print(f"  eta_chi2         = {eta_chi2(bsc(0.25), UNIFORM):.6f}")
 print(f"  eta_kl estimate  = {est:.6f}  (witness {np.round(witness, 4)})")
 print(f"  nonlinear bound  = {nonlinear:.6f}")
@@ -45,7 +45,7 @@ print("Hellinger family on BSC(p): with the family constant 4, the linear")
 print("bound is 2(1-2p)^2 for every alpha in (1,2):")
 for alpha in (1.25, 1.5, 1.75):
     g = make_generator("hellinger", alpha=alpha)
-    _, linear = eta_f_upper_bounds(bsc(0.1), UNIFORM, g, BUDGET, pinsker_constant=4.0)
+    _, linear = eta_f_upper_bounds(bsc(0.1), UNIFORM, g, pinsker_constant=4.0)
     print(f"  alpha={alpha}: linear bound = {linear:.6f}  (2(1-2p)^2 = {2 * 0.64:.6f})")
 
 print()

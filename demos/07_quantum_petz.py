@@ -3,7 +3,8 @@
 Every Petz divergence reduces to a classical f-divergence of the two
 Nussbaum-Szkola joint distributions, so the classical bound machinery lifts
 wholesale: the sandwich, quantum Pinsker, mixing predicates, sampled
-contraction estimates, and mixing-time bounds.
+contraction estimates against the exact Petz chi-squared coefficient, and
+mixing-time bounds.
 """
 
 import math
@@ -20,6 +21,7 @@ from divlab import (
     ns_distributions,
     petz_bounds_report,
     petz_chi2,
+    petz_eta_chi2,
     petz_f_divergence,
     quantum_eta_estimate,
     quantum_mixing_time_bounds,
@@ -69,13 +71,15 @@ for name, E in (
 print()
 print("Contraction through the quantum stack reproduces the classical value:")
 for p in (0.1, 0.3):
-    est, _ = quantum_eta_estimate(classical_embedding(bsc(p)), MAXMIX, pc, BUDGET)
-    print(f"  embedded BSC({p}): eta estimate = {est:.8f}  ((1-2p)^2 = {(1 - 2 * p) ** 2})")
+    E = classical_embedding(bsc(p))
+    est, _ = quantum_eta_estimate(E, MAXMIX, pc, BUDGET)
+    print(f"  embedded BSC({p}): eta estimate = {est:.8f}  "
+          f"exact = {petz_eta_chi2(E, MAXMIX):.8f}  ((1-2p)^2 = {(1 - 2 * p) ** 2})")
 
 print()
-print("Quantum mixing times (estimate-based) for depolarizing(0.5), delta=0.01:")
-report = quantum_mixing_time_bounds(depolarizing_channel(2, 0.5), 0.01, kl, BUDGET)
-print(f"  eta estimate      : {report.eta_chi2_estimate:.6f}")
+print("Quantum mixing times (exact Petz eta_chi2) for depolarizing(0.5), delta=0.01:")
+report = quantum_mixing_time_bounds(depolarizing_channel(2, 0.5), 0.01, kl)
+print(f"  eta_chi2          : {report.eta_chi2:.6f}")
 print(f"  TD bound          : {report.td_bound}")
 print(f"  empirical TD time : {report.empirical_td}")
 print(f"  KL bound          : {report.f_bound}")

@@ -84,6 +84,7 @@ from .quantum import (
     ns_distributions,
     petz_bounds_report,
     petz_chi2,
+    petz_eta_chi2,
     petz_f_divergence,
     quantum_eta_bounds,
     quantum_eta_estimate,

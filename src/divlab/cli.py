@@ -345,7 +345,7 @@ def _cmd_analyze_chain(args) -> int:
     pi = info.stationary
     eta2 = eta_chi2(W, pi)
     est, witness = eta_f_estimate(W, pi, g, budget)
-    nonlinear, linear = eta_f_upper_bounds(W, pi, g, budget)
+    nonlinear, linear = eta_f_upper_bounds(W, pi, g)
     results["contraction"] = {
         "reference": pi,
         "eta_chi2": {"bound_id": "eta-chi2-second-singular-value", "value": eta2},
@@ -447,7 +447,7 @@ def _cmd_quantum_analyze(args) -> int:
             },
         }
         if g.operator_convex and g.pinsker_constant:
-            nonlinear, linear = quantum_eta_bounds(channel, pi, g, budget)
+            nonlinear, linear = quantum_eta_bounds(channel, pi, g)
             results["contraction"]["nonlinear_upper"] = {
                 "bound_id": "petz-eta-f-nonlinear-upper",
                 "value": nonlinear,
@@ -466,18 +466,14 @@ def _cmd_quantum_analyze(args) -> int:
             )
         try:
             can_f = g.operator_convex and g.g_concave and math.isfinite(g.f_at_zero)
-            qmix = quantum_mixing_time_bounds(
-                channel, args.delta, g if can_f else None, budget
-            )
+            qmix = quantum_mixing_time_bounds(channel, args.delta, g if can_f else None)
             results["mixing_time"] = {
                 "td_bound": {"bound_id": "petz-chi2-mixing-time-td", "value": qmix.td_bound},
                 "f_bound": {"bound_id": "petz-chi2-mixing-time-f", "value": qmix.f_bound},
                 "empirical_td": qmix.empirical_td,
                 "empirical_f": qmix.empirical_f,
-                "eta_chi2_estimate": qmix.eta_chi2_estimate,
-                "estimate_based": qmix.estimate_based,
+                "eta_chi2_estimate": qmix.eta_chi2,
             }
-            warnings_list.extend(qmix.warnings)
             if qmix.empirical_td is not None and qmix.empirical_td > qmix.td_bound:
                 violations.append("empirical trace-distance mixing time exceeds bound")
         except ValueError as exc:

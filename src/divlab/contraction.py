@@ -4,7 +4,8 @@ eta_chi2 is exact (squared second singular value of the normalized joint
 matrix); eta_f is estimated from below by sampling the simplex (exhaustive
 1-D grid on binary alphabets) and bounded from above by the nonlinear
 kappa-based bound and, for generators with (f(t)-f(0))/t concave, the linear
-bound.  All sampling is driven by a root seed and is deterministic.
+bound, whose kappa sup is a maximum over simplex vertices.  All sampling is
+driven by a root seed and is deterministic.
 """
 
 from __future__ import annotations
@@ -75,7 +76,13 @@ def eta_chi2(W, q) -> float:
     y_keep = np.flatnonzero(out > 0.0)
     joint = W[np.ix_(y_keep, x_keep)] * q[x_keep][np.newaxis, :]
     norm = np.sqrt(np.outer(out[y_keep], q[x_keep]))
-    s = np.linalg.svd(joint / norm, compute_uv=False)
+    return _second_singular_value_sq(joint / norm)
+
+
+def _second_singular_value_sq(M: np.ndarray) -> float:
+    """Squared second singular value of M clipped to [0, 1]; 0 when M has
+    fewer than two singular values."""
+    s = np.linalg.svd(M, compute_uv=False)
     if s.size < 2:
         return 0.0
     return float(min(max(s[1] ** 2, 0.0), 1.0))
@@ -233,24 +240,16 @@ def _hill_climb(scores, cloud, draw, build, budget, scale: float, window_scores=
     return max(best, 0.0), current
 
 
-def _kappa_up_sup(
-    g: Generator, W: np.ndarray, q: np.ndarray, budget: SampleBudget
-) -> float:
-    """Sup over the candidate cloud of kappa_up(Wp, Wq).
-
-    Output ratios are linear-fractional in p, so extremes concentrate at
-    simplex vertices; the sampling cloud is kept as a safety net.
-    """
-    cloud = _candidate_inputs(q.shape[0], q, budget)
-    return _kappa_up_max(g, cloud @ W.T, W @ q)
+def _kappa_up_sup(g: Generator, W: np.ndarray, q: np.ndarray) -> float:
+    """Sup of kappa_up(Wp, Wq) over inputs p << q: each output ratio
+    (Wp)_i / (Wq)_i is linear in p, so every kappa segment [1, ratio] lies in
+    the union of those of the vertices e_j, j in supp q, and the sup is their
+    maximum."""
+    return _kappa_up_max(g, W.T[q > 0.0], W @ q)
 
 
 def eta_f_upper_bounds(
-    W,
-    q,
-    g: Generator,
-    budget: SampleBudget | None = None,
-    pinsker_constant: float | None = None,
+    W, q, g: Generator, *, pinsker_constant: float | None = None
 ) -> tuple[float, float | None]:
     """Nonlinear and linear upper bounds on eta_f(W, q).
 
@@ -263,8 +262,6 @@ def eta_f_upper_bounds(
     """
     W = as_channel(W)
     q = as_prob_vec(q)
-    if budget is None:
-        budget = SampleBudget()
     L = pinsker_constant if pinsker_constant is not None else g.pinsker_constant
     if L is None or L <= 0.0:
         raise ValueError("bounds require a positive certified Pinsker constant")
@@ -274,7 +271,7 @@ def eta_f_upper_bounds(
     q_full = bool(np.all(q > 0.0))
     kappa_sup = math.inf
     if math.isinf(g.fprime_at_inf) or q_full:
-        kappa_sup = _kappa_up_sup(g, W, q, budget)
+        kappa_sup = _kappa_up_sup(g, W, q)
     return _upper_bounds(g, 4.0, L * qmin, eta2, kappa_sup, q_full)
 
 
@@ -335,7 +332,7 @@ def contraction_rate_profile(
         Wn = Wn @ W
         est, _ = eta_f_estimate(Wn, pi, g, budget)
         root = est ** (1.0 / n) if est > 0.0 else 0.0
-        kappa_sup = _kappa_up_sup(g, Wn, pi, budget)
+        kappa_sup = _kappa_up_sup(g, Wn, pi)
         if math.isfinite(kappa_sup) and kappa_sup > 0:
             envelope = eta2 * (4.0 * kappa_sup / (g.pinsker_constant * pi_min)) ** (
                 1.0 / n

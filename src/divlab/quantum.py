@@ -7,30 +7,31 @@ not clamped at SUPPORT_EPSILON, as lam_x |<e_x|f_y>|^2 can fall below it
 while lam_x does not; eigenvalues below EIG_CLAMP, overlaps below 1e-20 and
 boundary masses below SUPPORT_EPSILON count as zero.  Channels are Kraus
 operator lists; fixed points go through the transition superoperator.
-Contraction coefficients are sampled lower estimates, scored net of their
-rounding bound — no efficient exact algorithm is claimed for the Petz
-chi-squared coefficient.
+The Petz chi-squared contraction coefficient is exact, and the bounds built
+on it sample nothing; other contraction coefficients are sampled lower
+estimates, scored net of their rounding bound.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
-from .chi2bounds import _kappa_up_max, kappa_bounds, q_min_on_support
+from .chi2bounds import kappa_bounds, q_min_on_support
 from .contraction import (
     SampleBudget,
     _empirical_mixing,
     _hill_climb,
     _mixing_steps,
     _ratio_scores,
+    _second_singular_value_sq,
     _upper_bounds,
 )
 from .divergence import _divergence_rows, total_variation
-from .generators import Generator, make_generator
+from .generators import Generator
 
 __all__ = [
     "check_density_matrix",
@@ -55,6 +56,7 @@ __all__ = [
     "petz_bounds_report",
     "PetzBoundsReport",
     "QuantumBudget",
+    "petz_eta_chi2",
     "quantum_eta_estimate",
     "quantum_eta_bounds",
     "quantum_mixing_time_bounds",
@@ -304,21 +306,17 @@ class QuantumChannelStructure:
     positivity_index: int | None
 
 
-def channel_structure(
-    channel: KrausChannel, n_cap: int = 64, tol: float = 1e-8
-) -> QuantumChannelStructure:
+def channel_structure(channel: KrausChannel) -> QuantumChannelStructure:
     """Fixed point, uniqueness, and mixing predicates via the superoperator.
 
     A channel with a unique fixed point is mixing when every other eigenvalue
     of its superoperator has modulus below 1 - 1e-8, so that E^n(rho) tends
     to the fixed point for every rho; strong mixing asks additionally for
-    strictly positive outputs (eigenvalues above tol) on a spanning probe
-    set within n_cap steps (equivalent to a full-rank unique fixed point).
+    strictly positive outputs (eigenvalues above 1e-8) on a spanning probe
+    set within 64 steps (equivalent to a full-rank unique fixed point).
     """
     if channel.dim_in != channel.dim_out:
         raise ValueError("structure requires a square channel")
-    if n_cap < 4:
-        raise ValueError("n_cap must be at least 4")
     d = channel.dim_in
     S = channel.superoperator()
     eigvals, eigvecs = np.linalg.eig(S)
@@ -342,8 +340,7 @@ def channel_structure(
     if mixing:
         step = partial(apply_channel, channel)
         n = _empirical_mixing(
-            step, step(_probe_states(d)), lambda S: np.linalg.eigvalsh(S).min() > tol,
-            n_cap - 1,
+            step, step(_probe_states(d)), lambda S: np.linalg.eigvalsh(S).min() > 1e-8, 63
         )
         positivity_index = None if n is None else n + 1
     strongly_mixing = positivity_index is not None
@@ -549,41 +546,56 @@ def quantum_eta_estimate(
     return _hill_climb(scores, _candidate_states(sigma, budget), draw, build, budget, 0.3)
 
 
-def quantum_eta_bounds(
-    channel: KrausChannel,
-    sigma,
-    g: Generator,
-    budget: QuantumBudget | None = None,
-    pinsker_constant: float | None = None,
-) -> tuple[float, float | None]:
-    """Nonlinear and linear upper bounds on the Petz eta_f in terms of the
-    sampled Petz chi-squared estimate.
+def petz_eta_chi2(channel: KrausChannel, sigma) -> float:
+    """Exact input-dependent Petz chi-squared contraction coefficient: the
+    sup over rho << sigma of chi2(E(rho) || E(sigma)) / chi2(rho || sigma).
 
-    nonlinear = 8/(L lmin(sigma)) * sup_rho kappa_up(NS of outputs) * eta_chi2;
-    linear = 8 (f'(1) + f(0)) / (L lmin(sigma)) * eta_chi2, needing operator
-    convexity, (f(t)-f(0))/t concave, finite f(0+), and full-rank sigma.
-    Both scale a *sampled* chi-squared estimate and inherit its lower-bound
-    character.
+    chi2 is the form Tr[sigma^-1 X^2] in X = rho - sigma, diagonal in the
+    eigenbasis of sigma with entries (1/mu_i + 1/mu_j) / 2 (L_in).  With S
+    the channel from supp sigma to supp E(sigma) in the two eigenbases, the
+    coefficient is the squared second singular value of
+    L_out^(1/2) S L_in^(-1/2); the top one, 1, belongs to X = sigma.
     """
     sigma = check_density_matrix(sigma)
-    if budget is None:
-        budget = QuantumBudget()
+
+    def support(rho):
+        eigs, vecs = _spectral(rho)
+        keep = eigs > 0.0
+        form = 0.5 / eigs[keep]
+        return vecs[:, keep], np.add.outer(form, form).ravel()
+
+    e_in, l_in = support(sigma)
+    e_out, l_out = support(apply_channel(channel, sigma))
+    restricted = (e_out.conj().T @ K @ e_in for K in channel.kraus)
+    S = sum(np.kron(K, K.conj()) for K in restricted)
+    return _second_singular_value_sq(np.sqrt(l_out)[:, np.newaxis] * S / np.sqrt(l_in))
+
+
+def quantum_eta_bounds(
+    channel: KrausChannel, sigma, g: Generator, *, pinsker_constant: float | None = None
+) -> tuple[float, float | None]:
+    """Nonlinear and linear upper bounds on the Petz eta_f.
+
+    nonlinear = 8/(L lmin(sigma)) * kappa_up * eta_chi2, with kappa_up over
+    [0, 1/lmin(E(sigma))], which holds every NS output ratio;
+    linear = 8 (f'(1) + f(0)) / (L lmin(sigma)) * eta_chi2, needing operator
+    convexity, (f(t)-f(0))/t concave, finite f(0+), and full-rank sigma.
+    """
+    sigma = check_density_matrix(sigma)
     L = pinsker_constant if pinsker_constant is not None else g.pinsker_constant
     if L is None or L <= 0.0:
         raise ValueError("bounds require a positive certified Pinsker constant")
     if not g.operator_convex:
         raise ValueError("Petz contraction bounds require operator-convex f")
     sigma_full = bool(np.linalg.eigvalsh(sigma).min() > EIG_CLAMP)
-    eta_chi2_hat, _ = quantum_eta_estimate(
-        channel, sigma, make_generator("pearson_chi2"), budget
-    )
+    eta2 = petz_eta_chi2(channel, sigma)
     lmin = min_positive_eigenvalue(sigma)
 
     kappa_sup = math.inf
     if g.f2_at_zero_finite and (sigma_full or math.isinf(g.fprime_at_inf)):
-        outputs = apply_channel(channel, _candidate_states(sigma, budget))
-        kappa_sup = _kappa_up_max(g, *_ns_rows(outputs, apply_channel(channel, sigma)))
-    return _upper_bounds(g, 8.0, L * lmin, eta_chi2_hat, kappa_sup, sigma_full)
+        out_min = min_positive_eigenvalue(apply_channel(channel, sigma))
+        kappa_sup = kappa_bounds(g, [0.0, 1.0 / out_min], [1.0, 1.0]).kappa_up
+    return _upper_bounds(g, 8.0, L * lmin, eta2, kappa_sup, sigma_full)
 
 
 @dataclass(frozen=True)
@@ -592,40 +604,30 @@ class QuantumMixingReport:
     f_bound: int | None
     empirical_td: int | None
     empirical_f: int | None
-    eta_chi2_estimate: float
+    eta_chi2: float
     lambda_min: float
-    estimate_based: bool = True  # eta is a sampled estimate, not exact
-    warnings: tuple[str, ...] = field(default=())
 
 
 def quantum_mixing_time_bounds(
-    channel: KrausChannel,
-    delta: float,
-    g: Generator | None = None,
-    budget: QuantumBudget | None = None,
-    n_cap: int = 256,
+    channel: KrausChannel, delta: float, g: Generator | None = None
 ) -> QuantumMixingReport:
-    """Mixing-time bounds from the sampled Petz chi-squared coefficient.
+    """Mixing-time bounds from the exact Petz chi-squared coefficient eta.
 
-    td_bound = ceil(ln(1/(lmin(pi) delta^2)) / ln(1/eta^)); the f-divergence
-    bound multiplies in the linear coefficient f'(1) + f(0).  Both carry the
-    estimate-based caveat: eta^ is a sampled lower estimate of the true
-    coefficient, so the bounds are exact only when the estimate is.
+    td_bound = ceil(ln(1/(lmin(pi) delta^2)) / ln(1/eta)); the f-divergence
+    bound multiplies in the linear coefficient f'(1) + f(0).
     """
     if delta <= 0.0:
         raise ValueError("delta must be positive")
-    info = channel_structure(channel, n_cap=max(64, min(n_cap, 512)))
+    info = channel_structure(channel)
     if not info.mixing or info.fixed_point is None or not info.unique:
         raise ValueError("mixing times require a mixing channel with unique fixed point")
     pi = info.fixed_point
-    if budget is None:
-        budget = QuantumBudget()
-    eta_hat, _ = quantum_eta_estimate(channel, pi, make_generator("pearson_chi2"), budget)
-    if eta_hat >= 1.0 - 1e-12:
-        raise ValueError("estimated eta_chi2 >= 1: no finite bound")
+    eta = petz_eta_chi2(channel, pi)
+    if eta >= 1.0 - 1e-12:
+        raise ValueError("eta_chi2 >= 1: no finite bound")
     lmin = min_positive_eigenvalue(pi)
     td_bound = _mixing_steps(
-        eta_hat, math.log(1.0 / (lmin * delta**2)), int(lmin * delta**2 < 1.0)
+        eta, math.log(1.0 / (lmin * delta**2)), int(lmin * delta**2 < 1.0)
     )
 
     f_bound = None
@@ -636,7 +638,7 @@ def quantum_mixing_time_bounds(
                 "and (f(t)-f(0))/t concave"
             )
         coeff = float(g.f1(1.0)) + g.f_at_zero
-        f_bound = _mixing_steps(eta_hat, math.log(4.0 * coeff / (lmin * delta)), 1)
+        f_bound = _mixing_steps(eta, math.log(4.0 * coeff / (lmin * delta)), 1)
 
     step = partial(apply_channel, channel)
     probes = _probe_states(channel.dim_in)
@@ -657,7 +659,6 @@ def quantum_mixing_time_bounds(
         f_bound=f_bound,
         empirical_td=empirical_td,
         empirical_f=empirical_f,
-        eta_chi2_estimate=eta_hat,
+        eta_chi2=eta,
         lambda_min=lmin,
-        warnings=("eta_chi2 is a sampled estimate; bounds are estimate-based",),
     )

@@ -114,12 +114,12 @@ def test_criterion_3_hellinger_linear_bound():
             W = bsc(p)
             # the worked example's bound uses the family-uniform constant 4,
             # valid for alpha in (1, 2) since the certified constant is 4 alpha
-            _, linear = eta_f_upper_bounds(W, uniform, g, BUDGET, pinsker_constant=4.0)
+            _, linear = eta_f_upper_bounds(W, uniform, g, pinsker_constant=4.0)
             worst_eq = max(worst_eq, abs(linear - 2.0 * (1.0 - 2.0 * p) ** 2))
             est, _ = eta_f_estimate(W, uniform, g, BUDGET)
             ok &= est <= linear + 1e-9
             # the per-alpha certified constant gives the tighter valid bound
-            _, tight_linear = eta_f_upper_bounds(W, uniform, g, BUDGET)
+            _, tight_linear = eta_f_upper_bounds(W, uniform, g)
             ok &= est <= tight_linear + 1e-9
     ok &= worst_eq <= 1e-9
     _report(3, ok, f"linear bound equals 2(1-2p)^2 (worst dev {worst_eq:.2e}) and "

@@ -160,6 +160,24 @@ def test_analyze_chain_report(bsc_csv, capsys):
     assert report["violations"] == []
 
 
+def test_analyze_chain_pi_with_zero_entry(tmp_path, capsys):
+    # scrambling and indecomposable, pi = (0, 3/7, 4/7): inputs outside
+    # supp pi have infinite KL to pi and do not enter the kappa sup
+    path = tmp_path / "zero_pi.csv"
+    path.write_text("0.5,0,0\n0.5,0.6,0.3\n0,0.4,0.7\n")
+    code = run(["analyze-chain", "--matrix", str(path), "--generator", "kl",
+                "--profile-n", "3"])
+    assert code == 0
+    report = _load_json(capsys.readouterr().out)
+    assert report["violations"] == []
+    res = report["results"]
+    assert res["structure"]["stationary"][0] == 0.0
+    con = res["contraction"]
+    assert con["eta_f_estimate"]["value"] == pytest.approx(0.0907, abs=1e-4)
+    assert con["nonlinear_upper"]["value"] == pytest.approx(0.3, abs=1e-12)
+    assert len(res["rate_profile"]["points"]) == 3
+
+
 def test_analyze_chain_deterministic(bsc_csv, capsys):
     args = ["analyze-chain", "--matrix", bsc_csv, "--generator", "kl", "--seed", "3",
             "--profile-n", "2"]
@@ -202,8 +220,10 @@ def test_quantum_analyze(embedded_bsc_json, capsys):
     report = _load_json(out)
     res = report["results"]
     assert res["structure"]["mixing"] is True
-    assert res["mixing_time"]["eta_chi2_estimate"] == pytest.approx(0.25, abs=1e-6)
+    assert res["mixing_time"]["eta_chi2_estimate"] == pytest.approx(0.25, abs=1e-12)
+    assert "estimate_based" not in res["mixing_time"]
     assert res["mixing_time"]["empirical_td"] <= res["mixing_time"]["td_bound"]["value"]
+    assert report["warnings"] == []
 
 
 def test_env_seed_override(bsc_csv, capsys, monkeypatch):

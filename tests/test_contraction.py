@@ -124,7 +124,7 @@ def test_eta_f_upper_bounds_dominate_estimate():
     kl = make_generator("kl")
     W = bsc(0.25)
     est, _ = eta_f_estimate(W, UNIFORM2, kl, FAST)
-    nonlinear, linear = eta_f_upper_bounds(W, UNIFORM2, kl, FAST)
+    nonlinear, linear = eta_f_upper_bounds(W, UNIFORM2, kl)
     assert est <= nonlinear + 1e-9
     assert linear is not None and est <= linear + 1e-9
 
@@ -135,18 +135,16 @@ def test_hellinger_linear_bound_closed_form():
     for alpha in (1.25, 1.5, 1.75):
         g = make_generator("hellinger", alpha=alpha)
         for p in (0.1, 0.3):
-            _, linear = eta_f_upper_bounds(
-                bsc(p), UNIFORM2, g, FAST, pinsker_constant=4.0
-            )
+            _, linear = eta_f_upper_bounds(bsc(p), UNIFORM2, g, pinsker_constant=4.0)
             assert linear == pytest.approx(2.0 * (1.0 - 2.0 * p) ** 2, abs=1e-9)
 
 
 def test_linear_bound_requires_conditions():
     rkl = make_generator("reverse_kl")  # f(0+) infinite
-    _, linear = eta_f_upper_bounds(bsc(0.2), UNIFORM2, rkl, FAST)
+    _, linear = eta_f_upper_bounds(bsc(0.2), UNIFORM2, rkl)
     assert linear is None
     with pytest.raises(ValueError):
-        eta_f_upper_bounds(bsc(0.2), UNIFORM2, make_generator("lins", theta=0.0), FAST)
+        eta_f_upper_bounds(bsc(0.2), UNIFORM2, make_generator("lins", theta=0.0))
 
 
 def test_nonlinear_bound_dominates_exact_chi2():
@@ -156,7 +154,7 @@ def test_nonlinear_bound_dominates_exact_chi2():
         W = rng.dirichlet(np.ones(3), size=3).T
         q = rng.dirichlet(5.0 * np.ones(3))
         q = 0.9 * q + 0.1 / 3
-        nonlinear, _ = eta_f_upper_bounds(W, q, pc, FAST)
+        nonlinear, _ = eta_f_upper_bounds(W, q, pc)
         assert nonlinear >= eta_chi2(W, q) - 1e-9
 
 
@@ -315,14 +313,11 @@ def _kappa_generators(registry):
 
 
 def _check_kappa_parity(g, W, q, budget):
+    # the vertex maximum against the loop over the sampled candidate cloud,
+    # restricted to the inputs p << q that the bounds range over
     cloud = _candidate_inputs(q.shape[0], q, budget)
-    try:
-        expected = _loop_kappa_sup(g, cloud @ W.T, W @ q)
-    except ValueError:
-        with pytest.raises(ValueError, match="p << q"):
-            _kappa_up_sup(g, W, q, budget)
-        return
-    assert _kappa_up_sup(g, W, q, budget) == expected, g.label
+    cloud = cloud[cloud[:, q <= 0.0].sum(axis=1) == 0.0]
+    assert _kappa_up_sup(g, W, q) == _loop_kappa_sup(g, cloud @ W.T, W @ q), g.label
 
 
 def test_kappa_sup_matches_kappa_bounds_loop(registry):
@@ -335,7 +330,8 @@ def test_kappa_sup_matches_kappa_bounds_loop(registry):
         q_zero /= q_zero.sum()
         for g in _kappa_generators(registry):
             _check_kappa_parity(g, W, q, FAST)
-            # W maps the last input only to the last output, which Wq misses
+            # W maps the last input only to the last output, which Wq misses;
+            # that input is outside supp q, so it does not count
             _check_kappa_parity(g, np.eye(n), q_zero, FAST)
 
 
@@ -353,26 +349,25 @@ def test_kappa_sup_chunked_non_monotone(monkeypatch):
         lambda t: 1.0 / t + (t - 1.0) ** 2,
     )
     _check_kappa_parity(sing, np.eye(3), q, FAST)
-    assert _kappa_up_sup(sing, np.eye(3), q, FAST) == math.inf
+    assert _kappa_up_sup(sing, np.eye(3), q) == math.inf
 
 
-def test_kappa_sup_raises_only_before_first_infinity(monkeypatch):
-    # the loop stops at the first +inf, so an escaping candidate after it
-    # does not raise; one before it does
+def test_kappa_sup_raises_only_before_first_infinity():
+    # the loop stops at the first +inf, so an escaping row after it does not
+    # raise; one before it does
     kl = make_generator("kl")
     q = np.array([0.5, 0.5, 0.0])
     vertex, escaping = np.array([1.0, 0.0, 0.0]), np.array([0.4, 0.4, 0.2])
     for rows, raises in (([vertex, escaping], False), ([escaping, vertex], True)):
-        cloud = np.array(rows)
-        monkeypatch.setattr(contraction, "_candidate_inputs", lambda n, q, b: cloud)
+        P = np.array(rows)
         if raises:
             with pytest.raises(ValueError, match="p << q"):
-                _loop_kappa_sup(kl, cloud, q)
+                _loop_kappa_sup(kl, P, q)
             with pytest.raises(ValueError, match="p << q"):
-                _kappa_up_sup(kl, np.eye(3), q, FAST)
+                chi2bounds._kappa_up_max(kl, P, q)
         else:
-            assert _loop_kappa_sup(kl, cloud, q) == math.inf
-            assert _kappa_up_sup(kl, np.eye(3), q, FAST) == math.inf
+            assert _loop_kappa_sup(kl, P, q) == math.inf
+            assert chi2bounds._kappa_up_max(kl, P, q) == math.inf
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -9,7 +11,7 @@ from divlab.contraction import _ratio_scores
 from divlab.contraction import eta_chi2 as classical_eta_chi2
 from divlab.divergence import _divergence_rows, f_divergence, total_variation
 from divlab.generators import from_spec, make_generator, registry_names
-from divlab.markov import bsc
+from divlab.markov import bsc, stationary_distribution
 from divlab.quantum import (
     EIG_CLAMP,
     KrausChannel,
@@ -25,6 +27,7 @@ from divlab.quantum import (
     ns_distributions,
     petz_bounds_report,
     petz_chi2,
+    petz_eta_chi2,
     petz_f_divergence,
     quantum_eta_bounds,
     quantum_eta_estimate,
@@ -369,16 +372,16 @@ def test_quantum_eta_bounds_dominate_estimate():
     kl = make_generator("kl")
     channel = classical_embedding(bsc(0.25))
     est, _ = quantum_eta_estimate(channel, MAXMIX2, kl, FAST)
-    nonlinear, linear = quantum_eta_bounds(channel, MAXMIX2, kl, FAST)
+    nonlinear, linear = quantum_eta_bounds(channel, MAXMIX2, kl)
     assert math.isinf(nonlinear)  # KL has f''(0+) = inf
     assert linear is not None and est <= linear + 1e-9
     pc = make_generator("pearson_chi2")
-    nonlinear, linear = quantum_eta_bounds(channel, MAXMIX2, pc, FAST)
+    nonlinear, linear = quantum_eta_bounds(channel, MAXMIX2, pc)
     est_pc, _ = quantum_eta_estimate(channel, MAXMIX2, pc, FAST)
     assert math.isfinite(nonlinear) and est_pc <= nonlinear + 1e-9
     assert est_pc <= linear + 1e-9
     with pytest.raises(ValueError):
-        quantum_eta_bounds(channel, MAXMIX2, make_generator("jeffrey"), FAST)
+        quantum_eta_bounds(channel, MAXMIX2, make_generator("jeffrey"))
 
 
 def test_quantum_submultiplicativity_embedded():
@@ -411,13 +414,13 @@ def test_quantum_rate_profile_depolarizing():
 
 def test_quantum_mixing_times_depolarizing():
     kl = make_generator("kl")
-    report = quantum_mixing_time_bounds(depolarizing_channel(2, 0.5), 0.01, kl, FAST)
+    report = quantum_mixing_time_bounds(depolarizing_channel(2, 0.5), 0.01, kl)
     # closed form: TD contracts by (1-lam) per step from TD0 = 1/2
     expected = math.ceil(math.log(0.5 / 0.01) / math.log(1.0 / 0.5))
     assert report.empirical_td == expected
     assert report.empirical_td <= report.td_bound
     assert report.empirical_f is not None and report.empirical_f <= report.f_bound
-    assert report.estimate_based
+    assert report.eta_chi2 == pytest.approx(0.25, abs=1e-12)
 
 
 def test_quantum_mixing_times_embedded_bsc_consistent_with_classical():
@@ -425,26 +428,24 @@ def test_quantum_mixing_times_embedded_bsc_consistent_with_classical():
 
     kl = make_generator("kl")
     classical = mixing_time_bounds(bsc(0.25), 0.01, kl)
-    quantum = quantum_mixing_time_bounds(
-        classical_embedding(bsc(0.25)), 0.01, kl, FAST
-    )
+    quantum = quantum_mixing_time_bounds(classical_embedding(bsc(0.25)), 0.01, kl)
     assert quantum.empirical_td == classical.empirical_tv
     assert quantum.empirical_f == classical.empirical_f
     # the quantum chain is looser by at most one step on this instance
     assert classical.tv_bound <= quantum.td_bound <= classical.tv_bound + 1
-    assert quantum.eta_chi2_estimate == pytest.approx(0.25, abs=1e-6)
+    assert quantum.eta_chi2 == pytest.approx(0.25, abs=1e-12)
 
 
 def test_quantum_mixing_time_preconditions():
     kl = make_generator("kl")
     with pytest.raises(ValueError):
-        quantum_mixing_time_bounds(identity_channel(2), 0.01, kl, FAST)
+        quantum_mixing_time_bounds(identity_channel(2), 0.01, kl)
     with pytest.raises(ValueError):
-        quantum_mixing_time_bounds(depolarizing_channel(2, 0.5), -1.0, kl, FAST)
+        quantum_mixing_time_bounds(depolarizing_channel(2, 0.5), -1.0, kl)
     with pytest.raises(ValueError):
         # jeffrey is not flagged operator convex
         quantum_mixing_time_bounds(
-            depolarizing_channel(2, 0.5), 0.01, make_generator("jeffrey"), FAST
+            depolarizing_channel(2, 0.5), 0.01, make_generator("jeffrey")
         )
 
 
@@ -568,6 +569,65 @@ def test_petz_chi2_estimate_not_above_exact_depolarizing(d):
     # rounding noise in the ratios must not lift the estimate above it
     pc = make_generator("pearson_chi2")
     for lam in (0.1, 0.3, 0.5, 0.7, 0.9):
-        est, _ = quantum_eta_estimate(depolarizing_channel(d, lam), np.eye(d) / d, pc, FAST)
+        channel, sigma = depolarizing_channel(d, lam), np.eye(d) / d
+        est, _ = quantum_eta_estimate(channel, sigma, pc, FAST)
+        exact = petz_eta_chi2(channel, sigma)
+        assert exact == pytest.approx((1.0 - lam) ** 2, abs=1e-12)
         assert est <= (1.0 - lam) ** 2, (lam, est)
+        assert est <= exact + 1e-9, (lam, est, exact)
         assert est == pytest.approx((1.0 - lam) ** 2, rel=1e-9)
+
+
+def petz_eta_chi2_oracle(channel, sigma):
+    """Top generalized eigenvalue of the forms Tr[E(sigma)^+ E(X)^2] and
+    Tr[sigma^+ X^2] on the r^2 - 1 traceless Hermitian X supported on
+    supp(sigma), in a generalized Gell-Mann basis; 0 when r = 1."""
+
+    def pinv_and_support(a):
+        eigs, vecs = np.linalg.eigh(a)
+        keep = eigs > EIG_CLAMP
+        return (vecs[:, keep] / eigs[keep]) @ vecs[:, keep].conj().T, vecs[:, keep]
+
+    pinv_in, F = pinv_and_support(sigma)
+    pinv_out, _ = pinv_and_support(apply_channel(channel, sigma))
+    r = F.shape[1]
+    unit = [[np.outer(F[:, i], F[:, j].conj()) for j in range(r)] for i in range(r)]
+    basis = [unit[i][i] - unit[-1][-1] for i in range(r - 1)]
+    for i in range(r):
+        for j in range(i + 1, r):
+            basis += [unit[i][j] + unit[j][i], 1j * (unit[i][j] - unit[j][i])]
+    if not basis:
+        return 0.0
+    images = [apply_channel(channel, X) for X in basis]
+
+    def gram(pinv, mats):
+        return np.array([[np.trace(pinv @ X @ Y).real for Y in mats] for X in mats])
+
+    num, den = gram(pinv_out, images), gram(pinv_in, basis)
+    return float(scipy.linalg.eigh(0.5 * (num + num.T), 0.5 * (den + den.T),
+                                   eigvals_only=True)[-1])
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(2, 3),
+    st.integers(1, 3),
+    st.sampled_from(["full", "rank-deficient"]),
+)
+@settings(max_examples=30, deadline=None)
+def test_petz_eta_chi2_matches_generalized_eigenproblem(seed, d, k, kind):
+    rng = np.random.default_rng(seed)
+    channel = random_kraus(rng, d, k)
+    sigma = random_state(rng, d, rank=d if kind == "full" else int(rng.integers(1, d)))
+    exact = petz_eta_chi2(channel, sigma)
+    assert exact == pytest.approx(petz_eta_chi2_oracle(channel, sigma), abs=1e-10)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a pure sigma has no feasible input
+        est, _ = quantum_eta_estimate(channel, sigma, make_generator("pearson_chi2"), FAST)
+    assert est <= exact + 1e-9
+    # a classical channel embedded as Kraus operators keeps its coefficient
+    W = rng.dirichlet(np.ones(d), size=d).T
+    pi, _ = stationary_distribution(W)
+    assert petz_eta_chi2(classical_embedding(W), np.diag(pi)) == pytest.approx(
+        classical_eta_chi2(W, pi), abs=1e-10
+    )
