@@ -26,17 +26,10 @@ import sys
 import numpy as np
 
 from . import __version__
-from .contraction import (
-    SampleBudget,
-    contraction_rate_profile,
-    eta_chi2,
-    eta_f_estimate,
-    eta_f_upper_bounds,
-    mixing_time_bounds,
-)
+from .contraction import SampleBudget, _ChainContext, mixing_time_bounds
 from .divergence import as_weight_vec, f_divergence, total_variation, chi_squared
 from .generators import default_registry, from_spec
-from .markov import as_channel, stationary_distribution, structure
+from .markov import as_channel, stationary_distribution
 from .pinsker import certify_constant
 from .quantum import (
     KrausChannel,
@@ -334,18 +327,18 @@ def _cmd_analyze_chain(args) -> int:
     seed = _resolve_seed(args)
     W = parse_matrix(args.matrix)
     g = from_spec(args.generator)
-    budget = SampleBudget(seed=seed)
+    chain = _ChainContext(W, g, SampleBudget(seed=seed), args.profile_n)
     warnings_list: list[str] = []
     violations: list[str] = []
 
-    info = structure(W)
+    info = chain.info
     results: dict = {"structure": _structure_dict(info)}
     if info.stationary is None:  # raises the solver's input error
         stationary_distribution(W)
     pi = info.stationary
-    eta2 = eta_chi2(W, pi)
-    est, witness = eta_f_estimate(W, pi, g, budget)
-    nonlinear, linear = eta_f_upper_bounds(W, pi, g)
+    eta2 = chain.eta2
+    est, witness = chain.estimate
+    nonlinear, linear = chain.upper_bounds()
     results["contraction"] = {
         "reference": pi,
         "eta_chi2": {"bound_id": "eta-chi2-second-singular-value", "value": eta2},
@@ -363,7 +356,7 @@ def _cmd_analyze_chain(args) -> int:
         violations.append("eta_f estimate exceeds linear upper bound")
 
     try:
-        mix = mixing_time_bounds(W, args.delta, g if g.g_concave else None)
+        mix = chain.mixing(args.delta, g if g.g_concave else None)
         results["mixing_time"] = {
             "tv_bound": {"bound_id": "chi2-mixing-time-tv", "value": mix.tv_bound},
             "f_bound": {"bound_id": "chi2-mixing-time-f", "value": mix.f_bound},
@@ -376,7 +369,7 @@ def _cmd_analyze_chain(args) -> int:
         warnings_list.append(f"mixing times unavailable: {exc}")
 
     try:
-        profile = contraction_rate_profile(W, g, args.profile_n, budget)
+        profile = chain.profile(args.profile_n)
         results["rate_profile"] = {
             "bound_id": "contraction-rate-vs-eta-chi2",
             "eta_chi2": eta2,

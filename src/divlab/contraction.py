@@ -5,15 +5,21 @@ matrix); eta_f is estimated from below by sampling the simplex (exhaustive
 1-D grid on binary alphabets) and bounded from above by the nonlinear
 kappa-based bound and, for generators with (f(t)-f(0))/t concave, the linear
 bound, whose kappa sup is a maximum over simplex vertices.  All sampling is
-driven by a root seed and is deterministic.
+driven by a root seed and is deterministic.  Estimates against one
+reference share one estimate context (the candidate cloud, its
+denominators and the refine stream), and the sections of one chain report
+share one chain context (structure, pi, eta_chi2 and that estimate
+context), so a report computes each of them once.
 """
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -27,7 +33,13 @@ from .divergence import (
     total_variation,
 )
 from .generators import Generator
-from .markov import as_channel, iterate, stationary_distribution, structure
+from .markov import (
+    ChainStructure,
+    as_channel,
+    iterate,
+    stationary_distribution,
+    structure,
+)
 
 __all__ = [
     "SampleBudget",
@@ -110,35 +122,132 @@ def _candidate_inputs(n: int, q: np.ndarray, budget: SampleBudget) -> np.ndarray
 NUMERATOR_NOISE_FLOOR = 1e-13
 
 
-def _ratios(
-    g: Generator, W: np.ndarray, q: np.ndarray, P: np.ndarray, rowwise: bool = False
-) -> np.ndarray:
-    """Scores of D_f(Wp || Wq) / D_f(p || q) for every row p of P.
-
-    With ``rowwise`` each Wp is a one-row product, bit-equal to scoring p
-    alone; the product over all rows at once may round differently.
-    """
-    WP = (P[:, np.newaxis, :] @ W.T)[:, 0] if rowwise else P @ W.T
-    return _ratio_scores(g, (_clamp(P), _clamp(q)), (_clamp(WP), _clamp(W @ q)))
+def _ratios(g: Generator, W: np.ndarray, q: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """Scores of D_f(Wp || Wq) / D_f(p || q) for every row p of P."""
+    refs = np.repeat(np.stack([_clamp(q), _clamp(W @ q)]), len(P), axis=0)
+    return _pair_scores(g, P, P @ W.T, refs)
 
 
-def _ratio_scores(g: Generator, den_rows, num_rows) -> np.ndarray:
-    """Scores of D_f(num_rows[k]) / D_f(den_rows[k]) for every row k, each
-    argument a (P, Q) pair of rows for the unclamped kernel body.
+def _pair_scores(g: Generator, P, WP, refs) -> np.ndarray:
+    """Scores of D_f(WP[k] || refs[m + k]) / D_f(P[k] || refs[k]) for the m
+    rows of P and WP, ``refs`` holding 2m clamped reference rows.  One
+    kernel call scores the denominators and the numerators."""
+    m = len(P)
+    rows = _clamp(np.concatenate([P, WP]))
+    value, error = _divergence_rows(g, rows, refs, rounding_error=True)
+    return _scores((value[m:], error[m:]), (value[:m], error[:m]))
+
+
+def _ratio_scores(g: Generator, den, num_rows) -> np.ndarray:
+    """Scores of D_f(num_rows[k]) / den[k] for every row k (see ``_scores``):
+    ``den`` is the (value, rounding bound) pair of ``_divergence_rows`` with
+    ``rounding_error``, ``num_rows`` a (P, Q) pair of rows for the unclamped
+    kernel body."""
+    return _scores(_divergence_rows(g, *num_rows, rounding_error=True), den)
+
+
+def _scores(num, den) -> np.ndarray:
+    """Scores of the ratios num / den of two (value, rounding bound) pairs.
 
     Each ratio r is lowered by its rounding bound (e_num + |r| e_den) / den,
     so rounding noise does not lift a score above the exact ratio of its
     input; inputs with a denominator outside (1e-12, inf) or an infinite
     numerator score -inf.
     """
-    den, e_den = _divergence_rows(g, *den_rows, rounding_error=True)
-    num, e_num = _divergence_rows(g, *num_rows, rounding_error=True)
+    (num, e_num), (den, e_den) = num, den
     feasible = (den > 1e-12) & (den < math.inf) & np.isfinite(num)
     num = np.where(feasible & (num >= NUMERATOR_NOISE_FLOOR), num, 0.0)
     den = np.where(feasible, den, 1.0)
     r = num / den
     score = r - (e_num + np.abs(r) * e_den) / den
     return np.where(feasible, score, -math.inf)
+
+
+def _draw_moves(rng: np.random.Generator, n: int, steps: int):
+    """The refine stream of ``eta_f_estimate``: per step a pair i != j and a
+    share u; a step that draws i == j is skipped and keeps the scale."""
+    i, j, u = [], [], []
+    for _ in range(steps):
+        a, b = rng.integers(0, n, size=2)
+        if a != b:
+            i.append(a)
+            j.append(b)
+            u.append(rng.random())
+    return np.array(i, dtype=np.intp), np.array(j, dtype=np.intp), np.array(u)
+
+
+def _build_moves(P: np.ndarray, draws, scales: np.ndarray):
+    """Refine proposals: each moves a share u of p_i, at most its scale, to
+    p_j; all of them are valid.  P holds the input of each proposal and is
+    moved in place."""
+    i, j, u = draws
+    rows = np.arange(len(u))
+    move = scales * u * np.minimum(1.0, P[rows, i])
+    P[rows, i] -= move
+    P[rows, j] += move
+    np.maximum(P, 0.0, out=P)
+    P /= P.sum(axis=1, keepdims=True)
+    return P, np.ones(len(u), dtype=bool)
+
+
+class _EstimateContext:
+    """What every eta_f estimate against one reference q under one budget
+    shares: the candidate cloud, each cloud block's denominators
+    D_f(p || q) with their rounding bounds, and the refine stream.  An
+    estimate on a channel then scores only its numerators."""
+
+    def __init__(self, g: Generator, q: np.ndarray, budget: SampleBudget):
+        n = q.shape[0]
+        self.g, self.q = g, q
+        self.cloud = _candidate_inputs(n, q, budget)
+        block = _block_rows(self.cloud)
+        self.blocks = [self.cloud[s : s + block] for s in range(0, len(self.cloud), block)]
+        self.dens = [
+            _divergence_rows(g, _clamp(P), _clamp(q), rounding_error=True)
+            for P in self.blocks
+        ]
+        rng = np.random.default_rng(budget.seed + 1)
+        self.draws = _draw_moves(rng, n, budget.refine_steps)
+
+    def estimate(self, W: np.ndarray) -> tuple[float, np.ndarray | None]:
+        """``eta_f_estimate(W, q, g, budget)`` for a validated channel W."""
+        return self.estimates([W])[0]
+
+    def estimates(self, Ws: list[np.ndarray]) -> list[tuple[float, np.ndarray | None]]:
+        """``estimate(W)`` for every validated channel W of ``Ws``; the
+        climbs run side by side (see ``_climbs``)."""
+        g, block = self.g, len(self.blocks[0])
+        zeros = np.zeros(block, dtype=np.intp)
+        Wqs = [_clamp(W @ self.q) for W in Ws]
+        refs = np.stack([_clamp(self.q)] + Wqs)  # row 0 is q, row k + 1 is Ws[k] q
+
+        def window_scores(P, segments):
+            # each Wp a one-row product, bit-equal to scoring p alone; the
+            # product over all rows at once may round differently
+            WP = np.empty_like(P)
+            ref_rows = np.empty(len(P), dtype=np.intp)
+            for k, a, b in segments:
+                WP[a:b] = (P[a:b, np.newaxis, :] @ Ws[k].T)[:, 0]
+                ref_rows[a:b] = k + 1
+            # a block of proposals per kernel call keeps its temporaries small
+            scores = []
+            for a in range(0, len(P), block):
+                b = min(a + block, len(P))
+                rows = np.concatenate([zeros[: b - a], ref_rows[a:b]])
+                scores.append(_pair_scores(g, P[a:b], WP[a:b], refs[rows]))
+            return np.concatenate(scores)
+
+        cloud_scores = [self._cloud_scores(W, Wq) for W, Wq in zip(Ws, Wqs)]
+        return _climbs(
+            self.cloud, cloud_scores, self.draws, _build_moves, window_scores, 0.25
+        )
+
+    def _cloud_scores(self, W: np.ndarray, Wq: np.ndarray) -> np.ndarray:
+        """Scores of the cloud on W, Wq = W q clamped, block by block."""
+        return np.concatenate([
+            _ratio_scores(self.g, den, (_clamp(P @ W.T), Wq))
+            for P, den in zip(self.blocks, self.dens)
+        ])
 
 
 def eta_f_estimate(
@@ -150,102 +259,127 @@ def eta_f_estimate(
     infinite), and refines the best candidate by coordinate hill-climbing:
     each refine step draws a pair i != j and moves a random share of p_i,
     at most the step's scale, to p_j.  Ratios are scored net of their
-    rounding bound (see ``_ratios``).
+    rounding bound (see ``_ratio_scores``).
     """
     W = as_channel(W)
     q = as_prob_vec(q)
-    if budget is None:
-        budget = SampleBudget()
-    n = q.shape[0]
+    return _EstimateContext(g, q, budget or SampleBudget()).estimate(W)
 
-    def draw(rng, steps):
-        # a step that draws i == j is skipped and keeps the scale
-        i, j, u = [], [], []
-        for _ in range(steps):
-            a, b = rng.integers(0, n, size=2)
-            if a != b:
-                i.append(a)
-                j.append(b)
-                u.append(rng.random())
-        return np.array(i, dtype=np.intp), np.array(j, dtype=np.intp), np.array(u)
 
-    def build(current, draws, scales):
-        i, j, u = draws
-        rows = np.arange(len(u))
-        move = scales * u * np.minimum(1.0, current[i])
-        P = np.repeat(current[np.newaxis], len(u), axis=0)
-        P[rows, i] -= move
-        P[rows, j] += move
-        P = np.maximum(P, 0.0)
-        return P / P.sum(axis=1, keepdims=True), np.ones(len(u), dtype=bool)
-
-    return _hill_climb(
-        partial(_ratios, g, W, q), _candidate_inputs(n, q, budget), draw, build,
-        budget, 0.25, window_scores=partial(_ratios, g, W, q, rowwise=True),
-    )
+def _block_rows(cloud: np.ndarray) -> int:
+    """Rows per block of about 2^12 entries, which keeps the kernels'
+    temporaries small and in cache; rows are scored independently, so
+    blocking changes no score."""
+    return max(1, (1 << 12) // cloud[0].size)
 
 
 def _hill_climb(scores, cloud, draw, build, budget, scale: float, window_scores=None):
-    """Best score over the candidate cloud, refined by first-improvement
-    hill-climbing.
-
-    ``scores`` maps a stack of inputs to their scores.  ``draw(rng, steps)``
-    takes every refine step's random numbers from the stream seeded with
-    seed + 1, in the order a step-by-step climb would, and returns them as a
-    tuple of per-step arrays.  ``build(current, draws, scales)`` turns a run
-    of those steps into a stack of proposals from ``current`` and a mask of
-    the valid ones; the scale shrinks by 0.98 per valid proposal.
-    A window of up to the block size of proposals is built from the current
-    point and scored by one ``window_scores`` call (default ``scores``);
-    the first proposal above the best score is taken and the next window
-    starts at the step after it.  That is exactly the climb that scores one
-    proposal at a time, so the result is bit-identical to it.
-    Returns (max(best, 0), witness), or (0, None) and a warning when no
-    candidate is feasible.
-    """
-    # blocks of about 2^12 entries keep the kernels' temporaries small and
-    # in cache; rows are scored independently, so blocking changes no score
-    block = max(1, (1 << 12) // cloud[0].size)
+    """One climb of ``_climbs`` from scratch: ``scores`` maps a stack of
+    inputs to their scores and scores the cloud block by block, and
+    ``draw(rng, steps)`` takes every refine step's random numbers from the
+    stream seeded with seed + 1, in the order a step-by-step climb would, as
+    a tuple of per-step arrays.  Windows are scored by ``window_scores``
+    (default ``scores``)."""
+    block = _block_rows(cloud)
     all_scores = np.concatenate(
         [scores(cloud[s : s + block]) for s in range(0, len(cloud), block)]
     )
-    k = int(np.argmax(all_scores))
-    best = float(all_scores[k])
-    if best == -math.inf:
-        warnings.warn("no feasible input found; estimate 0")
-        return 0.0, None
-    window_scores = window_scores or scores
     draws = draw(np.random.default_rng(budget.seed + 1), budget.refine_steps)
-    current = cloud[k].copy()
-    step, n_steps = 0, len(draws[0])
-    while step < n_steps:
-        scales = [scale]
-        for _ in range(min(block, n_steps - step) - 1):
-            scales.append(scales[-1] * 0.98)
-        stack, valid = build(current, [a[step : step + len(scales)] for a in draws],
-                             np.array(scales))
-        # an invalid proposal keeps the scale, so the ones after it were
-        # built with the wrong scale: the window ends there
-        m = len(scales) if valid.all() else int(np.argmin(valid))
-        window = window_scores(stack[:m]) if m else np.empty(0)
-        above = np.flatnonzero(window > best)
-        if above.size:
-            t = int(above[0])
-            best, current = float(window[t]), stack[t].copy()
-            scale, step = scales[t] * 0.98, step + t + 1
-        elif m < len(scales):
-            scale, step = scales[m], step + m + 1
-        else:
-            scale, step = scales[-1] * 0.98, step + m
-    return max(best, 0.0), current
+    window_scores = window_scores or scores
+    climb = _climbs(cloud, [all_scores], draws, build, lambda P, _: window_scores(P), scale)
+    return climb[0]
+
+
+# refine windows never shrink below this many proposals
+_MIN_WINDOW = 8
+
+
+def _climbs(cloud, cloud_scores, draws, build, window_scores, scale):
+    """Best of each of ``cloud_scores``, the cloud's scores on one channel
+    each, over the candidate cloud, refined by first-improvement
+    hill-climbing; the climbs run side by side.
+
+    ``draws`` holds every refine step's random numbers as a tuple of
+    per-step arrays.  ``build(current, draws, scales)`` turns steps into a
+    stack of proposals from ``current``, one input per proposal, and a mask
+    of the valid ones; the scale shrinks by 0.98 per valid proposal.  Each
+    round, every running climb builds a window of proposals from its
+    current point, and one ``window_scores(P, segments)`` call scores them
+    all: P stacks the windows, ``segments`` holds (climb, start, end) of
+    each.  In each window the first proposal above its climb's best score
+    is taken and the climb's next window starts at the step after it.  That
+    is exactly the climb that scores one proposal at a time, so each result
+    is bit-identical to it, and a round costs about one window's overhead
+    however many climbs it serves.  Window widths adapt, up to the block
+    size: after an acceptance at offset t the next window holds
+    max(8, 2 (t + 1)) proposals, after a window without one the width
+    doubles.
+    Returns (max(best, 0), witness) per climb, or (0, None) and a warning
+    where no candidate is feasible.
+    """
+    n_steps, block = len(draws[0]), _block_rows(cloud)
+    results: list = [(0.0, None)] * len(cloud_scores)
+    best, current, state = {}, {}, {}  # state: [scale, step, width]
+    for k, scores in enumerate(cloud_scores):
+        top = int(np.argmax(scores))
+        if scores[top] == -math.inf:
+            warnings.warn("no feasible input found; estimate 0")
+            continue
+        best[k], current[k] = float(scores[top]), cloud[top].copy()
+        state[k] = [scale, 0, block]
+    live = [k for k in best if n_steps > 0]
+    while live:
+        widths = [min(state[k][2], n_steps - state[k][1]) for k in live]
+        w, offsets = np.array(widths), np.arange(max(widths))
+        scales = np.full((len(live), len(offsets)), 0.98)
+        scales[:, 0] = [state[k][0] for k in live]
+        np.cumprod(scales, axis=1, out=scales)
+        keep = offsets < w[:, np.newaxis]
+        steps = (np.array([state[k][1] for k in live])[:, np.newaxis] + offsets)[keep]
+        bases = np.repeat(np.stack([current[k] for k in live]), w, axis=0)
+        stack, valid = build(bases, [a[steps] for a in draws], scales[keep])
+        m, scored = widths, stack
+        if not valid.all():
+            # an invalid proposal keeps the scale, so the ones after it were
+            # built with the wrong scale: its window ends there
+            starts = list(itertools.accumulate([0] + widths[:-1]))
+            m = [wc if valid[a : a + wc].all() else int(valid[a : a + wc].argmin())
+                 for a, wc in zip(starts, widths)]
+            scored = np.concatenate([stack[a : a + mc] for a, mc in zip(starts, m)])
+        segments = [(k, e - mc, e) for k, mc, e in zip(live, m, itertools.accumulate(m))]
+        scores = window_scores(scored, segments) if len(scored) else np.empty(0)
+        above = np.flatnonzero(scores > np.repeat([best[k] for k in live], m)).tolist()
+        for c, (k, a, b) in enumerate(segments):
+            st, first = state[k], bisect.bisect_left(above, a)
+            if first < len(above) and above[first] < b:
+                t = above[first] - a
+                best[k], current[k] = float(scores[a + t]), scored[a + t].copy()
+                width = min(block, max(_MIN_WINDOW, 2 * (t + 1)))
+                st[:] = scales[c, t] * 0.98, st[1] + t + 1, width
+                continue
+            if m[c] < widths[c]:
+                st[0], st[1] = scales[c, m[c]], st[1] + m[c] + 1
+            else:
+                st[0], st[1] = scales[c, widths[c] - 1] * 0.98, st[1] + widths[c]
+            st[2] = min(block, 2 * st[2])
+        live = [k for k in live if state[k][1] < n_steps]
+    for k in best:
+        results[k] = (max(best[k], 0.0), current[k])
+    return results
 
 
 def _kappa_up_sup(g: Generator, W: np.ndarray, q: np.ndarray) -> float:
     """Sup of kappa_up(Wp, Wq) over inputs p << q: each output ratio
     (Wp)_i / (Wq)_i is linear in p, so every kappa segment [1, ratio] lies in
     the union of those of the vertices e_j, j in supp q, and the sup is their
-    maximum."""
-    return _kappa_up_max(g, W.T[q > 0.0], W @ q)
+    maximum.  Every (Wq)_i is at least W_ij q_j, so a vertex output escapes
+    supp Wq only where a tiny (Wq)_i is clamped to zero; the ratio there is
+    unbounded against the clamped reference, and the sup is +inf, a vacuous
+    but valid bound."""
+    try:
+        return _kappa_up_max(g, W.T[q > 0.0], W @ q)
+    except ValueError:  # "requires p << q"
+        return math.inf
 
 
 def eta_f_upper_bounds(
@@ -262,17 +396,26 @@ def eta_f_upper_bounds(
     """
     W = as_channel(W)
     q = as_prob_vec(q)
-    L = pinsker_constant if pinsker_constant is not None else g.pinsker_constant
+    L = _certified_constant(g, pinsker_constant)
+    return _eta_f_upper(g, W, q, L, eta_chi2(W, q))
+
+
+def _certified_constant(g: Generator, override: float | None = None) -> float:
+    """``override`` or the generator's certified Pinsker constant, which the
+    upper bounds need positive."""
+    L = override if override is not None else g.pinsker_constant
     if L is None or L <= 0.0:
         raise ValueError("bounds require a positive certified Pinsker constant")
-    eta2 = eta_chi2(W, q)
-    qmin = q_min_on_support(q)
+    return L
 
+
+def _eta_f_upper(g: Generator, W, q, L: float, eta2: float):
+    """``eta_f_upper_bounds`` with L and eta_chi2(W, q) given."""
     q_full = bool(np.all(q > 0.0))
     kappa_sup = math.inf
     if math.isinf(g.fprime_at_inf) or q_full:
         kappa_sup = _kappa_up_sup(g, W, q)
-    return _upper_bounds(g, 4.0, L * qmin, eta2, kappa_sup, q_full)
+    return _upper_bounds(g, 4.0, L * q_min_on_support(q), eta2, kappa_sup, q_full)
 
 
 def _upper_bounds(g: Generator, factor, denom, eta, kup, full: bool):
@@ -304,50 +447,7 @@ def contraction_rate_profile(
     indecomposable with full-support pi.  Also requires |f''(0)| < inf or an
     eventual-positivity index so the kappa terms stay finite.
     """
-    W = as_channel(W)
-    if n_max < 2:
-        raise ValueError("n_max must be at least 2")
-    if budget is None:
-        budget = SampleBudget()
-    if g.pinsker_constant is None or g.pinsker_constant <= 0:
-        raise ValueError("profile requires a positive certified constant")
-    info = structure(W)
-    if not info.stationary_unique or info.stationary is None:
-        raise ValueError("profile requires a unique stationary distribution")
-    pi = info.stationary
-    pi_full = bool(np.all(pi > 0.0))
-    cond = (
-        (info.irreducible and info.aperiodic)
-        or (info.scrambling and (pi_full or math.isinf(g.fprime_at_inf)))
-        or (info.indecomposable and pi_full)
-    )
-    if not cond:
-        raise ValueError("no structural convergence condition holds")
-
-    eta2 = eta_chi2(W, pi)
-    pi_min = q_min_on_support(pi)
-    out = []
-    Wn = np.eye(W.shape[0])
-    for n in range(1, n_max + 1):
-        Wn = Wn @ W
-        est, _ = eta_f_estimate(Wn, pi, g, budget)
-        root = est ** (1.0 / n) if est > 0.0 else 0.0
-        kappa_sup = _kappa_up_sup(g, Wn, pi)
-        if math.isfinite(kappa_sup) and kappa_sup > 0:
-            envelope = eta2 * (4.0 * kappa_sup / (g.pinsker_constant * pi_min)) ** (
-                1.0 / n
-            )
-        else:
-            envelope = math.inf
-        out.append(
-            RatePoint(
-                n=n,
-                eta_f_root=root,
-                envelope=envelope,
-                within_envelope=root <= envelope + 1e-9,
-            )
-        )
-    return out
+    return _ChainContext(as_channel(W), g, budget or SampleBudget(), n_max).profile(n_max)
 
 
 def convergence_bound(W, pi, p, n: int) -> tuple[float, float, float]:
@@ -417,14 +517,24 @@ def mixing_time_bounds(
     f(0+), and finite f'(1).  empirical_tv/empirical_f scan vertex inputs.
     """
     W = as_channel(W)
+    # a bad delta is reported ahead of any error of the stationary solve
     if delta <= 0.0:
         raise ValueError("delta must be positive")
-    pi, unique = stationary_distribution(W)
+    return _mixing_report(W, delta, g, n_cap, stationary_distribution(W))
+
+
+def _mixing_report(W, delta, g, n_cap, stationary, eta=None) -> MixingTimeReport:
+    """``mixing_time_bounds`` with the (pi, unique) pair of the stationary
+    solve given, and eta_chi2(W, pi) unless ``eta`` holds it."""
+    if delta <= 0.0:
+        raise ValueError("delta must be positive")
+    pi, unique = stationary
     if not unique:
         raise ValueError("mixing times require a unique stationary distribution")
     if not np.all(pi > 0.0):
         raise ValueError("mixing times require a full-support stationary distribution")
-    eta = eta_chi2(W, pi)
+    if eta is None:
+        eta = eta_chi2(W, pi)
     if eta >= 1.0 - 1e-12:
         raise ValueError("eta_chi2 >= 1: no finite mixing bound")
     pi_min = float(pi.min())
@@ -465,3 +575,115 @@ def mixing_time_bounds(
         empirical_within_bound=within,
         generator=g.label if g is not None else None,
     )
+
+
+class _ChainContext:
+    """The pieces that the sections of one chain report share, each made on
+    first use and kept only as long as the object: structure(W), eta_chi2
+    at its stationary pi, the estimate context at pi and the estimates on
+    W and its powers.  W is a validated channel; ``profile_n`` is the n_max
+    of the rate profile the report asks for, so that the estimates on W,
+    W^2, ..., W^profile_n climb side by side."""
+
+    def __init__(self, W: np.ndarray, g: Generator, budget: SampleBudget, profile_n: int = 1):
+        self.W, self.g, self.budget, self.profile_n = W, g, budget, profile_n
+
+    @cached_property
+    def info(self) -> ChainStructure:
+        return structure(self.W)
+
+    @cached_property
+    def eta2(self) -> float:
+        return eta_chi2(self.W, self.info.stationary)
+
+    @cached_property
+    def context(self) -> _EstimateContext:
+        return _EstimateContext(self.g, as_prob_vec(self.info.stationary), self.budget)
+
+    @cached_property
+    def estimate(self) -> tuple[float, np.ndarray | None]:
+        return self._estimates[0]
+
+    @cached_property
+    def _estimates(self) -> list[tuple[float, np.ndarray | None]]:
+        """The estimates on W, ..., W^profile_n when the profile can run,
+        else on W alone; a profile that cannot run reports why itself."""
+        Ws = [self.W]
+        if self._profile_error(self.profile_n) is None:
+            try:
+                Ws += [as_channel(Wn) for Wn in self._powers(self.profile_n)[1:]]
+            except ValueError:
+                pass
+        return self.context.estimates(Ws)
+
+    def _powers(self, n_max: int) -> list[np.ndarray]:
+        """W, W^2, ..., W^n_max."""
+        powers = [self.W]
+        for _ in range(2, n_max + 1):
+            powers.append(powers[-1] @ self.W)
+        return powers
+
+    def _profile_error(self, n_max: int) -> str | None:
+        """Why ``profile(n_max)`` cannot run, or None."""
+        g, info = self.g, self.info
+        if n_max < 2:
+            return "n_max must be at least 2"
+        if g.pinsker_constant is None or g.pinsker_constant <= 0:
+            return "profile requires a positive certified constant"
+        if not info.stationary_unique or info.stationary is None:
+            return "profile requires a unique stationary distribution"
+        pi = info.stationary
+        pi_full = bool(np.all(pi > 0.0))
+        cond = (
+            (info.irreducible and info.aperiodic)
+            or (info.scrambling and (pi_full or math.isinf(g.fprime_at_inf)))
+            or (info.indecomposable and pi_full)
+        )
+        return None if cond else "no structural convergence condition holds"
+
+    def upper_bounds(self) -> tuple[float, float | None]:
+        """``eta_f_upper_bounds(W, pi, g)``."""
+        L = _certified_constant(self.g)
+        return _eta_f_upper(self.g, self.W, self.context.q, L, self.eta2)
+
+    def mixing(self, delta: float, g: Generator | None) -> MixingTimeReport:
+        """``mixing_time_bounds(W, delta, g)``."""
+        info = self.info
+        stationary = (info.stationary, info.stationary_unique)
+        return _mixing_report(self.W, delta, g, None, stationary, self.eta2)
+
+    def profile(self, n_max: int) -> list[RatePoint]:
+        """``contraction_rate_profile(W, g, n_max, budget)``; the n = 1 point
+        is the estimate on W, as I @ W equals W bit for bit."""
+        error = self._profile_error(n_max)
+        if error is not None:
+            raise ValueError(error)
+        g, pi = self.g, self.info.stationary
+        eta2, pi_min = self.eta2, q_min_on_support(pi)
+        powers = self._powers(n_max)
+        if n_max == self.profile_n and len(self._estimates) == n_max:
+            ests = [est for est, _ in self._estimates]
+        else:
+            # validated as eta_f_estimate would: a column-sum drift past its
+            # tolerance is an input error
+            later = self.context.estimates([as_channel(Wn) for Wn in powers[1:]])
+            ests = [self.estimate[0]] + [est for est, _ in later]
+        out = []
+        for n, Wn, est in zip(range(1, n_max + 1), powers, ests):
+            root = est ** (1.0 / n) if est > 0.0 else 0.0
+            kappa_sup = _kappa_up_sup(g, Wn, pi)
+            if math.isfinite(kappa_sup) and kappa_sup > 0:
+                envelope = eta2 * (4.0 * kappa_sup / (g.pinsker_constant * pi_min)) ** (
+                    1.0 / n
+                )
+            else:
+                envelope = math.inf
+            out.append(
+                RatePoint(
+                    n=n,
+                    eta_f_root=root,
+                    envelope=envelope,
+                    within_envelope=root <= envelope + 1e-9,
+                )
+            )
+        return out

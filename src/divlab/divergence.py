@@ -109,25 +109,33 @@ def _divergence_rows(g: Generator, P: np.ndarray, Q: np.ndarray, rounding_error=
     """``f_divergence_rows`` on rows as given, unclamped.  A boundary mass
     below SUPPORT_EPSILON counts as zero; on clamped rows no nonzero mass is
     that small, so the rule only drops rounding noise of unclamped rows."""
-    Q = np.broadcast_to(Q, P.shape)
+    # one row shared by all rows of P broadcasts as it is
+    if Q.shape != P.shape and Q.shape != P.shape[1:]:
+        Q = np.broadcast_to(Q, P.shape)
     pos = Q > 0.0
     inner = pos & (P > 0.0)
     t = np.divide(P, Q, out=np.ones_like(P), where=inner)
     ft = g.f(t)
     total = np.zeros(P.shape[0])
     # mass of p escaping supp(q) contributes p(x) * f'(inf), and q(x) > 0
-    # with p(x) = 0 contributes q(x) * f(0+); an infinite limit gives +inf
-    for mass, limit in (
-        (np.where(pos, 0.0, P).sum(axis=1), g.fprime_at_inf),
-        (np.where(pos & ~inner, Q, 0.0).sum(axis=1), g.f_at_zero),
-    ):
-        hit = mass >= SUPPORT_EPSILON
-        total[hit] += mass[hit] * limit
+    # with p(x) = 0 contributes q(x) * f(0+); an infinite limit gives +inf.
+    # Where every entry is interior no entry carries such mass.
+    if not inner.all():
+        for mass, limit in (
+            (np.where(pos, 0.0, P).sum(axis=1), g.fprime_at_inf),
+            (np.where(pos & ~inner, Q, 0.0).sum(axis=1), g.f_at_zero),
+        ):
+            hit = mass >= SUPPORT_EPSILON
+            total[hit] += mass[hit] * limit
     total += np.where(inner, Q * ft, 0.0).sum(axis=1)
     if not rounding_error:
         return total
     scale = np.abs(ft) + np.abs(t * g.f1(t)) + 1.0
-    return total, 4.0 * np.finfo(float).eps * np.where(inner, Q * scale, 0.0).sum(axis=1)
+    return total, _ROUNDING * np.where(inner, Q * scale, 0.0).sum(axis=1)
+
+
+# 4 eps, the factor of the kernel's rounding bound
+_ROUNDING = 4.0 * np.finfo(float).eps
 
 
 def total_variation(p, q) -> float:

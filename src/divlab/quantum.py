@@ -23,6 +23,7 @@ import numpy as np
 from .chi2bounds import kappa_bounds, q_min_on_support
 from .contraction import (
     SampleBudget,
+    _certified_constant,
     _empirical_mixing,
     _hill_climb,
     _mixing_steps,
@@ -520,8 +521,8 @@ def quantum_eta_estimate(
     d = sigma.shape[0]
 
     def scores(states: np.ndarray) -> np.ndarray:
-        outputs = apply_channel(channel, states)
-        return _ratio_scores(g, _ns_rows(states, sigma), _ns_rows(outputs, sigma_out))
+        den = _divergence_rows(g, *_ns_rows(states, sigma), rounding_error=True)
+        return _ratio_scores(g, den, _ns_rows(apply_channel(channel, states), sigma_out))
 
     def draw(rng, steps):
         u, psi = [], []
@@ -582,9 +583,7 @@ def quantum_eta_bounds(
     convexity, (f(t)-f(0))/t concave, finite f(0+), and full-rank sigma.
     """
     sigma = check_density_matrix(sigma)
-    L = pinsker_constant if pinsker_constant is not None else g.pinsker_constant
-    if L is None or L <= 0.0:
-        raise ValueError("bounds require a positive certified Pinsker constant")
+    L = _certified_constant(g, pinsker_constant)
     if not g.operator_convex:
         raise ValueError("Petz contraction bounds require operator-convex f")
     sigma_full = bool(np.linalg.eigvalsh(sigma).min() > EIG_CLAMP)

@@ -1,5 +1,8 @@
+import hashlib
 import json
 import math
+import re
+import sys
 
 import numpy as np
 import pytest
@@ -297,3 +300,70 @@ def test_dumps_report_formats():
     assert '"a": 0.10000000000000001' in text
     assert '"inf"' in text
     assert '"c": null' in text
+
+
+# SHA-256 of analyze-chain stdout at default flags, with the matrix path and
+# the inputs digest (which hashes that path) masked; reports are
+# deterministic, so a change to any printed number or field shows here
+GOLDEN_REPORTS = {
+    "bsc03-kl": (
+        "0.7,0.3\n0.3,0.7\n", "kl",
+        "49f7722c637d7406c6b09f4df1f128f3fb8fc9f14a84613f80d8d079af0f3a06",
+    ),
+    "asym-pearson": (
+        "0.7,0.4\n0.3,0.6\n", "pearson_chi2",
+        "e6d08afc49bd24d6c5176624a61af6211d3b4c6cb6b1cb3fd9ca044d8d52ff2c",
+    ),
+    "zero-pi-kl": (
+        "0.5,0,0\n0.5,0.6,0.3\n0,0.4,0.7\n", "kl",
+        "ca889945695b2ce9487a5c54d72c9306095be049b74e5d0271d7298d5ab0790f",
+    ),
+    "typewriter-hellinger": (
+        "0.5,0.5,0,0\n0,0.5,0.5,0\n0,0,0.5,0.5\n0.5,0,0,0.5\n", "squared_hellinger",
+        "0444b64d93722c34a7c49c5c1f58f37b99bcf6caadcc0ce2f2849fee1890ec6c",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_REPORTS))
+def test_analyze_chain_golden_output(case, tmp_path, capsys):
+    text, generator, digest = GOLDEN_REPORTS[case]
+    path = tmp_path / "chain.csv"
+    path.write_text(text)
+    code = run(["analyze-chain", "--matrix", str(path), "--generator", generator])
+    out = capsys.readouterr().out.replace(str(path), "<matrix>")
+    out = re.sub(r'"inputs_digest": "[0-9a-f]+"', '"inputs_digest": ""', out)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_analyze_chain_solves_shared_pieces_once(tmp_path, capsys, monkeypatch):
+    # one structure(), one stationary solve, one eta_chi2 and one refine
+    # stream per report, although the report runs six estimates
+    from divlab import contraction, markov
+
+    originals = {
+        "structure": markov.structure,
+        "stationary_distribution": markov.stationary_distribution,
+        "eta_chi2": contraction.eta_chi2,
+        "_draw_moves": contraction._draw_moves,
+    }
+    calls = dict.fromkeys(originals, 0)
+    for name, original in originals.items():
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        # every divlab module's binding, so calls inside the library count
+        for module in list(sys.modules.values()):
+            if getattr(module, "__name__", "").startswith("divlab") and (
+                getattr(module, name, None) is original
+            ):
+                monkeypatch.setattr(module, name, counted)
+    path = tmp_path / "asym.csv"
+    path.write_text("0.7,0.4\n0.3,0.6\n")
+    code = run(["analyze-chain", "--matrix", str(path), "--generator", "pearson_chi2"])
+    capsys.readouterr()
+    assert code == 0
+    assert calls == dict.fromkeys(originals, 1)

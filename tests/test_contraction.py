@@ -21,7 +21,7 @@ from divlab.contraction import (
     eta_f_upper_bounds,
     mixing_time_bounds,
 )
-from divlab.divergence import as_prob_vec, f_divergence
+from divlab.divergence import _divergence_rows, as_prob_vec, f_divergence
 from divlab.generators import custom_generator, make_generator
 from divlab.markov import as_channel, bsc, stationary_distribution
 
@@ -370,6 +370,18 @@ def test_kappa_sup_raises_only_before_first_infinity():
             assert chi2bounds._kappa_up_max(kl, P, q) == math.inf
 
 
+def test_kappa_sup_vacuous_when_clamped_output_escapes():
+    # (Wq)_2 = 0.6 * 1.5e-12 is clamped to zero while the vertex output
+    # W[2, 1] = 0.6 is not: the row reads as escaping supp Wq, and the sup
+    # is +inf, a vacuous bound, not a "requires p << q" error
+    W = np.array([[1.0, 0.4, 0.0], [0.0, 0.0, 1.0], [0.0, 0.6, 0.0]])
+    q = np.array([0.5, 1.5e-12, 0.5 - 1.5e-12])
+    triangular = make_generator("triangular")
+    assert _kappa_up_sup(triangular, W, q) == math.inf
+    nonlinear, _ = eta_f_upper_bounds(W, q, triangular)
+    assert nonlinear == math.inf
+
+
 # ---------------------------------------------------------------------------
 # rounding-corrected ratio scores
 
@@ -508,9 +520,8 @@ def quantum_eta_estimate_sequential(channel, sigma, g, budget):
 
     def scores(states):
         outputs = quantum.apply_channel(channel, states)
-        return _ratio_scores(
-            g, quantum._ns_rows(states, sigma), quantum._ns_rows(outputs, sigma_out)
-        )
+        den = _divergence_rows(g, *quantum._ns_rows(states, sigma), rounding_error=True)
+        return _ratio_scores(g, den, quantum._ns_rows(outputs, sigma_out))
 
     def propose(current, rng, weight):
         prop = (1.0 - weight * rng.random()) * current
@@ -609,6 +620,35 @@ def test_batched_climb_matches_sequential_across_windows(n, sparse, name, seed):
     assert len(accepted) >= 3  # the cloud's best and at least two moves
 
 
+def test_climb_window_width_adapts(monkeypatch):
+    # a 64-state chain whose climb accepts often: the first window holds the
+    # 64-row block, a window shrinks to max(8, 2 (t + 1)) after an acceptance
+    # at offset t and doubles after one without, and the climb stays the
+    # step-by-step one
+    rng = np.random.default_rng(65)
+    W = _random_chain(rng, 64, True)
+    pi, _ = stationary_distribution(W)
+    g = _CLIMB_GENERATORS["pearson_chi2"]
+    budget = SampleBudget(seed=5)
+    widths = []
+    build = contraction._build_moves
+
+    def recording(current, draws, scales):
+        # one climb: each round builds one window
+        widths.append(len(scales))
+        return build(current, draws, scales)
+
+    monkeypatch.setattr(contraction, "_build_moves", recording)
+    assert_same_climb(
+        lambda: eta_f_estimate(W, pi, g, budget),
+        lambda: eta_f_estimate_sequential(W, pi, g, budget),
+    )
+    assert widths[0] == 64
+    # only windows cut short by the end of the stream hold fewer than 8
+    steps = np.diff([w for w in widths if w >= 8])
+    assert (steps > 0).sum() >= 2 and (steps < 0).sum() >= 2
+
+
 @given(
     d=st.sampled_from([2, 3]),
     rank=st.sampled_from(["full", "deficient", "pure"]),
@@ -665,3 +705,66 @@ def test_hill_climb_windows_with_invalid_proposals(seed, refine_steps):
         lambda: contraction._hill_climb(scores, cloud, draw, build, budget, 0.5),
         lambda: hill_climb_sequential(scores, cloud, propose, budget, 0.5),
     )
+
+
+# ---------------------------------------------------------------------------
+# one estimate context per chain report
+
+
+@given(
+    n=st.sampled_from([2, 3, 8, 64]),
+    name=st.sampled_from(sorted(_CLIMB_GENERATORS)),
+    reference=st.sampled_from(["full", "zero-entry"]),
+    refine_steps=st.sampled_from([0, 1, 200]),
+    profile_n=st.sampled_from([1, 3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_chain_context_matches_independent_estimates(
+    n, name, reference, refine_steps, profile_n, seed
+):
+    # with profile_n = 3 the estimates on W, W^2 and W^3 climb side by side
+    # from the start; with 1, the one on W climbs alone and the profile's
+    # later ones side by side
+    rng = np.random.default_rng(seed)
+    W = _random_chain(rng, n, sparse=False)
+    if reference == "zero-entry":
+        # no state moves into state 0, so pi_0 = 0
+        W[0] = 0.0
+        W /= W.sum(axis=0)
+    g = _CLIMB_GENERATORS[name]
+    budget = SampleBudget(n_samples=100, seed=int(rng.integers(1 << 31)),
+                          refine_steps=refine_steps)
+    chain = contraction._ChainContext(as_channel(W), g, budget, profile_n)
+    pi = chain.info.stationary
+    n_max = 3
+    powers = [chain.W, chain.W @ chain.W, chain.W @ chain.W @ chain.W]
+    # the report's estimates, on W alone or on W, W^2, W^3 side by side,
+    # against independent ones, warnings included
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        ests = chain._estimates
+    with warnings.catch_warnings(record=True) as caught_alone:
+        warnings.simplefilter("always")
+        alone = [eta_f_estimate(Wn, pi, g, budget) for Wn in powers[: len(ests)]]
+    assert [str(w.message) for w in caught] == [str(w.message) for w in caught_alone]
+    for est, one in zip(ests, alone):
+        assert_same_climb(lambda: est, lambda: one)
+    assert chain.estimate is ests[0]
+
+    roots, Wn = [], chain.W
+    for k in range(1, n_max + 1):
+        if k > 1:
+            Wn = Wn @ chain.W
+        assert_same_climb(
+            lambda: chain.context.estimate(Wn), lambda: eta_f_estimate(Wn, pi, g, budget)
+        )
+        est, _ = eta_f_estimate(Wn, pi, g, budget)
+        roots.append(est ** (1.0 / k) if est > 0.0 else 0.0)
+    try:
+        points = chain.profile(n_max)
+    except ValueError:  # chi_alpha has no certified constant
+        assert name == "chi_alpha"
+        return
+    assert [pt.eta_f_root for pt in points] == roots
+    assert points[0].eta_f_root == chain.estimate[0]

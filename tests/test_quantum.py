@@ -552,10 +552,14 @@ def test_batched_quantum_scores_match_single_rows(registry):
     for g in registry:
         P, Q = _ns_rows(states, sigma)
         values = _divergence_rows(g, P, Q)
-        scores = _ratio_scores(g, (P, Q), _ns_rows(outputs, sigma_out))
+        scores = _ratio_scores(
+            g, _divergence_rows(g, P, Q, rounding_error=True), _ns_rows(outputs, sigma_out)
+        )
         for k, rho in enumerate(states):
             one = _ratio_scores(
-                g, _ns_rows(rho, sigma), _ns_rows(apply_channel(channel, rho), sigma_out)
+                g,
+                _divergence_rows(g, *_ns_rows(rho, sigma), rounding_error=True),
+                _ns_rows(apply_channel(channel, rho), sigma_out),
             )
             assert scores[k] == pytest.approx(one[0], rel=1e-12, abs=1e-15), g.label
             assert values[k] == pytest.approx(
