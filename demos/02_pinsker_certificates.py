@@ -2,9 +2,9 @@
 
 A constant L is valid for a generator when L <= h_lambda(x, y) on the open
 unit square for some lambda in [0, 1].  The certifier minimizes the surface
-on an inset grid, refines by golden-section descent, and reports whether the
-claim survives, whether the minimum attains the constant (tightness), and
-whether the boundary ring behaves.
+on an inset grid, refines by descent over shrinking local grids, and reports
+whether the claim survives, whether the minimum attains the constant
+(tightness), and whether the boundary ring behaves.
 """
 
 import numpy as np

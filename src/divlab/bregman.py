@@ -20,6 +20,11 @@ import numpy as np
 
 from .divergence import _gauss_legendre
 
+# Gauss-Legendre nodes of the integral representation
+_QUAD_NODES = 64
+# points of the t-grid on which the sandwich takes the Hessian eigenvalues
+_T_GRID_N = 257
+
 __all__ = [
     "SmoothConvexFn",
     "quadratic_fn",
@@ -83,12 +88,12 @@ def bregman_divergence(fd: SmoothConvexFn, x, y) -> float:
     return float(fd.F(x) - fd.F(y) - np.dot(fd.grad(y), x - y))
 
 
-def bregman_integral(fd: SmoothConvexFn, x, y, quad_nodes: int = 64) -> float:
+def bregman_integral(fd: SmoothConvexFn, x, y) -> float:
     """Quadrature of int_0^1 (1-t) (x-y)^T H_F((1-t)y + tx) (x-y) dt."""
     x = _check_point(fd, x)
     y = _check_point(fd, y)
     d = x - y
-    t, w = _gauss_legendre(quad_nodes)
+    t, w = _gauss_legendre(_QUAD_NODES)
     total = 0.0
     for tk, wk in zip(t, w):
         lam = (1.0 - tk) * y + tk * x
@@ -111,14 +116,14 @@ class BregmanSandwich:
     holds: bool
 
 
-def bregman_sandwich(fd: SmoothConvexFn, x, y, t_grid_n: int = 257) -> BregmanSandwich:
+def bregman_sandwich(fd: SmoothConvexFn, x, y) -> BregmanSandwich:
     """Eigenvalue sandwich for B_F along the segment, with quadrature check."""
     x = _check_point(fd, x)
     y = _check_point(fd, y)
     d = x - y
     gamma_up = -np.inf
     gamma_down = np.inf
-    for t in np.linspace(0.0, 1.0, t_grid_n):
+    for t in np.linspace(0.0, 1.0, _T_GRID_N):
         lam = (1.0 - t) * y + t * x
         if not fd.in_domain(lam):
             raise ValueError("segment leaves the domain of F")

@@ -3,7 +3,8 @@ kappa_down, the two-sided bound they induce, reverse Pinsker inequalities, and
 chi-squared upper bounds by total variation.
 
 kappa extremes run over the per-coordinate segments 1 + t(p_i/q_i - 1) for
-t in [0, 1] and i in supp(q).  Monotone f'' permits exact endpoint
+t in [0, 1] and i in supp(q).  One vectorised routine evaluates f'' along
+the segments of a stack of rows: monotone f'' permits exact endpoint
 evaluation; otherwise a dense t-grid is used.  When p has zeros and f'' is
 singular at zero, kappa_up is +inf and the downstream bounds are vacuous
 rather than errors, matching the conditional finiteness of the bounds.
@@ -38,8 +39,7 @@ __all__ = [
 _TINY = 1e-300
 # t-grid size for non-monotone f''
 _T_GRID_N = 1025
-# candidate rows per block of _kappa_up_rows' t-grid keep a block near this
-# many f'' evaluations, so memory does not grow with the number of rows
+# rows per block of _segment_f2 keep a block near this many f'' evaluations
 _KAPPA_BLOCK = 1 << 20
 
 
@@ -70,60 +70,73 @@ def _require_dominated(p: np.ndarray, q: np.ndarray) -> None:
         raise ValueError("requires p << q")
 
 
-def kappa_bounds(g: Generator, p, q, t_grid_n: int = _T_GRID_N) -> KappaPair:
-    """Extremes of f'' along the coordinate segments from q toward p."""
+def _segment_f2(g: Generator, P: np.ndarray, Q: np.ndarray):
+    """f'' along the segments 1 + t(P[k, i]/Q[k, i] - 1), t in [0, 1], of
+    every row k of P: yields (ts, V) for each block of rows, V[k, i, s]
+    being f'' at t = ts[s].  P and Q are clamped (see ``_clamp``); Q is one
+    row shared by all rows of P or a matrix of P's shape.
+
+    Monotone f'' takes its extremes at the endpoints, so ts = (0, 1);
+    otherwise ts is the _T_GRID_N-point grid.  A block holds about
+    _KAPPA_BLOCK values, or one row, so memory does not grow with the number
+    of rows.  Off supp Q the ratio is 1 and the segment the point f''(1).  A
+    zero ratio with f'' singular at zero runs into f''(0+) = +inf: its V is
+    f''(1) at t = 0 and +inf beyond.
+    """
+    # column-major, so that the reductions over each row sweep whole columns
+    P = np.asfortranarray(P)
+    R = np.divide(P, Q, out=np.ones_like(P), where=Q > 0.0)
+    singular = None
+    if not g.f2_at_zero_finite and not R.all():
+        # evaluate a harmless point there and overwrite it below
+        singular = R == 0.0
+        R = np.where(singular, 1.0, R)
+    R = np.maximum(R, _TINY)
+    monotone = g.f2_monotonicity in (NONINCREASING, NONDECREASING, CONSTANT)
+    if monotone:
+        ts, f2_at_one = np.array([0.0, 1.0]), float(g.f2(1.0))
+    else:
+        ts = np.linspace(0.0, 1.0, _T_GRID_N)
+    block = max(1, _KAPPA_BLOCK // (R.shape[1] * ts.size))
+    for s in range(0, R.shape[0], block):
+        r = R[s : s + block, :, np.newaxis]
+        if monotone:
+            V = np.concatenate([np.full_like(r, f2_at_one), g.f2(r)], axis=2)
+        else:
+            V = g.f2(np.maximum(1.0 + ts * (r - 1.0), _TINY))
+        if singular is not None:
+            V[:, :, 1:][singular[s : s + block]] = math.inf
+        yield ts, V
+
+
+def kappa_bounds(g: Generator, p, q) -> KappaPair:
+    """Extremes of f'' along the coordinate segments from q toward p.
+
+    A witness is the first extreme in (coordinate, t) order; on a segment
+    that runs into f''(0+) = +inf, kappa_up's is the last such segment's
+    (coordinate, 1.0).
+    """
     p = as_weight_vec(p)
     q = as_weight_vec(q)
     if p.shape != q.shape:
         raise ValueError("alphabet mismatch")
     _require_dominated(p, q)
     support = np.flatnonzero(q > 0.0)
-    ratios = p[support] / q[support]
-
-    best_up = -math.inf
-    best_down = math.inf
-    arg_up = (int(support[0]), 0.0)
-    arg_down = (int(support[0]), 0.0)
-    finite = True
-
-    def consider(value: float, idx: int, t: float) -> None:
-        nonlocal best_up, best_down, arg_up, arg_down
-        if value > best_up:
-            best_up = value
-            arg_up = (idx, t)
-        if value < best_down:
-            best_down = value
-            arg_down = (idx, t)
-
-    monotone = g.f2_monotonicity in (NONINCREASING, NONDECREASING, CONSTANT)
-    f2_at_one = float(g.f2(1.0))
-    for idx, r in zip(support, ratios):
-        idx = int(idx)
-        if r == 0.0 and not g.f2_at_zero_finite:
-            # the t = 1 endpoint hits f''(0+) = +inf
-            finite = False
-            best_up = math.inf
-            arg_up = (idx, 1.0)
-            consider(f2_at_one, idx, 0.0)
-            continue
-        end = float(g.f2(max(r, _TINY)))
-        if monotone:
-            consider(f2_at_one, idx, 0.0)
-            consider(end, idx, 1.0)
-        else:
-            ts = np.linspace(0.0, 1.0, t_grid_n)
-            args = np.maximum(1.0 + ts * (r - 1.0), _TINY)
-            vals = np.asarray(g.f2(args), dtype=float)
-            k = int(np.argmax(vals))
-            consider(float(vals[k]), idx, float(ts[k]))
-            k = int(np.argmin(vals))
-            consider(float(vals[k]), idx, float(ts[k]))
+    # one row is one block
+    ((ts, V),) = _segment_f2(g, p[np.newaxis, support], q[np.newaxis, support])
+    V = V[0]
+    i, s = divmod(int(np.argmax(V)), ts.size)
+    kappa_up, arg_up = float(V[i, s]), (int(support[i]), float(ts[s]))
+    i, s = divmod(int(np.argmin(V)), ts.size)
+    kappa_down, arg_down = float(V[i, s]), (int(support[i]), float(ts[s]))
+    if not g.f2_at_zero_finite and not p[support].all():
+        arg_up = (int(support[np.flatnonzero(p[support] == 0.0)[-1]]), 1.0)
     return KappaPair(
-        kappa_up=best_up,
-        kappa_down=max(best_down, 0.0),
+        kappa_up=kappa_up,
+        kappa_down=max(kappa_down, 0.0),
         argmax=arg_up,
         argmin=arg_down,
-        finite=finite and math.isfinite(best_up),
+        finite=math.isfinite(kappa_up),
     )
 
 
@@ -134,48 +147,15 @@ def _kappa_up_rows(g: Generator, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
     dominated by their Q come out as NaN, where kappa_bounds raises; the
     caller decides whether that is an error.
     """
-    # column-major, so that the reductions over each row sweep whole columns
-    P = np.asfortranarray(_clamp(P))
-    Q = _clamp(Q)
-    supp = Q > 0.0
-    undominated = np.where(supp, 0.0, P).sum(axis=1) > 0.0
-    # off the support the ratio is 1, and f''(1) is in every row's max anyway
-    R = np.divide(P, Q, out=np.ones_like(P), where=supp)
-    at_zero = R == 0.0
-    if not g.f2_at_zero_finite:
-        # the t = 1 endpoint of a segment with ratio 0 hits f''(0+) = +inf;
-        # evaluate a harmless point there and overwrite it below
-        R = np.where(at_zero, 1.0, R)
-    R = np.maximum(R, _TINY)
-    if g.f2_monotonicity in (NONINCREASING, NONDECREASING, CONSTANT):
-        kup = np.maximum(float(g.f2(1.0)), g.f2(R).max(axis=1))
-    else:
-        ts = np.linspace(0.0, 1.0, _T_GRID_N)
-        block = max(1, _KAPPA_BLOCK // (R.shape[1] * _T_GRID_N))
-        kup = np.empty(R.shape[0])
-        for s in range(0, R.shape[0], block):
-            args = 1.0 + ts * (R[s : s + block, :, np.newaxis] - 1.0)
-            kup[s : s + block] = g.f2(np.maximum(args, _TINY)).max(axis=(1, 2))
-    if not g.f2_at_zero_finite:
-        kup[at_zero.any(axis=1)] = math.inf
-    kup[undominated] = math.nan
+    P, Q = _clamp(P), _clamp(Q)
+    kup = np.concatenate([V.max(axis=(1, 2)) for _, V in _segment_f2(g, P, Q)])
+    kup[np.where(Q > 0.0, 0.0, P).sum(axis=1) > 0.0] = math.nan
     return kup
 
 
-def _kappa_up_max(g: Generator, P: np.ndarray, Q: np.ndarray) -> float:
-    """max_k kappa_bounds(g, P[k], Q[k]).kappa_up; raises like kappa_bounds
-    for a row escaping its support before the first row at +inf."""
-    kup = _kappa_up_rows(g, P, Q)
-    bad = np.flatnonzero(np.isnan(kup))
-    inf = np.flatnonzero(np.isinf(kup))
-    if bad.size and (not inf.size or bad[0] < inf[0]):
-        raise ValueError("requires p << q")
-    return float(np.nanmax(kup))
-
-
-def chi2_sandwich(g: Generator, p, q, t_grid_n: int = _T_GRID_N):
+def chi2_sandwich(g: Generator, p, q):
     """(kappa_down/2) chi^2 <= D_f <= (kappa_up/2) chi^2."""
-    kp = kappa_bounds(g, p, q, t_grid_n=t_grid_n)
+    kp = kappa_bounds(g, p, q)
     chi2 = chi_squared(p, q)
     value = f_divergence(g, p, q)
     lower = 0.5 * kp.kappa_down * chi2

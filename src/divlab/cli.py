@@ -525,11 +525,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the parser holds no input, so one serves every run of the process
+_PARSER = build_parser()
+
+
 def run(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
         args.raw_args = argv[1:]
         return args.func(args)
     except (InputError, KeyError, ValueError) as exc:

@@ -23,7 +23,7 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .chi2bounds import _kappa_up_max, q_min_on_support
+from .chi2bounds import _kappa_up_rows, q_min_on_support
 from .divergence import (
     _clamp,
     _divergence_rows,
@@ -54,6 +54,9 @@ __all__ = [
 ]
 
 BINARY_GRID_N = 4096
+# weights w of the blends (1 - w) v + w q of each vertex v toward the
+# reference q in the candidate cloud
+BLEND_WEIGHTS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 
 
 @dataclass(frozen=True)
@@ -63,7 +66,6 @@ class SampleBudget:
     n_samples: int = 400
     seed: int = 0
     refine_steps: int = 200
-    blend_weights: tuple[float, ...] = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 
     def __post_init__(self):
         if self.n_samples < 100:
@@ -110,7 +112,7 @@ def _candidate_inputs(n: int, q: np.ndarray, budget: SampleBudget) -> np.ndarray
     cloud = [rng.dirichlet(np.ones(n), size=budget.n_samples)]
     vertices = np.eye(n)
     cloud.append(vertices)
-    for w in budget.blend_weights:
+    for w in BLEND_WEIGHTS:
         cloud.append((1.0 - w) * vertices + w * q[np.newaxis, :])
     return np.vstack(cloud)
 
@@ -120,12 +122,6 @@ def _candidate_inputs(n: int, q: np.ndarray, budget: SampleBudget) -> np.ndarray
 # this level are indistinguishable from zero and counted as zero to keep the
 # estimate a genuine lower bound
 NUMERATOR_NOISE_FLOOR = 1e-13
-
-
-def _ratios(g: Generator, W: np.ndarray, q: np.ndarray, P: np.ndarray) -> np.ndarray:
-    """Scores of D_f(Wp || Wq) / D_f(p || q) for every row p of P."""
-    refs = np.repeat(np.stack([_clamp(q), _clamp(W @ q)]), len(P), axis=0)
-    return _pair_scores(g, P, P @ W.T, refs)
 
 
 def _pair_scores(g: Generator, P, WP, refs) -> np.ndarray:
@@ -376,10 +372,8 @@ def _kappa_up_sup(g: Generator, W: np.ndarray, q: np.ndarray) -> float:
     supp Wq only where a tiny (Wq)_i is clamped to zero; the ratio there is
     unbounded against the clamped reference, and the sup is +inf, a vacuous
     but valid bound."""
-    try:
-        return _kappa_up_max(g, W.T[q > 0.0], W @ q)
-    except ValueError:  # "requires p << q"
-        return math.inf
+    kup = _kappa_up_rows(g, W.T[q > 0.0], W @ q)
+    return float(np.where(np.isnan(kup), math.inf, kup).max())
 
 
 def eta_f_upper_bounds(
@@ -499,6 +493,11 @@ def _empirical_mixing(step, X, within, n_cap: int) -> int | None:
     return None
 
 
+def _check_delta(delta: float) -> None:
+    if not 0.0 < delta < math.inf:
+        raise ValueError("delta must be positive and finite")
+
+
 def _mixing_steps(eta: float, log_target: float, at_zero: int) -> int:
     """ceil(log_target / ln(1/eta) - 1e-12) floored at 0, so that eta^n
     reaches exp(-log_target); ``at_zero`` when eta = 0 (no finite rate)."""
@@ -518,16 +517,15 @@ def mixing_time_bounds(
     """
     W = as_channel(W)
     # a bad delta is reported ahead of any error of the stationary solve
-    if delta <= 0.0:
-        raise ValueError("delta must be positive")
+    _check_delta(delta)
     return _mixing_report(W, delta, g, n_cap, stationary_distribution(W))
 
 
 def _mixing_report(W, delta, g, n_cap, stationary, eta=None) -> MixingTimeReport:
     """``mixing_time_bounds`` with the (pi, unique) pair of the stationary
-    solve given, and eta_chi2(W, pi) unless ``eta`` holds it."""
-    if delta <= 0.0:
-        raise ValueError("delta must be positive")
+    solve given, and eta_chi2(W, pi) unless ``eta`` holds it.  The log
+    targets are sums of logs, so a tiny delta gets a finite bound."""
+    _check_delta(delta)
     pi, unique = stationary
     if not unique:
         raise ValueError("mixing times require a unique stationary distribution")
@@ -538,8 +536,9 @@ def _mixing_report(W, delta, g, n_cap, stationary, eta=None) -> MixingTimeReport
     if eta >= 1.0 - 1e-12:
         raise ValueError("eta_chi2 >= 1: no finite mixing bound")
     pi_min = float(pi.min())
-    x = math.sqrt(2.0 * pi_min) * delta
-    tv_bound = _mixing_steps(eta, 2.0 * math.log(1.0 / x), int(x < 1.0))
+    # ln(1/x) for x = sqrt(2 pi_min) delta
+    log_tv = -(0.5 * math.log(2.0 * pi_min) + math.log(delta))
+    tv_bound = _mixing_steps(eta, 2.0 * log_tv, int(log_tv > 0.0))
 
     f_bound = None
     if g is not None:
@@ -548,9 +547,8 @@ def _mixing_report(W, delta, g, n_cap, stationary, eta=None) -> MixingTimeReport
                 "f-divergence bound requires finite f(0+) and (f(t)-f(0))/t concave"
             )
         coeff = float(g.f1(1.0)) + g.f_at_zero
-        f_bound = _mixing_steps(
-            eta, math.log(2.0 / (delta * pi_min)) + math.log(coeff), 1
-        )
+        log_f = math.log(2.0 * coeff) - math.log(delta) - math.log(pi_min)
+        f_bound = _mixing_steps(eta, log_f, 1)
 
     def done(dist_rows):
         # the columns of W^n are the outputs of the vertex inputs

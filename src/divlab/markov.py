@@ -34,6 +34,8 @@ __all__ = [
 ]
 
 _COLUMN_SUM_TOL = 1e-10
+# eigenvalues within this distance of 1 count as 1 in the stationary solve
+_UNIQUE_GAP = 1e-8
 
 
 def as_channel(W, column_sum_tol: float = _COLUMN_SUM_TOL) -> np.ndarray:
@@ -76,17 +78,17 @@ def _require_square(W: np.ndarray) -> None:
         raise ValueError("operation requires a square channel")
 
 
-def stationary_distribution(W, unique_gap: float = 1e-8) -> tuple[np.ndarray, bool]:
+def stationary_distribution(W) -> tuple[np.ndarray, bool]:
     """A distribution with W pi = pi, and whether it is unique.
 
     Uniqueness is decided by the dimension of the eigenvalue-1 eigenspace
-    (eigenvalues within ``unique_gap`` of 1 are counted as 1).
+    (eigenvalues within _UNIQUE_GAP of 1 are counted as 1).
     """
     W = as_channel(W)
     _require_square(W)
     n = W.shape[0]
     eigvals, eigvecs = np.linalg.eig(W)
-    close = np.abs(eigvals - 1.0) < unique_gap
+    close = np.abs(eigvals - 1.0) < _UNIQUE_GAP
     if not np.any(close):
         raise ValueError("no eigenvalue-1 eigenvector found")
     unique = int(np.sum(close)) == 1

@@ -22,8 +22,10 @@ import numpy as np
 
 from .chi2bounds import kappa_bounds, q_min_on_support
 from .contraction import (
+    BLEND_WEIGHTS,
     SampleBudget,
     _certified_constant,
+    _check_delta,
     _empirical_mixing,
     _hill_climb,
     _mixing_steps,
@@ -488,7 +490,7 @@ def _candidate_states(sigma: np.ndarray, budget: QuantumBudget) -> np.ndarray:
     mixtures (the latter make classically-embedded suprema grid-exact)."""
     d = sigma.shape[0]
     rng = np.random.default_rng(budget.seed)
-    w = np.asarray(budget.blend_weights)[:, np.newaxis, np.newaxis]
+    w = np.asarray(BLEND_WEIGHTS)[:, np.newaxis, np.newaxis]
     out = []
     for _ in range(budget.n_samples):
         pure = _haar_pure(d, rng)
@@ -615,8 +617,7 @@ def quantum_mixing_time_bounds(
     td_bound = ceil(ln(1/(lmin(pi) delta^2)) / ln(1/eta)); the f-divergence
     bound multiplies in the linear coefficient f'(1) + f(0).
     """
-    if delta <= 0.0:
-        raise ValueError("delta must be positive")
+    _check_delta(delta)
     info = channel_structure(channel)
     if not info.mixing or info.fixed_point is None or not info.unique:
         raise ValueError("mixing times require a mixing channel with unique fixed point")
@@ -625,9 +626,9 @@ def quantum_mixing_time_bounds(
     if eta >= 1.0 - 1e-12:
         raise ValueError("eta_chi2 >= 1: no finite bound")
     lmin = min_positive_eigenvalue(pi)
-    td_bound = _mixing_steps(
-        eta, math.log(1.0 / (lmin * delta**2)), int(lmin * delta**2 < 1.0)
-    )
+    # ln(1/(lmin delta^2)), without forming delta^2
+    log_td = -(math.log(lmin) + 2.0 * math.log(delta))
+    td_bound = _mixing_steps(eta, log_td, int(log_td > 0.0))
 
     f_bound = None
     if g is not None:
@@ -637,7 +638,8 @@ def quantum_mixing_time_bounds(
                 "and (f(t)-f(0))/t concave"
             )
         coeff = float(g.f1(1.0)) + g.f_at_zero
-        f_bound = _mixing_steps(eta, math.log(4.0 * coeff / (lmin * delta)), 1)
+        log_f = math.log(4.0 * coeff) - math.log(lmin) - math.log(delta)
+        f_bound = _mixing_steps(eta, log_f, 1)
 
     step = partial(apply_channel, channel)
     probes = _probe_states(channel.dim_in)

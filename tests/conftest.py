@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from divlab.generators import default_registry, make_generator
+from divlab.generators import custom_generator, default_registry, make_generator
 
 
 @pytest.fixture(scope="session")
@@ -20,6 +20,26 @@ def random_prob_pairs(rng, n_pairs, dim, interior=True):
         p = 0.9 * p + 0.1 / dim
         q = 0.9 * q + 0.1 / dim
     return p, q
+
+
+def bump_generator():
+    """f'' = 1 + (t-1)^2 has its minimum at t = 1: not monotone."""
+    return custom_generator(
+        "bump",
+        lambda t: 0.5 * (t - 1.0) ** 2 + (t - 1.0) ** 4 / 12.0,
+        lambda t: (t - 1.0) + (t - 1.0) ** 3 / 3.0,
+        lambda t: 1.0 + (t - 1.0) ** 2,
+        f_at_zero=7.0 / 12.0,
+        f2_at_zero_finite=True,
+    )
+
+
+def singular_bump_generator():
+    """f'' = 1/t + (t-1)^2: not monotone, and +inf at 0+."""
+    return custom_generator(
+        "bump_singular", lambda t: t * np.log(t), lambda t: np.log(t) + 1.0,
+        lambda t: 1.0 / t + (t - 1.0) ** 2,
+    )
 
 
 @pytest.fixture(scope="session")

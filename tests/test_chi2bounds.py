@@ -3,7 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from divlab import chi2bounds
 from divlab.chi2bounds import (
     chi2_sandwich,
     chi2_tv_upper,
@@ -11,10 +14,16 @@ from divlab.chi2bounds import (
     kappa_bounds,
     reverse_pinsker,
 )
-from divlab.divergence import chi_squared, f_divergence, total_variation
-from divlab.generators import make_generator
+from divlab.divergence import as_weight_vec, chi_squared, f_divergence, total_variation
+from divlab.generators import (
+    CONSTANT,
+    NONDECREASING,
+    NONINCREASING,
+    default_registry,
+    make_generator,
+)
 
-from conftest import random_prob_pairs
+from conftest import bump_generator, random_prob_pairs, singular_bump_generator
 
 
 def test_kappa_pearson_constant():
@@ -58,7 +67,9 @@ def test_kappa_limit_toward_reference(registry):
                 assert err <= 2.0 * base / k, g.label
 
 
-def test_kappa_monotone_endpoint_matches_dense_grid(registry):
+def test_kappa_monotone_endpoint_matches_dense_grid(registry, monkeypatch):
+    # the blind generators run the t-grid, here at 4097 points
+    monkeypatch.setattr(chi2bounds, "_T_GRID_N", 4097)
     rng = np.random.default_rng(43)
     ps, qs = random_prob_pairs(rng, 10, 3)
     for g in registry:
@@ -67,9 +78,100 @@ def test_kappa_monotone_endpoint_matches_dense_grid(registry):
         blind = dataclasses.replace(g, f2_monotonicity="unknown")
         for p, q in zip(ps, qs):
             fast = kappa_bounds(g, p, q)
-            dense = kappa_bounds(blind, p, q, t_grid_n=4097)
+            dense = kappa_bounds(blind, p, q)
             assert fast.kappa_up == pytest.approx(dense.kappa_up, abs=1e-9)
             assert fast.kappa_down == pytest.approx(dense.kappa_down, abs=1e-9)
+
+
+def _loop_kappa_bounds(g, p, q):
+    """Oracle: the per-coordinate loop over the segments from q toward p.
+    Returns its KappaPair and the value of every candidate it considered."""
+    p, q = as_weight_vec(p), as_weight_vec(q)
+    support = np.flatnonzero(q > 0.0)
+    best_up, best_down = -math.inf, math.inf
+    arg_up = arg_down = (int(support[0]), 0.0)
+    finite, candidates = True, []
+
+    def consider(value, idx, t):
+        nonlocal best_up, best_down, arg_up, arg_down
+        candidates.append(value)
+        if value > best_up:
+            best_up, arg_up = value, (idx, t)
+        if value < best_down:
+            best_down, arg_down = value, (idx, t)
+
+    monotone = g.f2_monotonicity in (NONINCREASING, NONDECREASING, CONSTANT)
+    f2_at_one = float(g.f2(1.0))
+    for idx, r in zip(support, p[support] / q[support]):
+        idx = int(idx)
+        if r == 0.0 and not g.f2_at_zero_finite:
+            finite, best_up, arg_up = False, math.inf, (idx, 1.0)
+            consider(f2_at_one, idx, 0.0)
+            continue
+        if monotone:
+            consider(f2_at_one, idx, 0.0)
+            consider(float(g.f2(max(r, 1e-300))), idx, 1.0)
+        else:
+            ts = np.linspace(0.0, 1.0, 1025)
+            vals = np.asarray(g.f2(np.maximum(1.0 + ts * (r - 1.0), 1e-300)), dtype=float)
+            for k in (int(np.argmax(vals)), int(np.argmin(vals))):
+                consider(float(vals[k]), idx, float(ts[k]))
+    pair = chi2bounds.KappaPair(
+        kappa_up=best_up,
+        kappa_down=max(best_down, 0.0),
+        argmax=arg_up,
+        argmin=arg_down,
+        finite=finite and math.isfinite(best_up),
+    )
+    return pair, candidates
+
+
+def _ulps_apart(a, b, ulps=4):
+    if a == b:
+        return True
+    return abs(a - b) <= ulps * np.spacing(max(abs(a), abs(b)))
+
+
+def _near_tie(values, largest):
+    """Whether the two largest (else smallest) of ``values`` lie within 4 ulp
+    of each other."""
+    ordered = sorted(values, reverse=largest)
+    return len(ordered) > 1 and _ulps_apart(ordered[0], ordered[1])
+
+
+KAPPA_GENERATORS = default_registry() + [
+    make_generator("chi_alpha", alpha=2.5),
+    bump_generator(),
+    singular_bump_generator(),
+]
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    k=st.integers(0, len(KAPPA_GENERATORS) - 1),
+    n=st.sampled_from([1, 2, 3, 8, 64]),
+    zeros=st.sampled_from(["none", "p", "q", "both"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_kappa_bounds_matches_per_coordinate_loop(k, n, zeros, seed):
+    g = KAPPA_GENERATORS[k]
+    rng = np.random.default_rng(seed)
+    p, q = rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(n))
+    m = int(rng.integers(1, n)) if n > 1 else 0
+    if zeros in ("q", "both"):
+        off = rng.choice(n, size=m, replace=False)
+        q[off] = p[off] = 0.0  # p << q
+    if zeros in ("p", "both"):
+        p[rng.choice(n, size=max(m, 1), replace=False)] = 0.0
+    expected, candidates = _loop_kappa_bounds(g, p, q)
+    got = kappa_bounds(g, p, q)
+    assert _ulps_apart(got.kappa_up, expected.kappa_up), (got, expected)
+    assert _ulps_apart(got.kappa_down, expected.kappa_down), (got, expected)
+    assert got.finite == expected.finite
+    if not expected.finite or not _near_tie(candidates, largest=True):
+        assert got.argmax == expected.argmax, (got, expected)
+    if not _near_tie(candidates, largest=False):
+        assert got.argmin == expected.argmin, (got, expected)
 
 
 def test_kappa_vacuous_when_p_touches_zero():

@@ -204,6 +204,35 @@ def test_mixing_time_subcommand(bsc25_csv, capsys):
     assert res["f_bound"]["value"] == 5
 
 
+def test_delta_must_be_positive_and_finite(bsc25_csv, capsys):
+    for bad in ("0", "-1", "nan", "inf"):
+        assert run(["mixing-time", "--matrix", bsc25_csv, "--delta", bad]) == 1
+        assert "delta must be positive and finite" in capsys.readouterr().err
+    # analyze-chain reports the other sections and says why mixing is missing
+    code = run(["analyze-chain", "--matrix", bsc25_csv, "--generator", "kl",
+                "--delta", "nan", "--profile-n", "2"])
+    assert code == 0
+    report = _load_json(capsys.readouterr().out)
+    assert "mixing_time" not in report["results"]
+    assert report["warnings"] == [
+        "mixing times unavailable: delta must be positive and finite"
+    ]
+
+
+def test_analyze_chain_tiny_delta(bsc25_csv, capsys):
+    # 1/x overflows at delta = 1e-320; the bound is finite all the same.
+    # The empirical scan cannot take TV below its rounding floor, so the
+    # report flags the empirical time and exits 2
+    code = run(["analyze-chain", "--matrix", bsc25_csv, "--generator", "kl",
+                "--delta", "1e-320", "--profile-n", "2"])
+    assert code == 2
+    report = _load_json(capsys.readouterr().out)
+    assert report["results"]["mixing_time"]["empirical_tv"] is None
+    # 2 ln(1/(sqrt(2 pi_min) delta)) / ln(1/eta) with pi_min = 1/2, eta = 1/4
+    expected = math.ceil(-math.log(1e-320) / math.log(2.0))
+    assert report["results"]["mixing_time"]["tv_bound"]["value"] == expected
+
+
 def test_quantum_analyze(embedded_bsc_json, capsys):
     code = run(
         [

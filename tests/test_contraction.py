@@ -12,8 +12,8 @@ from divlab.contraction import (
     SampleBudget,
     _candidate_inputs,
     _kappa_up_sup,
+    _pair_scores,
     _ratio_scores,
-    _ratios,
     contraction_rate_profile,
     convergence_bound,
     eta_chi2,
@@ -21,12 +21,20 @@ from divlab.contraction import (
     eta_f_upper_bounds,
     mixing_time_bounds,
 )
-from divlab.divergence import _divergence_rows, as_prob_vec, f_divergence
-from divlab.generators import custom_generator, make_generator
+from divlab.divergence import _clamp, _divergence_rows, as_prob_vec, f_divergence
+from divlab.generators import make_generator
 from divlab.markov import as_channel, bsc, stationary_distribution
+
+from conftest import bump_generator, singular_bump_generator
 
 UNIFORM2 = np.array([0.5, 0.5])
 FAST = SampleBudget(n_samples=100, refine_steps=40)
+
+
+def _ratios(g, W, q, P):
+    """Scores of D_f(Wp || Wq) / D_f(p || q) for every row p of P."""
+    refs = np.repeat(np.stack([_clamp(q), _clamp(W @ q)]), len(P), axis=0)
+    return _pair_scores(g, P, P @ W.T, refs)
 
 
 def constant_channel(n, target=0):
@@ -251,13 +259,23 @@ def test_mixing_time_large_delta_floors_at_zero():
     assert report.empirical_tv == 0
 
 
+def test_mixing_time_tiny_delta_gets_finite_bounds():
+    # 1/x and 2/(delta pi_min) overflow at delta = 1e-320; the log targets
+    # are sums of logs instead
+    report = mixing_time_bounds(bsc(0.25), 1e-320, make_generator("kl"))
+    # tv: 2 ln(1/delta) / ln(1/eta) with pi_min = 1/2, eta = 1/4
+    assert report.tv_bound == math.ceil(-math.log(1e-320) / math.log(2.0))
+    assert report.f_bound is not None and 0 < report.f_bound < report.tv_bound
+
+
 def test_mixing_time_preconditions():
     with pytest.raises(ValueError):
         mixing_time_bounds(np.array([[0.0, 1.0], [1.0, 0.0]]), 0.01)  # eta = 1
     with pytest.raises(ValueError):
         mixing_time_bounds(np.eye(2), 0.01)  # not unique
-    with pytest.raises(ValueError):
-        mixing_time_bounds(bsc(0.25), -0.5)
+    for bad in (0.0, -0.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match="delta must be positive and finite"):
+            mixing_time_bounds(bsc(0.25), bad)
     with pytest.raises(ValueError):
         mixing_time_bounds(constant_channel(2), 0.01)  # pi not full support
     with pytest.raises(ValueError):
@@ -296,20 +314,8 @@ def _loop_kappa_sup(g, outputs, Wq):
     return sup
 
 
-def _bump():
-    # f'' = 1 + (t-1)^2 has its minimum at t = 1: not monotone
-    return custom_generator(
-        "bump",
-        lambda t: 0.5 * (t - 1.0) ** 2 + (t - 1.0) ** 4 / 12.0,
-        lambda t: (t - 1.0) + (t - 1.0) ** 3 / 3.0,
-        lambda t: 1.0 + (t - 1.0) ** 2,
-        f_at_zero=7.0 / 12.0,
-        f2_at_zero_finite=True,
-    )
-
-
 def _kappa_generators(registry):
-    return registry + [make_generator("chi_alpha", alpha=2.5), _bump()]
+    return registry + [make_generator("chi_alpha", alpha=2.5), bump_generator()]
 
 
 def _check_kappa_parity(g, W, q, budget):
@@ -341,33 +347,12 @@ def test_kappa_sup_chunked_non_monotone(monkeypatch):
     rng = np.random.default_rng(37)
     W = rng.dirichlet(np.ones(3), size=3).T
     q = np.array([0.2, 0.3, 0.5])
-    for g in (make_generator("chi_alpha", alpha=2.5), _bump()):
+    for g in (make_generator("chi_alpha", alpha=2.5), bump_generator()):
         _check_kappa_parity(g, W, q, FAST)
     # f''(0+) = inf with a zero output ratio gives +inf, as in kappa_bounds
-    sing = custom_generator(
-        "bump_singular", lambda t: t * np.log(t), lambda t: np.log(t) + 1.0,
-        lambda t: 1.0 / t + (t - 1.0) ** 2,
-    )
+    sing = singular_bump_generator()
     _check_kappa_parity(sing, np.eye(3), q, FAST)
     assert _kappa_up_sup(sing, np.eye(3), q) == math.inf
-
-
-def test_kappa_sup_raises_only_before_first_infinity():
-    # the loop stops at the first +inf, so an escaping row after it does not
-    # raise; one before it does
-    kl = make_generator("kl")
-    q = np.array([0.5, 0.5, 0.0])
-    vertex, escaping = np.array([1.0, 0.0, 0.0]), np.array([0.4, 0.4, 0.2])
-    for rows, raises in (([vertex, escaping], False), ([escaping, vertex], True)):
-        P = np.array(rows)
-        if raises:
-            with pytest.raises(ValueError, match="p << q"):
-                _loop_kappa_sup(kl, P, q)
-            with pytest.raises(ValueError, match="p << q"):
-                chi2bounds._kappa_up_max(kl, P, q)
-        else:
-            assert _loop_kappa_sup(kl, P, q) == math.inf
-            assert chi2bounds._kappa_up_max(kl, P, q) == math.inf
 
 
 def test_kappa_sup_vacuous_when_clamped_output_escapes():

@@ -1,7 +1,10 @@
+import json
+import pathlib
+
 import numpy as np
 import pytest
 
-from divlab.generators import make_generator
+from divlab.generators import default_registry, make_generator
 from divlab.pinsker import (
     certify_constant,
     check_pinsker,
@@ -114,6 +117,35 @@ def test_witness_groups():
     assert verdicts(make_generator("renyi_gain", alpha=-0.5), 4.0) == (V, V, C)
 
 
+# verdict, tight flag and refined minimum of each certificate as the scalar
+# golden-section refine reported them; the local-grid refine must keep the
+# first two and may only find a lower minimum
+CERTIFICATE_TABLE = json.loads(
+    pathlib.Path(__file__).with_name("certificate_table.json").read_text()
+)
+
+
+def _matches_table(cert, row):
+    assert (cert.verdict, cert.tight) == (row["verdict"], row["tight"]), row
+    assert cert.refined_min <= row["refined_min"] + 1e-12, (cert.refined_min, row)
+
+
+@pytest.mark.parametrize("grid_n", [64, 512])
+def test_certificates_match_recorded_table(grid_n):
+    rows = CERTIFICATE_TABLE["registry"][str(grid_n)]
+    registry = default_registry()
+    assert [g.label for g in registry] == [row["generator"] for row in rows]
+    for g, row in zip(registry, rows):
+        _matches_table(certify_constant(g, grid_n=grid_n), row)
+
+
+def test_witness_certificates_match_recorded_table():
+    for row in CERTIFICATE_TABLE["witness"]:
+        g = make_generator(row["name"], **row["params"])
+        cert = certify_constant(g, row["lam"], grid_n=128, claimed_L=row["claimed"])
+        _matches_table(cert, row)
+
+
 def test_certify_parameter_validation():
     kl = make_generator("kl")
     with pytest.raises(ValueError):
@@ -122,6 +154,8 @@ def test_certify_parameter_validation():
         certify_constant(kl, boundary_eps=0.5)
     with pytest.raises(ValueError):
         certify_constant(make_generator("chi_alpha", alpha=2.5))
+    with pytest.raises(ValueError, match="lambda"):
+        certify_constant(kl, 1.5)
 
 
 def test_check_pinsker_trivial_and_random():

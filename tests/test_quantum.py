@@ -436,12 +436,22 @@ def test_quantum_mixing_times_embedded_bsc_consistent_with_classical():
     assert quantum.eta_chi2 == pytest.approx(0.25, abs=1e-12)
 
 
+def test_quantum_mixing_time_tiny_delta_gets_finite_bound():
+    # delta^2 underflows to zero at delta = 1e-320; the log target is a sum
+    # of logs instead
+    report = quantum_mixing_time_bounds(depolarizing_channel(2, 0.5), 1e-320)
+    # ln(1/(lmin delta^2)) / ln(1/eta) with lmin = 1/2 and eta = 1/4
+    expected = math.ceil((math.log(2.0) - 2.0 * math.log(1e-320)) / math.log(4.0))
+    assert report.td_bound == expected
+
+
 def test_quantum_mixing_time_preconditions():
     kl = make_generator("kl")
     with pytest.raises(ValueError):
         quantum_mixing_time_bounds(identity_channel(2), 0.01, kl)
-    with pytest.raises(ValueError):
-        quantum_mixing_time_bounds(depolarizing_channel(2, 0.5), -1.0, kl)
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="delta must be positive and finite"):
+            quantum_mixing_time_bounds(depolarizing_channel(2, 0.5), bad, kl)
     with pytest.raises(ValueError):
         # jeffrey is not flagged operator convex
         quantum_mixing_time_bounds(
