@@ -27,18 +27,18 @@ import numpy as np
 
 from . import __version__
 from .contraction import SampleBudget, _ChainContext, mixing_time_bounds
-from .divergence import as_weight_vec, f_divergence, total_variation, chi_squared
+from .divergence import SUPPORT_EPSILON, as_weight_vec, chi_squared, f_divergence, total_variation
 from .generators import default_registry, from_spec
 from .markov import as_channel, stationary_distribution
 from .pinsker import certify_constant
 from .quantum import (
     KrausChannel,
     QuantumBudget,
+    _petz_mixing,
+    _petz_upper,
     channel_structure,
-    check_density_matrix,
-    quantum_eta_bounds,
+    petz_eta_chi2,
     quantum_eta_estimate,
-    quantum_mixing_time_bounds,
 )
 
 SCHEMA_VERSION = "1"
@@ -53,50 +53,27 @@ class InputError(Exception):
 # JSON emission: 17 significant digits, "inf" for infinities, deterministic
 
 
-def _fmt(value):
-    if value is None or isinstance(value, (str, bool, int)):
-        return value
-    if isinstance(value, (np.bool_,)):
-        return bool(value)
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (float, np.floating)):
-        v = float(value)
-        if math.isnan(v):
-            return "nan"
-        if math.isinf(v):
-            return "inf" if v > 0 else "-inf"
-        return RawFloat(v)
-    if isinstance(value, np.ndarray):
-        return [_fmt(x) for x in value.tolist()]
-    if isinstance(value, complex):
-        return [_fmt(value.real), _fmt(value.imag)]
-    if isinstance(value, dict):
-        return {k: _fmt(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_fmt(v) for v in value]
-    return str(value)
-
-
-class RawFloat:
-    __slots__ = ("v",)
-
-    def __init__(self, v: float):
-        self.v = v
-
-
 def _dumps(obj, indent: int = 0) -> str:
     pad = " " * indent
-    if isinstance(obj, RawFloat):
-        return f"{obj.v:.17g}"
     if obj is None:
         return "null"
-    if isinstance(obj, bool):
+    if isinstance(obj, (bool, np.bool_)):
         return "true" if obj else "false"
-    if isinstance(obj, int):
+    if isinstance(obj, (int, np.integer)):
         return str(obj)
+    if isinstance(obj, (float, np.floating)):
+        v = float(obj)
+        if math.isnan(v):
+            return '"nan"'
+        if math.isinf(v):
+            return '"inf"' if v > 0 else '"-inf"'
+        return f"{v:.17g}"
     if isinstance(obj, str):
         return json.dumps(obj)
+    if isinstance(obj, complex):
+        return _dumps([obj.real, obj.imag], indent)
+    if isinstance(obj, np.ndarray):
+        return _dumps(obj.tolist(), indent)
     if isinstance(obj, dict):
         if not obj:
             return "{}"
@@ -104,7 +81,7 @@ def _dumps(obj, indent: int = 0) -> str:
             f"{pad}  {json.dumps(k)}: {_dumps(v, indent + 2)}" for k, v in obj.items()
         )
         return "{\n" + inner + "\n" + pad + "}"
-    if isinstance(obj, list):
+    if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
         inner = ", ".join(_dumps(v, indent) for v in obj)
@@ -112,11 +89,11 @@ def _dumps(obj, indent: int = 0) -> str:
             return "[" + inner + "]"
         inner = ",\n".join(f"{pad}  {_dumps(v, indent + 2)}" for v in obj)
         return "[\n" + inner + "\n" + pad + "]"
-    raise TypeError(f"unserializable {type(obj)}")
+    return json.dumps(str(obj))
 
 
 def dumps_report(obj) -> str:
-    return _dumps(_fmt(obj))
+    return _dumps(obj)
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +119,10 @@ def _parse_complex_matrix(obj) -> np.ndarray:
 
 def parse_matrix(path: str) -> np.ndarray:
     """Channel matrix from CSV (row-major, '#' comments, optional header) or
-    JSON {"matrix": [[...]]}; validated column-stochastic at 1e-8."""
+    JSON {"matrix": [[...]]}; validated column-stochastic at 1e-8, then each
+    column whose sum is off by more than rounding (SUPPORT_EPSILON) divided
+    by its sum, so that the library's 1e-10 check holds for W and its
+    powers while columns that already sum to one keep their bits."""
     try:
         text = open(path).read()
     except OSError as exc:
@@ -170,22 +150,11 @@ def parse_matrix(path: str) -> np.ndarray:
                     continue  # header row
                 raise InputError(f"{path}: non-numeric row {line!r}")
     try:
-        return as_channel(np.asarray(rows, dtype=float), column_sum_tol=1e-8)
+        W = as_channel(np.asarray(rows, dtype=float), column_sum_tol=1e-8)
     except ValueError as exc:
         raise InputError(f"{path}: {exc}") from exc
-
-
-def parse_state(path: str) -> np.ndarray:
-    """Density matrix from JSON ({"re": .., "im": ..} or [re, im] pairs)."""
-    try:
-        obj = json.loads(open(path).read())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot parse {path}: {exc}") from exc
-    payload = obj.get("state", obj) if isinstance(obj, dict) else obj
-    try:
-        return check_density_matrix(_parse_complex_matrix(payload))
-    except ValueError as exc:
-        raise InputError(f"{path}: {exc}") from exc
+    sums = W.sum(axis=0)
+    return np.where(np.abs(sums - 1.0) > SUPPORT_EPSILON, W / sums, W)
 
 
 def parse_kraus(path: str) -> KrausChannel:
@@ -369,7 +338,7 @@ def _cmd_analyze_chain(args) -> int:
         warnings_list.append(f"mixing times unavailable: {exc}")
 
     try:
-        profile = chain.profile(args.profile_n)
+        profile = chain.profile()
         results["rate_profile"] = {
             "bound_id": "contraction-rate-vs-eta-chi2",
             "eta_chi2": eta2,
@@ -427,11 +396,13 @@ def _cmd_quantum_analyze(args) -> int:
             "positivity_index": info.positivity_index,
         }
     }
-    if info.fixed_point is None or not info.mixing:
+    if not info.mixing:
         warnings_list.append("channel is not mixing; contraction section skipped")
     else:
         pi = info.fixed_point
         est, _ = quantum_eta_estimate(channel, pi, g, budget)
+        # the bounds and the mixing times share one exact Petz eta_chi2
+        eta = petz_eta_chi2(channel, pi)
         results["contraction"] = {
             "eta_f_estimate": {
                 "bound_id": "petz-eta-f-sampled-lower-estimate",
@@ -440,7 +411,7 @@ def _cmd_quantum_analyze(args) -> int:
             },
         }
         if g.operator_convex and g.pinsker_constant:
-            nonlinear, linear = quantum_eta_bounds(channel, pi, g)
+            nonlinear, linear = _petz_upper(g, channel, pi, g.pinsker_constant, eta)
             results["contraction"]["nonlinear_upper"] = {
                 "bound_id": "petz-eta-f-nonlinear-upper",
                 "value": nonlinear,
@@ -459,7 +430,7 @@ def _cmd_quantum_analyze(args) -> int:
             )
         try:
             can_f = g.operator_convex and g.g_concave and math.isfinite(g.f_at_zero)
-            qmix = quantum_mixing_time_bounds(channel, args.delta, g if can_f else None)
+            qmix = _petz_mixing(channel, args.delta, g if can_f else None, pi, eta)
             results["mixing_time"] = {
                 "td_bound": {"bound_id": "petz-chi2-mixing-time-td", "value": qmix.td_bound},
                 "f_bound": {"bound_id": "petz-chi2-mixing-time-f", "value": qmix.f_bound},

@@ -25,6 +25,7 @@ import numpy as np
 
 from .chi2bounds import _kappa_up_rows, q_min_on_support
 from .divergence import (
+    SUPPORT_EPSILON,
     _clamp,
     _divergence_rows,
     as_prob_vec,
@@ -172,10 +173,9 @@ def _draw_moves(rng: np.random.Generator, n: int, steps: int):
     return np.array(i, dtype=np.intp), np.array(j, dtype=np.intp), np.array(u)
 
 
-def _build_moves(P: np.ndarray, draws, scales: np.ndarray):
+def _build_moves(P: np.ndarray, draws, scales: np.ndarray) -> np.ndarray:
     """Refine proposals: each moves a share u of p_i, at most its scale, to
-    p_j; all of them are valid.  P holds the input of each proposal and is
-    moved in place."""
+    p_j.  P holds the input of each proposal and is moved in place."""
     i, j, u = draws
     rows = np.arange(len(u))
     move = scales * u * np.minimum(1.0, P[rows, i])
@@ -183,7 +183,7 @@ def _build_moves(P: np.ndarray, draws, scales: np.ndarray):
     P[rows, j] += move
     np.maximum(P, 0.0, out=P)
     P /= P.sum(axis=1, keepdims=True)
-    return P, np.ones(len(u), dtype=bool)
+    return P
 
 
 class _EstimateContext:
@@ -269,23 +269,6 @@ def _block_rows(cloud: np.ndarray) -> int:
     return max(1, (1 << 12) // cloud[0].size)
 
 
-def _hill_climb(scores, cloud, draw, build, budget, scale: float, window_scores=None):
-    """One climb of ``_climbs`` from scratch: ``scores`` maps a stack of
-    inputs to their scores and scores the cloud block by block, and
-    ``draw(rng, steps)`` takes every refine step's random numbers from the
-    stream seeded with seed + 1, in the order a step-by-step climb would, as
-    a tuple of per-step arrays.  Windows are scored by ``window_scores``
-    (default ``scores``)."""
-    block = _block_rows(cloud)
-    all_scores = np.concatenate(
-        [scores(cloud[s : s + block]) for s in range(0, len(cloud), block)]
-    )
-    draws = draw(np.random.default_rng(budget.seed + 1), budget.refine_steps)
-    window_scores = window_scores or scores
-    climb = _climbs(cloud, [all_scores], draws, build, lambda P, _: window_scores(P), scale)
-    return climb[0]
-
-
 # refine windows never shrink below this many proposals
 _MIN_WINDOW = 8
 
@@ -297,15 +280,15 @@ def _climbs(cloud, cloud_scores, draws, build, window_scores, scale):
 
     ``draws`` holds every refine step's random numbers as a tuple of
     per-step arrays.  ``build(current, draws, scales)`` turns steps into a
-    stack of proposals from ``current``, one input per proposal, and a mask
-    of the valid ones; the scale shrinks by 0.98 per valid proposal.  Each
-    round, every running climb builds a window of proposals from its
-    current point, and one ``window_scores(P, segments)`` call scores them
-    all: P stacks the windows, ``segments`` holds (climb, start, end) of
-    each.  In each window the first proposal above its climb's best score
-    is taken and the climb's next window starts at the step after it.  That
-    is exactly the climb that scores one proposal at a time, so each result
-    is bit-identical to it, and a round costs about one window's overhead
+    stack of proposals from ``current``, one input per proposal; the scale
+    shrinks by 0.98 per proposal.  Each round, every running climb builds a
+    window of proposals from its current point, and one
+    ``window_scores(P, segments)`` call scores them all: P stacks the
+    windows, ``segments`` holds (climb, start, end) of each.  In each window
+    the first proposal above its climb's best score is taken and the
+    climb's next window starts at the step after it.  That is exactly the
+    climb that scores one proposal at a time, so each result is
+    bit-identical to it, and a round costs about one window's overhead
     however many climbs it serves.  Window widths adapt, up to the block
     size: after an acceptance at offset t the next window holds
     max(8, 2 (t + 1)) proposals, after a window without one the width
@@ -333,31 +316,20 @@ def _climbs(cloud, cloud_scores, draws, build, window_scores, scale):
         keep = offsets < w[:, np.newaxis]
         steps = (np.array([state[k][1] for k in live])[:, np.newaxis] + offsets)[keep]
         bases = np.repeat(np.stack([current[k] for k in live]), w, axis=0)
-        stack, valid = build(bases, [a[steps] for a in draws], scales[keep])
-        m, scored = widths, stack
-        if not valid.all():
-            # an invalid proposal keeps the scale, so the ones after it were
-            # built with the wrong scale: its window ends there
-            starts = list(itertools.accumulate([0] + widths[:-1]))
-            m = [wc if valid[a : a + wc].all() else int(valid[a : a + wc].argmin())
-                 for a, wc in zip(starts, widths)]
-            scored = np.concatenate([stack[a : a + mc] for a, mc in zip(starts, m)])
-        segments = [(k, e - mc, e) for k, mc, e in zip(live, m, itertools.accumulate(m))]
-        scores = window_scores(scored, segments) if len(scored) else np.empty(0)
-        above = np.flatnonzero(scores > np.repeat([best[k] for k in live], m)).tolist()
+        stack = build(bases, [a[steps] for a in draws], scales[keep])
+        ends = itertools.accumulate(widths)
+        segments = [(k, e - wc, e) for k, wc, e in zip(live, widths, ends)]
+        scores = window_scores(stack, segments)
+        above = np.flatnonzero(scores > np.repeat([best[k] for k in live], widths)).tolist()
         for c, (k, a, b) in enumerate(segments):
             st, first = state[k], bisect.bisect_left(above, a)
             if first < len(above) and above[first] < b:
                 t = above[first] - a
-                best[k], current[k] = float(scores[a + t]), scored[a + t].copy()
+                best[k], current[k] = float(scores[a + t]), stack[a + t].copy()
                 width = min(block, max(_MIN_WINDOW, 2 * (t + 1)))
                 st[:] = scales[c, t] * 0.98, st[1] + t + 1, width
-                continue
-            if m[c] < widths[c]:
-                st[0], st[1] = scales[c, m[c]], st[1] + m[c] + 1
             else:
-                st[0], st[1] = scales[c, widths[c] - 1] * 0.98, st[1] + widths[c]
-            st[2] = min(block, 2 * st[2])
+                st[:] = scales[c, b - a - 1] * 0.98, st[1] + b - a, min(block, 2 * st[2])
         live = [k for k in live if state[k][1] < n_steps]
     for k in best:
         results[k] = (max(best[k], 0.0), current[k])
@@ -441,7 +413,7 @@ def contraction_rate_profile(
     indecomposable with full-support pi.  Also requires |f''(0)| < inf or an
     eventual-positivity index so the kappa terms stay finite.
     """
-    return _ChainContext(as_channel(W), g, budget or SampleBudget(), n_max).profile(n_max)
+    return _ChainContext(as_channel(W), g, budget or SampleBudget(), n_max).profile()
 
 
 def convergence_bound(W, pi, p, n: int) -> tuple[float, float, float]:
@@ -506,22 +478,21 @@ def _mixing_steps(eta: float, log_target: float, at_zero: int) -> int:
     return max(0, math.ceil(log_target / math.log(1.0 / eta) - 1e-12))
 
 
-def mixing_time_bounds(
-    W, delta: float, g: Generator | None = None, n_cap: int | None = None
-) -> MixingTimeReport:
+def mixing_time_bounds(W, delta: float, g: Generator | None = None) -> MixingTimeReport:
     """Mixing-time upper bounds from the chi-squared contraction coefficient.
 
     tv_bound = ceil(2 ln(1/(sqrt(2 pi_min) delta)) / ln(1/eta)), floored at 0;
     the f-divergence bound additionally needs (f(t)-f(0))/t concave, finite
-    f(0+), and finite f'(1).  empirical_tv/empirical_f scan vertex inputs.
+    f(0+), and finite f'(1).  empirical_tv/empirical_f scan vertex inputs
+    when delta is at least SUPPORT_EPSILON, and are None otherwise.
     """
     W = as_channel(W)
     # a bad delta is reported ahead of any error of the stationary solve
     _check_delta(delta)
-    return _mixing_report(W, delta, g, n_cap, stationary_distribution(W))
+    return _mixing_report(W, delta, g, stationary_distribution(W))
 
 
-def _mixing_report(W, delta, g, n_cap, stationary, eta=None) -> MixingTimeReport:
+def _mixing_report(W, delta, g, stationary, eta=None) -> MixingTimeReport:
     """``mixing_time_bounds`` with the (pi, unique) pair of the stationary
     solve given, and eta_chi2(W, pi) unless ``eta`` holds it.  The log
     targets are sums of logs, so a tiny delta gets a finite bound."""
@@ -554,15 +525,20 @@ def _mixing_report(W, delta, g, n_cap, stationary, eta=None) -> MixingTimeReport
         # the columns of W^n are the outputs of the vertex inputs
         return lambda P: dist_rows(np.ascontiguousarray(P.T), pi).max() <= delta
 
-    cap = n_cap if n_cap is not None else max(2 * tv_bound, 64)
-    vertices = np.eye(W.shape[0])
-    empirical_tv = _empirical_mixing(W.__matmul__, vertices, done(_tv_rows), cap)
-    empirical_f = None
-    if g is not None:
-        cap_f = max(cap, 2 * f_bound)
-        f_done = done(partial(f_divergence_rows, g))
-        empirical_f = _empirical_mixing(W.__matmul__, vertices, f_done, cap_f)
-    within = empirical_tv is not None and empirical_tv <= tv_bound
+    # distances below SUPPORT_EPSILON are rounding noise that no number of
+    # steps removes: a smaller delta gets no scan, and nothing contradicts
+    # its bounds
+    empirical_tv = empirical_f = None
+    within = True
+    if delta >= SUPPORT_EPSILON:
+        cap = max(2 * tv_bound, 64)
+        vertices = np.eye(W.shape[0])
+        empirical_tv = _empirical_mixing(W.__matmul__, vertices, done(_tv_rows), cap)
+        if g is not None:
+            f_done = done(partial(f_divergence_rows, g))
+            cap_f = max(cap, 2 * f_bound)
+            empirical_f = _empirical_mixing(W.__matmul__, vertices, f_done, cap_f)
+        within = empirical_tv is not None and empirical_tv <= tv_bound
     return MixingTimeReport(
         tv_bound=tv_bound,
         f_bound=f_bound,
@@ -606,25 +582,26 @@ class _ChainContext:
     def _estimates(self) -> list[tuple[float, np.ndarray | None]]:
         """The estimates on W, ..., W^profile_n when the profile can run,
         else on W alone; a profile that cannot run reports why itself."""
-        Ws = [self.W]
-        if self._profile_error(self.profile_n) is None:
-            try:
-                Ws += [as_channel(Wn) for Wn in self._powers(self.profile_n)[1:]]
-            except ValueError:
-                pass
+        Ws = self.powers[0] if self._profile_error() is None else [self.W]
         return self.context.estimates(Ws)
 
-    def _powers(self, n_max: int) -> list[np.ndarray]:
-        """W, W^2, ..., W^n_max."""
+    @cached_property
+    def powers(self) -> tuple[list[np.ndarray], str | None]:
+        """W, W^2, ..., W^profile_n, each validated as eta_f_estimate would
+        validate it, and None; or the powers before the first one whose
+        column sums drift past the tolerance, and that input error."""
         powers = [self.W]
-        for _ in range(2, n_max + 1):
-            powers.append(powers[-1] @ self.W)
-        return powers
+        for _ in range(2, self.profile_n + 1):
+            try:
+                powers.append(as_channel(powers[-1] @ self.W))
+            except ValueError as exc:
+                return powers, str(exc)
+        return powers, None
 
-    def _profile_error(self, n_max: int) -> str | None:
-        """Why ``profile(n_max)`` cannot run, or None."""
+    def _profile_error(self) -> str | None:
+        """Why ``profile()`` cannot run, or None."""
         g, info = self.g, self.info
-        if n_max < 2:
+        if self.profile_n < 2:
             return "n_max must be at least 2"
         if g.pinsker_constant is None or g.pinsker_constant <= 0:
             return "profile requires a positive certified constant"
@@ -637,7 +614,7 @@ class _ChainContext:
             or (info.scrambling and (pi_full or math.isinf(g.fprime_at_inf)))
             or (info.indecomposable and pi_full)
         )
-        return None if cond else "no structural convergence condition holds"
+        return self.powers[1] if cond else "no structural convergence condition holds"
 
     def upper_bounds(self) -> tuple[float, float | None]:
         """``eta_f_upper_bounds(W, pi, g)``."""
@@ -648,26 +625,19 @@ class _ChainContext:
         """``mixing_time_bounds(W, delta, g)``."""
         info = self.info
         stationary = (info.stationary, info.stationary_unique)
-        return _mixing_report(self.W, delta, g, None, stationary, self.eta2)
+        return _mixing_report(self.W, delta, g, stationary, self.eta2)
 
-    def profile(self, n_max: int) -> list[RatePoint]:
-        """``contraction_rate_profile(W, g, n_max, budget)``; the n = 1 point
-        is the estimate on W, as I @ W equals W bit for bit."""
-        error = self._profile_error(n_max)
+    def profile(self) -> list[RatePoint]:
+        """``contraction_rate_profile(W, g, profile_n, budget)``; the n = 1
+        point is the estimate on W, as I @ W equals W bit for bit."""
+        error = self._profile_error()
         if error is not None:
             raise ValueError(error)
         g, pi = self.g, self.info.stationary
         eta2, pi_min = self.eta2, q_min_on_support(pi)
-        powers = self._powers(n_max)
-        if n_max == self.profile_n and len(self._estimates) == n_max:
-            ests = [est for est, _ in self._estimates]
-        else:
-            # validated as eta_f_estimate would: a column-sum drift past its
-            # tolerance is an input error
-            later = self.context.estimates([as_channel(Wn) for Wn in powers[1:]])
-            ests = [self.estimate[0]] + [est for est, _ in later]
+        powers, _ = self.powers
         out = []
-        for n, Wn, est in zip(range(1, n_max + 1), powers, ests):
+        for n, Wn, (est, _) in zip(itertools.count(1), powers, self._estimates):
             root = est ** (1.0 / n) if est > 0.0 else 0.0
             kappa_sup = _kappa_up_sup(g, Wn, pi)
             if math.isfinite(kappa_sup) and kappa_sup > 0:

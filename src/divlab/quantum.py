@@ -25,15 +25,16 @@ from .contraction import (
     BLEND_WEIGHTS,
     SampleBudget,
     _certified_constant,
+    _block_rows,
     _check_delta,
+    _climbs,
     _empirical_mixing,
-    _hill_climb,
     _mixing_steps,
     _ratio_scores,
     _second_singular_value_sq,
     _upper_bounds,
 )
-from .divergence import _divergence_rows, total_variation
+from .divergence import SUPPORT_EPSILON, _divergence_rows, total_variation
 from .generators import Generator
 
 __all__ = [
@@ -472,11 +473,14 @@ def petz_bounds_report(g: Generator, rho, sigma) -> PetzBoundsReport:
 @dataclass(frozen=True)
 class QuantumBudget(SampleBudget):
     """Sampling configuration for quantum contraction estimates: the
-    classical budget with smaller defaults plus the eigenbasis grid."""
+    classical budget with smaller defaults."""
 
     n_samples: int = 200
     refine_steps: int = 120
-    eigenbasis_grid: int = 257
+
+
+# points per segment between two sigma-eigenbasis projectors in the cloud
+_EIGENBASIS_GRID = 257
 
 
 def _haar_pure(d: int, rng: np.random.Generator) -> np.ndarray:
@@ -497,7 +501,7 @@ def _candidate_states(sigma: np.ndarray, budget: QuantumBudget) -> np.ndarray:
         out += [pure[np.newaxis], (1.0 - w) * pure + w * sigma]
     v = _spectral(sigma)[1].T
     proj = v[:, :, np.newaxis] * v[:, np.newaxis, :].conj()  # |f_k><f_k| of sigma
-    a = np.linspace(0.0, 1.0, budget.eigenbasis_grid)[:, np.newaxis, np.newaxis]
+    a = np.linspace(0.0, 1.0, _EIGENBASIS_GRID)[:, np.newaxis, np.newaxis]
     out += [a * proj[i] + (1 - a) * proj[j] for i in range(d) for j in range(i + 1, d)]
     return np.concatenate(out)
 
@@ -509,12 +513,12 @@ def quantum_eta_estimate(
     coefficient, with its witness state.
 
     Scores D_f(E(rho) || E(sigma)) / D_f(rho || sigma) on NS rows with the
-    classical scorer, net of its rounding bound, over the whole candidate
-    stack at once and then per window of refine proposals.  A refine step
-    draws a share u and a Haar pure state psi and proposes the state
+    classical scorer, net of its rounding bound, over the candidate stack
+    block by block and then per window of refine proposals (see
+    ``_climbs``).  A refine step draws a share u and a Haar pure state psi
+    from the stream seeded with seed + 1 and proposes the state
     (1 - w u) rho + (1 - Tr[(1 - w u) rho]) psi, eigenvalues clipped at zero
-    and renormalized, for the step's weight w; a proposal whose clipped
-    spectrum sums to zero is skipped.
+    and renormalized, for the step's weight w.
     """
     sigma = check_density_matrix(sigma)
     if budget is None:
@@ -526,13 +530,6 @@ def quantum_eta_estimate(
         den = _divergence_rows(g, *_ns_rows(states, sigma), rounding_error=True)
         return _ratio_scores(g, den, _ns_rows(apply_channel(channel, states), sigma_out))
 
-    def draw(rng, steps):
-        u, psi = [], []
-        for _ in range(steps):
-            u.append(rng.random())
-            psi.append(_haar_pure(d, rng))
-        return np.array(u), np.array(psi, dtype=complex).reshape(steps, d, d)
-
     def build(current, draws, weights):
         u, psi = draws
         prop = (1.0 - weights * u)[:, np.newaxis, np.newaxis] * current
@@ -540,13 +537,22 @@ def quantum_eta_estimate(
         prop = prop + (1.0 - trace)[:, np.newaxis, np.newaxis] * psi
         prop = 0.5 * (prop + np.swapaxes(prop, 1, 2).conj())
         eigs, vecs = np.linalg.eigh(prop)
+        # prop is Hermitian with trace one, so its clipped spectrum sums to
+        # at least that trace: the division never meets a zero sum
         eigs = np.maximum(eigs, 0.0)
-        s = eigs.sum(axis=1)
-        valid = ~(s <= 0.0)  # a NaN sum is scored, as one at a time
-        eigs = eigs / np.where(valid, s, 1.0)[:, np.newaxis]
-        return (vecs * eigs[:, np.newaxis, :]) @ np.swapaxes(vecs, 1, 2).conj(), valid
+        eigs = eigs / eigs.sum(axis=1)[:, np.newaxis]
+        return (vecs * eigs[:, np.newaxis, :]) @ np.swapaxes(vecs, 1, 2).conj()
 
-    return _hill_climb(scores, _candidate_states(sigma, budget), draw, build, budget, 0.3)
+    cloud = _candidate_states(sigma, budget)
+    block = _block_rows(cloud)
+    cloud_scores = np.concatenate(
+        [scores(cloud[s : s + block]) for s in range(0, len(cloud), block)]
+    )
+    rng = np.random.default_rng(budget.seed + 1)
+    steps = [(rng.random(), _haar_pure(d, rng)) for _ in range(budget.refine_steps)]
+    u = np.array([step[0] for step in steps])
+    psi = np.array([step[1] for step in steps], dtype=complex).reshape(-1, d, d)
+    return _climbs(cloud, [cloud_scores], (u, psi), build, lambda P, _: scores(P), 0.3)[0]
 
 
 def petz_eta_chi2(channel: KrausChannel, sigma) -> float:
@@ -588,10 +594,14 @@ def quantum_eta_bounds(
     L = _certified_constant(g, pinsker_constant)
     if not g.operator_convex:
         raise ValueError("Petz contraction bounds require operator-convex f")
-    sigma_full = bool(np.linalg.eigvalsh(sigma).min() > EIG_CLAMP)
-    eta2 = petz_eta_chi2(channel, sigma)
-    lmin = min_positive_eigenvalue(sigma)
+    return _petz_upper(g, channel, sigma, L, petz_eta_chi2(channel, sigma))
 
+
+def _petz_upper(g: Generator, channel: KrausChannel, sigma, L: float, eta2: float):
+    """``quantum_eta_bounds`` for a checked state sigma, with L and
+    petz_eta_chi2(channel, sigma) given."""
+    sigma_full = bool(np.linalg.eigvalsh(sigma).min() > EIG_CLAMP)
+    lmin = min_positive_eigenvalue(sigma)
     kappa_sup = math.inf
     if g.f2_at_zero_finite and (sigma_full or math.isinf(g.fprime_at_inf)):
         out_min = min_positive_eigenvalue(apply_channel(channel, sigma))
@@ -615,14 +625,23 @@ def quantum_mixing_time_bounds(
     """Mixing-time bounds from the exact Petz chi-squared coefficient eta.
 
     td_bound = ceil(ln(1/(lmin(pi) delta^2)) / ln(1/eta)); the f-divergence
-    bound multiplies in the linear coefficient f'(1) + f(0).
+    bound multiplies in the linear coefficient f'(1) + f(0).  empirical_td
+    and empirical_f scan probe states when delta is at least SUPPORT_EPSILON.
     """
     _check_delta(delta)
     info = channel_structure(channel)
-    if not info.mixing or info.fixed_point is None or not info.unique:
+    if not info.mixing:
         raise ValueError("mixing times require a mixing channel with unique fixed point")
     pi = info.fixed_point
-    eta = petz_eta_chi2(channel, pi)
+    return _petz_mixing(channel, delta, g, pi, petz_eta_chi2(channel, pi))
+
+
+def _petz_mixing(
+    channel: KrausChannel, delta: float, g: Generator | None, pi, eta: float
+) -> QuantumMixingReport:
+    """``quantum_mixing_time_bounds`` with the fixed point pi of a mixing
+    channel and eta = petz_eta_chi2(channel, pi) given."""
+    _check_delta(delta)
     if eta >= 1.0 - 1e-12:
         raise ValueError("eta_chi2 >= 1: no finite bound")
     lmin = min_positive_eigenvalue(pi)
@@ -641,20 +660,19 @@ def quantum_mixing_time_bounds(
         log_f = math.log(4.0 * coeff) - math.log(lmin) - math.log(delta)
         f_bound = _mixing_steps(eta, log_f, 1)
 
-    step = partial(apply_channel, channel)
-    probes = _probe_states(channel.dim_in)
-    empirical_td = _empirical_mixing(
-        step, probes, lambda S: trace_distance(S, pi).max() <= delta,
-        max(2 * td_bound, 64),
-    )
-    empirical_f = None
-    if g is not None:
-        empirical_f = _empirical_mixing(
-            step,
-            probes,
-            lambda S: _divergence_rows(g, *_ns_rows(S, pi)).max() <= delta,
-            max(2 * (f_bound or 0), 64),
+    empirical_td = empirical_f = None
+    if delta >= SUPPORT_EPSILON:  # no scan resolves less (see _mixing_report)
+        step = partial(apply_channel, channel)
+        probes = _probe_states(channel.dim_in)
+        empirical_td = _empirical_mixing(
+            step, probes, lambda S: trace_distance(S, pi).max() <= delta,
+            max(2 * td_bound, 64),
         )
+        if g is not None:
+            empirical_f = _empirical_mixing(
+                step, probes, lambda S: _divergence_rows(g, *_ns_rows(S, pi)).max() <= delta,
+                max(2 * f_bound, 64),
+            )
     return QuantumMixingReport(
         td_bound=td_bound,
         f_bound=f_bound,

@@ -12,7 +12,6 @@ from divlab.cli import (
     dumps_report,
     parse_kraus,
     parse_matrix,
-    parse_state,
     run,
 )
 
@@ -79,20 +78,37 @@ def test_parse_matrix_csv_round_trip(bsc_csv, tmp_path):
     assert to_csv(W) == to_csv(W2)
 
 
-def test_parse_state_forms(tmp_path):
-    path = tmp_path / "state.json"
-    path.write_text(json.dumps({"re": [[0.5, 0.0], [0.0, 0.5]]}))
-    rho = parse_state(str(path))
-    assert rho == pytest.approx(np.eye(2) / 2)
-    # nested [re, im] pairs
-    path.write_text(
-        json.dumps([[[0.5, 0.0], [0.0, -0.5]], [[0.0, 0.5], [0.5, 0.0]]])
-    )
-    rho = parse_state(str(path))
-    assert rho[0, 1] == pytest.approx(-0.5j)
-    path.write_text(json.dumps({"re": [[0.6, 0.0], [0.0, 0.3]]}))
+def test_parse_matrix_renormalizes_within_tolerance(tmp_path, capsys):
+    # columns within the documented 1e-8 of one are accepted and divided by
+    # their sums, so the library's 1e-10 check holds for every report
+    path = tmp_path / "thirds.csv"
+    path.write_text("0.333333333,0.5,0\n0.333333333,0,0.5\n0.333333333,0.5,0.5\n")
+    W = parse_matrix(str(path))
+    assert np.abs(W.sum(axis=0) - 1.0).max() <= 1e-15
+    for argv in (["analyze-chain", "--matrix", str(path), "--generator", "kl",
+                  "--profile-n", "2"],
+                 ["mixing-time", "--matrix", str(path)]):
+        assert run(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert _load_json(captured.out)["violations"] == []
+
+
+def test_parse_kraus_complex_forms(tmp_path):
+    # one operator as {"re", "im"} blocks with "im" left out, one as nested
+    # [re, im] entry pairs: the channel rho -> (rho + Y rho Y) / 2
+    s = 1.0 / math.sqrt(2.0)
+    path = tmp_path / "chan.json"
+    path.write_text(json.dumps({"kraus": [
+        {"re": [[s, 0.0], [0.0, s]]},
+        [[[0.0, 0.0], [0.0, -s]], [[0.0, s], [0.0, 0.0]]],
+    ]}))
+    chan = parse_kraus(str(path))
+    assert chan.kraus[0] == pytest.approx(s * np.eye(2))
+    assert chan.kraus[1] == pytest.approx(s * np.array([[0.0, -1j], [1j, 0.0]]))
+    path.write_text(json.dumps({"kraus": [{"re": [[1.0, 0.0], [0.0, 1.0]], "im": [[0.0]]}]}))
     with pytest.raises(InputError):
-        parse_state(str(path))  # trace 0.9
+        parse_kraus(str(path))  # re and im blocks of different shapes
 
 
 def test_parse_kraus_completeness(tmp_path, embedded_bsc_json):
@@ -219,18 +235,73 @@ def test_delta_must_be_positive_and_finite(bsc25_csv, capsys):
     ]
 
 
-def test_analyze_chain_tiny_delta(bsc25_csv, capsys):
+def test_analyze_chain_tiny_delta(bsc25_csv, capsys, monkeypatch):
     # 1/x overflows at delta = 1e-320; the bound is finite all the same.
-    # The empirical scan cannot take TV below its rounding floor, so the
-    # report flags the empirical time and exits 2
+    # No scan can take TV below its rounding floor, so a delta below
+    # SUPPORT_EPSILON gets none: the empirical times are null and nothing
+    # contradicts the bound
+    from divlab import contraction
+
+    def no_scan(*args):
+        raise AssertionError("empirical scan at an unresolvable delta")
+
+    monkeypatch.setattr(contraction, "_empirical_mixing", no_scan)
     code = run(["analyze-chain", "--matrix", bsc25_csv, "--generator", "kl",
                 "--delta", "1e-320", "--profile-n", "2"])
-    assert code == 2
+    assert code == 0
     report = _load_json(capsys.readouterr().out)
-    assert report["results"]["mixing_time"]["empirical_tv"] is None
+    assert report["violations"] == []
+    mix = report["results"]["mixing_time"]
+    assert mix["empirical_tv"] is None and mix["empirical_f"] is None
     # 2 ln(1/(sqrt(2 pi_min) delta)) / ln(1/eta) with pi_min = 1/2, eta = 1/4
     expected = math.ceil(-math.log(1e-320) / math.log(2.0))
-    assert report["results"]["mixing_time"]["tv_bound"]["value"] == expected
+    assert mix["tv_bound"]["value"] == expected
+
+
+def test_mixing_time_tiny_delta(bsc25_csv, capsys, monkeypatch):
+    from divlab import contraction
+
+    def no_scan(*args):
+        raise AssertionError("empirical scan at an unresolvable delta")
+
+    monkeypatch.setattr(contraction, "_empirical_mixing", no_scan)
+    code = run(["mixing-time", "--matrix", bsc25_csv, "--delta", "1e-320",
+                "--generator", "kl"])
+    assert code == 0
+    report = _load_json(capsys.readouterr().out)
+    assert report["violations"] == []
+    res = report["results"]
+    assert res["empirical_tv"] is None and res["empirical_f"] is None
+    assert res["tv_bound"]["value"] == math.ceil(-math.log(1e-320) / math.log(2.0))
+
+
+def test_quantum_analyze_tiny_delta(tmp_path, capsys, monkeypatch):
+    from divlab import depolarizing_channel, quantum
+
+    ops = depolarizing_channel(2, 0.5).kraus
+    path = tmp_path / "depol.json"
+    path.write_text(json.dumps(
+        {"kraus": [{"re": K.real.tolist(), "im": K.imag.tolist()} for K in ops]}
+    ))
+    scans = []
+    scan = quantum._empirical_mixing
+
+    def counted(*args):
+        scans.append(args[-1])
+        return scan(*args)
+
+    monkeypatch.setattr(quantum, "_empirical_mixing", counted)
+    code = run(["quantum-analyze", "--channel", str(path), "--generator", "kl",
+                "--delta", "1e-320"])
+    assert code == 0
+    report = _load_json(capsys.readouterr().out)
+    assert report["violations"] == [] and report["warnings"] == []
+    mix = report["results"]["mixing_time"]
+    assert mix["empirical_td"] is None and mix["empirical_f"] is None
+    # ln(1/(lmin delta^2)) / ln(1/eta) with lmin = 1/2 and eta = (1 - 0.5)^2
+    expected = math.ceil((math.log(2.0) - 2.0 * math.log(1e-320)) / math.log(4.0))
+    assert mix["td_bound"]["value"] == expected
+    assert scans == [63]  # only channel_structure's positivity probe
 
 
 def test_quantum_analyze(embedded_bsc_json, capsys):
@@ -298,7 +369,7 @@ def test_violation_exit_code(bsc25_csv, capsys, monkeypatch):
     import divlab.cli as cli
     from divlab.contraction import MixingTimeReport
 
-    def fake_mixing(W, delta, g=None, n_cap=None):
+    def fake_mixing(W, delta, g=None):
         return MixingTimeReport(
             tv_bound=1,
             f_bound=None,
@@ -395,4 +466,33 @@ def test_analyze_chain_solves_shared_pieces_once(tmp_path, capsys, monkeypatch):
     code = run(["analyze-chain", "--matrix", str(path), "--generator", "pearson_chi2"])
     capsys.readouterr()
     assert code == 0
+    assert calls == dict.fromkeys(originals, 1)
+
+
+def test_quantum_analyze_solves_shared_pieces_once(embedded_bsc_json, capsys, monkeypatch):
+    # one channel_structure and one exact Petz eta_chi2 per report, shared by
+    # the upper bounds and the mixing times
+    from divlab import quantum
+
+    originals = {
+        "channel_structure": quantum.channel_structure,
+        "petz_eta_chi2": quantum.petz_eta_chi2,
+    }
+    calls = dict.fromkeys(originals, 0)
+    for name, original in originals.items():
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module in list(sys.modules.values()):
+            if getattr(module, "__name__", "").startswith("divlab") and (
+                getattr(module, name, None) is original
+            ):
+                monkeypatch.setattr(module, name, counted)
+    code = run(["quantum-analyze", "--channel", embedded_bsc_json, "--generator", "kl"])
+    report = _load_json(capsys.readouterr().out)
+    assert code == 0
+    assert {"nonlinear_upper", "linear_upper"} <= set(report["results"]["contraction"])
+    assert "mixing_time" in report["results"]
     assert calls == dict.fromkeys(originals, 1)

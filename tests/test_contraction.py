@@ -444,7 +444,7 @@ def test_ratio_scores_below_longdouble_oracle():
 
 
 def hill_climb_sequential(scores, cloud, propose, budget, scale):
-    """Oracle for ``_hill_climb``: the climb that scores one proposal per
+    """Oracle for ``_climbs``: the climb that scores one proposal per
     call.  ``propose(current, rng, scale)`` moves the best input so far or
     returns None, and the scale shrinks by 0.98 per move."""
     block = max(1, (1 << 12) // cloud[0].size)
@@ -661,9 +661,9 @@ def test_batched_quantum_climb_matches_sequential(d, rank, name, refine_steps, s
 
 @given(seed=st.integers(0, 2**32 - 1), refine_steps=st.integers(0, 60))
 @settings(max_examples=50, deadline=None)
-def test_hill_climb_windows_with_invalid_proposals(seed, refine_steps):
-    # inputs of 1024 entries make windows of 4 proposals; a proposal leaving
-    # the box x0 < 0.9 is invalid, which depends on the point and the scale
+def test_climbs_narrow_windows(seed, refine_steps):
+    # inputs of 1024 entries make windows of 4 proposals, narrower than
+    # _MIN_WINDOW, so every width rule meets the block-size cap
     rng = np.random.default_rng(seed)
     direction = np.zeros(1024)
     direction[:2] = (1.0, -1.0)
@@ -675,19 +675,18 @@ def test_hill_climb_windows_with_invalid_proposals(seed, refine_steps):
         return -((P[:, :2] - target) ** 2).sum(axis=1)
 
     def propose(current, rng, scale):
-        prop = current + scale * (rng.random() - 0.5) * direction
-        return None if prop[0] >= 0.9 else prop
-
-    def draw(rng, steps):
-        return (np.array([rng.random() for _ in range(steps)]),)
+        return current + scale * (rng.random() - 0.5) * direction
 
     def build(current, draws, scales):
-        P = current + (scales * (draws[0] - 0.5))[:, np.newaxis] * direction
-        return P, P[:, 0] < 0.9
+        return current + (scales * (draws[0] - 0.5))[:, np.newaxis] * direction
 
     budget = SampleBudget(n_samples=100, seed=seed, refine_steps=refine_steps)
+    stream = np.random.default_rng(seed + 1)
+    draws = (np.array([stream.random() for _ in range(refine_steps)]),)
     assert_same_climb(
-        lambda: contraction._hill_climb(scores, cloud, draw, build, budget, 0.5),
+        lambda: contraction._climbs(
+            cloud, [scores(cloud)], draws, build, lambda P, _: scores(P), 0.5
+        )[0],
         lambda: hill_climb_sequential(scores, cloud, propose, budget, 0.5),
     )
 
@@ -708,9 +707,8 @@ def test_hill_climb_windows_with_invalid_proposals(seed, refine_steps):
 def test_chain_context_matches_independent_estimates(
     n, name, reference, refine_steps, profile_n, seed
 ):
-    # with profile_n = 3 the estimates on W, W^2 and W^3 climb side by side
-    # from the start; with 1, the one on W climbs alone and the profile's
-    # later ones side by side
+    # with profile_n = 3 the estimates on W, W^2 and W^3 climb side by side;
+    # with 1, the one on W climbs alone
     rng = np.random.default_rng(seed)
     W = _random_chain(rng, n, sparse=False)
     if reference == "zero-entry":
@@ -746,10 +744,27 @@ def test_chain_context_matches_independent_estimates(
         )
         est, _ = eta_f_estimate(Wn, pi, g, budget)
         roots.append(est ** (1.0 / k) if est > 0.0 else 0.0)
+    if profile_n != n_max:
+        chain = contraction._ChainContext(as_channel(W), g, budget, n_max)
     try:
-        points = chain.profile(n_max)
+        points = chain.profile()
     except ValueError:  # chi_alpha has no certified constant
         assert name == "chi_alpha"
         return
     assert [pt.eta_f_root for pt in points] == roots
     assert points[0].eta_f_root == chain.estimate[0]
+
+
+def test_profile_rejects_drifting_power_but_keeps_the_estimate():
+    # W passes the 1e-10 column-sum check while W^2 drifts past it: the
+    # profile reports that input error, and the report's main estimate on W
+    # is still made, alone
+    W = np.array([[0.7, 0.4], [0.3, 0.6 + 7e-11]])
+    kl = make_generator("kl")
+    with pytest.raises(ValueError, match="columns must sum to one"):
+        contraction_rate_profile(W, kl, 3)
+    chain = contraction._ChainContext(as_channel(W), kl, SampleBudget(), 3)
+    assert len(chain._estimates) == 1
+    assert chain.estimate[0] == 0.0906668010194747
+    with pytest.raises(ValueError, match="columns must sum to one"):
+        chain.profile()

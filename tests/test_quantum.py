@@ -39,7 +39,7 @@ from divlab.quantum import (
 
 PLUS = np.full((2, 2), 0.5, dtype=complex)
 MAXMIX2 = np.eye(2, dtype=complex) / 2
-FAST = QuantumBudget(n_samples=100, refine_steps=40, eigenbasis_grid=129)
+FAST = QuantumBudget(n_samples=100, refine_steps=40)
 
 
 def random_state(rng, d, rank=None):
