@@ -154,13 +154,15 @@ def _kappa_up_rows(g: Generator, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
 
 
 def chi2_sandwich(g: Generator, p, q):
-    """(kappa_down/2) chi^2 <= D_f <= (kappa_up/2) chi^2."""
+    """(kappa_down/2) chi^2 <= D_f <= (kappa_up/2) chi^2, checked with a
+    slack of 1e-10 relative to the value (absolute below 1)."""
     kp = kappa_bounds(g, p, q)
     chi2 = chi_squared(p, q)
     value = f_divergence(g, p, q)
     lower = 0.5 * kp.kappa_down * chi2
     upper = 0.5 * kp.kappa_up * chi2 if math.isfinite(kp.kappa_up) else math.inf
-    holds = (lower <= value + 1e-10) and (value <= upper + 1e-10)
+    slack = 1e-10 * max(1.0, abs(value))
+    holds = (lower <= value + slack) and (value <= upper + slack)
     return lower, value, upper, holds
 
 

@@ -384,14 +384,23 @@ def _eta_f_upper(g: Generator, W, q, L: float, eta2: float):
     return _upper_bounds(g, 4.0, L * q_min_on_support(q), eta2, kappa_sup, q_full)
 
 
+def _linear_coeff(g: Generator) -> float | None:
+    """f'(1) + f(0+), the coefficient of every linear bound, or None unless
+    (f(t)-f(0))/t is concave and f(0+) is finite."""
+    if g.g_concave and math.isfinite(g.f_at_zero):
+        return float(g.f1(1.0)) + g.f_at_zero
+    return None
+
+
 def _upper_bounds(g: Generator, factor, denom, eta, kup, full: bool):
     """nonlinear = factor / denom * kup * eta (inf with the kappa sup kup) and
-    linear = factor (f'(1) + f(0)) / denom * eta, None unless (f(t)-f(0))/t
-    is concave, f(0+) is finite and the reference has full support."""
+    linear = factor (f'(1) + f(0)) / denom * eta, None without a linear
+    coefficient (``_linear_coeff``) or a full-support reference."""
     nonlinear = factor / denom * kup * eta if math.isfinite(kup) else math.inf
+    coeff = _linear_coeff(g)
     linear = None
-    if g.g_concave and math.isfinite(g.f_at_zero) and full:
-        linear = factor * (float(g.f1(1.0)) + g.f_at_zero) / denom * eta
+    if coeff is not None and full:
+        linear = factor * coeff / denom * eta
     return nonlinear, linear
 
 
@@ -470,12 +479,34 @@ def _check_delta(delta: float) -> None:
         raise ValueError("delta must be positive and finite")
 
 
-def _mixing_steps(eta: float, log_target: float, at_zero: int) -> int:
-    """ceil(log_target / ln(1/eta) - 1e-12) floored at 0, so that eta^n
-    reaches exp(-log_target); ``at_zero`` when eta = 0 (no finite rate)."""
-    if eta == 0.0:
-        return at_zero
-    return max(0, math.ceil(log_target / math.log(1.0 / eta) - 1e-12))
+def _mixing_times(eta, delta, log_bound, log_f, step, probes, distance, f_distance):
+    """The mixing-time engine of chains and channels: (bound, f_bound,
+    empirical, empirical_f, within) from the chi-squared coefficient eta,
+    the f pair None without ``log_f``.  A bound is the least n >= 0 with
+    eta^n <= exp(-log target), less 1e-12 before the ceiling; at eta = 0 it
+    is 1, or 0 for a bound whose log target is not positive.  An empirical
+    time is the first n <= max(2 bound, 64) at which ``distance``
+    (``f_distance``) of the probes moved n times by ``step`` is at most
+    delta; ``within`` tells whether the bound's scan, if any, met it."""
+    if eta >= 1.0 - 1e-12:
+        raise ValueError("eta_chi2 >= 1: no finite mixing bound")
+    # distances below SUPPORT_EPSILON are rounding noise that no number of
+    # steps removes: a smaller delta gets no scan, and nothing contradicts
+    # its bounds
+    scan = delta >= SUPPORT_EPSILON
+    bounds, empirical = [None, None], [None, None]
+    targets = ((log_bound, int(log_bound > 0.0), distance), (log_f, 1, f_distance))
+    for k, (log_target, at_zero, dist) in enumerate(targets):
+        if log_target is None:
+            break
+        bounds[k] = at_zero
+        if eta > 0.0:
+            bounds[k] = max(0, math.ceil(log_target / math.log(1.0 / eta) - 1e-12))
+        if scan:
+            done = lambda X: dist(X) <= delta
+            empirical[k] = _empirical_mixing(step, probes, done, max(2 * bounds[k], 64))
+    within = not scan or (empirical[0] is not None and empirical[0] <= bounds[0])
+    return bounds[0], bounds[1], empirical[0], empirical[1], within
 
 
 def mixing_time_bounds(W, delta: float, g: Generator | None = None) -> MixingTimeReport:
@@ -489,13 +520,18 @@ def mixing_time_bounds(W, delta: float, g: Generator | None = None) -> MixingTim
     W = as_channel(W)
     # a bad delta is reported ahead of any error of the stationary solve
     _check_delta(delta)
+    if g is not None and _linear_coeff(g) is None:
+        raise ValueError(
+            "f-divergence bound requires finite f(0+) and (f(t)-f(0))/t concave"
+        )
     return _mixing_report(W, delta, g, stationary_distribution(W))
 
 
 def _mixing_report(W, delta, g, stationary, eta=None) -> MixingTimeReport:
     """``mixing_time_bounds`` with the (pi, unique) pair of the stationary
-    solve given, and eta_chi2(W, pi) unless ``eta`` holds it.  The log
-    targets are sums of logs, so a tiny delta gets a finite bound."""
+    solve given, and eta_chi2(W, pi) unless ``eta`` holds it; the f bound
+    only where g has a linear coefficient.  The log targets are sums of
+    logs, so a tiny delta gets a finite bound."""
     _check_delta(delta)
     pi, unique = stationary
     if not unique:
@@ -504,41 +540,22 @@ def _mixing_report(W, delta, g, stationary, eta=None) -> MixingTimeReport:
         raise ValueError("mixing times require a full-support stationary distribution")
     if eta is None:
         eta = eta_chi2(W, pi)
-    if eta >= 1.0 - 1e-12:
-        raise ValueError("eta_chi2 >= 1: no finite mixing bound")
     pi_min = float(pi.min())
     # ln(1/x) for x = sqrt(2 pi_min) delta
     log_tv = -(0.5 * math.log(2.0 * pi_min) + math.log(delta))
-    tv_bound = _mixing_steps(eta, 2.0 * log_tv, int(log_tv > 0.0))
-
-    f_bound = None
-    if g is not None:
-        if not (g.g_concave and math.isfinite(g.f_at_zero)):
-            raise ValueError(
-                "f-divergence bound requires finite f(0+) and (f(t)-f(0))/t concave"
-            )
-        coeff = float(g.f1(1.0)) + g.f_at_zero
+    coeff = _linear_coeff(g) if g is not None else None
+    log_f = None
+    if coeff is not None:
         log_f = math.log(2.0 * coeff) - math.log(delta) - math.log(pi_min)
-        f_bound = _mixing_steps(eta, log_f, 1)
 
-    def done(dist_rows):
+    def largest(dist_rows):
         # the columns of W^n are the outputs of the vertex inputs
-        return lambda P: dist_rows(np.ascontiguousarray(P.T), pi).max() <= delta
+        return lambda P: dist_rows(np.ascontiguousarray(P.T), pi).max()
 
-    # distances below SUPPORT_EPSILON are rounding noise that no number of
-    # steps removes: a smaller delta gets no scan, and nothing contradicts
-    # its bounds
-    empirical_tv = empirical_f = None
-    within = True
-    if delta >= SUPPORT_EPSILON:
-        cap = max(2 * tv_bound, 64)
-        vertices = np.eye(W.shape[0])
-        empirical_tv = _empirical_mixing(W.__matmul__, vertices, done(_tv_rows), cap)
-        if g is not None:
-            f_done = done(partial(f_divergence_rows, g))
-            cap_f = max(cap, 2 * f_bound)
-            empirical_f = _empirical_mixing(W.__matmul__, vertices, f_done, cap_f)
-        within = empirical_tv is not None and empirical_tv <= tv_bound
+    tv_bound, f_bound, empirical_tv, empirical_f, within = _mixing_times(
+        eta, delta, 2.0 * log_tv, log_f, W.__matmul__, np.eye(W.shape[0]),
+        largest(_tv_rows), largest(partial(f_divergence_rows, g)),
+    )
     return MixingTimeReport(
         tv_bound=tv_bound,
         f_bound=f_bound,
@@ -616,13 +633,16 @@ class _ChainContext:
         )
         return self.powers[1] if cond else "no structural convergence condition holds"
 
-    def upper_bounds(self) -> tuple[float, float | None]:
-        """``eta_f_upper_bounds(W, pi, g)``."""
-        L = _certified_constant(self.g)
+    def upper_bounds(self) -> tuple[float, float | None] | None:
+        """``eta_f_upper_bounds(W, pi, g)``, or None when g carries no
+        certified Pinsker constant."""
+        L = self.g.pinsker_constant
+        if L is None or L <= 0.0:
+            return None
         return _eta_f_upper(self.g, self.W, self.context.q, L, self.eta2)
 
     def mixing(self, delta: float, g: Generator | None) -> MixingTimeReport:
-        """``mixing_time_bounds(W, delta, g)``."""
+        """``mixing_time_bounds(W, delta, g)``, the f bound where g has one."""
         info = self.info
         stationary = (info.stationary, info.stationary_unique)
         return _mixing_report(self.W, delta, g, stationary, self.eta2)

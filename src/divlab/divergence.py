@@ -31,12 +31,12 @@ SUPPORT_EPSILON = 1e-12
 
 def as_weight_vec(v) -> np.ndarray:
     """Validate a non-negative vector; sub-epsilon entries become exact zeros."""
-    arr = np.asarray(v, dtype=float).copy()
+    arr = np.array(v, dtype=float)
     if arr.ndim != 1 or arr.size < 1:
         raise ValueError("weight vector must be a non-empty 1-D array")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("weight vector entries must be finite")
-    if np.any(arr < -SUPPORT_EPSILON):
+    if (arr < -SUPPORT_EPSILON).any():
         raise ValueError("weight vector entries must be non-negative")
     arr[arr < SUPPORT_EPSILON] = 0.0
     return arr
@@ -55,31 +55,12 @@ def _check_same_alphabet(p: np.ndarray, q: np.ndarray) -> None:
 
 
 def f_divergence(g: Generator, p, q) -> float:
-    """sum_x q(x) f(p(x)/q(x)) under the boundary conventions; may be +inf."""
+    """sum_x q(x) f(p(x)/q(x)) under the boundary conventions; may be +inf.
+    One row of ``f_divergence_rows``, after the checks of a single call."""
     p = as_weight_vec(p)
     q = as_weight_vec(q)
     _check_same_alphabet(p, q)
-    pos = q > 0.0
-    total = 0.0
-    # mass of p escaping supp(q) contributes p(x) * f'(inf)
-    escaped = float(p[~pos].sum())
-    if escaped > 0.0:
-        if math.isinf(g.fprime_at_inf):
-            return math.inf
-        total += escaped * g.fprime_at_inf
-    qs = q[pos]
-    ps = p[pos]
-    inner = ps > 0.0
-    if np.any(~inner):
-        # q(x) > 0, p(x) = 0 contributes q(x) * f(0+)
-        mass = float(qs[~inner].sum())
-        if mass > 0.0:
-            if math.isinf(g.f_at_zero):
-                return math.inf
-            total += mass * g.f_at_zero
-    if np.any(inner):
-        total += float(np.dot(qs[inner], g.f(ps[inner] / qs[inner])))
-    return total
+    return float(_divergence_rows(g, p[np.newaxis], q)[0])
 
 
 def f_divergence_rows(g: Generator, P, Q, rounding_error: bool = False):

@@ -27,10 +27,14 @@ __all__ = [
 ]
 
 CERT_TOL = 1e-6
+# width of the eps-ring between the inset square and the unit square
+BOUNDARY_EPS = 1e-4
 # points per axis of each local grid of the refine
 _REFINE_M = 9
 # the refine stops once the local grid's half-width falls below this
 _REFINE_WIDTH = 1e-10
+# the t-grid of gilardoni_condition
+_GILARDONI_T = np.logspace(-3.0, 3.0, 2001)
 
 
 @dataclass(frozen=True)
@@ -83,7 +87,6 @@ def certify_constant(
     g: Generator,
     lam: float | None = None,
     grid_n: int = 512,
-    boundary_eps: float = 1e-4,
     claimed_L: float | None = None,
 ) -> PinskerCertificate:
     """Minimize h_lambda over the inset square and compare to the claim.
@@ -102,8 +105,6 @@ def certify_constant(
     """
     if grid_n < 16:
         raise ValueError("grid_n must be at least 16")
-    if not 0.0 < boundary_eps < 0.1:
-        raise ValueError("boundary_eps must lie in (0, 0.1)")
     if lam is None:
         lam = g.pinsker_lambda
     if claimed_L is None:
@@ -113,13 +114,13 @@ def certify_constant(
     if not 0.0 <= lam <= 1.0:
         raise ValueError("lambda must lie in [0, 1]")
 
-    u = np.linspace(boundary_eps, 1.0 - boundary_eps, grid_n)
+    u = np.linspace(BOUNDARY_EPS, 1.0 - BOUNDARY_EPS, grid_n)
     H = _h(g, lam, u[:, np.newaxis], u)
     i, j = np.unravel_index(int(np.argmin(H)), H.shape)
     grid_min = float(H[i, j])
     grid_argmin = (float(u[i]), float(u[j]))
 
-    lo, hi = boundary_eps, 1.0 - boundary_eps
+    lo, hi = BOUNDARY_EPS, 1.0 - BOUNDARY_EPS
     offsets = np.linspace(-1.0, 1.0, _REFINE_M)
     refined_min, (x_star, y_star) = grid_min, grid_argmin
     width = u[1] - u[0]
@@ -183,17 +184,13 @@ def _third_derivative_at_one(g: Generator, step: float = 1e-4) -> float:
     )
 
 
-def gilardoni_condition(g: Generator, t_grid=None) -> bool:
+def gilardoni_condition(g: Generator) -> bool:
     """Third-order sufficient condition for the f''(1)/2 Pinsker constant.
 
     True iff (f(t) - f'(1)(t-1)) [1 - (f'''(1)/3f''(1))(t-1)] >= f''(1)(t-1)^2/2
-    at every grid point.
+    at every point t of a log grid over [1e-3, 1e3].
     """
-    if t_grid is None:
-        t_grid = np.logspace(-3.0, 3.0, 2001)
-    t = np.asarray(t_grid, dtype=float)
-    if np.any(t <= 0.0):
-        raise ValueError("t_grid must be positive")
+    t = _GILARDONI_T
     f2_1 = float(g.f2(1.0))
     if f2_1 <= 0.0:
         raise ValueError("condition requires f''(1) > 0")

@@ -29,12 +29,13 @@ from .contraction import (
     _check_delta,
     _climbs,
     _empirical_mixing,
-    _mixing_steps,
+    _linear_coeff,
+    _mixing_times,
     _ratio_scores,
     _second_singular_value_sq,
     _upper_bounds,
 )
-from .divergence import SUPPORT_EPSILON, _divergence_rows, total_variation
+from .divergence import _divergence_rows, total_variation
 from .generators import Generator
 
 __all__ = [
@@ -68,22 +69,24 @@ __all__ = [
 ]
 
 EIG_CLAMP = 1e-12
+# tolerance of the Hermiticity, positivity and trace checks of a state
+DENSITY_ATOL = 1e-10
 # eigenvector overlaps |<e_x|f_y>|^2 below this are rounding noise; any floor
 # from 1e-24 to 1e-16 gives the spectral double sum's values and infinities
 _OVERLAP_FLOOR = 1e-20
 
 
-def check_density_matrix(rho, atol: float = 1e-10) -> np.ndarray:
-    """Validate Hermiticity, positivity (to -atol), and unit trace."""
+def check_density_matrix(rho) -> np.ndarray:
+    """Validate Hermiticity, positivity (to -DENSITY_ATOL), and unit trace."""
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1] or rho.shape[0] < 1:
         raise ValueError("density matrix must be square")
-    if np.max(np.abs(rho - rho.conj().T)) > atol:
+    if np.max(np.abs(rho - rho.conj().T)) > DENSITY_ATOL:
         raise ValueError("density matrix must be Hermitian")
     eigs = np.linalg.eigvalsh(rho)
-    if eigs.min() < -atol:
+    if eigs.min() < -DENSITY_ATOL:
         raise ValueError(f"density matrix has negative eigenvalue {eigs.min()}")
-    if abs(np.trace(rho).real - 1.0) > atol:
+    if abs(np.trace(rho).real - 1.0) > DENSITY_ATOL:
         raise ValueError(f"density matrix trace is {np.trace(rho).real}")
     return rho
 
@@ -191,6 +194,8 @@ class KrausChannel:
         shape = ops[0].shape
         if any(K.shape != shape for K in ops):
             raise ValueError("Kraus operators must share one shape")
+        if not all(np.isfinite(K).all() for K in ops):
+            raise ValueError("Kraus operators must have finite entries")
         object.__setattr__(self, "kraus", ops)
         comp = sum(K.conj().T @ K for K in ops)
         if np.max(np.abs(comp - np.eye(shape[1]))) > 1e-9:
@@ -629,6 +634,11 @@ def quantum_mixing_time_bounds(
     and empirical_f scan probe states when delta is at least SUPPORT_EPSILON.
     """
     _check_delta(delta)
+    if g is not None and not (g.operator_convex and _linear_coeff(g) is not None):
+        raise ValueError(
+            "f-divergence bound needs operator-convex f with finite f(0+) "
+            "and (f(t)-f(0))/t concave"
+        )
     info = channel_structure(channel)
     if not info.mixing:
         raise ValueError("mixing times require a mixing channel with unique fixed point")
@@ -640,39 +650,21 @@ def _petz_mixing(
     channel: KrausChannel, delta: float, g: Generator | None, pi, eta: float
 ) -> QuantumMixingReport:
     """``quantum_mixing_time_bounds`` with the fixed point pi of a mixing
-    channel and eta = petz_eta_chi2(channel, pi) given."""
+    channel and eta = petz_eta_chi2(channel, pi) given; the f bound only
+    where g is operator convex and has a linear coefficient."""
     _check_delta(delta)
-    if eta >= 1.0 - 1e-12:
-        raise ValueError("eta_chi2 >= 1: no finite bound")
     lmin = min_positive_eigenvalue(pi)
     # ln(1/(lmin delta^2)), without forming delta^2
     log_td = -(math.log(lmin) + 2.0 * math.log(delta))
-    td_bound = _mixing_steps(eta, log_td, int(log_td > 0.0))
-
-    f_bound = None
-    if g is not None:
-        if not (g.operator_convex and g.g_concave and math.isfinite(g.f_at_zero)):
-            raise ValueError(
-                "f-divergence bound needs operator-convex f with finite f(0+) "
-                "and (f(t)-f(0))/t concave"
-            )
-        coeff = float(g.f1(1.0)) + g.f_at_zero
+    coeff = _linear_coeff(g) if g is not None and g.operator_convex else None
+    log_f = None
+    if coeff is not None:
         log_f = math.log(4.0 * coeff) - math.log(lmin) - math.log(delta)
-        f_bound = _mixing_steps(eta, log_f, 1)
-
-    empirical_td = empirical_f = None
-    if delta >= SUPPORT_EPSILON:  # no scan resolves less (see _mixing_report)
-        step = partial(apply_channel, channel)
-        probes = _probe_states(channel.dim_in)
-        empirical_td = _empirical_mixing(
-            step, probes, lambda S: trace_distance(S, pi).max() <= delta,
-            max(2 * td_bound, 64),
-        )
-        if g is not None:
-            empirical_f = _empirical_mixing(
-                step, probes, lambda S: _divergence_rows(g, *_ns_rows(S, pi)).max() <= delta,
-                max(2 * f_bound, 64),
-            )
+    td_bound, f_bound, empirical_td, empirical_f, _ = _mixing_times(
+        eta, delta, log_td, log_f, partial(apply_channel, channel),
+        _probe_states(channel.dim_in), lambda S: trace_distance(S, pi).max(),
+        lambda S: _divergence_rows(g, *_ns_rows(S, pi)).max(),
+    )
     return QuantumMixingReport(
         td_bound=td_bound,
         f_bound=f_bound,

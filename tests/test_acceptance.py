@@ -74,7 +74,7 @@ def test_criterion_1_pinsker_constant_reproduction():
     start = time.perf_counter()
     failures = []
     for g in default_registry():
-        cert = certify_constant(g, grid_n=512, boundary_eps=1e-4)
+        cert = certify_constant(g, grid_n=512)
         if cert.verdict != "certified":
             failures.append(f"{g.label}: {cert.verdict}")
         if g.name in TIGHT_AT_TABLE_VALUE and abs(

@@ -194,6 +194,20 @@ def test_sandwich_pearson_collapses():
     assert holds
 
 
+@pytest.mark.parametrize("eps", [10.0**-k for k in range(3, 10)])
+def test_sandwich_pearson_holds_against_tiny_reference_mass(eps):
+    # kappa is constant for pearson_chi2, so both bounds and the value are
+    # one chi^2, computed in different orders; at chi^2 ~ 1/eps they differ
+    # by more than an absolute 1e-10
+    pc = make_generator("pearson_chi2")
+    q = [1.0 - eps, eps]
+    for p in ([0.5, 0.5], [0.9, 0.1], [0.01, 0.99], [0.3, 0.7]):
+        lower, value, upper, holds = chi2_sandwich(pc, p, q)
+        assert lower == pytest.approx(value, rel=1e-12)
+        assert upper == pytest.approx(value, rel=1e-12)
+        assert holds, (eps, p, lower, value, upper)
+
+
 def test_sandwich_identity_pair():
     kl = make_generator("kl")
     p = np.array([0.4, 0.6])

@@ -1,7 +1,9 @@
 import hashlib
 import json
 import math
+import os
 import re
+import subprocess
 import sys
 
 import numpy as np
@@ -120,6 +122,33 @@ def test_parse_kraus_completeness(tmp_path, embedded_bsc_json):
         parse_kraus(str(path))
 
 
+@pytest.mark.parametrize("literal", ["NaN", "Infinity"])
+def test_quantum_analyze_rejects_non_finite_kraus(tmp_path, capsys, literal):
+    # json reads NaN and Infinity; the channel check names the file, where
+    # a completeness check alone lets NaN through to a numpy eig error
+    path = tmp_path / "chan.json"
+    path.write_text(f'{{"kraus": [{{"re": [[1.0, 0.0], [0.0, {literal}]]}}]}}')
+    code = run(["quantum-analyze", "--channel", str(path), "--generator", "kl"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"{path}: " in err and "finite" in err
+
+
+def test_module_entry_point_runs_a_command():
+    import divlab
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(divlab.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "divlab.cli", "divergence", "--g", "kl",
+         "--p", "0.5,0.5", "--q", "0.25,0.75"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    value = _load_json(proc.stdout)["results"]["divergence"]["value"]
+    # 0.5 ln 2 + 0.5 ln(2/3) = 0.5 ln(4/3)
+    assert value == pytest.approx(0.5 * math.log(4.0 / 3.0), rel=1e-15)
+
+
 def test_divergence_subcommand_support_warning(capsys):
     code = run(["divergence", "--g", "kl", "--p", "0.5,0.5", "--q", "1,0"])
     out = capsys.readouterr().out
@@ -177,6 +206,58 @@ def test_analyze_chain_report(bsc_csv, capsys):
     assert res["structure"]["irreducible"] is True
     assert res["mixing_time"]["empirical_tv"] <= res["mixing_time"]["tv_bound"]["value"]
     assert report["violations"] == []
+
+
+@pytest.mark.parametrize("name", ["chi_alpha", "one_sided_chi2"])
+def test_analyze_chain_without_certified_constant(bsc_csv, capsys, name):
+    # the upper bounds and the rate profile need a certified Pinsker
+    # constant; the rest of the report stands, as in quantum-analyze
+    code = run(["analyze-chain", "--matrix", bsc_csv, "--generator", name,
+                "--profile-n", "2"])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    report = _load_json(captured.out)
+    contraction = report["results"]["contraction"]
+    assert "nonlinear_upper" not in contraction and "linear_upper" not in contraction
+    assert contraction["eta_f_estimate"]["value"] > 0.0
+    assert any("upper bounds skipped" in w for w in report["warnings"])
+    assert "mixing_time" in report["results"]
+    assert "rate_profile" not in report["results"]
+
+
+def test_f_bound_reported_exactly_when_the_library_accepts_g(
+    bsc_csv, embedded_bsc_json, capsys
+):
+    from divlab import (
+        bsc,
+        classical_embedding,
+        from_spec,
+        mixing_time_bounds,
+        quantum_mixing_time_bounds,
+        registry_names,
+    )
+
+    def accepts(bounds, *args):
+        try:
+            bounds(*args)
+        except ValueError:
+            return False
+        return True
+
+    channel = classical_embedding(bsc(0.25))
+    for name in registry_names():
+        g = from_spec(name)
+        run(["analyze-chain", "--matrix", bsc_csv, "--generator", name,
+             "--profile-n", "2"])
+        mix = _load_json(capsys.readouterr().out)["results"]["mixing_time"]
+        assert (mix["f_bound"]["value"] is not None) == accepts(
+            mixing_time_bounds, bsc(0.3), 0.01, g
+        ), name
+        run(["quantum-analyze", "--channel", embedded_bsc_json, "--generator", name])
+        mix = _load_json(capsys.readouterr().out)["results"]["mixing_time"]
+        assert (mix["f_bound"]["value"] is not None) == accepts(
+            quantum_mixing_time_bounds, channel, 0.01, g
+        ), name
 
 
 def test_analyze_chain_pi_with_zero_entry(tmp_path, capsys):
@@ -290,7 +371,13 @@ def test_quantum_analyze_tiny_delta(tmp_path, capsys, monkeypatch):
         scans.append(args[-1])
         return scan(*args)
 
-    monkeypatch.setattr(quantum, "_empirical_mixing", counted)
+    # every divlab module's binding: the mixing scan runs in contraction's
+    # engine, channel_structure's probe in quantum
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("divlab") and (
+            getattr(module, "_empirical_mixing", None) is scan
+        ):
+            monkeypatch.setattr(module, "_empirical_mixing", counted)
     code = run(["quantum-analyze", "--channel", str(path), "--generator", "kl",
                 "--delta", "1e-320"])
     assert code == 0
@@ -342,6 +429,7 @@ def test_unused_flags_are_rejected(bsc_csv, capsys, monkeypatch):
     for argv in (
         ["analyze-chain", "--matrix", bsc_csv, "--generator", "kl", "--bits"],
         ["verify-constants", "--seed", "3"],
+        ["verify-constants", "--boundary-eps", "1e-4"],
         ["mixing-time", "--matrix", bsc_csv, "--seed", "3"],
     ):
         with pytest.raises(SystemExit):
