@@ -121,6 +121,12 @@ def kappa_bounds(g: Generator, p, q) -> KappaPair:
     if p.shape != q.shape:
         raise ValueError("alphabet mismatch")
     _require_dominated(p, q)
+    return _kappa_pair(g, p, q)
+
+
+def _kappa_pair(g: Generator, p: np.ndarray, q: np.ndarray) -> KappaPair:
+    """``kappa_bounds`` on rows as given, unclamped and unchecked: over supp q,
+    whatever mass p puts off it."""
     support = np.flatnonzero(q > 0.0)
     # one row is one block
     ((ts, V),) = _segment_f2(g, p[np.newaxis, support], q[np.newaxis, support])

@@ -84,10 +84,19 @@ def _dumps(obj, indent: int = 0) -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        inner = ", ".join(_dumps(v, indent) for v in obj)
-        if len(inner) <= 100:
-            return "[" + inner + "]"
-        inner = ",\n".join(f"{pad}  {_dumps(v, indent + 2)}" for v in obj)
+        items = [_dumps(v, indent + 2) for v in obj]
+        # a rendering without a newline is the same at every indent; the
+        # one-line form renders the others again at this list's own indent
+        size = 2 * (len(items) - 1) + sum(len(s) for s in items if "\n" not in s)
+        flat = []
+        for v, s in zip(obj, items):
+            if "\n" in s and size <= 100:
+                s = _dumps(v, indent)
+                size += len(s)
+            flat.append(s)
+        if size <= 100:
+            return "[" + ", ".join(flat) + "]"
+        inner = ",\n".join(f"{pad}  {s}" for s in items)
         return "[\n" + inner + "\n" + pad + "]"
     return json.dumps(str(obj))
 

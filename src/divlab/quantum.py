@@ -6,8 +6,9 @@ the classical row kernel, scorer, kappa sup and mixing scanner.  NS rows are
 not clamped at SUPPORT_EPSILON, as lam_x |<e_x|f_y>|^2 can fall below it
 while lam_x does not; eigenvalues below EIG_CLAMP, overlaps below 1e-20 and
 boundary masses below SUPPORT_EPSILON count as zero.  Channels are Kraus
-operator lists; fixed points go through the transition superoperator.
-The Petz chi-squared contraction coefficient is exact, and the bounds built
+operator lists, but every channel action -- on states, on fixed points and
+in the exact chi-squared coefficient -- goes through the transition
+superoperator, built once per channel and cached.  The Petz chi-squared contraction coefficient is exact, and the bounds built
 on it sample nothing; other contraction coefficients are sampled lower
 estimates, scored net of their rounding bound.
 """
@@ -16,11 +17,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
-from .chi2bounds import kappa_bounds, q_min_on_support
+from .chi2bounds import _kappa_pair, kappa_bounds
 from .contraction import (
     BLEND_WEIGHTS,
     SampleBudget,
@@ -35,7 +36,7 @@ from .contraction import (
     _second_singular_value_sq,
     _upper_bounds,
 )
-from .divergence import _divergence_rows, total_variation
+from .divergence import _divergence_rows
 from .generators import Generator
 
 __all__ = [
@@ -107,7 +108,7 @@ def hs_norm_sq(A) -> float:
 
 def min_positive_eigenvalue(rho) -> float:
     eigs = np.linalg.eigvalsh(np.asarray(rho, dtype=complex))
-    pos = eigs[eigs > EIG_CLAMP]
+    pos = eigs[eigs >= EIG_CLAMP]  # the spectrum _spectral keeps
     if pos.size == 0:
         raise ValueError("operator has no positive spectrum")
     return float(pos.min())
@@ -127,12 +128,14 @@ def _spectral(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.where(eigs < EIG_CLAMP, 0.0, eigs), vecs
 
 
-def _ns_rows(rho: np.ndarray, sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _ns_rows(rho: np.ndarray, ref: tuple[np.ndarray, np.ndarray]):
     """NS rows (P, Q), each (N, d^2), of a stack rho (N, d, d) or one state
-    against sigma: p(x,y) = lam_x |<e_x|f_y>|^2, q(x,y) = mu_y |<e_x|f_y>|^2,
-    overlaps below _OVERLAP_FLOOR zeroed, for the unclamped kernel body."""
+    against a reference sigma given as its ``_spectral`` pair (mu, f), so a
+    caller scoring many stacks diagonalises it once: p(x,y) = lam_x
+    |<e_x|f_y>|^2, q(x,y) = mu_y |<e_x|f_y>|^2, overlaps below
+    _OVERLAP_FLOOR zeroed, for the unclamped kernel body."""
     lam, e = _spectral(rho)
-    mu, f = _spectral(sigma)
+    mu, f = ref
     overlap = np.abs(np.swapaxes(e, -1, -2).conj() @ f) ** 2  # overlap[x, y]
     overlap = np.where(overlap < _OVERLAP_FLOOR, 0.0, overlap)
     d = overlap.shape[-1]
@@ -151,14 +154,16 @@ def _checked_pair(rho, sigma) -> tuple[np.ndarray, np.ndarray]:
 
 def ns_distributions(rho, sigma) -> NSPair:
     """p(x,y) = lam_x |<e_x|f_y>|^2, q(x,y) = mu_y |<e_x|f_y>|^2."""
-    P, Q = _ns_rows(*_checked_pair(rho, sigma))
+    rho, sigma = _checked_pair(rho, sigma)
+    P, Q = _ns_rows(rho, _spectral(sigma))
     return NSPair(p_xy=P[0], q_xy=Q[0])
 
 
 def petz_f_divergence(g: Generator, rho, sigma) -> float:
     """The classical f-divergence of the NS distributions, with the f(0+)
     and f'(inf) boundary conventions."""
-    return float(_divergence_rows(g, *_ns_rows(*_checked_pair(rho, sigma)))[0])
+    rho, sigma = _checked_pair(rho, sigma)
+    return float(_divergence_rows(g, *_ns_rows(rho, _spectral(sigma)))[0])
 
 
 def petz_chi2(rho, sigma) -> float:
@@ -209,17 +214,43 @@ class KrausChannel:
     def dim_out(self) -> int:
         return self.kraus[0].shape[0]
 
+    @cached_property
+    def _superoperator(self) -> np.ndarray:
+        S = sum(np.kron(K, K.conj()) for K in self.kraus)
+        S.setflags(write=False)
+        return S
+
     def superoperator(self) -> np.ndarray:
-        """Matrix S with vec(E(rho)) = S vec(rho) (row-major vec)."""
-        return sum(np.kron(K, K.conj()) for K in self.kraus)
+        """Matrix S with vec(E(rho)) = S vec(rho) (row-major vec), the sum of
+        kron(K, conj(K)) over the Kraus operators.
+
+        Built on first use and cached on the channel, read-only, so every
+        call returns the same array.  It holds d_out^2 d_in^2 complex
+        entries: 4 KiB at d = 4, 16 MiB at d = 32.  Every analysis builds it
+        (``channel_structure``) or a matrix of its size (``petz_eta_chi2``)
+        anyway; only a lone ``apply_channel`` on a large channel with few
+        Kraus operators pays more than a Kraus sum would.
+        """
+        return self._superoperator
 
 
 def apply_channel(channel: KrausChannel, rho) -> np.ndarray:
-    """E(rho) for one state or for a stack of states along the leading axes."""
+    """E(rho) for one state or for a stack of states along the leading axes.
+
+    One matrix product of the row-major vecs against the channel's cached
+    superoperator, whatever the number of Kraus operators; the first call on
+    a channel builds it (d_out^2 d_in^2 entries, see ``superoperator``).
+    """
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape[-2:] != (channel.dim_in, channel.dim_in):
+    d_in, d_out = channel.dim_in, channel.dim_out
+    if rho.shape[-2:] != (d_in, d_in):
         raise ValueError("dimension mismatch between channel and state")
-    return sum(K @ rho @ K.conj().T for K in channel.kraus)
+    vecs = rho.reshape(-1, d_in * d_in)
+    # BLAS takes a one-row product through gemv, which rounds differently
+    # from gemm; a second row keeps each state's bits independent of its stack
+    rows = np.repeat(vecs, 2, axis=0) if len(vecs) == 1 else vecs
+    out = (rows @ channel.superoperator().T)[: len(vecs)]
+    return out.reshape(rho.shape[:-2] + (d_out, d_out))
 
 
 def compose(second: KrausChannel, first: KrausChannel) -> KrausChannel:
@@ -388,7 +419,9 @@ class PetzBoundsReport:
         return all(c.holds for c in self.checks if c.applicable)
 
 
-def _check(bound_id: str, lhs: float, rhs: float, slack: float = 1e-9) -> BoundCheck:
+def _check(bound_id: str, lhs: float, rhs: float) -> BoundCheck:
+    """lhs <= rhs up to a slack of 1e-9 relative to rhs (absolute below 1)."""
+    slack = 1e-9 * max(1.0, abs(rhs))
     return BoundCheck(
         bound_id=bound_id, lhs=lhs, rhs=rhs, holds=lhs <= rhs + slack, applicable=True
     )
@@ -405,7 +438,7 @@ def petz_bounds_report(g: Generator, rho, sigma) -> PetzBoundsReport:
     """Evaluate and check the Petz sandwich, quantum Pinsker, chi-squared vs
     trace-distance, and NS reverse-Pinsker bounds for one state pair."""
     rho, sigma = _checked_pair(rho, sigma)
-    P, Q = _ns_rows(rho, sigma)
+    P, Q = _ns_rows(rho, _spectral(sigma))
     value = float(_divergence_rows(g, P, Q)[0])
     chi2 = petz_chi2(rho, sigma)
     td = trace_distance(rho, sigma)
@@ -414,7 +447,9 @@ def petz_bounds_report(g: Generator, rho, sigma) -> PetzBoundsReport:
 
     dominated = math.isfinite(chi2)
     sigma_dom_rho = petz_chi2(sigma, rho) < math.inf
-    kp = kappa_bounds(g, ns.p_xy, ns.q_xy) if dominated else None
+    # kappa, q_min and TV read the NS rows unclamped, as the divergence does
+    # (rho << sigma is decided by petz_chi2)
+    kp = _kappa_pair(g, ns.p_xy, ns.q_xy) if dominated else None
     if dominated and (g.f2_at_zero_finite or sigma_dom_rho):
         checks.append(_check("petz-sandwich-lower", 0.5 * kp.kappa_down * chi2, value))
         upper = 0.5 * kp.kappa_up * chi2 if math.isfinite(kp.kappa_up) else math.inf
@@ -446,13 +481,13 @@ def petz_bounds_report(g: Generator, rho, sigma) -> PetzBoundsReport:
         else:
             checks.append(_skip("petz-f-lower-chi2", "needs operator-convex f"))
         if math.isfinite(kp.kappa_up):
-            qmin = q_min_on_support(ns.q_xy)
+            qmin = float(ns.q_xy[ns.q_xy > 0.0].min())
             dns = ns.p_xy - ns.q_xy
             l2_ns = float(np.dot(dns, dns))
             checks.append(
                 _check("ns-reverse-pinsker-l2", value, kp.kappa_up / (2 * qmin) * l2_ns)
             )
-            tv_ns = total_variation(ns.p_xy, ns.q_xy)
+            tv_ns = 0.5 * float(np.abs(dns).sum())
             checks.append(
                 _check(
                     "ns-reverse-pinsker-tv", value, 2.0 * kp.kappa_up / qmin * tv_ns**2
@@ -488,22 +523,29 @@ class QuantumBudget(SampleBudget):
 _EIGENBASIS_GRID = 257
 
 
-def _haar_pure(d: int, rng: np.random.Generator) -> np.ndarray:
-    v = rng.normal(size=d) + 1j * rng.normal(size=d)
-    v /= np.linalg.norm(v)
-    return np.outer(v, v.conj())
+def _haar_pure(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
+    """n Haar pure states |v><v|, stacked; each v takes d real then d
+    imaginary normals from rng, in one draw."""
+    raw = rng.normal(size=(n, 2, d))
+    v = raw[:, 0] + 1j * raw[:, 1]
+
+    def dot(x):
+        return (x[:, np.newaxis, :] @ x[:, :, np.newaxis])[:, 0]
+
+    # np.linalg.norm's dots of the strided real and imaginary views: the
+    # same bits as the norm of each v alone, which a .sum() would not give
+    v = v / np.sqrt(dot(v.real) + dot(v.imag))
+    return v[:, :, np.newaxis] * v[:, np.newaxis, :].conj()
 
 
 def _candidate_states(sigma: np.ndarray, budget: QuantumBudget) -> np.ndarray:
     """Stack of Haar pure states blended toward sigma, plus sigma-eigenbasis
     mixtures (the latter make classically-embedded suprema grid-exact)."""
     d = sigma.shape[0]
-    rng = np.random.default_rng(budget.seed)
+    pure = _haar_pure(budget.n_samples, d, np.random.default_rng(budget.seed))[:, np.newaxis]
     w = np.asarray(BLEND_WEIGHTS)[:, np.newaxis, np.newaxis]
-    out = []
-    for _ in range(budget.n_samples):
-        pure = _haar_pure(d, rng)
-        out += [pure[np.newaxis], (1.0 - w) * pure + w * sigma]
+    # each pure state, then its blends
+    out = [np.concatenate([pure, (1.0 - w) * pure + w * sigma], axis=1).reshape(-1, d, d)]
     v = _spectral(sigma)[1].T
     proj = v[:, :, np.newaxis] * v[:, np.newaxis, :].conj()  # |f_k><f_k| of sigma
     a = np.linspace(0.0, 1.0, _EIGENBASIS_GRID)[:, np.newaxis, np.newaxis]
@@ -528,12 +570,12 @@ def quantum_eta_estimate(
     sigma = check_density_matrix(sigma)
     if budget is None:
         budget = QuantumBudget()
-    sigma_out = apply_channel(channel, sigma)
+    ref_in, ref_out = _spectral(sigma), _spectral(apply_channel(channel, sigma))
     d = sigma.shape[0]
 
     def scores(states: np.ndarray) -> np.ndarray:
-        den = _divergence_rows(g, *_ns_rows(states, sigma), rounding_error=True)
-        return _ratio_scores(g, den, _ns_rows(apply_channel(channel, states), sigma_out))
+        den = _divergence_rows(g, *_ns_rows(states, ref_in), rounding_error=True)
+        return _ratio_scores(g, den, _ns_rows(apply_channel(channel, states), ref_out))
 
     def build(current, draws, weights):
         u, psi = draws
@@ -554,7 +596,7 @@ def quantum_eta_estimate(
         [scores(cloud[s : s + block]) for s in range(0, len(cloud), block)]
     )
     rng = np.random.default_rng(budget.seed + 1)
-    steps = [(rng.random(), _haar_pure(d, rng)) for _ in range(budget.refine_steps)]
+    steps = [(rng.random(), _haar_pure(1, d, rng)) for _ in range(budget.refine_steps)]
     u = np.array([step[0] for step in steps])
     psi = np.array([step[1] for step in steps], dtype=complex).reshape(-1, d, d)
     return _climbs(cloud, [cloud_scores], (u, psi), build, lambda P, _: scores(P), 0.3)[0]
@@ -580,8 +622,9 @@ def petz_eta_chi2(channel: KrausChannel, sigma) -> float:
 
     e_in, l_in = support(sigma)
     e_out, l_out = support(apply_channel(channel, sigma))
-    restricted = (e_out.conj().T @ K @ e_in for K in channel.kraus)
-    S = sum(np.kron(K, K.conj()) for K in restricted)
+    # kron(A K B, conj(A K B)) = kron(A, conj A) kron(K, conj K) kron(B, conj B)
+    left, right = np.kron(e_out.conj().T, e_out.T), np.kron(e_in, e_in.conj())
+    S = left @ channel.superoperator() @ right
     return _second_singular_value_sq(np.sqrt(l_out)[:, np.newaxis] * S / np.sqrt(l_in))
 
 
@@ -605,7 +648,7 @@ def quantum_eta_bounds(
 def _petz_upper(g: Generator, channel: KrausChannel, sigma, L: float, eta2: float):
     """``quantum_eta_bounds`` for a checked state sigma, with L and
     petz_eta_chi2(channel, sigma) given."""
-    sigma_full = bool(np.linalg.eigvalsh(sigma).min() > EIG_CLAMP)
+    sigma_full = bool(np.linalg.eigvalsh(sigma).min() >= EIG_CLAMP)
     lmin = min_positive_eigenvalue(sigma)
     kappa_sup = math.inf
     if g.f2_at_zero_finite and (sigma_full or math.isinf(g.fprime_at_inf)):
@@ -660,10 +703,11 @@ def _petz_mixing(
     log_f = None
     if coeff is not None:
         log_f = math.log(4.0 * coeff) - math.log(lmin) - math.log(delta)
+    ref = _spectral(pi)
     td_bound, f_bound, empirical_td, empirical_f, _ = _mixing_times(
         eta, delta, log_td, log_f, partial(apply_channel, channel),
         _probe_states(channel.dim_in), lambda S: trace_distance(S, pi).max(),
-        lambda S: _divergence_rows(g, *_ns_rows(S, pi)).max(),
+        lambda S: _divergence_rows(g, *_ns_rows(S, ref)).max(),
     )
     return QuantumMixingReport(
         td_bound=td_bound,

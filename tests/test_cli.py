@@ -8,7 +8,10 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from divlab import cli
 from divlab.cli import (
     InputError,
     dumps_report,
@@ -488,6 +491,93 @@ def test_dumps_report_formats():
     assert '"a": 0.10000000000000001' in text
     assert '"inf"' in text
     assert '"c": null' in text
+
+
+def dumps_two_pass(obj, indent=0):
+    """Oracle for ``cli._dumps``: every list renders its children at its own
+    indent for the one-line try, then again at indent + 2 when too long."""
+    pad = " " * indent
+    if isinstance(obj, np.ndarray):
+        return dumps_two_pass(obj.tolist(), indent)
+    if isinstance(obj, dict) and obj:
+        inner = ",\n".join(
+            f"{pad}  {json.dumps(k)}: {dumps_two_pass(v, indent + 2)}" for k, v in obj.items()
+        )
+        return "{\n" + inner + "\n" + pad + "}"
+    if isinstance(obj, (list, tuple)) and obj:
+        inner = ", ".join(dumps_two_pass(v, indent) for v in obj)
+        if len(inner) <= 100:
+            return "[" + inner + "]"
+        inner = ",\n".join(f"{pad}  {dumps_two_pass(v, indent + 2)}" for v in obj)
+        return "[\n" + inner + "\n" + pad + "]"
+    return cli._dumps(obj, indent)
+
+
+_JSON_TREES = st.recursive(
+    st.none() | st.booleans() | st.integers(-10**6, 10**6)
+    | st.floats(allow_nan=True, allow_infinity=True) | st.text(max_size=12),
+    lambda children: st.lists(children, max_size=8)
+    | st.dictionaries(st.text(max_size=6), children, max_size=5),
+    max_leaves=60,
+)
+
+
+@given(_JSON_TREES, st.integers(0, 6))
+@settings(max_examples=300, deadline=None)
+def test_dumps_matches_two_pass_oracle(tree, indent):
+    assert cli._dumps(tree, indent) == dumps_two_pass(tree, indent)
+
+
+def _json_nodes(obj):
+    if isinstance(obj, dict):
+        return 1 + sum(_json_nodes(v) for v in obj.values())
+    if isinstance(obj, list):
+        return 1 + sum(_json_nodes(v) for v in obj)
+    return 1
+
+
+@pytest.mark.parametrize("command", ["quantum-analyze", "analyze-chain"])
+def test_dumps_renders_each_node_about_once(command, tmp_path, capsys, monkeypatch):
+    # the inputs of the quantum and chain-wide benchmark workloads: a d = 4
+    # three-Kraus isometry and a sparse 64-state chain
+    rng = np.random.default_rng(1)
+    if command == "quantum-analyze":
+        A = rng.normal(size=(12, 4)) + 1j * rng.normal(size=(12, 4))
+        V, _ = np.linalg.qr(A)
+        kraus = [{"re": V[k : k + 4].real.tolist(), "im": V[k : k + 4].imag.tolist()}
+                 for k in range(0, 12, 4)]
+        path = tmp_path / "channel.json"
+        path.write_text(json.dumps({"kraus": kraus}))
+        argv = ["quantum-analyze", "--channel", str(path), "--generator", "kl"]
+    else:
+        W = np.zeros((64, 64))
+        for x in range(64):
+            rows = np.unique(np.r_[x, (x + 1) % 64, rng.choice(64, size=4)])
+            W[rows, x] = rng.dirichlet(np.ones(rows.size)) + 0.01
+        W /= W.sum(axis=0)
+        path = tmp_path / "chain.csv"
+        path.write_text("\n".join(",".join(f"{v:.17g}" for v in row) for row in W))
+        argv = ["analyze-chain", "--matrix", str(path), "--generator", "kl",
+                "--profile-n", "2"]
+    reports = []
+    monkeypatch.setattr(cli, "dumps_report", lambda obj: reports.append(obj) or "")
+    run(argv)
+    capsys.readouterr()
+    (report,) = reports
+    calls = 0
+    dumps = cli._dumps
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return dumps(*args)
+
+    monkeypatch.setattr(cli, "_dumps", counted)
+    text = cli._dumps(report)
+    monkeypatch.setattr(cli, "_dumps", dumps)
+    assert text == dumps_two_pass(report)
+    nodes = _json_nodes(_load_json(text))
+    assert calls <= 2 * nodes, (calls, nodes)
 
 
 # SHA-256 of analyze-chain stdout at default flags, with the matrix path and

@@ -505,12 +505,16 @@ def quantum_eta_estimate_sequential(channel, sigma, g, budget):
 
     def scores(states):
         outputs = quantum.apply_channel(channel, states)
-        den = _divergence_rows(g, *quantum._ns_rows(states, sigma), rounding_error=True)
-        return _ratio_scores(g, den, quantum._ns_rows(outputs, sigma_out))
+        # the references diagonalised on every call: the estimate's single
+        # eigh of each must give the same bits
+        den = _divergence_rows(
+            g, *quantum._ns_rows(states, quantum._spectral(sigma)), rounding_error=True
+        )
+        return _ratio_scores(g, den, quantum._ns_rows(outputs, quantum._spectral(sigma_out)))
 
     def propose(current, rng, weight):
         prop = (1.0 - weight * rng.random()) * current
-        prop = prop + (1.0 - np.trace(prop).real) * quantum._haar_pure(d, rng)
+        prop = prop + (1.0 - np.trace(prop).real) * quantum._haar_pure(1, d, rng)[0]
         prop = 0.5 * (prop + prop.conj().T)
         eigs, vecs = np.linalg.eigh(prop)
         eigs = np.maximum(eigs, 0.0)

@@ -7,7 +7,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from divlab.contraction import _ratio_scores
+from divlab.contraction import BLEND_WEIGHTS, _ratio_scores
 from divlab.contraction import eta_chi2 as classical_eta_chi2
 from divlab.divergence import _divergence_rows, f_divergence, total_variation
 from divlab.generators import from_spec, make_generator, registry_names
@@ -34,7 +34,11 @@ from divlab.quantum import (
     quantum_mixing_time_bounds,
     replacer_channel,
     trace_distance,
+    _EIGENBASIS_GRID,
+    _candidate_states,
+    _haar_pure,
     _ns_rows,
+    _spectral,
 )
 
 PLUS = np.full((2, 2), 0.5, dtype=complex)
@@ -248,6 +252,50 @@ def test_replacer_channel():
     assert apply_channel(rep, rho) == pytest.approx(target, abs=1e-12)
 
 
+def apply_channel_kraus_sum(channel, rho):
+    """Oracle for ``apply_channel``: the sum of K rho K^dag over the Kraus
+    operators, for one state or a stack along the leading axes."""
+    rho = np.asarray(rho, dtype=complex)
+    return sum(K @ rho @ K.conj().T for K in channel.kraus)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d_in=st.integers(1, 4),
+    d_out=st.integers(1, 4),
+    k=st.integers(1, 17),
+    lead=st.sampled_from([(), (1,), (6,), (2, 3)]),
+)
+@settings(max_examples=80, deadline=None)
+def test_apply_channel_matches_kraus_sum(seed, d_in, d_out, k, lead):
+    # an isometry C^d_in -> C^(k d_out) needs k d_out >= d_in
+    d_out = max(d_out, -(-d_in // k))
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(k * d_out, d_in)) + 1j * rng.normal(size=(k * d_out, d_in))
+    V, _ = np.linalg.qr(A)
+    channel = KrausChannel(kraus=tuple(V[i * d_out : (i + 1) * d_out] for i in range(k)))
+    B = rng.normal(size=lead + (d_in, d_in)) + 1j * rng.normal(size=lead + (d_in, d_in))
+    rho = B @ np.swapaxes(B, -1, -2).conj()
+    rho /= np.trace(rho, axis1=-2, axis2=-1).real[..., np.newaxis, np.newaxis]
+    out = apply_channel(channel, rho)
+    assert out.shape == lead + (d_out, d_out)
+    assert np.max(np.abs(out - apply_channel_kraus_sum(channel, rho))) <= 1e-14
+    with pytest.raises(ValueError, match="dimension"):
+        apply_channel(channel, np.eye(d_in + 1))
+
+
+def test_superoperator_is_cached_and_read_only():
+    channel = depolarizing_channel(3, 0.4)
+    S = channel.superoperator()
+    assert channel.superoperator() is S
+    assert not S.flags.writeable
+    with pytest.raises(ValueError):
+        S[0, 0] = 0.0
+    rho = random_state(np.random.default_rng(3), 3)
+    expected = 0.6 * rho + 0.4 * np.eye(3) / 3
+    assert np.max(np.abs(apply_channel(channel, rho) - expected)) <= 1e-14
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.0, math.nan)])
 def test_kraus_rejects_non_finite_entries(bad):
     # NaN compares false, so the completeness check alone would pass it
@@ -317,6 +365,22 @@ def test_petz_bounds_report_plus_state_pinsker():
     assert rep.all_hold
 
 
+@pytest.mark.parametrize("eps", [1e-12, 1.5e-12, 3e-12])
+@pytest.mark.parametrize("name", ["kl", "pearson_chi2", "triangular"])
+def test_petz_bounds_report_tiny_sigma_eigenvalue(eps, name):
+    # sigma is full rank, but its NS entries eps/2 fall below SUPPORT_EPSILON:
+    # kappa read off clamped rows saw p escape supp q and raised, and at
+    # chi2 ~ 1e11 an absolute slack turned rounding into a violation
+    g = make_generator(name)
+    sigma = np.diag([1.0 - eps, eps]).astype(complex)
+    rep = petz_bounds_report(g, PLUS, sigma)
+    assert rep.all_hold, [c for c in rep.checks if not c.holds]
+    if name == "pearson_chi2":
+        # f'' = 2: the sandwich collapses onto the divergence
+        checks = {c.bound_id: c for c in rep.checks}
+        assert checks["petz-sandwich-lower"].lhs == pytest.approx(rep.divergence, rel=1e-12)
+
+
 def test_petz_bounds_random_sweep(operator_convex_registry):
     rng = np.random.default_rng(11)
     for _ in range(30):
@@ -343,6 +407,45 @@ def test_quantum_dpi_spot_check(operator_convex_registry):
             check_density_matrix(apply_channel(E, sigma)),
         )
         assert after <= before + 1e-9, g.label
+
+
+def haar_pure_sequential(d, rng):
+    v = rng.normal(size=d) + 1j * rng.normal(size=d)
+    v /= np.linalg.norm(v)
+    return np.outer(v, v.conj())
+
+
+def candidate_states_sequential(sigma, budget):
+    """Oracle for ``_candidate_states``: one Haar draw per pure state."""
+    d = sigma.shape[0]
+    rng = np.random.default_rng(budget.seed)
+    w = np.asarray(BLEND_WEIGHTS)[:, np.newaxis, np.newaxis]
+    out = []
+    for _ in range(budget.n_samples):
+        pure = haar_pure_sequential(d, rng)
+        out += [pure[np.newaxis], (1.0 - w) * pure + w * sigma]
+    v = _spectral(sigma)[1].T
+    proj = v[:, :, np.newaxis] * v[:, np.newaxis, :].conj()
+    a = np.linspace(0.0, 1.0, _EIGENBASIS_GRID)[:, np.newaxis, np.newaxis]
+    out += [a * proj[i] + (1 - a) * proj[j] for i in range(d) for j in range(i + 1, d)]
+    return np.concatenate(out)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 8])
+@pytest.mark.parametrize("rank", ["full", "deficient"])
+def test_candidate_states_match_sequential_draws(d, rank):
+    for seed in (0, 1, 17, 2**31 - 1):
+        rng = np.random.default_rng(seed)
+        sigma = random_state(rng, d, rank=d if rank == "full" else d - 1)
+        budget = QuantumBudget(seed=seed)
+        assert np.array_equal(
+            _candidate_states(sigma, budget), candidate_states_sequential(sigma, budget)
+        )
+        # the refine stream interleaves one share and one Haar state per step
+        stream, oracle = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+        for _ in range(8):
+            assert stream.random() == oracle.random()
+            assert np.array_equal(_haar_pure(1, d, stream)[0], haar_pure_sequential(d, oracle))
 
 
 def test_quantum_eta_identity_and_replacer():
@@ -537,7 +640,7 @@ def test_petz_matches_spectral_sum(seed, d, kind, log_angle, name):
         return
     # the NS route forms p/q as (lam |<e|f>|^2) / (mu |<e|f>|^2) and sums in
     # another order; its own rounding bound covers both
-    _, err = _divergence_rows(g, *_ns_rows(rho, sigma), rounding_error=True)
+    _, err = _divergence_rows(g, *_ns_rows(rho, _spectral(sigma)), rounding_error=True)
     assert abs(value - ref) <= 1e-12 * abs(ref) + d * d * err[0], (value, ref)
 
 
@@ -569,16 +672,18 @@ def test_batched_quantum_scores_match_single_rows(registry):
     )
     outputs = apply_channel(channel, states)
     for g in registry:
-        P, Q = _ns_rows(states, sigma)
+        P, Q = _ns_rows(states, _spectral(sigma))
         values = _divergence_rows(g, P, Q)
         scores = _ratio_scores(
-            g, _divergence_rows(g, P, Q, rounding_error=True), _ns_rows(outputs, sigma_out)
+            g,
+            _divergence_rows(g, P, Q, rounding_error=True),
+            _ns_rows(outputs, _spectral(sigma_out)),
         )
         for k, rho in enumerate(states):
             one = _ratio_scores(
                 g,
-                _divergence_rows(g, *_ns_rows(rho, sigma), rounding_error=True),
-                _ns_rows(apply_channel(channel, rho), sigma_out),
+                _divergence_rows(g, *_ns_rows(rho, _spectral(sigma)), rounding_error=True),
+                _ns_rows(apply_channel(channel, rho), _spectral(sigma_out)),
             )
             assert scores[k] == pytest.approx(one[0], rel=1e-12, abs=1e-15), g.label
             assert values[k] == pytest.approx(
@@ -612,7 +717,7 @@ def petz_eta_chi2_oracle(channel, sigma):
         return (vecs[:, keep] / eigs[keep]) @ vecs[:, keep].conj().T, vecs[:, keep]
 
     pinv_in, F = pinv_and_support(sigma)
-    pinv_out, _ = pinv_and_support(apply_channel(channel, sigma))
+    pinv_out, _ = pinv_and_support(apply_channel_kraus_sum(channel, sigma))
     r = F.shape[1]
     unit = [[np.outer(F[:, i], F[:, j].conj()) for j in range(r)] for i in range(r)]
     basis = [unit[i][i] - unit[-1][-1] for i in range(r - 1)]
@@ -621,7 +726,7 @@ def petz_eta_chi2_oracle(channel, sigma):
             basis += [unit[i][j] + unit[j][i], 1j * (unit[i][j] - unit[j][i])]
     if not basis:
         return 0.0
-    images = [apply_channel(channel, X) for X in basis]
+    images = [apply_channel_kraus_sum(channel, X) for X in basis]
 
     def gram(pinv, mats):
         return np.array([[np.trace(pinv @ X @ Y).real for Y in mats] for X in mats])
