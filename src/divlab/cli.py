@@ -17,6 +17,7 @@ and mixing-time sample nothing and take no ``--seed``, but echo DIVLAB_SEED
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -213,13 +214,20 @@ def _resolve_seed(args: argparse.Namespace) -> int:
     return getattr(args, "seed", 0)
 
 
-def _envelope(args, files, seed, results, warnings_list):
+def _header(args, files, seed) -> dict:
+    """The identity fields that open every report."""
     return {
         "schema_version": SCHEMA_VERSION,
         "divlab_version": __version__,
         "command": [args.command] + getattr(args, "raw_args", []),
         "inputs_digest": _digest(args, files),
         "seed": seed,
+    }
+
+
+def _envelope(args, files, seed, results, warnings_list):
+    return {
+        **_header(args, files, seed),
         "units": "bits" if getattr(args, "bits", False) else "nats",
         "results": results,
         "warnings": warnings_list,
@@ -236,14 +244,7 @@ def _units(value: float, bits: bool) -> float:
 
 def _cmd_verify_constants(args) -> int:
     seed = _resolve_seed(args)
-    header = {
-        "schema_version": SCHEMA_VERSION,
-        "divlab_version": __version__,
-        "command": [args.command] + getattr(args, "raw_args", []),
-        "inputs_digest": _digest(args, []),
-        "seed": seed,
-        "kind": "header",
-    }
+    header = {**_header(args, [], seed), "kind": "header"}
     print(dumps_report(header).replace("\n", " "))
     all_ok = True
     for g in default_registry():
@@ -289,15 +290,13 @@ def _cmd_divergence(args) -> int:
     return 0
 
 
-def _structure_dict(info) -> dict:
+def _mixing_section(mix) -> dict:
+    """The classical mixing-time bounds and empirical times of a report."""
     return {
-        "scrambling": info.scrambling,
-        "irreducible": info.irreducible,
-        "aperiodic": info.aperiodic,
-        "indecomposable": info.indecomposable,
-        "stationary": info.stationary,
-        "stationary_unique": info.stationary_unique,
-        "positivity_index": info.positivity_index,
+        "tv_bound": {"bound_id": "chi2-mixing-time-tv", "value": mix.tv_bound},
+        "f_bound": {"bound_id": "chi2-mixing-time-f", "value": mix.f_bound},
+        "empirical_tv": mix.empirical_tv,
+        "empirical_f": mix.empirical_f,
     }
 
 
@@ -321,7 +320,7 @@ def _cmd_analyze_chain(args) -> int:
     violations: list[str] = []
 
     info = chain.info
-    results: dict = {"structure": _structure_dict(info)}
+    results: dict = {"structure": dataclasses.asdict(info)}
     if info.stationary is None:  # raises the solver's input error
         stationary_distribution(W)
     pi = info.stationary
@@ -347,12 +346,7 @@ def _cmd_analyze_chain(args) -> int:
 
     try:
         mix = chain.mixing(args.delta, g)
-        results["mixing_time"] = {
-            "tv_bound": {"bound_id": "chi2-mixing-time-tv", "value": mix.tv_bound},
-            "f_bound": {"bound_id": "chi2-mixing-time-f", "value": mix.f_bound},
-            "empirical_tv": mix.empirical_tv,
-            "empirical_f": mix.empirical_f,
-        }
+        results["mixing_time"] = _mixing_section(mix)
         if not mix.empirical_within_bound:
             violations.append("empirical mixing time exceeds its bound")
     except ValueError as exc:
@@ -387,10 +381,7 @@ def _cmd_mixing_time(args) -> int:
     results = {
         "eta_chi2": {"bound_id": "eta-chi2-second-singular-value", "value": mix.eta_chi2},
         "pi_min": mix.pi_min,
-        "tv_bound": {"bound_id": "chi2-mixing-time-tv", "value": mix.tv_bound},
-        "f_bound": {"bound_id": "chi2-mixing-time-f", "value": mix.f_bound},
-        "empirical_tv": mix.empirical_tv,
-        "empirical_f": mix.empirical_f,
+        **_mixing_section(mix),
     }
     violations = [] if mix.empirical_within_bound else ["empirical mixing time exceeds bound"]
     report = _envelope(args, [args.matrix], seed, results, [])
@@ -408,15 +399,7 @@ def _cmd_quantum_analyze(args) -> int:
     violations: list[str] = []
 
     info = channel_structure(channel)
-    results: dict = {
-        "structure": {
-            "fixed_point": info.fixed_point,
-            "unique": info.unique,
-            "mixing": info.mixing,
-            "strongly_mixing": info.strongly_mixing,
-            "positivity_index": info.positivity_index,
-        }
-    }
+    results: dict = {"structure": dataclasses.asdict(info)}
     if not info.mixing:
         warnings_list.append("channel is not mixing; contraction section skipped")
     else:

@@ -9,6 +9,12 @@ presentation concern handled by the CLI.
 Infinite limits are represented by ``math.inf`` — never by a large finite
 sentinel — because the support conventions of the divergence engine need exact
 absolutely-continuous logic.
+
+The ``_BUILDERS`` table at the end of the module is the one place to add a
+generator: each row names the builder, its parameter (if any) and that
+parameter's default.  The names, their order, the defaults and the certified
+set are all read from it; each builder checks its own parameter range, and
+every parameter must be finite (``renyi_gain`` takes any finite alpha).
 """
 
 from __future__ import annotations
@@ -29,29 +35,6 @@ __all__ = [
     "default_registry",
     "from_spec",
 ]
-
-#: names accepted by :func:`make_generator`; parametric entries take keyword
-#: parameters (alpha for renyi_gain/hellinger/chi_alpha, theta for lins)
-_REGISTRY_NAMES = (
-    "kl",
-    "reverse_kl",
-    "renyi_gain",
-    "hellinger",
-    "pearson_chi2",
-    "neyman_chi2",
-    "symmetric_chi2",
-    "ag_mean",
-    "jeffrey",
-    "squared_hellinger",
-    "lins",
-    "jensen_shannon",
-    "triangular",
-    "piecewise_example",
-    # auxiliary entries: h_lambda evaluation / consistency tests only, no
-    # certified Pinsker constant
-    "chi_alpha",
-    "one_sided_chi2",
-)
 
 NONINCREASING = "nonincreasing"
 NONDECREASING = "nondecreasing"
@@ -262,6 +245,8 @@ def _renyi_gain(alpha: float) -> Generator:
 
 
 def _hellinger(alpha: float) -> Generator:
+    if alpha <= 0:
+        raise ValueError("hellinger requires alpha > 0")
     if alpha == 1.0:
         f = lambda t: t * np.log(t)
         f1 = lambda t: np.log(t) + 1.0
@@ -409,6 +394,8 @@ def _squared_hellinger() -> Generator:
 
 
 def _lins(theta: float) -> Generator:
+    if not 0.0 <= theta <= 1.0:
+        raise ValueError("lins requires theta in [0, 1]")
     th = theta
     if th == 0.0:
         f = lambda t: np.zeros_like(t)
@@ -515,6 +502,8 @@ def _piecewise_example() -> Generator:
 def _chi_alpha(alpha: float) -> Generator:
     # |t-1|^alpha; not twice differentiable for alpha in [1,2), registered for
     # consistency tests only — no certified constant
+    if alpha < 1:
+        raise ValueError("chi_alpha requires alpha >= 1")
     a = alpha
     f = lambda t: np.abs(t - 1.0) ** a
     f1 = lambda t: a * np.sign(t - 1.0) * np.abs(t - 1.0) ** (a - 1.0)
@@ -554,93 +543,76 @@ def _one_sided_chi2() -> Generator:
     )
 
 
+#: name -> (builder, its parameter's name or None, that parameter's default
+#: for a bare name), in registry order; see the module docstring
 _BUILDERS = {
-    "kl": _kl,
-    "reverse_kl": _reverse_kl,
-    "renyi_gain": _renyi_gain,
-    "hellinger": _hellinger,
-    "pearson_chi2": _pearson_chi2,
-    "neyman_chi2": _neyman_chi2,
-    "symmetric_chi2": _symmetric_chi2,
-    "ag_mean": _ag_mean,
-    "jeffrey": _jeffrey,
-    "squared_hellinger": _squared_hellinger,
-    "lins": _lins,
-    "jensen_shannon": _jensen_shannon,
-    "triangular": _triangular,
-    "piecewise_example": _piecewise_example,
-    "chi_alpha": _chi_alpha,
-    "one_sided_chi2": _one_sided_chi2,
+    "kl": (_kl, None, None),
+    "reverse_kl": (_reverse_kl, None, None),
+    "renyi_gain": (_renyi_gain, "alpha", 1.5),
+    "hellinger": (_hellinger, "alpha", 1.5),
+    "pearson_chi2": (_pearson_chi2, None, None),
+    "neyman_chi2": (_neyman_chi2, None, None),
+    "symmetric_chi2": (_symmetric_chi2, None, None),
+    "ag_mean": (_ag_mean, None, None),
+    "jeffrey": (_jeffrey, None, None),
+    "squared_hellinger": (_squared_hellinger, None, None),
+    "lins": (_lins, "theta", 0.25),
+    "jensen_shannon": (_jensen_shannon, None, None),
+    "triangular": (_triangular, None, None),
+    "piecewise_example": (_piecewise_example, None, None),
+    # auxiliary entries: h_lambda evaluation / consistency tests only, no
+    # certified Pinsker constant
+    "chi_alpha": (_chi_alpha, "alpha", 2.5),
+    "one_sided_chi2": (_one_sided_chi2, None, None),
 }
 
 
 def registry_names() -> tuple[str, ...]:
-    return _REGISTRY_NAMES
+    return tuple(_BUILDERS)
+
+
+def _default_params(name: str) -> dict[str, float]:
+    _, key, default = _BUILDERS[name]
+    return {} if key is None else {key: default}
 
 
 def make_generator(name: str, **params: float) -> Generator:
-    """Build a registered generator.
+    """Build a registered generator; ``_BUILDERS`` is the one table to extend.
 
-    Parametric entries: ``renyi_gain(alpha)`` for any real alpha,
-    ``hellinger(alpha)`` for alpha > 0, ``lins(theta)`` for theta in [0, 1],
-    ``chi_alpha(alpha)`` for alpha >= 1.
+    Parametric entries take one finite keyword parameter:
+    ``renyi_gain(alpha)`` for any finite alpha, ``hellinger(alpha)`` for
+    alpha > 0, ``lins(theta)`` for theta in [0, 1], ``chi_alpha(alpha)`` for
+    alpha >= 1.  Each builder checks its own range.
     """
     if name not in _BUILDERS:
-        raise KeyError(f"unknown generator {name!r}; known: {_REGISTRY_NAMES}")
-    builder = _BUILDERS[name]
-
-    def required(key: str) -> float:
+        raise KeyError(f"unknown generator {name!r}; known: {registry_names()}")
+    builder, key, _ = _BUILDERS[name]
+    args = []
+    if key is not None:
         if key not in params:
             raise ValueError(f"{name} requires the parameter {key!r}")
-        return float(params.pop(key))
-
-    if name == "renyi_gain":
-        alpha = required("alpha")
-    elif name == "hellinger":
-        alpha = required("alpha")
-        if alpha <= 0:
-            raise ValueError("hellinger requires alpha > 0")
-    elif name == "chi_alpha":
-        alpha = required("alpha")
-        if alpha < 1:
-            raise ValueError("chi_alpha requires alpha >= 1")
-    elif name == "lins":
-        theta = required("theta")
-        if not 0.0 <= theta <= 1.0:
-            raise ValueError("lins requires theta in [0, 1]")
+        value = float(params.pop(key))
+        if not math.isfinite(value):
+            raise ValueError(f"{name} requires a finite {key}")
+        args.append(value)
+    g = builder(*args)  # a value out of range fails here, before extra keys
     if params:
         raise ValueError(f"unexpected parameters for {name}: {sorted(params)}")
-    if name in ("renyi_gain", "hellinger", "chi_alpha"):
-        return builder(alpha)
-    if name == "lins":
-        return builder(theta)
-    return builder()
-
-
-#: parameters used when a parametric generator is requested with none, e.g.
-#: by `verify-constants`
-DEFAULT_PARAMS = {
-    "renyi_gain": {"alpha": 1.5},
-    "hellinger": {"alpha": 1.5},
-    "lins": {"theta": 0.25},
-    "chi_alpha": {"alpha": 2.5},
-}
+    return g
 
 
 def default_registry() -> list[Generator]:
-    """The fourteen certified generators at their default parameters."""
-    out = []
-    for name in _REGISTRY_NAMES:
-        if name in ("chi_alpha", "one_sided_chi2"):
-            continue
-        out.append(make_generator(name, **DEFAULT_PARAMS.get(name, {})))
-    return out
+    """The generators with a certified Pinsker constant, at their default
+    parameters, in registry order."""
+    built = [make_generator(name, **_default_params(name)) for name in _BUILDERS]
+    return [g for g in built if g.pinsker_constant is not None]
 
 
 def from_spec(text: str) -> Generator:
     """Parse a CLI-style generator spec such as ``hellinger:alpha=1.5``.
 
-    A bare name uses the default parameters where the entry is parametric.
+    A bare name uses the default parameter where the entry is parametric; a
+    key given twice is an error.
     """
     name, _, rest = text.partition(":")
     name = name.strip()
@@ -648,9 +620,12 @@ def from_spec(text: str) -> Generator:
     if rest:
         for item in rest.split(","):
             key, _, value = item.partition("=")
+            key = key.strip()
             if not value:
                 raise ValueError(f"malformed generator parameter {item!r}")
-            params[key.strip()] = float(value)
-    elif name in DEFAULT_PARAMS:
-        params = dict(DEFAULT_PARAMS[name])
+            if key in params:
+                raise ValueError(f"repeated generator parameter {key!r}")
+            params[key] = float(value)
+    elif name in _BUILDERS:
+        params = _default_params(name)
     return make_generator(name, **params)

@@ -564,8 +564,7 @@ def quantum_eta_estimate(
     block by block and then per window of refine proposals (see
     ``_climbs``).  A refine step draws a share u and a Haar pure state psi
     from the stream seeded with seed + 1 and proposes the state
-    (1 - w u) rho + (1 - Tr[(1 - w u) rho]) psi, eigenvalues clipped at zero
-    and renormalized, for the step's weight w.
+    (1 - w u) rho + (1 - Tr[(1 - w u) rho]) psi for the step's weight w.
     """
     sigma = check_density_matrix(sigma)
     if budget is None:
@@ -581,14 +580,9 @@ def quantum_eta_estimate(
         u, psi = draws
         prop = (1.0 - weights * u)[:, np.newaxis, np.newaxis] * current
         trace = np.trace(prop, axis1=1, axis2=2).real
-        prop = prop + (1.0 - trace)[:, np.newaxis, np.newaxis] * psi
-        prop = 0.5 * (prop + np.swapaxes(prop, 1, 2).conj())
-        eigs, vecs = np.linalg.eigh(prop)
-        # prop is Hermitian with trace one, so its clipped spectrum sums to
-        # at least that trace: the division never meets a zero sum
-        eigs = np.maximum(eigs, 0.0)
-        eigs = eigs / eigs.sum(axis=1)[:, np.newaxis]
-        return (vecs * eigs[:, np.newaxis, :]) @ np.swapaxes(vecs, 1, 2).conj()
+        # a mixture of two exactly Hermitian states with weights in [0, 1]:
+        # no rebuild needed, _spectral clips the rounding below EIG_CLAMP
+        return prop + (1.0 - trace)[:, np.newaxis, np.newaxis] * psi
 
     cloud = _candidate_states(sigma, budget)
     block = _block_rows(cloud)

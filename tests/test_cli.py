@@ -456,6 +456,29 @@ def test_unknown_generator_exit_code(bsc_csv, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["divergence", "--g", "hellinger:alpha=nan", "--p", "0.5,0.5", "--q", "0.2,0.8"],
+         "hellinger requires a finite alpha"),
+        (["divergence", "--g", "chi_alpha:alpha=inf", "--p", "0.5,0.5", "--q", "0.2,0.8"],
+         "chi_alpha requires a finite alpha"),
+        (["divergence", "--g", "hellinger:alpha=1.5,alpha=2", "--p", "0.5,0.5",
+          "--q", "0.2,0.8"], "repeated generator parameter 'alpha'"),
+        (["analyze-chain", "--matrix", None, "--generator", "renyi_gain:alpha=nan"],
+         "renyi_gain requires a finite alpha"),
+        (["mixing-time", "--matrix", None, "--generator", "lins:theta=inf"],
+         "lins requires a finite theta"),
+    ],
+)
+def test_bad_generator_spec_is_an_input_error(bsc_csv, capsys, argv, message):
+    code = run([bsc_csv if a is None else a for a in argv])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_violation_exit_code(bsc25_csv, capsys, monkeypatch):
     import divlab.cli as cli
     from divlab.contraction import MixingTimeReport

@@ -514,14 +514,7 @@ def quantum_eta_estimate_sequential(channel, sigma, g, budget):
 
     def propose(current, rng, weight):
         prop = (1.0 - weight * rng.random()) * current
-        prop = prop + (1.0 - np.trace(prop).real) * quantum._haar_pure(1, d, rng)[0]
-        prop = 0.5 * (prop + prop.conj().T)
-        eigs, vecs = np.linalg.eigh(prop)
-        eigs = np.maximum(eigs, 0.0)
-        s = eigs.sum()
-        if s <= 0.0:
-            return None
-        return (vecs * (eigs / s)[np.newaxis, :]) @ vecs.conj().T
+        return prop + (1.0 - np.trace(prop).real) * quantum._haar_pure(1, d, rng)[0]
 
     cloud = quantum._candidate_states(sigma, budget)
     return hill_climb_sequential(scores, cloud, propose, budget, 0.3)

@@ -6,6 +6,7 @@ import pytest
 from divlab.divergence import f_divergence
 from divlab.generators import (
     custom_generator,
+    default_registry,
     from_spec,
     generator_values,
     make_generator,
@@ -86,6 +87,91 @@ def test_unknown_name_and_bad_params():
         make_generator("lins", theta=1.5)
     with pytest.raises(ValueError):
         make_generator("kl", alpha=2.0)
+
+
+REGISTRY_NAMES = (
+    "kl",
+    "reverse_kl",
+    "renyi_gain",
+    "hellinger",
+    "pearson_chi2",
+    "neyman_chi2",
+    "symmetric_chi2",
+    "ag_mean",
+    "jeffrey",
+    "squared_hellinger",
+    "lins",
+    "jensen_shannon",
+    "triangular",
+    "piecewise_example",
+    "chi_alpha",
+    "one_sided_chi2",
+)
+
+
+def test_registry_names_are_pinned():
+    assert registry_names() == REGISTRY_NAMES
+
+
+def test_every_name_round_trips_through_from_spec():
+    for name in registry_names():
+        g = from_spec(name)
+        assert g.name == name
+        assert from_spec(g.label).label == g.label
+        assert make_generator(name, **g.params).label == g.label
+
+
+def test_default_registry_is_the_certified_entries_in_order():
+    certified = [from_spec(name) for name in registry_names()]
+    certified = [g for g in certified if g.pinsker_constant is not None]
+    assert len(certified) == 14
+    assert [g.label for g in default_registry()] == [g.label for g in certified]
+
+
+@pytest.mark.parametrize(
+    "call,error,message",
+    [
+        (lambda: make_generator("unknown_divergence"), KeyError,
+         f"unknown generator 'unknown_divergence'; known: {REGISTRY_NAMES}"),
+        (lambda: make_generator("hellinger"), ValueError,
+         "hellinger requires the parameter 'alpha'"),
+        (lambda: make_generator("lins"), ValueError, "lins requires the parameter 'theta'"),
+        (lambda: make_generator("hellinger", alpha=-1.0), ValueError,
+         "hellinger requires alpha > 0"),
+        (lambda: make_generator("hellinger", alpha=0.0), ValueError,
+         "hellinger requires alpha > 0"),
+        (lambda: make_generator("lins", theta=1.5), ValueError,
+         "lins requires theta in [0, 1]"),
+        (lambda: make_generator("chi_alpha", alpha=0.5), ValueError,
+         "chi_alpha requires alpha >= 1"),
+        (lambda: make_generator("kl", alpha=2.0), ValueError,
+         "unexpected parameters for kl: ['alpha']"),
+        (lambda: make_generator("lins", theta=0.5, beta=1.0, alpha=2.0), ValueError,
+         "unexpected parameters for lins: ['alpha', 'beta']"),
+        (lambda: from_spec("hellinger:alpha"), ValueError,
+         "malformed generator parameter 'alpha'"),
+        (lambda: from_spec("nope"), KeyError,
+         f"unknown generator 'nope'; known: {REGISTRY_NAMES}"),
+        (lambda: make_generator("renyi_gain", alpha=math.nan), ValueError,
+         "renyi_gain requires a finite alpha"),
+        (lambda: make_generator("hellinger", alpha=math.inf), ValueError,
+         "hellinger requires a finite alpha"),
+        (lambda: make_generator("lins", theta=-math.inf), ValueError,
+         "lins requires a finite theta"),
+        (lambda: from_spec("hellinger:alpha=nan"), ValueError,
+         "hellinger requires a finite alpha"),
+        (lambda: from_spec("chi_alpha:alpha=inf"), ValueError,
+         "chi_alpha requires a finite alpha"),
+        (lambda: from_spec("hellinger:alpha=1.5,alpha=2"), ValueError,
+         "repeated generator parameter 'alpha'"),
+        (lambda: from_spec("lins: theta=0.2,theta =0.3"), ValueError,
+         "repeated generator parameter 'theta'"),
+    ],
+)
+def test_registry_error_messages(call, error, message):
+    with pytest.raises(error) as excinfo:
+        call()
+    assert excinfo.value.args[0] == message
 
 
 def test_generator_values_examples():
