@@ -7,12 +7,20 @@ gamma_down the extreme Hessian eigenvalues along the segment,
     (2 gamma_down / |supp(x-y)|^2) TV^2  <=  (gamma_down/2) ||x-y||_2^2
         <=  B_F(x||y)  <=  (gamma_up/2) ||x-y||_2^2  <=  2 gamma_up TV^2.
 
-The integral representation is evaluated by quadrature as an internal
-cross-check of every sandwich report.
+gamma_down and gamma_up are the extremes over a 257-point t-grid.  The walk
+takes the Hessians in chunks of 32 points: a chunk of diagonal Hessians
+reads its eigenvalues off the diagonals, with no LAPACK call, and any other
+chunk makes one batched ``eigvalsh`` over its distinct Hessians, so a run of
+equal Hessians (a constant Q) costs one matrix.  Both routes give the
+eigenvalues the per-point ``eigvalsh`` gives, bit for bit.
+
+The integral representation is evaluated by quadrature, over the same walk,
+as an internal cross-check of every sandwich report.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -24,6 +32,12 @@ from .divergence import _gauss_legendre
 _QUAD_NODES = 64
 # points of the t-grid on which the sandwich takes the Hessian eigenvalues
 _T_GRID_N = 257
+# points per chunk of the segment walk: a 32 x 64 x 64 stack is 1 MiB
+_CHUNK = 32
+# LAPACK's dsyevd rescales a matrix whose largest |entry| lies outside
+# [sqrt(safmin/eps), 1/that] = [2**-485, 2**485] and may then move the last
+# bits of its eigenvalues; inside, a diagonal matrix keeps its diagonal exactly
+_UNSCALED = (2.0**-485, 2.0**485)
 
 __all__ = [
     "SmoothConvexFn",
@@ -81,26 +95,70 @@ def _check_point(fd: SmoothConvexFn, x) -> np.ndarray:
     return x
 
 
+def _walk(fd: SmoothConvexFn, x: np.ndarray, y: np.ndarray, t: np.ndarray):
+    """Yield the Hessians of F at lam_t = (1-t)y + tx over the nodes t, as
+    lists of at most _CHUNK float arrays; each point is checked to lie in the
+    domain before its Hessian is taken."""
+    for start in range(0, len(t), _CHUNK):
+        tc = t[start : start + _CHUNK, np.newaxis]
+        mats = []
+        for lam in (1.0 - tc) * y + tc * x:
+            if not fd.in_domain(lam):
+                raise ValueError("segment leaves the domain of F")
+            mats.append(np.asarray(fd.hess(lam), dtype=float))
+        yield mats
+
+
+def _divergence(fd: SmoothConvexFn, x: np.ndarray, y: np.ndarray) -> float:
+    return float(fd.F(x) - fd.F(y) - np.dot(fd.grad(y), x - y))
+
+
+def _integral(fd: SmoothConvexFn, x: np.ndarray, y: np.ndarray) -> float:
+    d = x - y
+    t, w = _gauss_legendre(_QUAD_NODES)
+    total = 0.0
+    for tk, wk, H in zip(t, w, itertools.chain.from_iterable(_walk(fd, x, y, t))):
+        total += wk * (1.0 - tk) * float(d @ H @ d)
+    return total
+
+
 def bregman_divergence(fd: SmoothConvexFn, x, y) -> float:
     """F(x) - F(y) - <grad F(y), x - y>."""
-    x = _check_point(fd, x)
-    y = _check_point(fd, y)
-    return float(fd.F(x) - fd.F(y) - np.dot(fd.grad(y), x - y))
+    return _divergence(fd, _check_point(fd, x), _check_point(fd, y))
 
 
 def bregman_integral(fd: SmoothConvexFn, x, y) -> float:
     """Quadrature of int_0^1 (1-t) (x-y)^T H_F((1-t)y + tx) (x-y) dt."""
-    x = _check_point(fd, x)
-    y = _check_point(fd, y)
-    d = x - y
-    t, w = _gauss_legendre(_QUAD_NODES)
-    total = 0.0
-    for tk, wk in zip(t, w):
-        lam = (1.0 - tk) * y + tk * x
-        if not fd.in_domain(lam):
-            raise ValueError("segment leaves the domain of F")
-        total += wk * (1.0 - tk) * float(d @ fd.hess(lam) @ d)
-    return total
+    return _integral(fd, _check_point(fd, x), _check_point(fd, y))
+
+
+def _gammas(fd: SmoothConvexFn, x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+    """The extreme eigenvalues of the symmetrised Hessians over the t-grid,
+    each equal to what a per-point ``eigvalsh`` gives; a NaN eigenvalue is
+    skipped, as a running ``min`` from inf skips it."""
+    lo, hi = np.inf, -np.inf
+    last = None  # the previous chunk's last Hessian, its eigenvalues counted
+    for mats in _walk(fd, x, y, np.linspace(0.0, 1.0, _T_GRID_N)):
+        H = np.stack(mats)
+        diag = np.diagonal(H, axis1=1, axis2=2)
+        amax = np.abs(diag).max(axis=1)
+        if np.count_nonzero(H) == np.count_nonzero(diag) and np.all(
+            (amax == 0.0) | ((amax >= _UNSCALED[0]) & (amax <= _UNSCALED[1]))
+        ):
+            # diagonal and in range: symmetrising would leave H as it is
+            lo = min(lo, float(diag.min()))
+            hi = max(hi, float(diag.max()))
+        else:
+            H = 0.5 * (H + H.transpose(0, 2, 1))  # symmetrize to 1e-10-level asymmetry
+            new = np.ones(len(H), dtype=bool)
+            new[1:] = np.any(H[1:] != H[:-1], axis=(1, 2))
+            new[0] = last is None or not np.array_equal(H[0], last)
+            if new.any():
+                eig = np.linalg.eigvalsh(H[new])
+                lo = min(lo, float(np.fmin.reduce(eig[:, 0], initial=np.inf)))
+                hi = max(hi, float(np.fmax.reduce(eig[:, -1], initial=-np.inf)))
+        last = H[-1]
+    return lo, hi
 
 
 @dataclass(frozen=True)
@@ -120,23 +178,13 @@ def bregman_sandwich(fd: SmoothConvexFn, x, y) -> BregmanSandwich:
     """Eigenvalue sandwich for B_F along the segment, with quadrature check."""
     x = _check_point(fd, x)
     y = _check_point(fd, y)
-    d = x - y
-    gamma_up = -np.inf
-    gamma_down = np.inf
-    for t in np.linspace(0.0, 1.0, _T_GRID_N):
-        lam = (1.0 - t) * y + t * x
-        if not fd.in_domain(lam):
-            raise ValueError("segment leaves the domain of F")
-        H = np.asarray(fd.hess(lam), dtype=float)
-        H = 0.5 * (H + H.T)  # symmetrize to 1e-10-level asymmetry
-        eig = np.linalg.eigvalsh(H)
-        gamma_down = min(gamma_down, float(eig[0]))
-        gamma_up = max(gamma_up, float(eig[-1]))
+    gamma_down, gamma_up = _gammas(fd, x, y)
     if gamma_down < -1e-8:
         raise ValueError(f"F is not convex along the segment: {gamma_down}")
 
-    value = bregman_divergence(fd, x, y)
-    integral_value = bregman_integral(fd, x, y)
+    value = _divergence(fd, x, y)
+    integral_value = _integral(fd, x, y)
+    d = x - y
     l2sq = float(np.dot(d, d))
     tv = 0.5 * float(np.abs(d).sum())
     supp = int(np.sum(np.abs(d) > 1e-12 * max(1.0, np.abs(d).max())))

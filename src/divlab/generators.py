@@ -14,7 +14,8 @@ The ``_BUILDERS`` table at the end of the module is the one place to add a
 generator: each row names the builder, its parameter (if any) and that
 parameter's default.  The names, their order, the defaults and the certified
 set are all read from it; each builder checks its own parameter range, and
-every parameter must be finite (``renyi_gain`` takes any finite alpha).
+every parameter must be finite (``renyi_gain`` takes any alpha with
+alpha (alpha - 1) finite).
 """
 
 from __future__ import annotations
@@ -193,6 +194,9 @@ def _reverse_kl() -> Generator:
 def _renyi_gain(alpha: float) -> Generator:
     # t^alpha family with the extra -alpha(t-1)/(alpha(alpha-1)) term, so
     # f'(1) = 0 for every order
+    if not math.isfinite(alpha * (alpha - 1.0)):
+        # beyond |alpha| ~ 1.3e154 the normaliser overflows and f reads NaN
+        raise ValueError("renyi_gain requires alpha * (alpha - 1) to be finite")
     if alpha == 0.0:
         f = lambda t: -np.log(t) + t - 1.0
         f1 = lambda t: 1.0 - 1.0 / t
@@ -580,7 +584,7 @@ def make_generator(name: str, **params: float) -> Generator:
     """Build a registered generator; ``_BUILDERS`` is the one table to extend.
 
     Parametric entries take one finite keyword parameter:
-    ``renyi_gain(alpha)`` for any finite alpha, ``hellinger(alpha)`` for
+    ``renyi_gain(alpha)`` for alpha(alpha - 1) finite, ``hellinger(alpha)`` for
     alpha > 0, ``lins(theta)`` for theta in [0, 1], ``chi_alpha(alpha)`` for
     alpha >= 1.  Each builder checks its own range.
     """

@@ -134,7 +134,12 @@ def _ns_rows(rho: np.ndarray, ref: tuple[np.ndarray, np.ndarray]):
     caller scoring many stacks diagonalises it once: p(x,y) = lam_x
     |<e_x|f_y>|^2, q(x,y) = mu_y |<e_x|f_y>|^2, overlaps below
     _OVERLAP_FLOOR zeroed, for the unclamped kernel body."""
-    lam, e = _spectral(rho)
+    return _ns_rows_spectral(_spectral(rho), ref)
+
+
+def _ns_rows_spectral(spec, ref):
+    """``_ns_rows`` of states given as their ``_spectral`` pair (lam, e)."""
+    lam, e = spec
     mu, f = ref
     overlap = np.abs(np.swapaxes(e, -1, -2).conj() @ f) ** 2  # overlap[x, y]
     overlap = np.where(overlap < _OVERLAP_FLOOR, 0.0, overlap)
@@ -169,7 +174,12 @@ def petz_f_divergence(g: Generator, rho, sigma) -> float:
 def petz_chi2(rho, sigma) -> float:
     """Tr[sigma^+ (rho-sigma)^2] on supp(sigma); +inf when rho !<< sigma."""
     rho, sigma = _checked_pair(rho, sigma)
-    mu, f = _spectral(sigma)
+    return _petz_chi2(rho, sigma, _spectral(sigma))
+
+
+def _petz_chi2(rho: np.ndarray, sigma: np.ndarray, ref) -> float:
+    """``petz_chi2`` of checked states, with sigma's ``_spectral`` pair."""
+    mu, f = ref
     pos = mu > 0.0
     if not np.all(pos):
         proj_out = f[:, ~pos]
@@ -438,15 +448,16 @@ def petz_bounds_report(g: Generator, rho, sigma) -> PetzBoundsReport:
     """Evaluate and check the Petz sandwich, quantum Pinsker, chi-squared vs
     trace-distance, and NS reverse-Pinsker bounds for one state pair."""
     rho, sigma = _checked_pair(rho, sigma)
-    P, Q = _ns_rows(rho, _spectral(sigma))
+    rho_spec, sigma_spec = _spectral(rho), _spectral(sigma)
+    P, Q = _ns_rows_spectral(rho_spec, sigma_spec)
     value = float(_divergence_rows(g, P, Q)[0])
-    chi2 = petz_chi2(rho, sigma)
+    chi2 = _petz_chi2(rho, sigma, sigma_spec)
     td = trace_distance(rho, sigma)
     ns = NSPair(p_xy=P[0], q_xy=Q[0])
     checks: list[BoundCheck] = []
 
     dominated = math.isfinite(chi2)
-    sigma_dom_rho = petz_chi2(sigma, rho) < math.inf
+    sigma_dom_rho = _petz_chi2(sigma, rho, rho_spec) < math.inf
     # kappa, q_min and TV read the NS rows unclamped, as the divergence does
     # (rho << sigma is decided by petz_chi2)
     kp = _kappa_pair(g, ns.p_xy, ns.q_xy) if dominated else None

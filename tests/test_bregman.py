@@ -1,8 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from divlab.bregman import (
+    BregmanSandwich,
     SmoothConvexFn,
+    _check_point,
     bregman_divergence,
     bregman_integral,
     bregman_sandwich,
@@ -10,7 +16,7 @@ from divlab.bregman import (
     quadratic_fn,
 )
 from divlab.divergence import f_divergence
-from divlab.generators import make_generator
+from divlab.generators import default_registry, make_generator
 
 
 def _random_interior(rng, dim):
@@ -143,3 +149,220 @@ def test_tv_lower_link_with_sparse_difference():
     res = bregman_sandwich(fd, np.array([1.0, 1.0]), np.array([0.25, 1.0]))
     assert res.holds
     assert res.tv_lower <= res.l2_lower + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the chunked segment walk against the per-point loop
+
+
+def bregman_sandwich_loop(fd, x, y):
+    """``bregman_sandwich`` with one ``eigvalsh`` per grid point: the
+    reference the chunked walk must match bit for bit."""
+    x = _check_point(fd, x)
+    y = _check_point(fd, y)
+    d = x - y
+    gamma_up = -np.inf
+    gamma_down = np.inf
+    for t in np.linspace(0.0, 1.0, 257):
+        lam = (1.0 - t) * y + t * x
+        if not fd.in_domain(lam):
+            raise ValueError("segment leaves the domain of F")
+        H = np.asarray(fd.hess(lam), dtype=float)
+        H = 0.5 * (H + H.T)
+        eig = np.linalg.eigvalsh(H)
+        gamma_down = min(gamma_down, float(eig[0]))
+        gamma_up = max(gamma_up, float(eig[-1]))
+    if gamma_down < -1e-8:
+        raise ValueError(f"F is not convex along the segment: {gamma_down}")
+    value = float(fd.F(x) - fd.F(y) - np.dot(fd.grad(y), x - y))
+    nodes, weights = np.polynomial.legendre.leggauss(64)
+    integral_value = 0.0
+    for tk, wk in zip(0.5 * (nodes + 1.0), 0.5 * weights):
+        lam = (1.0 - tk) * y + tk * x
+        if not fd.in_domain(lam):
+            raise ValueError("segment leaves the domain of F")
+        integral_value += wk * (1.0 - tk) * float(d @ fd.hess(lam) @ d)
+    l2sq = float(np.dot(d, d))
+    tv = 0.5 * float(np.abs(d).sum())
+    supp = int(np.sum(np.abs(d) > 1e-12 * max(1.0, np.abs(d).max())))
+    l2_lower = 0.5 * gamma_down * l2sq
+    l2_upper = 0.5 * gamma_up * l2sq
+    tv_lower = 2.0 * gamma_down * tv**2 / supp**2 if supp else 0.0
+    tv_upper = 2.0 * gamma_up * tv**2
+    holds = (
+        tv_lower <= l2_lower + 1e-9
+        and l2_lower <= value + 1e-9
+        and value <= l2_upper + 1e-9
+        and l2_upper <= tv_upper + 1e-9
+        and abs(integral_value - value) <= 1e-7 * max(1.0, abs(value))
+    )
+    return BregmanSandwich(gamma_down, gamma_up, tv_lower, l2_lower, value,
+                           l2_upper, tv_upper, integral_value, holds)
+
+
+def _bits(res):
+    return [np.float64(v).tobytes() for v in dataclasses.astuple(res)]
+
+
+def _separable_fn(g, q):
+    # F(x) = sum_i q_i f(x_i / q_i): a diagonal Hessian that varies
+    return SmoothConvexFn(
+        dim=len(q),
+        F=lambda x: float(np.sum(q * g.f(x / q))),
+        grad=lambda x: g.f1(x / q),
+        hess=lambda x: np.diag(g.f2(x / q) / q),
+        in_domain=lambda x: bool(np.all(np.asarray(x) > 0.0)),
+        name=g.label,
+    )
+
+
+def _entropy_plus_quadratic(Q):
+    # a non-diagonal Hessian diag(1/x) + Q that varies along the segment
+    ent = neg_entropy_fn(Q.shape[0])
+    return SmoothConvexFn(
+        dim=Q.shape[0],
+        F=lambda x: ent.F(x) + 0.5 * float(x @ Q @ x),
+        grad=lambda x: ent.grad(x) + Q @ x,
+        hess=lambda x: np.diag(1.0 / x) + Q,
+        in_domain=ent.in_domain,
+        name="neg_entropy+quadratic",
+    )
+
+
+_KINDS = ("quadratic", "diagonal_quadratic", "neg_entropy", "separable", "entropy+quadratic")
+
+
+def _potential(kind, n, rng, q):
+    A = rng.normal(size=(n, n))
+    Q = A @ A.T / n + np.eye(n)
+    if kind == "quadratic":
+        return quadratic_fn(Q)
+    if kind == "diagonal_quadratic":
+        return quadratic_fn(np.diag(np.diag(Q)))
+    if kind == "neg_entropy":
+        return neg_entropy_fn(n)
+    if kind == "separable":
+        return _separable_fn(default_registry()[rng.integers(len(default_registry()))], q)
+    return _entropy_plus_quadratic(Q)
+
+
+@given(
+    st.sampled_from([1, 2, 3, 8, 64]),
+    st.sampled_from(_KINDS),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([1.0, 0.1, 1e-3]),
+)
+@settings(max_examples=60, deadline=None)
+def test_sandwich_matches_per_point_loop(n, kind, seed, alpha):
+    # Dirichlet(alpha) points: small alpha puts coordinates near the boundary,
+    # where 1/x and the generators' f2 grow large
+    rng = np.random.default_rng(seed)
+    x = rng.dirichlet(alpha * np.ones(n)) + 1e-9
+    y = rng.dirichlet(alpha * np.ones(n)) + 1e-9
+    fd = _potential(kind, n, rng, y)
+    try:
+        expected = bregman_sandwich_loop(fd, x, y)
+    except ValueError as err:
+        with pytest.raises(ValueError, match=str(err)):
+            bregman_sandwich(fd, x, y)
+        return
+    assert _bits(bregman_sandwich(fd, x, y)) == _bits(expected)
+    assert bregman_integral(fd, x, y) == expected.integral_value
+    assert bregman_divergence(fd, x, y) == expected.value
+
+
+def _recording(fd, bad):
+    """fd with every in_domain and hess call recorded; in_domain fails where
+    bad(x) holds."""
+    calls = []
+
+    def in_domain(x):
+        calls.append(("in_domain", x.tobytes()))
+        return not bad(x) and fd.in_domain(x)
+
+    def hess(x):
+        calls.append(("hess", x.tobytes()))
+        return fd.hess(x)
+
+    return dataclasses.replace(fd, in_domain=in_domain, hess=hess), calls
+
+
+@pytest.mark.parametrize("cut", [0.05, 0.3, 0.7, 0.89])
+def test_domain_error_at_the_same_first_point(cut):
+    # the segment leaves the domain where x_0 first exceeds the cut: same
+    # message, after the same in_domain and hess calls
+    fd = neg_entropy_fn(3)
+    x, y = np.array([0.9, 0.05, 0.05]), np.array([0.02, 0.49, 0.49])
+    outcomes = []
+    for sandwich in (bregman_sandwich_loop, bregman_sandwich):
+        rec, calls = _recording(fd, lambda z: z[0] > cut and not (z == x).all())
+        with pytest.raises(ValueError, match="segment leaves the domain of F"):
+            sandwich(rec, x, y)
+        outcomes.append(calls)
+    assert outcomes[0] == outcomes[1]
+
+
+def test_domain_error_at_a_quadrature_node():
+    # every grid point passes, a Gauss node fails: the integral raises it
+    fd = neg_entropy_fn(2)
+    x, y = np.array([0.6, 0.4]), np.array([0.4, 0.6])
+    t_nodes = 0.5 * (np.polynomial.legendre.leggauss(64)[0] + 1.0)
+    lam = (1.0 - t_nodes[10]) * y + t_nodes[10] * x
+    for sandwich in (bregman_sandwich_loop, bregman_sandwich):
+        rec, _ = _recording(fd, lambda z: np.array_equal(z, lam))
+        with pytest.raises(ValueError, match="segment leaves the domain of F"):
+            sandwich(rec, x, y)
+
+
+@pytest.mark.parametrize(
+    "fd,x,y",
+    [
+        (quadratic_fn(np.diag([-1.0, 1.0])), [1.0, 0.0], [0.0, 1.0]),
+        (quadratic_fn(np.array([[1.0, 2.0], [2.0, 1.0]])), [1.0, 0.0], [0.0, 1.0]),
+        # Hessian diag(x): convex only where every coordinate is positive
+        (SmoothConvexFn(dim=2, F=lambda z: float(np.sum(z**3)) / 6.0,
+                        grad=lambda z: z**2 / 2.0, hess=np.diag), [1.0, -0.5], [0.2, 0.3]),
+    ],
+)
+def test_nonconvexity_error_matches_per_point_loop(fd, x, y):
+    with pytest.raises(ValueError, match="not convex") as expected:
+        bregman_sandwich_loop(fd, x, y)
+    with pytest.raises(ValueError) as got:
+        bregman_sandwich(fd, x, y)
+    assert str(got.value) == str(expected.value)
+
+
+@pytest.mark.parametrize(
+    "fd,matrices",
+    [
+        (quadratic_fn(np.array([[2.0, 0.3, 0.0], [0.3, 1.0, 0.1], [0.0, 0.1, 3.0]])), 1),
+        (quadratic_fn(np.diag([2.0, 1.0, 3.0])), 0),
+        (neg_entropy_fn(3), 0),
+    ],
+)
+def test_eigvalsh_matrices_per_sandwich(fd, matrices, monkeypatch):
+    # a constant Q costs one matrix over the whole grid, a diagonal Hessian none
+    seen = []
+    original = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        a = np.asarray(a)
+        seen.append(1 if a.ndim == 2 else a.shape[0])
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    res = bregman_sandwich(fd, np.array([0.5, 0.3, 0.2]), np.array([0.2, 0.3, 0.5]))
+    assert res.holds
+    assert sum(seen) == matrices
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e-150, 2.0**485, 2.0**486, 1e200, 1e300])
+def test_diagonal_hessians_outside_lapack_range(scale):
+    # LAPACK rescales a matrix with entries beyond 2**+-485, which moves the
+    # last bits of about three in four such diagonals: those chunks take the
+    # eigvalsh route, like the loop
+    rng = np.random.default_rng(17)
+    x, y = np.array([0.5, 0.3, 0.2]), np.array([0.2, 0.3, 0.5])
+    for _ in range(6):
+        fd = quadratic_fn(np.diag(rng.uniform(0.1, 10.0, size=3) * scale))
+        assert _bits(bregman_sandwich(fd, x, y)) == _bits(bregman_sandwich_loop(fd, x, y))

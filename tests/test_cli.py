@@ -469,6 +469,10 @@ def test_unknown_generator_exit_code(bsc_csv, capsys):
          "renyi_gain requires a finite alpha"),
         (["mixing-time", "--matrix", None, "--generator", "lins:theta=inf"],
          "lins requires a finite theta"),
+        (["divergence", "--g", "renyi_gain:alpha=2e154", "--p", "0.5,0.5", "--q", "0.2,0.8"],
+         "renyi_gain requires alpha * (alpha - 1) to be finite"),
+        (["analyze-chain", "--matrix", None, "--generator", "renyi_gain:alpha=-1e300"],
+         "renyi_gain requires alpha * (alpha - 1) to be finite"),
     ],
 )
 def test_bad_generator_spec_is_an_input_error(bsc_csv, capsys, argv, message):

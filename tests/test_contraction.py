@@ -688,6 +688,30 @@ def test_climbs_narrow_windows(seed, refine_steps):
     )
 
 
+def _draw_moves_size2(rng, n, steps):
+    """The refine stream with one ``size=2`` draw per step: the reference
+    for ``_draw_moves``."""
+    i, j, u = [], [], []
+    for _ in range(steps):
+        a, b = rng.integers(0, n, size=2)
+        if a != b:
+            i.append(a)
+            j.append(b)
+            u.append(rng.random())
+    return np.array(i, dtype=np.intp), np.array(j, dtype=np.intp), np.array(u)
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 64, 512, 3000])
+def test_draw_moves_matches_size2_draws(n):
+    # the same moves, and the generator left in the same state
+    for seed in range(50):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        got, expected = contraction._draw_moves(rng, n, 120), _draw_moves_size2(ref, n, 120)
+        for a, b in zip(got, expected):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert rng.random() == ref.random()
+
+
 # ---------------------------------------------------------------------------
 # one estimate context per chain report
 

@@ -391,6 +391,35 @@ def test_petz_bounds_random_sweep(operator_convex_registry):
             assert rep.all_hold, (g.label, rep)
 
 
+@pytest.mark.parametrize("ranks", [(3, 3), (1, 3), (3, 2), (2, 2)])
+def test_petz_bounds_report_validates_and_diagonalises_once(ranks, registry, monkeypatch):
+    # each state is checked once and diagonalised by eigh once, and the
+    # report's chi2 and divergence keep the bits of the public calls
+    from divlab import quantum
+
+    rng = np.random.default_rng(29)
+    rho, sigma = (random_state(rng, 3, rank=r) for r in ranks)
+    expected = [(petz_chi2(rho, sigma), petz_f_divergence(g, rho, sigma)) for g in registry]
+    calls = {"check_density_matrix": 0, "eigh": 0}
+    check, eigh = quantum.check_density_matrix, np.linalg.eigh
+
+    def counted_check(*args):
+        calls["check_density_matrix"] += 1
+        return check(*args)
+
+    def counted_eigh(*args):
+        calls["eigh"] += 1
+        return eigh(*args)
+
+    monkeypatch.setattr(quantum, "check_density_matrix", counted_check)
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    for g, (chi2, value) in zip(registry, expected):
+        calls.update(check_density_matrix=0, eigh=0)
+        rep = petz_bounds_report(g, rho, sigma)
+        assert calls == {"check_density_matrix": 2, "eigh": 2}, g.label
+        assert (rep.chi2, rep.divergence) == (chi2, value), g.label
+
+
 def test_quantum_dpi_spot_check(operator_convex_registry):
     rng = np.random.default_rng(13)
     for trial in range(300):
