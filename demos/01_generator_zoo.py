@@ -23,8 +23,6 @@ for g in default_registry():
         flags.append("op-convex")
     if g.g_concave:
         flags.append("g-concave")
-    if g.ratio_concave:
-        flags.append("f/t-concave")
     if g.f2_at_zero_finite:
         flags.append("f''(0)<inf")
     print(

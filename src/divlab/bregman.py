@@ -90,6 +90,8 @@ def _check_point(fd: SmoothConvexFn, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape != (fd.dim,):
         raise ValueError(f"expected vector of dimension {fd.dim}")
+    if not np.isfinite(x).all():
+        raise ValueError("point entries must be finite")
     if not fd.in_domain(x):
         raise ValueError("point outside the domain of F")
     return x
@@ -119,7 +121,7 @@ def _integral(fd: SmoothConvexFn, x: np.ndarray, y: np.ndarray) -> float:
     total = 0.0
     for tk, wk, H in zip(t, w, itertools.chain.from_iterable(_walk(fd, x, y, t))):
         total += wk * (1.0 - tk) * float(d @ H @ d)
-    return total
+    return float(total)
 
 
 def bregman_divergence(fd: SmoothConvexFn, x, y) -> float:

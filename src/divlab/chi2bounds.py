@@ -51,10 +51,6 @@ class KappaPair:
     argmin: tuple[int, float]
     finite: bool
 
-    @property
-    def vacuous(self) -> bool:
-        return not self.finite
-
 
 def q_min_on_support(q) -> float:
     """Smallest positive entry of q."""

@@ -9,9 +9,9 @@ inequality fails (the report is still emitted), 1 on input errors.
 Numbers are printed with 17 significant digits; infinities appear as the
 string "inf".  The ``divergence`` value is reported in nats unless ``--bits``
 is given, which applies the 1/ln(2) conversion at presentation time only.
-The environment variable DIVLAB_SEED overrides ``--seed``; verify-constants
-and mixing-time sample nothing and take no ``--seed``, but echo DIVLAB_SEED
-(or 0) in the ``seed`` field like every report.
+The environment variable DIVLAB_SEED overrides ``--seed``; verify-constants,
+divergence and mixing-time sample nothing and take no ``--seed``, but echo
+DIVLAB_SEED (or 0) in the ``seed`` field like every report.
 """
 
 from __future__ import annotations
@@ -134,7 +134,8 @@ def parse_matrix(path: str) -> np.ndarray:
     by its sum, so that the library's 1e-10 check holds for W and its
     powers while columns that already sum to one keep their bits."""
     try:
-        text = open(path).read()
+        with open(path) as fh:
+            text = fh.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     rows = None
@@ -170,7 +171,8 @@ def parse_matrix(path: str) -> np.ndarray:
 def parse_kraus(path: str) -> KrausChannel:
     """Kraus channel from JSON {"kraus": [K, ...]}."""
     try:
-        obj = json.loads(open(path).read())
+        with open(path) as fh:
+            obj = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot parse {path}: {exc}") from exc
     if not isinstance(obj, dict) or "kraus" not in obj:
@@ -198,7 +200,8 @@ def _digest(args: argparse.Namespace, files: list[str]) -> str:
         h.update(f"{key}={vars(args)[key]!r};".encode())
     for path in files:
         try:
-            h.update(open(path, "rb").read())
+            with open(path, "rb") as fh:
+                h.update(fh.read())
         except OSError:
             pass
     return h.hexdigest()
@@ -232,10 +235,6 @@ def _envelope(args, files, seed, results, warnings_list):
         "results": results,
         "warnings": warnings_list,
     }
-
-
-def _units(value: float, bits: bool) -> float:
-    return value / LN2 if bits else value
 
 
 # ---------------------------------------------------------------------------
@@ -280,9 +279,11 @@ def _cmd_divergence(args) -> int:
             "f'(inf) convention"
         )
     value = f_divergence(g, p, q)
+    if args.bits:
+        value /= LN2
     results = {
         "generator": g.label,
-        "divergence": {"bound_id": "f-divergence-value", "value": _units(value, args.bits)},
+        "divergence": {"bound_id": "f-divergence-value", "value": value},
         "total_variation": total_variation(p, q),
         "chi_squared": chi_squared(p, q),
     }
@@ -462,7 +463,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--p", required=True, help="comma-separated vector")
     s.add_argument("--q", required=True, help="comma-separated vector")
     s.add_argument("--bits", action="store_true")
-    s.add_argument("--seed", type=int, default=0)
     s.set_defaults(func=_cmd_divergence)
 
     s = sub.add_parser("analyze-chain", help="full classical chain report")

@@ -206,13 +206,9 @@ class _EstimateContext:
         rng = np.random.default_rng(budget.seed + 1)
         self.draws = _draw_moves(rng, n, budget.refine_steps)
 
-    def estimate(self, W: np.ndarray) -> tuple[float, np.ndarray | None]:
-        """``eta_f_estimate(W, q, g, budget)`` for a validated channel W."""
-        return self.estimates([W])[0]
-
     def estimates(self, Ws: list[np.ndarray]) -> list[tuple[float, np.ndarray | None]]:
-        """``estimate(W)`` for every validated channel W of ``Ws``; the
-        climbs run side by side (see ``_climbs``)."""
+        """``eta_f_estimate(W, q, g, budget)`` for every validated channel W
+        of ``Ws``; the climbs run side by side (see ``_climbs``)."""
         g, block = self.g, len(self.blocks[0])
         zeros = np.zeros(block, dtype=np.intp)
         Wqs = [_clamp(W @ self.q) for W in Ws]
@@ -260,7 +256,7 @@ def eta_f_estimate(
     """
     W = as_channel(W)
     q = as_prob_vec(q)
-    return _EstimateContext(g, q, budget or SampleBudget()).estimate(W)
+    return _EstimateContext(g, q, budget or SampleBudget()).estimates([W])[0]
 
 
 def _block_rows(cloud: np.ndarray) -> int:
@@ -590,7 +586,7 @@ class _ChainContext:
 
     @cached_property
     def context(self) -> _EstimateContext:
-        return _EstimateContext(self.g, as_prob_vec(self.info.stationary), self.budget)
+        return _EstimateContext(self.g, self.info.stationary, self.budget)
 
     @cached_property
     def estimate(self) -> tuple[float, np.ndarray | None]:

@@ -63,22 +63,19 @@ def f_divergence(g: Generator, p, q) -> float:
     return float(_divergence_rows(g, p[np.newaxis], q)[0])
 
 
-def f_divergence_rows(g: Generator, P, Q, rounding_error: bool = False):
+def f_divergence_rows(g: Generator, P, Q) -> np.ndarray:
     """Row-wise f_divergence: D_f(P[k] || Q[k]) for every row k of P.
 
     Q is one row shared by all rows of P or a matrix of P's shape.  The rows
     are taken as already validated (finite and non-negative); the
     sub-``SUPPORT_EPSILON`` clamp and both boundary conventions are applied
-    by masks, so a row may come out as exact +inf.  With ``rounding_error``
-    the result is a pair whose second entry bounds each row's absolute
-    rounding error by 4 eps sum q (|f(t)| + |t f'(t)| + 1) over the row's
-    interior entries t = p/q.
+    by masks, so a row may come out as exact +inf.
     """
     P = np.asarray(P, dtype=float)
     if P.ndim != 2:
         raise ValueError("P must be a 2-D array of rows")
     Q = np.asarray(Q, dtype=float)
-    return _divergence_rows(g, _clamp(P), _clamp(Q), rounding_error)
+    return _divergence_rows(g, _clamp(P), _clamp(Q))
 
 
 def _clamp(A: np.ndarray) -> np.ndarray:
@@ -89,7 +86,10 @@ def _clamp(A: np.ndarray) -> np.ndarray:
 def _divergence_rows(g: Generator, P: np.ndarray, Q: np.ndarray, rounding_error=False):
     """``f_divergence_rows`` on rows as given, unclamped.  A boundary mass
     below SUPPORT_EPSILON counts as zero; on clamped rows no nonzero mass is
-    that small, so the rule only drops rounding noise of unclamped rows."""
+    that small, so the rule only drops rounding noise of unclamped rows.
+    With ``rounding_error`` the result is a pair whose second entry bounds
+    each row's absolute rounding error by 4 eps sum q (|f(t)| + |t f'(t)| + 1)
+    over the row's interior entries t = p/q."""
     # one row shared by all rows of P broadcasts as it is
     if Q.shape != P.shape and Q.shape != P.shape[1:]:
         Q = np.broadcast_to(Q, P.shape)

@@ -63,7 +63,6 @@ class Generator:
     f2_monotonicity: str = UNKNOWN
     operator_convex: bool = False
     g_concave: bool = False  # (f(t) - f(0+))/t concave on (0, inf)
-    ratio_concave: bool = False  # f(t)/t concave on (0, inf)
     f2_at_zero_finite: bool = False
     params: dict[str, float] = field(default_factory=dict)
 
@@ -146,8 +145,6 @@ def shift_generator(g: Generator, c: float) -> Generator:
         f1=_vec(lambda t: base_f1(t) + c),
         f_at_zero=g.f_at_zero - c,
         fprime_at_inf=g.fprime_at_inf + c,
-        # f/t gains c - c/t; -c/t is concave only for c >= 0
-        ratio_concave=g.ratio_concave and c >= 0,
     )
 
 
@@ -168,7 +165,6 @@ def _kl() -> Generator:
         f2_monotonicity=NONINCREASING,
         operator_convex=True,
         g_concave=True,
-        ratio_concave=True,
         f2_at_zero_finite=False,
     )
 
@@ -186,7 +182,6 @@ def _reverse_kl() -> Generator:
         f2_monotonicity=NONINCREASING,
         operator_convex=True,
         g_concave=False,
-        ratio_concave=False,
         f2_at_zero_finite=False,
     )
 
@@ -240,9 +235,6 @@ def _renyi_gain(alpha: float) -> Generator:
         f2_monotonicity=mono,
         operator_convex=in_core,
         g_concave=0.0 < alpha <= 2.0,
-        # the -alpha(t-1) tilt adds a convex 1/t term to f/t, so f/t is never
-        # concave for this family
-        ratio_concave=False,
         f2_at_zero_finite=alpha >= 2.0,
         params={"alpha": alpha},
     )
@@ -280,7 +272,6 @@ def _hellinger(alpha: float) -> Generator:
         f2_monotonicity=mono,
         operator_convex=alpha <= 2.0,
         g_concave=alpha <= 2.0,
-        ratio_concave=1.0 <= alpha <= 2.0,
         f2_at_zero_finite=alpha >= 2.0,
         params={"alpha": alpha},
     )
@@ -299,7 +290,6 @@ def _pearson_chi2() -> Generator:
         f2_monotonicity=CONSTANT,
         operator_convex=True,
         g_concave=True,
-        ratio_concave=True,
         f2_at_zero_finite=True,
     )
 
@@ -317,7 +307,6 @@ def _neyman_chi2() -> Generator:
         f2_monotonicity=NONINCREASING,
         operator_convex=True,
         g_concave=False,
-        ratio_concave=False,
         f2_at_zero_finite=False,
     )
 
@@ -335,7 +324,6 @@ def _symmetric_chi2() -> Generator:
         f2_monotonicity=NONINCREASING,
         operator_convex=False,
         g_concave=False,
-        ratio_concave=False,
         f2_at_zero_finite=False,
     )
 
@@ -356,7 +344,6 @@ def _ag_mean() -> Generator:
         f2_monotonicity=NONINCREASING,
         operator_convex=False,
         g_concave=False,
-        ratio_concave=False,
         f2_at_zero_finite=False,
     )
 
@@ -374,7 +361,6 @@ def _jeffrey() -> Generator:
         f2_monotonicity=NONINCREASING,
         operator_convex=False,
         g_concave=False,
-        ratio_concave=False,
         f2_at_zero_finite=False,
     )
 
@@ -392,7 +378,6 @@ def _squared_hellinger() -> Generator:
         f2_monotonicity=NONINCREASING,
         operator_convex=True,
         g_concave=True,
-        ratio_concave=False,
         f2_at_zero_finite=False,
     )
 
@@ -436,7 +421,6 @@ def _lins(theta: float) -> Generator:
         f2_monotonicity=mono,
         operator_convex=False,
         g_concave=th > 0.0,
-        ratio_concave=th == 1.0,
         f2_at_zero_finite=th == 0.0,
         params={"theta": theta},
     )
@@ -455,7 +439,6 @@ def _jensen_shannon() -> Generator:
         f2_monotonicity=NONINCREASING,
         operator_convex=True,
         g_concave=True,
-        ratio_concave=False,
         f2_at_zero_finite=False,
     )
 
@@ -473,7 +456,6 @@ def _triangular() -> Generator:
         f2_monotonicity=NONINCREASING,
         operator_convex=True,
         g_concave=True,
-        ratio_concave=False,
         f2_at_zero_finite=True,
     )
 
@@ -498,7 +480,6 @@ def _piecewise_example() -> Generator:
         f2_monotonicity=NONINCREASING,
         operator_convex=False,
         g_concave=True,
-        ratio_concave=True,
         f2_at_zero_finite=True,
     )
 

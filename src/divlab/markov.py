@@ -103,7 +103,8 @@ def stationary_distribution(W) -> tuple[np.ndarray, bool]:
         b = np.zeros(n + 1)
         b[-1] = 1.0
         v, _ = scipy.optimize.nnls(A, b)
-    v = np.maximum(v, 0.0)
+    # rounding mass on transient states is no support
+    v = np.where(v < SUPPORT_EPSILON, 0.0, v)
     v = v / v.sum()
     if float(np.abs(W @ v - v).sum()) > 1e-9:
         raise ValueError("stationary solve failed to converge")

@@ -8,9 +8,10 @@ while lam_x does not; eigenvalues below EIG_CLAMP, overlaps below 1e-20 and
 boundary masses below SUPPORT_EPSILON count as zero.  Channels are Kraus
 operator lists, but every channel action -- on states, on fixed points and
 in the exact chi-squared coefficient -- goes through the transition
-superoperator, built once per channel and cached.  The Petz chi-squared contraction coefficient is exact, and the bounds built
-on it sample nothing; other contraction coefficients are sampled lower
-estimates, scored net of their rounding bound.
+superoperator, built once per channel and cached.  The Petz chi-squared
+contraction coefficient is exact, and the bounds built on it sample
+nothing; other contraction coefficients are sampled lower estimates, scored
+net of their rounding bound.
 """
 
 from __future__ import annotations
@@ -128,17 +129,13 @@ def _spectral(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.where(eigs < EIG_CLAMP, 0.0, eigs), vecs
 
 
-def _ns_rows(rho: np.ndarray, ref: tuple[np.ndarray, np.ndarray]):
-    """NS rows (P, Q), each (N, d^2), of a stack rho (N, d, d) or one state
-    against a reference sigma given as its ``_spectral`` pair (mu, f), so a
-    caller scoring many stacks diagonalises it once: p(x,y) = lam_x
-    |<e_x|f_y>|^2, q(x,y) = mu_y |<e_x|f_y>|^2, overlaps below
-    _OVERLAP_FLOOR zeroed, for the unclamped kernel body."""
-    return _ns_rows_spectral(_spectral(rho), ref)
-
-
-def _ns_rows_spectral(spec, ref):
-    """``_ns_rows`` of states given as their ``_spectral`` pair (lam, e)."""
+def _ns_rows(spec, ref):
+    """NS rows (P, Q), each (N, d^2), of a stack (N, d, d) of states or one
+    state given as its ``_spectral`` pair (lam, e), against a reference
+    sigma given as its ``_spectral`` pair (mu, f), so a caller scoring many
+    stacks diagonalises it once: p(x,y) = lam_x |<e_x|f_y>|^2, q(x,y) =
+    mu_y |<e_x|f_y>|^2, overlaps below _OVERLAP_FLOOR zeroed, for the
+    unclamped kernel body."""
     lam, e = spec
     mu, f = ref
     overlap = np.abs(np.swapaxes(e, -1, -2).conj() @ f) ** 2  # overlap[x, y]
@@ -160,7 +157,7 @@ def _checked_pair(rho, sigma) -> tuple[np.ndarray, np.ndarray]:
 def ns_distributions(rho, sigma) -> NSPair:
     """p(x,y) = lam_x |<e_x|f_y>|^2, q(x,y) = mu_y |<e_x|f_y>|^2."""
     rho, sigma = _checked_pair(rho, sigma)
-    P, Q = _ns_rows(rho, _spectral(sigma))
+    P, Q = _ns_rows(_spectral(rho), _spectral(sigma))
     return NSPair(p_xy=P[0], q_xy=Q[0])
 
 
@@ -168,7 +165,7 @@ def petz_f_divergence(g: Generator, rho, sigma) -> float:
     """The classical f-divergence of the NS distributions, with the f(0+)
     and f'(inf) boundary conventions."""
     rho, sigma = _checked_pair(rho, sigma)
-    return float(_divergence_rows(g, *_ns_rows(rho, _spectral(sigma)))[0])
+    return float(_divergence_rows(g, *_ns_rows(_spectral(rho), _spectral(sigma)))[0])
 
 
 def petz_chi2(rho, sigma) -> float:
@@ -449,7 +446,7 @@ def petz_bounds_report(g: Generator, rho, sigma) -> PetzBoundsReport:
     trace-distance, and NS reverse-Pinsker bounds for one state pair."""
     rho, sigma = _checked_pair(rho, sigma)
     rho_spec, sigma_spec = _spectral(rho), _spectral(sigma)
-    P, Q = _ns_rows_spectral(rho_spec, sigma_spec)
+    P, Q = _ns_rows(rho_spec, sigma_spec)
     value = float(_divergence_rows(g, P, Q)[0])
     chi2 = _petz_chi2(rho, sigma, sigma_spec)
     td = trace_distance(rho, sigma)
@@ -584,8 +581,9 @@ def quantum_eta_estimate(
     d = sigma.shape[0]
 
     def scores(states: np.ndarray) -> np.ndarray:
-        den = _divergence_rows(g, *_ns_rows(states, ref_in), rounding_error=True)
-        return _ratio_scores(g, den, _ns_rows(apply_channel(channel, states), ref_out))
+        den = _divergence_rows(g, *_ns_rows(_spectral(states), ref_in), rounding_error=True)
+        outputs = _spectral(apply_channel(channel, states))
+        return _ratio_scores(g, den, _ns_rows(outputs, ref_out))
 
     def build(current, draws, weights):
         u, psi = draws
@@ -634,7 +632,7 @@ def petz_eta_chi2(channel: KrausChannel, sigma) -> float:
 
 
 def quantum_eta_bounds(
-    channel: KrausChannel, sigma, g: Generator, *, pinsker_constant: float | None = None
+    channel: KrausChannel, sigma, g: Generator
 ) -> tuple[float, float | None]:
     """Nonlinear and linear upper bounds on the Petz eta_f.
 
@@ -644,7 +642,7 @@ def quantum_eta_bounds(
     convexity, (f(t)-f(0))/t concave, finite f(0+), and full-rank sigma.
     """
     sigma = check_density_matrix(sigma)
-    L = _certified_constant(g, pinsker_constant)
+    L = _certified_constant(g)
     if not g.operator_convex:
         raise ValueError("Petz contraction bounds require operator-convex f")
     return _petz_upper(g, channel, sigma, L, petz_eta_chi2(channel, sigma))
@@ -712,7 +710,7 @@ def _petz_mixing(
     td_bound, f_bound, empirical_td, empirical_f, _ = _mixing_times(
         eta, delta, log_td, log_f, partial(apply_channel, channel),
         _probe_states(channel.dim_in), lambda S: trace_distance(S, pi).max(),
-        lambda S: _divergence_rows(g, *_ns_rows(S, ref)).max(),
+        lambda S: _divergence_rows(g, *_ns_rows(_spectral(S), ref)).max(),
     )
     return QuantumMixingReport(
         td_bound=td_bound,

@@ -143,6 +143,28 @@ def test_domain_violation():
         bregman_divergence(fd, np.array([-0.1, 1.1]), np.array([0.5, 0.5]))
 
 
+@pytest.mark.parametrize("call", [bregman_divergence, bregman_integral, bregman_sandwich])
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_non_finite_point_is_an_input_error(call, bad):
+    # a point with an inf or NaN coordinate is rejected, on either side,
+    # rather than carried into NaN values and a failed check
+    fd = quadratic_fn(np.eye(2))
+    for x, y in (([bad, 0.0], [0.0, 0.0]), ([0.0, 0.0], [0.0, bad])):
+        with pytest.raises(ValueError, match="finite"):
+            call(fd, np.array(x), np.array(y))
+
+
+def test_public_calls_return_python_floats():
+    fd = neg_entropy_fn(3)
+    x, y = np.array([0.2, 0.3, 0.5]), np.array([0.4, 0.4, 0.2])
+    assert type(bregman_divergence(fd, x, y)) is float
+    assert type(bregman_integral(fd, x, y)) is float
+    res = bregman_sandwich(fd, x, y)
+    for f in dataclasses.fields(res):
+        if f.name != "holds":
+            assert type(getattr(res, f.name)) is float, f.name
+
+
 def test_tv_lower_link_with_sparse_difference():
     # difference supported on a single coordinate exercises the support factor
     fd = quadratic_fn(np.eye(2))

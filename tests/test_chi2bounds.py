@@ -178,12 +178,12 @@ def test_kappa_vacuous_when_p_touches_zero():
     kl = make_generator("kl")
     kp = kappa_bounds(kl, [1.0, 0.0], [0.5, 0.5])
     assert math.isinf(kp.kappa_up)
-    assert kp.vacuous
+    assert not kp.finite
     # finite f''(0+): no vacuity
     tri = make_generator("triangular")
     kp = kappa_bounds(tri, [1.0, 0.0], [0.5, 0.5])
     assert kp.kappa_up == pytest.approx(8.0)  # f''(0) = 8
-    assert not kp.vacuous
+    assert kp.finite
 
 
 def test_sandwich_pearson_collapses():

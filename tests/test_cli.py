@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import math
@@ -5,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -281,6 +283,51 @@ def test_analyze_chain_pi_with_zero_entry(tmp_path, capsys):
     assert len(res["rate_profile"]["points"]) == 3
 
 
+# a reducible chain whose solved pi carries ~1e-16 of rounding mass on the
+# two transient states; written at 17 significant digits
+REDUCIBLE_CSV = "".join(
+    ",".join(f"{v:.17g}" for v in row) + "\n"
+    for row in (
+        (0.0, 2 / 7, 0.0, 0.0),
+        (7 / 9, 5 / 14, 0.0, 0.0),
+        (0.0, 5 / 14, 2 / 7, 4 / 11),
+        (2 / 9, 0.0, 5 / 7, 7 / 11),
+    )
+)
+
+
+def test_reducible_chain_pi_has_no_rounding_support(tmp_path, capsys):
+    # pi is zero on the transient states, so the report refuses the
+    # full-support mixing times and the rate profile instead of printing a
+    # mixing time that its own empirical scan exceeds
+    path = tmp_path / "reducible.csv"
+    path.write_text(REDUCIBLE_CSV)
+    code = run(["analyze-chain", "--matrix", str(path), "--generator", "triangular"])
+    report = _load_json(capsys.readouterr().out)
+    assert code == 0, report["violations"]
+    res = report["results"]
+    assert res["structure"]["stationary"][:2] == [0.0, 0.0]
+    assert res["contraction"]["reference"][:2] == [0.0, 0.0]
+    assert "mixing_time" not in res and "rate_profile" not in res
+    assert any(w.startswith("mixing times unavailable") for w in report["warnings"])
+    assert any(w.startswith("rate profile unavailable") for w in report["warnings"])
+    assert run(["mixing-time", "--matrix", str(path)]) == 1
+    assert "full-support" in capsys.readouterr().err
+
+
+def test_reports_close_every_file_they_read(bsc_csv, embedded_bsc_json, capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        for argv in (
+            ["analyze-chain", "--matrix", bsc_csv, "--generator", "kl", "--profile-n", "2"],
+            ["quantum-analyze", "--channel", embedded_bsc_json, "--generator", "kl"],
+        ):
+            assert run(argv) == 0
+            gc.collect()
+    capsys.readouterr()
+    assert [str(w.message) for w in caught if w.category is ResourceWarning] == []
+
+
 def test_analyze_chain_deterministic(bsc_csv, capsys):
     args = ["analyze-chain", "--matrix", bsc_csv, "--generator", "kl", "--seed", "3",
             "--profile-n", "2"]
@@ -428,12 +475,13 @@ def test_env_seed_override(bsc_csv, capsys, monkeypatch):
 
 
 def test_unused_flags_are_rejected(bsc_csv, capsys, monkeypatch):
-    # --bits relabelled no analyze-chain value; the other two sample nothing
+    # --bits relabelled no analyze-chain value; the other three sample nothing
     for argv in (
         ["analyze-chain", "--matrix", bsc_csv, "--generator", "kl", "--bits"],
         ["verify-constants", "--seed", "3"],
         ["verify-constants", "--boundary-eps", "1e-4"],
         ["mixing-time", "--matrix", bsc_csv, "--seed", "3"],
+        ["divergence", "--g", "kl", "--p", "0.5,0.5", "--q", "0.5,0.5", "--seed", "3"],
     ):
         with pytest.raises(SystemExit):
             run(argv)

@@ -507,10 +507,11 @@ def quantum_eta_estimate_sequential(channel, sigma, g, budget):
         outputs = quantum.apply_channel(channel, states)
         # the references diagonalised on every call: the estimate's single
         # eigh of each must give the same bits
+        spectral = quantum._spectral
         den = _divergence_rows(
-            g, *quantum._ns_rows(states, quantum._spectral(sigma)), rounding_error=True
+            g, *quantum._ns_rows(spectral(states), spectral(sigma)), rounding_error=True
         )
-        return _ratio_scores(g, den, quantum._ns_rows(outputs, quantum._spectral(sigma_out)))
+        return _ratio_scores(g, den, quantum._ns_rows(spectral(outputs), spectral(sigma_out)))
 
     def propose(current, rng, weight):
         prop = (1.0 - weight * rng.random()) * current
@@ -761,7 +762,7 @@ def test_chain_context_matches_independent_estimates(
         if k > 1:
             Wn = Wn @ chain.W
         assert_same_climb(
-            lambda: chain.context.estimate(Wn), lambda: eta_f_estimate(Wn, pi, g, budget)
+            lambda: chain.context.estimates([Wn])[0], lambda: eta_f_estimate(Wn, pi, g, budget)
         )
         est, _ = eta_f_estimate(Wn, pi, g, budget)
         roots.append(est ** (1.0 / k) if est > 0.0 else 0.0)

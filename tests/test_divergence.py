@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from divlab.divergence import (
+    _divergence_rows,
     _gauss_legendre,
     as_prob_vec,
     as_weight_vec,
@@ -203,8 +204,9 @@ def test_f_divergence_rows_matches_single_pairs(PQ, name):
 def test_f_divergence_rows_rounding_error_scale():
     kl = make_generator("kl")
     P = np.array([[0.5, 0.5], [1.0, 0.0], [0.0, 1.0]])
-    values, err = f_divergence_rows(kl, P, [0.5, 0.5], rounding_error=True)
+    values, err = _divergence_rows(kl, P, np.array([0.5, 0.5]), rounding_error=True)
     assert values[0] == 0.0 and values[1] == pytest.approx(math.log(2.0))
+    np.testing.assert_array_equal(f_divergence_rows(kl, P, [0.5, 0.5]), values)
     # t = 1 on both entries: 4 eps sum q (|f(1)| + |1 f'(1)| + 1) = 8 eps
     assert err[0] == pytest.approx(8.0 * np.finfo(float).eps)
     assert err[1] == err[2] > 0.0

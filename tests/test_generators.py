@@ -267,10 +267,6 @@ def test_concavity_flags_consistent(registry):
                 assert np.all(d2 <= 1e-4), g.label
         else:
             assert not g.g_concave, g.label
-        rfun = lambda s: g.f(s) / s
-        d2 = (rfun(t + h) - 2 * rfun(t) + rfun(t - h)) / h**2
-        if g.ratio_concave:
-            assert np.all(d2 <= 1e-4), g.label
 
 
 def test_boundary_limits(registry):

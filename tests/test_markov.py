@@ -57,6 +57,30 @@ def test_stationary_identity_not_unique():
     assert np.abs(np.eye(3) @ pi - pi).sum() <= 1e-9
 
 
+def _reducible_chain(rng, n):
+    """States [0, t) transient, [t, n) one closed class; every transient
+    column leaks some mass into the class."""
+    t = int(rng.integers(1, n))
+    W = rng.random((n, n)) * (rng.random((n, n)) < 0.6)
+    W[:t, t:] = 0.0
+    W[t:, :t] += 0.5 * rng.random((n - t, t)) + 0.01
+    W[np.arange(n), np.arange(n)] += 0.01
+    return W / W.sum(axis=0)
+
+
+def test_stationary_reducible_zero_on_transient_states():
+    # the solve leaves rounding mass of ~1e-16 on transient states; pi must
+    # read it as zero, not as support
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        n = int(rng.integers(3, 7))
+        W = _reducible_chain(rng, n)
+        pi, _ = stationary_distribution(W)
+        assert not np.any((pi > 0.0) & (pi < SUPPORT_EPSILON)), (W, pi)
+        assert pi.sum() == pytest.approx(1.0, abs=1e-12)
+        assert np.abs(W @ pi - pi).sum() <= 1e-9
+
+
 def test_stationary_typewriter_uniform():
     pi, unique = stationary_distribution(noisy_typewriter())
     assert unique

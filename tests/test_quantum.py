@@ -669,7 +669,8 @@ def test_petz_matches_spectral_sum(seed, d, kind, log_angle, name):
         return
     # the NS route forms p/q as (lam |<e|f>|^2) / (mu |<e|f>|^2) and sums in
     # another order; its own rounding bound covers both
-    _, err = _divergence_rows(g, *_ns_rows(rho, _spectral(sigma)), rounding_error=True)
+    ns = _ns_rows(_spectral(rho), _spectral(sigma))
+    _, err = _divergence_rows(g, *ns, rounding_error=True)
     assert abs(value - ref) <= 1e-12 * abs(ref) + d * d * err[0], (value, ref)
 
 
@@ -701,18 +702,19 @@ def test_batched_quantum_scores_match_single_rows(registry):
     )
     outputs = apply_channel(channel, states)
     for g in registry:
-        P, Q = _ns_rows(states, _spectral(sigma))
+        P, Q = _ns_rows(_spectral(states), _spectral(sigma))
         values = _divergence_rows(g, P, Q)
         scores = _ratio_scores(
             g,
             _divergence_rows(g, P, Q, rounding_error=True),
-            _ns_rows(outputs, _spectral(sigma_out)),
+            _ns_rows(_spectral(outputs), _spectral(sigma_out)),
         )
         for k, rho in enumerate(states):
+            ns = _ns_rows(_spectral(rho), _spectral(sigma))
             one = _ratio_scores(
                 g,
-                _divergence_rows(g, *_ns_rows(rho, _spectral(sigma)), rounding_error=True),
-                _ns_rows(apply_channel(channel, rho), _spectral(sigma_out)),
+                _divergence_rows(g, *ns, rounding_error=True),
+                _ns_rows(_spectral(apply_channel(channel, rho)), _spectral(sigma_out)),
             )
             assert scores[k] == pytest.approx(one[0], rel=1e-12, abs=1e-15), g.label
             assert values[k] == pytest.approx(
