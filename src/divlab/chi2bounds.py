@@ -18,11 +18,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .divergence import (
+    _check_same_alphabet,
+    _chi_squared,
     _clamp,
+    _f_divergence,
+    _total_variation,
     as_weight_vec,
-    chi_squared,
-    f_divergence,
-    total_variation,
 )
 from .generators import CONSTANT, Generator, NONDECREASING, NONINCREASING
 
@@ -54,7 +55,11 @@ class KappaPair:
 
 def q_min_on_support(q) -> float:
     """Smallest positive entry of q."""
-    q = as_weight_vec(q)
+    return _q_min(as_weight_vec(q))
+
+
+def _q_min(q: np.ndarray) -> float:
+    """``q_min_on_support`` of a validated vector, unchecked."""
     pos = q[q > 0.0]
     if pos.size == 0:
         raise ValueError("q has empty support")
@@ -112,12 +117,17 @@ def kappa_bounds(g: Generator, p, q) -> KappaPair:
     that runs into f''(0+) = +inf, kappa_up's is the last such segment's
     (coordinate, 1.0).
     """
+    return _kappa_pair(g, *_checked_pair(p, q))
+
+
+def _checked_pair(p, q) -> tuple[np.ndarray, np.ndarray]:
+    """p and q validated, of one alphabet, with p << q."""
     p = as_weight_vec(p)
     q = as_weight_vec(q)
     if p.shape != q.shape:
         raise ValueError("alphabet mismatch")
     _require_dominated(p, q)
-    return _kappa_pair(g, p, q)
+    return p, q
 
 
 def _kappa_pair(g: Generator, p: np.ndarray, q: np.ndarray) -> KappaPair:
@@ -158,9 +168,10 @@ def _kappa_up_rows(g: Generator, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
 def chi2_sandwich(g: Generator, p, q):
     """(kappa_down/2) chi^2 <= D_f <= (kappa_up/2) chi^2, checked with a
     slack of 1e-10 relative to the value (absolute below 1)."""
-    kp = kappa_bounds(g, p, q)
-    chi2 = chi_squared(p, q)
-    value = f_divergence(g, p, q)
+    p, q = _checked_pair(p, q)
+    kp = _kappa_pair(g, p, q)
+    chi2 = _chi_squared(p, q)
+    value = _f_divergence(g, p, q)
     lower = 0.5 * kp.kappa_down * chi2
     upper = 0.5 * kp.kappa_up * chi2 if math.isfinite(kp.kappa_up) else math.inf
     slack = 1e-10 * max(1.0, abs(value))
@@ -176,14 +187,15 @@ def reverse_pinsker(g: Generator, p, q) -> tuple[float, float]:
     """
     p = as_weight_vec(p)
     q = as_weight_vec(q)
+    # a p of another alphabet does not fit the mask and raises IndexError here
     _require_dominated(p, q)
-    kp = kappa_bounds(g, p, q)
-    qmin = q_min_on_support(q)
+    kp = _kappa_pair(g, p, q)
+    qmin = _q_min(q)
     if not math.isfinite(kp.kappa_up):
         return math.inf, math.inf
     d = p - q
     l2_bound = kp.kappa_up / (2.0 * qmin) * float(np.dot(d, d))
-    tv_bound = 2.0 * kp.kappa_up / qmin * total_variation(p, q) ** 2
+    tv_bound = 2.0 * kp.kappa_up / qmin * _total_variation(p, q) ** 2
     return l2_bound, tv_bound
 
 
@@ -197,7 +209,7 @@ def chi2_tv_upper(p, q) -> tuple[float, float | None]:
     q = as_weight_vec(q)
     _require_dominated(p, q)
     d = np.abs(p - q)
-    qmin = q_min_on_support(q)
+    qmin = _q_min(q)
     inf_l1_bound = float(d.max() * d.sum()) / qmin
     prob_bound = None
     if abs(p.sum() - 1.0) <= 1e-10 and abs(q.sum() - 1.0) <= 1e-10:
@@ -211,6 +223,8 @@ def f_lower_by_chi2(g: Generator, p, q) -> tuple[float, bool]:
     q = as_weight_vec(q)
     if g.pinsker_constant is None:
         raise ValueError(f"{g.label} carries no certified constant")
-    bound = g.pinsker_constant * q_min_on_support(q) / 4.0 * chi_squared(p, q)
-    value = f_divergence(g, p, q)
+    qmin = _q_min(q)
+    _check_same_alphabet(p, q)
+    bound = g.pinsker_constant * qmin / 4.0 * _chi_squared(p, q)
+    value = _f_divergence(g, p, q)
     return bound, value >= bound - 1e-10

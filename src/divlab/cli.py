@@ -28,7 +28,7 @@ import numpy as np
 
 from . import __version__
 from .contraction import SampleBudget, _ChainContext, mixing_time_bounds
-from .divergence import SUPPORT_EPSILON, as_weight_vec, chi_squared, f_divergence, total_variation
+from .divergence import SUPPORT_EPSILON, _chi_squared, _f_divergence, _total_variation, as_weight_vec
 from .generators import default_registry, from_spec
 from .markov import as_channel, stationary_distribution
 from .pinsker import certify_constant
@@ -278,14 +278,15 @@ def _cmd_divergence(args) -> int:
             "p is not absolutely continuous with respect to q; value uses the "
             "f'(inf) convention"
         )
-    value = f_divergence(g, p, q)
+    # p and q are validated by _parse_vector and of one alphabet
+    value = _f_divergence(g, p, q)
     if args.bits:
         value /= LN2
     results = {
         "generator": g.label,
         "divergence": {"bound_id": "f-divergence-value", "value": value},
-        "total_variation": total_variation(p, q),
-        "chi_squared": chi_squared(p, q),
+        "total_variation": _total_variation(p, q),
+        "chi_squared": _chi_squared(p, q),
     }
     print(dumps_report(_envelope(args, [], seed, results, warnings_list)))
     return 0

@@ -360,7 +360,7 @@ def eta_f_upper_bounds(
     W = as_channel(W)
     q = as_prob_vec(q)
     L = _certified_constant(g, pinsker_constant)
-    return _eta_f_upper(g, W, q, L, eta_chi2(W, q))
+    return _eta_f_upper(g, q, L, eta_chi2(W, q), partial(_kappa_up_sup, g, W, q))
 
 
 def _certified_constant(g: Generator, override: float | None = None) -> float:
@@ -372,13 +372,15 @@ def _certified_constant(g: Generator, override: float | None = None) -> float:
     return L
 
 
-def _eta_f_upper(g: Generator, W, q, L: float, eta2: float):
-    """``eta_f_upper_bounds`` with L and eta_chi2(W, q) given."""
+def _eta_f_upper(g: Generator, q, L: float, eta2: float, kappa_sup):
+    """``eta_f_upper_bounds`` with L and eta_chi2(W, q) given; ``kappa_sup()``
+    returns _kappa_up_sup(g, W, q) and is called only where the nonlinear
+    bound needs it."""
     q_full = bool(np.all(q > 0.0))
-    kappa_sup = math.inf
+    kup = math.inf
     if math.isinf(g.fprime_at_inf) or q_full:
-        kappa_sup = _kappa_up_sup(g, W, q)
-    return _upper_bounds(g, 4.0, L * q_min_on_support(q), eta2, kappa_sup, q_full)
+        kup = kappa_sup()
+    return _upper_bounds(g, 4.0, L * q_min_on_support(q), eta2, kup, q_full)
 
 
 def _linear_coeff(g: Generator) -> float | None:
@@ -568,13 +570,15 @@ def _mixing_report(W, delta, g, stationary, eta=None) -> MixingTimeReport:
 class _ChainContext:
     """The pieces that the sections of one chain report share, each made on
     first use and kept only as long as the object: structure(W), eta_chi2
-    at its stationary pi, the estimate context at pi and the estimates on
-    W and its powers.  W is a validated channel; ``profile_n`` is the n_max
-    of the rate profile the report asks for, so that the estimates on W,
-    W^2, ..., W^profile_n climb side by side."""
+    at its stationary pi, the estimate context at pi, the estimates on W
+    and its powers and the kappa_up sup of each power.  W is a validated
+    channel; ``profile_n`` is the n_max of the rate profile the report asks
+    for, so that the estimates on W, W^2, ..., W^profile_n climb side by
+    side."""
 
     def __init__(self, W: np.ndarray, g: Generator, budget: SampleBudget, profile_n: int = 1):
         self.W, self.g, self.budget, self.profile_n = W, g, budget, profile_n
+        self._kappa_sups: dict[int, float] = {}
 
     @cached_property
     def info(self) -> ChainStructure:
@@ -636,7 +640,16 @@ class _ChainContext:
         L = self.g.pinsker_constant
         if L is None or L <= 0.0:
             return None
-        return _eta_f_upper(self.g, self.W, self.context.q, L, self.eta2)
+        return _eta_f_upper(
+            self.g, self.info.stationary, L, self.eta2, partial(self._kappa_sup, 1, self.W)
+        )
+
+    def _kappa_sup(self, n: int, Wn: np.ndarray) -> float:
+        """``_kappa_up_sup(g, Wn, pi)`` of Wn = W^n, computed once per power:
+        the upper bounds and the rate profile share the one of W."""
+        if n not in self._kappa_sups:
+            self._kappa_sups[n] = _kappa_up_sup(self.g, Wn, self.info.stationary)
+        return self._kappa_sups[n]
 
     def mixing(self, delta: float, g: Generator | None) -> MixingTimeReport:
         """``mixing_time_bounds(W, delta, g)``, the f bound where g has one."""
@@ -656,7 +669,7 @@ class _ChainContext:
         out = []
         for n, Wn, (est, _) in zip(itertools.count(1), powers, self._estimates):
             root = est ** (1.0 / n) if est > 0.0 else 0.0
-            kappa_sup = _kappa_up_sup(g, Wn, pi)
+            kappa_sup = self._kappa_sup(n, Wn)
             if math.isfinite(kappa_sup) and kappa_sup > 0:
                 envelope = eta2 * (4.0 * kappa_sup / (g.pinsker_constant * pi_min)) ** (
                     1.0 / n

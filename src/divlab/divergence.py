@@ -27,6 +27,8 @@ __all__ = [
 ]
 
 SUPPORT_EPSILON = 1e-12
+# Gauss-Legendre nodes of integral_representation
+_QUAD_NODES = 128
 
 
 def as_weight_vec(v) -> np.ndarray:
@@ -60,6 +62,11 @@ def f_divergence(g: Generator, p, q) -> float:
     p = as_weight_vec(p)
     q = as_weight_vec(q)
     _check_same_alphabet(p, q)
+    return _f_divergence(g, p, q)
+
+
+def _f_divergence(g: Generator, p: np.ndarray, q: np.ndarray) -> float:
+    """``f_divergence`` of validated vectors of one alphabet, unchecked."""
     return float(_divergence_rows(g, p[np.newaxis], q)[0])
 
 
@@ -124,6 +131,11 @@ def total_variation(p, q) -> float:
     p = as_weight_vec(p)
     q = as_weight_vec(q)
     _check_same_alphabet(p, q)
+    return _total_variation(p, q)
+
+
+def _total_variation(p: np.ndarray, q: np.ndarray) -> float:
+    """``total_variation`` of validated vectors of one alphabet, unchecked."""
     return 0.5 * float(np.abs(p - q).sum())
 
 
@@ -132,6 +144,11 @@ def chi_squared(p, q) -> float:
     p = as_weight_vec(p)
     q = as_weight_vec(q)
     _check_same_alphabet(p, q)
+    return _chi_squared(p, q)
+
+
+def _chi_squared(p: np.ndarray, q: np.ndarray) -> float:
+    """``chi_squared`` of validated vectors of one alphabet, unchecked."""
     pos = q > 0.0
     if float(p[~pos].sum()) > 0.0:
         return math.inf
@@ -150,14 +167,13 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return t, w
 
 
-def integral_representation(g: Generator, p, q, quad_nodes: int = 128) -> float:
-    """Gauss-Legendre evaluation of the second-order remainder form of D_f.
+def integral_representation(g: Generator, p, q) -> float:
+    """Gauss-Legendre evaluation, on _QUAD_NODES nodes, of the second-order
+    remainder form of D_f.
 
     Valid when p << q and either the vectors have equal sums or f'(1) = 0;
     the integrand is (1-t) * sum_i f''(1 + t(p_i/q_i - 1)) (p_i-q_i)^2 / q_i.
     """
-    if quad_nodes < 1:
-        raise ValueError("quad_nodes must be positive")
     p = as_weight_vec(p)
     q = as_weight_vec(q)
     _check_same_alphabet(p, q)
@@ -173,7 +189,7 @@ def integral_representation(g: Generator, p, q, quad_nodes: int = 128) -> float:
             "non-integrable endpoint: p touches zero and f'' is singular at 0"
         )
     ratios = ps / qs
-    t, w = _gauss_legendre(quad_nodes)
+    t, w = _gauss_legendre(_QUAD_NODES)
     args = 1.0 + np.outer(t, ratios - 1.0)
     args = np.maximum(args, 1e-300)
     vals = g.f2(args) @ ((ps - qs) ** 2 / qs)

@@ -9,6 +9,10 @@ walk capped at Wielandt's bound for the positivity index.  No matrix power
 is stored.  Stationary distributions come from the eigenvalue-1 eigenspace
 with a non-negative least-squares fallback when that eigenspace is
 degenerate.
+
+Only those two routes need scipy: ``structure`` imports scipy.sparse.csgraph
+and the fallback scipy.optimize, each on first use, so that importing divlab
+and every route that does not reach them load numpy alone.
 """
 
 from __future__ import annotations
@@ -17,9 +21,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
-import scipy.sparse
-import scipy.sparse.csgraph
 
 from .divergence import SUPPORT_EPSILON, as_prob_vec
 
@@ -99,6 +100,8 @@ def stationary_distribution(W) -> tuple[np.ndarray, bool]:
         v = v / s
     if np.any(v < -1e-9) or abs(s) <= 1e-12:
         # degenerate eigenspace: find a non-negative stationary vector directly
+        import scipy.optimize
+
         A = np.vstack([W - np.eye(n), np.ones((1, n))])
         b = np.zeros(n + 1)
         b[-1] = 1.0
@@ -134,6 +137,9 @@ def structure(W) -> ChainStructure:
     and Wielandt's bound (n-1)^2 + 1 caps it (Seneta, *Non-negative Matrices
     and Markov Chains*).
     """
+    import scipy.sparse
+    import scipy.sparse.csgraph
+
     W = as_channel(W)
     _require_square(W)
     n = W.shape[0]

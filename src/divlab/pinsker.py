@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divergence import as_weight_vec, f_divergence, total_variation
+from .divergence import _check_same_alphabet, _f_divergence, _total_variation, as_weight_vec
 from .generators import Generator
 
 __all__ = [
@@ -170,8 +170,9 @@ def check_pinsker(g: Generator, p, q) -> tuple[float, float, bool]:
         raise ValueError("check_pinsker requires equal positive sums")
     if g.pinsker_constant is None:
         raise ValueError(f"{g.label} carries no certified constant")
-    lhs = f_divergence(g, p, q)
-    rhs = g.pinsker_constant / (2.0 * c) * total_variation(p, q) ** 2
+    _check_same_alphabet(p, q)
+    lhs = _f_divergence(g, p, q)
+    rhs = g.pinsker_constant / (2.0 * c) * _total_variation(p, q) ** 2
     return lhs, rhs, lhs >= rhs - 1e-10
 
 

@@ -218,7 +218,7 @@ def test_criterion_7_quadrature_equivalence():
             p = 0.9 * rng.dirichlet(np.ones(dim)) + 0.1 / dim
             q = 0.9 * rng.dirichlet(np.ones(dim)) + 0.1 / dim
             p, q = p / p.sum(), q / q.sum()
-            approx = integral_representation(g, p, q, 128)
+            approx = integral_representation(g, p, q)
             worst = max(worst, abs(approx - f_divergence(g, p, q)))
     ok = worst <= 1e-8
     # Bregman integral representation for quadratic and entropy potentials

@@ -300,3 +300,123 @@ def test_f_lower_by_chi2():
     for p, q in zip(ps, qs):
         _, holds = f_lower_by_chi2(kl, p, q)
         assert holds
+
+
+# The checked calls as compositions of the public calls, each of which
+# validates its own inputs: the oracle for calls that validate once
+def _composed_sandwich(g, p, q):
+    kp = kappa_bounds(g, p, q)
+    chi2, value = chi_squared(p, q), f_divergence(g, p, q)
+    upper = 0.5 * kp.kappa_up * chi2 if math.isfinite(kp.kappa_up) else math.inf
+    slack = 1e-10 * max(1.0, abs(value))
+    lower = 0.5 * kp.kappa_down * chi2
+    return lower, value, upper, (lower <= value + slack) and (value <= upper + slack)
+
+
+def _composed_reverse_pinsker(g, p, q):
+    p, q = as_weight_vec(p), as_weight_vec(q)
+    chi2bounds._require_dominated(p, q)
+    kp = kappa_bounds(g, p, q)
+    qmin = chi2bounds.q_min_on_support(q)
+    if not math.isfinite(kp.kappa_up):
+        return math.inf, math.inf
+    d = p - q
+    return (kp.kappa_up / (2.0 * qmin) * float(np.dot(d, d)),
+            2.0 * kp.kappa_up / qmin * total_variation(p, q) ** 2)
+
+
+def _composed_chi2_tv_upper(p, q):
+    p, q = as_weight_vec(p), as_weight_vec(q)
+    chi2bounds._require_dominated(p, q)
+    d = np.abs(p - q)
+    qmin = chi2bounds.q_min_on_support(q)
+    prob = None
+    if abs(p.sum() - 1.0) <= 1e-10 and abs(q.sum() - 1.0) <= 1e-10:
+        prob = float(d.sum()) ** 2 / (2.0 * qmin)
+    return float(d.max() * d.sum()) / qmin, prob
+
+
+def _composed_f_lower(g, p, q):
+    p, q = as_weight_vec(p), as_weight_vec(q)
+    if g.pinsker_constant is None:
+        raise ValueError(f"{g.label} carries no certified constant")
+    bound = g.pinsker_constant * chi2bounds.q_min_on_support(q) / 4.0 * chi_squared(p, q)
+    return bound, f_divergence(g, p, q) >= bound - 1e-10
+
+
+def _composed_check_pinsker(g, p, q):
+    p, q = as_weight_vec(p), as_weight_vec(q)
+    c = float(p.sum())
+    if abs(c - q.sum()) > 1e-9 or c <= 0.0:
+        raise ValueError("check_pinsker requires equal positive sums")
+    if g.pinsker_constant is None:
+        raise ValueError(f"{g.label} carries no certified constant")
+    lhs = f_divergence(g, p, q)
+    rhs = g.pinsker_constant / (2.0 * c) * total_variation(p, q) ** 2
+    return lhs, rhs, lhs >= rhs - 1e-10
+
+
+def _outcome(call, *args):
+    try:
+        return "ok", call(*args)
+    except Exception as exc:  # the oracle raises the same
+        return type(exc).__name__, str(exc)
+
+
+def _checked_calls():
+    from divlab.pinsker import check_pinsker
+
+    return [
+        (chi2_sandwich, _composed_sandwich, True),
+        (reverse_pinsker, _composed_reverse_pinsker, True),
+        (chi2_tv_upper, _composed_chi2_tv_upper, False),
+        (f_lower_by_chi2, _composed_f_lower, True),
+        (check_pinsker, _composed_check_pinsker, True),
+    ]
+
+
+def _edge_pairs():
+    rng = np.random.default_rng(83)
+    ps, qs = random_prob_pairs(rng, 4, 5, interior=False)
+    pairs = list(zip(ps.tolist(), qs.tolist()))
+    pairs += [
+        ([0.5, 0.5, 0.0], [0.2, 0.3, 0.5]),  # p touches zero
+        ([0.5, 0.5, 0.0], [0.5, 0.5, 0.0]),  # q touches zero, p << q
+        ([0.2, 0.3, 0.5], [0.5, 0.5, 0.0]),  # p not << q
+        ([0.5, 0.5], [0.2, 0.3, 0.5]),  # two alphabets
+        ([0.5, 0.5, 0.0], [0.5, 0.5]),
+        ([1.0, 2.0], [0.5, 0.5]),  # unequal sums
+        ([1e-13, 0.4], [0.2, 0.2]),  # sub-epsilon entry, sum 0.4
+        ([0.0, 0.0], [0.0, 1.0]),  # zero sum
+        ([-0.5, 1.5], [float("nan"), 1.0]),  # both invalid: p's error first
+        ([0.5, 0.5], [float("inf"), 1.0]),
+        ([[0.5, 0.5]], [0.5, 0.5]),
+    ]
+    return pairs
+
+
+@pytest.mark.parametrize("name", ["kl", "pearson_chi2", "triangular", "one_sided_chi2"])
+def test_checked_calls_validate_once(name, monkeypatch):
+    # each checked call validates p and q once at its boundary and then runs
+    # unchecked bodies: the same bits and the same first error as the
+    # composition of public calls, with at most two as_weight_vec calls
+    from divlab import divergence, pinsker
+
+    g = make_generator(name)
+    calls = []
+    original = divergence.as_weight_vec
+
+    def counted(v):
+        calls.append(1)
+        return original(v)
+
+    for module in (divergence, chi2bounds, pinsker):
+        monkeypatch.setattr(module, "as_weight_vec", counted)
+    for call, composed, takes_g in _checked_calls():
+        for p, q in _edge_pairs():
+            args = (g, p, q) if takes_g else (p, q)
+            calls.clear()
+            got = _outcome(call, *args)
+            assert len(calls) <= 2, (call.__name__, p, q, len(calls))
+            want = _outcome(composed, *args)
+            assert got == want, (call.__name__, p, q)

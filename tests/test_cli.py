@@ -749,3 +749,84 @@ def test_quantum_analyze_solves_shared_pieces_once(embedded_bsc_json, capsys, mo
     assert {"nonlinear_upper", "linear_upper"} <= set(report["results"]["contraction"])
     assert "mixing_time" in report["results"]
     assert calls == dict.fromkeys(originals, 1)
+
+
+@pytest.mark.parametrize("profile_n", [2, 4])
+def test_analyze_chain_takes_each_kappa_sup_once(tmp_path, capsys, monkeypatch, profile_n):
+    # the upper bounds and the n = 1 profile point share the kappa_up sup of
+    # W, so a report makes one sup per power
+    from divlab import contraction
+
+    calls = []
+    sup = contraction._kappa_up_sup
+
+    def counted(*args):
+        calls.append(1)
+        return sup(*args)
+
+    monkeypatch.setattr(contraction, "_kappa_up_sup", counted)
+    path = tmp_path / "asym.csv"
+    path.write_text("0.7,0.4\n0.3,0.6\n")
+    code = run(["analyze-chain", "--matrix", str(path), "--generator", "kl",
+                "--profile-n", str(profile_n)])
+    report = _load_json(capsys.readouterr().out)
+    assert code == 0
+    assert report["results"]["contraction"]["nonlinear_upper"]["value"] < math.inf
+    assert len(report["results"]["rate_profile"]["points"]) == profile_n
+    assert len(calls) == profile_n
+
+
+_COLD_START = """
+import contextlib, io, json, sys
+
+import divlab
+from divlab import cli
+
+chain, channel = sys.argv[1:3]
+
+
+def report(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.run(list(argv))
+    assert code == 0, (argv, code)
+
+
+def scipy_modules():
+    return sorted(k for k in sys.modules if k == "scipy" or k.startswith("scipy."))
+
+
+loaded = {"import": scipy_modules()}
+report("divergence", "--g", "kl", "--p", "0.5,0.5", "--q", "0.25,0.75")
+report("verify-constants", "--grid", "64")
+report("mixing-time", "--matrix", chain, "--generator", "kl")
+report("quantum-analyze", "--channel", channel, "--generator", "kl")
+loaded["reports"] = scipy_modules()
+report("analyze-chain", "--matrix", chain, "--generator", "kl")
+loaded["analyze-chain"] = scipy_modules()
+print(json.dumps(loaded))
+"""
+
+
+def test_only_chain_structure_loads_scipy(tmp_path):
+    # a fresh interpreter: the test process itself has scipy loaded
+    import divlab
+    from divlab import depolarizing_channel
+
+    chain = tmp_path / "chain.csv"
+    chain.write_text("0.7,0.4\n0.3,0.6\n")
+    channel = tmp_path / "depol.json"
+    channel.write_text(json.dumps({"kraus": [
+        {"re": K.real.tolist(), "im": K.imag.tolist()}
+        for K in depolarizing_channel(4, 0.5).kraus
+    ]}))
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(divlab.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", _COLD_START, str(chain), str(channel)],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout)
+    assert loaded["import"] == []
+    assert loaded["reports"] == []
+    assert "scipy.sparse.csgraph" in loaded["analyze-chain"]
+    assert "scipy.optimize" not in loaded["analyze-chain"]

@@ -57,6 +57,50 @@ def test_stationary_identity_not_unique():
     assert np.abs(np.eye(3) @ pi - pi).sum() <= 1e-9
 
 
+def test_stationary_degenerate_eigenspace_takes_nnls(monkeypatch):
+    # two closed classes: the lambda = 1 eigenspace is spanned by a on {0, 1}
+    # and b on {2, 3}.  LAPACK returns a and b themselves, so the fallback is
+    # reached by handing the solve a basis of mixed-sign vectors instead
+    import scipy.optimize
+
+    from divlab import markov
+
+    W = np.array([
+        [0.7, 0.4, 0.0, 0.0],
+        [0.3, 0.6, 0.0, 0.0],
+        [0.0, 0.0, 0.2, 0.5],
+        [0.0, 0.0, 0.8, 0.5],
+    ])
+    a = np.array([4.0, 3.0, 0.0, 0.0]) / 7.0
+    b = np.array([0.0, 0.0, 5.0, 8.0]) / 13.0
+    eig = np.linalg.eig
+
+    def rotated_eig(M):
+        vals, vecs = eig(M)
+        ones = np.flatnonzero(np.abs(vals - 1.0) < 1e-8)
+        assert ones.size == 2
+        # a - b sums to zero, a - 2b to -1 and has mixed signs once normalised
+        for k, v in zip(ones, (a - b, a - 2.0 * b)):
+            vecs[:, k] = v / np.linalg.norm(v)
+        return vals, vecs
+
+    nnls_calls = []
+    nnls = scipy.optimize.nnls
+
+    def counted_nnls(*args, **kwargs):
+        nnls_calls.append(1)
+        return nnls(*args, **kwargs)
+
+    monkeypatch.setattr(markov.np.linalg, "eig", rotated_eig)
+    monkeypatch.setattr(scipy.optimize, "nnls", counted_nnls)
+    pi, unique = stationary_distribution(W)
+    assert nnls_calls == [1]
+    assert not unique
+    assert np.all(pi >= 0.0)
+    assert pi.sum() == pytest.approx(1.0, abs=1e-12)
+    assert np.abs(W @ pi - pi).sum() <= 1e-9
+
+
 def _reducible_chain(rng, n):
     """States [0, t) transient, [t, n) one closed class; every transient
     column leaks some mass into the class."""
