@@ -124,8 +124,7 @@ def _checked_pair(p, q) -> tuple[np.ndarray, np.ndarray]:
     """p and q validated, of one alphabet, with p << q."""
     p = as_weight_vec(p)
     q = as_weight_vec(q)
-    if p.shape != q.shape:
-        raise ValueError("alphabet mismatch")
+    _check_same_alphabet(p, q)
     _require_dominated(p, q)
     return p, q
 
@@ -134,6 +133,8 @@ def _kappa_pair(g: Generator, p: np.ndarray, q: np.ndarray) -> KappaPair:
     """``kappa_bounds`` on rows as given, unclamped and unchecked: over supp q,
     whatever mass p puts off it."""
     support = np.flatnonzero(q > 0.0)
+    if support.size == 0:
+        raise ValueError("q has empty support")
     # one row is one block
     ((ts, V),) = _segment_f2(g, p[np.newaxis, support], q[np.newaxis, support])
     V = V[0]
@@ -185,10 +186,7 @@ def reverse_pinsker(g: Generator, p, q) -> tuple[float, float]:
     l2 bound: kappa_up/(2 q_min) * ||p-q||_2^2; TV bound: 2 kappa_up/q_min * TV^2.
     Both dominate D_f(p||q); +inf when kappa_up is infinite.
     """
-    p = as_weight_vec(p)
-    q = as_weight_vec(q)
-    # a p of another alphabet does not fit the mask and raises IndexError here
-    _require_dominated(p, q)
+    p, q = _checked_pair(p, q)
     kp = _kappa_pair(g, p, q)
     qmin = _q_min(q)
     if not math.isfinite(kp.kappa_up):
@@ -205,9 +203,7 @@ def chi2_tv_upper(p, q) -> tuple[float, float | None]:
     Always: ||p-q||_inf ||p-q||_1 / q_min; additionally ||p-q||_1^2/(2 q_min)
     when both vectors are probability vectors.
     """
-    p = as_weight_vec(p)
-    q = as_weight_vec(q)
-    _require_dominated(p, q)
+    p, q = _checked_pair(p, q)
     d = np.abs(p - q)
     qmin = _q_min(q)
     inf_l1_bound = float(d.max() * d.sum()) / qmin

@@ -2,17 +2,25 @@
 
 The matrix convention follows the channel convention: outputs are W @ p, so
 every column of W sums to one.  Structural predicates (irreducible, aperiodic,
-scrambling, indecomposable) are decided on the support graph of W with
-graph algorithms: strongly connected components, BFS levels for the period,
-one column-overlap product for scrambling, and a step-by-step reachability
-walk capped at Wielandt's bound for the positivity index.  No matrix power
-is stored.  Stationary distributions come from the eigenvalue-1 eigenspace
-with a non-negative least-squares fallback when that eigenspace is
-degenerate.
+scrambling, indecomposable) are decided on the support graph of W, which has
+an edge x -> y whenever W(y|x) exceeds SUPPORT_EPSILON, with numpy and short
+Python loops:
 
-Only those two routes need scipy: ``structure`` imports scipy.sparse.csgraph
-and the fallback scipy.optimize, each on first use, so that importing divlab
-and every route that does not reach them load numpy alone.
+- one iterative Tarjan pass (Tarjan 1972) gives the strongly connected
+  components and a depth-first depth per state; the closed classes are the
+  components that no edge leaves, and the period of a component is the gcd
+  of depth[x] + 1 - depth[y] over its internal edges x -> y;
+- one float32 column-overlap product of the 0/1 support decides scrambling;
+- the positivity index of a primitive chain comes from squaring the 0/1
+  support until it is positive, then lifting back down to the least power
+  with the stored squares: about 2 log2 of the index products, against the
+  (n-1)^2 + 1 steps of Wielandt's bound.
+
+The stationary distribution is unique exactly when there is one closed
+class.  It is then the eigenvalue-1 eigenvector of ``np.linalg.eig``, or one
+linear solve on the class when that vector is not a distribution; with
+several closed classes it is the uniform mixture of the per-class solves.
+Transient states get zero.
 """
 
 from __future__ import annotations
@@ -35,8 +43,6 @@ __all__ = [
 ]
 
 _COLUMN_SUM_TOL = 1e-10
-# eigenvalues within this distance of 1 count as 1 in the stationary solve
-_UNIQUE_GAP = 1e-8
 
 
 def as_channel(W, column_sum_tol: float = _COLUMN_SUM_TOL) -> np.ndarray:
@@ -82,36 +88,131 @@ def _require_square(W: np.ndarray) -> None:
 def stationary_distribution(W) -> tuple[np.ndarray, bool]:
     """A distribution with W pi = pi, and whether it is unique.
 
-    Uniqueness is decided by the dimension of the eigenvalue-1 eigenspace
-    (eigenvalues within _UNIQUE_GAP of 1 are counted as 1).
+    It is unique exactly when the support graph has one closed class.  With
+    several, pi is the uniform mixture of the stationary distributions of
+    the closed classes.
     """
     W = as_channel(W)
     _require_square(W)
-    n = W.shape[0]
-    eigvals, eigvecs = np.linalg.eig(W)
-    close = np.abs(eigvals - 1.0) < _UNIQUE_GAP
-    if not np.any(close):
-        raise ValueError("no eigenvalue-1 eigenvector found")
-    unique = int(np.sum(close)) == 1
-    idx = int(np.argmin(np.abs(eigvals - 1.0)))
-    v = np.real(eigvecs[:, idx])
-    s = v.sum()
-    if abs(s) > 1e-12:
-        v = v / s
-    if np.any(v < -1e-9) or abs(s) <= 1e-12:
-        # degenerate eigenspace: find a non-negative stationary vector directly
-        import scipy.optimize
+    pos = W > SUPPORT_EPSILON
+    return _stationary(W, _closed_classes(pos, _components(pos)[0]))
 
-        A = np.vstack([W - np.eye(n), np.ones((1, n))])
-        b = np.zeros(n + 1)
-        b[-1] = 1.0
-        v, _ = scipy.optimize.nnls(A, b)
+
+def _stationary(W: np.ndarray, classes: list[np.ndarray]) -> tuple[np.ndarray, bool]:
+    """``stationary_distribution`` of a validated square W whose closed
+    classes, as arrays of states, are given."""
+    unique = len(classes) == 1
+    v = None
+    if unique:
+        eigvals, eigvecs = np.linalg.eig(W)
+        v = np.real(eigvecs[:, int(np.argmin(np.abs(eigvals - 1.0)))])
+        s = v.sum()
+        # kept only where it normalises to a distribution
+        v = v / s if abs(s) > 1e-12 and not np.any(v / s < -1e-9) else None
+    if v is None:
+        # each closed class is irreducible: (W_CC - I) pi_C = 0 has rank
+        # |C| - 1, and a row of ones in place of the last equation fixes
+        # sum(pi_C) = 1, so the normalisation below mixes them uniformly
+        v = np.zeros(W.shape[0])
+        for C in classes:
+            A = W[np.ix_(C, C)] - np.eye(C.size)
+            A[-1, :] = 1.0
+            b = np.zeros(C.size)
+            b[-1] = 1.0
+            v[C] = np.linalg.solve(A, b)
     # rounding mass on transient states is no support
     v = np.where(v < SUPPORT_EPSILON, 0.0, v)
     v = v / v.sum()
     if float(np.abs(W @ v - v).sum()) > 1e-9:
         raise ValueError("stationary solve failed to converge")
     return v, unique
+
+
+def _components(pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Strongly connected components of the graph with an edge x -> y
+    wherever pos[y, x], by an iterative Tarjan pass: the component label of
+    each state and its depth in the depth-first forest.  The states of one
+    component form a subtree of that forest, so the depth difference of two
+    of them is the length of a walk inside their component."""
+    n = pos.shape[0]
+    xs, ys = np.nonzero(pos.T)
+    ends = np.searchsorted(xs, np.arange(n + 1)).tolist()
+    ys = ys.tolist()
+    succ = [ys[ends[x] : ends[x + 1]] for x in range(n)]
+    index, low, depth, label = [-1] * n, [0] * n, [0] * n, [0] * n
+    on_stack = [False] * n
+    stack: list[int] = []
+    count = n_comp = 0
+    for root in range(n):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = count
+        count += 1
+        stack.append(root)
+        on_stack[root] = True
+        work = [(root, iter(succ[root]))]
+        while work:
+            x, edges = work[-1]
+            for y in edges:
+                if index[y] < 0:
+                    index[y] = low[y] = count
+                    count += 1
+                    depth[y] = depth[x] + 1
+                    stack.append(y)
+                    on_stack[y] = True
+                    work.append((y, iter(succ[y])))
+                    break
+                if on_stack[y] and index[y] < low[x]:
+                    low[x] = index[y]
+            else:
+                work.pop()
+                if work and low[x] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[x]
+                if low[x] == index[x]:
+                    y = -1
+                    while y != x:
+                        y = stack.pop()
+                        on_stack[y] = False
+                        label[y] = n_comp
+                    n_comp += 1
+    return np.array(label), np.array(depth)
+
+
+def _closed_classes(pos: np.ndarray, labels: np.ndarray) -> list[np.ndarray]:
+    """The components that no edge leaves, each as an array of states."""
+    ys, xs = np.nonzero(pos)
+    closed = np.ones(labels.max() + 1, dtype=bool)
+    closed[labels[xs[labels[xs] != labels[ys]]]] = False
+    return [np.flatnonzero(labels == c) for c in np.flatnonzero(closed)]
+
+
+def _positivity_index(pos: np.ndarray) -> int:
+    """The least k with pos^k all true, for the support of a primitive chain.
+
+    Squares pos until it is all true, keeping the squares pos^(2^j) as bool.
+    Positivity is monotone in k (no column of pos is empty, so pos^k > 0
+    gives pos^(k+1) = pos^k pos > 0), so the largest power that is not all
+    true is built from the squares one bit at a time, from the top.  The
+    products count paths in float32: at most n, so exact.
+    """
+
+    def product(a, b):
+        return (a.astype(np.float32) @ b.astype(np.float32)) > 0.0
+
+    squares = [pos]
+    while not squares[-1].all():
+        # the index is at most (n-1)^2 + 1 <= 4^(bit length of n)
+        if len(squares) > 2 * pos.shape[0].bit_length():
+            raise ValueError("support is not primitive")
+        squares.append(product(squares[-1], squares[-1]))
+    if len(squares) == 1:
+        return 1
+    k, below = 1 << (len(squares) - 2), squares[-2]
+    for j in range(len(squares) - 3, -1, -1):
+        trial = product(below, squares[j])
+        if not trial.all():
+            k, below = k + (1 << j), trial
+    return k + 1
 
 
 @dataclass(frozen=True)
@@ -137,52 +238,32 @@ def structure(W) -> ChainStructure:
     and Wielandt's bound (n-1)^2 + 1 caps it (Seneta, *Non-negative Matrices
     and Markov Chains*).
     """
-    import scipy.sparse
-    import scipy.sparse.csgraph
-
     W = as_channel(W)
     _require_square(W)
-    n = W.shape[0]
-    adj = scipy.sparse.csr_matrix(W > SUPPORT_EPSILON, dtype=float)
+    pos = W > SUPPORT_EPSILON  # pos[y, x]: the edge x -> y
 
-    # scrambling: every pair of columns shares a positive output; the
-    # overlap counts are float64 (exact far beyond any n that fits in memory)
-    # and the sparse product stores only the positive ones
-    scrambling = bool(np.count_nonzero((adj.T @ adj).data) == n * n)
+    # scrambling: every pair of columns shares a positive output
+    ones = pos.astype(np.float32)
+    scrambling = bool(np.all(ones.T @ ones > 0.0))
 
     # period of each strongly connected component: the gcd of
-    # level[u] + 1 - level[v] over its internal edges, with BFS levels from
-    # one root per component; a component without internal edges (a state
-    # with no return) keeps period 0
-    n_comp, labels = scipy.sparse.csgraph.connected_components(
-        adj, directed=True, connection="strong"
-    )
-    src, dst = adj.nonzero()
-    inner = labels[src] == labels[dst]
-    src, dst = src[inner], dst[inner]
-    roots = np.unique(labels, return_index=True)[1]
-    level = scipy.sparse.csgraph.dijkstra(
-        scipy.sparse.csr_matrix((np.ones(src.size), (src, dst)), shape=(n, n)),
-        indices=roots,
-        unweighted=True,
-        min_only=True,
-    ).astype(np.int64)
-    period = np.zeros(n_comp, dtype=np.int64)
-    np.gcd.at(period, labels[src], level[src] + 1 - level[dst])
-    irreducible = n_comp == 1  # a lone state always has its self-loop
+    # depth[x] + 1 - depth[y] over its internal edges x -> y; a component
+    # without internal edges (a state with no return) keeps period 0
+    labels, depth = _components(pos)
+    ys, xs = np.nonzero(pos)
+    inner = labels[xs] == labels[ys]
+    xs, ys = xs[inner], ys[inner]
+    period = np.zeros(labels.max() + 1, dtype=np.int64)
+    np.gcd.at(period, labels[xs], depth[xs] + 1 - depth[ys])
+    irreducible = period.size == 1  # a lone state always has its self-loop
     aperiodic = bool(np.all(period == 1))
 
     positivity_index = None
     if irreducible and aperiodic:
-        reach = adj.toarray()  # support of W^k, as 0/1
-        for k in range(1, (n - 1) ** 2 + 2):
-            if np.all(reach > 0.0):
-                positivity_index = k
-                break
-            reach = np.minimum(adj @ reach, 1.0)
+        positivity_index = _positivity_index(pos)
 
     try:
-        pi, unique = stationary_distribution(W)
+        pi, unique = _stationary(W, _closed_classes(pos, labels))
     except ValueError:
         pi, unique = None, False
 
@@ -196,10 +277,9 @@ def structure(W) -> ChainStructure:
         bip = np.zeros((nx + ny, nx + ny), dtype=bool)
         bip[:nx, nx:] = edges.T
         bip[nx:, :nx] = edges
-        n_comp, _ = scipy.sparse.csgraph.connected_components(
-            scipy.sparse.csr_matrix(bip), directed=False
-        )
-        indecomposable = n_comp == 1
+        # bip is symmetric: its strongly connected components are the
+        # connected components of the bipartite joint-support graph
+        indecomposable = bool(np.all(_components(bip)[0] == 0))
 
     return ChainStructure(
         scrambling=scrambling,

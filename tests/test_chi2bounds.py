@@ -314,9 +314,8 @@ def _composed_sandwich(g, p, q):
 
 
 def _composed_reverse_pinsker(g, p, q):
-    p, q = as_weight_vec(p), as_weight_vec(q)
-    chi2bounds._require_dominated(p, q)
     kp = kappa_bounds(g, p, q)
+    p, q = as_weight_vec(p), as_weight_vec(q)
     qmin = chi2bounds.q_min_on_support(q)
     if not math.isfinite(kp.kappa_up):
         return math.inf, math.inf
@@ -327,9 +326,10 @@ def _composed_reverse_pinsker(g, p, q):
 
 def _composed_chi2_tv_upper(p, q):
     p, q = as_weight_vec(p), as_weight_vec(q)
+    total_variation(p, q)  # the alphabet check
     chi2bounds._require_dominated(p, q)
-    d = np.abs(p - q)
     qmin = chi2bounds.q_min_on_support(q)
+    d = np.abs(p - q)
     prob = None
     if abs(p.sum() - 1.0) <= 1e-10 and abs(q.sum() - 1.0) <= 1e-10:
         prob = float(d.sum()) ** 2 / (2.0 * qmin)
@@ -388,11 +388,39 @@ def _edge_pairs():
         ([1.0, 2.0], [0.5, 0.5]),  # unequal sums
         ([1e-13, 0.4], [0.2, 0.2]),  # sub-epsilon entry, sum 0.4
         ([0.0, 0.0], [0.0, 1.0]),  # zero sum
+        ([0.0, 0.0], [0.0, 0.0]),  # empty supports
         ([-0.5, 1.5], [float("nan"), 1.0]),  # both invalid: p's error first
         ([0.5, 0.5], [float("inf"), 1.0]),
         ([[0.5, 0.5]], [0.5, 0.5]),
     ]
     return pairs
+
+
+def test_two_alphabets_are_value_errors():
+    # checked before p << q, whose mask would not fit p
+    kl = make_generator("kl")
+    for p, q in (([0.5, 0.5], [0.2, 0.3, 0.5]), ([0.5, 0.5, 0.0], [0.5, 0.5])):
+        for call, args in (
+            (reverse_pinsker, (kl, p, q)),
+            (chi2_tv_upper, (p, q)),
+            (kappa_bounds, (kl, p, q)),
+            (chi2_sandwich, (kl, p, q)),
+        ):
+            with pytest.raises(ValueError, match="alphabet mismatch"):
+                call(*args)
+
+
+def test_empty_supports_are_value_errors():
+    # checked before the segment blocks, which would divide by the width 0
+    kl = make_generator("kl")
+    for call, args in (
+        (kappa_bounds, (kl, [0.0, 0.0], [0.0, 0.0])),
+        (chi2_sandwich, (kl, [0.0, 0.0], [0.0, 0.0])),
+        (reverse_pinsker, (kl, [0.0, 0.0], [0.0, 0.0])),
+        (chi2_tv_upper, ([0.0, 0.0], [0.0, 0.0])),
+    ):
+        with pytest.raises(ValueError, match="q has empty support"):
+            call(*args)
 
 
 @pytest.mark.parametrize("name", ["kl", "pearson_chi2", "triangular", "one_sided_chi2"])

@@ -697,7 +697,7 @@ def test_analyze_chain_solves_shared_pieces_once(tmp_path, capsys, monkeypatch):
 
     originals = {
         "structure": markov.structure,
-        "stationary_distribution": markov.stationary_distribution,
+        "_stationary": markov._stationary,
         "eta_chi2": contraction.eta_chi2,
         "_draw_moves": contraction._draw_moves,
     }
@@ -782,7 +782,7 @@ import contextlib, io, json, sys
 import divlab
 from divlab import cli
 
-chain, channel = sys.argv[1:3]
+chain, reducible, channel = sys.argv[1:4]
 
 
 def report(*argv):
@@ -796,24 +796,33 @@ def scipy_modules():
 
 
 loaded = {"import": scipy_modules()}
-report("divergence", "--g", "kl", "--p", "0.5,0.5", "--q", "0.25,0.75")
-report("verify-constants", "--grid", "64")
-report("mixing-time", "--matrix", chain, "--generator", "kl")
-report("quantum-analyze", "--channel", channel, "--generator", "kl")
-loaded["reports"] = scipy_modules()
-report("analyze-chain", "--matrix", chain, "--generator", "kl")
-loaded["analyze-chain"] = scipy_modules()
+for argv in (
+    ("divergence", "--g", "kl", "--p", "0.5,0.5", "--q", "0.25,0.75"),
+    ("verify-constants", "--grid", "64"),
+    ("mixing-time", "--matrix", chain, "--generator", "kl"),
+    ("quantum-analyze", "--channel", channel, "--generator", "kl"),
+    ("analyze-chain", "--matrix", chain, "--generator", "kl"),
+    ("analyze-chain", "--matrix", reducible, "--generator", "kl"),
+):
+    report(*argv)
+    loaded[" ".join(argv[:3])] = scipy_modules()
 print(json.dumps(loaded))
 """
 
 
-def test_only_chain_structure_loads_scipy(tmp_path):
-    # a fresh interpreter: the test process itself has scipy loaded
+def test_no_report_loads_scipy(tmp_path):
+    # a fresh interpreter: the test process itself has scipy loaded.  The
+    # reducible chain has two closed classes and a transient state, so its
+    # structure takes the per-class solve
     import divlab
     from divlab import depolarizing_channel
 
     chain = tmp_path / "chain.csv"
     chain.write_text("0.7,0.4\n0.3,0.6\n")
+    reducible = tmp_path / "reducible.csv"
+    reducible.write_text(
+        "0.7,0.4,0,0,0.1\n0.3,0.6,0,0,0.2\n0,0,0.2,0.5,0.3\n0,0,0.8,0.5,0\n0,0,0,0,0.4\n"
+    )
     channel = tmp_path / "depol.json"
     channel.write_text(json.dumps({"kraus": [
         {"re": K.real.tolist(), "im": K.imag.tolist()}
@@ -821,12 +830,10 @@ def test_only_chain_structure_loads_scipy(tmp_path):
     ]}))
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(divlab.__file__)))
     proc = subprocess.run(
-        [sys.executable, "-c", _COLD_START, str(chain), str(channel)],
+        [sys.executable, "-c", _COLD_START, str(chain), str(reducible), str(channel)],
         capture_output=True, text=True, env=env, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
     loaded = json.loads(proc.stdout)
-    assert loaded["import"] == []
-    assert loaded["reports"] == []
-    assert "scipy.sparse.csgraph" in loaded["analyze-chain"]
-    assert "scipy.optimize" not in loaded["analyze-chain"]
+    assert len(loaded) == 7
+    assert all(modules == [] for modules in loaded.values()), loaded

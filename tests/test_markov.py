@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from divlab.divergence import SUPPORT_EPSILON, total_variation
 from divlab.markov import (
     ChainStructure,
+    _components,
+    _positivity_index,
     as_channel,
     bsc,
     iterate,
@@ -51,65 +53,68 @@ def test_stationary_bsc():
 
 
 def test_stationary_identity_not_unique():
+    # three closed classes of one state each: the uniform mixture
     pi, unique = stationary_distribution(np.eye(3))
     assert not unique
-    assert pi.sum() == pytest.approx(1.0)
-    assert np.abs(np.eye(3) @ pi - pi).sum() <= 1e-9
+    assert pi == pytest.approx([1.0 / 3.0] * 3, abs=1e-15)
 
 
-def test_stationary_degenerate_eigenspace_takes_nnls(monkeypatch):
-    # two closed classes: the lambda = 1 eigenspace is spanned by a on {0, 1}
-    # and b on {2, 3}.  LAPACK returns a and b themselves, so the fallback is
-    # reached by handing the solve a basis of mixed-sign vectors instead
-    import scipy.optimize
+def test_stationary_two_closed_classes_mix_uniformly():
+    # closed classes {0, 1} and {2, 3} with stationary a and b; the
+    # transient state 4 leaks into both
+    W = np.array([
+        [0.7, 0.4, 0.0, 0.0, 0.1],
+        [0.3, 0.6, 0.0, 0.0, 0.2],
+        [0.0, 0.0, 0.2, 0.5, 0.3],
+        [0.0, 0.0, 0.8, 0.5, 0.0],
+        [0.0, 0.0, 0.0, 0.0, 0.4],
+    ])
+    a = np.array([4.0, 3.0, 0.0, 0.0, 0.0]) / 7.0
+    b = np.array([0.0, 0.0, 5.0, 8.0, 0.0]) / 13.0
+    pi, unique = stationary_distribution(W)
+    assert not unique
+    assert pi == pytest.approx(0.5 * a + 0.5 * b, abs=1e-15)
+    assert pi[4] == 0.0
+    st_ = structure(W)
+    assert not st_.stationary_unique and np.array_equal(st_.stationary, pi)
 
+
+def test_stationary_invalid_eigenvector_takes_class_solve(monkeypatch):
+    # one closed class {0, 1} and two transient states; an eig whose
+    # eigenvalue-1 vector has mixed signs sends the solve to the class
     from divlab import markov
 
     W = np.array([
-        [0.7, 0.4, 0.0, 0.0],
-        [0.3, 0.6, 0.0, 0.0],
-        [0.0, 0.0, 0.2, 0.5],
-        [0.0, 0.0, 0.8, 0.5],
+        [0.7, 0.4, 0.2, 0.0],
+        [0.3, 0.6, 0.0, 0.5],
+        [0.0, 0.0, 0.5, 0.0],
+        [0.0, 0.0, 0.3, 0.5],
     ])
-    a = np.array([4.0, 3.0, 0.0, 0.0]) / 7.0
-    b = np.array([0.0, 0.0, 5.0, 8.0]) / 13.0
+    want, unique = stationary_distribution(W)
+    assert unique and want == pytest.approx([4.0 / 7.0, 3.0 / 7.0, 0.0, 0.0], abs=1e-15)
     eig = np.linalg.eig
 
-    def rotated_eig(M):
+    def mixed_sign_eig(M):
         vals, vecs = eig(M)
-        ones = np.flatnonzero(np.abs(vals - 1.0) < 1e-8)
-        assert ones.size == 2
-        # a - b sums to zero, a - 2b to -1 and has mixed signs once normalised
-        for k, v in zip(ones, (a - b, a - 2.0 * b)):
-            vecs[:, k] = v / np.linalg.norm(v)
+        vecs[:, np.argmin(np.abs(vals - 1.0))] = [1.0, 1.0, -1.0, 0.0]
         return vals, vecs
 
-    nnls_calls = []
-    nnls = scipy.optimize.nnls
-
-    def counted_nnls(*args, **kwargs):
-        nnls_calls.append(1)
-        return nnls(*args, **kwargs)
-
-    monkeypatch.setattr(markov.np.linalg, "eig", rotated_eig)
-    monkeypatch.setattr(scipy.optimize, "nnls", counted_nnls)
+    monkeypatch.setattr(markov.np.linalg, "eig", mixed_sign_eig)
     pi, unique = stationary_distribution(W)
-    assert nnls_calls == [1]
-    assert not unique
-    assert np.all(pi >= 0.0)
-    assert pi.sum() == pytest.approx(1.0, abs=1e-12)
-    assert np.abs(W @ pi - pi).sum() <= 1e-9
+    assert unique
+    assert pi == pytest.approx(want, abs=1e-15)
+    assert pi[2] == 0.0 and pi[3] == 0.0
 
 
 def _reducible_chain(rng, n):
-    """States [0, t) transient, [t, n) one closed class; every transient
-    column leaks some mass into the class."""
+    """(W, t): states [0, t) transient, [t, n) holding the closed classes;
+    every transient column leaks some mass into [t, n)."""
     t = int(rng.integers(1, n))
     W = rng.random((n, n)) * (rng.random((n, n)) < 0.6)
     W[:t, t:] = 0.0
     W[t:, :t] += 0.5 * rng.random((n - t, t)) + 0.01
     W[np.arange(n), np.arange(n)] += 0.01
-    return W / W.sum(axis=0)
+    return W / W.sum(axis=0), t
 
 
 def test_stationary_reducible_zero_on_transient_states():
@@ -118,9 +123,10 @@ def test_stationary_reducible_zero_on_transient_states():
     rng = np.random.default_rng(11)
     for _ in range(300):
         n = int(rng.integers(3, 7))
-        W = _reducible_chain(rng, n)
+        W, t = _reducible_chain(rng, n)
         pi, _ = stationary_distribution(W)
         assert not np.any((pi > 0.0) & (pi < SUPPORT_EPSILON)), (W, pi)
+        assert not np.any(pi[:t]), (W, pi)
         assert pi.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.abs(W @ pi - pi).sum() <= 1e-9
 
@@ -326,6 +332,33 @@ def test_structure_wielandt_exponent(n):
     st_ = structure(W)
     assert st_.positivity_index == (n - 1) ** 2 + 1
     assert_same_structure(st_, structure_by_powers(W))
+
+
+def test_wielandt_384_exponent_by_squaring():
+    # (n - 1)^2 + 1 = 146,690: a step-by-step walk takes that many products,
+    # squaring and lifting about 35
+    assert _positivity_index(wielandt_support(384)) == 146_690
+
+
+def test_positivity_index_refuses_periodic_support():
+    # the squares of a periodic support never fill up
+    with pytest.raises(ValueError, match="not primitive"):
+        _positivity_index(two_cycle() > 0.0)
+
+
+def _same_partition(a, b):
+    pairs = set(zip(a.tolist(), b.tolist()))
+    return len(pairs) == len(set(a.tolist())) == len(set(b.tolist()))
+
+
+@given(supports())
+@settings(max_examples=300, deadline=None)
+def test_components_match_csgraph(mask):
+    labels, _ = _components(mask)
+    _, want = scipy.sparse.csgraph.connected_components(
+        scipy.sparse.csr_matrix(mask), directed=True, connection="strong"
+    )
+    assert _same_partition(labels, want)
 
 
 def test_iterate_basics():
