@@ -26,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .divergence import _gauss_legendre
+from .divergence import _as_count, _gauss_legendre
 
 # Gauss-Legendre nodes of the integral representation
 _QUAD_NODES = 64
@@ -65,6 +65,8 @@ class SmoothConvexFn:
 def quadratic_fn(Q) -> SmoothConvexFn:
     """F(x) = x^T Q x / 2 for symmetric PSD Q."""
     Q = np.asarray(Q, dtype=float)
+    if Q.ndim != 2 or Q.shape[0] != Q.shape[1] or Q.size < 1 or not np.isfinite(Q).all():
+        raise ValueError("Q must be a finite non-empty square matrix")
     return SmoothConvexFn(
         dim=Q.shape[0],
         F=lambda x: 0.5 * float(x @ Q @ x),
@@ -77,7 +79,7 @@ def quadratic_fn(Q) -> SmoothConvexFn:
 def neg_entropy_fn(dim: int) -> SmoothConvexFn:
     """F(x) = sum x_i ln x_i on the positive orthant."""
     return SmoothConvexFn(
-        dim=dim,
+        dim=_as_count(dim, "dim", 1),
         F=lambda x: float(np.sum(x * np.log(x))),
         grad=lambda x: np.log(x) + 1.0,
         hess=lambda x: np.diag(1.0 / x),

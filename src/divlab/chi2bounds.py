@@ -18,12 +18,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .divergence import (
-    _check_same_alphabet,
+    SUPPORT_EPSILON,
     _chi_squared,
     _clamp,
     _f_divergence,
     _total_variation,
-    as_weight_vec,
+    _vectors,
 )
 from .generators import CONSTANT, Generator, NONDECREASING, NONINCREASING
 
@@ -55,20 +55,14 @@ class KappaPair:
 
 def q_min_on_support(q) -> float:
     """Smallest positive entry of q."""
-    return _q_min(as_weight_vec(q))
+    return _q_min(*_vectors(q, q_support=True))
 
 
 def _q_min(q: np.ndarray) -> float:
-    """``q_min_on_support`` of a validated vector, unchecked."""
-    pos = q[q > 0.0]
-    if pos.size == 0:
-        raise ValueError("q has empty support")
-    return float(pos.min())
-
-
-def _require_dominated(p: np.ndarray, q: np.ndarray) -> None:
-    if float(p[q <= 0.0].sum()) > 0.0:
-        raise ValueError("requires p << q")
+    """``q_min_on_support`` of a vector with an entry of at least
+    SUPPORT_EPSILON, unchecked: the smallest such entry, so that q need not
+    be clamped."""
+    return float(q[q >= SUPPORT_EPSILON].min())
 
 
 def _segment_f2(g: Generator, P: np.ndarray, Q: np.ndarray):
@@ -117,24 +111,13 @@ def kappa_bounds(g: Generator, p, q) -> KappaPair:
     that runs into f''(0+) = +inf, kappa_up's is the last such segment's
     (coordinate, 1.0).
     """
-    return _kappa_pair(g, *_checked_pair(p, q))
-
-
-def _checked_pair(p, q) -> tuple[np.ndarray, np.ndarray]:
-    """p and q validated, of one alphabet, with p << q."""
-    p = as_weight_vec(p)
-    q = as_weight_vec(q)
-    _check_same_alphabet(p, q)
-    _require_dominated(p, q)
-    return p, q
+    return _kappa_pair(g, *_vectors(p, q, dominated=True, q_support=True))
 
 
 def _kappa_pair(g: Generator, p: np.ndarray, q: np.ndarray) -> KappaPair:
     """``kappa_bounds`` on rows as given, unclamped and unchecked: over supp q,
-    whatever mass p puts off it."""
+    which must hold an entry, whatever mass p puts off it."""
     support = np.flatnonzero(q > 0.0)
-    if support.size == 0:
-        raise ValueError("q has empty support")
     # one row is one block
     ((ts, V),) = _segment_f2(g, p[np.newaxis, support], q[np.newaxis, support])
     V = V[0]
@@ -169,7 +152,7 @@ def _kappa_up_rows(g: Generator, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
 def chi2_sandwich(g: Generator, p, q):
     """(kappa_down/2) chi^2 <= D_f <= (kappa_up/2) chi^2, checked with a
     slack of 1e-10 relative to the value (absolute below 1)."""
-    p, q = _checked_pair(p, q)
+    p, q = _vectors(p, q, dominated=True, q_support=True)
     kp = _kappa_pair(g, p, q)
     chi2 = _chi_squared(p, q)
     value = _f_divergence(g, p, q)
@@ -186,7 +169,7 @@ def reverse_pinsker(g: Generator, p, q) -> tuple[float, float]:
     l2 bound: kappa_up/(2 q_min) * ||p-q||_2^2; TV bound: 2 kappa_up/q_min * TV^2.
     Both dominate D_f(p||q); +inf when kappa_up is infinite.
     """
-    p, q = _checked_pair(p, q)
+    p, q = _vectors(p, q, dominated=True, q_support=True)
     kp = _kappa_pair(g, p, q)
     qmin = _q_min(q)
     if not math.isfinite(kp.kappa_up):
@@ -203,7 +186,7 @@ def chi2_tv_upper(p, q) -> tuple[float, float | None]:
     Always: ||p-q||_inf ||p-q||_1 / q_min; additionally ||p-q||_1^2/(2 q_min)
     when both vectors are probability vectors.
     """
-    p, q = _checked_pair(p, q)
+    p, q = _vectors(p, q, dominated=True, q_support=True)
     d = np.abs(p - q)
     qmin = _q_min(q)
     inf_l1_bound = float(d.max() * d.sum()) / qmin
@@ -215,12 +198,9 @@ def chi2_tv_upper(p, q) -> tuple[float, float | None]:
 
 def f_lower_by_chi2(g: Generator, p, q) -> tuple[float, bool]:
     """D_f >= (L_f q_min / 4) chi^2 for probability vectors."""
-    p = as_weight_vec(p)
-    q = as_weight_vec(q)
+    p, q = _vectors(p, q, q_support=True)
     if g.pinsker_constant is None:
         raise ValueError(f"{g.label} carries no certified constant")
-    qmin = _q_min(q)
-    _check_same_alphabet(p, q)
-    bound = g.pinsker_constant * qmin / 4.0 * _chi_squared(p, q)
+    bound = g.pinsker_constant * _q_min(q) / 4.0 * _chi_squared(p, q)
     value = _f_divergence(g, p, q)
     return bound, value >= bound - 1e-10

@@ -27,19 +27,21 @@ import sys
 import numpy as np
 
 from . import __version__
-from .contraction import SampleBudget, _ChainContext, mixing_time_bounds
-from .divergence import SUPPORT_EPSILON, _chi_squared, _f_divergence, _total_variation, as_weight_vec
+from .contraction import SampleBudget, _ChainContext, _check_delta, _mixing_time
+from .divergence import (
+    SUPPORT_EPSILON, _as_count, _chi_squared, _f_divergence, _total_variation, _vectors,
+)
 from .generators import default_registry, from_spec
-from .markov import as_channel, stationary_distribution
-from .pinsker import certify_constant
+from .markov import _channel, _stationary_of
+from .pinsker import _certify
 from .quantum import (
     KrausChannel,
     QuantumBudget,
+    _channel_structure,
+    _eta_estimate,
+    _petz_eta_chi2,
     _petz_mixing,
     _petz_upper,
-    channel_structure,
-    petz_eta_chi2,
-    quantum_eta_estimate,
 )
 
 SCHEMA_VERSION = "1"
@@ -128,11 +130,12 @@ def _parse_complex_matrix(obj) -> np.ndarray:
 
 
 def parse_matrix(path: str) -> np.ndarray:
-    """Channel matrix from CSV (row-major, '#' comments, optional header) or
-    JSON {"matrix": [[...]]}; validated column-stochastic at 1e-8, then each
-    column whose sum is off by more than rounding (SUPPORT_EPSILON) divided
-    by its sum, so that the library's 1e-10 check holds for W and its
-    powers while columns that already sum to one keep their bits."""
+    """Square channel matrix from CSV (row-major, '#' comments, optional
+    header) or JSON {"matrix": [[...]]}; validated column-stochastic at
+    1e-8, then each column whose sum is off by more than rounding
+    (SUPPORT_EPSILON) divided by its sum, so that the library's 1e-10 check
+    holds for W and its powers while columns that already sum to one keep
+    their bits."""
     try:
         with open(path) as fh:
             text = fh.read()
@@ -144,7 +147,7 @@ def parse_matrix(path: str) -> np.ndarray:
             obj = json.loads(text)
         except json.JSONDecodeError as exc:
             raise InputError(f"malformed JSON in {path}: {exc}") from exc
-        if "matrix" not in obj:
+        if not isinstance(obj, dict) or "matrix" not in obj:
             raise InputError(f"{path}: JSON channel files need a 'matrix' key")
         rows = obj["matrix"]
     else:
@@ -161,7 +164,7 @@ def parse_matrix(path: str) -> np.ndarray:
                     continue  # header row
                 raise InputError(f"{path}: non-numeric row {line!r}")
     try:
-        W = as_channel(np.asarray(rows, dtype=float), column_sum_tol=1e-8)
+        W = _channel(rows, square=True, column_sum_tol=1e-8)
     except ValueError as exc:
         raise InputError(f"{path}: {exc}") from exc
     sums = W.sum(axis=0)
@@ -169,7 +172,7 @@ def parse_matrix(path: str) -> np.ndarray:
 
 
 def parse_kraus(path: str) -> KrausChannel:
-    """Kraus channel from JSON {"kraus": [K, ...]}."""
+    """Square Kraus channel from JSON {"kraus": [K, ...]}."""
     try:
         with open(path) as fh:
             obj = json.load(fh)
@@ -178,16 +181,18 @@ def parse_kraus(path: str) -> KrausChannel:
     if not isinstance(obj, dict) or "kraus" not in obj:
         raise InputError(f"{path}: JSON Kraus files need a 'kraus' key")
     try:
-        return KrausChannel(
+        channel = KrausChannel(
             kraus=tuple(_parse_complex_matrix(K) for K in obj["kraus"])
         )
-    except ValueError as exc:
+        channel._require_square()
+    except (TypeError, ValueError) as exc:
         raise InputError(f"{path}: {exc}") from exc
+    return channel
 
 
-def _parse_vector(text: str) -> np.ndarray:
+def _parse_vector(text: str) -> list[float]:
     try:
-        return as_weight_vec([float(c) for c in text.split(",")])
+        return [float(c) for c in text.split(",")]
     except ValueError as exc:
         raise InputError(f"bad vector {text!r}: {exc}") from exc
 
@@ -243,11 +248,12 @@ def _envelope(args, files, seed, results, warnings_list):
 
 def _cmd_verify_constants(args) -> int:
     seed = _resolve_seed(args)
+    grid = _as_count(args.grid, "grid_n", 16)
     header = {**_header(args, [], seed), "kind": "header"}
     print(dumps_report(header).replace("\n", " "))
     all_ok = True
     for g in default_registry():
-        cert = certify_constant(g, grid_n=args.grid)
+        cert = _certify(g, g.pinsker_lambda, grid, g.pinsker_constant)
         ok = cert.certified
         all_ok &= ok
         line = {
@@ -268,17 +274,13 @@ def _cmd_verify_constants(args) -> int:
 def _cmd_divergence(args) -> int:
     seed = _resolve_seed(args)
     g = from_spec(args.g)
-    p = _parse_vector(args.p)
-    q = _parse_vector(args.q)
-    if p.shape != q.shape:
-        raise InputError("p and q must have the same length")
+    p, q = _vectors(_parse_vector(args.p), _parse_vector(args.q))
     warnings_list = []
     if float(p[q <= 0.0].sum()) > 0.0:
         warnings_list.append(
             "p is not absolutely continuous with respect to q; value uses the "
             "f'(inf) convention"
         )
-    # p and q are validated by _parse_vector and of one alphabet
     value = _f_divergence(g, p, q)
     if args.bits:
         value /= LN2
@@ -324,7 +326,7 @@ def _cmd_analyze_chain(args) -> int:
     info = chain.info
     results: dict = {"structure": dataclasses.asdict(info)}
     if info.stationary is None:  # raises the solver's input error
-        stationary_distribution(W)
+        _stationary_of(W)
     pi = info.stationary
     eta2 = chain.eta2
     est, witness = chain.estimate
@@ -379,7 +381,7 @@ def _cmd_mixing_time(args) -> int:
     seed = _resolve_seed(args)
     W = parse_matrix(args.matrix)
     g = from_spec(args.generator) if args.generator else None
-    mix = mixing_time_bounds(W, args.delta, g)
+    mix = _mixing_time(W, args.delta, g)
     results = {
         "eta_chi2": {"bound_id": "eta-chi2-second-singular-value", "value": mix.eta_chi2},
         "pi_min": mix.pi_min,
@@ -400,15 +402,15 @@ def _cmd_quantum_analyze(args) -> int:
     warnings_list: list[str] = []
     violations: list[str] = []
 
-    info = channel_structure(channel)
+    info = _channel_structure(channel)
     results: dict = {"structure": dataclasses.asdict(info)}
     if not info.mixing:
         warnings_list.append("channel is not mixing; contraction section skipped")
     else:
         pi = info.fixed_point
-        est, _ = quantum_eta_estimate(channel, pi, g, budget)
+        est, _ = _eta_estimate(channel, pi, g, budget)
         # the bounds and the mixing times share one exact Petz eta_chi2
-        eta = petz_eta_chi2(channel, pi)
+        eta = _petz_eta_chi2(channel, pi)
         results["contraction"] = {
             "eta_f_estimate": {
                 "bound_id": "petz-eta-f-sampled-lower-estimate",
@@ -425,6 +427,7 @@ def _cmd_quantum_analyze(args) -> int:
                 "generator is not flagged operator convex; upper bounds skipped"
             )
         try:
+            _check_delta(args.delta)
             qmix = _petz_mixing(channel, args.delta, g, pi, eta)
             results["mixing_time"] = {
                 "td_bound": {"bound_id": "petz-chi2-mixing-time-td", "value": qmix.td_bound},

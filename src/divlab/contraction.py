@@ -23,23 +23,23 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .chi2bounds import _kappa_up_rows, q_min_on_support
+from .chi2bounds import _kappa_up_rows, _q_min
 from .divergence import (
     SUPPORT_EPSILON,
+    _as_count,
+    _chi_squared,
     _clamp,
     _divergence_rows,
-    as_prob_vec,
-    chi_squared,
-    f_divergence_rows,
-    total_variation,
+    _total_variation,
 )
 from .generators import Generator
 from .markov import (
     ChainStructure,
-    as_channel,
-    iterate,
-    stationary_distribution,
-    structure,
+    _channel,
+    _check_column_sums,
+    _iterate,
+    _stationary_of,
+    _structure,
 )
 
 __all__ = [
@@ -69,8 +69,9 @@ class SampleBudget:
     refine_steps: int = 200
 
     def __post_init__(self):
-        if self.n_samples < 100:
-            raise ValueError("budget requires at least 100 samples")
+        _as_count(self.n_samples, "n_samples", 100)
+        _as_count(self.seed, "seed")
+        _as_count(self.refine_steps, "refine_steps")
 
 
 def eta_chi2(W, q) -> float:
@@ -79,10 +80,11 @@ def eta_chi2(W, q) -> float:
     Builds the joint distribution of input q and output Wq, normalizes by the
     square-rooted marginals, and returns the squared second singular value.
     """
-    W = as_channel(W)
-    q = as_prob_vec(q)
-    if W.shape[1] != q.shape[0]:
-        raise ValueError("dimension mismatch between channel and reference")
+    return _eta_chi2(*_channel(W, q))
+
+
+def _eta_chi2(W: np.ndarray, q: np.ndarray) -> float:
+    """``eta_chi2`` of a validated channel and reference, unchecked."""
     if int(np.sum(q > 0.0)) <= 1:
         warnings.warn("degenerate reference (all mass on one symbol); eta = 0")
         return 0.0
@@ -211,13 +213,14 @@ class _EstimateContext:
         of ``Ws``; the climbs run side by side (see ``_climbs``)."""
         g, block = self.g, len(self.blocks[0])
         zeros = np.zeros(block, dtype=np.intp)
-        Wqs = [_clamp(W @ self.q) for W in Ws]
-        refs = np.stack([_clamp(self.q)] + Wqs)  # row 0 is q, row k + 1 is Ws[k] q
+        width = max(self.q.size, Ws[0].shape[0])
+        Wqs = [_pad(_clamp(W @ self.q), width) for W in Ws]
+        refs = np.stack([_pad(_clamp(self.q), width)] + Wqs)  # row 0 is q, row k + 1 is Ws[k] q
 
         def window_scores(P, segments):
             # each Wp a one-row product, bit-equal to scoring p alone; the
             # product over all rows at once may round differently
-            WP = np.empty_like(P)
+            WP = np.empty((len(P), Ws[0].shape[0]))
             ref_rows = np.empty(len(P), dtype=np.intp)
             for k, a, b in segments:
                 WP[a:b] = (P[a:b, np.newaxis, :] @ Ws[k].T)[:, 0]
@@ -227,20 +230,31 @@ class _EstimateContext:
             for a in range(0, len(P), block):
                 b = min(a + block, len(P))
                 rows = np.concatenate([zeros[: b - a], ref_rows[a:b]])
-                scores.append(_pair_scores(g, P[a:b], WP[a:b], refs[rows]))
+                scores.append(
+                    _pair_scores(g, _pad(P[a:b], width), _pad(WP[a:b], width), refs[rows])
+                )
             return np.concatenate(scores)
 
-        cloud_scores = [self._cloud_scores(W, Wq) for W, Wq in zip(Ws, Wqs)]
+        cloud_scores = [self._cloud_scores(W, Wq, width) for W, Wq in zip(Ws, Wqs)]
         return _climbs(
             self.cloud, cloud_scores, self.draws, _build_moves, window_scores, 0.25
         )
 
-    def _cloud_scores(self, W: np.ndarray, Wq: np.ndarray) -> np.ndarray:
-        """Scores of the cloud on W, Wq = W q clamped, block by block."""
+    def _cloud_scores(self, W: np.ndarray, Wq: np.ndarray, width: int) -> np.ndarray:
+        """Scores of the cloud on W, Wq = W q clamped and padded to
+        ``width``, block by block."""
         return np.concatenate([
-            _ratio_scores(self.g, den, (_clamp(P @ W.T), Wq))
+            _ratio_scores(self.g, den, (_pad(_clamp(P @ W.T), width), Wq))
             for P, den in zip(self.blocks, self.dens)
         ])
+
+
+def _pad(A: np.ndarray, width: int) -> np.ndarray:
+    """A with zero columns appended up to ``width``: the score rows of a
+    rectangular channel and of its inputs share one width, and as
+    0 f(0/0) = 0 no divergence changes."""
+    extra = width - A.shape[-1]
+    return A if extra == 0 else np.pad(A, [(0, 0)] * (A.ndim - 1) + [(0, extra)])
 
 
 def eta_f_estimate(
@@ -254,8 +268,7 @@ def eta_f_estimate(
     at most the step's scale, to p_j.  Ratios are scored net of their
     rounding bound (see ``_ratio_scores``).
     """
-    W = as_channel(W)
-    q = as_prob_vec(q)
+    W, q = _channel(W, q)
     return _EstimateContext(g, q, budget or SampleBudget()).estimates([W])[0]
 
 
@@ -357,17 +370,16 @@ def eta_f_upper_bounds(
     ``pinsker_constant`` overrides the generator's certified constant; any
     constant satisfying the Pinsker condition surfaces yields a valid bound.
     """
-    W = as_channel(W)
-    q = as_prob_vec(q)
+    W, q = _channel(W, q)
     L = _certified_constant(g, pinsker_constant)
-    return _eta_f_upper(g, q, L, eta_chi2(W, q), partial(_kappa_up_sup, g, W, q))
+    return _eta_f_upper(g, q, L, _eta_chi2(W, q), partial(_kappa_up_sup, g, W, q))
 
 
 def _certified_constant(g: Generator, override: float | None = None) -> float:
     """``override`` or the generator's certified Pinsker constant, which the
     upper bounds need positive."""
     L = override if override is not None else g.pinsker_constant
-    if L is None or L <= 0.0:
+    if L is None or not 0.0 < L < math.inf:
         raise ValueError("bounds require a positive certified Pinsker constant")
     return L
 
@@ -380,7 +392,7 @@ def _eta_f_upper(g: Generator, q, L: float, eta2: float, kappa_sup):
     kup = math.inf
     if math.isinf(g.fprime_at_inf) or q_full:
         kup = kappa_sup()
-    return _upper_bounds(g, 4.0, L * q_min_on_support(q), eta2, kup, q_full)
+    return _upper_bounds(g, 4.0, L * _q_min(q), eta2, kup, q_full)
 
 
 def _linear_coeff(g: Generator) -> float | None:
@@ -421,7 +433,8 @@ def contraction_rate_profile(
     indecomposable with full-support pi.  Also requires |f''(0)| < inf or an
     eventual-positivity index so the kappa terms stay finite.
     """
-    return _ChainContext(as_channel(W), g, budget or SampleBudget(), n_max).profile()
+    W = _channel(W, square=True)
+    return _ChainContext(W, g, budget or SampleBudget(), _as_count(n_max, "n_max")).profile()
 
 
 def convergence_bound(W, pi, p, n: int) -> tuple[float, float, float]:
@@ -430,14 +443,13 @@ def convergence_bound(W, pi, p, n: int) -> tuple[float, float, float]:
     bound_general = eta^(n/2) sqrt(chi2(p||pi)) / 2; bound_full_support =
     sqrt(1/(2 pi_min)) eta^(n/2) when pi has full support (else +inf).
     """
-    W = as_channel(W)
-    pi = as_prob_vec(pi)
-    p = as_prob_vec(p)
+    W, pi, p = _channel(W, pi, p, square=True)
+    n = _as_count(n, "n")
     if float(np.abs(W @ pi - pi).sum()) > 1e-9:
         raise ValueError("pi is not stationary for W")
-    eta2 = eta_chi2(W, pi)
-    tv_actual = total_variation(iterate(W, p, n), pi)
-    chi2 = chi_squared(p, pi)
+    eta2 = _eta_chi2(W, pi)
+    tv_actual = _total_variation(_clamp(_iterate(W, p, n)), pi)
+    chi2 = _chi_squared(p, pi)
     bound_general = 0.5 * eta2 ** (n / 2.0) * math.sqrt(chi2) if chi2 < math.inf else math.inf
     if np.all(pi > 0.0):
         bound_full = math.sqrt(1.0 / (2.0 * float(pi.min()))) * eta2 ** (n / 2.0)
@@ -516,29 +528,32 @@ def mixing_time_bounds(W, delta: float, g: Generator | None = None) -> MixingTim
     f(0+), and finite f'(1).  empirical_tv/empirical_f scan vertex inputs
     when delta is at least SUPPORT_EPSILON, and are None otherwise.
     """
-    W = as_channel(W)
+    return _mixing_time(_channel(W, square=True), delta, g)
+
+
+def _mixing_time(W: np.ndarray, delta: float, g: Generator | None) -> MixingTimeReport:
+    """``mixing_time_bounds`` of a validated square W."""
     # a bad delta is reported ahead of any error of the stationary solve
     _check_delta(delta)
     if g is not None and _linear_coeff(g) is None:
         raise ValueError(
             "f-divergence bound requires finite f(0+) and (f(t)-f(0))/t concave"
         )
-    return _mixing_report(W, delta, g, stationary_distribution(W))
+    return _mixing_report(W, delta, g, _stationary_of(W))
 
 
 def _mixing_report(W, delta, g, stationary, eta=None) -> MixingTimeReport:
-    """``mixing_time_bounds`` with the (pi, unique) pair of the stationary
-    solve given, and eta_chi2(W, pi) unless ``eta`` holds it; the f bound
-    only where g has a linear coefficient.  The log targets are sums of
-    logs, so a tiny delta gets a finite bound."""
-    _check_delta(delta)
+    """``mixing_time_bounds`` with a checked delta, the (pi, unique) pair of
+    the stationary solve given, and eta_chi2(W, pi) unless ``eta`` holds
+    it; the f bound only where g has a linear coefficient.  The log targets
+    are sums of logs, so a tiny delta gets a finite bound."""
     pi, unique = stationary
     if not unique:
         raise ValueError("mixing times require a unique stationary distribution")
     if not np.all(pi > 0.0):
         raise ValueError("mixing times require a full-support stationary distribution")
     if eta is None:
-        eta = eta_chi2(W, pi)
+        eta = _eta_chi2(W, _clamp(pi))
     pi_min = float(pi.min())
     # ln(1/x) for x = sqrt(2 pi_min) delta
     log_tv = -(0.5 * math.log(2.0 * pi_min) + math.log(delta))
@@ -553,7 +568,7 @@ def _mixing_report(W, delta, g, stationary, eta=None) -> MixingTimeReport:
 
     tv_bound, f_bound, empirical_tv, empirical_f, within = _mixing_times(
         eta, delta, 2.0 * log_tv, log_f, W.__matmul__, np.eye(W.shape[0]),
-        largest(_tv_rows), largest(partial(f_divergence_rows, g)),
+        largest(_tv_rows), largest(lambda P, q: _divergence_rows(g, _clamp(P), _clamp(q))),
     )
     return MixingTimeReport(
         tv_bound=tv_bound,
@@ -582,11 +597,11 @@ class _ChainContext:
 
     @cached_property
     def info(self) -> ChainStructure:
-        return structure(self.W)
+        return _structure(self.W)
 
     @cached_property
     def eta2(self) -> float:
-        return eta_chi2(self.W, self.info.stationary)
+        return _eta_chi2(self.W, _clamp(self.info.stationary))
 
     @cached_property
     def context(self) -> _EstimateContext:
@@ -605,15 +620,16 @@ class _ChainContext:
 
     @cached_property
     def powers(self) -> tuple[list[np.ndarray], str | None]:
-        """W, W^2, ..., W^profile_n, each validated as eta_f_estimate would
-        validate it, and None; or the powers before the first one whose
-        column sums drift past the tolerance, and that input error."""
+        """W, W^2, ..., W^profile_n and None; or the powers before the first
+        one whose column sums drift past the tolerance, and that error."""
         powers = [self.W]
         for _ in range(2, self.profile_n + 1):
+            power = powers[-1] @ self.W
             try:
-                powers.append(as_channel(powers[-1] @ self.W))
+                _check_column_sums(power)
             except ValueError as exc:
                 return powers, str(exc)
+            powers.append(power)
         return powers, None
 
     def _profile_error(self) -> str | None:
@@ -653,6 +669,7 @@ class _ChainContext:
 
     def mixing(self, delta: float, g: Generator | None) -> MixingTimeReport:
         """``mixing_time_bounds(W, delta, g)``, the f bound where g has one."""
+        _check_delta(delta)
         info = self.info
         stationary = (info.stationary, info.stationary_unique)
         return _mixing_report(self.W, delta, g, stationary, self.eta2)
@@ -664,7 +681,7 @@ class _ChainContext:
         if error is not None:
             raise ValueError(error)
         g, pi = self.g, self.info.stationary
-        eta2, pi_min = self.eta2, q_min_on_support(pi)
+        eta2, pi_min = self.eta2, _q_min(pi)
         powers, _ = self.powers
         out = []
         for n, Wn, (est, _) in zip(itertools.count(1), powers, self._estimates):

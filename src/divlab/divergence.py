@@ -9,6 +9,7 @@ same treatment as analytic zeros.
 from __future__ import annotations
 
 import math
+import operator
 from functools import lru_cache
 
 import numpy as np
@@ -33,36 +34,73 @@ _QUAD_NODES = 128
 
 def as_weight_vec(v) -> np.ndarray:
     """Validate a non-negative vector; sub-epsilon entries become exact zeros."""
-    arr = np.array(v, dtype=float)
-    if arr.ndim != 1 or arr.size < 1:
-        raise ValueError("weight vector must be a non-empty 1-D array")
-    if not np.isfinite(arr).all():
-        raise ValueError("weight vector entries must be finite")
-    if (arr < -SUPPORT_EPSILON).any():
-        raise ValueError("weight vector entries must be non-negative")
-    arr[arr < SUPPORT_EPSILON] = 0.0
-    return arr
+    return _vectors(v)[0]
 
 
 def as_prob_vec(v) -> np.ndarray:
-    arr = as_weight_vec(v)
-    if abs(arr.sum() - 1.0) > 1e-10:
-        raise ValueError(f"probability vector must sum to one, got {arr.sum()!r}")
-    return arr
+    return _vectors(v, prob=True)[0]
 
 
-def _check_same_alphabet(p: np.ndarray, q: np.ndarray) -> None:
-    if p.shape != q.shape:
-        raise ValueError(f"alphabet mismatch: {p.shape} vs {q.shape}")
+def _vectors(*vs, rows=False, prob=False, dominated=False, q_support=False) -> list:
+    """The gate of a distribution pair, or of any number of vectors: their
+    validated float copies.  Shapes first: each non-empty and 1-D (with
+    ``rows`` the first a 2-D stack of rows, the others one row or its
+    shape), of one alphabet.  Then each one's values (``_weigh``).  Then
+    support: with ``dominated`` the first is zero off the support of the
+    last, with ``q_support`` the last has a positive entry."""
+    arrs = [np.array(v, dtype=float) for v in vs]
+    first, last = arrs[0], arrs[-1]
+    if rows and first.ndim != 2:
+        raise ValueError("P must be a 2-D array of rows")
+    for a in arrs[rows:]:
+        if a.size < 1 or a.ndim != 1 and not (rows and a.shape == first.shape):
+            raise ValueError("weight vector must be a non-empty 1-D array")
+        if a.shape[-1] != first.shape[-1]:
+            raise ValueError(f"alphabet mismatch: {first.shape} vs {a.shape}")
+    for a in arrs:
+        _weigh(a, prob)
+    # the entries are now non-negative: q <= 0 is q == 0
+    if dominated and float(first[last == 0.0].sum()) > 0.0:
+        raise ValueError("requires p << q")
+    if q_support and not last.any():
+        raise ValueError("q has empty support")
+    return arrs
+
+
+def _weigh(a: np.ndarray, prob: bool) -> None:
+    """The value checks of one vector, in place: finite, no entry below
+    -SUPPORT_EPSILON (those below +SUPPORT_EPSILON become exact zeros), then
+    with ``prob`` a unit sum.  A stack of no rows passes."""
+    if a.size == 0:
+        return
+    # NaN and infinities surface in the extremes, which two reductions give
+    lo, hi = a.min(), a.max()
+    if not -math.inf < lo <= hi < math.inf:
+        raise ValueError("weight vector entries must be finite")
+    if lo < -SUPPORT_EPSILON:
+        raise ValueError("weight vector entries must be non-negative")
+    if lo < SUPPORT_EPSILON:
+        a[a < SUPPORT_EPSILON] = 0.0
+    if prob and abs(a.sum() - 1.0) > 1e-10:
+        raise ValueError(f"probability vector must sum to one, got {a.sum()!r}")
+
+
+def _as_count(n, name: str, least: int = 0) -> int:
+    """The gate of a count (a step count, grid size or dimension): an
+    integer, numpy's included, of at least ``least``."""
+    try:
+        k = operator.index(n)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {n!r}") from None
+    if k < least:
+        raise ValueError(f"{name} must be at least {least}")
+    return k
 
 
 def f_divergence(g: Generator, p, q) -> float:
     """sum_x q(x) f(p(x)/q(x)) under the boundary conventions; may be +inf.
     One row of ``f_divergence_rows``, after the checks of a single call."""
-    p = as_weight_vec(p)
-    q = as_weight_vec(q)
-    _check_same_alphabet(p, q)
-    return _f_divergence(g, p, q)
+    return _f_divergence(g, *_vectors(p, q))
 
 
 def _f_divergence(g: Generator, p: np.ndarray, q: np.ndarray) -> float:
@@ -73,16 +111,12 @@ def _f_divergence(g: Generator, p: np.ndarray, q: np.ndarray) -> float:
 def f_divergence_rows(g: Generator, P, Q) -> np.ndarray:
     """Row-wise f_divergence: D_f(P[k] || Q[k]) for every row k of P.
 
-    Q is one row shared by all rows of P or a matrix of P's shape.  The rows
-    are taken as already validated (finite and non-negative); the
-    sub-``SUPPORT_EPSILON`` clamp and both boundary conventions are applied
-    by masks, so a row may come out as exact +inf.
+    Q is one row shared by all rows of P or a matrix of P's shape.  Every
+    row passes the checks of a single call (``_vectors`` with ``rows``);
+    both boundary conventions are applied by masks, so a row may come out
+    as exact +inf.
     """
-    P = np.asarray(P, dtype=float)
-    if P.ndim != 2:
-        raise ValueError("P must be a 2-D array of rows")
-    Q = np.asarray(Q, dtype=float)
-    return _divergence_rows(g, _clamp(P), _clamp(Q))
+    return _divergence_rows(g, *_vectors(P, Q, rows=True))
 
 
 def _clamp(A: np.ndarray) -> np.ndarray:
@@ -128,10 +162,7 @@ _ROUNDING = 4.0 * np.finfo(float).eps
 
 def total_variation(p, q) -> float:
     """Half the l1 distance."""
-    p = as_weight_vec(p)
-    q = as_weight_vec(q)
-    _check_same_alphabet(p, q)
-    return _total_variation(p, q)
+    return _total_variation(*_vectors(p, q))
 
 
 def _total_variation(p: np.ndarray, q: np.ndarray) -> float:
@@ -141,10 +172,7 @@ def _total_variation(p: np.ndarray, q: np.ndarray) -> float:
 
 def chi_squared(p, q) -> float:
     """sum over supp(q) of (p-q)^2/q, +inf when p is not dominated by q."""
-    p = as_weight_vec(p)
-    q = as_weight_vec(q)
-    _check_same_alphabet(p, q)
-    return _chi_squared(p, q)
+    return _chi_squared(*_vectors(p, q))
 
 
 def _chi_squared(p: np.ndarray, q: np.ndarray) -> float:
@@ -174,12 +202,8 @@ def integral_representation(g: Generator, p, q) -> float:
     Valid when p << q and either the vectors have equal sums or f'(1) = 0;
     the integrand is (1-t) * sum_i f''(1 + t(p_i/q_i - 1)) (p_i-q_i)^2 / q_i.
     """
-    p = as_weight_vec(p)
-    q = as_weight_vec(q)
-    _check_same_alphabet(p, q)
+    p, q = _vectors(p, q, dominated=True)
     pos = q > 0.0
-    if float(p[~pos].sum()) > 0.0:
-        raise ValueError("integral representation requires p << q")
     fprime_at_one = float(g.f1(1.0))
     if abs(p.sum() - q.sum()) > 1e-9 and abs(fprime_at_one) > 1e-12:
         raise ValueError("requires equal sums or f'(1) = 0")

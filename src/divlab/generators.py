@@ -91,9 +91,9 @@ def _vec(fn):
 
 
 def generator_values(g: Generator, t: float) -> tuple[float, float, float]:
-    """Evaluate (f, f', f'') at ``t > 0`` in natural-log units."""
-    if not np.all(np.asarray(t) > 0):
-        raise ValueError("generator argument must be positive")
+    """Evaluate (f, f', f'') at finite ``t > 0`` in natural-log units."""
+    if not np.all((np.asarray(t) > 0) & np.isfinite(t)):
+        raise ValueError("generator argument must be positive and finite")
     return (g.f(t), g.f1(t), g.f2(t))
 
 
@@ -114,7 +114,7 @@ def custom_generator(
     The only validation performed here is f(1) = 0; analytic flags default to
     the conservative values and may be overridden by keyword.
     """
-    if abs(float(f(1.0))) > 1e-12:
+    if not abs(float(f(1.0))) <= 1e-12:
         raise ValueError("generator must satisfy f(1) = 0")
     return Generator(
         name=name,
@@ -135,6 +135,8 @@ def shift_generator(g: Generator, c: float) -> Generator:
     Divergence values on equal-sum vectors are unchanged; the Pinsker
     machinery only sees f'' which the shift leaves untouched.
     """
+    if not math.isfinite(c):
+        raise ValueError("shift must be finite")
     if c == 0.0:
         return g
     base_f, base_f1 = g.f, g.f1
@@ -552,6 +554,11 @@ _BUILDERS = {
 }
 
 
+class UnknownGeneratorError(KeyError, ValueError):
+    """A generator name outside the registry: a KeyError of the registry
+    and, like every input error of divlab, a ValueError."""
+
+
 def registry_names() -> tuple[str, ...]:
     return tuple(_BUILDERS)
 
@@ -570,7 +577,7 @@ def make_generator(name: str, **params: float) -> Generator:
     alpha >= 1.  Each builder checks its own range.
     """
     if name not in _BUILDERS:
-        raise KeyError(f"unknown generator {name!r}; known: {registry_names()}")
+        raise UnknownGeneratorError(f"unknown generator {name!r}; known: {registry_names()}")
     builder, key, _ = _BUILDERS[name]
     args = []
     if key is not None:

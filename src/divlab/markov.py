@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divergence import SUPPORT_EPSILON, as_prob_vec
+from .divergence import SUPPORT_EPSILON, _as_count, _weigh
 
 __all__ = [
     "as_channel",
@@ -45,20 +45,46 @@ __all__ = [
 _COLUMN_SUM_TOL = 1e-10
 
 
-def as_channel(W, column_sum_tol: float = _COLUMN_SUM_TOL) -> np.ndarray:
+def as_channel(W) -> np.ndarray:
     """Validate a column-stochastic matrix; output is W @ p."""
-    W = np.asarray(W, dtype=float).copy()
+    return _channel(W)
+
+
+def _channel(W, *inputs, square=False, column_sum_tol=_COLUMN_SUM_TOL):
+    """The gate of a channel, alone or with probability vectors on its
+    inputs: the validated copy W, or (W, *inputs).  Shapes first: W
+    non-empty and 2-D (square with ``square``), each input non-empty and
+    1-D with one entry per column.  Then W's values: finite, none below
+    -1e-14 (negatives become zero), unit column sums to ``column_sum_tol``;
+    then each input's (``divergence._weigh``, with a unit sum)."""
+    W = np.array(W, dtype=float)
     if W.ndim != 2 or W.shape[0] < 1 or W.shape[1] < 1:
         raise ValueError("channel must be a non-empty 2-D matrix")
+    if square and W.shape[0] != W.shape[1]:
+        raise ValueError("operation requires a square channel")
+    vs = [np.array(v, dtype=float) for v in inputs]
+    for v in vs:
+        if v.ndim != 1 or v.size < 1:
+            raise ValueError("weight vector must be a non-empty 1-D array")
+        if v.shape[0] != W.shape[1]:
+            raise ValueError("dimension mismatch between channel and input")
     if not np.all(np.isfinite(W)):
         raise ValueError("channel entries must be finite")
     if np.any(W < -1e-14):
         raise ValueError("channel entries must be non-negative")
     W[W < 0.0] = 0.0
+    _check_column_sums(W, column_sum_tol)
+    for v in vs:
+        _weigh(v, prob=True)
+    return (W, *vs) if vs else W
+
+
+def _check_column_sums(W: np.ndarray, tol: float = _COLUMN_SUM_TOL) -> None:
+    """The column-sum check of the channel gate, also the drift check of
+    computed powers of a channel."""
     colsums = W.sum(axis=0)
-    if np.any(np.abs(colsums - 1.0) > column_sum_tol):
+    if np.any(np.abs(colsums - 1.0) > tol):
         raise ValueError(f"columns must sum to one; sums are {colsums}")
-    return W
 
 
 def bsc(p: float) -> np.ndarray:
@@ -80,11 +106,6 @@ def noisy_typewriter() -> np.ndarray:
     )
 
 
-def _require_square(W: np.ndarray) -> None:
-    if W.shape[0] != W.shape[1]:
-        raise ValueError("operation requires a square channel")
-
-
 def stationary_distribution(W) -> tuple[np.ndarray, bool]:
     """A distribution with W pi = pi, and whether it is unique.
 
@@ -92,8 +113,11 @@ def stationary_distribution(W) -> tuple[np.ndarray, bool]:
     several, pi is the uniform mixture of the stationary distributions of
     the closed classes.
     """
-    W = as_channel(W)
-    _require_square(W)
+    return _stationary_of(_channel(W, square=True))
+
+
+def _stationary_of(W: np.ndarray) -> tuple[np.ndarray, bool]:
+    """``stationary_distribution`` of a validated square W, unchecked."""
     pos = W > SUPPORT_EPSILON
     return _stationary(W, _closed_classes(pos, _components(pos)[0]))
 
@@ -238,8 +262,11 @@ def structure(W) -> ChainStructure:
     and Wielandt's bound (n-1)^2 + 1 caps it (Seneta, *Non-negative Matrices
     and Markov Chains*).
     """
-    W = as_channel(W)
-    _require_square(W)
+    return _structure(_channel(W, square=True))
+
+
+def _structure(W: np.ndarray) -> ChainStructure:
+    """``structure`` of a validated square W, unchecked."""
     pos = W > SUPPORT_EPSILON  # pos[y, x]: the edge x -> y
 
     # scrambling: every pair of columns shares a positive output
@@ -293,13 +320,14 @@ def structure(W) -> ChainStructure:
 
 
 def iterate(W, p, n: int) -> np.ndarray:
-    """Apply the channel n times; renormalizes (with a warning) on drift."""
-    W = as_channel(W)
-    p = as_prob_vec(p)
-    if W.shape[1] != p.shape[0]:
-        raise ValueError("dimension mismatch between channel and input")
-    if n < 0:
-        raise ValueError("n must be non-negative")
+    """Apply the square channel n times; renormalizes (with a warning) on
+    drift."""
+    W, p = _channel(W, p, square=True)
+    return _iterate(W, p, _as_count(n, "n"))
+
+
+def _iterate(W: np.ndarray, p: np.ndarray, n: int) -> np.ndarray:
+    """``iterate`` of a validated square W, input p and count n, unchecked."""
     out = p.copy()
     for _ in range(n):
         out = W @ out

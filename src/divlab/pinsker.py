@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divergence import _check_same_alphabet, _f_divergence, _total_variation, as_weight_vec
+from .divergence import _as_count, _f_divergence, _total_variation, _vectors
 from .generators import Generator
 
 __all__ = [
@@ -65,7 +65,7 @@ def h_lambda(g: Generator, lam: float, x, y):
         raise ValueError("lambda must lie in [0, 1]")
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if np.any(x <= 0.0) or np.any(x >= 1.0) or np.any(y <= 0.0) or np.any(y >= 1.0):
+    if not (np.all((x > 0.0) & (x < 1.0)) and np.all((y > 0.0) & (y < 1.0))):
         raise ValueError("x and y must lie in the open interval (0, 1)")
     out = _h(g, lam, x, y)
     if out.ndim == 0:
@@ -103,8 +103,7 @@ def certify_constant(
     is singular at zero, so escape below the claim past the ring cannot be
     excluded numerically.
     """
-    if grid_n < 16:
-        raise ValueError("grid_n must be at least 16")
+    grid_n = _as_count(grid_n, "grid_n", 16)
     if lam is None:
         lam = g.pinsker_lambda
     if claimed_L is None:
@@ -113,7 +112,13 @@ def certify_constant(
         raise ValueError(f"{g.label} carries no certified constant to check")
     if not 0.0 <= lam <= 1.0:
         raise ValueError("lambda must lie in [0, 1]")
+    if not np.isfinite(claimed_L):
+        raise ValueError("the claimed constant must be finite")
+    return _certify(g, lam, grid_n, claimed_L)
 
+
+def _certify(g: Generator, lam: float, grid_n: int, claimed_L: float) -> PinskerCertificate:
+    """``certify_constant`` of checked arguments, unchecked."""
     u = np.linspace(BOUNDARY_EPS, 1.0 - BOUNDARY_EPS, grid_n)
     H = _h(g, lam, u[:, np.newaxis], u)
     i, j = np.unravel_index(int(np.argmin(H)), H.shape)
@@ -163,14 +168,12 @@ def certify_constant(
 
 def check_pinsker(g: Generator, p, q) -> tuple[float, float, bool]:
     """D_f(p||q) against (L_f / 2c) TV^2 for equal-sum non-negative vectors."""
-    p = as_weight_vec(p)
-    q = as_weight_vec(q)
+    p, q = _vectors(p, q)
     c = float(p.sum())
     if abs(c - q.sum()) > 1e-9 or c <= 0.0:
         raise ValueError("check_pinsker requires equal positive sums")
     if g.pinsker_constant is None:
         raise ValueError(f"{g.label} carries no certified constant")
-    _check_same_alphabet(p, q)
     lhs = _f_divergence(g, p, q)
     rhs = g.pinsker_constant / (2.0 * c) * _total_variation(p, q) ** 2
     return lhs, rhs, lhs >= rhs - 1e-10

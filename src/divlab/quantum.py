@@ -22,7 +22,7 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .chi2bounds import _kappa_pair, kappa_bounds
+from .chi2bounds import _kappa_pair
 from .contraction import (
     BLEND_WEIGHTS,
     SampleBudget,
@@ -37,8 +37,9 @@ from .contraction import (
     _second_singular_value_sq,
     _upper_bounds,
 )
-from .divergence import _divergence_rows
+from .divergence import _as_count, _divergence_rows
 from .generators import Generator
+from .markov import _channel
 
 __all__ = [
     "check_density_matrix",
@@ -80,35 +81,77 @@ _OVERLAP_FLOOR = 1e-20
 
 def check_density_matrix(rho) -> np.ndarray:
     """Validate Hermiticity, positivity (to -DENSITY_ATOL), and unit trace."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1] or rho.shape[0] < 1:
-        raise ValueError("density matrix must be square")
-    if np.max(np.abs(rho - rho.conj().T)) > DENSITY_ATOL:
-        raise ValueError("density matrix must be Hermitian")
-    eigs = np.linalg.eigvalsh(rho)
-    if eigs.min() < -DENSITY_ATOL:
-        raise ValueError(f"density matrix has negative eigenvalue {eigs.min()}")
-    if abs(np.trace(rho).real - 1.0) > DENSITY_ATOL:
-        raise ValueError(f"density matrix trace is {np.trace(rho).real}")
-    return rho
+    return _states(rho)[0]
+
+
+def _states(*mats, channel=None, stack=False) -> list:
+    """The gate of density matrices, alone, as a pair or as inputs of a
+    channel: the matrices as complex arrays.  Shapes first: each d x d with
+    d >= 1 (the first a stack of them with ``stack``), one d for all, the
+    channel's d_in.  Then each one's values: finite, Hermitian, no
+    eigenvalue below -DENSITY_ATOL and a unit trace, all to DENSITY_ATOL."""
+    arrs = [np.asarray(m, dtype=complex) for m in mats]
+    for k, m in enumerate(arrs):
+        if m.size < 1 or m.ndim != 2 and not (stack and k == 0 and m.ndim > 2) or (
+            m.shape[-1] != m.shape[-2]
+        ):
+            raise ValueError("density matrix must be square")
+        if m.shape[-1] != arrs[0].shape[-1]:
+            raise ValueError("dimension mismatch")
+    if channel is not None and arrs[0].shape[-1] != channel.dim_in:
+        raise ValueError("dimension mismatch between channel and state")
+    for m in arrs:
+        if not np.isfinite(m).all():
+            raise ValueError("matrix entries must be finite")
+        if abs(m - m.swapaxes(-1, -2).conj()).max() > DENSITY_ATOL:
+            raise ValueError("density matrix must be Hermitian")
+        eigs = np.linalg.eigvalsh(m)
+        if eigs.min() < -DENSITY_ATOL:
+            raise ValueError(f"density matrix has negative eigenvalue {eigs.min()}")
+        trace = np.trace(m, axis1=-2, axis2=-1).real
+        off = abs(trace - 1.0) > DENSITY_ATOL
+        if off.any():
+            raise ValueError(f"density matrix trace is {np.ravel(trace)[np.ravel(off)][0]}")
+    return arrs
+
+
+def _square_matrix(A) -> np.ndarray:
+    """A non-empty finite square matrix as a complex array."""
+    A = np.asarray(A, dtype=complex)
+    if A.ndim != 2 or A.shape[0] != A.shape[1] or A.size < 1:
+        raise ValueError("matrix must be non-empty and square")
+    if not np.isfinite(A).all():
+        raise ValueError("matrix entries must be finite")
+    return A
 
 
 def trace_distance(rho, sigma):
     """Half the Schatten 1-norm of the difference; an array of them for a
     stack of states rho."""
-    diff = np.asarray(rho, dtype=complex) - np.asarray(sigma, dtype=complex)
+    return _trace_distance(*_states(rho, sigma, stack=True))
+
+
+def _trace_distance(rho: np.ndarray, sigma: np.ndarray):
+    """``trace_distance`` of checked states, unchecked."""
+    diff = rho - sigma
     herm = 0.5 * (diff + np.swapaxes(diff, -1, -2).conj())
     td = 0.5 * np.abs(np.linalg.eigvalsh(herm)).sum(axis=-1)
     return float(td) if td.ndim == 0 else td
 
 
 def hs_norm_sq(A) -> float:
-    A = np.asarray(A, dtype=complex)
+    """Tr[A^dag A] of a square matrix."""
+    A = _square_matrix(A)
     return float(np.real(np.trace(A.conj().T @ A)))
 
 
 def min_positive_eigenvalue(rho) -> float:
-    eigs = np.linalg.eigvalsh(np.asarray(rho, dtype=complex))
+    """Smallest eigenvalue of at least EIG_CLAMP of a Hermitian matrix."""
+    return _min_positive(np.linalg.eigvalsh(_square_matrix(rho)))
+
+
+def _min_positive(eigs: np.ndarray) -> float:
+    """``min_positive_eigenvalue`` of a spectrum."""
     pos = eigs[eigs >= EIG_CLAMP]  # the spectrum _spectral keeps
     if pos.size == 0:
         raise ValueError("operator has no positive spectrum")
@@ -146,17 +189,9 @@ def _ns_rows(spec, ref):
     return P.reshape(-1, d * d), Q.reshape(-1, d * d)
 
 
-def _checked_pair(rho, sigma) -> tuple[np.ndarray, np.ndarray]:
-    rho = check_density_matrix(rho)
-    sigma = check_density_matrix(sigma)
-    if rho.shape != sigma.shape:
-        raise ValueError("dimension mismatch")
-    return rho, sigma
-
-
 def ns_distributions(rho, sigma) -> NSPair:
     """p(x,y) = lam_x |<e_x|f_y>|^2, q(x,y) = mu_y |<e_x|f_y>|^2."""
-    rho, sigma = _checked_pair(rho, sigma)
+    rho, sigma = _states(rho, sigma)
     P, Q = _ns_rows(_spectral(rho), _spectral(sigma))
     return NSPair(p_xy=P[0], q_xy=Q[0])
 
@@ -164,13 +199,13 @@ def ns_distributions(rho, sigma) -> NSPair:
 def petz_f_divergence(g: Generator, rho, sigma) -> float:
     """The classical f-divergence of the NS distributions, with the f(0+)
     and f'(inf) boundary conventions."""
-    rho, sigma = _checked_pair(rho, sigma)
+    rho, sigma = _states(rho, sigma)
     return float(_divergence_rows(g, *_ns_rows(_spectral(rho), _spectral(sigma)))[0])
 
 
 def petz_chi2(rho, sigma) -> float:
     """Tr[sigma^+ (rho-sigma)^2] on supp(sigma); +inf when rho !<< sigma."""
-    rho, sigma = _checked_pair(rho, sigma)
+    rho, sigma = _states(rho, sigma)
     return _petz_chi2(rho, sigma, _spectral(sigma))
 
 
@@ -200,10 +235,14 @@ class KrausChannel:
     kraus: tuple[np.ndarray, ...]
 
     def __post_init__(self):
+        """The gate of a Kraus list: one or more non-empty 2-D operators of
+        one shape, then finite entries, then sum K^dag K = I to 1e-9."""
         ops = tuple(np.asarray(K, dtype=complex) for K in self.kraus)
         if not ops:
             raise ValueError("channel needs at least one Kraus operator")
         shape = ops[0].shape
+        if len(shape) != 2 or 0 in shape:
+            raise ValueError("Kraus operators must be non-empty 2-D matrices")
         if any(K.shape != shape for K in ops):
             raise ValueError("Kraus operators must share one shape")
         if not all(np.isfinite(K).all() for K in ops):
@@ -220,6 +259,11 @@ class KrausChannel:
     @property
     def dim_out(self) -> int:
         return self.kraus[0].shape[0]
+
+    def _require_square(self) -> None:
+        """The check of the analyses that iterate the channel."""
+        if self.dim_in != self.dim_out:
+            raise ValueError("operation requires a square channel")
 
     @cached_property
     def _superoperator(self) -> np.ndarray:
@@ -248,10 +292,12 @@ def apply_channel(channel: KrausChannel, rho) -> np.ndarray:
     superoperator, whatever the number of Kraus operators; the first call on
     a channel builds it (d_out^2 d_in^2 entries, see ``superoperator``).
     """
-    rho = np.asarray(rho, dtype=complex)
+    return _apply(channel, *_states(rho, channel=channel, stack=True))
+
+
+def _apply(channel: KrausChannel, rho: np.ndarray) -> np.ndarray:
+    """``apply_channel`` of checked states, unchecked."""
     d_in, d_out = channel.dim_in, channel.dim_out
-    if rho.shape[-2:] != (d_in, d_in):
-        raise ValueError("dimension mismatch between channel and state")
     vecs = rho.reshape(-1, d_in * d_in)
     # BLAS takes a one-row product through gemv, which rounds differently
     # from gemm; a second row keeps each state's bits independent of its stack
@@ -269,11 +315,12 @@ def compose(second: KrausChannel, first: KrausChannel) -> KrausChannel:
 
 
 def identity_channel(d: int) -> KrausChannel:
-    return KrausChannel(kraus=(np.eye(d, dtype=complex),))
+    return KrausChannel(kraus=(np.eye(_as_count(d, "d", 1), dtype=complex),))
 
 
 def depolarizing_channel(d: int, lam: float) -> KrausChannel:
     """rho -> (1-lam) rho + lam I/d, in Kraus form via the unitary basis."""
+    d = _as_count(d, "d", 1)
     if not 0.0 <= lam <= 1.0:
         raise ValueError("depolarizing weight must lie in [0, 1]")
     # Weyl (shift/clock) unitaries average any state to I/d
@@ -293,6 +340,7 @@ def depolarizing_channel(d: int, lam: float) -> KrausChannel:
 
 def dephasing_channel(d: int) -> KrausChannel:
     """Kills all off-diagonal elements in the computational basis."""
+    d = _as_count(d, "d", 1)
     ops = []
     for i in range(d):
         P = np.zeros((d, d), dtype=complex)
@@ -303,7 +351,7 @@ def dephasing_channel(d: int) -> KrausChannel:
 
 def replacer_channel(sigma) -> KrausChannel:
     """Traces out the input and prepares sigma."""
-    sigma = check_density_matrix(sigma)
+    (sigma,) = _states(sigma)
     d = sigma.shape[0]
     eigs, vecs = _spectral(sigma)
     ops = []
@@ -317,17 +365,15 @@ def replacer_channel(sigma) -> KrausChannel:
 
 
 def classical_embedding(W) -> KrausChannel:
-    """Kraus form of a column-stochastic matrix: {sqrt(W(y|x)) |y><x|}."""
-    W = np.asarray(W, dtype=float)
-    n_out, n_in = W.shape
-    if n_out != n_in:
-        raise ValueError("classical embedding requires a square channel")
+    """Kraus form of a square column-stochastic matrix: {sqrt(W(y|x)) |y><x|}."""
+    W = _channel(W, square=True)
+    n = W.shape[0]
     ops = []
-    for x in range(n_in):
-        for y in range(n_out):
+    for x in range(n):
+        for y in range(n):
             if W[y, x] <= 0.0:
                 continue
-            K = np.zeros((n_out, n_in), dtype=complex)
+            K = np.zeros((n, n), dtype=complex)
             K[y, x] = math.sqrt(W[y, x])
             ops.append(K)
     return KrausChannel(kraus=tuple(ops))
@@ -362,8 +408,12 @@ def channel_structure(channel: KrausChannel) -> QuantumChannelStructure:
     strictly positive outputs (eigenvalues above 1e-8) on a spanning probe
     set within 64 steps (equivalent to a full-rank unique fixed point).
     """
-    if channel.dim_in != channel.dim_out:
-        raise ValueError("structure requires a square channel")
+    channel._require_square()
+    return _channel_structure(channel)
+
+
+def _channel_structure(channel: KrausChannel) -> QuantumChannelStructure:
+    """``channel_structure`` of a square channel, unchecked."""
     d = channel.dim_in
     S = channel.superoperator()
     eigvals, eigvecs = np.linalg.eig(S)
@@ -385,7 +435,7 @@ def channel_structure(channel: KrausChannel) -> QuantumChannelStructure:
     mixing = fixed_point is not None and unique and bool(second < 1.0 - 1e-8)
     positivity_index = None
     if mixing:
-        step = partial(apply_channel, channel)
+        step = partial(_apply, channel)
         n = _empirical_mixing(
             step, step(_probe_states(d)), lambda S: np.linalg.eigvalsh(S).min() > 1e-8, 63
         )
@@ -444,12 +494,12 @@ def _skip(bound_id: str, note: str) -> BoundCheck:
 def petz_bounds_report(g: Generator, rho, sigma) -> PetzBoundsReport:
     """Evaluate and check the Petz sandwich, quantum Pinsker, chi-squared vs
     trace-distance, and NS reverse-Pinsker bounds for one state pair."""
-    rho, sigma = _checked_pair(rho, sigma)
+    rho, sigma = _states(rho, sigma)
     rho_spec, sigma_spec = _spectral(rho), _spectral(sigma)
     P, Q = _ns_rows(rho_spec, sigma_spec)
     value = float(_divergence_rows(g, P, Q)[0])
     chi2 = _petz_chi2(rho, sigma, sigma_spec)
-    td = trace_distance(rho, sigma)
+    td = _trace_distance(rho, sigma)
     ns = NSPair(p_xy=P[0], q_xy=Q[0])
     checks: list[BoundCheck] = []
 
@@ -474,8 +524,9 @@ def petz_bounds_report(g: Generator, rho, sigma) -> PetzBoundsReport:
         checks.append(_skip("quantum-pinsker", "needs operator-convex f"))
 
     if dominated:
-        lmin = min_positive_eigenvalue(sigma)
-        l2 = hs_norm_sq(rho - sigma)
+        lmin = _min_positive(np.linalg.eigvalsh(sigma))
+        diff = rho - sigma
+        l2 = float(np.real(np.trace(diff.conj().T @ diff)))
         checks.append(_check("petz-chi2-l2", chi2, l2 / lmin))
         checks.append(_check("petz-chi2-td", l2 / lmin, 4.0 * td**2 / lmin))
         if g.operator_convex and g.pinsker_constant is not None:
@@ -574,15 +625,17 @@ def quantum_eta_estimate(
     from the stream seeded with seed + 1 and proposes the state
     (1 - w u) rho + (1 - Tr[(1 - w u) rho]) psi for the step's weight w.
     """
-    sigma = check_density_matrix(sigma)
-    if budget is None:
-        budget = QuantumBudget()
-    ref_in, ref_out = _spectral(sigma), _spectral(apply_channel(channel, sigma))
+    return _eta_estimate(channel, *_states(sigma, channel=channel), g, budget or QuantumBudget())
+
+
+def _eta_estimate(channel: KrausChannel, sigma: np.ndarray, g: Generator, budget):
+    """``quantum_eta_estimate`` of a checked state, unchecked."""
+    ref_in, ref_out = _spectral(sigma), _spectral(_apply(channel, sigma))
     d = sigma.shape[0]
 
     def scores(states: np.ndarray) -> np.ndarray:
         den = _divergence_rows(g, *_ns_rows(_spectral(states), ref_in), rounding_error=True)
-        outputs = _spectral(apply_channel(channel, states))
+        outputs = _spectral(_apply(channel, states))
         return _ratio_scores(g, den, _ns_rows(outputs, ref_out))
 
     def build(current, draws, weights):
@@ -615,7 +668,11 @@ def petz_eta_chi2(channel: KrausChannel, sigma) -> float:
     coefficient is the squared second singular value of
     L_out^(1/2) S L_in^(-1/2); the top one, 1, belongs to X = sigma.
     """
-    sigma = check_density_matrix(sigma)
+    return _petz_eta_chi2(channel, *_states(sigma, channel=channel))
+
+
+def _petz_eta_chi2(channel: KrausChannel, sigma: np.ndarray) -> float:
+    """``petz_eta_chi2`` of a checked state, unchecked."""
 
     def support(rho):
         eigs, vecs = _spectral(rho)
@@ -624,7 +681,7 @@ def petz_eta_chi2(channel: KrausChannel, sigma) -> float:
         return vecs[:, keep], np.add.outer(form, form).ravel()
 
     e_in, l_in = support(sigma)
-    e_out, l_out = support(apply_channel(channel, sigma))
+    e_out, l_out = support(_apply(channel, sigma))
     # kron(A K B, conj(A K B)) = kron(A, conj A) kron(K, conj K) kron(B, conj B)
     left, right = np.kron(e_out.conj().T, e_out.T), np.kron(e_in, e_in.conj())
     S = left @ channel.superoperator() @ right
@@ -641,22 +698,22 @@ def quantum_eta_bounds(
     linear = 8 (f'(1) + f(0)) / (L lmin(sigma)) * eta_chi2, needing operator
     convexity, (f(t)-f(0))/t concave, finite f(0+), and full-rank sigma.
     """
-    sigma = check_density_matrix(sigma)
+    (sigma,) = _states(sigma, channel=channel)
     L = _certified_constant(g)
     if not g.operator_convex:
         raise ValueError("Petz contraction bounds require operator-convex f")
-    return _petz_upper(g, channel, sigma, L, petz_eta_chi2(channel, sigma))
+    return _petz_upper(g, channel, sigma, L, _petz_eta_chi2(channel, sigma))
 
 
 def _petz_upper(g: Generator, channel: KrausChannel, sigma, L: float, eta2: float):
     """``quantum_eta_bounds`` for a checked state sigma, with L and
     petz_eta_chi2(channel, sigma) given."""
-    sigma_full = bool(np.linalg.eigvalsh(sigma).min() >= EIG_CLAMP)
-    lmin = min_positive_eigenvalue(sigma)
+    eigs = np.linalg.eigvalsh(sigma)
+    sigma_full, lmin = bool(eigs.min() >= EIG_CLAMP), _min_positive(eigs)
     kappa_sup = math.inf
     if g.f2_at_zero_finite and (sigma_full or math.isinf(g.fprime_at_inf)):
-        out_min = min_positive_eigenvalue(apply_channel(channel, sigma))
-        kappa_sup = kappa_bounds(g, [0.0, 1.0 / out_min], [1.0, 1.0]).kappa_up
+        out_min = _min_positive(np.linalg.eigvalsh(_apply(channel, sigma)))
+        kappa_sup = _kappa_pair(g, np.array([0.0, 1.0 / out_min]), np.ones(2)).kappa_up
     return _upper_bounds(g, 8.0, L * lmin, eta2, kappa_sup, sigma_full)
 
 
@@ -679,27 +736,27 @@ def quantum_mixing_time_bounds(
     bound multiplies in the linear coefficient f'(1) + f(0).  empirical_td
     and empirical_f scan probe states when delta is at least SUPPORT_EPSILON.
     """
+    channel._require_square()
     _check_delta(delta)
     if g is not None and not (g.operator_convex and _linear_coeff(g) is not None):
         raise ValueError(
             "f-divergence bound needs operator-convex f with finite f(0+) "
             "and (f(t)-f(0))/t concave"
         )
-    info = channel_structure(channel)
+    info = _channel_structure(channel)
     if not info.mixing:
         raise ValueError("mixing times require a mixing channel with unique fixed point")
     pi = info.fixed_point
-    return _petz_mixing(channel, delta, g, pi, petz_eta_chi2(channel, pi))
+    return _petz_mixing(channel, delta, g, pi, _petz_eta_chi2(channel, pi))
 
 
 def _petz_mixing(
     channel: KrausChannel, delta: float, g: Generator | None, pi, eta: float
 ) -> QuantumMixingReport:
-    """``quantum_mixing_time_bounds`` with the fixed point pi of a mixing
-    channel and eta = petz_eta_chi2(channel, pi) given; the f bound only
-    where g is operator convex and has a linear coefficient."""
-    _check_delta(delta)
-    lmin = min_positive_eigenvalue(pi)
+    """``quantum_mixing_time_bounds`` with a checked delta, the fixed point
+    pi of a mixing channel and eta = petz_eta_chi2(channel, pi) given; the
+    f bound only where g is operator convex and has a linear coefficient."""
+    lmin = _min_positive(np.linalg.eigvalsh(pi))
     # ln(1/(lmin delta^2)), without forming delta^2
     log_td = -(math.log(lmin) + 2.0 * math.log(delta))
     coeff = _linear_coeff(g) if g is not None and g.operator_convex else None
@@ -708,8 +765,8 @@ def _petz_mixing(
         log_f = math.log(4.0 * coeff) - math.log(lmin) - math.log(delta)
     ref = _spectral(pi)
     td_bound, f_bound, empirical_td, empirical_f, _ = _mixing_times(
-        eta, delta, log_td, log_f, partial(apply_channel, channel),
-        _probe_states(channel.dim_in), lambda S: trace_distance(S, pi).max(),
+        eta, delta, log_td, log_f, partial(_apply, channel),
+        _probe_states(channel.dim_in), lambda S: _trace_distance(S, pi).max(),
         lambda S: _divergence_rows(g, *_ns_rows(_spectral(S), ref)).max(),
     )
     return QuantumMixingReport(

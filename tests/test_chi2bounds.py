@@ -14,7 +14,7 @@ from divlab.chi2bounds import (
     kappa_bounds,
     reverse_pinsker,
 )
-from divlab.divergence import as_weight_vec, chi_squared, f_divergence, total_variation
+from divlab.divergence import _vectors, as_weight_vec, chi_squared, f_divergence, total_variation
 from divlab.generators import (
     CONSTANT,
     NONDECREASING,
@@ -302,9 +302,11 @@ def test_f_lower_by_chi2():
         assert holds
 
 
-# The checked calls as compositions of the public calls, each of which
-# validates its own inputs: the oracle for calls that validate once
+# The checked calls as the gate followed by compositions of the public
+# calls, each of which validates its own inputs again: the oracle for calls
+# that validate once
 def _composed_sandwich(g, p, q):
+    _vectors(p, q, dominated=True, q_support=True)
     kp = kappa_bounds(g, p, q)
     chi2, value = chi_squared(p, q), f_divergence(g, p, q)
     upper = 0.5 * kp.kappa_up * chi2 if math.isfinite(kp.kappa_up) else math.inf
@@ -314,8 +316,9 @@ def _composed_sandwich(g, p, q):
 
 
 def _composed_reverse_pinsker(g, p, q):
+    _vectors(p, q, dominated=True, q_support=True)
     kp = kappa_bounds(g, p, q)
-    p, q = as_weight_vec(p), as_weight_vec(q)
+    p, q = _vectors(p, q)
     qmin = chi2bounds.q_min_on_support(q)
     if not math.isfinite(kp.kappa_up):
         return math.inf, math.inf
@@ -325,9 +328,7 @@ def _composed_reverse_pinsker(g, p, q):
 
 
 def _composed_chi2_tv_upper(p, q):
-    p, q = as_weight_vec(p), as_weight_vec(q)
-    total_variation(p, q)  # the alphabet check
-    chi2bounds._require_dominated(p, q)
+    p, q = _vectors(p, q, dominated=True, q_support=True)
     qmin = chi2bounds.q_min_on_support(q)
     d = np.abs(p - q)
     prob = None
@@ -337,7 +338,7 @@ def _composed_chi2_tv_upper(p, q):
 
 
 def _composed_f_lower(g, p, q):
-    p, q = as_weight_vec(p), as_weight_vec(q)
+    p, q = _vectors(p, q, q_support=True)
     if g.pinsker_constant is None:
         raise ValueError(f"{g.label} carries no certified constant")
     bound = g.pinsker_constant * chi2bounds.q_min_on_support(q) / 4.0 * chi_squared(p, q)
@@ -345,7 +346,7 @@ def _composed_f_lower(g, p, q):
 
 
 def _composed_check_pinsker(g, p, q):
-    p, q = as_weight_vec(p), as_weight_vec(q)
+    p, q = _vectors(p, q)
     c = float(p.sum())
     if abs(c - q.sum()) > 1e-9 or c <= 0.0:
         raise ValueError("check_pinsker requires equal positive sums")
@@ -427,24 +428,25 @@ def test_empty_supports_are_value_errors():
 def test_checked_calls_validate_once(name, monkeypatch):
     # each checked call validates p and q once at its boundary and then runs
     # unchecked bodies: the same bits and the same first error as the
-    # composition of public calls, with at most two as_weight_vec calls
+    # composition of public calls, with one gate call
     from divlab import divergence, pinsker
 
     g = make_generator(name)
     calls = []
-    original = divergence.as_weight_vec
+    original = divergence._vectors
 
-    def counted(v):
+    def counted(*args, **kwargs):
         calls.append(1)
-        return original(v)
+        return original(*args, **kwargs)
 
-    for module in (divergence, chi2bounds, pinsker):
-        monkeypatch.setattr(module, "as_weight_vec", counted)
     for call, composed, takes_g in _checked_calls():
         for p, q in _edge_pairs():
             args = (g, p, q) if takes_g else (p, q)
             calls.clear()
-            got = _outcome(call, *args)
-            assert len(calls) <= 2, (call.__name__, p, q, len(calls))
+            with monkeypatch.context() as patch:
+                for module in (divergence, chi2bounds, pinsker):
+                    patch.setattr(module, "_vectors", counted)
+                got = _outcome(call, *args)
+            assert len(calls) == 1, (call.__name__, p, q, len(calls))
             want = _outcome(composed, *args)
             assert got == want, (call.__name__, p, q)

@@ -546,7 +546,7 @@ def test_violation_exit_code(bsc25_csv, capsys, monkeypatch):
             empirical_within_bound=False,
         )
 
-    monkeypatch.setattr(cli, "mixing_time_bounds", fake_mixing)
+    monkeypatch.setattr(cli, "_mixing_time", fake_mixing)
     code = run(["mixing-time", "--matrix", bsc25_csv, "--delta", "0.01"])
     out = capsys.readouterr().out
     assert code == 2
@@ -696,9 +696,9 @@ def test_analyze_chain_solves_shared_pieces_once(tmp_path, capsys, monkeypatch):
     from divlab import contraction, markov
 
     originals = {
-        "structure": markov.structure,
+        "_structure": markov._structure,
         "_stationary": markov._stationary,
-        "eta_chi2": contraction.eta_chi2,
+        "_eta_chi2": contraction._eta_chi2,
         "_draw_moves": contraction._draw_moves,
     }
     calls = dict.fromkeys(originals, 0)
@@ -728,8 +728,8 @@ def test_quantum_analyze_solves_shared_pieces_once(embedded_bsc_json, capsys, mo
     from divlab import quantum
 
     originals = {
-        "channel_structure": quantum.channel_structure,
-        "petz_eta_chi2": quantum.petz_eta_chi2,
+        "_channel_structure": quantum._channel_structure,
+        "_petz_eta_chi2": quantum._petz_eta_chi2,
     }
     calls = dict.fromkeys(originals, 0)
     for name, original in originals.items():

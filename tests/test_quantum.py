@@ -393,30 +393,31 @@ def test_petz_bounds_random_sweep(operator_convex_registry):
 
 @pytest.mark.parametrize("ranks", [(3, 3), (1, 3), (3, 2), (2, 2)])
 def test_petz_bounds_report_validates_and_diagonalises_once(ranks, registry, monkeypatch):
-    # each state is checked once and diagonalised by eigh once, and the
-    # report's chi2 and divergence keep the bits of the public calls
+    # the pair passes the state gate once, each state is diagonalised by
+    # eigh once, and the report's chi2 and divergence keep the bits of the
+    # public calls
     from divlab import quantum
 
     rng = np.random.default_rng(29)
     rho, sigma = (random_state(rng, 3, rank=r) for r in ranks)
     expected = [(petz_chi2(rho, sigma), petz_f_divergence(g, rho, sigma)) for g in registry]
-    calls = {"check_density_matrix": 0, "eigh": 0}
-    check, eigh = quantum.check_density_matrix, np.linalg.eigh
+    calls = {"_states": 0, "eigh": 0}
+    check, eigh = quantum._states, np.linalg.eigh
 
-    def counted_check(*args):
-        calls["check_density_matrix"] += 1
-        return check(*args)
+    def counted_check(*args, **kwargs):
+        calls["_states"] += 1
+        return check(*args, **kwargs)
 
     def counted_eigh(*args):
         calls["eigh"] += 1
         return eigh(*args)
 
-    monkeypatch.setattr(quantum, "check_density_matrix", counted_check)
+    monkeypatch.setattr(quantum, "_states", counted_check)
     monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
     for g, (chi2, value) in zip(registry, expected):
-        calls.update(check_density_matrix=0, eigh=0)
+        calls.update(_states=0, eigh=0)
         rep = petz_bounds_report(g, rho, sigma)
-        assert calls == {"check_density_matrix": 2, "eigh": 2}, g.label
+        assert calls == {"_states": 1, "eigh": 2}, g.label
         assert (rep.chi2, rep.divergence) == (chi2, value), g.label
 
 
