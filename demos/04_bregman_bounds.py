@@ -54,7 +54,7 @@ fq = SmoothConvexFn(
     dim=3,
     F=lambda x: float(np.sum(q * g.f(x / q))),
     grad=lambda x: g.f1(x / q),
-    hess=lambda x: np.diag(g.f2(x / q) / q),
+    hess=lambda x: g.f2(x / q) / q,  # a diagonal Hessian, given as its diagonal
     in_domain=lambda x: bool(np.all(np.asarray(x) > 0)),
 )
 print(f"  B_(f_q)(p||q) = {bregman_divergence(fq, p, q):.10f}")

@@ -7,12 +7,12 @@ gamma_down the extreme Hessian eigenvalues along the segment,
     (2 gamma_down / |supp(x-y)|^2) TV^2  <=  (gamma_down/2) ||x-y||_2^2
         <=  B_F(x||y)  <=  (gamma_up/2) ||x-y||_2^2  <=  2 gamma_up TV^2.
 
-gamma_down and gamma_up are the extremes over a 257-point t-grid.  The walk
-takes the Hessians in chunks of 32 points: a chunk of diagonal Hessians
-reads its eigenvalues off the diagonals, with no LAPACK call, and any other
-chunk makes one batched ``eigvalsh`` over its distinct Hessians, so a run of
-equal Hessians (a constant Q) costs one matrix.  Both routes give the
-eigenvalues the per-point ``eigvalsh`` gives, bit for bit.
+gamma_down and gamma_up are the extremes over a 257-point t-grid, walked in
+chunks of 32 points.  A Hessian that is the previous one (a constant Q) is
+skipped; a diagonal one, given as a vector or a matrix, has its eigenvalues
+read off with no LAPACK call; the other Hessians of a chunk make one batched
+``eigvalsh`` over their distinct values.  Both routes give the eigenvalues
+the per-point ``eigvalsh`` gives, bit for bit.
 
 The integral representation is evaluated by quadrature, over the same walk,
 as an internal cross-check of every sandwich report.
@@ -52,7 +52,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SmoothConvexFn:
-    """A twice-differentiable convex function on a subset of R^n."""
+    """A twice-differentiable convex function on a subset of R^n.  ``hess``
+    gives the n x n Hessian or, if it is diagonal, its diagonal as a length-n
+    array; an array returned again at the next point (a constant Hessian) is
+    taken once, so a returned array must not change."""
 
     dim: int
     F: Callable[[np.ndarray], float]
@@ -82,8 +85,8 @@ def neg_entropy_fn(dim: int) -> SmoothConvexFn:
         dim=_as_count(dim, "dim", 1),
         F=lambda x: float(np.sum(x * np.log(x))),
         grad=lambda x: np.log(x) + 1.0,
-        hess=lambda x: np.diag(1.0 / x),
-        in_domain=lambda x: bool(np.all(np.asarray(x) > 0.0)),
+        hess=lambda x: 1.0 / x,
+        in_domain=lambda x: bool((np.asarray(x) > 0.0).all()),
         name="neg_entropy",
     )
 
@@ -101,15 +104,19 @@ def _check_point(fd: SmoothConvexFn, x) -> np.ndarray:
 
 def _walk(fd: SmoothConvexFn, x: np.ndarray, y: np.ndarray, t: np.ndarray):
     """Yield the Hessians of F at lam_t = (1-t)y + tx over the nodes t, as
-    lists of at most _CHUNK float arrays; each point is checked to lie in the
-    domain before its Hessian is taken."""
+    lists of at most _CHUNK float arrays, each (n, n) or a length-n diagonal;
+    each point is checked to lie in the domain before its Hessian is taken."""
+    shapes = ((fd.dim, fd.dim), (fd.dim,))
     for start in range(0, len(t), _CHUNK):
         tc = t[start : start + _CHUNK, np.newaxis]
         mats = []
         for lam in (1.0 - tc) * y + tc * x:
             if not fd.in_domain(lam):
                 raise ValueError("segment leaves the domain of F")
-            mats.append(np.asarray(fd.hess(lam), dtype=float))
+            H = np.asarray(fd.hess(lam), dtype=float)
+            if H.shape not in shapes:
+                raise ValueError(f"Hessian must be n x n or its diagonal, n = {fd.dim}; got {H.shape}")
+            mats.append(H)
         yield mats
 
 
@@ -120,9 +127,11 @@ def _divergence(fd: SmoothConvexFn, x: np.ndarray, y: np.ndarray) -> float:
 def _integral(fd: SmoothConvexFn, x: np.ndarray, y: np.ndarray) -> float:
     d = x - y
     t, w = _gauss_legendre(_QUAD_NODES)
-    total = 0.0
+    total, last = 0.0, None
     for tk, wk, H in zip(t, w, itertools.chain.from_iterable(_walk(fd, x, y, t))):
-        total += wk * (1.0 - tk) * float(d @ H @ d)
+        if H is not last:
+            last, dHd = H, float((d * H) @ d if H.ndim == 1 else d @ H @ d)
+        total += wk * (1.0 - tk) * dHd
     return float(total)
 
 
@@ -140,28 +149,35 @@ def _gammas(fd: SmoothConvexFn, x: np.ndarray, y: np.ndarray) -> tuple[float, fl
     """The extreme eigenvalues of the symmetrised Hessians over the t-grid,
     each equal to what a per-point ``eigvalsh`` gives; a NaN eigenvalue is
     skipped, as a running ``min`` from inf skips it."""
-    lo, hi = np.inf, -np.inf
-    last = None  # the previous chunk's last Hessian, its eigenvalues counted
+    n, lo, hi = fd.dim, np.inf, -np.inf
+    # the walk's last Hessian; the last matrix diagonalised (NaN equals none)
+    last, seen = None, np.full((1, n, n), np.nan)
     for mats in _walk(fd, x, y, np.linspace(0.0, 1.0, _T_GRID_N)):
-        H = np.stack(mats)
-        diag = np.diagonal(H, axis1=1, axis2=2)
-        amax = np.abs(diag).max(axis=1)
-        if np.count_nonzero(H) == np.count_nonzero(diag) and np.all(
-            (amax == 0.0) | ((amax >= _UNSCALED[0]) & (amax <= _UNSCALED[1]))
-        ):
-            # diagonal and in range: symmetrising would leave H as it is
-            lo = min(lo, float(diag.min()))
-            hi = max(hi, float(diag.max()))
-        else:
+        fresh = [H for H, before in zip(mats, [last, *mats]) if H is not before]
+        last = mats[-1]
+        if not fresh:
+            continue
+        D = [H for H in fresh if H.ndim == 1]
+        H = np.array([H for H in fresh if H.ndim == 2]).reshape(-1, n, n)
+        if len(H):  # a diagonal matrix joins the diagonals
+            diag = np.diagonal(H, axis1=1, axis2=2)
+            flat = np.count_nonzero(H, axis=(1, 2)) == np.count_nonzero(diag, axis=1)
+            D, H = [*D, *diag[flat]], H[~flat]
+        D = np.array(D).reshape(-1, n)
+        amax = np.abs(D).max(axis=1)
+        # in LAPACK's unscaled range a diagonal's eigenvalues are its entries
+        ok = (amax == 0.0) | ((amax >= _UNSCALED[0]) & (amax <= _UNSCALED[1]))
+        if ok.any():
+            lo, hi = min(lo, float(D[ok].min())), max(hi, float(D[ok].max()))
+        if not ok.all():
+            H = np.concatenate([H, [np.diag(h) for h in D[~ok]]])
+        if len(H):
             H = 0.5 * (H + H.transpose(0, 2, 1))  # symmetrize to 1e-10-level asymmetry
-            new = np.ones(len(H), dtype=bool)
-            new[1:] = np.any(H[1:] != H[:-1], axis=(1, 2))
-            new[0] = last is None or not np.array_equal(H[0], last)
-            if new.any():
-                eig = np.linalg.eigvalsh(H[new])
-                lo = min(lo, float(np.fmin.reduce(eig[:, 0], initial=np.inf)))
-                hi = max(hi, float(np.fmax.reduce(eig[:, -1], initial=-np.inf)))
-        last = H[-1]
+            new = np.any(H != np.concatenate([seen, H[:-1]]), axis=(1, 2))
+            seen = H[-1:]
+            eig = np.linalg.eigvalsh(H[new])
+            lo = min(lo, float(np.fmin.reduce(eig[:, 0], initial=np.inf)))
+            hi = max(hi, float(np.fmax.reduce(eig[:, -1], initial=-np.inf)))
     return lo, hi
 
 
@@ -196,21 +212,9 @@ def bregman_sandwich(fd: SmoothConvexFn, x, y) -> BregmanSandwich:
     l2_upper = 0.5 * gamma_up * l2sq
     tv_lower = 2.0 * gamma_down * tv**2 / supp**2 if supp else 0.0
     tv_upper = 2.0 * gamma_up * tv**2
-    holds = (
-        tv_lower <= l2_lower + 1e-9
-        and l2_lower <= value + 1e-9
-        and value <= l2_upper + 1e-9
-        and l2_upper <= tv_upper + 1e-9
-        and abs(integral_value - value) <= 1e-7 * max(1.0, abs(value))
+    # the fields from tv_lower to tv_upper, in order, form the chain
+    chain = (tv_lower, l2_lower, value, l2_upper, tv_upper)
+    holds = all(a <= b + 1e-9 for a, b in zip(chain, chain[1:])) and (
+        abs(integral_value - value) <= 1e-7 * max(1.0, abs(value))
     )
-    return BregmanSandwich(
-        gamma_down=gamma_down,
-        gamma_up=gamma_up,
-        tv_lower=tv_lower,
-        l2_lower=l2_lower,
-        value=value,
-        l2_upper=l2_upper,
-        tv_upper=tv_upper,
-        integral_value=integral_value,
-        holds=holds,
-    )
+    return BregmanSandwich(gamma_down, gamma_up, *chain, integral_value, holds)

@@ -22,6 +22,7 @@ from .divergence import (
     _chi_squared,
     _clamp,
     _f_divergence,
+    _no_first_order_term,
     _total_variation,
     _vectors,
 )
@@ -151,8 +152,10 @@ def _kappa_up_rows(g: Generator, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
 
 def chi2_sandwich(g: Generator, p, q):
     """(kappa_down/2) chi^2 <= D_f <= (kappa_up/2) chi^2, checked with a
-    slack of 1e-10 relative to the value (absolute below 1)."""
+    slack of 1e-10 relative to the value (absolute below 1).  Requires p << q
+    and equal sums or f'(1) = 0, as ``integral_representation`` does."""
     p, q = _vectors(p, q, dominated=True, q_support=True)
+    _no_first_order_term(g, p, q)
     kp = _kappa_pair(g, p, q)
     chi2 = _chi_squared(p, q)
     value = _f_divergence(g, p, q)
@@ -167,9 +170,11 @@ def reverse_pinsker(g: Generator, p, q) -> tuple[float, float]:
     """Upper bounds on D_f by the l2 norm and by TV, via kappa_up and q_min.
 
     l2 bound: kappa_up/(2 q_min) * ||p-q||_2^2; TV bound: 2 kappa_up/q_min * TV^2.
-    Both dominate D_f(p||q); +inf when kappa_up is infinite.
+    Both dominate D_f(p||q), given p << q and equal sums or f'(1) = 0; +inf
+    when kappa_up is infinite.
     """
     p, q = _vectors(p, q, dominated=True, q_support=True)
+    _no_first_order_term(g, p, q)
     kp = _kappa_pair(g, p, q)
     qmin = _q_min(q)
     if not math.isfinite(kp.kappa_up):
@@ -197,8 +202,8 @@ def chi2_tv_upper(p, q) -> tuple[float, float | None]:
 
 
 def f_lower_by_chi2(g: Generator, p, q) -> tuple[float, bool]:
-    """D_f >= (L_f q_min / 4) chi^2 for probability vectors."""
-    p, q = _vectors(p, q, q_support=True)
+    """D_f >= (L_f q_min / 4) chi^2 for probability vectors with p << q."""
+    p, q = _vectors(p, q, prob=True, dominated=True, q_support=True)
     if g.pinsker_constant is None:
         raise ValueError(f"{g.label} carries no certified constant")
     bound = g.pinsker_constant * _q_min(q) / 4.0 * _chi_squared(p, q)

@@ -184,6 +184,13 @@ def _chi_squared(p: np.ndarray, q: np.ndarray) -> float:
     return float(np.sum(d * d / q[pos]))
 
 
+def _no_first_order_term(g: Generator, p: np.ndarray, q: np.ndarray) -> None:
+    """The condition of the second-order forms of D_f: the first-order term
+    f'(1)(sum p - sum q) vanishes, the sums being equal or f'(1) = 0."""
+    if abs(p.sum() - q.sum()) > 1e-9 and abs(float(g.f1(1.0))) > 1e-12:
+        raise ValueError("requires equal sums or f'(1) = 0")
+
+
 @lru_cache(maxsize=16)
 def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only n-point Gauss-Legendre nodes and weights mapped to [0, 1]."""
@@ -203,10 +210,8 @@ def integral_representation(g: Generator, p, q) -> float:
     the integrand is (1-t) * sum_i f''(1 + t(p_i/q_i - 1)) (p_i-q_i)^2 / q_i.
     """
     p, q = _vectors(p, q, dominated=True)
+    _no_first_order_term(g, p, q)
     pos = q > 0.0
-    fprime_at_one = float(g.f1(1.0))
-    if abs(p.sum() - q.sum()) > 1e-9 and abs(fprime_at_one) > 1e-12:
-        raise ValueError("requires equal sums or f'(1) = 0")
     ps, qs = p[pos], q[pos]
     if np.any(ps == 0.0) and not g.f2_at_zero_finite:
         raise ValueError(

@@ -24,8 +24,14 @@ def _random_interior(rng, dim):
     return 0.9 * x + 0.1 / dim
 
 
+def _dense(H):
+    # a Hessian given as its diagonal, as the matrix
+    return np.diag(H) if np.ndim(H) == 1 else H
+
+
 def test_gradient_and_hessian_consistency():
-    # gradient matches finite differences of F (rel 1e-5), Hessian symmetric
+    # gradient matches finite differences of F (rel 1e-5), and the Hessian
+    # (a 1-D one read as its diagonal) central differences of the gradient
     rng = np.random.default_rng(0)
     quad = quadratic_fn(np.array([[2.0, 0.3], [0.3, 1.0]]))
     ent = neg_entropy_fn(3)
@@ -37,12 +43,14 @@ def test_gradient_and_hessian_consistency():
             x = point_gen()
             grad = fd.grad(x)
             h = 1e-6
+            H = _dense(fd.hess(x))
             for i in range(fd.dim):
                 e = np.zeros(fd.dim)
                 e[i] = h
                 fdiff = (fd.F(x + e) - fd.F(x - e)) / (2 * h)
                 assert fdiff == pytest.approx(grad[i], rel=1e-5, abs=1e-8)
-            H = np.asarray(fd.hess(x))
+                column = (fd.grad(x + e) - fd.grad(x - e)) / (2 * h)
+                assert column == pytest.approx(H[:, i], rel=1e-5, abs=1e-6)
             assert np.max(np.abs(H - H.T)) <= 1e-9
 
 
@@ -189,7 +197,7 @@ def bregman_sandwich_loop(fd, x, y):
         lam = (1.0 - t) * y + t * x
         if not fd.in_domain(lam):
             raise ValueError("segment leaves the domain of F")
-        H = np.asarray(fd.hess(lam), dtype=float)
+        H = np.asarray(_dense(fd.hess(lam)), dtype=float)
         H = 0.5 * (H + H.T)
         eig = np.linalg.eigvalsh(H)
         gamma_down = min(gamma_down, float(eig[0]))
@@ -203,7 +211,7 @@ def bregman_sandwich_loop(fd, x, y):
         lam = (1.0 - tk) * y + tk * x
         if not fd.in_domain(lam):
             raise ValueError("segment leaves the domain of F")
-        integral_value += wk * (1.0 - tk) * float(d @ fd.hess(lam) @ d)
+        integral_value += wk * (1.0 - tk) * float(d @ _dense(fd.hess(lam)) @ d)
     l2sq = float(np.dot(d, d))
     tv = 0.5 * float(np.abs(d).sum())
     supp = int(np.sum(np.abs(d) > 1e-12 * max(1.0, np.abs(d).max())))
@@ -378,13 +386,49 @@ def test_eigvalsh_matrices_per_sandwich(fd, matrices, monkeypatch):
     assert sum(seen) == matrices
 
 
+def _scaled_cubic(c):
+    # F(x) = sum c_i (x_i^2/2 + x_i^3/6): its Hessian, the diagonal c(1 + x),
+    # returned as a vector, varies along the segment
+    return SmoothConvexFn(
+        dim=len(c),
+        F=lambda z: float(np.sum(c * (z**2 / 2.0 + z**3 / 6.0))),
+        grad=lambda z: c * (z + z**2 / 2.0),
+        hess=lambda z: c * (1.0 + z),
+    )
+
+
 @pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e-150, 2.0**485, 2.0**486, 1e200, 1e300])
 def test_diagonal_hessians_outside_lapack_range(scale):
     # LAPACK rescales a matrix with entries beyond 2**+-485, which moves the
-    # last bits of about three in four such diagonals: those chunks take the
-    # eigvalsh route, like the loop
+    # last bits of about three in four such diagonals: those Hessians take the
+    # eigvalsh route, like the loop, whether given as a matrix or a vector
     rng = np.random.default_rng(17)
     x, y = np.array([0.5, 0.3, 0.2]), np.array([0.2, 0.3, 0.5])
     for _ in range(6):
-        fd = quadratic_fn(np.diag(rng.uniform(0.1, 10.0, size=3) * scale))
-        assert _bits(bregman_sandwich(fd, x, y)) == _bits(bregman_sandwich_loop(fd, x, y))
+        c = rng.uniform(0.1, 10.0, size=3) * scale
+        for fd in (quadratic_fn(np.diag(c)), _scaled_cubic(c)):
+            assert _bits(bregman_sandwich(fd, x, y)) == _bits(bregman_sandwich_loop(fd, x, y))
+
+
+@pytest.mark.parametrize("shape", [(), (4,), (3, 2), (2, 3), (1, 3, 3), (3, 3, 1)])
+def test_hessian_of_the_wrong_shape_is_an_input_error(shape):
+    # at n = 3 a Hessian is 3 x 3 or its length-3 diagonal, nothing else
+    fd = SmoothConvexFn(dim=3, F=lambda z: 0.0, grad=np.zeros_like,
+                        hess=lambda z: np.ones(shape))
+    x, y = np.array([0.5, 0.3, 0.2]), np.array([0.2, 0.3, 0.5])
+    for call in (bregman_sandwich, bregman_integral):
+        with pytest.raises(ValueError, match=r"Hessian must be n x n or its diagonal, n = 3"):
+            call(fd, x, y)
+
+
+def test_vector_and_matrix_diagonals_agree(registry):
+    # a separable potential gives the same bits whether its Hessian is the
+    # diagonal or the diagonal matrix; near the boundary f'' runs large
+    rng = np.random.default_rng(23)
+    for g in registry:
+        x, y = rng.dirichlet(0.05 * np.ones(8)) + 1e-9, rng.dirichlet(0.05 * np.ones(8)) + 1e-9
+        matrix = _separable_fn(g, y)
+        vector = dataclasses.replace(matrix, hess=lambda z, g=g: g.f2(z / y) / y)
+        expected = _bits(bregman_sandwich_loop(matrix, x, y))
+        assert _bits(bregman_sandwich(matrix, x, y)) == expected, g.label
+        assert _bits(bregman_sandwich(vector, x, y)) == expected, g.label

@@ -305,8 +305,14 @@ def test_f_lower_by_chi2():
 # The checked calls as the gate followed by compositions of the public
 # calls, each of which validates its own inputs again: the oracle for calls
 # that validate once
+def _equal_sums_or_flat(g, p, q):
+    # the rule integral_representation states for the second-order forms
+    if abs(p.sum() - q.sum()) > 1e-9 and abs(float(g.f1(1.0))) > 1e-12:
+        raise ValueError("requires equal sums or f'(1) = 0")
+
+
 def _composed_sandwich(g, p, q):
-    _vectors(p, q, dominated=True, q_support=True)
+    _equal_sums_or_flat(g, *_vectors(p, q, dominated=True, q_support=True))
     kp = kappa_bounds(g, p, q)
     chi2, value = chi_squared(p, q), f_divergence(g, p, q)
     upper = 0.5 * kp.kappa_up * chi2 if math.isfinite(kp.kappa_up) else math.inf
@@ -316,7 +322,7 @@ def _composed_sandwich(g, p, q):
 
 
 def _composed_reverse_pinsker(g, p, q):
-    _vectors(p, q, dominated=True, q_support=True)
+    _equal_sums_or_flat(g, *_vectors(p, q, dominated=True, q_support=True))
     kp = kappa_bounds(g, p, q)
     p, q = _vectors(p, q)
     qmin = chi2bounds.q_min_on_support(q)
@@ -338,7 +344,7 @@ def _composed_chi2_tv_upper(p, q):
 
 
 def _composed_f_lower(g, p, q):
-    p, q = _vectors(p, q, q_support=True)
+    p, q = _vectors(p, q, prob=True, dominated=True, q_support=True)
     if g.pinsker_constant is None:
         raise ValueError(f"{g.label} carries no certified constant")
     bound = g.pinsker_constant * chi2bounds.q_min_on_support(q) / 4.0 * chi_squared(p, q)

@@ -445,10 +445,6 @@ def _is_state(rho, tol=1e-8) -> bool:
             and abs(np.trace(rho).real - 1.0) <= tol)
 
 
-def _dominates(p, q) -> bool:
-    return float(np.asarray(p, dtype=float)[np.asarray(q, dtype=float) <= 0.0].sum()) == 0.0
-
-
 def _stochastic(W) -> bool:
     return bool(np.all(W >= 0.0)) and np.allclose(W.sum(axis=0), 1.0, atol=1e-9)
 
@@ -474,20 +470,17 @@ def _relations(name, args, kwargs, out):
     elif name == "kappa_bounds":
         assert 0.0 <= out.kappa_down <= out.kappa_up and out.finite == math.isfinite(out.kappa_up)
     elif name == "chi2_sandwich":
-        if _both_prob(a[1], a[2]):
-            assert out[3]
+        assert out[3]
     elif name == "reverse_pinsker":
-        if _both_prob(a[1], a[2]):
-            value = divlab.f_divergence(*a)
-            assert value <= out[0] * (1 + 1e-9) + 1e-12 and value <= out[1] * (1 + 1e-9) + 1e-12
+        value = divlab.f_divergence(*a)
+        assert value <= out[0] * (1 + 1e-9) + 1e-12 and value <= out[1] * (1 + 1e-9) + 1e-12
     elif name == "chi2_tv_upper":
         chi2 = divlab.chi_squared(*a)
         assert chi2 <= out[0] * (1 + 1e-9) + 1e-12
         if out[1] is not None:
             assert chi2 <= out[1] * (1 + 1e-9) + 1e-12
     elif name == "f_lower_by_chi2":
-        if _both_prob(a[1], a[2]) and _dominates(a[1], a[2]):
-            assert out[1]
+        assert out[1]
     elif name == "q_min_on_support":
         assert out > 0.0
     elif name == "h_lambda":
@@ -633,6 +626,11 @@ NAN2 = np.full((2, 2), NAN)
     _raises(KrausChannel, (np.zeros((0, 0)),), match="2-D"),
     _raises(divlab.check_density_matrix, NAN2, match="finite"),
     _raises(make_generator, "nope", match="unknown generator"),
+    _raises(divlab.chi2_sandwich, KL, [1.0, 1.0], [0.5, 0.5], match="equal sums"),
+    _raises(divlab.chi2_sandwich, PC, [1.0, 1.0], [0.5, 0.5], match="equal sums"),
+    _raises(divlab.reverse_pinsker, KL, [1.0, 1.0], [0.5, 0.5], match="equal sums"),
+    _raises(divlab.f_lower_by_chi2, JS, [0.5, 0.5], [1.0, 0.0], match="requires p << q"),
+    _raises(divlab.f_lower_by_chi2, KL, [1.0, 1.0], [0.5, 0.5], match="sum to one"),
 ])
 def test_input_errors_are_value_errors(call, args, match):
     with pytest.raises(ValueError, match=match):
