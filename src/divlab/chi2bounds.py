@@ -153,7 +153,9 @@ def _kappa_up_rows(g: Generator, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
 def chi2_sandwich(g: Generator, p, q):
     """(kappa_down/2) chi^2 <= D_f <= (kappa_up/2) chi^2, checked with a
     slack of 1e-10 relative to the value (absolute below 1).  Requires p << q
-    and equal sums or f'(1) = 0, as ``integral_representation`` does."""
+    and equal sums or f'(1) = 0, as ``integral_representation`` does; sums
+    that differ within that rule's 1e-9 leave the first-order term
+    f'(1)(sum p - sum q) in D_f, and the check's slack takes it in."""
     p, q = _vectors(p, q, dominated=True, q_support=True)
     _no_first_order_term(g, p, q)
     kp = _kappa_pair(g, p, q)
@@ -163,6 +165,9 @@ def chi2_sandwich(g: Generator, p, q):
     upper = 0.5 * kp.kappa_up * chi2 if math.isfinite(kp.kappa_up) else math.inf
     slack = 1e-10 * max(1.0, abs(value))
     holds = (lower <= value + slack) and (value <= upper + slack)
+    if not holds and p.sum() != q.sum():
+        slack += abs(float(g.f1(1.0)) * float(p.sum() - q.sum()))
+        holds = (lower <= value + slack) and (value <= upper + slack)
     return lower, value, upper, holds
 
 

@@ -27,7 +27,9 @@ import sys
 import numpy as np
 
 from . import __version__
-from .contraction import SampleBudget, _ChainContext, _check_delta, _mixing_time
+from .contraction import (
+    SampleBudget, _ChainContext, _check_delta, _mixing_time, _quadratic,
+)
 from .divergence import (
     SUPPORT_EPSILON, _as_count, _chi_squared, _f_divergence, _total_variation, _vectors,
 )
@@ -335,7 +337,7 @@ def _cmd_analyze_chain(args) -> int:
         "reference": pi,
         "eta_chi2": {"bound_id": "eta-chi2-second-singular-value", "value": eta2},
         "eta_f_estimate": {
-            "bound_id": "eta-f-sampled-lower-estimate",
+            "bound_id": "eta-f-exact-chi2" if _quadratic(g) else "eta-f-sampled-lower-estimate",
             "value": est,
             "witness": witness,
         },
@@ -408,14 +410,17 @@ def _cmd_quantum_analyze(args) -> int:
         warnings_list.append("channel is not mixing; contraction section skipped")
     else:
         pi = info.fixed_point
-        est, _ = _eta_estimate(channel, pi, g, budget)
-        # the bounds and the mixing times share one exact Petz eta_chi2
+        # the bounds, the mixing times and the eta_f of a quadratic g share
+        # one exact Petz eta_chi2
         eta = _petz_eta_chi2(channel, pi)
+        exact = _quadratic(g)
+        est = eta if exact else _eta_estimate(channel, pi, g, budget)[0]
         results["contraction"] = {
             "eta_f_estimate": {
-                "bound_id": "petz-eta-f-sampled-lower-estimate",
+                "bound_id": "petz-eta-f-exact-chi2" if exact
+                else "petz-eta-f-sampled-lower-estimate",
                 "value": est,
-                "estimate_based": True,
+                "estimate_based": not exact,
             },
         }
         if g.operator_convex and g.pinsker_constant:

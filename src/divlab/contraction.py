@@ -1,12 +1,15 @@
 """Input-dependent contraction coefficients and Markov-chain rate machinery.
 
 eta_chi2 is exact (squared second singular value of the normalized joint
-matrix); eta_f is estimated from below by sampling the simplex (exhaustive
-1-D grid on binary alphabets) and bounded from above by the nonlinear
-kappa-based bound and, for generators with (f(t)-f(0))/t concave, the linear
-bound, whose kappa sup is a maximum over simplex vertices.  All sampling is
-driven by a root seed and is deterministic.  Estimates against one
-reference share one estimate context (the candidate cloud, its
+matrix).  For a quadratic generator (f'' constant and positive) D_f is
+f''(1)/2 chi^2 on probability vectors, so eta_f is eta_chi2 exactly and is
+read off the same SVD, with the second right singular vector as witness.
+Any other eta_f is estimated from below by sampling the simplex (exhaustive
+1-D grid on binary alphabets).  Every eta_f is bounded from above by the
+nonlinear kappa-based bound and, for generators with (f(t)-f(0))/t concave,
+the linear bound, whose kappa sup is a maximum over simplex vertices.  All
+sampling is driven by a root seed and is deterministic.  Estimates against
+one reference share one estimate context (the candidate cloud, its
 denominators and the refine stream), and the sections of one chain report
 share one chain context (structure, pi, eta_chi2 and that estimate
 context), so a report computes each of them once.
@@ -32,7 +35,7 @@ from .divergence import (
     _divergence_rows,
     _total_variation,
 )
-from .generators import Generator
+from .generators import CONSTANT, Generator
 from .markov import (
     ChainStructure,
     _channel,
@@ -88,21 +91,73 @@ def _eta_chi2(W: np.ndarray, q: np.ndarray) -> float:
     if int(np.sum(q > 0.0)) <= 1:
         warnings.warn("degenerate reference (all mass on one symbol); eta = 0")
         return 0.0
+    return _second_singular_value_sq(_normalized_joint(W, q)[0])
+
+
+def _normalized_joint(W: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The joint of input q and output Wq over supp q and supp Wq, divided
+    by the square-rooted marginals, and the indices of supp q."""
     out = W @ q
     x_keep = np.flatnonzero(q > 0.0)
     y_keep = np.flatnonzero(out > 0.0)
     joint = W[np.ix_(y_keep, x_keep)] * q[x_keep][np.newaxis, :]
     norm = np.sqrt(np.outer(out[y_keep], q[x_keep]))
-    return _second_singular_value_sq(joint / norm)
+    return joint / norm, x_keep
 
 
 def _second_singular_value_sq(M: np.ndarray) -> float:
     """Squared second singular value of M clipped to [0, 1]; 0 when M has
-    fewer than two singular values."""
+    fewer than two singular values or the second is at most numpy's rank
+    tolerance s_1 max(M.shape) eps.  Below it the value is rounding noise of
+    the SVD, which a root eta(W^n)^(1/n) would lift far above eta(W)."""
     s = np.linalg.svd(M, compute_uv=False)
-    if s.size < 2:
+    if s.size < 2 or s[1] <= s[0] * max(M.shape) * np.finfo(float).eps:
         return 0.0
     return float(min(max(s[1] ** 2, 0.0), 1.0))
+
+
+def _second_right_vector(M: np.ndarray, among=slice(None)) -> np.ndarray:
+    """The second right singular vector of M, which has at least two
+    columns, with the phase that makes its first entry of largest modulus
+    ``among`` the given indices real and positive, so that it does not
+    depend on the LAPACK build.  When the second singular value is
+    repeated, the vector LAPACK picks may vanish on those indices; its
+    first entry of largest modulus overall then sets the phase.  With one
+    row, M's null space supplies it."""
+    v = np.linalg.svd(M, full_matrices=M.shape[0] < 2)[2][1].conj()
+    candidates = v[among]
+    top = candidates[int(np.argmax(np.abs(candidates)))]
+    if abs(top) <= np.finfo(float).eps * np.max(np.abs(v)):
+        top = v[int(np.argmax(np.abs(v)))]
+    return v * (abs(top) / top)
+
+
+def _quadratic(g: Generator) -> bool:
+    """f'' constant and positive: D_f = f''(1)/2 chi^2 on probability
+    vectors (f'(1)(sum p - sum q) vanishes) and on NS rows, so every eta_f
+    of g is the exact eta_chi2."""
+    return g.f2_monotonicity == CONSTANT and float(g.f2(1.0)) > 0.0
+
+
+def _chi2_estimates(Ws: list[np.ndarray], q: np.ndarray, eta1: float | None = None):
+    """``eta_f_estimate(W, q, g)`` of a quadratic g for every validated
+    channel W of ``Ws``: the exact eta_chi2(W, q), ``eta1`` for Ws[0] when
+    given.  Only Ws[0] gets a witness (None for the others): p = q + t X
+    with X = sqrt(q) v2 on supp q, v2 the second right singular vector of
+    the normalized joint, whose chi^2 ratio is eta_chi2 for every t; t is
+    half the largest step that keeps p >= 0.  A reference with one symbol
+    of mass gives (0, None) and the warning of eta_chi2."""
+    etas = [eta1 if eta1 is not None else _eta_chi2(Ws[0], q)]
+    etas += [_eta_chi2(W, q) for W in Ws[1:]]
+    witness = None
+    if int(np.sum(q > 0.0)) > 1:
+        M, x_keep = _normalized_joint(Ws[0], q)
+        X = np.zeros_like(q)
+        X[x_keep] = np.sqrt(q[x_keep]) * _second_right_vector(M)
+        down = X < 0.0
+        witness = q + 0.5 * float(np.min(q[down] / -X[down])) * X
+        witness /= witness.sum()
+    return [(etas[0], witness)] + [(eta, None) for eta in etas[1:]]
 
 
 def _candidate_inputs(n: int, q: np.ndarray, budget: SampleBudget) -> np.ndarray:
@@ -262,13 +317,20 @@ def eta_f_estimate(
 ) -> tuple[float, np.ndarray | None]:
     """Certified lower estimate of eta_f(W, q) with its witness input.
 
-    Samples the simplex, excludes infeasible inputs (divergence zero or
-    infinite), and refines the best candidate by coordinate hill-climbing:
-    each refine step draws a pair i != j and moves a random share of p_i,
-    at most the step's scale, to p_j.  Ratios are scored net of their
-    rounding bound (see ``_ratio_scores``).
+    For a quadratic generator (f'' constant and positive: pearson_chi2,
+    hellinger and renyi_gain at alpha = 2) the value is exact: eta_f equals
+    eta_chi2(W, q), bit for bit, and the witness is q moved along the second
+    singular direction (see ``_chi2_estimates``); the budget is not used.
+
+    Otherwise it samples the simplex, excludes infeasible inputs (divergence
+    zero or infinite), and refines the best candidate by coordinate
+    hill-climbing: each refine step draws a pair i != j and moves a random
+    share of p_i, at most the step's scale, to p_j.  Ratios are scored net
+    of their rounding bound (see ``_ratio_scores``).
     """
     W, q = _channel(W, q)
+    if _quadratic(g):
+        return _chi2_estimates([W], q)[0]
     return _EstimateContext(g, q, budget or SampleBudget()).estimates([W])[0]
 
 
@@ -418,7 +480,7 @@ def _upper_bounds(g: Generator, factor, denom, eta, kup, full: bool):
 @dataclass(frozen=True)
 class RatePoint:
     n: int
-    eta_f_root: float  # eta_f(W^n, pi)^(1/n), estimated
+    eta_f_root: float  # eta_f(W^n, pi)^(1/n): exact for quadratic f, else a lower estimate
     envelope: float  # eta_chi2 * (4 kappa_sup / (L pi_min))^(1/n)
     within_envelope: bool
 
@@ -614,8 +676,12 @@ class _ChainContext:
     @cached_property
     def _estimates(self) -> list[tuple[float, np.ndarray | None]]:
         """The estimates on W, ..., W^profile_n when the profile can run,
-        else on W alone; a profile that cannot run reports why itself."""
+        else on W alone; a profile that cannot run reports why itself.  A
+        quadratic generator reads them off eta_chi2 of each power, the one
+        of W being ``eta2``."""
         Ws = self.powers[0] if self._profile_error() is None else [self.W]
+        if _quadratic(self.g):
+            return _chi2_estimates(Ws, _clamp(self.info.stationary), self.eta2)
         return self.context.estimates(Ws)
 
     @cached_property

@@ -10,13 +10,16 @@ operator lists, but every channel action -- on states, on fixed points and
 in the exact chi-squared coefficient -- goes through the transition
 superoperator, built once per channel and cached.  The Petz chi-squared
 contraction coefficient is exact, and the bounds built on it sample
-nothing; other contraction coefficients are sampled lower estimates, scored
-net of their rounding bound.
+nothing.  A quadratic generator (f'' constant and positive) has Petz
+divergence f''(1)/2 times the Petz chi^2, so its contraction coefficient is
+that exact one too; other contraction coefficients are sampled lower
+estimates, scored net of their rounding bound.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from functools import cached_property, partial
 
@@ -33,7 +36,9 @@ from .contraction import (
     _empirical_mixing,
     _linear_coeff,
     _mixing_times,
+    _quadratic,
     _ratio_scores,
+    _second_right_vector,
     _second_singular_value_sq,
     _upper_bounds,
 )
@@ -615,21 +620,30 @@ def _candidate_states(sigma: np.ndarray, budget: QuantumBudget) -> np.ndarray:
 def quantum_eta_estimate(
     channel: KrausChannel, sigma, g: Generator, budget: QuantumBudget | None = None
 ) -> tuple[float, np.ndarray | None]:
-    """Sampled lower estimate of the Petz input-dependent contraction
-    coefficient, with its witness state.
+    """Lower estimate of the Petz input-dependent contraction coefficient,
+    with its witness state.
 
-    Scores D_f(E(rho) || E(sigma)) / D_f(rho || sigma) on NS rows with the
-    classical scorer, net of its rounding bound, over the candidate stack
-    block by block and then per window of refine proposals (see
-    ``_climbs``).  A refine step draws a share u and a Haar pure state psi
-    from the stream seeded with seed + 1 and proposes the state
-    (1 - w u) rho + (1 - Tr[(1 - w u) rho]) psi for the step's weight w.
+    For a quadratic generator (f'' constant and positive) the value is
+    exact: ``petz_eta_chi2(channel, sigma)`` bit for bit, with the witness
+    sigma + t H along the second singular direction (see ``_petz_witness``);
+    the budget is not used.
+
+    Otherwise it is sampled: it scores D_f(E(rho) || E(sigma)) /
+    D_f(rho || sigma) on NS rows with the classical scorer, net of its
+    rounding bound, over the candidate stack block by block and then per
+    window of refine proposals (see ``_climbs``).  A refine step draws a
+    share u and a Haar pure state psi from the stream seeded with seed + 1
+    and proposes the state (1 - w u) rho + (1 - Tr[(1 - w u) rho]) psi for
+    the step's weight w.
     """
     return _eta_estimate(channel, *_states(sigma, channel=channel), g, budget or QuantumBudget())
 
 
 def _eta_estimate(channel: KrausChannel, sigma: np.ndarray, g: Generator, budget):
     """``quantum_eta_estimate`` of a checked state, unchecked."""
+    if _quadratic(g):
+        T, e_in, l_in = _petz_chi2_form(channel, sigma)
+        return _second_singular_value_sq(T), _petz_witness(sigma, T, e_in, l_in)
     ref_in, ref_out = _spectral(sigma), _spectral(_apply(channel, sigma))
     d = sigma.shape[0]
 
@@ -673,6 +687,13 @@ def petz_eta_chi2(channel: KrausChannel, sigma) -> float:
 
 def _petz_eta_chi2(channel: KrausChannel, sigma: np.ndarray) -> float:
     """``petz_eta_chi2`` of a checked state, unchecked."""
+    return _second_singular_value_sq(_petz_chi2_form(channel, sigma)[0])
+
+
+def _petz_chi2_form(channel: KrausChannel, sigma: np.ndarray):
+    """(T, e_in, l_in): T = L_out^(1/2) S L_in^(-1/2) of ``petz_eta_chi2``,
+    the eigenvectors e_in of supp sigma and the weights L_in, whose entry
+    (i, j) in row-major order weighs X_ij of X = e_in Y e_in^dag."""
 
     def support(rho):
         eigs, vecs = _spectral(rho)
@@ -685,7 +706,36 @@ def _petz_eta_chi2(channel: KrausChannel, sigma: np.ndarray) -> float:
     # kron(A K B, conj(A K B)) = kron(A, conj A) kron(K, conj K) kron(B, conj B)
     left, right = np.kron(e_out.conj().T, e_out.T), np.kron(e_in, e_in.conj())
     S = left @ channel.superoperator() @ right
-    return _second_singular_value_sq(np.sqrt(l_out)[:, np.newaxis] * S / np.sqrt(l_in))
+    return np.sqrt(l_out)[:, np.newaxis] * S / np.sqrt(l_in), e_in, l_in
+
+
+def _petz_witness(sigma: np.ndarray, T: np.ndarray, e_in: np.ndarray, l_in: np.ndarray):
+    """A state sigma + t H whose Petz chi^2 ratio is the squared second
+    singular value of T (see ``_petz_chi2_form``), or None with a warning
+    when sigma is pure.  Y, the second right singular vector in the
+    coordinates of supp sigma, is mapped back through L_in; as the channel
+    and the weights commute with Y -> Y^dag, its Hermitian part and its
+    anti-Hermitian part over i share its singular value, and H is the
+    larger one less its sigma component (Tr H = 0).  The ratio does not
+    depend on t, taken as half the largest step that keeps the state
+    positive: with D = diag(mu) of supp sigma, t = 1 / (2 lambda_max(-D^(-1/2)
+    Y D^(-1/2)))."""
+    k = e_in.shape[1]
+    if k < 2:
+        warnings.warn("no feasible input found; estimate 0")
+        return None
+    # the phase from the upper triangle, as |Z_ij| = |Z_ji| up to rounding
+    # when the singular value is simple
+    Z = _second_right_vector(T, np.flatnonzero(np.triu(np.ones((k, k))))).reshape(k, k)
+    parts = (0.5 * (Z + Z.conj().T), -0.5j * (Z - Z.conj().T))
+    L = l_in.reshape(k, k)
+    Y = max(parts, key=np.linalg.norm) / np.sqrt(L)
+    mu = 1.0 / np.diag(L)  # L_ii = 1 / mu_i
+    Y -= np.trace(Y).real / mu.sum() * np.diag(mu)
+    root = np.sqrt(np.diag(L))
+    t = 0.5 / np.linalg.eigvalsh(-root[:, np.newaxis] * Y * root)[-1]
+    rho = sigma + t * (e_in @ Y @ e_in.conj().T)
+    return 0.5 * (rho + rho.conj().T)
 
 
 def quantum_eta_bounds(

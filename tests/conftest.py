@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from divlab.generators import custom_generator, default_registry, make_generator
+from divlab.generators import UNKNOWN, custom_generator, default_registry, make_generator
 
 
 @pytest.fixture(scope="session")
@@ -40,6 +42,14 @@ def singular_bump_generator():
         "bump_singular", lambda t: t * np.log(t), lambda t: np.log(t) + 1.0,
         lambda t: 1.0 / t + (t - 1.0) ** 2,
     )
+
+
+def sampled_twin(g):
+    """g with its f'' flagged unknown: the same divergences, but its
+    contraction estimates are sampled, as those of every generator whose f''
+    is not a positive constant are.  A quadratic generator's twin runs the
+    sampler on a case with an exact answer."""
+    return dataclasses.replace(g, f2_monotonicity=UNKNOWN)
 
 
 @pytest.fixture(scope="session")

@@ -665,7 +665,7 @@ GOLDEN_REPORTS = {
     ),
     "asym-pearson": (
         "0.7,0.4\n0.3,0.6\n", "pearson_chi2",
-        "e6d08afc49bd24d6c5176624a61af6211d3b4c6cb6b1cb3fd9ca044d8d52ff2c",
+        "4a56ccdbdf43477eb76d69f0d0344ba07226964693907ea811923a35e7ab0b67",
     ),
     "zero-pi-kl": (
         "0.5,0,0\n0.5,0.6,0.3\n0,0.4,0.7\n", "kl",
@@ -690,17 +690,10 @@ def test_analyze_chain_golden_output(case, tmp_path, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-def test_analyze_chain_solves_shared_pieces_once(tmp_path, capsys, monkeypatch):
-    # one structure(), one stationary solve, one eta_chi2 and one refine
-    # stream per report, although the report runs six estimates
-    from divlab import contraction, markov
-
-    originals = {
-        "_structure": markov._structure,
-        "_stationary": markov._stationary,
-        "_eta_chi2": contraction._eta_chi2,
-        "_draw_moves": contraction._draw_moves,
-    }
+def _count_calls(monkeypatch, originals: dict) -> dict:
+    """Counts of the calls of each library function in ``originals``
+    (name -> function), through every divlab module's binding, so that
+    calls inside the library count."""
     calls = dict.fromkeys(originals, 0)
     for name, original in originals.items():
 
@@ -708,47 +701,100 @@ def test_analyze_chain_solves_shared_pieces_once(tmp_path, capsys, monkeypatch):
             calls[_name] += 1
             return _original(*args, **kwargs)
 
-        # every divlab module's binding, so calls inside the library count
         for module in list(sys.modules.values()):
             if getattr(module, "__name__", "").startswith("divlab") and (
                 getattr(module, name, None) is original
             ):
                 monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_analyze_chain_solves_shared_pieces_once(tmp_path, capsys, monkeypatch):
+    # one structure(), one stationary solve, one eta_chi2, one estimate
+    # context and one refine stream per report, although the report runs
+    # six estimates
+    from divlab import contraction, markov
+
+    calls = _count_calls(monkeypatch, {
+        "_structure": markov._structure,
+        "_stationary": markov._stationary,
+        "_eta_chi2": contraction._eta_chi2,
+        "_draw_moves": contraction._draw_moves,
+        "_EstimateContext": contraction._EstimateContext,
+    })
+    path = tmp_path / "asym.csv"
+    path.write_text("0.7,0.4\n0.3,0.6\n")
+    code = run(["analyze-chain", "--matrix", str(path), "--generator", "kl"])
+    report = _load_json(capsys.readouterr().out)
+    assert code == 0
+    assert calls == dict.fromkeys(calls, 1)
+    bound_id = report["results"]["contraction"]["eta_f_estimate"]["bound_id"]
+    assert bound_id == "eta-f-sampled-lower-estimate"
+
+
+def test_analyze_chain_quadratic_generator_samples_nothing(tmp_path, capsys, monkeypatch):
+    # pearson_chi2 is quadratic: its six estimates are eta_chi2 of the
+    # powers, the one of W shared with the report's eta_chi2, with no
+    # estimate context and no refine draws
+    from divlab import contraction, markov
+
+    calls = _count_calls(monkeypatch, {
+        "_structure": markov._structure,
+        "_stationary": markov._stationary,
+        "_eta_chi2": contraction._eta_chi2,
+        "_draw_moves": contraction._draw_moves,
+        "_EstimateContext": contraction._EstimateContext,
+    })
     path = tmp_path / "asym.csv"
     path.write_text("0.7,0.4\n0.3,0.6\n")
     code = run(["analyze-chain", "--matrix", str(path), "--generator", "pearson_chi2"])
-    capsys.readouterr()
+    report = _load_json(capsys.readouterr().out)
     assert code == 0
-    assert calls == dict.fromkeys(originals, 1)
+    assert calls == {"_structure": 1, "_stationary": 1, "_eta_chi2": 6,
+                     "_draw_moves": 0, "_EstimateContext": 0}
+    con = report["results"]["contraction"]
+    assert con["eta_f_estimate"]["bound_id"] == "eta-f-exact-chi2"
+    assert con["eta_f_estimate"]["value"] == con["eta_chi2"]["value"]
+
+
+def _quantum_report_calls(monkeypatch, capsys, channel_json, generator):
+    """The report of quantum-analyze on ``channel_json`` with ``generator``
+    and the counts of its channel_structure, Petz eta_chi2 and candidate
+    cloud calls."""
+    from divlab import quantum
+
+    calls = _count_calls(monkeypatch, {
+        "_channel_structure": quantum._channel_structure,
+        "_petz_eta_chi2": quantum._petz_eta_chi2,
+        "_candidate_states": quantum._candidate_states,
+    })
+    code = run(["quantum-analyze", "--channel", channel_json, "--generator", generator])
+    report = _load_json(capsys.readouterr().out)
+    assert code == 0
+    con = report["results"]["contraction"]
+    assert {"nonlinear_upper", "linear_upper"} <= set(con)
+    assert "mixing_time" in report["results"]
+    return report, calls
 
 
 def test_quantum_analyze_solves_shared_pieces_once(embedded_bsc_json, capsys, monkeypatch):
     # one channel_structure and one exact Petz eta_chi2 per report, shared by
     # the upper bounds and the mixing times
-    from divlab import quantum
+    report, calls = _quantum_report_calls(monkeypatch, capsys, embedded_bsc_json, "kl")
+    assert calls == dict.fromkeys(calls, 1)
+    assert report["results"]["contraction"]["eta_f_estimate"]["estimate_based"] is True
 
-    originals = {
-        "_channel_structure": quantum._channel_structure,
-        "_petz_eta_chi2": quantum._petz_eta_chi2,
-    }
-    calls = dict.fromkeys(originals, 0)
-    for name, original in originals.items():
 
-        def counted(*args, _name=name, _original=original, **kwargs):
-            calls[_name] += 1
-            return _original(*args, **kwargs)
-
-        for module in list(sys.modules.values()):
-            if getattr(module, "__name__", "").startswith("divlab") and (
-                getattr(module, name, None) is original
-            ):
-                monkeypatch.setattr(module, name, counted)
-    code = run(["quantum-analyze", "--channel", embedded_bsc_json, "--generator", "kl"])
-    report = _load_json(capsys.readouterr().out)
-    assert code == 0
-    assert {"nonlinear_upper", "linear_upper"} <= set(report["results"]["contraction"])
-    assert "mixing_time" in report["results"]
-    assert calls == dict.fromkeys(originals, 1)
+def test_quantum_analyze_quadratic_generator_samples_nothing(embedded_bsc_json, capsys,
+                                                             monkeypatch):
+    # for the quadratic pearson_chi2 the one exact Petz eta_chi2 is also the
+    # eta_f, and no candidate state is drawn
+    report, calls = _quantum_report_calls(
+        monkeypatch, capsys, embedded_bsc_json, "pearson_chi2")
+    assert calls == {"_channel_structure": 1, "_petz_eta_chi2": 1, "_candidate_states": 0}
+    est = report["results"]["contraction"]["eta_f_estimate"]
+    assert est["bound_id"] == "petz-eta-f-exact-chi2" and est["estimate_based"] is False
+    assert est["value"] == report["results"]["mixing_time"]["eta_chi2_estimate"]
 
 
 @pytest.mark.parametrize("profile_n", [2, 4])

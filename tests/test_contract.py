@@ -28,7 +28,7 @@ from hypothesis import strategies as st
 
 import divlab
 from divlab import cli, divergence, markov, quantum
-from divlab.contraction import SampleBudget
+from divlab.contraction import SampleBudget, _quadratic
 from divlab.generators import Generator, make_generator
 from divlab.quantum import KrausChannel, QuantumBudget
 
@@ -505,6 +505,8 @@ def _relations(name, args, kwargs, out):
         assert 0.0 <= out <= 1.0
     elif name == "eta_f_estimate":
         assert out[0] >= 0.0 and (out[1] is None or _is_prob(out[1]))
+        if _quadratic(a[2]):  # exact: eta_f = eta_chi2
+            assert out[0] == divlab.eta_chi2(a[0], a[1])
     elif name == "eta_f_upper_bounds":
         assert out[0] >= 0.0 and (out[1] is None or out[1] >= 0.0)
     elif name == "contraction_rate_profile":
@@ -542,6 +544,8 @@ def _relations(name, args, kwargs, out):
         assert 0.0 <= out <= 1.0
     elif name == "quantum_eta_estimate":
         assert out[0] >= 0.0 and (out[1] is None or _is_state(out[1]))
+        if _quadratic(a[2]):  # exact: eta_f = petz_eta_chi2
+            assert out[0] == divlab.petz_eta_chi2(a[0], a[1])
     elif name == "quantum_eta_bounds":
         assert out[0] >= 0.0 and (out[1] is None or out[1] >= 0.0)
     elif name == "quantum_mixing_time_bounds":
@@ -635,6 +639,16 @@ NAN2 = np.full((2, 2), NAN)
 def test_input_errors_are_value_errors(call, args, match):
     with pytest.raises(ValueError, match=match):
         call(*args)
+
+
+@pytest.mark.parametrize("g", [KL, PC], ids=["kl", "pearson_chi2"])
+def test_sandwich_holds_on_sums_the_equal_sum_rule_accepts(g):
+    # sums 5e-10 apart pass the rule (to 1e-9); D_f keeps the first-order
+    # term f'(1)(sum p - sum q), which the check's slack takes in
+    p, q = [0.5 + 5e-10, 0.5], [0.5, 0.5]
+    lower, value, upper, holds = divlab.chi2_sandwich(g, p, q)
+    assert holds is True
+    assert value == divlab.f_divergence(g, p, q) and lower <= upper < 1e-18
 
 
 @pytest.mark.parametrize("P,Q", [(np.zeros((0, 2)), [0.5, 0.5]), (np.zeros((0, 1)), [1.0])])

@@ -25,16 +25,22 @@ from divlab.divergence import _clamp, _divergence_rows, as_prob_vec, f_divergenc
 from divlab.generators import make_generator
 from divlab.markov import as_channel, bsc, stationary_distribution
 
-from conftest import bump_generator, singular_bump_generator
+from conftest import bump_generator, sampled_twin, singular_bump_generator
 
 UNIFORM2 = np.array([0.5, 0.5])
 FAST = SampleBudget(n_samples=100, refine_steps=40)
 
 
 def _ratios(g, W, q, P):
-    """Scores of D_f(Wp || Wq) / D_f(p || q) for every row p of P."""
-    refs = np.repeat(np.stack([_clamp(q), _clamp(W @ q)]), len(P), axis=0)
-    return _pair_scores(g, P, P @ W.T, refs)
+    """Scores of D_f(Wp || Wq) / D_f(p || q) for every row p of P; the rows
+    of a rectangular W's inputs and outputs are padded to one width."""
+    width = max(W.shape)
+
+    def pad(A):
+        return np.pad(A, [(0, 0)] * (A.ndim - 1) + [(0, width - A.shape[-1])])
+
+    refs = np.repeat(np.stack([pad(_clamp(q)), pad(_clamp(W @ q))]), len(P), axis=0)
+    return _pair_scores(g, pad(P), pad(P @ W.T), refs)
 
 
 def constant_channel(n, target=0):
@@ -373,9 +379,10 @@ def test_kappa_sup_vacuous_when_clamped_output_escapes():
 
 def test_estimate_not_above_exact_on_chain_powers():
     # near the reference, plain ratios carry rounding noise of up to ~1e-6
-    # above the exact coefficient; the scores are net of their rounding bound
+    # above the exact coefficient; the scores are net of their rounding
+    # bound.  pearson_chi2 itself is exact, so its sampled twin is scored
     kl = make_generator("kl")
-    pc = make_generator("pearson_chi2")
+    pc = sampled_twin(make_generator("pearson_chi2"))
     rng = np.random.default_rng(41)
     for _ in range(3):
         p = float(rng.uniform(0.05, 0.45))
@@ -549,9 +556,11 @@ def _random_chain(rng, n, sparse):
     return W
 
 
+# generators whose estimates climb: a quadratic one (f'' constant) is exact
+# and takes no climb
 _CLIMB_GENERATORS = {
     "kl": make_generator("kl"),
-    "pearson_chi2": make_generator("pearson_chi2"),
+    "hellinger": make_generator("hellinger", alpha=2.5),
     "chi_alpha": make_generator("chi_alpha", alpha=1.5),
 }
 
@@ -585,7 +594,7 @@ def test_batched_climb_matches_sequential(n, name, reference, sparse, refine_ste
 
 @pytest.mark.parametrize(
     "n, sparse, name, seed",
-    [(2, False, "pearson_chi2", 4), (8, True, "kl", 8), (64, True, "pearson_chi2", 65)],
+    [(2, False, "chi_alpha", 35), (8, True, "kl", 8), (64, True, "hellinger", 0)],
 )
 def test_batched_climb_matches_sequential_across_windows(n, sparse, name, seed):
     # cases with several acceptances, so windows end at an accepted
@@ -611,7 +620,7 @@ def test_climb_window_width_adapts(monkeypatch):
     rng = np.random.default_rng(65)
     W = _random_chain(rng, 64, True)
     pi, _ = stationary_distribution(W)
-    g = _CLIMB_GENERATORS["pearson_chi2"]
+    g = _CLIMB_GENERATORS["hellinger"]
     budget = SampleBudget(seed=5)
     widths = []
     build = contraction._build_moves
@@ -635,7 +644,7 @@ def test_climb_window_width_adapts(monkeypatch):
 @given(
     d=st.sampled_from([2, 3]),
     rank=st.sampled_from(["full", "deficient", "pure"]),
-    name=st.sampled_from(["kl", "pearson_chi2"]),
+    name=st.sampled_from(["kl", "hellinger"]),
     refine_steps=st.sampled_from([0, 1, 120]),
     seed=st.integers(0, 2**32 - 1),
 )
@@ -775,6 +784,127 @@ def test_chain_context_matches_independent_estimates(
         return
     assert [pt.eta_f_root for pt in points] == roots
     assert points[0].eta_f_root == chain.estimate[0]
+
+
+# ---------------------------------------------------------------------------
+# the exact route of quadratic generators
+
+# every registry generator whose f'' is a positive constant
+_QUADRATIC = {
+    "pearson_chi2": make_generator("pearson_chi2"),
+    "hellinger": make_generator("hellinger", alpha=2.0),
+    "renyi_gain": make_generator("renyi_gain", alpha=2.0),
+}
+
+
+def test_exact_route_follows_the_generator_fact():
+    # f'' constant and positive, by flag and value, never by name
+    assert all(contraction._quadratic(g) for g in _QUADRATIC.values())
+    others = [make_generator("lins", theta=0.0),  # f'' = 0
+              make_generator("chi_alpha", alpha=2.0),  # f'' = 2, flagged unknown
+              sampled_twin(_QUADRATIC["pearson_chi2"])]
+    assert not any(contraction._quadratic(g) for g in others)
+    registry = [make_generator(name) for name in ("kl", "neyman_chi2", "jensen_shannon")]
+    assert not any(contraction._quadratic(g) for g in registry)
+
+
+def _ratio_with_rounding(g, W, q, p):
+    """D_f(Wp || Wq) / D_f(p || q) from the kernel, and the bound
+    (e_num + ratio e_den) / den on its rounding error."""
+    (num,), (e_num,) = _divergence_rows(g, _clamp(W @ p)[np.newaxis], _clamp(W @ q),
+                                        rounding_error=True)
+    (den,), (e_den,) = _divergence_rows(g, _clamp(p)[np.newaxis], _clamp(q),
+                                        rounding_error=True)
+    ratio = num / den
+    return ratio, (e_num + ratio * e_den) / den
+
+
+@given(
+    n=st.sampled_from([2, 3, 8, 64]),
+    name=st.sampled_from(sorted(_QUADRATIC)),
+    reference=st.sampled_from(["full", "zero-entry", "point-mass"]),
+    outputs=st.sampled_from([0, -1, 1]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_quadratic_estimate_is_exact_eta_chi2(n, name, reference, outputs, seed):
+    # the value is eta_chi2 bit for bit on square (outputs = 0) and
+    # rectangular channels; the witness is a probability vector << q whose
+    # ratio is that value, and the sampled climb never exceeds it
+    rng = np.random.default_rng(seed)
+    W = rng.dirichlet(np.ones(n + outputs), size=n).T
+    q = 0.8 * rng.dirichlet(np.ones(n)) + 0.2 / n
+    if reference == "zero-entry":
+        q[rng.integers(n)] = 0.0
+        q /= q.sum()
+    elif reference == "point-mass":
+        q = np.eye(n)[rng.integers(n)]
+    g = _QUADRATIC[name]
+    budget = SampleBudget(n_samples=100, seed=int(rng.integers(1 << 31)), refine_steps=40)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        value, witness = eta_f_estimate(W, q, g, budget)
+        exact = eta_chi2(W, q)
+    assert value == exact
+    if np.count_nonzero(q) < 2:  # a point mass, or a zero entry at n = 2
+        assert value == 0.0 and witness is None
+        assert [str(w.message) for w in caught] == [
+            "degenerate reference (all mass on one symbol); eta = 0"] * 2
+        return
+    assert not caught
+    assert witness.shape == q.shape and np.all(witness >= 0.0)
+    assert abs(witness.sum() - 1.0) <= 1e-12 and np.all(witness[q == 0.0] == 0.0)
+    ratio, rounding = _ratio_with_rounding(g, W, q, witness)
+    assert abs(ratio - value) <= 1e-9 * value + rounding, (ratio, value)
+    sampled, _ = eta_f_estimate_sequential(W, q, g, budget)
+    assert sampled <= value + 1e-9
+
+
+def test_quadratic_witness_sign_is_fixed():
+    # the witness does not depend on the sign LAPACK gives the singular
+    # vector: p - q has its largest entry in modulus positive along v2
+    W = np.array([[0.7, 0.4], [0.3, 0.6]])
+    pi = np.array([4.0, 3.0]) / 7.0
+    _, witness = eta_f_estimate(W, pi, _QUADRATIC["pearson_chi2"])
+    # v2 is proportional to (-sqrt(pi_1), sqrt(pi_0)), whose larger entry is
+    # the second; the step halves pi_0
+    assert witness == pytest.approx([2.0 / 7.0, 5.0 / 7.0], abs=1e-15)
+
+
+@pytest.mark.parametrize("name", sorted(_QUADRATIC))
+def test_quadratic_profile_reads_eta_chi2_of_the_powers(name):
+    # every root is eta_chi2(W^n, pi)^(1/n), the n = 1 one being the
+    # report's eta_chi2, inside its envelope; no estimate context is built
+    rng = np.random.default_rng(7)
+    W = _random_chain(rng, 8, sparse=True)
+    g = _QUADRATIC[name]
+    chain = contraction._ChainContext(as_channel(W), g, SampleBudget(), 4)
+    points = chain.profile()
+    pi = chain.info.stationary
+    assert chain.estimate[0] == chain.eta2 == eta_chi2(W, pi)
+    Wn = chain.W
+    for k, pt in enumerate(points, start=1):
+        if k > 1:
+            Wn = Wn @ chain.W
+        assert pt.eta_f_root == eta_chi2(Wn, pi) ** (1.0 / k)
+        assert pt.within_envelope
+    assert "context" not in vars(chain)
+    assert [w is None for _, w in chain._estimates] == [False, True, True, True]
+
+
+def test_quadratic_profile_ignores_svd_noise_of_rank_one_powers():
+    # lambda_2 = 1 - a - b = -9.7e-4, so W^6 is rank one to rounding: the
+    # SVD gives it a second singular value of ~1e-17, noise whose root
+    # (2.2e-6) would leave the envelope (1.1e-6); below numpy's rank
+    # tolerance it counts as zero
+    a, b = 0.5817566353559837, 0.4192141322738293
+    W = np.array([[1.0 - a, b], [a, 1.0 - b]])
+    pi, _ = stationary_distribution(W)
+    assert eta_chi2(np.linalg.matrix_power(W, 6), pi) == 0.0
+    profile = contraction_rate_profile(W, _QUADRATIC["pearson_chi2"], 6)
+    assert all(pt.within_envelope for pt in profile)
+    assert profile[4].eta_f_root == pytest.approx((a + b - 1.0) ** 2, rel=1e-2)
+    assert profile[5].eta_f_root == 0.0
 
 
 def test_profile_rejects_drifting_power_but_keeps_the_estimate():

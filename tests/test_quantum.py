@@ -41,6 +41,8 @@ from divlab.quantum import (
     _spectral,
 )
 
+from conftest import sampled_twin
+
 PLUS = np.full((2, 2), 0.5, dtype=complex)
 MAXMIX2 = np.eye(2, dtype=complex) / 2
 FAST = QuantumBudget(n_samples=100, refine_steps=40)
@@ -726,16 +728,53 @@ def test_batched_quantum_scores_match_single_rows(registry):
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_petz_chi2_estimate_not_above_exact_depolarizing(d):
     # every feasible input of depolarizing(lam) has ratio exactly (1-lam)^2;
-    # rounding noise in the ratios must not lift the estimate above it
+    # rounding noise in the sampled ratios must not lift the estimate above
+    # it.  pearson_chi2 itself is exact, so its sampled twin runs the sampler
     pc = make_generator("pearson_chi2")
     for lam in (0.1, 0.3, 0.5, 0.7, 0.9):
         channel, sigma = depolarizing_channel(d, lam), np.eye(d) / d
-        est, _ = quantum_eta_estimate(channel, sigma, pc, FAST)
+        est, _ = quantum_eta_estimate(channel, sigma, sampled_twin(pc), FAST)
         exact = petz_eta_chi2(channel, sigma)
         assert exact == pytest.approx((1.0 - lam) ** 2, abs=1e-12)
         assert est <= (1.0 - lam) ** 2, (lam, est)
         assert est <= exact + 1e-9, (lam, est, exact)
         assert est == pytest.approx((1.0 - lam) ** 2, rel=1e-9)
+        assert quantum_eta_estimate(channel, sigma, pc, FAST)[0] == exact
+
+
+# every registry generator whose f'' is a positive constant
+_QUADRATIC = ("pearson_chi2", "hellinger:alpha=2", "renyi_gain:alpha=2")
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([2, 3, 4]),
+    st.sampled_from(["full", "rank-deficient"]),
+    st.sampled_from(_QUADRATIC),
+)
+@settings(max_examples=40, deadline=None)
+def test_quadratic_petz_estimate_is_exact(seed, d, kind, spec):
+    # the value is petz_eta_chi2 bit for bit; the witness is a state << sigma
+    # whose ratio is that value, or None for a pure sigma
+    rng = np.random.default_rng(seed)
+    channel = random_kraus(rng, d, int(rng.integers(1, 4)))
+    rank = d if kind == "full" else int(rng.integers(1, d))
+    sigma = random_state(rng, d, rank=rank)
+    g = from_spec(spec)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        value, rho = quantum_eta_estimate(channel, sigma, g, FAST)
+    assert value == petz_eta_chi2(channel, sigma)
+    if rank == 1:
+        assert value == 0.0 and rho is None
+        assert [str(w.message) for w in caught] == ["no feasible input found; estimate 0"]
+        return
+    assert not caught
+    rho = check_density_matrix(rho)
+    assert petz_chi2(rho, sigma) < math.inf
+    ratio = petz_f_divergence(g, apply_channel(channel, rho), apply_channel(channel, sigma)) / (
+        petz_f_divergence(g, rho, sigma))
+    assert ratio == pytest.approx(value, rel=1e-6, abs=1e-12)
 
 
 def petz_eta_chi2_oracle(channel, sigma):
@@ -781,9 +820,11 @@ def test_petz_eta_chi2_matches_generalized_eigenproblem(seed, d, k, kind):
     sigma = random_state(rng, d, rank=d if kind == "full" else int(rng.integers(1, d)))
     exact = petz_eta_chi2(channel, sigma)
     assert exact == pytest.approx(petz_eta_chi2_oracle(channel, sigma), abs=1e-10)
+    pc = make_generator("pearson_chi2")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # a pure sigma has no feasible input
-        est, _ = quantum_eta_estimate(channel, sigma, make_generator("pearson_chi2"), FAST)
+        est, _ = quantum_eta_estimate(channel, sigma, sampled_twin(pc), FAST)
+        assert quantum_eta_estimate(channel, sigma, pc, FAST)[0] == exact
     assert est <= exact + 1e-9
     # a classical channel embedded as Kraus operators keeps its coefficient
     W = rng.dirichlet(np.ones(d), size=d).T
