@@ -157,7 +157,7 @@ def chi2_sandwich(g: Generator, p, q):
     that differ within that rule's 1e-9 leave the first-order term
     f'(1)(sum p - sum q) in D_f, and the check's slack takes it in."""
     p, q = _vectors(p, q, dominated=True, q_support=True)
-    _no_first_order_term(g, p, q)
+    gap = _no_first_order_term(g, p, q)
     kp = _kappa_pair(g, p, q)
     chi2 = _chi_squared(p, q)
     value = _f_divergence(g, p, q)
@@ -165,8 +165,8 @@ def chi2_sandwich(g: Generator, p, q):
     upper = 0.5 * kp.kappa_up * chi2 if math.isfinite(kp.kappa_up) else math.inf
     slack = 1e-10 * max(1.0, abs(value))
     holds = (lower <= value + slack) and (value <= upper + slack)
-    if not holds and p.sum() != q.sum():
-        slack += abs(float(g.f1(1.0)) * float(p.sum() - q.sum()))
+    if not holds and gap:
+        slack += abs(float(g.f1(1.0)) * gap)
         holds = (lower <= value + slack) and (value <= upper + slack)
     return lower, value, upper, holds
 
@@ -176,17 +176,20 @@ def reverse_pinsker(g: Generator, p, q) -> tuple[float, float]:
 
     l2 bound: kappa_up/(2 q_min) * ||p-q||_2^2; TV bound: 2 kappa_up/q_min * TV^2.
     Both dominate D_f(p||q), given p << q and equal sums or f'(1) = 0; +inf
-    when kappa_up is infinite.
+    when kappa_up is infinite.  Sums that differ within that rule's 1e-9
+    leave the first-order term f'(1)(sum p - sum q) in D_f: both bounds add
+    it where it is positive.
     """
     p, q = _vectors(p, q, dominated=True, q_support=True)
-    _no_first_order_term(g, p, q)
+    gap = _no_first_order_term(g, p, q)
     kp = _kappa_pair(g, p, q)
     qmin = _q_min(q)
     if not math.isfinite(kp.kappa_up):
         return math.inf, math.inf
     d = p - q
-    l2_bound = kp.kappa_up / (2.0 * qmin) * float(np.dot(d, d))
-    tv_bound = 2.0 * kp.kappa_up / qmin * _total_variation(p, q) ** 2
+    first = max(0.0, float(g.f1(1.0)) * gap) if gap else 0.0
+    l2_bound = kp.kappa_up / (2.0 * qmin) * float(np.dot(d, d)) + first
+    tv_bound = 2.0 * kp.kappa_up / qmin * _total_variation(p, q) ** 2 + first
     return l2_bound, tv_bound
 
 

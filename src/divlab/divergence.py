@@ -184,11 +184,14 @@ def _chi_squared(p: np.ndarray, q: np.ndarray) -> float:
     return float(np.sum(d * d / q[pos]))
 
 
-def _no_first_order_term(g: Generator, p: np.ndarray, q: np.ndarray) -> None:
+def _no_first_order_term(g: Generator, p: np.ndarray, q: np.ndarray) -> float:
     """The condition of the second-order forms of D_f: the first-order term
-    f'(1)(sum p - sum q) vanishes, the sums being equal or f'(1) = 0."""
-    if abs(p.sum() - q.sum()) > 1e-9 and abs(float(g.f1(1.0))) > 1e-12:
+    f'(1)(sum p - sum q) vanishes, the sums being equal (to 1e-9) or f'(1) =
+    0.  Returns sum p - sum q."""
+    gap = float(p.sum() - q.sum())
+    if abs(gap) > 1e-9 and abs(float(g.f1(1.0))) > 1e-12:
         raise ValueError("requires equal sums or f'(1) = 0")
+    return gap
 
 
 @lru_cache(maxsize=16)

@@ -178,19 +178,24 @@ def _spectral(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _ns_rows(spec, ref):
-    """NS rows (P, Q), each (N, d^2), of a stack (N, d, d) of states or one
-    state given as its ``_spectral`` pair (lam, e), against a reference
-    sigma given as its ``_spectral`` pair (mu, f), so a caller scoring many
-    stacks diagonalises it once: p(x,y) = lam_x |<e_x|f_y>|^2, q(x,y) =
-    mu_y |<e_x|f_y>|^2, overlaps below _OVERLAP_FLOOR zeroed, for the
-    unclamped kernel body."""
+    """NS rows (P, Q), each (N, d^2), of N states given by their
+    ``_spectral`` pair (lam, e) -- lam (N, d) with e a stack (N, d, d) or
+    one eigenbasis (d, d) shared by all N, or one state's (d,) and (d, d)
+    -- against a reference sigma given as its ``_spectral`` pair (mu, f), so
+    a caller scoring many stacks diagonalises it once: p(x,y) = lam_x
+    |<e_x|f_y>|^2, q(x,y) = mu_y |<e_x|f_y>|^2, overlaps below
+    _OVERLAP_FLOOR zeroed, for the unclamped kernel body.  The overlaps of a
+    stack come from one (N d, d) @ (d, d) product, with the bits of the
+    per-state products."""
     lam, e = spec
     mu, f = ref
-    overlap = np.abs(np.swapaxes(e, -1, -2).conj() @ f) ** 2  # overlap[x, y]
+    d = f.shape[-1]
+    eh = np.swapaxes(e, -1, -2).conj().reshape(-1, d)  # rows <e_x|
+    overlap = (np.abs(eh @ f) ** 2).reshape(e.shape)  # overlap[..., x, y]
     overlap = np.where(overlap < _OVERLAP_FLOOR, 0.0, overlap)
-    d = overlap.shape[-1]
+    overlap = np.broadcast_to(overlap, lam.shape + (d,))  # a shared eigenbasis
     P = lam[..., :, np.newaxis] * overlap
-    Q = mu[..., np.newaxis, :] * overlap
+    Q = mu[np.newaxis, :] * overlap
     return P.reshape(-1, d * d), Q.reshape(-1, d * d)
 
 
@@ -587,10 +592,10 @@ class QuantumBudget(SampleBudget):
 _EIGENBASIS_GRID = 257
 
 
-def _haar_pure(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
-    """n Haar pure states |v><v|, stacked; each v takes d real then d
-    imaginary normals from rng, in one draw."""
-    raw = rng.normal(size=(n, 2, d))
+def _pure_states(raw: np.ndarray) -> np.ndarray:
+    """The pure states |v><v|, stacked, of v = raw[k, 0] + i raw[k, 1]
+    normalised, for an (n, 2, d) array of draws: Haar pure states when the
+    draws are standard normals."""
     v = raw[:, 0] + 1j * raw[:, 1]
 
     def dot(x):
@@ -602,19 +607,43 @@ def _haar_pure(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
     return v[:, :, np.newaxis] * v[:, np.newaxis, :].conj()
 
 
-def _candidate_states(sigma: np.ndarray, budget: QuantumBudget) -> np.ndarray:
-    """Stack of Haar pure states blended toward sigma, plus sigma-eigenbasis
-    mixtures (the latter make classically-embedded suprema grid-exact)."""
+def _refine_draws(rng: np.random.Generator, steps: int, d: int):
+    """The refine stream of ``quantum_eta_estimate``: per step a share u
+    from one ``random()`` and then the draws of a Haar pure state from one
+    ``normal(size=(2, d))``.  Returns the shares (steps,) and the raw draws
+    (steps, 2, d) for ``_pure_states``."""
+    u, raw = np.empty(steps), np.empty((steps, 2, d))
+    for k in range(steps):
+        u[k] = rng.random()
+        raw[k] = rng.normal(size=(2, d))
+    return u, raw
+
+
+def _candidate_states(sigma: np.ndarray, budget: QuantumBudget):
+    """(states, lam): the candidate stack and the spectra of its tail.
+
+    The stack holds Haar pure states (d real then d imaginary normals each,
+    from one draw seeded with the budget's seed), each followed by its
+    blends toward sigma, then the segments a |f_i><f_i| + (1 - a) |f_j><f_j|
+    between sigma's ``_spectral`` eigenvectors f (these make classically
+    embedded suprema grid-exact).  A segment state is diagonal in f by
+    construction, so its spectrum is a e_i + (1 - a) e_j with eigenvectors
+    f, rank-deficient or degenerate sigma included: lam holds these rows,
+    one per segment state, for the last len(lam) states of the stack."""
     d = sigma.shape[0]
-    pure = _haar_pure(budget.n_samples, d, np.random.default_rng(budget.seed))[:, np.newaxis]
+    rng = np.random.default_rng(budget.seed)
+    pure = _pure_states(rng.normal(size=(budget.n_samples, 2, d)))[:, np.newaxis]
     w = np.asarray(BLEND_WEIGHTS)[:, np.newaxis, np.newaxis]
     # each pure state, then its blends
     out = [np.concatenate([pure, (1.0 - w) * pure + w * sigma], axis=1).reshape(-1, d, d)]
     v = _spectral(sigma)[1].T
     proj = v[:, :, np.newaxis] * v[:, np.newaxis, :].conj()  # |f_k><f_k| of sigma
     a = np.linspace(0.0, 1.0, _EIGENBASIS_GRID)[:, np.newaxis, np.newaxis]
-    out += [a * proj[i] + (1 - a) * proj[j] for i in range(d) for j in range(i + 1, d)]
-    return np.concatenate(out)
+    pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
+    out += [a * proj[i] + (1 - a) * proj[j] for i, j in pairs]
+    eye = np.eye(d)
+    lam = [a[:, 0] * eye[i] + (1 - a[:, 0]) * eye[j] for i, j in pairs]
+    return np.concatenate(out), np.array(lam).reshape(-1, d)
 
 
 def quantum_eta_estimate(
@@ -631,10 +660,14 @@ def quantum_eta_estimate(
     Otherwise it is sampled: it scores D_f(E(rho) || E(sigma)) /
     D_f(rho || sigma) on NS rows with the classical scorer, net of its
     rounding bound, over the candidate stack block by block and then per
-    window of refine proposals (see ``_climbs``).  A refine step draws a
-    share u and a Haar pure state psi from the stream seeded with seed + 1
-    and proposes the state (1 - w u) rho + (1 - Tr[(1 - w u) rho]) psi for
-    the step's weight w.
+    window of refine proposals (see ``_climbs``).  Every input and output
+    is diagonalised for its NS rows, except the sigma-eigenbasis segments
+    of the stack, whose spectra ``_candidate_states`` gives in closed form;
+    where such a state wins, the value is that of its exact spectrum, which
+    can differ from an eigh of the state in the last bits.  A refine step
+    draws a share u and a Haar pure state psi from the stream seeded with
+    seed + 1 (see ``_refine_draws``) and proposes the state
+    (1 - w u) rho + (1 - Tr[(1 - w u) rho]) psi for the step's weight w.
     """
     return _eta_estimate(channel, *_states(sigma, channel=channel), g, budget or QuantumBudget())
 
@@ -645,10 +678,11 @@ def _eta_estimate(channel: KrausChannel, sigma: np.ndarray, g: Generator, budget
         T, e_in, l_in = _petz_chi2_form(channel, sigma)
         return _second_singular_value_sq(T), _petz_witness(sigma, T, e_in, l_in)
     ref_in, ref_out = _spectral(sigma), _spectral(_apply(channel, sigma))
-    d = sigma.shape[0]
 
-    def scores(states: np.ndarray) -> np.ndarray:
-        den = _divergence_rows(g, *_ns_rows(_spectral(states), ref_in), rounding_error=True)
+    def scores(states: np.ndarray, lam=None) -> np.ndarray:
+        # lam: the spectra of states diagonal in sigma's eigenbasis
+        spec = _spectral(states) if lam is None else (lam, ref_in[1])
+        den = _divergence_rows(g, *_ns_rows(spec, ref_in), rounding_error=True)
         outputs = _spectral(_apply(channel, states))
         return _ratio_scores(g, den, _ns_rows(outputs, ref_out))
 
@@ -660,16 +694,17 @@ def _eta_estimate(channel: KrausChannel, sigma: np.ndarray, g: Generator, budget
         # no rebuild needed, _spectral clips the rounding below EIG_CLAMP
         return prop + (1.0 - trace)[:, np.newaxis, np.newaxis] * psi
 
-    cloud = _candidate_states(sigma, budget)
-    block = _block_rows(cloud)
+    cloud, seg_lam = _candidate_states(sigma, budget)
+    block, haar = _block_rows(cloud), len(cloud) - len(seg_lam)
     cloud_scores = np.concatenate(
-        [scores(cloud[s : s + block]) for s in range(0, len(cloud), block)]
+        [scores(cloud[s : min(s + block, haar)]) for s in range(0, haar, block)]
+        + [scores(cloud[haar + s : haar + s + block], seg_lam[s : s + block])
+           for s in range(0, len(seg_lam), block)]
     )
-    rng = np.random.default_rng(budget.seed + 1)
-    steps = [(rng.random(), _haar_pure(1, d, rng)) for _ in range(budget.refine_steps)]
-    u = np.array([step[0] for step in steps])
-    psi = np.array([step[1] for step in steps], dtype=complex).reshape(-1, d, d)
-    return _climbs(cloud, [cloud_scores], (u, psi), build, lambda P, _: scores(P), 0.3)[0]
+    u, raw = _refine_draws(np.random.default_rng(budget.seed + 1), budget.refine_steps,
+                           sigma.shape[0])
+    return _climbs(cloud, [cloud_scores], (u, _pure_states(raw)), build,
+                   lambda P, _: scores(P), 0.3)[0]
 
 
 def petz_eta_chi2(channel: KrausChannel, sigma) -> float:

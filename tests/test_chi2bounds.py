@@ -329,8 +329,10 @@ def _composed_reverse_pinsker(g, p, q):
     if not math.isfinite(kp.kappa_up):
         return math.inf, math.inf
     d = p - q
-    return (kp.kappa_up / (2.0 * qmin) * float(np.dot(d, d)),
-            2.0 * kp.kappa_up / qmin * total_variation(p, q) ** 2)
+    # the first-order term that sums within the equal-sum rule leave in D_f
+    first = max(0.0, float(g.f1(1.0)) * float(p.sum() - q.sum()))
+    return (kp.kappa_up / (2.0 * qmin) * float(np.dot(d, d)) + first,
+            2.0 * kp.kappa_up / qmin * total_variation(p, q) ** 2 + first)
 
 
 def _composed_chi2_tv_upper(p, q):

@@ -655,39 +655,88 @@ def test_dumps_renders_each_node_about_once(command, tmp_path, capsys, monkeypat
     assert calls <= 2 * nodes, (calls, nodes)
 
 
-# SHA-256 of analyze-chain stdout at default flags, with the matrix path and
-# the inputs digest (which hashes that path) masked; reports are
-# deterministic, so a change to any printed number or field shows here
+# SHA-256 of analyze-chain stdout at default flags, run from the matrix's
+# directory on a fixed relative name, so that the layout of the printed
+# command does not depend on the temporary path, with the inputs digest
+# masked; reports are deterministic, so a change to any printed number or
+# field shows here
 GOLDEN_REPORTS = {
     "bsc03-kl": (
         "0.7,0.3\n0.3,0.7\n", "kl",
-        "49f7722c637d7406c6b09f4df1f128f3fb8fc9f14a84613f80d8d079af0f3a06",
+        "df2d6d4e54074220140fa4a8eb21c9064f0b77a411133a2da43f5b8bff3e3b1d",
     ),
     "asym-pearson": (
         "0.7,0.4\n0.3,0.6\n", "pearson_chi2",
-        "4a56ccdbdf43477eb76d69f0d0344ba07226964693907ea811923a35e7ab0b67",
+        "70574566d2cfc3696cb48c6a088c9e767df9251d43b09de82b5714416b1de184",
     ),
     "zero-pi-kl": (
         "0.5,0,0\n0.5,0.6,0.3\n0,0.4,0.7\n", "kl",
-        "ca889945695b2ce9487a5c54d72c9306095be049b74e5d0271d7298d5ab0790f",
+        "ee1e4b6453f2741dd17a2fc9413beae993381b624adfe39f1c22cbc466938a18",
     ),
     "typewriter-hellinger": (
         "0.5,0.5,0,0\n0,0.5,0.5,0\n0,0,0.5,0.5\n0.5,0,0,0.5\n", "squared_hellinger",
-        "0444b64d93722c34a7c49c5c1f58f37b99bcf6caadcc0ce2f2849fee1890ec6c",
+        "4ef0f69796953c81a91dd72ccddaf3e4086d2e42b6ab945d8c289c60412e9164",
     ),
 }
 
 
-@pytest.mark.parametrize("case", sorted(GOLDEN_REPORTS))
-def test_analyze_chain_golden_output(case, tmp_path, capsys):
-    text, generator, digest = GOLDEN_REPORTS[case]
-    path = tmp_path / "chain.csv"
-    path.write_text(text)
-    code = run(["analyze-chain", "--matrix", str(path), "--generator", generator])
-    out = capsys.readouterr().out.replace(str(path), "<matrix>")
-    out = re.sub(r'"inputs_digest": "[0-9a-f]+"', '"inputs_digest": ""', out)
+def _golden_digest(argv: list[str], capsys) -> str:
+    """SHA-256 of the stdout of a successful run, inputs digest masked."""
+    code = run(argv)
+    out = re.sub(r'"inputs_digest": "[0-9a-f]+"', '"inputs_digest": ""', capsys.readouterr().out)
     assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    return hashlib.sha256(out.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_REPORTS))
+def test_analyze_chain_golden_output(case, tmp_path, capsys, monkeypatch):
+    text, generator, digest = GOLDEN_REPORTS[case]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "chain.csv").write_text(text)
+    argv = ["analyze-chain", "--matrix", "chain.csv", "--generator", generator]
+    assert _golden_digest(argv, capsys) == digest
+
+
+def _amplitude_damping(gamma: float, p: float) -> list[np.ndarray]:
+    """Generalized amplitude damping: decay toward |0> with weight p and
+    toward |1> with weight 1 - p, fixed point diag(p, 1 - p)."""
+    a, b = math.sqrt(1.0 - gamma), math.sqrt(gamma)
+    return [math.sqrt(p) * np.array([[1.0, 0.0], [0.0, a]]),
+            math.sqrt(p) * np.array([[0.0, b], [0.0, 0.0]]),
+            math.sqrt(1.0 - p) * np.array([[a, 0.0], [0.0, 1.0]]),
+            math.sqrt(1.0 - p) * np.array([[0.0, 0.0], [b, 0.0]])]
+
+
+def _seeded_isometry(seed: int, d: int, n_kraus: int) -> list[np.ndarray]:
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(n_kraus * d, d)) + 1j * rng.normal(size=(n_kraus * d, d))
+    V = np.linalg.qr(A)[0]
+    return [V[k * d : (k + 1) * d] for k in range(n_kraus)]
+
+
+# SHA-256 of quantum-analyze stdout at default flags, as GOLDEN_REPORTS: a
+# qubit amplitude-damping channel at a full-rank fixed point and a seeded
+# d = 4 isometry with three Kraus operators; both sample and climb
+GOLDEN_QUANTUM_REPORTS = {
+    "amplitude-damping-kl": (
+        lambda: _amplitude_damping(0.3, 0.8), "kl",
+        "59e885d7cc842ecea8191f7a1e387a30b7f4aac28e2710fdda19419e72c35950",
+    ),
+    "isometry4-reverse-kl": (
+        lambda: _seeded_isometry(11, 4, 3), "reverse_kl",
+        "f5b122b3c1a07b912960580f1cc902142adfe39c94bb959e3c7cf9de0dbd6b6c",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_QUANTUM_REPORTS))
+def test_quantum_analyze_golden_output(case, tmp_path, capsys, monkeypatch):
+    kraus, generator, digest = GOLDEN_QUANTUM_REPORTS[case]
+    monkeypatch.chdir(tmp_path)
+    payload = {"kraus": [{"re": K.real.tolist(), "im": K.imag.tolist()} for K in kraus()]}
+    (tmp_path / "channel.json").write_text(json.dumps(payload))
+    argv = ["quantum-analyze", "--channel", "channel.json", "--generator", generator]
+    assert _golden_digest(argv, capsys) == digest
 
 
 def _count_calls(monkeypatch, originals: dict) -> dict:

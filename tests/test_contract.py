@@ -651,6 +651,19 @@ def test_sandwich_holds_on_sums_the_equal_sum_rule_accepts(g):
     assert value == divlab.f_divergence(g, p, q) and lower <= upper < 1e-18
 
 
+@pytest.mark.parametrize("g", [KL, make_generator("reverse_kl"), PC],
+                         ids=["kl", "reverse_kl", "pearson_chi2"])
+@pytest.mark.parametrize("p,q", [([0.5 + 5e-10, 0.5], [0.5, 0.5]),
+                                 ([0.5, 0.5], [0.5 + 5e-10, 0.5])], ids=["p-heavy", "q-heavy"])
+def test_reverse_pinsker_holds_on_sums_the_equal_sum_rule_accepts(g, p, q):
+    # D_f keeps the first-order term f'(1)(sum p - sum q), up to 5e-10 here,
+    # which both bounds add where it is positive
+    out = divlab.reverse_pinsker(g, p, q)
+    _relations("reverse_pinsker", (g, p, q), {}, out)
+    first = max(0.0, float(g.f1(1.0)) * (sum(p) - sum(q)))
+    assert min(out) >= first and min(out) - first < 1e-18
+
+
 @pytest.mark.parametrize("P,Q", [(np.zeros((0, 2)), [0.5, 0.5]), (np.zeros((0, 1)), [1.0])])
 def test_f_divergence_rows_of_no_rows_is_empty(P, Q):
     out = divlab.f_divergence_rows(KL, P, Q)

@@ -450,14 +450,16 @@ def test_ratio_scores_below_longdouble_oracle():
 # the batched refine against the step-by-step climb
 
 
-def hill_climb_sequential(scores, cloud, propose, budget, scale):
+def hill_climb_sequential(scores, cloud, propose, budget, scale, all_scores=None):
     """Oracle for ``_climbs``: the climb that scores one proposal per
     call.  ``propose(current, rng, scale)`` moves the best input so far or
-    returns None, and the scale shrinks by 0.98 per move."""
-    block = max(1, (1 << 12) // cloud[0].size)
-    all_scores = np.concatenate(
-        [scores(cloud[s : s + block]) for s in range(0, len(cloud), block)]
-    )
+    returns None, and the scale shrinks by 0.98 per move.  The cloud is
+    scored block by block unless its scores are given."""
+    if all_scores is None:
+        block = max(1, (1 << 12) // cloud[0].size)
+        all_scores = np.concatenate(
+            [scores(cloud[s : s + block]) for s in range(0, len(cloud), block)]
+        )
     k = int(np.argmax(all_scores))
     best = float(all_scores[k])
     if best == -math.inf:
@@ -509,23 +511,40 @@ def quantum_eta_estimate_sequential(channel, sigma, g, budget):
     sigma = quantum.check_density_matrix(sigma)
     sigma_out = quantum.apply_channel(channel, sigma)
     d = sigma.shape[0]
+    spectral = quantum._spectral
 
-    def scores(states):
+    def scores(states, spec=None):
         outputs = quantum.apply_channel(channel, states)
         # the references diagonalised on every call: the estimate's single
         # eigh of each must give the same bits
-        spectral = quantum._spectral
         den = _divergence_rows(
-            g, *quantum._ns_rows(spectral(states), spectral(sigma)), rounding_error=True
+            g, *quantum._ns_rows(spec or spectral(states), spectral(sigma)), rounding_error=True
         )
         return _ratio_scores(g, den, quantum._ns_rows(spectral(outputs), spectral(sigma_out)))
 
     def propose(current, rng, weight):
         prop = (1.0 - weight * rng.random()) * current
-        return prop + (1.0 - np.trace(prop).real) * quantum._haar_pure(1, d, rng)[0]
+        psi = quantum._pure_states(rng.normal(size=(1, 2, d)))[0]
+        return prop + (1.0 - np.trace(prop).real) * psi
 
-    cloud = quantum._candidate_states(sigma, budget)
-    return hill_climb_sequential(scores, cloud, propose, budget, 0.3)
+    cloud, _ = quantum._candidate_states(sigma, budget)
+    # each segment a |f_i><f_i| + (1 - a) |f_j><f_j| between sigma's
+    # eigenvectors f is scored from its spectrum a e_i + (1 - a) e_j; the
+    # states before them through eigh
+    a = np.linspace(0.0, 1.0, quantum._EIGENBASIS_GRID)
+    lam = []
+    for i in range(d):
+        for j in range(i + 1, d):
+            for t in a:
+                row = np.zeros(d)
+                row[i], row[j] = t, 1 - t
+                lam.append(row)
+    haar = len(cloud) - len(lam)
+    all_scores = np.concatenate([
+        scores(cloud[:haar]),
+        scores(cloud[haar:], (np.array(lam).reshape(-1, d), spectral(sigma)[1])),
+    ])
+    return hill_climb_sequential(scores, cloud, propose, budget, 0.3, all_scores)
 
 
 def assert_same_climb(batched, sequential):

@@ -36,8 +36,9 @@ from divlab.quantum import (
     trace_distance,
     _EIGENBASIS_GRID,
     _candidate_states,
-    _haar_pure,
     _ns_rows,
+    _pure_states,
+    _refine_draws,
     _spectral,
 )
 
@@ -470,14 +471,73 @@ def test_candidate_states_match_sequential_draws(d, rank):
         rng = np.random.default_rng(seed)
         sigma = random_state(rng, d, rank=d if rank == "full" else d - 1)
         budget = QuantumBudget(seed=seed)
-        assert np.array_equal(
-            _candidate_states(sigma, budget), candidate_states_sequential(sigma, budget)
-        )
+        states, lam = _candidate_states(sigma, budget)
+        assert np.array_equal(states, candidate_states_sequential(sigma, budget))
+        assert lam.shape == (d * (d - 1) // 2 * _EIGENBASIS_GRID, d)
         # the refine stream interleaves one share and one Haar state per step
-        stream, oracle = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
-        for _ in range(8):
-            assert stream.random() == oracle.random()
-            assert np.array_equal(_haar_pure(1, d, stream)[0], haar_pure_sequential(d, oracle))
+        u, raw = _refine_draws(np.random.default_rng(seed + 1), 8, d)
+        psi, oracle = _pure_states(raw), np.random.default_rng(seed + 1)
+        for k in range(8):
+            assert u[k] == oracle.random()
+            assert np.array_equal(psi[k], haar_pure_sequential(d, oracle))
+
+
+def _level_sums(rows, lam, levels, d):
+    """NS rows (N, d^2) of states with spectra lam (N, d), summed over the
+    eigenvectors x of each eigenvalue in ``levels`` (N, d): entries (N, i, y)
+    that do not depend on the eigenbasis chosen in a degenerate eigenspace."""
+    member = np.abs(lam[:, np.newaxis, :] - levels[:, :, np.newaxis]) < 1e-9
+    return member @ rows.reshape(-1, d, d)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 8])
+@pytest.mark.parametrize("kind", ["full", "deficient", "maximally-mixed"])
+def test_segment_spectra_match_eigh(d, kind, registry):
+    # the sigma-eigenbasis segments are scored from their closed-form
+    # spectra; their NS rows (of unit mass) and divergences agree with the
+    # eigh route to 1e-12 relative, absolute below 1: a segment state near
+    # sigma has a divergence near 0, whose relative error is the kernel's
+    # cancellation on inputs that differ by eigh's rounding
+    rng = np.random.default_rng(7 * d)
+    if kind == "maximally-mixed":
+        sigma = np.eye(d, dtype=complex) / d
+    else:
+        sigma = random_state(rng, d, rank=d if kind == "full" else d - 1)
+    states, lam = _candidate_states(sigma, QuantumBudget(n_samples=100))
+    segments = states[len(states) - len(lam):]
+    ref = _spectral(sigma)
+    closed = _ns_rows((lam, ref[1]), ref)
+    spec = _spectral(segments)
+    assert np.allclose(np.sort(lam, axis=1), spec[0], rtol=0.0, atol=1e-14)
+    eigh = _ns_rows(spec, ref)
+    for rows, eigh_rows in zip(closed, eigh):
+        assert np.allclose(_level_sums(rows, lam, lam, d), _level_sums(eigh_rows, spec[0], lam, d),
+                           rtol=1e-12, atol=1e-12)
+    for g in registry:
+        v1, v2 = _divergence_rows(g, *closed), _divergence_rows(g, *eigh)
+        finite = np.isfinite(v2)
+        assert np.array_equal(np.isfinite(v1), finite), g.label
+        assert np.allclose(v1[finite], v2[finite], rtol=1e-12, atol=1e-12), g.label
+
+
+@given(
+    d=st.sampled_from([1, 2, 3, 4, 8]),
+    n=st.integers(1, 300),
+    stacked=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_ns_overlaps_match_the_stacked_product(d, n, stacked, seed):
+    # one (N d, d) @ (d, d) product gives the bits of the per-state products
+    rng = np.random.default_rng(seed)
+    states = np.array([random_state(rng, d) for _ in range(n if stacked else 1)])
+    lam, e = _spectral(states if stacked else states[0])
+    mu, f = _spectral(random_state(rng, d))
+    overlap = np.abs(np.swapaxes(e, -1, -2).conj() @ f) ** 2
+    overlap = np.where(overlap < 1e-20, 0.0, overlap).reshape(-1, d, d)
+    P, Q = _ns_rows((lam, e), (mu, f))
+    assert np.array_equal(P, (lam.reshape(-1, d)[:, :, np.newaxis] * overlap).reshape(-1, d * d))
+    assert np.array_equal(Q, (mu[np.newaxis, :] * overlap).reshape(-1, d * d))
 
 
 def test_quantum_eta_identity_and_replacer():
