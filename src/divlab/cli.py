@@ -23,6 +23,7 @@ import json
 import math
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -235,17 +236,40 @@ def _header(args, files, seed) -> dict:
     }
 
 
-def _envelope(args, files, seed, results, warnings_list):
+def _envelope(args, files, seed, results, warnings_list, **fields):
     return {
         **_header(args, files, seed),
         "units": "bits" if getattr(args, "bits", False) else "nats",
         "results": results,
         "warnings": warnings_list,
+        **fields,
     }
 
 
 # ---------------------------------------------------------------------------
 # subcommands
+
+
+def _reports(command):
+    """A subcommand that returns its report, which this prints, with exit
+    code 2 when it lists violations.  Each UserWarning that the library
+    raises while the command runs joins the report's warnings as often as
+    the filters show it (by default once per message and place, counted
+    afresh in each run's block), instead of reaching stderr."""
+
+    def run_command(args) -> int:
+        caught: list[str] = []
+        with warnings.catch_warnings():
+            show = warnings.showwarning
+            warnings.showwarning = lambda message, category, *where: (
+                caught.append(str(message)) if issubclass(category, UserWarning)
+                else show(message, category, *where))
+            report = command(args)
+        report["warnings"] += caught
+        print(dumps_report(report))
+        return 2 if report.get("violations") else 0
+
+    return run_command
 
 
 def _cmd_verify_constants(args) -> int:
@@ -273,7 +297,8 @@ def _cmd_verify_constants(args) -> int:
     return 0 if all_ok else 2
 
 
-def _cmd_divergence(args) -> int:
+@_reports
+def _cmd_divergence(args) -> dict:
     seed = _resolve_seed(args)
     g = from_spec(args.g)
     p, q = _vectors(_parse_vector(args.p), _parse_vector(args.q))
@@ -292,16 +317,17 @@ def _cmd_divergence(args) -> int:
         "total_variation": _total_variation(p, q),
         "chi_squared": _chi_squared(p, q),
     }
-    print(dumps_report(_envelope(args, [], seed, results, warnings_list)))
-    return 0
+    return _envelope(args, [], seed, results, warnings_list)
 
 
-def _mixing_section(mix) -> dict:
-    """The classical mixing-time bounds and empirical times of a report."""
+def _mixing_section(mix, dist: str = "tv", prefix: str = "chi2") -> dict:
+    """The mixing-time bounds and empirical times of a report: ``dist`` is
+    tv for a chain and td for a channel, whose bound ids carry petz-."""
     return {
-        "tv_bound": {"bound_id": "chi2-mixing-time-tv", "value": mix.tv_bound},
-        "f_bound": {"bound_id": "chi2-mixing-time-f", "value": mix.f_bound},
-        "empirical_tv": mix.empirical_tv,
+        f"{dist}_bound": {"bound_id": f"{prefix}-mixing-time-{dist}",
+                          "value": getattr(mix, f"{dist}_bound")},
+        "f_bound": {"bound_id": f"{prefix}-mixing-time-f", "value": mix.f_bound},
+        f"empirical_{dist}": getattr(mix, f"empirical_{dist}"),
         "empirical_f": mix.empirical_f,
     }
 
@@ -317,7 +343,8 @@ def _add_upper_bounds(section: dict, prefix: str, bounds, est: float, exceeds: s
             violations.append(exceeds.format(kind))
 
 
-def _cmd_analyze_chain(args) -> int:
+@_reports
+def _cmd_analyze_chain(args) -> dict:
     seed = _resolve_seed(args)
     W = parse_matrix(args.matrix)
     g = from_spec(args.generator)
@@ -373,13 +400,11 @@ def _cmd_analyze_chain(args) -> int:
     except ValueError as exc:
         warnings_list.append(f"rate profile unavailable: {exc}")
 
-    report = _envelope(args, [args.matrix], seed, results, warnings_list)
-    report["violations"] = violations
-    print(dumps_report(report))
-    return 2 if violations else 0
+    return _envelope(args, [args.matrix], seed, results, warnings_list, violations=violations)
 
 
-def _cmd_mixing_time(args) -> int:
+@_reports
+def _cmd_mixing_time(args) -> dict:
     seed = _resolve_seed(args)
     W = parse_matrix(args.matrix)
     g = from_spec(args.generator) if args.generator else None
@@ -390,13 +415,11 @@ def _cmd_mixing_time(args) -> int:
         **_mixing_section(mix),
     }
     violations = [] if mix.empirical_within_bound else ["empirical mixing time exceeds bound"]
-    report = _envelope(args, [args.matrix], seed, results, [])
-    report["violations"] = violations
-    print(dumps_report(report))
-    return 2 if violations else 0
+    return _envelope(args, [args.matrix], seed, results, [], violations=violations)
 
 
-def _cmd_quantum_analyze(args) -> int:
+@_reports
+def _cmd_quantum_analyze(args) -> dict:
     seed = _resolve_seed(args)
     channel = parse_kraus(args.channel)
     g = from_spec(args.generator)
@@ -433,23 +456,15 @@ def _cmd_quantum_analyze(args) -> int:
             )
         try:
             _check_delta(args.delta)
-            qmix = _petz_mixing(channel, args.delta, g, pi, eta)
-            results["mixing_time"] = {
-                "td_bound": {"bound_id": "petz-chi2-mixing-time-td", "value": qmix.td_bound},
-                "f_bound": {"bound_id": "petz-chi2-mixing-time-f", "value": qmix.f_bound},
-                "empirical_td": qmix.empirical_td,
-                "empirical_f": qmix.empirical_f,
-                "eta_chi2_estimate": qmix.eta_chi2,
-            }
-            if qmix.empirical_td is not None and qmix.empirical_td > qmix.td_bound:
+            qmix = _petz_mixing(channel, args.delta, g, pi, lambda: eta)
+            results["mixing_time"] = {**_mixing_section(qmix, "td", "petz-chi2"),
+                                      "eta_chi2_estimate": qmix.eta_chi2}
+            if not qmix.empirical_within_bound:
                 violations.append("empirical trace-distance mixing time exceeds bound")
         except ValueError as exc:
             warnings_list.append(f"quantum mixing times unavailable: {exc}")
 
-    report = _envelope(args, [args.channel], seed, results, warnings_list)
-    report["violations"] = violations
-    print(dumps_report(report))
-    return 2 if violations else 0
+    return _envelope(args, [args.channel], seed, results, warnings_list, violations=violations)
 
 
 # ---------------------------------------------------------------------------

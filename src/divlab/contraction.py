@@ -434,7 +434,7 @@ def eta_f_upper_bounds(
     """
     W, q = _channel(W, q)
     L = _certified_constant(g, pinsker_constant)
-    return _eta_f_upper(g, q, L, _eta_chi2(W, q), partial(_kappa_up_sup, g, W, q))
+    return _upper_bounds(g, 4.0, L, q, _eta_chi2(W, q), partial(_kappa_up_sup, g, W, q))
 
 
 def _certified_constant(g: Generator, override: float | None = None) -> float:
@@ -446,17 +446,6 @@ def _certified_constant(g: Generator, override: float | None = None) -> float:
     return L
 
 
-def _eta_f_upper(g: Generator, q, L: float, eta2: float, kappa_sup):
-    """``eta_f_upper_bounds`` with L and eta_chi2(W, q) given; ``kappa_sup()``
-    returns _kappa_up_sup(g, W, q) and is called only where the nonlinear
-    bound needs it."""
-    q_full = bool(np.all(q > 0.0))
-    kup = math.inf
-    if math.isinf(g.fprime_at_inf) or q_full:
-        kup = kappa_sup()
-    return _upper_bounds(g, 4.0, L * _q_min(q), eta2, kup, q_full)
-
-
 def _linear_coeff(g: Generator) -> float | None:
     """f'(1) + f(0+), the coefficient of every linear bound, or None unless
     (f(t)-f(0))/t is concave and f(0+) is finite."""
@@ -465,15 +454,20 @@ def _linear_coeff(g: Generator) -> float | None:
     return None
 
 
-def _upper_bounds(g: Generator, factor, denom, eta, kup, full: bool):
-    """nonlinear = factor / denom * kup * eta (inf with the kappa sup kup) and
-    linear = factor (f'(1) + f(0)) / denom * eta, None without a linear
-    coefficient (``_linear_coeff``) or a full-support reference."""
+def _upper_bounds(g: Generator, factor, L, masses, eta, kappa_sup):
+    """The upper-bound engine of chains and channels: nonlinear = factor /
+    (L m) * kup * eta and linear = factor (f'(1) + f(0)) / (L m) * eta, m the
+    least positive of the reference ``masses`` (q, or the spectrum of sigma),
+    where a mass below SUPPORT_EPSILON counts as zero.  kup = ``kappa_sup()``
+    is taken only for a full-support reference or an infinite f'(inf), else
+    nonlinear is inf; linear is None without a linear coefficient or a
+    full-support reference."""
+    full = bool(np.all(masses >= SUPPORT_EPSILON))
+    denom = L * _q_min(masses)
+    kup = kappa_sup() if full or math.isinf(g.fprime_at_inf) else math.inf
     nonlinear = factor / denom * kup * eta if math.isfinite(kup) else math.inf
     coeff = _linear_coeff(g)
-    linear = None
-    if coeff is not None and full:
-        linear = factor * coeff / denom * eta
+    linear = factor * coeff / denom * eta if coeff is not None and full else None
     return nonlinear, linear
 
 
@@ -552,26 +546,38 @@ def _check_delta(delta: float) -> None:
         raise ValueError("delta must be positive and finite")
 
 
-def _mixing_times(eta, delta, log_bound, log_f, step, probes, distance, f_distance):
+def _mixing_times(masses, targets, coeff, eta, delta, step, probes, distance, f_distance):
     """The mixing-time engine of chains and channels: (bound, f_bound,
-    empirical, empirical_f, within) from the chi-squared coefficient eta,
-    the f pair None without ``log_f``.  A bound is the least n >= 0 with
-    eta^n <= exp(-log target), less 1e-12 before the ceiling; at eta = 0 it
-    is 1, or 0 for a bound whose log target is not positive.  An empirical
-    time is the first n <= max(2 bound, 64) at which ``distance``
-    (``f_distance``) of the probes moved n times by ``step`` is at most
-    delta; ``within`` tells whether the bound's scan, if any, met it."""
+    empirical, empirical_f, eta_chi2, least mass, within) against reference
+    ``masses`` (pi, or the spectrum of sigma), which must all be at least
+    SUPPORT_EPSILON: a start off the support has an infinite chi^2, so the
+    chi-squared coefficient ``eta()`` bounds nothing there.  With m the
+    least mass and ``targets`` (a, b), the bound is the least n >= 0 with
+    eta^n <= a m delta^2, the f bound (None without the linear coefficient
+    ``coeff``) the least n with eta^n <= m delta / (b coeff), each from a sum
+    of logs less 1e-12 before the ceiling; at eta = 0 a bound is 1, or 0 for
+    a log target that is not positive.  An empirical time is the first
+    n <= max(2 bound, 64) at which ``distance`` (``f_distance``) of the
+    probes moved n times by ``step`` is at most delta; ``within`` tells
+    whether the bound's scan, if any, met it."""
+    if not np.all(masses >= SUPPORT_EPSILON):
+        raise ValueError("mixing times require a full-support stationary distribution")
+    eta = eta()
     if eta >= 1.0 - 1e-12:
         raise ValueError("eta_chi2 >= 1: no finite mixing bound")
+    least = float(masses.min())
+    a, b = targets
+    log_bound = -(math.log(a * least) + 2.0 * math.log(delta))
+    log_targets = [(log_bound, int(log_bound > 0.0), distance)]
+    if coeff is not None:
+        log_f = math.log(b * coeff) - math.log(delta) - math.log(least)
+        log_targets.append((log_f, 1, f_distance))
     # distances below SUPPORT_EPSILON are rounding noise that no number of
     # steps removes: a smaller delta gets no scan, and nothing contradicts
     # its bounds
     scan = delta >= SUPPORT_EPSILON
     bounds, empirical = [None, None], [None, None]
-    targets = ((log_bound, int(log_bound > 0.0), distance), (log_f, 1, f_distance))
-    for k, (log_target, at_zero, dist) in enumerate(targets):
-        if log_target is None:
-            break
+    for k, (log_target, at_zero, dist) in enumerate(log_targets):
         bounds[k] = at_zero
         if eta > 0.0:
             bounds[k] = max(0, math.ceil(log_target / math.log(1.0 / eta) - 1e-12))
@@ -579,7 +585,7 @@ def _mixing_times(eta, delta, log_bound, log_f, step, probes, distance, f_distan
             done = lambda X: dist(X) <= delta
             empirical[k] = _empirical_mixing(step, probes, done, max(2 * bounds[k], 64))
     within = not scan or (empirical[0] is not None and empirical[0] <= bounds[0])
-    return bounds[0], bounds[1], empirical[0], empirical[1], within
+    return bounds[0], bounds[1], empirical[0], empirical[1], eta, least, within
 
 
 def mixing_time_bounds(W, delta: float, g: Generator | None = None) -> MixingTimeReport:
@@ -601,45 +607,27 @@ def _mixing_time(W: np.ndarray, delta: float, g: Generator | None) -> MixingTime
         raise ValueError(
             "f-divergence bound requires finite f(0+) and (f(t)-f(0))/t concave"
         )
-    return _mixing_report(W, delta, g, _stationary_of(W))
+    return _mixing_report(W, delta, g, *_stationary_of(W))
 
 
-def _mixing_report(W, delta, g, stationary, eta=None) -> MixingTimeReport:
-    """``mixing_time_bounds`` with a checked delta, the (pi, unique) pair of
-    the stationary solve given, and eta_chi2(W, pi) unless ``eta`` holds
-    it; the f bound only where g has a linear coefficient.  The log targets
-    are sums of logs, so a tiny delta gets a finite bound."""
-    pi, unique = stationary
+def _mixing_report(W, delta, g, pi, unique, eta=None) -> MixingTimeReport:
+    """``mixing_time_bounds`` with a checked delta and the stationary pi and
+    its uniqueness given; ``eta()`` returns eta_chi2(W, pi) when given.  The
+    f bound only where g has a linear coefficient."""
     if not unique:
         raise ValueError("mixing times require a unique stationary distribution")
-    if not np.all(pi > 0.0):
-        raise ValueError("mixing times require a full-support stationary distribution")
-    if eta is None:
-        eta = _eta_chi2(W, _clamp(pi))
-    pi_min = float(pi.min())
-    # ln(1/x) for x = sqrt(2 pi_min) delta
-    log_tv = -(0.5 * math.log(2.0 * pi_min) + math.log(delta))
-    coeff = _linear_coeff(g) if g is not None else None
-    log_f = None
-    if coeff is not None:
-        log_f = math.log(2.0 * coeff) - math.log(delta) - math.log(pi_min)
 
     def largest(dist_rows):
         # the columns of W^n are the outputs of the vertex inputs
         return lambda P: dist_rows(np.ascontiguousarray(P.T), pi).max()
 
-    tv_bound, f_bound, empirical_tv, empirical_f, within = _mixing_times(
-        eta, delta, 2.0 * log_tv, log_f, W.__matmul__, np.eye(W.shape[0]),
-        largest(_tv_rows), largest(lambda P, q: _divergence_rows(g, _clamp(P), _clamp(q))),
-    )
     return MixingTimeReport(
-        tv_bound=tv_bound,
-        f_bound=f_bound,
-        empirical_tv=empirical_tv,
-        empirical_f=empirical_f,
-        eta_chi2=eta,
-        pi_min=pi_min,
-        empirical_within_bound=within,
+        *_mixing_times(
+            pi, (2.0, 2.0), _linear_coeff(g) if g is not None else None,
+            eta or partial(_eta_chi2, W, _clamp(pi)), delta, W.__matmul__,
+            np.eye(W.shape[0]), largest(_tv_rows),
+            largest(lambda P, q: _divergence_rows(g, _clamp(P), _clamp(q))),
+        ),
         generator=g.label if g is not None else None,
     )
 
@@ -722,9 +710,8 @@ class _ChainContext:
         L = self.g.pinsker_constant
         if L is None or L <= 0.0:
             return None
-        return _eta_f_upper(
-            self.g, self.info.stationary, L, self.eta2, partial(self._kappa_sup, 1, self.W)
-        )
+        kappa_sup = partial(self._kappa_sup, 1, self.W)
+        return _upper_bounds(self.g, 4.0, L, self.info.stationary, self.eta2, kappa_sup)
 
     def _kappa_sup(self, n: int, Wn: np.ndarray) -> float:
         """``_kappa_up_sup(g, Wn, pi)`` of Wn = W^n, computed once per power:
@@ -736,9 +723,8 @@ class _ChainContext:
     def mixing(self, delta: float, g: Generator | None) -> MixingTimeReport:
         """``mixing_time_bounds(W, delta, g)``, the f bound where g has one."""
         _check_delta(delta)
-        info = self.info
-        stationary = (info.stationary, info.stationary_unique)
-        return _mixing_report(self.W, delta, g, stationary, self.eta2)
+        info, eta = self.info, lambda: self.eta2
+        return _mixing_report(self.W, delta, g, info.stationary, info.stationary_unique, eta)
 
     def profile(self) -> list[RatePoint]:
         """``contraction_rate_profile(W, g, profile_n, budget)``; the n = 1

@@ -42,7 +42,7 @@ from .contraction import (
     _second_singular_value_sq,
     _upper_bounds,
 )
-from .divergence import _as_count, _divergence_rows
+from .divergence import SUPPORT_EPSILON, _as_count, _divergence_rows
 from .generators import Generator
 from .markov import _channel
 
@@ -76,7 +76,8 @@ __all__ = [
     "QuantumMixingReport",
 ]
 
-EIG_CLAMP = 1e-12
+# eigenvalues below this count as zero, as masses below SUPPORT_EPSILON do
+EIG_CLAMP = SUPPORT_EPSILON
 # tolerance of the Hermiticity, positivity and trace checks of a state
 DENSITY_ATOL = 1e-10
 # eigenvector overlaps |<e_x|f_y>|^2 below this are rounding noise; any floor
@@ -792,24 +793,32 @@ def quantum_eta_bounds(
 
 def _petz_upper(g: Generator, channel: KrausChannel, sigma, L: float, eta2: float):
     """``quantum_eta_bounds`` for a checked state sigma, with L and
-    petz_eta_chi2(channel, sigma) given."""
-    eigs = np.linalg.eigvalsh(sigma)
-    sigma_full, lmin = bool(eigs.min() >= EIG_CLAMP), _min_positive(eigs)
-    kappa_sup = math.inf
-    if g.f2_at_zero_finite and (sigma_full or math.isinf(g.fprime_at_inf)):
+    petz_eta_chi2(channel, sigma) given; the kappa sup is kappa_up over
+    [0, 1/lmin(E(sigma))], inf unless f''(0+) is finite."""
+
+    def kappa_sup():
+        if not g.f2_at_zero_finite:
+            return math.inf
         out_min = _min_positive(np.linalg.eigvalsh(_apply(channel, sigma)))
-        kappa_sup = _kappa_pair(g, np.array([0.0, 1.0 / out_min]), np.ones(2)).kappa_up
-    return _upper_bounds(g, 8.0, L * lmin, eta2, kappa_sup, sigma_full)
+        return _kappa_pair(g, np.array([0.0, 1.0 / out_min]), np.ones(2)).kappa_up
+
+    return _upper_bounds(g, 8.0, L, np.linalg.eigvalsh(sigma), eta2, kappa_sup)
 
 
 @dataclass(frozen=True)
 class QuantumMixingReport:
+    """``quantum_mixing_time_bounds``: the bounds, the probes' empirical
+    times (None where a scan did not reach delta or did not run), Petz
+    eta_chi2 and lmin at the fixed point, and whether the td scan met its
+    bound."""
+
     td_bound: int
     f_bound: int | None
     empirical_td: int | None
     empirical_f: int | None
     eta_chi2: float
     lambda_min: float
+    empirical_within_bound: bool
 
 
 def quantum_mixing_time_bounds(
@@ -818,8 +827,10 @@ def quantum_mixing_time_bounds(
     """Mixing-time bounds from the exact Petz chi-squared coefficient eta.
 
     td_bound = ceil(ln(1/(lmin(pi) delta^2)) / ln(1/eta)); the f-divergence
-    bound multiplies in the linear coefficient f'(1) + f(0).  empirical_td
-    and empirical_f scan probe states when delta is at least SUPPORT_EPSILON.
+    bound multiplies in the linear coefficient f'(1) + f(0).  A rank-deficient
+    pi raises, as a chain's pi without full support does: a start off supp
+    pi has an infinite chi^2, so eta bounds nothing.  empirical_td and
+    empirical_f scan probe states when delta is at least SUPPORT_EPSILON.
     """
     channel._require_square()
     _check_delta(delta)
@@ -832,33 +843,20 @@ def quantum_mixing_time_bounds(
     if not info.mixing:
         raise ValueError("mixing times require a mixing channel with unique fixed point")
     pi = info.fixed_point
-    return _petz_mixing(channel, delta, g, pi, _petz_eta_chi2(channel, pi))
+    return _petz_mixing(channel, delta, g, pi, partial(_petz_eta_chi2, channel, pi))
 
 
 def _petz_mixing(
-    channel: KrausChannel, delta: float, g: Generator | None, pi, eta: float
+    channel: KrausChannel, delta: float, g: Generator | None, pi, eta
 ) -> QuantumMixingReport:
-    """``quantum_mixing_time_bounds`` with a checked delta, the fixed point
-    pi of a mixing channel and eta = petz_eta_chi2(channel, pi) given; the
-    f bound only where g is operator convex and has a linear coefficient."""
-    lmin = _min_positive(np.linalg.eigvalsh(pi))
-    # ln(1/(lmin delta^2)), without forming delta^2
-    log_td = -(math.log(lmin) + 2.0 * math.log(delta))
+    """``quantum_mixing_time_bounds`` with a checked delta and the fixed
+    point pi of a mixing channel given; ``eta()`` returns
+    petz_eta_chi2(channel, pi).  The f bound only where g is operator convex
+    and has a linear coefficient."""
     coeff = _linear_coeff(g) if g is not None and g.operator_convex else None
-    log_f = None
-    if coeff is not None:
-        log_f = math.log(4.0 * coeff) - math.log(lmin) - math.log(delta)
     ref = _spectral(pi)
-    td_bound, f_bound, empirical_td, empirical_f, _ = _mixing_times(
-        eta, delta, log_td, log_f, partial(_apply, channel),
+    return QuantumMixingReport(*_mixing_times(
+        np.linalg.eigvalsh(pi), (1.0, 4.0), coeff, eta, delta, partial(_apply, channel),
         _probe_states(channel.dim_in), lambda S: _trace_distance(S, pi).max(),
         lambda S: _divergence_rows(g, *_ns_rows(_spectral(S), ref)).max(),
-    )
-    return QuantumMixingReport(
-        td_bound=td_bound,
-        f_bound=f_bound,
-        empirical_td=empirical_td,
-        empirical_f=empirical_f,
-        eta_chi2=eta,
-        lambda_min=lmin,
-    )
+    ))

@@ -21,6 +21,7 @@ from divlab.cli import (
     parse_matrix,
     run,
 )
+from divlab.quantum import replacer_channel
 
 
 @pytest.fixture()
@@ -553,6 +554,20 @@ def test_violation_exit_code(bsc25_csv, capsys, monkeypatch):
     assert _load_json(out)["violations"]
 
 
+def test_quantum_analyze_flags_a_scan_that_never_meets_its_bound(embedded_bsc_json, capsys,
+                                                                 monkeypatch):
+    # the report takes its violation from the engine's within flag, so a td
+    # scan that does not reach delta within its cap is a violation too
+    from divlab import contraction
+
+    monkeypatch.setattr(contraction, "_empirical_mixing", lambda *args: None)
+    code = run(["quantum-analyze", "--channel", embedded_bsc_json, "--generator", "kl"])
+    report = _load_json(capsys.readouterr().out)
+    assert code == 2
+    assert report["results"]["mixing_time"]["empirical_td"] is None
+    assert report["violations"] == ["empirical trace-distance mixing time exceeds bound"]
+
+
 def test_report_round_trips_losslessly(bsc_csv, capsys):
     run(["analyze-chain", "--matrix", bsc_csv, "--generator", "kl", "--profile-n", "2"])
     report = _load_json(capsys.readouterr().out)
@@ -737,6 +752,92 @@ def test_quantum_analyze_golden_output(case, tmp_path, capsys, monkeypatch):
     (tmp_path / "channel.json").write_text(json.dumps(payload))
     argv = ["quantum-analyze", "--channel", "channel.json", "--generator", generator]
     assert _golden_digest(argv, capsys) == digest
+
+
+def _kraus_file(tmp_path, kraus) -> str:
+    path = tmp_path / "channel.json"
+    payload = {"kraus": [{"re": np.real(K).tolist(), "im": np.imag(K).tolist()} for K in kraus]}
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+# qubit amplitude damping at gamma = 0.3 (p = 1: the fixed point is |0><0|)
+# and a replacer that prepares the pure state |+><+|
+RANK_DEFICIENT_CHANNELS = {
+    "amplitude-damping": lambda: _amplitude_damping(0.3, 1.0),
+    "pure-replacer": lambda: replacer_channel(np.full((2, 2), 0.5)).kraus,
+}
+
+
+@pytest.mark.parametrize("delta", ["0.25", "0.01"])
+@pytest.mark.parametrize("case", sorted(RANK_DEFICIENT_CHANNELS))
+def test_quantum_analyze_skips_mixing_at_a_rank_deficient_fixed_point(case, delta, tmp_path,
+                                                                      capsys):
+    # the report printed td_bound 1 against empirical_td 5 (delta = 0.25) and
+    # 22 (delta = 0.01) for amplitude damping, and exited 2 at delta = 0.01;
+    # a bound needs a full-rank fixed point, as it needs a full-support pi
+    path = _kraus_file(tmp_path, RANK_DEFICIENT_CHANNELS[case]())
+    code = run(["quantum-analyze", "--channel", path, "--generator", "kl", "--delta", delta])
+    report = _load_json(capsys.readouterr().out)
+    assert code == 0
+    assert report["violations"] == []
+    assert "mixing_time" not in report["results"]
+    assert ("quantum mixing times unavailable: mixing times require a full-support "
+            "stationary distribution") in report["warnings"]
+
+
+def test_reports_capture_library_user_warnings(tmp_path, capsys):
+    # the sampled climb of the amplitude-damping report finds no feasible
+    # input at the pure fixed point; its warning joins the report, in every
+    # run of the process, and does not reach stderr
+    path = _kraus_file(tmp_path, RANK_DEFICIENT_CHANNELS["amplitude-damping"]())
+    argv = ["quantum-analyze", "--channel", path, "--generator", "kl"]
+    outs = []
+    for _ in range(2):
+        assert run(argv) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    assert _load_json(outs[0])["warnings"] == [
+        "quantum mixing times unavailable: mixing times require a full-support "
+        "stationary distribution",
+        "no feasible input found; estimate 0",
+    ]
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        assert run(argv) == 0
+    assert seen == [] and capsys.readouterr().out == outs[0]
+    # a filter that makes UserWarnings errors still raises
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", UserWarning)
+        with pytest.raises(UserWarning, match="no feasible input found"):
+            run(argv)
+    capsys.readouterr()
+
+
+def test_reports_let_runtime_warnings_through(bsc25_csv, capsys, monkeypatch):
+    # a RuntimeWarning (numpy's overflow or division by zero) is not a report
+    # warning: it is shown as before, and a filter that makes it an error
+    # fails the run, as the test suite's filter for divlab does
+    from divlab import contraction
+
+    eta_chi2 = contraction._eta_chi2
+
+    def noisy(*args):
+        warnings.warn("overflow probe", RuntimeWarning)
+        return eta_chi2(*args)
+
+    monkeypatch.setattr(contraction, "_eta_chi2", noisy)
+    argv = ["analyze-chain", "--matrix", bsc25_csv, "--generator", "kl"]
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        assert run(argv) == 0
+    assert [(w.category, str(w.message)) for w in seen] == [(RuntimeWarning, "overflow probe")]
+    assert _load_json(capsys.readouterr().out)["warnings"] == []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(RuntimeWarning, match="overflow probe"):
+            run(argv)
+    capsys.readouterr()
 
 
 def _count_calls(monkeypatch, originals: dict) -> dict:

@@ -1,9 +1,10 @@
+import dataclasses
 import math
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from divlab import chi2bounds, contraction, quantum
@@ -287,6 +288,83 @@ def test_mixing_time_preconditions():
     with pytest.raises(ValueError):
         # f-divergence bound demands finite f(0+)
         mixing_time_bounds(bsc(0.25), 0.01, make_generator("reverse_kl"))
+
+
+@st.composite
+def full_support_chains(draw):
+    """Dense chains with Dirichlet columns, or sparse ones with a self-loop,
+    a cycle edge and one more entry per column: irreducible and aperiodic,
+    so pi has full support."""
+    n = draw(st.integers(2, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        return rng.dirichlet(np.full(n, draw(st.sampled_from([0.5, 1.0, 3.0]))), size=n).T
+    W = np.zeros((n, n))
+    for x in range(n):
+        rows = np.unique([x, (x + 1) % n, rng.integers(n)])
+        W[rows, x] = rng.dirichlet(np.ones(rows.size))
+    return W
+
+
+def _random_channel(rng, d: int, rank: int) -> quantum.KrausChannel:
+    """A channel whose outputs live on the first ``rank`` basis states: Kraus
+    operators from a random isometry into them, padded with zero rows."""
+    k = max(2, -(-d // rank)) + int(rng.integers(2))
+    A = rng.normal(size=(k * rank, d)) + 1j * rng.normal(size=(k * rank, d))
+    V = np.linalg.qr(A)[0]
+    return quantum.KrausChannel(kraus=tuple(
+        np.pad(V[i * rank : (i + 1) * rank], [(0, d - rank), (0, 0)]) for i in range(k)
+    ))
+
+
+@st.composite
+def channels_and_fixed_point_rank(draw):
+    """A channel on d in {2, 3} and the rank of its fixed point: a random
+    channel onto all of C^d or onto a block of it, whose complement decays,
+    or generalized amplitude damping (rank 2 for p < 1, rank 1 at p = 1)."""
+    d = draw(st.sampled_from([2, 3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if d == 2 and draw(st.booleans()):
+        gamma, p = draw(st.floats(0.05, 0.95)), draw(st.sampled_from([0.2, 0.5, 0.8, 1.0]))
+        a, b = math.sqrt(1.0 - gamma), math.sqrt(gamma)
+        ops = [math.sqrt(p) * np.array([[1.0, 0.0], [0.0, a]]),
+               math.sqrt(p) * np.array([[0.0, b], [0.0, 0.0]]),
+               math.sqrt(1.0 - p) * np.array([[a, 0.0], [0.0, 1.0]]),
+               math.sqrt(1.0 - p) * np.array([[0.0, 0.0], [b, 0.0]])]
+        return quantum.KrausChannel(kraus=tuple(ops)), 1 if p == 1.0 else 2
+    rank = draw(st.integers(1, d))
+    return _random_channel(rng, d, rank), rank
+
+
+@given(
+    chain=full_support_chains(),
+    channel=channels_and_fixed_point_rank(),
+    delta=st.sampled_from([0.01, 0.05, 0.25]),
+    spec=st.sampled_from([None, "kl", "pearson_chi2", "squared_hellinger", "jensen_shannon"]),
+)
+@settings(max_examples=150, deadline=None)
+def test_mixing_engine_bounds_hold_for_chains_and_channels(chain, channel, delta, spec):
+    # both adapters of the one mixing-time engine: wherever a scan runs, the
+    # probes' empirical times are within their bounds, and the report's
+    # within flag says exactly that of the distance scan; a channel whose
+    # fixed point lacks full rank gets no bound
+    g = make_generator(spec) if spec else None
+    channel, rank = channel
+    assume(quantum.channel_structure(channel).mixing)
+    if rank < channel.dim_in:
+        with pytest.raises(ValueError, match="full-support"):
+            quantum.quantum_mixing_time_bounds(channel, delta, g)
+        reports = [mixing_time_bounds(chain, delta, g)]
+    else:
+        reports = [mixing_time_bounds(chain, delta, g),
+                   quantum.quantum_mixing_time_bounds(channel, delta, g)]
+    for report in reports:
+        bound, f_bound, empirical, empirical_f = dataclasses.astuple(report)[:4]
+        assert empirical is not None and empirical <= bound
+        assert (f_bound is None) == (g is None)
+        if g is not None:
+            assert empirical_f is not None and empirical_f <= f_bound
+        assert report.empirical_within_bound == (empirical is not None and empirical <= bound)
 
 
 def test_budget_validation():

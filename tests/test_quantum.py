@@ -663,6 +663,32 @@ def test_quantum_mixing_time_preconditions():
         )
 
 
+def amplitude_damping(gamma):
+    """Qubit amplitude damping: decay toward the pure fixed point |0><0|."""
+    a, b = math.sqrt(1.0 - gamma), math.sqrt(gamma)
+    return KrausChannel(kraus=(np.array([[1.0, 0.0], [0.0, a]]), np.array([[0.0, b], [0.0, 0.0]])))
+
+
+@pytest.mark.parametrize("delta", [0.25, 0.01])
+@pytest.mark.parametrize("kind", ["amplitude-damping", "pure-replacer"])
+def test_quantum_mixing_times_refuse_a_rank_deficient_fixed_point(kind, delta):
+    # every start off supp pi has an infinite Petz chi^2, so eta_chi2 at a
+    # pure pi bounds nothing: amplitude damping at gamma = 0.3 has eta_chi2
+    # = 0 there, yet |1><1| is still 0.7^n away after n steps
+    channel = amplitude_damping(0.3) if kind == "amplitude-damping" else replacer_channel(PLUS)
+    assert channel_structure(channel).mixing
+    with pytest.raises(ValueError, match="full-support"):
+        quantum_mixing_time_bounds(channel, delta, make_generator("kl"))
+    with pytest.raises(ValueError, match="full-support"):
+        quantum_mixing_time_bounds(channel, delta)
+    if kind == "amplitude-damping":
+        assert petz_eta_chi2(channel, np.diag([1.0, 0.0])) == 0.0
+        rho = np.diag([0.0, 1.0]).astype(complex)
+        for _ in range(4):
+            rho = apply_channel(channel, rho)
+        assert trace_distance(rho, np.diag([1.0, 0.0])) == pytest.approx(0.7**4)
+
+
 def test_dephasing_consistency_for_classical_embeddings(operator_convex_registry):
     # diagonal states through an embedded channel reproduce the classical story
     W = bsc(0.3)
