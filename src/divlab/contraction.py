@@ -454,6 +454,13 @@ def _linear_coeff(g: Generator) -> float | None:
     return None
 
 
+def _reference_support(masses) -> tuple[bool, float]:
+    """The support rule of the chi-squared-scaled bounds of chains and
+    channels: whether every reference mass (pi, q, or the spectrum of sigma)
+    is at least SUPPORT_EPSILON, and the least mass that is."""
+    return bool(np.all(masses >= SUPPORT_EPSILON)), _q_min(masses)
+
+
 def _upper_bounds(g: Generator, factor, L, masses, eta, kappa_sup):
     """The upper-bound engine of chains and channels: nonlinear = factor /
     (L m) * kup * eta and linear = factor (f'(1) + f(0)) / (L m) * eta, m the
@@ -462,8 +469,8 @@ def _upper_bounds(g: Generator, factor, L, masses, eta, kappa_sup):
     is taken only for a full-support reference or an infinite f'(inf), else
     nonlinear is inf; linear is None without a linear coefficient or a
     full-support reference."""
-    full = bool(np.all(masses >= SUPPORT_EPSILON))
-    denom = L * _q_min(masses)
+    full, least = _reference_support(masses)
+    denom = L * least
     kup = kappa_sup() if full or math.isinf(g.fprime_at_inf) else math.inf
     nonlinear = factor / denom * kup * eta if math.isfinite(kup) else math.inf
     coeff = _linear_coeff(g)
@@ -507,10 +514,8 @@ def convergence_bound(W, pi, p, n: int) -> tuple[float, float, float]:
     tv_actual = _total_variation(_clamp(_iterate(W, p, n)), pi)
     chi2 = _chi_squared(p, pi)
     bound_general = 0.5 * eta2 ** (n / 2.0) * math.sqrt(chi2) if chi2 < math.inf else math.inf
-    if np.all(pi > 0.0):
-        bound_full = math.sqrt(1.0 / (2.0 * float(pi.min()))) * eta2 ** (n / 2.0)
-    else:
-        bound_full = math.inf
+    full, least = _reference_support(pi)
+    bound_full = math.sqrt(1.0 / (2.0 * least)) * eta2 ** (n / 2.0) if full else math.inf
     return tv_actual, bound_general, bound_full
 
 
@@ -560,12 +565,12 @@ def _mixing_times(masses, targets, coeff, eta, delta, step, probes, distance, f_
     n <= max(2 bound, 64) at which ``distance`` (``f_distance``) of the
     probes moved n times by ``step`` is at most delta; ``within`` tells
     whether the bound's scan, if any, met it."""
-    if not np.all(masses >= SUPPORT_EPSILON):
+    full, least = _reference_support(masses)
+    if not full:
         raise ValueError("mixing times require a full-support stationary distribution")
     eta = eta()
     if eta >= 1.0 - 1e-12:
         raise ValueError("eta_chi2 >= 1: no finite mixing bound")
-    least = float(masses.min())
     a, b = targets
     log_bound = -(math.log(a * least) + 2.0 * math.log(delta))
     log_targets = [(log_bound, int(log_bound > 0.0), distance)]
@@ -696,7 +701,7 @@ class _ChainContext:
         if not info.stationary_unique or info.stationary is None:
             return "profile requires a unique stationary distribution"
         pi = info.stationary
-        pi_full = bool(np.all(pi > 0.0))
+        pi_full = _reference_support(pi)[0]
         cond = (
             (info.irreducible and info.aperiodic)
             or (info.scrambling and (pi_full or math.isinf(g.fprime_at_inf)))
@@ -733,7 +738,7 @@ class _ChainContext:
         if error is not None:
             raise ValueError(error)
         g, pi = self.g, self.info.stationary
-        eta2, pi_min = self.eta2, _q_min(pi)
+        eta2, pi_min = self.eta2, _reference_support(pi)[1]
         powers, _ = self.powers
         out = []
         for n, Wn, (est, _) in zip(itertools.count(1), powers, self._estimates):

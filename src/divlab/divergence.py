@@ -130,30 +130,59 @@ def _divergence_rows(g: Generator, P: np.ndarray, Q: np.ndarray, rounding_error=
     that small, so the rule only drops rounding noise of unclamped rows.
     With ``rounding_error`` the result is a pair whose second entry bounds
     each row's absolute rounding error by 4 eps sum q (|f(t)| + |t f'(t)| + 1)
-    over the row's interior entries t = p/q."""
-    # one row shared by all rows of P broadcasts as it is
-    if Q.shape != P.shape and Q.shape != P.shape[1:]:
-        Q = np.broadcast_to(Q, P.shape)
+    over the row's interior entries t = p/q.  Many short rows cost per
+    column, not per row (see ``_row_sums``); a block whose entries are all
+    interior takes no masks."""
+    # one row shared by all rows of P broadcasts as it is, but against many
+    # short rows each op would run a short inner loop per row
+    if Q.ndim == 1 and _by_columns(P.shape):
+        Q = Q[np.newaxis].repeat(len(P), axis=0)
     pos = Q > 0.0
     inner = pos & (P > 0.0)
-    t = np.divide(P, Q, out=np.ones_like(P), where=inner)
+    interior = bool(inner.all())
+    t = P / Q if interior else np.divide(P, Q, out=np.ones_like(P), where=inner)
+
+    def interior_sums(X):
+        return _row_sums(X if interior else np.where(inner, X, 0.0))
+
     ft = g.f(t)
     total = np.zeros(P.shape[0])
     # mass of p escaping supp(q) contributes p(x) * f'(inf), and q(x) > 0
     # with p(x) = 0 contributes q(x) * f(0+); an infinite limit gives +inf.
     # Where every entry is interior no entry carries such mass.
-    if not inner.all():
+    if not interior:
         for mass, limit in (
-            (np.where(pos, 0.0, P).sum(axis=1), g.fprime_at_inf),
-            (np.where(pos & ~inner, Q, 0.0).sum(axis=1), g.f_at_zero),
+            (_row_sums(np.where(pos, 0.0, P)), g.fprime_at_inf),
+            (_row_sums(np.where(pos & ~inner, Q, 0.0)), g.f_at_zero),
         ):
             hit = mass >= SUPPORT_EPSILON
             total[hit] += mass[hit] * limit
-    total += np.where(inner, Q * ft, 0.0).sum(axis=1)
+    total += interior_sums(Q * ft)
     if not rounding_error:
         return total
     scale = np.abs(ft) + np.abs(t * g.f1(t)) + 1.0
-    return total, _ROUNDING * np.where(inner, Q * scale, 0.0).sum(axis=1)
+    return total, _ROUNDING * interior_sums(Q * scale)
+
+
+def _by_columns(shape) -> bool:
+    """Whether rows of this shape are summed column by column: fewer than 8
+    entries each, and at least 32 rows per column, where a loop over the
+    columns starts to beat numpy's per-row overhead."""
+    rows, n = shape
+    return 0 < n < 8 and rows >= 32 * n
+
+
+def _row_sums(X: np.ndarray) -> np.ndarray:
+    """``X.sum(axis=1)`` bit for bit, -0.0, infinities and NaN included.
+    numpy adds a row of fewer than 8 terms left to right from 0.0, so on
+    rows summed by columns the columns are added in turn from X[:, 0] + 0.0:
+    the same additions in the same order."""
+    if not _by_columns(X.shape):
+        return X.sum(axis=1)
+    s = X[:, 0] + 0.0
+    for j in range(1, X.shape[1]):
+        s += X[:, j]
+    return s
 
 
 # 4 eps, the factor of the kernel's rounding bound

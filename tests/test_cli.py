@@ -692,6 +692,11 @@ GOLDEN_REPORTS = {
         "0.5,0.5,0,0\n0,0.5,0.5,0\n0,0,0.5,0.5\n0.5,0,0,0.5\n", "squared_hellinger",
         "4ef0f69796953c81a91dd72ccddaf3e4086d2e42b6ab945d8c289c60412e9164",
     ),
+    # f(0+) = +inf: the grid endpoints take the boundary path on short rows
+    "asym-reverse-kl": (
+        "0.8,0.25\n0.2,0.75\n", "reverse_kl",
+        "c9930080eebdf8b4e16df5b8bace9728f338b009d9a9d8c820ad3e9e3922f964",
+    ),
 }
 
 

@@ -232,6 +232,17 @@ def test_convergence_bound_trivial_and_vacuous():
         convergence_bound(bsc(0.3), np.array([0.7, 0.3]), UNIFORM2, 2)
 
 
+def test_convergence_bound_transient_state_has_no_full_support_bound():
+    # state 2 is transient: pi puts no mass on it, and a mass below
+    # SUPPORT_EPSILON counts as none, so only the general bound is finite
+    W = np.array([[0.7, 0.3, 0.5], [0.3, 0.7, 0.5], [0.0, 0.0, 0.0]])
+    p = np.array([0.8, 0.2, 0.0])
+    for pi in ([0.5, 0.5, 0.0], [0.5, 0.5 - 1e-13, 1e-13]):
+        tv, general, full = convergence_bound(W, np.array(pi), p, 3)
+        assert math.isinf(full)
+        assert math.isfinite(general) and tv <= general + 1e-12
+
+
 def test_mixing_time_bsc_quarter():
     kl = make_generator("kl")
     report = mixing_time_bounds(bsc(0.25), 0.01, kl)

@@ -7,8 +7,11 @@ from hypothesis import strategies as st
 
 from divlab import divergence
 from divlab.divergence import (
+    _ROUNDING,
+    SUPPORT_EPSILON,
     _divergence_rows,
     _gauss_legendre,
+    _row_sums,
     as_prob_vec,
     as_weight_vec,
     chi_squared,
@@ -200,6 +203,89 @@ def test_f_divergence_rows_matches_single_pairs(PQ, name):
         terms = np.abs(q[inner] * g.f(p[inner] / q[inner])).sum()
         tol = 1e-12 * abs(ref) + 4.0 * p.size * np.finfo(float).eps * terms
         assert abs(value - ref) <= tol, (p, q, value, ref)
+
+
+def _divergence_rows_oracle(g, P, Q, rounding_error=False):
+    """The reference whose bits the kernel keeps: its body with every row
+    sum a numpy ``sum(axis=1)`` and a one-row Q broadcast as it is."""
+    # one row shared by all rows of P broadcasts as it is
+    if Q.shape != P.shape and Q.shape != P.shape[1:]:
+        Q = np.broadcast_to(Q, P.shape)
+    pos = Q > 0.0
+    inner = pos & (P > 0.0)
+    t = np.divide(P, Q, out=np.ones_like(P), where=inner)
+    ft = g.f(t)
+    total = np.zeros(P.shape[0])
+    # mass of p escaping supp(q) contributes p(x) * f'(inf), and q(x) > 0
+    # with p(x) = 0 contributes q(x) * f(0+); an infinite limit gives +inf.
+    # Where every entry is interior no entry carries such mass.
+    if not inner.all():
+        for mass, limit in (
+            (np.where(pos, 0.0, P).sum(axis=1), g.fprime_at_inf),
+            (np.where(pos & ~inner, Q, 0.0).sum(axis=1), g.f_at_zero),
+        ):
+            hit = mass >= SUPPORT_EPSILON
+            total[hit] += mass[hit] * limit
+    total += np.where(inner, Q * ft, 0.0).sum(axis=1)
+    if not rounding_error:
+        return total
+    scale = np.abs(ft) + np.abs(t * g.f1(t)) + 1.0
+    return total, _ROUNDING * np.where(inner, Q * scale, 0.0).sum(axis=1)
+
+
+def _same_bits(a, b) -> bool:
+    """Equal arrays, NaN matching NaN, with equal sign bits (so -0.0 is not 0.0)."""
+    return np.array_equal(a, b, equal_nan=True) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@st.composite
+def _kernel_blocks(draw):
+    """Unclamped (P, Q) blocks for the kernel body: n in 1..10 or 64, 1..300
+    rows (some short blocks long enough to be summed by columns), a one-row
+    or per-row Q, with zeros, -0.0 and sub-epsilon entries at drawn rates so
+    that P, Q or both vanish on an entry, or no entry does."""
+    n = draw(st.sampled_from([*range(1, 11), 64]))
+    rows = draw(st.one_of(st.integers(1, 300), st.integers(32 * n, 32 * n + 20)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    zero, negzero, tiny = (draw(st.sampled_from([0.0, 0.05, 0.3])) for _ in range(3))
+
+    def block(m):
+        X = rng.dirichlet(np.ones(n), size=m) * rng.uniform(0.5, 2.0, size=(m, 1))
+        u = rng.random(X.shape)
+        X[u < zero + negzero + tiny] = 1e-13
+        X[u < zero + negzero] = -0.0
+        X[u < zero] = 0.0
+        return X
+
+    P = block(rows)
+    Q = block(1)[0] if draw(st.booleans()) else block(rows)
+    return P, Q
+
+
+@given(_kernel_blocks(), st.sampled_from(registry_names()), st.booleans())
+@settings(max_examples=400, deadline=None)
+def test_divergence_rows_bits_match_numpy_row_sums(PQ, name, rounding_error):
+    g = from_spec(name)
+    P, Q = PQ
+    got = _divergence_rows(g, P, Q, rounding_error=rounding_error)
+    want = _divergence_rows_oracle(g, P, Q, rounding_error=rounding_error)
+    for a, b in zip(got, want) if rounding_error else [(got, want)]:
+        assert _same_bits(a, b), (P, Q, a, b)
+
+
+_EDGE_VALUES = np.array([0.0, -0.0, 1.0, -1.0, 0.1, 3.5, 1e-300, 1e308, -1e308,
+                         math.inf, -math.inf, math.nan])
+
+
+@given(st.integers(1, 16), st.integers(1, 600), st.integers(0, 2**32 - 1))
+@settings(max_examples=300, deadline=None)
+def test_row_sums_match_numpy_bit_for_bit(n, rows, seed):
+    rng = np.random.default_rng(seed)
+    X = np.where(rng.random((rows, n)) < 0.5, rng.choice(_EDGE_VALUES, (rows, n)),
+                 rng.normal(size=(rows, n)))
+    # overflow to inf, and inf - inf, warn; the sums must agree all the same
+    with np.errstate(all="ignore"):
+        assert _same_bits(_row_sums(X), X.sum(axis=1))
 
 
 def test_f_divergence_rows_rounding_error_scale():
