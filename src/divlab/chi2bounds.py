@@ -66,6 +66,25 @@ def _q_min(q: np.ndarray) -> float:
     return float(q[q >= SUPPORT_EPSILON].min())
 
 
+def _f2_monotone(g: Generator) -> bool:
+    """Whether f'' is monotone, so that it takes its extremes along a
+    segment at the ends."""
+    return g.f2_monotonicity in (NONINCREASING, NONDECREASING, CONSTANT)
+
+
+def _segment_ends(g: Generator, P: np.ndarray, Q: np.ndarray):
+    """The far ends R = P/Q of the segments of ``_segment_f2``, floored at
+    _TINY, with 1 off supp Q, and the mask of the zero ratios that run into
+    f''(0+) = +inf (None where there are none).  f'' is harmless at such a
+    ratio's R, which is 1: the caller overwrites its value."""
+    R = np.divide(P, Q, out=np.ones_like(P), where=Q > 0.0)
+    singular = None
+    if not g.f2_at_zero_finite and not R.all():
+        singular = R == 0.0
+        R = np.where(singular, 1.0, R)
+    return np.maximum(R, _TINY), singular
+
+
 def _segment_f2(g: Generator, P: np.ndarray, Q: np.ndarray):
     """f'' along the segments 1 + t(P[k, i]/Q[k, i] - 1), t in [0, 1], of
     every row k of P: yields (ts, V) for each block of rows, V[k, i, s]
@@ -80,15 +99,8 @@ def _segment_f2(g: Generator, P: np.ndarray, Q: np.ndarray):
     f''(1) at t = 0 and +inf beyond.
     """
     # column-major, so that the reductions over each row sweep whole columns
-    P = np.asfortranarray(P)
-    R = np.divide(P, Q, out=np.ones_like(P), where=Q > 0.0)
-    singular = None
-    if not g.f2_at_zero_finite and not R.all():
-        # evaluate a harmless point there and overwrite it below
-        singular = R == 0.0
-        R = np.where(singular, 1.0, R)
-    R = np.maximum(R, _TINY)
-    monotone = g.f2_monotonicity in (NONINCREASING, NONDECREASING, CONSTANT)
+    R, singular = _segment_ends(g, np.asfortranarray(P), Q)
+    monotone = _f2_monotone(g)
     if monotone:
         ts, f2_at_one = np.array([0.0, 1.0]), float(g.f2(1.0))
     else:
@@ -142,10 +154,21 @@ def _kappa_up_rows(g: Generator, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
 
     Q is one row shared by all rows of P or a matrix of P's shape.  Rows not
     dominated by their Q come out as NaN, where kappa_bounds raises; the
-    caller decides whether that is an error.
+    caller decides whether that is an error.  A monotone f'' takes
+    max(f''(1), max_i f''(R[k, i])) over the segment ends (``_segment_ends``)
+    without the stack of ``_segment_f2``; max is exact, so the values are
+    the same, +inf at a zero ratio that runs into f''(0+) included
+    (tests/test_chi2bounds.py checks them against it).
     """
     P, Q = _clamp(P), _clamp(Q)
-    kup = np.concatenate([V.max(axis=(1, 2)) for _, V in _segment_f2(g, P, Q)])
+    if _f2_monotone(g):
+        R, singular = _segment_ends(g, P, Q)
+        F = g.f2(R)
+        if singular is not None:
+            F = np.where(singular, math.inf, F)
+        kup = np.maximum(F.max(axis=1), float(g.f2(1.0)))
+    else:
+        kup = np.concatenate([V.max(axis=(1, 2)) for _, V in _segment_f2(g, P, Q)])
     kup[np.where(Q > 0.0, 0.0, P).sum(axis=1) > 0.0] = math.nan
     return kup
 

@@ -219,15 +219,74 @@ def _scores(num, den) -> np.ndarray:
 
 def _draw_moves(rng: np.random.Generator, n: int, steps: int):
     """The refine stream of ``eta_f_estimate``: per step a pair i != j and a
-    share u; a step that draws i == j is skipped and keeps the scale.  Two
-    scalar draws give the stream of one ``size=2`` draw at less overhead."""
+    share u; a step that draws i == j is skipped and keeps the scale.
+
+    The stream is that of the scalar calls ``a, b = rng.integers(0, n),
+    rng.integers(0, n)`` and, when a != b, ``rng.random()``, which equals
+    one ``size=2`` draw per step.  It is replayed, for n < 2^32, from the
+    raw words of rng's PCG64, which is left in the state the calls leave.
+    ``integers`` takes the low half of a fresh word and keeps the high half
+    for its next call, whatever ``random`` draws in between; a half h maps
+    to (h n) >> 32 unless (h n) mod 2^32 < (2^32 - n) mod n rejects it
+    (Lemire's method).  ``random`` takes a whole word w as (w >> 11) 2^-53,
+    and ``integers(0, 1)`` draws nothing.  tests/test_contraction.py checks
+    the replay against the scalar calls."""
     i, j, u = [], [], []
+    if n < 2 or steps == 0:
+        return np.array(i, dtype=np.intp), np.array(j, dtype=np.intp), np.array(u)
+    bitgen = rng.bit_generator
+    start = bitgen.state
+    reject = (2**32 - n) % n
+    raw_highs, lows, highs, doubles = [], [], [], []
+
+    def more():
+        # the next words, each as its raw high half, its low and high half
+        # mapped to [0, n) (-1 where rejected) and its double
+        w = bitgen.random_raw(2 * steps + 16)
+        m = np.stack([w & 0xFFFFFFFF, w >> 32])
+        raw_highs.extend(m[1].tolist())
+        m *= np.uint64(n)
+        lo, hi = np.where((m & 0xFFFFFFFF) < reject, -1, (m >> 32).astype(np.int64)).tolist()
+        lows.extend(lo)
+        highs.extend(hi)
+        doubles.extend(((w >> 11) * 2.0**-53).tolist())
+
+    used, last, held = 0, None, bool(start["has_uint32"])
+
+    def integers():
+        # the accepted values in draw order; ``used`` counts the words
+        # drawn, ``last`` is the word whose high half was drawn last and
+        # ``held`` whether that half is still kept.  The kept half is read
+        # from ``last``: a ``random`` in between draws a word too.
+        nonlocal used, last, held
+        if held:
+            held, m = False, start["uinteger"] * n
+            if m & 0xFFFFFFFF >= reject:
+                yield m >> 32
+        while True:
+            if used == len(lows):
+                more()
+            last, used, held = used, used + 1, True
+            if lows[last] >= 0:
+                yield lows[last]
+            held, high = False, highs[last]
+            if high >= 0:
+                yield high
+
+    draw = integers().__next__
     for _ in range(steps):
-        a, b = rng.integers(0, n), rng.integers(0, n)
+        a, b = draw(), draw()
         if a != b:
+            if used == len(doubles):
+                more()
             i.append(a)
             j.append(b)
-            u.append(rng.random())
+            u.append(doubles[used])
+            used += 1
+    # the scalar calls leave the start state moved by the words they drew
+    # and the high half of the last word split, kept or not
+    bitgen.state = {**start, "has_uint32": int(held), "uinteger": raw_highs[last]}
+    bitgen.random_raw(used)
     return np.array(i, dtype=np.intp), np.array(j, dtype=np.intp), np.array(u)
 
 
@@ -538,11 +597,13 @@ def _tv_rows(P: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 def _empirical_mixing(step, X, within, n_cap: int) -> int | None:
     """First n <= n_cap at which ``within(step^n(X))`` holds, else None; X
-    stacks every probe input, so each step moves all of them at once."""
+    stacks every probe input, so each step moves all of them at once, and
+    no step is taken past n_cap."""
     for n in range(n_cap + 1):
+        if n:
+            X = step(X)
         if within(X):
             return n
-        X = step(X)
     return None
 
 
@@ -564,7 +625,10 @@ def _mixing_times(masses, targets, coeff, eta, delta, step, probes, distance, f_
     a log target that is not positive.  An empirical time is the first
     n <= max(2 bound, 64) at which ``distance`` (``f_distance``) of the
     probes moved n times by ``step`` is at most delta; ``within`` tells
-    whether the bound's scan, if any, met it."""
+    whether the bound's scan, if any, met it.  One scan serves both times:
+    it steps the probes up to the larger cap and tests each distance until
+    it meets delta or passes its own cap, on the same iterates, bit for
+    bit, as a scan per time."""
     full, least = _reference_support(masses)
     if not full:
         raise ValueError("mixing times require a full-support stationary distribution")
@@ -573,22 +637,34 @@ def _mixing_times(masses, targets, coeff, eta, delta, step, probes, distance, f_
         raise ValueError("eta_chi2 >= 1: no finite mixing bound")
     a, b = targets
     log_bound = -(math.log(a * least) + 2.0 * math.log(delta))
-    log_targets = [(log_bound, int(log_bound > 0.0), distance)]
+    log_targets = [(log_bound, int(log_bound > 0.0))]
+    dists = [distance]
     if coeff is not None:
-        log_f = math.log(b * coeff) - math.log(delta) - math.log(least)
-        log_targets.append((log_f, 1, f_distance))
+        log_targets.append((math.log(b * coeff) - math.log(delta) - math.log(least), 1))
+        dists.append(f_distance)
+    bounds, empirical = [None, None], [None, None]
+    for k, (log_target, at_zero) in enumerate(log_targets):
+        bounds[k] = at_zero
+        if eta > 0.0:
+            bounds[k] = max(0, math.ceil(log_target / math.log(1.0 / eta) - 1e-12))
+    caps = [max(2 * bound, 64) for bound in bounds[: len(dists)]]
+    n = -1
+
+    def settled(X):
+        # called once per iterate n = 0, 1, ...: records each time met at n
+        nonlocal n
+        n += 1
+        for k, (dist, cap) in enumerate(zip(dists, caps)):
+            if empirical[k] is None and n <= cap and dist(X) <= delta:
+                empirical[k] = n
+        return all(t is not None or n >= cap for t, cap in zip(empirical, caps))
+
     # distances below SUPPORT_EPSILON are rounding noise that no number of
     # steps removes: a smaller delta gets no scan, and nothing contradicts
     # its bounds
     scan = delta >= SUPPORT_EPSILON
-    bounds, empirical = [None, None], [None, None]
-    for k, (log_target, at_zero, dist) in enumerate(log_targets):
-        bounds[k] = at_zero
-        if eta > 0.0:
-            bounds[k] = max(0, math.ceil(log_target / math.log(1.0 / eta) - 1e-12))
-        if scan:
-            done = lambda X: dist(X) <= delta
-            empirical[k] = _empirical_mixing(step, probes, done, max(2 * bounds[k], 64))
+    if scan:
+        _empirical_mixing(step, probes, settled, max(caps))
     within = not scan or (empirical[0] is not None and empirical[0] <= bounds[0])
     return bounds[0], bounds[1], empirical[0], empirical[1], eta, least, within
 

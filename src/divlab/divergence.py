@@ -131,37 +131,56 @@ def _divergence_rows(g: Generator, P: np.ndarray, Q: np.ndarray, rounding_error=
     With ``rounding_error`` the result is a pair whose second entry bounds
     each row's absolute rounding error by 4 eps sum q (|f(t)| + |t f'(t)| + 1)
     over the row's interior entries t = p/q.  Many short rows cost per
-    column, not per row (see ``_row_sums``); a block whose entries are all
-    interior takes no masks."""
+    column, not per row (see ``_row_sums``).  Every array op runs once: a
+    block whose entries are all interior (both minima positive, which NaN
+    and -0.0 fail) takes no masks, a Q of full support no f'(inf) mass, and
+    the rounding scale is built in place, with the same operations in the
+    same order.  tests/test_divergence.py checks the bits against the plain
+    masked body."""
     # one row shared by all rows of P broadcasts as it is, but against many
     # short rows each op would run a short inner loop per row
     if Q.ndim == 1 and _by_columns(P.shape):
         Q = Q[np.newaxis].repeat(len(P), axis=0)
-    pos = Q > 0.0
-    inner = pos & (P > 0.0)
-    interior = bool(inner.all())
-    t = P / Q if interior else np.divide(P, Q, out=np.ones_like(P), where=inner)
-
-    def interior_sums(X):
-        return _row_sums(X if interior else np.where(inner, X, 0.0))
-
-    ft = g.f(t)
+    q_full = Q.min(initial=math.inf) > 0.0
+    interior = q_full and P.min(initial=math.inf) > 0.0
     total = np.zeros(P.shape[0])
-    # mass of p escaping supp(q) contributes p(x) * f'(inf), and q(x) > 0
-    # with p(x) = 0 contributes q(x) * f(0+); an infinite limit gives +inf.
-    # Where every entry is interior no entry carries such mass.
-    if not interior:
-        for mass, limit in (
-            (_row_sums(np.where(pos, 0.0, P)), g.fprime_at_inf),
-            (_row_sums(np.where(pos & ~inner, Q, 0.0)), g.f_at_zero),
-        ):
+    if interior:
+        t = P / Q
+    else:
+        # mass of p escaping supp(q) contributes p(x) * f'(inf), and q(x) > 0
+        # with p(x) = 0 contributes q(x) * f(0+); an infinite limit gives
+        # +inf.  Against a q of full support no mass escapes and the masks
+        # need no test of q.
+        inner, masses = P > 0.0, []
+        if not q_full:
+            pos = Q > 0.0
+            inner &= pos
+            masses.append((np.where(pos, 0.0, P), g.fprime_at_inf))
+        outer = ~inner
+        masses.append((np.where(outer if q_full else pos & outer, Q, 0.0), g.f_at_zero))
+        t = np.divide(P, Q, out=np.ones_like(P), where=inner)
+        for mass, limit in masses:
+            mass = _row_sums(mass)
             hit = mass >= SUPPORT_EPSILON
             total[hit] += mass[hit] * limit
+
+    def interior_sums(X):
+        # X is a temporary of this call: off the interior it becomes 0.0
+        if not interior:
+            np.copyto(X, 0.0, where=outer)
+        return _row_sums(X)
+
+    ft = g.f(t)
     total += interior_sums(Q * ft)
     if not rounding_error:
         return total
-    scale = np.abs(ft) + np.abs(t * g.f1(t)) + 1.0
-    return total, _ROUNDING * interior_sums(Q * scale)
+    # |f(t)| + |t f'(t)| + 1, times q
+    scale = t * g.f1(t)
+    np.abs(scale, out=scale)
+    scale += np.abs(ft)
+    scale += 1.0
+    scale *= Q
+    return total, _ROUNDING * interior_sums(scale)
 
 
 def _by_columns(shape) -> bool:

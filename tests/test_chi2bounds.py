@@ -14,7 +14,14 @@ from divlab.chi2bounds import (
     kappa_bounds,
     reverse_pinsker,
 )
-from divlab.divergence import _vectors, as_weight_vec, chi_squared, f_divergence, total_variation
+from divlab.divergence import (
+    _clamp,
+    _vectors,
+    as_weight_vec,
+    chi_squared,
+    f_divergence,
+    total_variation,
+)
 from divlab.generators import (
     CONSTANT,
     NONDECREASING,
@@ -172,6 +179,54 @@ def test_kappa_bounds_matches_per_coordinate_loop(k, n, zeros, seed):
         assert got.argmax == expected.argmax, (got, expected)
     if not _near_tie(candidates, largest=False):
         assert got.argmin == expected.argmin, (got, expected)
+
+
+def _kappa_up_rows_by_stack(g, P, Q):
+    """``_kappa_up_rows`` by the row maxima of the ``_segment_f2`` stack,
+    its body for every f'' before the direct maximum of a monotone one."""
+    P, Q = _clamp(P), _clamp(Q)
+    kup = np.concatenate([V.max(axis=(1, 2)) for _, V in chi2bounds._segment_f2(g, P, Q)])
+    kup[np.where(Q > 0.0, 0.0, P).sum(axis=1) > 0.0] = math.nan
+    return kup
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    k=st.integers(0, len(KAPPA_GENERATORS) - 1),
+    n=st.sampled_from([1, 2, 3, 8, 64]),
+    rows=st.integers(1, 40),
+    zeros=st.sampled_from(["none", "p", "q", "off"]),
+    one_q=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_kappa_up_rows_match_the_segment_stack(k, n, rows, zeros, one_q, seed):
+    # zeros in P run into f''(0+) (+inf where it is infinite); zeros in Q
+    # leave P dominated ("q") or not ("off", NaN rows)
+    g = KAPPA_GENERATORS[k]
+    rng = np.random.default_rng(seed)
+    P = rng.dirichlet(np.ones(n), size=rows)
+    Q = rng.dirichlet(np.ones(n), size=1 if one_q else rows)
+    u = rng.random(P.shape)
+    if zeros == "p":
+        P[u < 0.3] = 0.0
+    elif zeros in ("q", "off"):
+        Q[rng.random(Q.shape) < 0.3] = 0.0
+        if zeros == "q":
+            P = np.where(Q > 0.0, P, 0.0)
+    if one_q:
+        Q = Q[0]
+    got, want = chi2bounds._kappa_up_rows(g, P, Q), _kappa_up_rows_by_stack(g, P, Q)
+    assert np.array_equal(got, want, equal_nan=True), (g, P, Q, got, want)
+
+
+def test_kappa_up_rows_kl_infinite_and_off_support_rows():
+    kl = make_generator("kl")
+    P = np.array([[0.5, 0.5, 0.0], [0.2, 0.3, 0.5], [0.25, 0.25, 0.5]])
+    Q = np.array([[0.2, 0.3, 0.5], [0.5, 0.5, 0.0], [0.25, 0.25, 0.5]])
+    got = chi2bounds._kappa_up_rows(kl, P, Q)
+    # a zero ratio: f''(0+) = +inf; mass off supp Q: NaN; the identity: f''(1)
+    assert got[0] == math.inf and math.isnan(got[1]) and got[2] == 1.0
+    assert np.array_equal(got, _kappa_up_rows_by_stack(kl, P, Q), equal_nan=True)
 
 
 def test_kappa_vacuous_when_p_touches_zero():

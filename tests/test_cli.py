@@ -21,7 +21,7 @@ from divlab.cli import (
     parse_matrix,
     run,
 )
-from divlab.quantum import replacer_channel
+from divlab.quantum import depolarizing_channel, replacer_channel
 
 
 @pytest.fixture()
@@ -670,6 +670,21 @@ def test_dumps_renders_each_node_about_once(command, tmp_path, capsys, monkeypat
     assert calls <= 2 * nodes, (calls, nodes)
 
 
+def _sparse_chain_csv(seed: int, n: int) -> str:
+    """A seeded column-stochastic n-state chain, written with %.17g: every
+    column holds a self-loop, the cycle edge x -> x + 1 and 4 more positive
+    entries, so the chain is irreducible and aperiodic."""
+    rng = np.random.default_rng(seed)
+    W = np.zeros((n, n))
+    for x in range(n):
+        fixed = {x, (x + 1) % n}
+        others = [y for y in range(n) if y not in fixed]
+        rows = sorted(fixed | {int(y) for y in rng.choice(others, size=4, replace=False)})
+        w = rng.dirichlet(np.ones(len(rows))) + 0.01
+        W[rows, x] = w / w.sum()
+    return "".join(",".join(f"{v:.17g}" for v in row) + "\n" for row in W)
+
+
 # SHA-256 of analyze-chain stdout at default flags, run from the matrix's
 # directory on a fixed relative name, so that the layout of the printed
 # command does not depend on the temporary path, with the inputs digest
@@ -696,6 +711,12 @@ GOLDEN_REPORTS = {
     "asym-reverse-kl": (
         "0.8,0.25\n0.2,0.75\n", "reverse_kl",
         "c9930080eebdf8b4e16df5b8bace9728f338b009d9a9d8c820ad3e9e3922f964",
+    ),
+    # 64 states: 64-wide score blocks, climb windows that start at vertices
+    # (zeros in P) and mixing scans of many steps
+    "sparse64-kl": (
+        _sparse_chain_csv(5, 64), "kl",
+        "4976f3ae412e938a7928c621416aa257856622e29ad441599c901b2e6b43fa88",
     ),
 }
 
@@ -745,6 +766,12 @@ GOLDEN_QUANTUM_REPORTS = {
     "isometry4-reverse-kl": (
         lambda: _seeded_isometry(11, 4, 3), "reverse_kl",
         "f5b122b3c1a07b912960580f1cc902142adfe39c94bb959e3c7cf9de0dbd6b6c",
+    ),
+    # f(0+) = +inf on a maximally mixed fixed point: NS rows with zeros take
+    # the kernel's masked path
+    "depolarizing4-reverse-kl": (
+        lambda: list(depolarizing_channel(4, 0.5).kraus), "reverse_kl",
+        "58a260969fc43f94cf5ad6354902b584ebab5f74f181381320fd3832c9d5dfa0",
     ),
 }
 

@@ -830,6 +830,42 @@ def test_draw_moves_matches_size2_draws(n):
         assert rng.random() == ref.random()
 
 
+def _draw_moves_scalar(rng, n, steps):
+    """The refine stream of scalar generator calls, two ``integers`` and,
+    for a pair that differs, one ``random`` per step: the calls whose
+    stream ``_draw_moves`` replays from raw words."""
+    i, j, u = [], [], []
+    for _ in range(steps):
+        a, b = rng.integers(0, n), rng.integers(0, n)
+        if a != b:
+            i.append(a)
+            j.append(b)
+            u.append(rng.random())
+    return np.array(i, dtype=np.intp), np.array(j, dtype=np.intp), np.array(u)
+
+
+# 2^31 + 1 and 3 2^30 reject a half with chance about 1/2 and 1/4
+@given(
+    n=st.sampled_from([1, 2, 3, 7, 64, 1000, 2**31 - 1, 2**31 + 1, 3 * 2**30]),
+    steps=st.integers(0, 300),
+    seed=st.integers(0, 2**64 - 1),
+    kept=st.booleans(),
+)
+@settings(max_examples=300, deadline=None)
+def test_draw_moves_replays_the_scalar_calls(n, steps, seed, kept):
+    # the same moves of the same dtypes, the generator left in the same
+    # state (its kept half included) and its next draw the same; with
+    # ``kept`` a high half is kept at entry
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    if kept:
+        rng.integers(0, 5), ref.integers(0, 5)
+    got, expected = contraction._draw_moves(rng, n, steps), _draw_moves_scalar(ref, n, steps)
+    for a, b in zip(got, expected):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    assert rng.bit_generator.state == ref.bit_generator.state
+    assert rng.random() == ref.random()
+
+
 # ---------------------------------------------------------------------------
 # one estimate context per chain report
 

@@ -1,3 +1,4 @@
+import contextlib
 import math
 
 import numpy as np
@@ -240,35 +241,47 @@ def _same_bits(a, b) -> bool:
 
 @st.composite
 def _kernel_blocks(draw):
-    """Unclamped (P, Q) blocks for the kernel body: n in 1..10 or 64, 1..300
-    rows (some short blocks long enough to be summed by columns), a one-row
-    or per-row Q, with zeros, -0.0 and sub-epsilon entries at drawn rates so
-    that P, Q or both vanish on an entry, or no entry does."""
+    """Unclamped (P, Q, edges) blocks for the kernel body: n in 1..10 or 64,
+    1..300 rows (some short blocks long enough to be summed by columns), a
+    one-row or per-row Q.  Each of P and Q is clean or has zeros, -0.0 and
+    sub-epsilon entries at drawn rates, so that a block may be all
+    interior, have a Q of full support where P vanishes, or zeros in Q.
+    With ``edges``, NaN and +-inf entries are mixed in too."""
     n = draw(st.sampled_from([*range(1, 11), 64]))
     rows = draw(st.one_of(st.integers(1, 300), st.integers(32 * n, 32 * n + 20)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    zero, negzero, tiny = (draw(st.sampled_from([0.0, 0.05, 0.3])) for _ in range(3))
+    edges = draw(st.sampled_from([0.0, 0.0, 0.0, 0.02, 0.2]))
 
     def block(m):
+        zero, negzero, tiny = (
+            (0.0, 0.0, 0.0) if draw(st.booleans())
+            else (draw(st.sampled_from([0.0, 0.05, 0.3])) for _ in range(3))
+        )
         X = rng.dirichlet(np.ones(n), size=m) * rng.uniform(0.5, 2.0, size=(m, 1))
         u = rng.random(X.shape)
         X[u < zero + negzero + tiny] = 1e-13
         X[u < zero + negzero] = -0.0
         X[u < zero] = 0.0
+        edge = rng.random(X.shape) < edges
+        X[edge] = rng.choice([math.nan, math.inf, -math.inf], size=int(edge.sum()))
         return X
 
     P = block(rows)
     Q = block(1)[0] if draw(st.booleans()) else block(rows)
-    return P, Q
+    return P, Q, edges > 0.0
 
 
 @given(_kernel_blocks(), st.sampled_from(registry_names()), st.booleans())
 @settings(max_examples=400, deadline=None)
 def test_divergence_rows_bits_match_numpy_row_sums(PQ, name, rounding_error):
+    # the one-pass kernel (no masks on an all-interior block, no f'(inf)
+    # mass against a Q of full support, the rounding scale built in place)
+    # against the masked body, sign bits included; NaN and infinities warn
     g = from_spec(name)
-    P, Q = PQ
-    got = _divergence_rows(g, P, Q, rounding_error=rounding_error)
-    want = _divergence_rows_oracle(g, P, Q, rounding_error=rounding_error)
+    P, Q, edges = PQ
+    with np.errstate(all="ignore") if edges else contextlib.nullcontext():
+        got = _divergence_rows(g, P, Q, rounding_error=rounding_error)
+        want = _divergence_rows_oracle(g, P, Q, rounding_error=rounding_error)
     for a, b in zip(got, want) if rounding_error else [(got, want)]:
         assert _same_bits(a, b), (P, Q, a, b)
 
