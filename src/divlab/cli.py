@@ -29,7 +29,7 @@ import numpy as np
 
 from . import __version__
 from .contraction import (
-    SampleBudget, _ChainContext, _check_delta, _mixing_time, _quadratic,
+    SampleBudget, _ChainContext, _check_delta, _mixing_time, _quadratic, _usable_constant,
 )
 from .divergence import (
     SUPPORT_EPSILON, _as_count, _chi_squared, _f_divergence, _total_variation, _vectors,
@@ -117,19 +117,21 @@ def dumps_report(obj) -> str:
 
 def _parse_complex_matrix(obj) -> np.ndarray:
     """Accept {"re": [[..]], "im": [[..]]} or nested [re, im] entry pairs or
-    a plain real matrix."""
+    a plain real matrix; malformed input raises TypeError or ValueError."""
     if isinstance(obj, dict):
+        if "re" not in obj:
+            raise ValueError("an {re, im} block needs an 're' field")
         re = np.asarray(obj["re"], dtype=float)
         im = np.asarray(obj.get("im", np.zeros_like(re)), dtype=float)
         if re.shape != im.shape:
-            raise InputError("re and im blocks must have equal shapes")
+            raise ValueError("re and im blocks must have equal shapes")
         return re + 1j * im
     arr = np.asarray(obj, dtype=float)
     if arr.ndim == 3 and arr.shape[2] == 2:
         return arr[:, :, 0] + 1j * arr[:, :, 1]
     if arr.ndim == 2:
         return arr.astype(complex)
-    raise InputError("matrix entries must be scalars or [re, im] pairs")
+    raise ValueError("matrix entries must be scalars or [re, im] pairs")
 
 
 def parse_matrix(path: str) -> np.ndarray:
@@ -184,9 +186,13 @@ def parse_kraus(path: str) -> KrausChannel:
     if not isinstance(obj, dict) or "kraus" not in obj:
         raise InputError(f"{path}: JSON Kraus files need a 'kraus' key")
     try:
-        channel = KrausChannel(
-            kraus=tuple(_parse_complex_matrix(K) for K in obj["kraus"])
-        )
+        kraus = []
+        for k, K in enumerate(obj["kraus"]):
+            try:
+                kraus.append(_parse_complex_matrix(K))
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"Kraus operator {k}: {exc}") from exc
+        channel = KrausChannel(kraus=tuple(kraus))
         channel._require_square()
     except (TypeError, ValueError) as exc:
         raise InputError(f"{path}: {exc}") from exc
@@ -332,6 +338,9 @@ def _mixing_section(mix, dist: str = "tv", prefix: str = "chi2") -> dict:
     }
 
 
+NO_CONSTANT_WARNING = "generator carries no certified Pinsker constant; upper bounds skipped"
+
+
 def _add_upper_bounds(section: dict, prefix: str, bounds, est: float, exceeds: str,
                       violations: list[str]) -> None:
     """Put the (nonlinear, linear) upper bounds into a contraction section
@@ -370,9 +379,7 @@ def _cmd_analyze_chain(args) -> dict:
         },
     }
     if bounds is None:
-        warnings_list.append(
-            "generator carries no certified Pinsker constant; upper bounds skipped"
-        )
+        warnings_list.append(NO_CONSTANT_WARNING)
     else:
         _add_upper_bounds(results["contraction"], "eta-f", bounds, est,
                           "eta_f estimate exceeds {} upper bound", violations)
@@ -446,14 +453,16 @@ def _cmd_quantum_analyze(args) -> dict:
                 "estimate_based": not exact,
             },
         }
-        if g.operator_convex and g.pinsker_constant:
-            bounds = _petz_upper(g, channel, pi, g.pinsker_constant, eta)
-            _add_upper_bounds(results["contraction"], "petz-eta-f", bounds, est,
-                              "quantum eta_f estimate exceeds {} bound", violations)
-        else:
+        if not g.operator_convex:
             warnings_list.append(
                 "generator is not flagged operator convex; upper bounds skipped"
             )
+        elif not _usable_constant(g.pinsker_constant):
+            warnings_list.append(NO_CONSTANT_WARNING)
+        else:
+            bounds = _petz_upper(g, channel, pi, g.pinsker_constant, eta)
+            _add_upper_bounds(results["contraction"], "petz-eta-f", bounds, est,
+                              "quantum eta_f estimate exceeds {} bound", violations)
         try:
             _check_delta(args.delta)
             qmix = _petz_mixing(channel, args.delta, g, pi, lambda: eta)

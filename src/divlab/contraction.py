@@ -218,76 +218,14 @@ def _scores(num, den) -> np.ndarray:
 
 
 def _draw_moves(rng: np.random.Generator, n: int, steps: int):
-    """The refine stream of ``eta_f_estimate``: per step a pair i != j and a
-    share u; a step that draws i == j is skipped and keeps the scale.
-
-    The stream is that of the scalar calls ``a, b = rng.integers(0, n),
-    rng.integers(0, n)`` and, when a != b, ``rng.random()``, which equals
-    one ``size=2`` draw per step.  It is replayed, for n < 2^32, from the
-    raw words of rng's PCG64, which is left in the state the calls leave.
-    ``integers`` takes the low half of a fresh word and keeps the high half
-    for its next call, whatever ``random`` draws in between; a half h maps
-    to (h n) >> 32 unless (h n) mod 2^32 < (2^32 - n) mod n rejects it
-    (Lemire's method).  ``random`` takes a whole word w as (w >> 11) 2^-53,
-    and ``integers(0, 1)`` draws nothing.  tests/test_contraction.py checks
-    the replay against the scalar calls."""
-    i, j, u = [], [], []
-    if n < 2 or steps == 0:
-        return np.array(i, dtype=np.intp), np.array(j, dtype=np.intp), np.array(u)
-    bitgen = rng.bit_generator
-    start = bitgen.state
-    reject = (2**32 - n) % n
-    raw_highs, lows, highs, doubles = [], [], [], []
-
-    def more():
-        # the next words, each as its raw high half, its low and high half
-        # mapped to [0, n) (-1 where rejected) and its double
-        w = bitgen.random_raw(2 * steps + 16)
-        m = np.stack([w & 0xFFFFFFFF, w >> 32])
-        raw_highs.extend(m[1].tolist())
-        m *= np.uint64(n)
-        lo, hi = np.where((m & 0xFFFFFFFF) < reject, -1, (m >> 32).astype(np.int64)).tolist()
-        lows.extend(lo)
-        highs.extend(hi)
-        doubles.extend(((w >> 11) * 2.0**-53).tolist())
-
-    used, last, held = 0, None, bool(start["has_uint32"])
-
-    def integers():
-        # the accepted values in draw order; ``used`` counts the words
-        # drawn, ``last`` is the word whose high half was drawn last and
-        # ``held`` whether that half is still kept.  The kept half is read
-        # from ``last``: a ``random`` in between draws a word too.
-        nonlocal used, last, held
-        if held:
-            held, m = False, start["uinteger"] * n
-            if m & 0xFFFFFFFF >= reject:
-                yield m >> 32
-        while True:
-            if used == len(lows):
-                more()
-            last, used, held = used, used + 1, True
-            if lows[last] >= 0:
-                yield lows[last]
-            held, high = False, highs[last]
-            if high >= 0:
-                yield high
-
-    draw = integers().__next__
-    for _ in range(steps):
-        a, b = draw(), draw()
-        if a != b:
-            if used == len(doubles):
-                more()
-            i.append(a)
-            j.append(b)
-            u.append(doubles[used])
-            used += 1
-    # the scalar calls leave the start state moved by the words they drew
-    # and the high half of the last word split, kept or not
-    bitgen.state = {**start, "has_uint32": int(held), "uinteger": raw_highs[last]}
-    bitgen.random_raw(used)
-    return np.array(i, dtype=np.intp), np.array(j, dtype=np.intp), np.array(u)
+    """The refine stream of ``eta_f_estimate``: step k moves a share u_k
+    from p_i to p_j, (i, j) = ``rng.integers(0, n, size=(steps, 2))[k]`` and
+    u_k = ``rng.random(steps)[k]``, drawn in that order; a step that draws
+    i == j is skipped and keeps the scale.  Returns i, j and u of the steps
+    kept."""
+    pairs, u = rng.integers(0, n, size=(steps, 2)), rng.random(steps)
+    move = pairs[:, 0] != pairs[:, 1]
+    return pairs[move, 0].astype(np.intp), pairs[move, 1].astype(np.intp), u[move]
 
 
 def _build_moves(P: np.ndarray, draws, scales: np.ndarray) -> np.ndarray:
@@ -383,9 +321,11 @@ def eta_f_estimate(
 
     Otherwise it samples the simplex, excludes infeasible inputs (divergence
     zero or infinite), and refines the best candidate by coordinate
-    hill-climbing: each refine step draws a pair i != j and moves a random
-    share of p_i, at most the step's scale, to p_j.  Ratios are scored net
-    of their rounding bound (see ``_ratio_scores``).
+    hill-climbing: refine step k reads the pair (i, j) and the share u of
+    step k of the refine stream, two block draws of a generator seeded
+    ``budget.seed + 1`` (see ``_draw_moves``), and moves a share u of p_i,
+    at most the step's scale, to p_j; a step with i == j is skipped.
+    Ratios are scored net of their rounding bound (see ``_ratio_scores``).
     """
     W, q = _channel(W, q)
     if _quadratic(g):
@@ -496,11 +436,16 @@ def eta_f_upper_bounds(
     return _upper_bounds(g, 4.0, L, q, _eta_chi2(W, q), partial(_kappa_up_sup, g, W, q))
 
 
+def _usable_constant(L: float | None) -> bool:
+    """Whether L can scale the upper bounds: a Pinsker constant 0 < L < inf."""
+    return L is not None and 0.0 < L < math.inf
+
+
 def _certified_constant(g: Generator, override: float | None = None) -> float:
     """``override`` or the generator's certified Pinsker constant, which the
-    upper bounds need positive."""
+    upper bounds need usable (see ``_usable_constant``)."""
     L = override if override is not None else g.pinsker_constant
-    if L is None or not 0.0 < L < math.inf:
+    if not _usable_constant(L):
         raise ValueError("bounds require a positive certified Pinsker constant")
     return L
 
@@ -772,7 +717,7 @@ class _ChainContext:
         g, info = self.g, self.info
         if self.profile_n < 2:
             return "n_max must be at least 2"
-        if g.pinsker_constant is None or g.pinsker_constant <= 0:
+        if not _usable_constant(g.pinsker_constant):
             return "profile requires a positive certified constant"
         if not info.stationary_unique or info.stationary is None:
             return "profile requires a unique stationary distribution"
@@ -787,9 +732,9 @@ class _ChainContext:
 
     def upper_bounds(self) -> tuple[float, float | None] | None:
         """``eta_f_upper_bounds(W, pi, g)``, or None when g carries no
-        certified Pinsker constant."""
+        usable certified Pinsker constant."""
         L = self.g.pinsker_constant
-        if L is None or L <= 0.0:
+        if not _usable_constant(L):
             return None
         kappa_sup = partial(self._kappa_sup, 1, self.W)
         return _upper_bounds(self.g, 4.0, L, self.info.stationary, self.eta2, kappa_sup)

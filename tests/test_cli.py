@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import hashlib
 import json
@@ -114,9 +115,25 @@ def test_parse_kraus_complex_forms(tmp_path):
     chan = parse_kraus(str(path))
     assert chan.kraus[0] == pytest.approx(s * np.eye(2))
     assert chan.kraus[1] == pytest.approx(s * np.array([[0.0, -1j], [1j, 0.0]]))
-    path.write_text(json.dumps({"kraus": [{"re": [[1.0, 0.0], [0.0, 1.0]], "im": [[0.0]]}]}))
-    with pytest.raises(InputError):
-        parse_kraus(str(path))  # re and im blocks of different shapes
+
+
+EYE2 = [[1.0, 0.0], [0.0, 1.0]]
+
+
+@pytest.mark.parametrize("kraus, message", [
+    ([{"im": [[0.0]]}], "Kraus operator 0: an {re, im} block needs an 're' field"),
+    ([{"re": EYE2}, {"re": EYE2, "im": [[0.0]]}],
+     "Kraus operator 1: re and im blocks must have equal shapes"),
+], ids=["missing-re", "shape-mismatch"])
+def test_kraus_file_errors_name_the_file_and_the_operator(tmp_path, capsys, kraus, message):
+    # a block without "re" printed "error: 're'", and a shape mismatch its
+    # message without the file
+    path = tmp_path / "chan.json"
+    path.write_text(json.dumps({"kraus": kraus}))
+    with pytest.raises(InputError, match=re.escape(f"{path}: {message}")):
+        parse_kraus(str(path))
+    assert run(["quantum-analyze", "--channel", str(path), "--generator", "kl"]) == 1
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
 
 def test_parse_kraus_completeness(tmp_path, embedded_bsc_json):
@@ -693,7 +710,7 @@ def _sparse_chain_csv(seed: int, n: int) -> str:
 GOLDEN_REPORTS = {
     "bsc03-kl": (
         "0.7,0.3\n0.3,0.7\n", "kl",
-        "df2d6d4e54074220140fa4a8eb21c9064f0b77a411133a2da43f5b8bff3e3b1d",
+        "6fc7e4ef537d1398f56062d6d73effdb7c15af26af64c32c0666503f3bacfbf6",
     ),
     "asym-pearson": (
         "0.7,0.4\n0.3,0.6\n", "pearson_chi2",
@@ -701,22 +718,22 @@ GOLDEN_REPORTS = {
     ),
     "zero-pi-kl": (
         "0.5,0,0\n0.5,0.6,0.3\n0,0.4,0.7\n", "kl",
-        "ee1e4b6453f2741dd17a2fc9413beae993381b624adfe39f1c22cbc466938a18",
+        "d372edaad319b41228cfaf978e0cc04f907308a242dd0cb41b071f54b8654ea7",
     ),
     "typewriter-hellinger": (
         "0.5,0.5,0,0\n0,0.5,0.5,0\n0,0,0.5,0.5\n0.5,0,0,0.5\n", "squared_hellinger",
-        "4ef0f69796953c81a91dd72ccddaf3e4086d2e42b6ab945d8c289c60412e9164",
+        "9dde5b9fcfcbf8afe15bfd4c3b1d3fb57ed2068a4cf22c2977f485043e2b71c7",
     ),
     # f(0+) = +inf: the grid endpoints take the boundary path on short rows
     "asym-reverse-kl": (
         "0.8,0.25\n0.2,0.75\n", "reverse_kl",
-        "c9930080eebdf8b4e16df5b8bace9728f338b009d9a9d8c820ad3e9e3922f964",
+        "c9bd65291975d6700519a4f1783b5b370711009f0538ad4bcc2744c6d7799996",
     ),
     # 64 states: 64-wide score blocks, climb windows that start at vertices
     # (zeros in P) and mixing scans of many steps
     "sparse64-kl": (
         _sparse_chain_csv(5, 64), "kl",
-        "4976f3ae412e938a7928c621416aa257856622e29ad441599c901b2e6b43fa88",
+        "000a5fdc9499f38c4c7246cc6b6c9b7020aa7621196c01f12cdf58e7ac5c0e7c",
     ),
 }
 
@@ -729,13 +746,19 @@ def _golden_digest(argv: list[str], capsys) -> str:
     return hashlib.sha256(out.encode()).hexdigest()
 
 
+def _chain_golden_argv(case: str) -> list[str]:
+    """Write the chain of GOLDEN_REPORTS[case] to chain.csv in the working
+    directory and return its analyze-chain argv."""
+    text, generator, _ = GOLDEN_REPORTS[case]
+    with open("chain.csv", "w") as fh:
+        fh.write(text)
+    return ["analyze-chain", "--matrix", "chain.csv", "--generator", generator]
+
+
 @pytest.mark.parametrize("case", sorted(GOLDEN_REPORTS))
 def test_analyze_chain_golden_output(case, tmp_path, capsys, monkeypatch):
-    text, generator, digest = GOLDEN_REPORTS[case]
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "chain.csv").write_text(text)
-    argv = ["analyze-chain", "--matrix", "chain.csv", "--generator", generator]
-    assert _golden_digest(argv, capsys) == digest
+    assert _golden_digest(_chain_golden_argv(case), capsys) == GOLDEN_REPORTS[case][2]
 
 
 def _amplitude_damping(gamma: float, p: float) -> list[np.ndarray]:
@@ -776,14 +799,62 @@ GOLDEN_QUANTUM_REPORTS = {
 }
 
 
+def _quantum_golden_argv(case: str) -> list[str]:
+    """Write the channel of GOLDEN_QUANTUM_REPORTS[case] to channel.json in
+    the working directory and return its quantum-analyze argv."""
+    kraus, generator, _ = GOLDEN_QUANTUM_REPORTS[case]
+    payload = {"kraus": [{"re": K.real.tolist(), "im": K.imag.tolist()} for K in kraus()]}
+    with open("channel.json", "w") as fh:
+        json.dump(payload, fh)
+    return ["quantum-analyze", "--channel", "channel.json", "--generator", generator]
+
+
 @pytest.mark.parametrize("case", sorted(GOLDEN_QUANTUM_REPORTS))
 def test_quantum_analyze_golden_output(case, tmp_path, capsys, monkeypatch):
-    kraus, generator, digest = GOLDEN_QUANTUM_REPORTS[case]
     monkeypatch.chdir(tmp_path)
-    payload = {"kraus": [{"re": K.real.tolist(), "im": K.imag.tolist()} for K in kraus()]}
-    (tmp_path / "channel.json").write_text(json.dumps(payload))
-    argv = ["quantum-analyze", "--channel", "channel.json", "--generator", generator]
-    assert _golden_digest(argv, capsys) == digest
+    assert _golden_digest(_quantum_golden_argv(case), capsys) == GOLDEN_QUANTUM_REPORTS[case][2]
+
+
+def _blank_sampled(node, key=None):
+    """The parsed report ``node`` with its inputs digest and every sampled
+    estimate field blanked: the value and witness of eta_f_estimate and each
+    rate-profile eta_f_root."""
+    if isinstance(node, list):
+        return [_blank_sampled(v) for v in node]
+    if not isinstance(node, dict):
+        return node
+    blank = {"inputs_digest", "eta_f_root"}
+    if key == "eta_f_estimate":
+        blank |= {"value", "witness"}
+    return {k: "" if k in blank else _blank_sampled(v, k) for k, v in node.items()}
+
+
+# SHA-256 of each golden report, parsed, with _blank_sampled applied and
+# dumped again: every exact field and the report's layout, without the
+# fields that depend on the estimator's seeded random numbers, so that a
+# change to how the estimates sample is checked against all the rest
+MASKED_GOLDEN_DIGESTS = {
+    "asym-pearson": "cc225ed753dca60f0cb059f5329af97fff6bdf4e67fa5f034972007fac377a4c",
+    "asym-reverse-kl": "50af12efba3fea7d71fb99ce702e2b9ad6583049fd2a5f689a91fa5e6d0c36fb",
+    "bsc03-kl": "c7ff16e92d85a09302b56f1ad70633b83beb7dd38c5f582395d781244d23ab51",
+    "sparse64-kl": "8f65f8e690a08d2713ba7f0e9fc38678e9e7783571c5a21c08e8f4c1b64b3b2b",
+    "typewriter-hellinger": "ee72108c3a1447aa2560a410e3cbdeb5e1306180a38071660ec69beb405cb421",
+    "zero-pi-kl": "ac0275032dba0058f66a9ad975770df804508662ab49377e659e64498585fe88",
+    "amplitude-damping-kl": "af4af76e83b0907d39715ec3319be722d9acc4dff5338bd8324c2bfff7010091",
+    "depolarizing4-reverse-kl": "b755d95520814131fa28fe65280020fd150a507f5e93b901fac3c6b3623d9505",
+    "isometry4-reverse-kl": "b911926838be4d3bf153f467e771f754a3d6f66427a287bc8ffa81536ce280b7",
+}
+
+
+@pytest.mark.parametrize("case", sorted(MASKED_GOLDEN_DIGESTS))
+def test_masked_golden_output(case, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    argv = (_chain_golden_argv if case in GOLDEN_REPORTS else _quantum_golden_argv)(case)
+    code = run(argv)
+    report = _blank_sampled(json.loads(capsys.readouterr().out))
+    assert code == 0
+    digest = hashlib.sha256(json.dumps(report).encode()).hexdigest()
+    assert digest == MASKED_GOLDEN_DIGESTS[case]
 
 
 def _kraus_file(tmp_path, kraus) -> str:
@@ -816,6 +887,24 @@ def test_quantum_analyze_skips_mixing_at_a_rank_deficient_fixed_point(case, delt
     assert "mixing_time" not in report["results"]
     assert ("quantum mixing times unavailable: mixing times require a full-support "
             "stationary distribution") in report["warnings"]
+
+
+@pytest.mark.parametrize("L", [math.inf, math.nan, 0.0, -1.0])
+def test_reports_skip_bounds_without_a_usable_constant(L, tmp_path, capsys, monkeypatch,
+                                                       bsc_csv):
+    # a constant outside (0, inf) skips the upper bounds of both reports with
+    # one warning; an infinite one printed bounds of 0.0 and violations
+    g = dataclasses.replace(cli.from_spec("kl"), pinsker_constant=L)
+    monkeypatch.setattr(cli, "from_spec", lambda spec: g)
+    channel = _kraus_file(tmp_path, depolarizing_channel(2, 0.5).kraus)
+    for argv in (["analyze-chain", "--matrix", bsc_csv, "--generator", "kl"],
+                 ["quantum-analyze", "--channel", channel, "--generator", "kl"]):
+        code = run(argv)
+        report = _load_json(capsys.readouterr().out)
+        assert code == 0
+        assert report["violations"] == []
+        assert cli.NO_CONSTANT_WARNING in report["warnings"]
+        assert "nonlinear_upper" not in report["results"]["contraction"]
 
 
 def test_reports_capture_library_user_warnings(tmp_path, capsys):
