@@ -209,12 +209,38 @@ def _scores(num, den) -> np.ndarray:
     numerator score -inf.
     """
     (num, e_num), (den, e_den) = num, den
+    feasible, r, den = _raw_ratios(num, den)
+    score = r - (e_num + np.abs(r) * e_den) / den
+    return np.where(feasible, score, -math.inf)
+
+
+def _raw_ratios(num, den):
+    """The ratios r of ``_scores`` before their rounding bounds, from the
+    values alone: (feasible, r, den) with the denominators of infeasible
+    inputs set to 1 and numerators below NUMERATOR_NOISE_FLOOR to 0."""
     feasible = (den > 1e-12) & (den < math.inf) & np.isfinite(num)
     num = np.where(feasible & (num >= NUMERATOR_NOISE_FLOOR), num, 0.0)
     den = np.where(feasible, den, 1.0)
-    r = num / den
-    score = r - (e_num + np.abs(r) * e_den) / den
-    return np.where(feasible, score, -math.inf)
+    return feasible, num / den, den
+
+
+def _lazy_start(ratios: np.ndarray, exact) -> tuple[float, int]:
+    """The maximum of a cloud's scores and the first index that attains it,
+    ``np.max`` and ``np.argmax`` of the scores of every row, from
+    ``ratios`` (each row's raw ratio r, or -inf where infeasible) and
+    ``exact(rows)``, the scores of an index array of rows.
+
+    A score is r less a non-negative rounding bound, so at most r, and -inf
+    where r is.  The row of largest r is scored first, giving s0; only the
+    rows with r >= s0 can reach the maximum, and they alone are scored.
+    The bounds are finite where f and f' are at the ratios of the rows,
+    so no score is NaN; an s0 that is NaN would score every row."""
+    top = int(np.argmax(ratios))
+    s0 = exact(np.array([top]))[0]
+    rows = np.flatnonzero(~(ratios < s0))
+    scores = exact(rows)
+    k = int(np.argmax(scores))
+    return float(scores[k]), int(rows[k])
 
 
 def _draw_moves(rng: np.random.Generator, n: int, steps: int):
@@ -253,10 +279,12 @@ class _EstimateContext:
         self.cloud = _candidate_inputs(n, q, budget)
         block = _block_rows(self.cloud)
         self.blocks = [self.cloud[s : s + block] for s in range(0, len(self.cloud), block)]
-        self.dens = [
+        dens = [
             _divergence_rows(g, _clamp(P), _clamp(q), rounding_error=True)
             for P in self.blocks
         ]
+        # the cloud's denominators and their rounding bounds, as one pair
+        self.den = tuple(np.concatenate(part) for part in zip(*dens))
         rng = np.random.default_rng(budget.seed + 1)
         self.draws = _draw_moves(rng, n, budget.refine_steps)
 
@@ -287,18 +315,27 @@ class _EstimateContext:
                 )
             return np.concatenate(scores)
 
-        cloud_scores = [self._cloud_scores(W, Wq, width) for W, Wq in zip(Ws, Wqs)]
-        return _climbs(
-            self.cloud, cloud_scores, self.draws, _build_moves, window_scores, 0.25
-        )
+        starts = [self._cloud_start(W, Wq, width) for W, Wq in zip(Ws, Wqs)]
+        return _climbs(self.cloud, starts, self.draws, _build_moves, window_scores, 0.25)
 
-    def _cloud_scores(self, W: np.ndarray, Wq: np.ndarray, width: int) -> np.ndarray:
-        """Scores of the cloud on W, Wq = W q clamped and padded to
-        ``width``, block by block."""
-        return np.concatenate([
-            _ratio_scores(self.g, den, (_pad(_clamp(P @ W.T), width), Wq))
-            for P, den in zip(self.blocks, self.dens)
+    def _cloud_start(self, W: np.ndarray, Wq: np.ndarray, width: int) -> tuple[float, int]:
+        """The best score of the cloud on W and its first index, Wq = W q
+        clamped and padded to ``width``: the numerators are valued block by
+        block without their rounding bounds, and only the rows whose raw
+        ratio can reach the maximum are scored in full (``_lazy_start``),
+        on the same numerator rows.  Bit for bit the ``np.max`` and
+        ``np.argmax`` of ``_ratio_scores`` over every block."""
+        rows = np.concatenate([_pad(_clamp(P @ W.T), width) for P in self.blocks])
+        block = len(self.blocks[0])
+        num = np.concatenate([
+            _divergence_rows(self.g, rows[s : s + block], Wq)
+            for s in range(0, len(rows), block)
         ])
+        feasible, r, _ = _raw_ratios(num, self.den[0])
+        return _lazy_start(
+            np.where(feasible, r, -math.inf),
+            lambda k: _ratio_scores(self.g, (self.den[0][k], self.den[1][k]), (rows[k], Wq)),
+        )
 
 
 def _pad(A: np.ndarray, width: int) -> np.ndarray:
@@ -344,10 +381,11 @@ def _block_rows(cloud: np.ndarray) -> int:
 _MIN_WINDOW = 8
 
 
-def _climbs(cloud, cloud_scores, draws, build, window_scores, scale):
-    """Best of each of ``cloud_scores``, the cloud's scores on one channel
-    each, over the candidate cloud, refined by first-improvement
-    hill-climbing; the climbs run side by side.
+def _climbs(cloud, starts, draws, build, window_scores, scale):
+    """Best scores on one channel each, refined by first-improvement
+    hill-climbing from ``starts``, the (score, index) of each channel's
+    best candidate of ``cloud`` (the maximum score and the first index
+    that attains it); the climbs run side by side.
 
     ``draws`` holds every refine step's random numbers as a tuple of
     per-step arrays.  ``build(current, draws, scales)`` turns steps into a
@@ -368,14 +406,13 @@ def _climbs(cloud, cloud_scores, draws, build, window_scores, scale):
     where no candidate is feasible.
     """
     n_steps, block = len(draws[0]), _block_rows(cloud)
-    results: list = [(0.0, None)] * len(cloud_scores)
+    results: list = [(0.0, None)] * len(starts)
     best, current, state = {}, {}, {}  # state: [scale, step, width]
-    for k, scores in enumerate(cloud_scores):
-        top = int(np.argmax(scores))
-        if scores[top] == -math.inf:
+    for k, (score, top) in enumerate(starts):
+        if score == -math.inf:
             warnings.warn("no feasible input found; estimate 0")
             continue
-        best[k], current[k] = float(scores[top]), cloud[top].copy()
+        best[k], current[k] = score, cloud[top].copy()
         state[k] = [scale, 0, block]
     live = [k for k in best if n_steps > 0]
     while live:

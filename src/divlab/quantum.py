@@ -704,7 +704,8 @@ def _eta_estimate(channel: KrausChannel, sigma: np.ndarray, g: Generator, budget
     )
     u, raw = _refine_draws(np.random.default_rng(budget.seed + 1), budget.refine_steps,
                            sigma.shape[0])
-    return _climbs(cloud, [cloud_scores], (u, _pure_states(raw)), build,
+    top = int(np.argmax(cloud_scores))
+    return _climbs(cloud, [(float(cloud_scores[top]), top)], (u, _pure_states(raw)), build,
                    lambda P, _: scores(P), 0.3)[0]
 
 

@@ -803,9 +803,10 @@ def test_climbs_narrow_windows(seed, refine_steps):
     budget = SampleBudget(n_samples=100, seed=seed, refine_steps=refine_steps)
     stream = np.random.default_rng(seed + 1)
     draws = (np.array([stream.random() for _ in range(refine_steps)]),)
+    top = int(np.argmax(scores(cloud)))
     assert_same_climb(
         lambda: contraction._climbs(
-            cloud, [scores(cloud)], draws, build, lambda P, _: scores(P), 0.5
+            cloud, [(float(scores(cloud)[top]), top)], draws, build, lambda P, _: scores(P), 0.5
         )[0],
         lambda: hill_climb_sequential(scores, cloud, propose, budget, 0.5),
     )
