@@ -17,10 +17,11 @@ Python loops:
   (n-1)^2 + 1 steps of Wielandt's bound.
 
 The stationary distribution is unique exactly when there is one closed
-class.  It is then the eigenvalue-1 eigenvector of ``np.linalg.eig``, or one
-linear solve on the class when that vector is not a distribution; with
-several closed classes it is the uniform mixture of the per-class solves.
-Transient states get zero.
+class.  It comes from one linear solve per closed class C, the balance
+equations (W_CC - I) pi_C = 0 with the last replaced by sum(pi_C) = 1
+(Stewart, *Introduction to the Numerical Solution of Markov Chains*, ch. 2);
+with several closed classes it is the uniform mixture of the per-class
+solves.  Transient states get zero.
 """
 
 from __future__ import annotations
@@ -111,7 +112,9 @@ def stationary_distribution(W) -> tuple[np.ndarray, bool]:
 
     It is unique exactly when the support graph has one closed class.  With
     several, pi is the uniform mixture of the stationary distributions of
-    the closed classes.
+    the closed classes.  Each class's distribution is one linear solve of
+    its balance equations with the last replaced by the normalisation, and
+    transient states get exact zeros (see the module docstring).
     """
     return _stationary_of(_channel(W, square=True))
 
@@ -124,32 +127,25 @@ def _stationary_of(W: np.ndarray) -> tuple[np.ndarray, bool]:
 
 def _stationary(W: np.ndarray, classes: list[np.ndarray]) -> tuple[np.ndarray, bool]:
     """``stationary_distribution`` of a validated square W whose closed
-    classes, as arrays of states, are given."""
-    unique = len(classes) == 1
-    v = None
-    if unique:
-        eigvals, eigvecs = np.linalg.eig(W)
-        v = np.real(eigvecs[:, int(np.argmin(np.abs(eigvals - 1.0)))])
-        s = v.sum()
-        # kept only where it normalises to a distribution
-        v = v / s if abs(s) > 1e-12 and not np.any(v / s < -1e-9) else None
-    if v is None:
-        # each closed class is irreducible: (W_CC - I) pi_C = 0 has rank
-        # |C| - 1, and a row of ones in place of the last equation fixes
-        # sum(pi_C) = 1, so the normalisation below mixes them uniformly
-        v = np.zeros(W.shape[0])
-        for C in classes:
-            A = W[np.ix_(C, C)] - np.eye(C.size)
-            A[-1, :] = 1.0
-            b = np.zeros(C.size)
-            b[-1] = 1.0
-            v[C] = np.linalg.solve(A, b)
+    classes, as arrays of states, are given: one solve of |C| equations per
+    class C, entries below SUPPORT_EPSILON set to zero, renormalised, and
+    a ValueError where ||W pi - pi||_1 exceeds 1e-9."""
+    # each closed class is irreducible: (W_CC - I) pi_C = 0 has rank |C| - 1,
+    # and a row of ones in place of the last equation fixes sum(pi_C) = 1, so
+    # the normalisation below mixes several classes uniformly
+    v = np.zeros(W.shape[0])
+    for C in classes:
+        A = W[np.ix_(C, C)] - np.eye(C.size)
+        A[-1, :] = 1.0
+        b = np.zeros(C.size)
+        b[-1] = 1.0
+        v[C] = np.linalg.solve(A, b)
     # rounding mass on transient states is no support
     v = np.where(v < SUPPORT_EPSILON, 0.0, v)
     v = v / v.sum()
     if float(np.abs(W @ v - v).sum()) > 1e-9:
         raise ValueError("stationary solve failed to converge")
-    return v, unique
+    return v, len(classes) == 1
 
 
 def _components(pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
