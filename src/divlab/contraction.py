@@ -116,15 +116,26 @@ def _second_singular_value_sq(M: np.ndarray) -> float:
     return float(min(max(s[1] ** 2, 0.0), 1.0))
 
 
-def _second_right_vector(M: np.ndarray, among=slice(None)) -> np.ndarray:
+def _second_right_vector(M: np.ndarray, among=slice(None), off=None) -> np.ndarray:
     """The second right singular vector of M, which has at least two
     columns, with the phase that makes its first entry of largest modulus
     ``among`` the given indices real and positive, so that it does not
     depend on the LAPACK build.  When the second singular value is
     repeated, the vector LAPACK picks may vanish on those indices; its
     first entry of largest modulus overall then sets the phase.  With one
-    row, M's null space supplies it."""
-    v = np.linalg.svd(M, full_matrices=M.shape[0] < 2)[2][1].conj()
+    row, M's null space supplies it.
+
+    ``off`` is a real unit right singular vector of the top value.  Where
+    the top value is repeated (s_2 = s_1 to numpy's rank tolerance), the
+    second vector need not be orthogonal to it, so it is taken less its
+    ``off`` component, or the first vector is where the second lies mostly
+    along ``off``, and normalised.  Elsewhere ``off`` changes nothing."""
+    _, s, vh = np.linalg.svd(M, full_matrices=M.shape[0] < 2)
+    v = vh[1].conj()
+    if off is not None and s.size > 1 and s[0] - s[1] <= s[0] * max(M.shape) * np.finfo(float).eps:
+        w = vh[1] if abs(off @ vh[1]) ** 2 <= 0.5 else vh[0]
+        v = (w - (off @ w) * off).conj()
+        v /= np.linalg.norm(v)
     candidates = v[among]
     top = candidates[int(np.argmax(np.abs(candidates)))]
     if abs(top) <= np.finfo(float).eps * np.max(np.abs(v)):
@@ -144,16 +155,18 @@ def _chi2_estimates(Ws: list[np.ndarray], q: np.ndarray, eta1: float | None = No
     channel W of ``Ws``: the exact eta_chi2(W, q), ``eta1`` for Ws[0] when
     given.  Only Ws[0] gets a witness (None for the others): p = q + t X
     with X = sqrt(q) v2 on supp q, v2 the second right singular vector of
-    the normalized joint, whose chi^2 ratio is eta_chi2 for every t; t is
-    half the largest step that keeps p >= 0.  A reference with one symbol
-    of mass gives (0, None) and the warning of eta_chi2."""
+    the normalized joint orthogonal to its top one sqrt(q) (see
+    ``_second_right_vector``), whose chi^2 ratio is eta_chi2 for every t;
+    t is half the largest step that keeps p >= 0.  A reference with one
+    symbol of mass gives (0, None) and the warning of eta_chi2."""
     etas = [eta1 if eta1 is not None else _eta_chi2(Ws[0], q)]
     etas += [_eta_chi2(W, q) for W in Ws[1:]]
     witness = None
     if int(np.sum(q > 0.0)) > 1:
         M, x_keep = _normalized_joint(Ws[0], q)
+        root = np.sqrt(q[x_keep])
         X = np.zeros_like(q)
-        X[x_keep] = np.sqrt(q[x_keep]) * _second_right_vector(M)
+        X[x_keep] = root * _second_right_vector(M, off=root)
         down = X < 0.0
         witness = q + 0.5 * float(np.min(q[down] / -X[down])) * X
         witness /= witness.sum()

@@ -1003,6 +1003,18 @@ def test_analyze_chain_solves_shared_pieces_once(tmp_path, capsys, monkeypatch):
     assert bound_id == "eta-f-sampled-lower-estimate"
 
 
+def test_analyze_chain_quadratic_generator_on_a_periodic_swap(tmp_path, capsys):
+    # eta_chi2 = 1 is a repeated top singular value; the witness is still
+    # a distribution, where the estimate used to raise
+    path = tmp_path / "swap.csv"
+    path.write_text("0,1\n1,0\n")
+    code = run(["analyze-chain", "--matrix", str(path), "--generator", "pearson_chi2"])
+    con = _load_json(capsys.readouterr().out)["results"]["contraction"]
+    assert code == 0
+    assert con["eta_f_estimate"]["value"] == con["eta_chi2"]["value"] == 1.0
+    assert sum(con["eta_f_estimate"]["witness"]) == pytest.approx(1.0, abs=1e-12)
+
+
 def test_analyze_chain_quadratic_generator_samples_nothing(tmp_path, capsys, monkeypatch):
     # pearson_chi2 is quadratic: its six estimates are eta_chi2 of the
     # powers, the one of W shared with the report's eta_chi2, with no

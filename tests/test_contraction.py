@@ -22,7 +22,7 @@ from divlab.contraction import (
     eta_f_upper_bounds,
     mixing_time_bounds,
 )
-from divlab.divergence import _clamp, _divergence_rows, as_prob_vec, f_divergence
+from divlab.divergence import _clamp, _divergence_rows, as_prob_vec, chi_squared, f_divergence
 from divlab.generators import make_generator
 from divlab.markov import as_channel, bsc, stationary_distribution
 
@@ -987,6 +987,29 @@ def test_quadratic_witness_sign_is_fixed():
     # v2 is proportional to (-sqrt(pi_1), sqrt(pi_0)), whose larger entry is
     # the second; the step halves pi_0
     assert witness == pytest.approx([2.0 / 7.0, 5.0 / 7.0], abs=1e-15)
+
+
+# chains whose top singular value at q is repeated, s_2 = s_1 = 1: LAPACK
+# may return a second right vector that is not orthogonal to sqrt(q)
+_REPEATED_TOP = {
+    "swap": (np.array([[0.0, 1.0], [1.0, 0.0]]), UNIFORM2),
+    "identity": (np.eye(3), np.array([0.2, 0.3, 0.5])),
+    "block-diagonal": (np.kron(np.eye(2), np.full((2, 2), 0.5)), np.full(4, 0.25)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_QUADRATIC))
+@pytest.mark.parametrize("chain", sorted(_REPEATED_TOP))
+def test_quadratic_witness_when_the_top_singular_value_repeats(chain, name):
+    # the estimate is eta_chi2, and the witness a distribution other than q
+    # whose chi^2 ratio is that value
+    W, q = _REPEATED_TOP[chain]
+    value, witness = eta_f_estimate(W, q, _QUADRATIC[name])
+    assert value == eta_chi2(W, q) == 1.0
+    assert np.all(witness >= 0.0) and abs(witness.sum() - 1.0) <= 1e-12
+    assert not np.allclose(witness, q)
+    ratio = chi_squared(W @ witness, W @ q) / chi_squared(witness, q)
+    assert abs(ratio - value) <= 1e-12
 
 
 @pytest.mark.parametrize("name", sorted(_QUADRATIC))
