@@ -28,8 +28,11 @@ __all__ = [
 ]
 
 SUPPORT_EPSILON = 1e-12
-# Gauss-Legendre nodes of integral_representation
+# Gauss-Legendre nodes of integral_representation, a power of two
 _QUAD_NODES = 128
+# entries per chunk of the dense walks (integral_representation's nodes
+# and the certificate grid's rows), which bounds their temporaries
+_CHUNK_ENTRIES = 1 << 17
 
 
 def as_weight_vec(v) -> np.ndarray:
@@ -270,7 +273,15 @@ def integral_representation(g: Generator, p, q) -> float:
         )
     ratios = ps / qs
     t, w = _gauss_legendre(_QUAD_NODES)
-    args = 1.0 + np.outer(t, ratios - 1.0)
-    args = np.maximum(args, 1e-300)
-    vals = g.f2(args) @ ((ps - qs) ** 2 / qs)
+    weights = (ps - qs) ** 2 / qs
+    # nodes in chunks of 2^k rows, 8 <= 2^k <= 128, at most _CHUNK_ENTRIES
+    # entries where 8 rows fit: the chunks split the nodes evenly, in
+    # multiples of the matrix-vector kernel's row blocks at one and two
+    # threads, so each node's sum has the bits of the one product
+    rows = 1 << max(3, min(7, (_CHUNK_ENTRIES // ratios.size).bit_length() - 1))
+    vals = np.empty(_QUAD_NODES)
+    for a in range(0, _QUAD_NODES, rows):
+        args = 1.0 + np.outer(t[a : a + rows], ratios - 1.0)
+        args = np.maximum(args, 1e-300)
+        vals[a : a + rows] = g.f2(args) @ weights
     return float(np.dot(w * (1.0 - t), vals))

@@ -11,11 +11,12 @@ is checked numerically on the eps-ring rather than proven.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .divergence import _as_count, _f_divergence, _total_variation, _vectors
+from .divergence import _CHUNK_ENTRIES, _as_count, _f_divergence, _total_variation, _vectors
 from .generators import Generator
 
 __all__ = [
@@ -117,12 +118,36 @@ def certify_constant(
     return _certify(g, lam, grid_n, claimed_L)
 
 
+def _grid_scan(g: Generator, lam: float, u: np.ndarray):
+    """The minimum of h_lambda on the grid u x u and the first (i, j) that
+    attains it in row-major order, as ``np.argmin`` gives them (a NaN
+    wins), and the minima over the interior and over the ring of the
+    boundary rows and columns (NaN if any entry is).  The grid is evaluated
+    in blocks of rows of at most _CHUNK_ENTRIES entries where a row fits;
+    minima are exact, so the result is that of the whole grid, bit for
+    bit."""
+    n = u.size
+    rows = max(1, _CHUNK_ENTRIES // n)
+    best, at = math.inf, 0
+    interior = ring = math.inf
+    for a in range(0, n, rows):
+        H = _h(g, lam, u[a : a + rows, np.newaxis], u)
+        k = int(np.argmin(H))
+        if H.flat[k] < best or (math.isnan(H.flat[k]) and not math.isnan(best)):
+            best, at = H.flat[k], a * n + k
+        # rows 0 and n - 1 lie on the ring, and so do columns 0 and n - 1
+        lo, hi = max(1, a) - a, min(n - 1, a + rows) - a
+        ring = np.minimum(ring, np.min(H[:, [0, -1]]))
+        ring = np.minimum(ring, np.min(H[:lo], initial=math.inf))
+        ring = np.minimum(ring, np.min(H[hi:], initial=math.inf))
+        interior = np.minimum(interior, np.min(H[lo:hi, 1:-1], initial=math.inf))
+    return float(best), divmod(at, n), float(interior), float(ring)
+
+
 def _certify(g: Generator, lam: float, grid_n: int, claimed_L: float) -> PinskerCertificate:
     """``certify_constant`` of checked arguments, unchecked."""
     u = np.linspace(BOUNDARY_EPS, 1.0 - BOUNDARY_EPS, grid_n)
-    H = _h(g, lam, u[:, np.newaxis], u)
-    i, j = np.unravel_index(int(np.argmin(H)), H.shape)
-    grid_min = float(H[i, j])
+    grid_min, (i, j), interior_min, ring_min = _grid_scan(g, lam, u)
     grid_argmin = (float(u[i]), float(u[j]))
 
     lo, hi = BOUNDARY_EPS, 1.0 - BOUNDARY_EPS
@@ -138,10 +163,6 @@ def _certify(g: Generator, lam: float, grid_n: int, claimed_L: float) -> Pinsker
             refined_min, x_star, y_star = float(local[a, b]), float(xs[a]), float(ys[b])
         width *= 0.5
 
-    ring = np.zeros_like(H, dtype=bool)
-    ring[0, :] = ring[-1, :] = ring[:, 0] = ring[:, -1] = True
-    interior_min = float(np.min(H[~ring]))
-    ring_min = float(np.min(H[ring]))
     # escape holds unless the ring is strictly better than the interior
     # (ties along flat valleys do not implicate the boundary)
     boundary_escape = ring_min >= interior_min - CERT_TOL

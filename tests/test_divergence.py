@@ -1,5 +1,7 @@
 import contextlib
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,7 +23,7 @@ from divlab.divergence import (
     integral_representation,
     total_variation,
 )
-from divlab.generators import from_spec, make_generator, registry_names
+from divlab.generators import default_registry, from_spec, make_generator, registry_names
 
 from conftest import random_prob_pairs
 
@@ -371,6 +373,49 @@ def test_integral_representation_all_generators(registry):
             approx = integral_representation(g, p, q)
             exact = f_divergence(g, p, q)
             assert approx == pytest.approx(exact, abs=1e-8), g.label
+
+
+def _integral_unchunked(g, p, q):
+    """The body of ``integral_representation`` as one product over every
+    node at once: the oracle of its node chunks."""
+    pos = q > 0.0
+    ps, qs = p[pos], q[pos]
+    t, w = _gauss_legendre(divergence._QUAD_NODES)
+    args = np.maximum(1.0 + np.outer(t, ps / qs - 1.0), 1e-300)
+    return float(np.dot(w * (1.0 - t), g.f2(args) @ ((ps - qs) ** 2 / qs)))
+
+
+_CERTIFIED = default_registry()
+
+
+@given(
+    n=st.integers(2, 3000),
+    chunk=st.integers(1, 1 << 17),
+    index=st.integers(0, len(_CERTIFIED) - 1),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_integral_representation_node_chunks_are_bit_exact(n, chunk, index, seed):
+    # every chunk size, from 8 nodes to all 128, gives the bits of the one
+    # product over all nodes
+    g = _CERTIFIED[index]
+    ps, qs = random_prob_pairs(np.random.default_rng(seed), 1, n)
+    with mock.patch.object(divergence, "_CHUNK_ENTRIES", chunk):
+        assert integral_representation(g, ps[0], qs[0]) == _integral_unchunked(g, ps[0], qs[0])
+
+
+def test_integral_representation_memory_is_bounded():
+    # one product over all 128 nodes held 128 x |X| arrays, a 420 MB peak
+    # at |X| = 200,000; node chunks hold 8 x |X|
+    n = 200_000
+    ps, qs = random_prob_pairs(np.random.default_rng(5), 1, n)
+    tracemalloc.start()
+    try:
+        integral_representation(make_generator("kl"), ps[0], qs[0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
 
 
 def test_integral_representation_preconditions():

@@ -1,9 +1,15 @@
 import json
+import math
 import pathlib
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from divlab import pinsker
 from divlab.generators import default_registry, make_generator
 from divlab.pinsker import (
     certify_constant,
@@ -195,3 +201,64 @@ def test_gilardoni_condition_examples():
     assert gilardoni_condition(make_generator("renyi_gain", alpha=4.0)) is False
     with pytest.raises(ValueError):
         gilardoni_condition(make_generator("one_sided_chi2"))
+
+
+def _grid_scan_whole(g, lam, u):
+    """The certificate grid as one array: its minimum and first argmin, the
+    interior and the ring minima; the oracle of ``pinsker._grid_scan``."""
+    H = pinsker._h(g, lam, u[:, np.newaxis], u)
+    k = int(np.argmin(H))
+    ring = np.zeros_like(H, dtype=bool)
+    ring[0, :] = ring[-1, :] = ring[:, 0] = ring[:, -1] = True
+    return float(H.flat[k]), divmod(k, u.size), float(np.min(H[~ring])), float(np.min(H[ring]))
+
+
+_CERTIFIED = default_registry()
+
+
+@given(
+    grid_n=st.integers(16, 600),
+    chunk=st.integers(1, 1 << 17),
+    index=st.integers(0, len(_CERTIFIED) - 1),
+    lam=st.floats(0.0, 1.0),
+)
+@settings(max_examples=40, deadline=None)
+def test_grid_row_chunks_are_bit_exact(grid_n, chunk, index, lam):
+    g = _CERTIFIED[index]
+    u = np.linspace(pinsker.BOUNDARY_EPS, 1.0 - pinsker.BOUNDARY_EPS, grid_n)
+    with mock.patch.object(pinsker, "_CHUNK_ENTRIES", chunk):
+        scan = pinsker._grid_scan(g, lam, u)
+    assert scan == _grid_scan_whole(g, lam, u)
+
+
+@pytest.mark.parametrize("nans", [[(0, 5)], [(20, 0)], [(17, 9), (3, 4)], [(31, 31)]])
+def test_grid_scan_lets_the_first_nan_win(nans):
+    # np.argmin lets the first NaN win, and a NaN anywhere is the minimum
+    # of its region, interior or ring; chunks of 3 rows keep both rules
+    kl = make_generator("kl")
+    u = np.linspace(pinsker.BOUNDARY_EPS, 1.0 - pinsker.BOUNDARY_EPS, 32)
+    h = pinsker._h
+
+    def with_nans(g, lam, x, y):
+        H = h(g, lam, x, y)
+        for i, j in nans:
+            H[x[:, 0] == u[i], j] = math.nan
+        return H
+
+    with mock.patch.object(pinsker, "_h", with_nans):
+        with mock.patch.object(pinsker, "_CHUNK_ENTRIES", 3 * 32):
+            scan = pinsker._grid_scan(kl, 0.5, u)
+        whole = _grid_scan_whole(kl, 0.5, u)
+    assert repr(scan) == repr(whole)
+    assert math.isnan(scan[0]) and scan[1] == min(nans)
+
+
+def test_certificate_grid_memory_is_bounded():
+    # the whole 2048 x 2048 grid peaked at 168 MB; rows of 64 hold 2^17
+    tracemalloc.start()
+    try:
+        certify_constant(make_generator("kl"), grid_n=2048)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
