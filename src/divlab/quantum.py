@@ -222,17 +222,26 @@ def petz_chi2(rho, sigma) -> float:
 
 def _petz_chi2(rho: np.ndarray, sigma: np.ndarray, ref) -> float:
     """``petz_chi2`` of checked states, with sigma's ``_spectral`` pair."""
+    if not _supported(rho, ref):
+        return math.inf
     mu, f = ref
     pos = mu > 0.0
-    if not np.all(pos):
-        proj_out = f[:, ~pos]
-        if float(np.real(np.trace(proj_out.conj().T @ rho @ proj_out))) > 1e-10:
-            return math.inf
     inv = np.zeros_like(mu)
     inv[pos] = 1.0 / mu[pos]
     pinv = (f * inv[np.newaxis, :]) @ f.conj().T
     diff = rho - sigma
     return float(np.real(np.trace(pinv @ diff @ diff)))
+
+
+def _supported(rho: np.ndarray, ref) -> bool:
+    """rho << sigma, sigma given by its ``_spectral`` pair: rho has at most
+    1e-10 of trace off the support of sigma."""
+    mu, f = ref
+    pos = mu > 0.0
+    if np.all(pos):
+        return True
+    proj_out = f[:, ~pos]
+    return float(np.real(np.trace(proj_out.conj().T @ rho @ proj_out))) <= 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -515,7 +524,7 @@ def petz_bounds_report(g: Generator, rho, sigma) -> PetzBoundsReport:
     checks: list[BoundCheck] = []
 
     dominated = math.isfinite(chi2)
-    sigma_dom_rho = _petz_chi2(sigma, rho, rho_spec) < math.inf
+    sigma_dom_rho = _supported(sigma, rho_spec)
     # kappa, q_min and TV read the NS rows unclamped, as the divergence does
     # (rho << sigma is decided by petz_chi2)
     kp = _kappa_pair(g, ns.p_xy, ns.q_xy) if dominated else None

@@ -39,7 +39,9 @@ from divlab.quantum import (
     _ns_rows,
     _pure_states,
     _refine_draws,
+    _petz_chi2,
     _spectral,
+    _supported,
 )
 
 from conftest import sampled_twin
@@ -338,6 +340,22 @@ def test_channel_structure_embedded_constant():
     assert st.mixing
     assert not st.strongly_mixing  # fixed point is pure, never full rank
     assert st.positivity_index is None
+
+
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 5), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_support_test_is_the_finiteness_of_petz_chi2(seed, d, data):
+    # petz_bounds_report reads sigma << rho from the support test alone;
+    # it is the boolean that a whole reverse Petz chi^2 gave
+    rng = np.random.default_rng(seed)
+    rho = random_state(rng, d, data.draw(st.integers(1, d)))
+    sigma = random_state(rng, d, data.draw(st.integers(1, d)))
+    if data.draw(st.booleans()):  # sigma inside supp rho
+        e = _spectral(rho)[1][:, _spectral(rho)[0] > 0.0]
+        sigma = e @ (e.conj().T @ sigma @ e) @ e.conj().T
+        sigma = 0.5 * (sigma + sigma.conj().T) / np.trace(sigma).real
+    ref = _spectral(rho)
+    assert _supported(sigma, ref) == (_petz_chi2(sigma, rho, ref) < math.inf)
 
 
 def test_petz_bounds_report_identity_pair():
