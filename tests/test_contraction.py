@@ -23,7 +23,7 @@ from divlab.contraction import (
     mixing_time_bounds,
 )
 from divlab.divergence import _clamp, _divergence_rows, as_prob_vec, chi_squared, f_divergence
-from divlab.generators import make_generator
+from divlab.generators import default_registry, make_generator
 from divlab.markov import as_channel, bsc, stationary_distribution
 
 from conftest import bump_generator, sampled_twin, singular_bump_generator
@@ -810,6 +810,84 @@ def test_climbs_narrow_windows(seed, refine_steps):
         )[0],
         lambda: hill_climb_sequential(scores, cloud, propose, budget, 0.5),
     )
+
+
+# numerators and denominators of the scorer's edge cases: zero, below and at
+# NUMERATOR_NOISE_FLOOR, at and just above the 1e-12 denominator window,
+# repeated values for ties, and infinities
+_EDGE_NUMS = [0.0, 5e-14, 1e-13, 0.25, 0.5, 1.0, math.inf]
+_EDGE_DENS = [0.0, 1e-12, 2e-12, 0.5, 1.0, math.inf]
+_EDGE_ERRORS = [0.0, 1e-16, 1e-3]
+
+
+@given(st.lists(
+    st.tuples(
+        st.one_of(st.sampled_from(_EDGE_NUMS), st.floats(0.0, 2.0)),
+        st.one_of(st.sampled_from(_EDGE_ERRORS), st.floats(0.0, 1e-2)),
+        st.one_of(st.sampled_from(_EDGE_DENS), st.floats(0.0, 2.0)),
+        st.one_of(st.sampled_from(_EDGE_ERRORS), st.floats(0.0, 1e-2)),
+    ),
+    min_size=1, max_size=40,
+))
+@settings(max_examples=300, deadline=None)
+def test_lazy_start_is_the_first_maximum_of_the_scores(rows):
+    # ties, rows of -inf, numerators below the noise floor and denominators
+    # at most 1e-12: the lazy start is np.max and np.argmax of the scores
+    num, e_num, den, e_den = map(np.array, zip(*rows))
+    scores = contraction._scores((num, e_num), (den, e_den))
+    feasible, r, _ = contraction._raw_ratios(num, den)
+    start = contraction._lazy_start(
+        np.where(feasible, r, -math.inf),
+        lambda k: contraction._scores((num[k], e_num[k]), (den[k], e_den[k])),
+    )
+    top = int(np.argmax(scores))
+    assert start == (float(scores[top]), top)
+
+
+@given(
+    n=st.sampled_from([2, 3, 8, 64]),
+    name=st.sampled_from(sorted(_CLIMB_GENERATORS)),
+    reference=st.sampled_from(["full", "zero-entry", "point-mass"]),
+    channel=st.sampled_from(["dense", "sparse", "identity", "constant"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=100, deadline=None)
+def test_cloud_start_is_the_first_maximum_of_ratio_scores(n, name, reference, channel, seed):
+    # one block (3 and 8 states) and many (2 states: 2 blocks, 64 states:
+    # 17); the identity ties every ratio at 1, a constant channel leaves
+    # every numerator at zero
+    rng = np.random.default_rng(seed)
+    W = {"identity": np.eye(n), "constant": constant_channel(n)}.get(channel)
+    if W is None:
+        W = _random_chain(rng, n, channel == "sparse")
+    q = 0.8 * rng.dirichlet(np.ones(n)) + 0.2 / n
+    if reference == "zero-entry":
+        q[rng.integers(n)] = 0.0
+        q /= q.sum()
+    elif reference == "point-mass":
+        q = np.eye(n)[rng.integers(n)]
+    g = _CLIMB_GENERATORS[name]
+    context = contraction._EstimateContext(g, q, SampleBudget(seed=int(rng.integers(1 << 31))))
+    Wq = _clamp(W @ q)
+    scores = np.concatenate([
+        _ratio_scores(g, _divergence_rows(g, _clamp(P), _clamp(q), rounding_error=True),
+                      (_clamp(P @ W.T), Wq))
+        for P in context.blocks
+    ])
+    top = int(np.argmax(scores))
+    assert context._cloud_start(W, Wq, n) == (float(scores[top]), top)
+
+
+def test_scores_of_certified_generators_cannot_be_nan():
+    # a score r - (e_num + |r| e_den) / den is NaN only where a rounding
+    # bound is NaN or infinite or r overflows.  Scored rows are clamped, so
+    # every ratio t = p / q of their entries lies in [1e-12, 1e12]; there
+    # every certified generator has f and t f'(t) finite and far below
+    # overflow, so the bounds and r are finite and no score is NaN
+    t = np.logspace(-12.0, 12.0, 4801)
+    for g in default_registry():
+        ft, tf1 = g.f(t), t * g.f1(t)
+        assert np.all(np.abs(ft) < 1e100) and np.all(np.abs(tf1) < 1e100), g.label
 
 
 def _draw_moves_filtered(rng, n, steps):

@@ -1,4 +1,5 @@
 from dataclasses import fields
+from fractions import Fraction
 from math import gcd
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from divlab.divergence import SUPPORT_EPSILON, total_variation
 from divlab.markov import (
     ChainStructure,
+    _closed_classes,
     _components,
     _positivity_index,
     as_channel,
@@ -129,6 +131,167 @@ def test_stationary_reducible_zero_on_transient_states():
         assert not np.any(pi[:t]), (W, pi)
         assert pi.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.abs(W @ pi - pi).sum() <= 1e-9
+
+
+def stationary_by_eig(W, classes):
+    """pi as it was computed before the class solve became the one route:
+    with one closed class, the eigenvalue-1 eigenvector of a dense
+    ``np.linalg.eig``, kept where it normalises to a distribution; else,
+    and with several classes, the class solves; then the clamp and the
+    renormalisation.  The oracle of ``markov._stationary``."""
+    v = None
+    if len(classes) == 1:
+        eigvals, eigvecs = np.linalg.eig(W)
+        v = np.real(eigvecs[:, int(np.argmin(np.abs(eigvals - 1.0)))])
+        s = v.sum()
+        v = v / s if abs(s) > 1e-12 and not np.any(v / s < -1e-9) else None
+    if v is None:
+        v = np.zeros(W.shape[0])
+        for C in classes:
+            A = W[np.ix_(C, C)] - np.eye(C.size)
+            A[-1, :] = 1.0
+            b = np.zeros(C.size)
+            b[-1] = 1.0
+            v[C] = np.linalg.solve(A, b)
+    v = np.where(v < SUPPORT_EPSILON, 0.0, v)
+    return v / v.sum()
+
+
+def _closed_block(rng, n, kind):
+    """An irreducible n-state block: dense Dirichlet columns, a sparse
+    chain (self-loop, cycle edge and up to four more entries per column),
+    a cycle of period n, or a block-cyclic chain of period 2."""
+    if kind == "dense":
+        return rng.dirichlet(np.ones(n), size=n).T
+    if kind == "sparse":
+        W = np.zeros((n, n))
+        for x in range(n):
+            rows = sorted({x, (x + 1) % n} | set(rng.integers(0, n, size=4).tolist()))
+            W[rows, x] = rng.dirichlet(np.ones(len(rows)))
+        return W
+    if kind == "cycle" or n % 2:
+        return np.roll(np.eye(n), 1, axis=0)
+    half = np.arange(n).reshape(2, n // 2)
+    W = np.zeros((n, n))
+    for k in range(2):
+        W[np.ix_(half[1 - k], half[k])] = rng.dirichlet(np.ones(n // 2), size=n // 2).T
+    return W
+
+
+@st.composite
+def stationary_cases(draw):
+    """Chains of at most 64 states: one irreducible block (dense, sparse,
+    a cycle or period 2), or closed blocks (one or several) under
+    transient states that lead into them, states shuffled."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = ["dense", "sparse", "cycle", "cyclic"]
+    family = draw(st.sampled_from(kinds + ["transient", "several"]))
+    if family in kinds:
+        return _closed_block(rng, draw(st.integers(1, 64)), family)
+    k = 1 if family == "transient" else draw(st.integers(2, 4))
+    sizes = [draw(st.integers(1, 48 // k)) for _ in range(k)]
+    s, n = sum(sizes), sum(sizes) + draw(st.integers(1, 16))
+    W, a = np.zeros((n, n)), 0
+    for c in sizes:
+        W[a : a + c, a : a + c] = _closed_block(rng, c, draw(st.sampled_from(kinds)))
+        a += c
+    for x in range(s, n):
+        rows = sorted(set(rng.integers(0, n, size=3).tolist()) | {int(rng.integers(0, s))})
+        W[rows, x] = rng.dirichlet(np.ones(len(rows)))
+    perm = rng.permutation(n)
+    return W[np.ix_(perm, perm)]
+
+
+@given(stationary_cases())
+@settings(max_examples=300, deadline=None)
+def test_stationary_class_solve_matches_eig(W):
+    # the one route leaves a residual of at most 1e-12 and agrees with the
+    # eig route to 1e-10 wherever that is well-conditioned: the bordered
+    # class matrix has a condition number of at most 1e6
+    W = as_channel(W)
+    pos = W > SUPPORT_EPSILON
+    classes = _closed_classes(pos, _components(pos)[0])
+    pi, unique = stationary_distribution(W)
+    assert unique == (len(classes) == 1)
+    assert np.abs(W @ pi - pi).sum() <= 1e-12
+    assert np.all(pi >= 0.0) and abs(pi.sum() - 1.0) <= 1e-12
+    transient = np.setdiff1d(np.arange(len(W)), np.concatenate(classes))
+    assert not np.any(pi[transient])
+    for C in classes:
+        A = W[np.ix_(C, C)] - np.eye(C.size)
+        A[-1, :] = 1.0
+        if np.linalg.cond(A) > 1e6:
+            return
+    assert np.max(np.abs(pi - stationary_by_eig(W, classes))) <= 1e-10
+
+
+def _leaky_blocks(rng, eps, bits=50):
+    """An 8-state chain of two Dirichlet 4-blocks, each column leaking
+    about eps to the other block, with entries on a grid of 2^-bits whose
+    columns sum to one exactly; and its entries as integers over 2^bits."""
+    W = np.zeros((8, 8))
+    for a, b in ((0, 4), (4, 0)):
+        W[a : a + 4, a : a + 4] = (1.0 - eps) * rng.dirichlet(np.ones(4), size=4).T
+        W[b : b + 4, a : a + 4] = eps * rng.dirichlet(np.ones(4), size=4).T
+    ints = np.floor(W * 2.0**bits).astype(np.int64)
+    top = np.argmax(ints, axis=0)
+    ints[top, np.arange(8)] += (1 << bits) - ints.sum(axis=0)
+    return ints / 2.0**bits, ints
+
+
+def _exact_stationary(ints, bits=50):
+    """The stationary distribution of the rational chain ints / 2^bits,
+    by Gauss-Jordan elimination in fractions."""
+    n = len(ints)
+    A = [[Fraction(int(ints[i, j]), 1 << bits) - (i == j) for j in range(n)] for i in range(n)]
+    A[-1] = [Fraction(1)] * n
+    b = [Fraction(0)] * (n - 1) + [Fraction(1)]
+    for c in range(n):
+        r = next(r for r in range(c, n) if A[r][c] != 0)
+        A[c], A[r], b[c], b[r] = A[r], A[c], b[r], b[c]
+        for r in range(n):
+            if r != c and A[r][c] != 0:
+                f = A[r][c] / A[c][c]
+                A[r] = [x - f * y for x, y in zip(A[r], A[c])]
+                b[r] -= f * b[c]
+    return np.array([float(b[i] / A[i][i]) for i in range(n)])
+
+
+@pytest.mark.parametrize("eps, bound", [(1e-8, 1e-7), (1e-10, 1e-5), (1e-11, 1e-4)])
+def test_stationary_nearly_decomposable_beats_eig(eps, bound):
+    # two blocks that leak eps: pi is ill-conditioned, about 1e-16 / eps;
+    # against the exact pi of 20 such chains the class solve's largest
+    # relative error stays below ``bound`` and below the eig route's
+    solve, eig = [], []
+    for seed in range(20):
+        W, ints = _leaky_blocks(np.random.default_rng(seed), eps)
+        exact = _exact_stationary(ints)
+        pi, _ = stationary_distribution(W)
+        by_eig = stationary_by_eig(W, [np.arange(8)])
+        solve.append(np.max(np.abs(pi - exact) / exact))
+        eig.append(np.max(np.abs(by_eig - exact) / exact))
+    assert max(solve) <= bound
+    assert max(solve) < max(eig)
+
+
+def test_no_eig_behind_pi(monkeypatch, tmp_path):
+    # stationary_distribution, structure and analyze-chain solve for pi on
+    # the closed classes; no dense eig of W is taken
+    from divlab.cli import run
+
+    calls = []
+    eig = np.linalg.eig
+    monkeypatch.setattr(np.linalg, "eig", lambda M: calls.append(M) or eig(M))
+    rng = np.random.default_rng(3)
+    W = _closed_block(rng, 16, "sparse")
+    stationary_distribution(W)
+    structure(W)
+    path = tmp_path / "chain.csv"
+    path.write_text("".join(",".join(f"{v:.17g}" for v in row) + "\n" for row in W))
+    for g in ("kl", "pearson_chi2"):
+        assert run(["analyze-chain", "--matrix", str(path), "--generator", g,
+                    "--profile-n", "2"]) == 0
+    assert calls == []
 
 
 def test_stationary_typewriter_uniform():
