@@ -132,7 +132,8 @@ def _second_right_vector(M: np.ndarray, among=slice(None), off=None) -> np.ndarr
     along ``off``, and normalised.  Elsewhere ``off`` changes nothing."""
     _, s, vh = np.linalg.svd(M, full_matrices=M.shape[0] < 2)
     v = vh[1].conj()
-    if off is not None and s.size > 1 and s[0] - s[1] <= s[0] * max(M.shape) * np.finfo(float).eps:
+    repeated = s.size > 1 and s[0] - s[1] <= s[0] * max(M.shape) * np.finfo(float).eps
+    if off is not None and repeated:
         w = vh[1] if abs(off @ vh[1]) ** 2 <= 0.5 else vh[0]
         v = (w - (off @ w) * off).conj()
         v /= np.linalg.norm(v)
@@ -282,9 +283,10 @@ def _build_moves(P: np.ndarray, draws, scales: np.ndarray) -> np.ndarray:
 
 class _EstimateContext:
     """What every eta_f estimate against one reference q under one budget
-    shares: the candidate cloud, each cloud block's denominators
-    D_f(p || q) with their rounding bounds, and the refine stream.  An
-    estimate on a channel then scores only its numerators."""
+    shares: the candidate cloud in blocks, the cloud's denominators
+    D_f(p || q) with their rounding bounds (valued block by block), and
+    the refine stream.  An estimate on a channel then scores only its
+    numerators."""
 
     def __init__(self, g: Generator, q: np.ndarray, budget: SampleBudget):
         n = q.shape[0]
@@ -296,8 +298,7 @@ class _EstimateContext:
             _divergence_rows(g, _clamp(P), _clamp(q), rounding_error=True)
             for P in self.blocks
         ]
-        # the cloud's denominators and their rounding bounds, as one pair
-        self.den = tuple(np.concatenate(part) for part in zip(*dens))
+        self.den = tuple(np.concatenate(part) for part in zip(*dens))  # (values, bounds)
         rng = np.random.default_rng(budget.seed + 1)
         self.draws = _draw_moves(rng, n, budget.refine_steps)
 

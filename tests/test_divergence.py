@@ -405,7 +405,7 @@ def test_integral_representation_node_chunks_are_bit_exact(n, chunk, index, seed
 
 
 def test_integral_representation_memory_is_bounded():
-    # one product over all 128 nodes held 128 x |X| arrays, a 420 MB peak
+    # one product over all 128 nodes held 128 x |X| arrays, a 401 MiB peak
     # at |X| = 200,000; node chunks hold 8 x |X|
     n = 200_000
     ps, qs = random_prob_pairs(np.random.default_rng(5), 1, n)

@@ -254,7 +254,7 @@ def test_grid_scan_lets_the_first_nan_win(nans):
 
 
 def test_certificate_grid_memory_is_bounded():
-    # the whole 2048 x 2048 grid peaked at 168 MB; rows of 64 hold 2^17
+    # the whole 2048 x 2048 grid peaked at 160 MiB; rows of 64 hold 2^17
     tracemalloc.start()
     try:
         certify_constant(make_generator("kl"), grid_n=2048)
