@@ -6,7 +6,10 @@ wholesale: the sandwich, quantum Pinsker, mixing predicates, contraction
 coefficients (exact for quadratic generators such as pearson_chi2, whose
 Petz divergence is a multiple of the Petz chi-squared, sampled lower
 estimates for the others) against the exact Petz chi-squared coefficient,
-and mixing-time bounds.
+and mixing-time bounds.  A sampled estimate starts at the exact local floor
+of its coefficient; for KL on an embedded BSC at I/2 that floor is the
+coefficient itself, (1-2p)^2, and the printed KL estimates sit within 1e-7
+of it.
 """
 
 import math

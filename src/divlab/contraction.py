@@ -137,6 +137,13 @@ def _second_right_vector(M: np.ndarray, among=slice(None), off=None) -> np.ndarr
         w = vh[1] if abs(off @ vh[1]) ** 2 <= 0.5 else vh[0]
         v = (w - (off @ w) * off).conj()
         v /= np.linalg.norm(v)
+    return _phase_fixed(v, among)
+
+
+def _phase_fixed(v: np.ndarray, among=slice(None)) -> np.ndarray:
+    """v times the phase that makes its first entry of largest modulus
+    ``among`` the given indices real and positive, or its first entry of
+    largest modulus overall where v vanishes on those indices."""
     candidates = v[among]
     top = candidates[int(np.argmax(np.abs(candidates)))]
     if abs(top) <= np.finfo(float).eps * np.max(np.abs(v)):

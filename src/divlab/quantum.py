@@ -13,7 +13,10 @@ contraction coefficient is exact, and the bounds built on it sample
 nothing.  A quadratic generator (f'' constant and positive) has Petz
 divergence f''(1)/2 times the Petz chi^2, so its contraction coefficient is
 that exact one too; other contraction coefficients are sampled lower
-estimates, scored net of their rounding bound.
+estimates, scored net of their rounding bound.  One form builder serves
+both: the exact coefficient with the chi^2 weights, and with the weights of
+the Petz D_f's second-order form the exact local floor under eta_f, along
+whose directions the sampled estimates are seeded.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from .contraction import (
     _empirical_mixing,
     _linear_coeff,
     _mixing_times,
+    _phase_fixed,
     _quadratic,
     _ratio_scores,
     _second_right_vector,
@@ -592,14 +596,27 @@ def petz_bounds_report(g: Generator, rho, sigma) -> PetzBoundsReport:
 @dataclass(frozen=True)
 class QuantumBudget(SampleBudget):
     """Sampling configuration for quantum contraction estimates: the
-    classical budget with smaller defaults."""
+    classical budget with smaller defaults.  ``n_samples`` Haar pure states
+    (at least 100) enter the candidate cloud, each through its blends toward
+    sigma (see ``_candidate_states``); ``refine_steps`` proposals refine the
+    best candidate; ``seed`` seeds the cloud's draws and ``seed + 1`` the
+    refine stream."""
 
     n_samples: int = 200
     refine_steps: int = 120
 
 
 # points per segment between two sigma-eigenbasis projectors in the cloud
-_EIGENBASIS_GRID = 257
+_EIGENBASIS_GRID = 33
+# weights w of the blends (1 - w) psi + w sigma of each Haar pure state psi
+# in the cloud of an estimate with floor seeds; one without keeps psi itself
+# and its blends at every one of BLEND_WEIGHTS
+_SEEDED_BLEND_WEIGHTS = (0.3, 0.7)
+# fractions of the positivity limit on each side at which the floor seeds
+# sigma +- t H sit
+_SEED_FRACTIONS = (0.001, 0.01, 0.05, 0.15, 0.3, 0.5, 0.7, 0.9, 0.99)
+# relative eigenvalue gap below which an f weight takes its series limit
+_SERIES_GAP = 1e-4
 
 
 def _pure_states(raw: np.ndarray) -> np.ndarray:
@@ -618,34 +635,40 @@ def _pure_states(raw: np.ndarray) -> np.ndarray:
 
 
 def _refine_draws(rng: np.random.Generator, steps: int, d: int):
-    """The refine stream of ``quantum_eta_estimate``: per step a share u
-    from one ``random()`` and then the draws of a Haar pure state from one
-    ``normal(size=(2, d))``.  Returns the shares (steps,) and the raw draws
-    (steps, 2, d) for ``_pure_states``."""
-    u, raw = np.empty(steps), np.empty((steps, 2, d))
-    for k in range(steps):
-        u[k] = rng.random()
-        raw[k] = rng.normal(size=(2, d))
-    return u, raw
+    """The refine stream of ``quantum_eta_estimate``, two block draws: the
+    shares u from ``random(steps)``, then the draws of the Haar pure states
+    from ``normal(size=(steps, 2, d))``.  Step k reads share k and row k of
+    the draws (for ``_pure_states``)."""
+    return rng.random(steps), rng.normal(size=(steps, 2, d))
 
 
-def _candidate_states(sigma: np.ndarray, budget: QuantumBudget):
+def _candidate_states(sigma: np.ndarray, budget: QuantumBudget, seeds: np.ndarray):
     """(states, lam): the candidate stack and the spectra of its tail.
 
-    The stack holds Haar pure states (d real then d imaginary normals each,
-    from one draw seeded with the budget's seed), each followed by its
-    blends toward sigma, then the segments a |f_i><f_i| + (1 - a) |f_j><f_j|
-    between sigma's ``_spectral`` eigenvectors f (these make classically
-    embedded suprema grid-exact).  A segment state is diagonal in f by
-    construction, so its spectrum is a e_i + (1 - a) e_j with eigenvectors
-    f, rank-deficient or degenerate sigma included: lam holds these rows,
-    one per segment state, for the last len(lam) states of the stack."""
+    The stack holds the blends (1 - w) psi + w sigma of ``budget.n_samples``
+    Haar pure states psi (d real then d imaginary normals each, from one
+    draw seeded with the budget's seed), each psi's blends in turn: at w in
+    _SEEDED_BLEND_WEIGHTS where there are ``seeds``, else psi itself and
+    its blends at every one of BLEND_WEIGHTS.  Then come the ``seeds`` (a
+    stack of states, see ``_floor_seeds``), then the _EIGENBASIS_GRID-point
+    segments a |f_i><f_i| + (1 - a) |f_j><f_j| between sigma's ``_spectral``
+    eigenvectors f, which make the suprema of classically embedded channels
+    reachable.  A segment state is diagonal in f by construction, so its
+    spectrum is a e_i + (1 - a) e_j with eigenvectors f, rank-deficient or
+    degenerate sigma included: lam holds these rows, one per segment state,
+    for the last len(lam) states of the stack.
+
+    Next to the seeds no pure state supplied a winning start in 192
+    measured estimates (d = 2 to 4, four generators), and the two blends
+    kept lowered none by more than 1.3 % against all nine; without seeds
+    the pure states and all nine blends do supply them."""
     d = sigma.shape[0]
     rng = np.random.default_rng(budget.seed)
     pure = _pure_states(rng.normal(size=(budget.n_samples, 2, d)))[:, np.newaxis]
-    w = np.asarray(BLEND_WEIGHTS)[:, np.newaxis, np.newaxis]
-    # each pure state, then its blends
-    out = [np.concatenate([pure, (1.0 - w) * pure + w * sigma], axis=1).reshape(-1, d, d)]
+    weights = _SEEDED_BLEND_WEIGHTS if len(seeds) else (0.0,) + BLEND_WEIGHTS
+    w = np.asarray(weights)[:, np.newaxis, np.newaxis]
+    # each pure state's blends in turn (w = 0 is the pure state)
+    out = [((1.0 - w) * pure + w * sigma).reshape(-1, d, d), seeds]
     v = _spectral(sigma)[1].T
     proj = v[:, :, np.newaxis] * v[:, np.newaxis, :].conj()  # |f_k><f_k| of sigma
     a = np.linspace(0.0, 1.0, _EIGENBASIS_GRID)[:, np.newaxis, np.newaxis]
@@ -670,24 +693,30 @@ def quantum_eta_estimate(
     Otherwise it is sampled: it scores D_f(E(rho) || E(sigma)) /
     D_f(rho || sigma) on NS rows with the classical scorer, net of its
     rounding bound, over the candidate stack block by block and then per
-    window of refine proposals (see ``_climbs``).  Every input and output
-    is diagonalised for its NS rows, except the sigma-eigenbasis segments
-    of the stack, whose spectra ``_candidate_states`` gives in closed form;
-    where such a state wins, the value is that of its exact spectrum, which
-    can differ from an eigh of the state in the last bits.  A refine step
-    draws a share u and a Haar pure state psi from the stream seeded with
-    seed + 1 (see ``_refine_draws``) and proposes the state
-    (1 - w u) rho + (1 - Tr[(1 - w u) rho]) psi for the step's weight w.
+    window of refine proposals (see ``_climbs``).  The stack holds seeds
+    sigma +- t H along the two leading directions of the exact local floor
+    of eta_f (``_floor_seeds``), so where f''(1) is finite and positive and
+    sigma is not pure the estimate is at least that floor less the seeds'
+    O(t) and rounding losses (in tests, above 1 - 1e-4 of it).  Every input
+    and output is diagonalised for its NS rows, except the sigma-eigenbasis
+    segments of the stack, whose spectra ``_candidate_states`` gives in
+    closed form; where such a state wins, the value is that of its exact
+    spectrum, which can differ from an eigh of the state in the last bits.
+    Refine step k reads share u_k and Haar pure state psi_k of the stream
+    seeded with seed + 1 (see ``_refine_draws``) and proposes the state
+    (1 - w u_k) rho + (1 - Tr[(1 - w u_k) rho]) psi_k for the step's
+    weight w.
     """
     return _eta_estimate(channel, *_states(sigma, channel=channel), g, budget or QuantumBudget())
 
 
 def _eta_estimate(channel: KrausChannel, sigma: np.ndarray, g: Generator, budget):
     """``quantum_eta_estimate`` of a checked state, unchecked."""
+    refs = _spectral(sigma), _spectral(_apply(channel, sigma))
     if _quadratic(g):
-        T, e_in, l_in = _petz_chi2_form(channel, sigma)
+        T, e_in, l_in = _petz_form(channel, refs, _chi2_weights)
         return _second_singular_value_sq(T), _petz_witness(sigma, T, e_in, l_in)
-    ref_in, ref_out = _spectral(sigma), _spectral(_apply(channel, sigma))
+    ref_in, ref_out = refs
 
     def scores(states: np.ndarray, lam=None) -> np.ndarray:
         # lam: the spectra of states diagonal in sigma's eigenbasis
@@ -704,7 +733,7 @@ def _eta_estimate(channel: KrausChannel, sigma: np.ndarray, g: Generator, budget
         # no rebuild needed, _spectral clips the rounding below EIG_CLAMP
         return prop + (1.0 - trace)[:, np.newaxis, np.newaxis] * psi
 
-    cloud, seg_lam = _candidate_states(sigma, budget)
+    cloud, seg_lam = _candidate_states(sigma, budget, _floor_seeds(sigma, channel, refs, g)[1])
     block, haar = _block_rows(cloud), len(cloud) - len(seg_lam)
     cloud_scores = np.concatenate(
         [scores(cloud[s : min(s + block, haar)]) for s in range(0, haar, block)]
@@ -733,39 +762,81 @@ def petz_eta_chi2(channel: KrausChannel, sigma) -> float:
 
 def _petz_eta_chi2(channel: KrausChannel, sigma: np.ndarray) -> float:
     """``petz_eta_chi2`` of a checked state, unchecked."""
-    return _second_singular_value_sq(_petz_chi2_form(channel, sigma)[0])
+    refs = _spectral(sigma), _spectral(_apply(channel, sigma))
+    return _second_singular_value_sq(_petz_form(channel, refs, _chi2_weights)[0])
 
 
-def _petz_chi2_form(channel: KrausChannel, sigma: np.ndarray):
-    """(T, e_in, l_in): T = L_out^(1/2) S L_in^(-1/2) of ``petz_eta_chi2``,
+def _chi2_weights(mu: np.ndarray) -> np.ndarray:
+    """The Petz chi^2 weights (1/mu_i + 1/mu_j) / 2 of a positive spectrum."""
+    form = 0.5 / mu
+    return np.add.outer(form, form)
+
+
+def _f_weights(g: Generator, mu: np.ndarray) -> np.ndarray:
+    """The weights of the Petz D_f's second-order form at a positive
+    spectrum mu (Lesniewski and Ruskai 1999): D_f(sigma + e X || sigma) =
+    e^2 sum_ij w_ij |X_ij|^2 + O(e^3) in sigma's eigenbasis, with w_ij =
+    [mu_j f(mu_i/mu_j) + mu_i f(mu_j/mu_i)] / (2 (mu_i - mu_j)^2).  Where
+    mu_i and mu_j lie within _SERIES_GAP of each other, relative, that
+    quotient cancels; it is taken as its limit f''(1) (1/mu_i + 1/mu_j) / 4,
+    off by a relative O(gap^2) (f''(1) = 2 gives the chi^2 weights)."""
+    mi, mj = np.meshgrid(mu, mu, indexing="ij")
+    apart = np.abs(mi - mj) > _SERIES_GAP * np.maximum(mi, mj)
+    a, b = mi[apart], mj[apart]
+    # an f''(1) of 0 or inf gives weights that _petz_form refuses
+    with np.errstate(all="ignore"):
+        w = 0.25 * float(g.f2(1.0)) * (1.0 / mi + 1.0 / mj)
+        w[apart] = (b * g.f(a / b) + a * g.f(b / a)) / (2.0 * (a - b) ** 2)
+    return w
+
+
+def _petz_form(channel: KrausChannel, refs, weights):
+    """(T, e_in, l_in): T = L_out^(1/2) S L_in^(-1/2), with S the channel
+    from supp sigma to supp E(sigma) in their eigenbases, refs the
+    ``_spectral`` pairs of sigma and E(sigma) and L = ``weights(mu)`` of
+    each support's spectrum mu (``_chi2_weights`` for ``petz_eta_chi2``);
     the eigenvectors e_in of supp sigma and the weights L_in, whose entry
-    (i, j) in row-major order weighs X_ij of X = e_in Y e_in^dag."""
+    (i, j) in row-major order weighs X_ij of X = e_in Y e_in^dag.  None
+    where a weight is not finite and positive."""
 
-    def support(rho):
-        eigs, vecs = _spectral(rho)
+    def support(ref):
+        eigs, vecs = ref
         keep = eigs > 0.0
-        form = 0.5 / eigs[keep]
-        return vecs[:, keep], np.add.outer(form, form).ravel()
+        return vecs[:, keep], weights(eigs[keep]).ravel()
 
-    e_in, l_in = support(sigma)
-    e_out, l_out = support(_apply(channel, sigma))
+    (e_in, l_in), (e_out, l_out) = support(refs[0]), support(refs[1])
+    if not all(np.all(np.isfinite(l) & (l > 0.0)) for l in (l_in, l_out)):
+        return None
     # kron(A K B, conj(A K B)) = kron(A, conj A) kron(K, conj K) kron(B, conj B)
     left, right = np.kron(e_out.conj().T, e_out.T), np.kron(e_in, e_in.conj())
     S = left @ channel.superoperator() @ right
     return np.sqrt(l_out)[:, np.newaxis] * S / np.sqrt(l_in), e_in, l_in
 
 
+def _petz_direction(Z: np.ndarray, L: np.ndarray):
+    """(Y, root): a right singular vector Z of a ``_petz_form`` T, as a
+    k x k matrix in the coordinates of supp sigma, mapped back through its
+    weights L, scaled so that L_ii = 1/mu_i.  As the channel and the
+    weights commute with Y -> Y^dag, the Hermitian part of Z and its
+    anti-Hermitian part over i share its singular value; Y is the larger
+    one less its sigma component (Tr Y = 0), and root = sqrt(diag L).  The
+    state sigma + t e_in Y e_in^dag is positive exactly where 1 + t lambda
+    >= 0 at every eigenvalue lambda of root Y root."""
+    parts = (0.5 * (Z + Z.conj().T), -0.5j * (Z - Z.conj().T))
+    Y = max(parts, key=np.linalg.norm) / np.sqrt(L)
+    mu = 1.0 / np.diag(L)  # L_ii = 1 / mu_i
+    Y -= np.trace(Y).real / mu.sum() * np.diag(mu)
+    return Y, np.sqrt(np.diag(L))
+
+
 def _petz_witness(sigma: np.ndarray, T: np.ndarray, e_in: np.ndarray, l_in: np.ndarray):
     """A state sigma + t H whose Petz chi^2 ratio is the squared second
-    singular value of T (see ``_petz_chi2_form``), or None with a warning
-    when sigma is pure.  Y, the second right singular vector in the
-    coordinates of supp sigma, is mapped back through L_in; as the channel
-    and the weights commute with Y -> Y^dag, its Hermitian part and its
-    anti-Hermitian part over i share its singular value, and H is the
-    larger one less its sigma component (Tr H = 0).  The ratio does not
-    depend on t, taken as half the largest step that keeps the state
-    positive: with D = diag(mu) of supp sigma, t = 1 / (2 lambda_max(-D^(-1/2)
-    Y D^(-1/2)))."""
+    singular value of T (``_petz_form`` with ``_chi2_weights``), or None
+    with a warning when sigma is pure.  H = e_in Y e_in^dag with Y the
+    ``_petz_direction`` of the second right singular vector.  The ratio
+    does not depend on t, taken as half the largest step that keeps the
+    state positive: with D = diag(mu) of supp sigma, t = 1 / (2
+    lambda_max(-D^(-1/2) Y D^(-1/2)))."""
     k = e_in.shape[1]
     if k < 2:
         warnings.warn("no feasible input found; estimate 0")
@@ -773,15 +844,55 @@ def _petz_witness(sigma: np.ndarray, T: np.ndarray, e_in: np.ndarray, l_in: np.n
     # the phase from the upper triangle, as |Z_ij| = |Z_ji| up to rounding
     # when the singular value is simple
     Z = _second_right_vector(T, np.flatnonzero(np.triu(np.ones((k, k))))).reshape(k, k)
-    parts = (0.5 * (Z + Z.conj().T), -0.5j * (Z - Z.conj().T))
-    L = l_in.reshape(k, k)
-    Y = max(parts, key=np.linalg.norm) / np.sqrt(L)
-    mu = 1.0 / np.diag(L)  # L_ii = 1 / mu_i
-    Y -= np.trace(Y).real / mu.sum() * np.diag(mu)
-    root = np.sqrt(np.diag(L))
+    Y, root = _petz_direction(Z, l_in.reshape(k, k))
     t = 0.5 / np.linalg.eigvalsh(-root[:, np.newaxis] * Y * root)[-1]
     rho = sigma + t * (e_in @ Y @ e_in.conj().T)
     return 0.5 * (rho + rho.conj().T)
+
+
+def _floor_seeds(sigma: np.ndarray, channel: KrausChannel, refs, g: Generator):
+    """(floor, seeds): the exact local floor of the Petz eta_f at sigma and
+    the candidate states along its two leading directions.
+
+    With T = ``_petz_form`` of the f weights (``_f_weights``), sigma's
+    vector v0 = L_in^(1/2) vec(sigma) is a right singular vector of T of
+    value 1 for every f, and the ratio D_f(E(rho) || E(sigma)) /
+    D_f(rho || sigma) tends, as rho -> sigma along X = rho - sigma (Tr X =
+    0), to |T x|^2 / |x|^2, x = L_in^(1/2) vec(X).  So the sup of these
+    limits, the floor under eta_f, is the squared top singular value of T
+    off v0 (the squared second one of T when v0's value 1 is the top).
+    Each of its two leading right singular vectors gives a direction H
+    (``_petz_direction``) and the seeds sigma + t H and sigma - t H, t at
+    each of _SEED_FRACTIONS of the positivity limit on that side.  A pure
+    sigma, or an f whose weights are not all finite and positive (f''(1) =
+    0 or inf), gives (None, no seeds)."""
+    none = np.empty((0,) + sigma.shape, dtype=complex)
+    mu = refs[0][0][refs[0][0] > 0.0]
+    k = mu.size
+    form = _petz_form(channel, refs, partial(_f_weights, g)) if k > 1 else None
+    if form is None:
+        return None, none
+    T, e_in, l_in = form
+    v0 = np.sqrt(l_in) * np.diag(mu).ravel()
+    v0 /= np.linalg.norm(v0)
+    off = T - np.outer(T @ v0, v0)
+    _, s, vh = np.linalg.svd(off)
+    # v0 and every other vector of T's kernel have value 0 off v0: only the
+    # vectors of values above numpy's rank tolerance are directions
+    live = s[:2] > s[0] * max(off.shape) * np.finfo(float).eps
+    among = np.flatnonzero(np.triu(np.ones((k, k))))
+    L = l_in.reshape(k, k) / (0.5 * float(g.f2(1.0)))  # L_ii = 1 / mu_i
+    fractions = np.asarray(_SEED_FRACTIONS)
+    seeds = [none]
+    for z in vh[:2][live].conj():
+        Y, root = _petz_direction(_phase_fixed(z, among).reshape(k, k), L)
+        # Y != 0 and Tr Y = 0: lo < 0 < hi up to rounding
+        lo, hi = np.linalg.eigvalsh(root[:, np.newaxis] * Y * root)[[0, -1]]
+        if lo < 0.0 < hi:
+            t = np.concatenate([fractions / -lo, fractions / -hi])[:, np.newaxis, np.newaxis]
+            rho = sigma + t * (e_in @ Y @ e_in.conj().T)
+            seeds.append(0.5 * (rho + np.swapaxes(rho, -1, -2).conj()))
+    return float(s[0] ** 2), np.concatenate(seeds)
 
 
 def quantum_eta_bounds(

@@ -784,17 +784,17 @@ def _seeded_isometry(seed: int, d: int, n_kraus: int) -> list[np.ndarray]:
 GOLDEN_QUANTUM_REPORTS = {
     "amplitude-damping-kl": (
         lambda: _amplitude_damping(0.3, 0.8), "kl",
-        "59e885d7cc842ecea8191f7a1e387a30b7f4aac28e2710fdda19419e72c35950",
+        "e6662b4ca0dd9fc88f072c89bbbe4067f53667c362190cbfe252cab9acef0b39",
     ),
     "isometry4-reverse-kl": (
         lambda: _seeded_isometry(11, 4, 3), "reverse_kl",
-        "f5b122b3c1a07b912960580f1cc902142adfe39c94bb959e3c7cf9de0dbd6b6c",
+        "a2acf42e51fc19023d6d60a4bc5fc20bf6ed0d5dd27b9411917a0776331e3353",
     ),
     # f(0+) = +inf on a maximally mixed fixed point: NS rows with zeros take
     # the kernel's masked path
     "depolarizing4-reverse-kl": (
         lambda: list(depolarizing_channel(4, 0.5).kraus), "reverse_kl",
-        "58a260969fc43f94cf5ad6354902b584ebab5f74f181381320fd3832c9d5dfa0",
+        "5542b72d3c47ecb0945382c16a730f86371d2114d22959ce74cb31790d92e6ab",
     ),
 }
 
@@ -1042,13 +1042,14 @@ def test_analyze_chain_quadratic_generator_samples_nothing(tmp_path, capsys, mon
 
 def _quantum_report_calls(monkeypatch, capsys, channel_json, generator):
     """The report of quantum-analyze on ``channel_json`` with ``generator``
-    and the counts of its channel_structure, Petz eta_chi2 and candidate
-    cloud calls."""
+    and the counts of its channel_structure, Petz eta_chi2, floor seed and
+    candidate cloud calls."""
     from divlab import quantum
 
     calls = _count_calls(monkeypatch, {
         "_channel_structure": quantum._channel_structure,
         "_petz_eta_chi2": quantum._petz_eta_chi2,
+        "_floor_seeds": quantum._floor_seeds,
         "_candidate_states": quantum._candidate_states,
     })
     code = run(["quantum-analyze", "--channel", channel_json, "--generator", generator])
@@ -1062,7 +1063,8 @@ def _quantum_report_calls(monkeypatch, capsys, channel_json, generator):
 
 def test_quantum_analyze_solves_shared_pieces_once(embedded_bsc_json, capsys, monkeypatch):
     # one channel_structure and one exact Petz eta_chi2 per report, shared by
-    # the upper bounds and the mixing times
+    # the upper bounds and the mixing times, and one set of floor seeds and
+    # one candidate cloud for the sampled estimate
     report, calls = _quantum_report_calls(monkeypatch, capsys, embedded_bsc_json, "kl")
     assert calls == dict.fromkeys(calls, 1)
     assert report["results"]["contraction"]["eta_f_estimate"]["estimate_based"] is True
@@ -1074,7 +1076,8 @@ def test_quantum_analyze_quadratic_generator_samples_nothing(embedded_bsc_json, 
     # eta_f, and no candidate state is drawn
     report, calls = _quantum_report_calls(
         monkeypatch, capsys, embedded_bsc_json, "pearson_chi2")
-    assert calls == {"_channel_structure": 1, "_petz_eta_chi2": 1, "_candidate_states": 0}
+    assert calls == {"_channel_structure": 1, "_petz_eta_chi2": 1, "_floor_seeds": 0,
+                     "_candidate_states": 0}
     est = report["results"]["contraction"]["eta_f_estimate"]
     assert est["bound_id"] == "petz-eta-f-exact-chi2" and est["estimate_based"] is False
     assert est["value"] == report["results"]["mixing_time"]["eta_chi2_estimate"]

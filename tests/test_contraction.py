@@ -616,12 +616,22 @@ def quantum_eta_estimate_sequential(channel, sigma, g, budget):
         )
         return _ratio_scores(g, den, quantum._ns_rows(spectral(outputs), spectral(sigma_out)))
 
+    stream = None
+
     def propose(current, rng, weight):
-        prop = (1.0 - weight * rng.random()) * current
-        psi = quantum._pure_states(rng.normal(size=(1, 2, d)))[0]
+        # step k reads share k and Haar state k, drawn as two blocks
+        nonlocal stream
+        if stream is None:
+            steps = budget.refine_steps
+            stream = zip(rng.random(steps), rng.normal(size=(steps, 1, 2, d)))
+        u, raw = next(stream)
+        prop = (1.0 - weight * u) * current
+        psi = quantum._pure_states(raw)[0]
         return prop + (1.0 - np.trace(prop).real) * psi
 
-    cloud, _ = quantum._candidate_states(sigma, budget)
+    refs = spectral(sigma), spectral(sigma_out)
+    cloud, _ = quantum._candidate_states(
+        sigma, budget, quantum._floor_seeds(sigma, channel, refs, g)[1])
     # each segment a |f_i><f_i| + (1 - a) |f_j><f_j| between sigma's
     # eigenvectors f is scored from its spectrum a e_i + (1 - a) e_j; the
     # states before them through eigh

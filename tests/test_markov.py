@@ -81,30 +81,18 @@ def test_stationary_two_closed_classes_mix_uniformly():
     assert not st_.stationary_unique and np.array_equal(st_.stationary, pi)
 
 
-def test_stationary_invalid_eigenvector_takes_class_solve(monkeypatch):
-    # one closed class {0, 1} and two transient states; an eig whose
-    # eigenvalue-1 vector has mixed signs sends the solve to the class
-    from divlab import markov
-
+def test_stationary_closed_class_with_transient_states_is_exact():
+    # one closed class {0, 1} fed by two transient states: pi is the class's
+    # (4/7, 3/7) to 1e-15 and exactly zero on the transient states
     W = np.array([
         [0.7, 0.4, 0.2, 0.0],
         [0.3, 0.6, 0.0, 0.5],
         [0.0, 0.0, 0.5, 0.0],
         [0.0, 0.0, 0.3, 0.5],
     ])
-    want, unique = stationary_distribution(W)
-    assert unique and want == pytest.approx([4.0 / 7.0, 3.0 / 7.0, 0.0, 0.0], abs=1e-15)
-    eig = np.linalg.eig
-
-    def mixed_sign_eig(M):
-        vals, vecs = eig(M)
-        vecs[:, np.argmin(np.abs(vals - 1.0))] = [1.0, 1.0, -1.0, 0.0]
-        return vals, vecs
-
-    monkeypatch.setattr(markov.np.linalg, "eig", mixed_sign_eig)
     pi, unique = stationary_distribution(W)
     assert unique
-    assert pi == pytest.approx(want, abs=1e-15)
+    assert pi == pytest.approx([4.0 / 7.0, 3.0 / 7.0, 0.0, 0.0], abs=1e-15)
     assert pi[2] == 0.0 and pi[3] == 0.0
 
 

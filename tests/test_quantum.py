@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -35,8 +36,14 @@ from divlab.quantum import (
     replacer_channel,
     trace_distance,
     _EIGENBASIS_GRID,
+    _SEEDED_BLEND_WEIGHTS,
+    _SERIES_GAP,
     _candidate_states,
+    _chi2_weights,
+    _f_weights,
+    _floor_seeds,
     _ns_rows,
+    _petz_form,
     _pure_states,
     _refine_draws,
     _petz_chi2,
@@ -466,15 +473,18 @@ def haar_pure_sequential(d, rng):
     return np.outer(v, v.conj())
 
 
-def candidate_states_sequential(sigma, budget):
-    """Oracle for ``_candidate_states``: one Haar draw per pure state."""
+def candidate_states_sequential(sigma, budget, seeds):
+    """Oracle for ``_candidate_states``: one Haar draw per pure state, then
+    its blends toward sigma (the pure state itself and all of BLEND_WEIGHTS
+    where there are no seeds)."""
     d = sigma.shape[0]
     rng = np.random.default_rng(budget.seed)
-    w = np.asarray(BLEND_WEIGHTS)[:, np.newaxis, np.newaxis]
+    weights = _SEEDED_BLEND_WEIGHTS if len(seeds) else (0.0,) + BLEND_WEIGHTS
     out = []
     for _ in range(budget.n_samples):
         pure = haar_pure_sequential(d, rng)
-        out += [pure[np.newaxis], (1.0 - w) * pure + w * sigma]
+        out += [((1.0 - w) * pure + w * sigma)[np.newaxis] for w in weights]
+    out.append(seeds)
     v = _spectral(sigma)[1].T
     proj = v[:, :, np.newaxis] * v[:, np.newaxis, :].conj()
     a = np.linspace(0.0, 1.0, _EIGENBASIS_GRID)[:, np.newaxis, np.newaxis]
@@ -485,18 +495,19 @@ def candidate_states_sequential(sigma, budget):
 @pytest.mark.parametrize("d", [2, 3, 4, 8])
 @pytest.mark.parametrize("rank", ["full", "deficient"])
 def test_candidate_states_match_sequential_draws(d, rank):
-    for seed in (0, 1, 17, 2**31 - 1):
+    for seed, n_seeds in itertools.product((0, 1, 17, 2**31 - 1), (0, 3)):
         rng = np.random.default_rng(seed)
         sigma = random_state(rng, d, rank=d if rank == "full" else d - 1)
+        seeds = np.array([random_state(rng, d) for _ in range(n_seeds)]).reshape(-1, d, d)
         budget = QuantumBudget(seed=seed)
-        states, lam = _candidate_states(sigma, budget)
-        assert np.array_equal(states, candidate_states_sequential(sigma, budget))
+        states, lam = _candidate_states(sigma, budget, seeds)
+        assert np.array_equal(states, candidate_states_sequential(sigma, budget, seeds))
         assert lam.shape == (d * (d - 1) // 2 * _EIGENBASIS_GRID, d)
-        # the refine stream interleaves one share and one Haar state per step
+        # the refine stream: every step's share, then every step's Haar state
         u, raw = _refine_draws(np.random.default_rng(seed + 1), 8, d)
         psi, oracle = _pure_states(raw), np.random.default_rng(seed + 1)
+        assert np.array_equal(u, [oracle.random() for _ in range(8)])
         for k in range(8):
-            assert u[k] == oracle.random()
             assert np.array_equal(psi[k], haar_pure_sequential(d, oracle))
 
 
@@ -521,7 +532,7 @@ def test_segment_spectra_match_eigh(d, kind, registry):
         sigma = np.eye(d, dtype=complex) / d
     else:
         sigma = random_state(rng, d, rank=d if kind == "full" else d - 1)
-    states, lam = _candidate_states(sigma, QuantumBudget(n_samples=100))
+    states, lam = _candidate_states(sigma, QuantumBudget(n_samples=100), np.empty((0, d, d)))
     segments = states[len(states) - len(lam):]
     ref = _spectral(sigma)
     closed = _ns_rows((lam, ref[1]), ref)
@@ -936,3 +947,200 @@ def test_petz_eta_chi2_matches_generalized_eigenproblem(seed, d, k, kind):
     assert petz_eta_chi2(classical_embedding(W), np.diag(pi)) == pytest.approx(
         classical_eta_chi2(W, pi), abs=1e-10
     )
+
+
+# ---------------------------------------------------------------------------
+# the exact local floor under the sampled Petz estimates
+
+# generators with f''(1) finite and positive; the first four are operator
+# convex with a certified Pinsker constant, so they have upper bounds too
+_FLOOR_GENERATORS = ("kl", "reverse_kl", "squared_hellinger", "jensen_shannon",
+                     "hellinger:alpha=0.5", "neyman_chi2", "jeffrey", "triangular")
+
+
+def floor_sigma(rng, d, kind):
+    """A state of dimension d: full rank, rank d - 1 ("deficient"), or full
+    rank with two eigenvalues within a relative 1e-9 to 1e-2 ("near")."""
+    U = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0]
+    mu = rng.dirichlet(np.ones(d))
+    if kind == "deficient":
+        mu[rng.integers(d)] = 0.0
+    elif kind == "near":
+        i, j = rng.choice(d, 2, replace=False)
+        mu[j] = mu[i] * (1.0 + 10.0 ** rng.uniform(-9.0, -2.0))
+    sigma = (U * (mu / mu.sum())) @ U.conj().T
+    return 0.5 * (sigma + sigma.conj().T)
+
+
+def floor_refs(channel, sigma):
+    return _spectral(sigma), _spectral(apply_channel(channel, sigma))
+
+
+def petz_chi2_form_oracle(channel, sigma):
+    """The Petz chi^2 form (T, e_in, l_in) as built before the weight rule
+    was a parameter: ``petz_eta_chi2``'s matrix, bit for bit."""
+
+    def support(rho):
+        eigs, vecs = _spectral(rho)
+        keep = eigs > 0.0
+        form = 0.5 / eigs[keep]
+        return vecs[:, keep], np.add.outer(form, form).ravel()
+
+    e_in, l_in = support(sigma)
+    e_out, l_out = support(apply_channel(channel, sigma))
+    left, right = np.kron(e_out.conj().T, e_out.T), np.kron(e_in, e_in.conj())
+    S = left @ channel.superoperator() @ right
+    return np.sqrt(l_out)[:, np.newaxis] * S / np.sqrt(l_in), e_in, l_in
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.sampled_from([1, 2, 3, 4]),
+    rank=st.sampled_from(["full", "deficient"]),
+)
+@settings(max_examples=40, deadline=None)
+def test_floor_chi2_weights_give_the_chi2_form_bit_for_bit(seed, d, rank):
+    rng = np.random.default_rng(seed)
+    channel = random_kraus(rng, d, int(rng.integers(1, 4)))
+    sigma = random_state(rng, d, rank=d if rank == "full" or d == 1 else d - 1)
+    got = _petz_form(channel, floor_refs(channel, sigma), _chi2_weights)
+    for a, b in zip(got, petz_chi2_form_oracle(channel, sigma)):
+        assert np.array_equal(a, b)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.sampled_from([2, 3, 4]),
+    kind=st.sampled_from(["full", "near"]),
+    name=st.sampled_from(_FLOOR_GENERATORS),
+)
+@settings(max_examples=40, deadline=None)
+def test_floor_weights_match_finite_differences(seed, d, kind, name):
+    # D_f(sigma + e X || sigma) / e^2 -> sum_ij w_ij |X_ij|^2 in sigma's
+    # eigenbasis, with an O(e) error: at 1e-3 of the positivity limit it was
+    # at most 1e-3 over 4,000 draws (closer steps meet the divergences'
+    # rounding: up to 1.7e-3 at 1e-4 of the limit when mu_min ~ 4e-5)
+    rng = np.random.default_rng(seed)
+    sigma = floor_sigma(rng, d, kind)
+    g = from_spec(name)
+    mu, f = _spectral(sigma)
+    A = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    X = A + A.conj().T
+    X -= np.trace(X).real / d * np.eye(d)
+    # the step: a thousandth of the limit that keeps sigma + e X positive
+    root = 1.0 / np.sqrt(mu)
+    Xe = f.conj().T @ X @ f
+    e = 1e-3 / max(abs(np.linalg.eigvalsh(root[:, np.newaxis] * Xe * root)))
+    form = float(np.sum(_f_weights(g, mu) * np.abs(Xe) ** 2))
+    assert petz_f_divergence(g, sigma + e * X, sigma) / e**2 == pytest.approx(form, rel=3e-3)
+
+
+@pytest.mark.parametrize("name", _FLOOR_GENERATORS)
+def test_floor_series_branch_is_continuous_across_its_threshold(name):
+    # mu_1 = m (1 + delta) against mu_2 = m: the series limit
+    # f''(1) (1/mu_1 + 1/mu_2) / 4 just inside the relative gap _SERIES_GAP
+    # (|mu_1 - mu_2| <= gap mu_1) and the quotient just outside it agree to
+    # O(gap^2) and the quotient's cancellation, far below 1e-6
+    g = from_spec(name)
+    f2 = float(g.f2(1.0))
+
+    def series(a, b):
+        return 0.25 * f2 * (1.0 / a + 1.0 / b)
+
+    def quotient(a, b):
+        return (b * g.f(a / b) + a * g.f(b / a)) / (2.0 * (a - b) ** 2)
+
+    edge = _SERIES_GAP / (1.0 - _SERIES_GAP)  # delta = gap (1 + delta)
+    for m in (1e-9, 1e-3, 0.3):
+        a_in, a_out = m * (1.0 + edge * (1 - 1e-6)), m * (1.0 + edge * (1 + 1e-6))
+        w_in, w_out = _f_weights(g, np.array([a_in, m])), _f_weights(g, np.array([a_out, m]))
+        assert w_in[0, 1] == w_in[1, 0] == series(a_in, m)
+        assert w_out[0, 1] == w_out[1, 0] == quotient(a_out, m)
+        assert w_out[0, 1] == pytest.approx(series(a_out, m), rel=1e-6), m
+        assert w_in[0, 1] == pytest.approx(w_out[0, 1], rel=1e-6), m
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.sampled_from([2, 3, 4]),
+    kind=st.sampled_from(["full", "deficient", "near"]),
+    name=st.sampled_from(_FLOOR_GENERATORS),
+)
+@settings(max_examples=40, deadline=None)
+def test_floor_ratio_along_the_seed_direction_tends_to_the_floor(seed, d, kind, name):
+    # the first seed sits at 1e-3 of the positivity limit along the floor
+    # direction; at a fraction e of that limit the Petz ratio is the floor
+    # up to O(e), so its relative error shrinks about tenfold per decade of
+    # e, down to the divergences' rounding.  Over 3,000 draws the error was
+    # at most 100 e (neyman_chi2 at a near-degenerate sigma) and the
+    # rounding at most 1e-5 at e = 1e-3 and 1.2e-3 at e = 1e-4
+    rng = np.random.default_rng(seed)
+    channel = random_kraus(rng, d, int(rng.integers(1, 4)))
+    sigma = floor_sigma(rng, d, "full" if kind == "deficient" and d == 2 else kind)
+    g = from_spec(name)
+    floor, seeds = _floor_seeds(sigma, channel, floor_refs(channel, sigma), g)
+    X = (seeds[0] - sigma) / 1e-3
+    out = apply_channel(channel, sigma)
+    errors = []
+    for e in (1e-2, 1e-3, 1e-4):
+        rho = sigma + e * X
+        ratio = petz_f_divergence(g, apply_channel(channel, rho), out) / (
+            petz_f_divergence(g, rho, sigma))
+        errors.append(abs(ratio / floor - 1.0))
+    assert errors[1] <= 0.2 * errors[0] + 1e-4, errors
+    assert errors[2] <= min(0.2 * errors[0] + 2e-3, 2e-2), errors
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 5),
+    name=st.sampled_from(_FLOOR_GENERATORS),
+)
+@settings(max_examples=40, deadline=None)
+def test_floor_of_a_classical_embedding_is_eta_chi2(seed, n, name):
+    # classically every f has the metric f''(1) chi^2 / 2, and a diagonal
+    # sigma keeps the embedded channel's floor at eta_chi2(W, pi) (measured
+    # to 1.1e-15 over 600 channels)
+    rng = np.random.default_rng(seed)
+    W = rng.dirichlet(np.full(n, 0.6), size=n).T
+    pi, _ = stationary_distribution(W)
+    channel, sigma = classical_embedding(W), np.diag(pi).astype(complex)
+    floor, _ = _floor_seeds(sigma, channel, floor_refs(channel, sigma), from_spec(name))
+    assert floor == pytest.approx(classical_eta_chi2(W, pi), rel=0.0, abs=1e-14)
+
+
+@pytest.mark.parametrize("name", ["kl", "one_sided_chi2", "lins:theta=0", "chi_alpha:alpha=1.5"])
+@pytest.mark.parametrize("d", [2, 3])
+def test_floor_no_seeds_for_a_pure_sigma_or_f2_at_one_zero_or_infinite(name, d):
+    # kl on a pure sigma (supp sigma of dimension 1); f''(1) = 0
+    # (one_sided_chi2, lins at theta = 0) and f''(1) = inf (chi_alpha at
+    # alpha = 1.5) on a full-rank one: no seeds, and not a single warning
+    rng = np.random.default_rng(d)
+    channel = random_kraus(rng, d, 2)
+    sigma = random_state(rng, d, rank=1 if name == "kl" else d)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        floor, seeds = _floor_seeds(sigma, channel, floor_refs(channel, sigma), from_spec(name))
+    assert floor is None and seeds.shape == (0, d, d)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.sampled_from([2, 3, 4]),
+    kind=st.sampled_from(["full", "deficient", "near"]),
+    name=st.sampled_from(_FLOOR_GENERATORS),
+)
+@settings(max_examples=40, deadline=None)
+def test_floor_under_the_sampled_estimate_and_upper_bounds_over_it(seed, d, kind, name):
+    # (1 - 1e-4) floor <= estimate <= every upper bound + 1e-9
+    rng = np.random.default_rng(seed)
+    channel = random_kraus(rng, d, int(rng.integers(1, 4)))
+    sigma = floor_sigma(rng, d, "full" if kind == "deficient" and d == 2 else kind)
+    g = from_spec(name)
+    floor, _ = _floor_seeds(sigma, channel, floor_refs(channel, sigma), g)
+    est, witness = quantum_eta_estimate(channel, sigma, g, FAST)
+    assert est >= (1.0 - 1e-4) * floor
+    check_density_matrix(witness)
+    if g.operator_convex and g.pinsker_constant is not None:
+        for bound in quantum_eta_bounds(channel, sigma, g):
+            assert bound is None or est <= bound + 1e-9
