@@ -660,8 +660,11 @@ def _candidate_states(sigma: np.ndarray, budget: QuantumBudget, seeds: np.ndarra
 
     Next to the seeds no pure state supplied a winning start in 192
     measured estimates (d = 2 to 4, four generators), and the two blends
-    kept lowered none by more than 1.3 % against all nine; without seeds
-    the pure states and all nine blends do supply them."""
+    kept lowered none by more than 1.3 % against all nine.  Without seeds
+    the two blends alone lowered final estimates by 1.7 to 5.0 % on
+    average (chi_alpha at alpha = 1.5 and one_sided_chi2 on isometries;
+    jensen_shannon, squared_hellinger and reverse_kl at a pure sigma), well
+    beyond the climb's own spread, so that cloud keeps psi and all nine."""
     d = sigma.shape[0]
     rng = np.random.default_rng(budget.seed)
     pure = _pure_states(rng.normal(size=(budget.n_samples, 2, d)))[:, np.newaxis]
@@ -876,10 +879,12 @@ def _floor_seeds(sigma: np.ndarray, channel: KrausChannel, refs, g: Generator):
     v0 = np.sqrt(l_in) * np.diag(mu).ravel()
     v0 /= np.linalg.norm(v0)
     off = T - np.outer(T @ v0, v0)
-    _, s, vh = np.linalg.svd(off)
+    # at most min(off.shape) values: one where supp E(sigma) has one dimension
+    _, s, vh = np.linalg.svd(off, full_matrices=False)
     # v0 and every other vector of T's kernel have value 0 off v0: only the
-    # vectors of values above numpy's rank tolerance are directions
-    live = s[:2] > s[0] * max(off.shape) * np.finfo(float).eps
+    # vectors of values above numpy's rank tolerance at T's own scale
+    # (|T v0| = 1) are directions
+    live = s[:2] > max(s[0], 1.0) * max(off.shape) * np.finfo(float).eps
     among = np.flatnonzero(np.triu(np.ones((k, k))))
     L = l_in.reshape(k, k) / (0.5 * float(g.f2(1.0)))  # L_ii = 1 / mu_i
     fractions = np.asarray(_SEED_FRACTIONS)

@@ -682,6 +682,16 @@ def test_unknown_generator_is_a_key_and_a_value_error():
         divlab.from_spec("nope")
 
 
+@pytest.mark.parametrize("g", GENERATORS, ids=lambda g: g.label)
+def test_petz_estimate_on_a_one_dimensional_output_support(g):
+    # a replacer to a pure state at a full-rank sigma: the floor's SVD has
+    # one row, which once indexed two singular vectors and raised IndexError
+    args = (CHANNELS["replacer-pure"], _state(2, "full"), g)
+    out = divlab.quantum_eta_estimate(*args)
+    _nan_free(out)
+    _relations("quantum_eta_estimate", args, {}, out)
+
+
 def test_rectangular_eta_f_estimate_pads_rows():
     # 0 f(0/0) = 0: the estimate on a 2 x 3 channel is the estimate on it
     # with a zero output row appended

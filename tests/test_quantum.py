@@ -1124,6 +1124,31 @@ def test_floor_no_seeds_for_a_pure_sigma_or_f2_at_one_zero_or_infinite(name, d):
     assert floor is None and seeds.shape == (0, d, d)
 
 
+@pytest.mark.parametrize("kind", ["trace", "pure-replacer", "full-damping"])
+@pytest.mark.parametrize("name", ["kl", "reverse_kl", "jensen_shannon"])
+def test_floor_no_seeds_for_a_one_dimensional_output_support(kind, name):
+    # supp E(sigma) of dimension 1: T is a single row along sigma's own
+    # vector, so its value off that vector is rounding (below 1e-30 here),
+    # no seeds are built, and the estimate of a channel with constant
+    # output is 0
+    rng = np.random.default_rng(7)
+    d = 2 if kind == "full-damping" else 3
+    channel = {
+        "trace": lambda: KrausChannel(kraus=tuple(np.eye(d)[i : i + 1] for i in range(d))),
+        "pure-replacer": lambda: replacer_channel(random_state(rng, d, rank=1)),
+        # amplitude damping at gamma = 1: every state to |0><0|
+        "full-damping": lambda: KrausChannel(
+            kraus=(np.diag([1.0, 0.0]), np.array([[0.0, 1.0], [0.0, 0.0]]))),
+    }[kind]()
+    sigma = random_state(rng, d)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        floor, seeds = _floor_seeds(sigma, channel, floor_refs(channel, sigma), from_spec(name))
+        est, _ = quantum_eta_estimate(channel, sigma, from_spec(name), FAST)
+    assert 0.0 <= floor < 1e-30 and seeds.shape == (0, d, d)
+    assert est == 0.0
+
+
 @given(
     seed=st.integers(0, 2**32 - 1),
     d=st.sampled_from([2, 3, 4]),
