@@ -1,9 +1,10 @@
 """Input-dependent contraction coefficients and Markov-chain rate machinery.
 
 eta_chi2 is exact (squared second singular value of the normalized joint
-matrix).  For a quadratic generator (f'' constant and positive) D_f is
-f''(1)/2 chi^2 on probability vectors, so eta_f is eta_chi2 exactly and is
-read off the same SVD, with the second right singular vector as witness.
+matrix, from ``_metric_eta``, the engine of every exact chi^2 coefficient).
+For a quadratic generator (f'' constant and positive) D_f is f''(1)/2 chi^2
+on probability vectors, so eta_f is eta_chi2 exactly, with its singular
+vector as witness.
 Any other eta_f is estimated from below by sampling the simplex (exhaustive
 1-D grid on binary alphabets).  Every eta_f is bounded from above by the
 nonlinear kappa-based bound and, for generators with (f(t)-f(0))/t concave,
@@ -81,7 +82,8 @@ def eta_chi2(W, q) -> float:
     """Exact input-dependent chi-squared contraction coefficient.
 
     Builds the joint distribution of input q and output Wq, normalizes by the
-    square-rooted marginals, and returns the squared second singular value.
+    square-rooted marginals, and returns the squared second singular value,
+    0 at rounding level (``_metric_eta``).
     """
     return _eta_chi2(*_channel(W, q))
 
@@ -91,53 +93,51 @@ def _eta_chi2(W: np.ndarray, q: np.ndarray) -> float:
     if int(np.sum(q > 0.0)) <= 1:
         warnings.warn("degenerate reference (all mass on one symbol); eta = 0")
         return 0.0
-    return _second_singular_value_sq(_normalized_joint(W, q)[0])
+    return _metric_eta(*_normalized_joint(W, q)[:2])
 
 
-def _normalized_joint(W: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _normalized_joint(W: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The joint of input q and output Wq over supp q and supp Wq, divided
-    by the square-rooted marginals, and the indices of supp q."""
+    by the square-rooted marginals, its right singular vector sqrt(q) of
+    value 1 and the indices of supp q."""
     out = W @ q
     x_keep = np.flatnonzero(q > 0.0)
     y_keep = np.flatnonzero(out > 0.0)
     joint = W[np.ix_(y_keep, x_keep)] * q[x_keep][np.newaxis, :]
     norm = np.sqrt(np.outer(out[y_keep], q[x_keep]))
-    return joint / norm, x_keep
+    return joint / norm, np.sqrt(q[x_keep]), x_keep
 
 
-def _second_singular_value_sq(M: np.ndarray) -> float:
-    """Squared second singular value of M clipped to [0, 1]; 0 when M has
-    fewer than two singular values or the second is at most numpy's rank
-    tolerance s_1 max(M.shape) eps.  Below it the value is rounding noise of
-    the SVD, which a root eta(W^n)^(1/n) would lift far above eta(W)."""
-    s = np.linalg.svd(M, compute_uv=False)
-    if s.size < 2 or s[1] <= s[0] * max(M.shape) * np.finfo(float).eps:
-        return 0.0
-    return float(min(max(s[1] ** 2, 0.0), 1.0))
-
-
-def _second_right_vector(M: np.ndarray, among=slice(None), off=None) -> np.ndarray:
-    """The second right singular vector of M, which has at least two
-    columns, with the phase that makes its first entry of largest modulus
-    ``among`` the given indices real and positive, so that it does not
-    depend on the LAPACK build.  When the second singular value is
-    repeated, the vector LAPACK picks may vanish on those indices; its
-    first entry of largest modulus overall then sets the phase.  With one
-    row, M's null space supplies it.
-
-    ``off`` is a real unit right singular vector of the top value.  Where
-    the top value is repeated (s_2 = s_1 to numpy's rank tolerance), the
-    second vector need not be orthogonal to it, so it is taken less its
-    ``off`` component, or the first vector is where the second lies mostly
-    along ``off``, and normalised.  Elsewhere ``off`` changes nothing."""
-    _, s, vh = np.linalg.svd(M, full_matrices=M.shape[0] < 2)
-    v = vh[1].conj()
-    repeated = s.size > 1 and s[0] - s[1] <= s[0] * max(M.shape) * np.finfo(float).eps
-    if off is not None and repeated:
-        w = vh[1] if abs(off @ vh[1]) ** 2 <= 0.5 else vh[0]
-        v = (w - (off @ w) * off).conj()
-        v /= np.linalg.norm(v)
-    return _phase_fixed(v, among)
+def _metric_eta(T: np.ndarray, v0: np.ndarray, among=None):
+    """The squared top singular value of T off v0, a real right singular
+    vector of value 1 (normalised here): sqrt(q) for ``_normalized_joint``,
+    L_in^(1/2) vec(sigma) for ``quantum._petz_form``.  v0 is deflated away,
+    T - (T v0) v0^T, so a repeated top value needs no case of its own.  A
+    value at most max(s_0, 1) max(T.shape) eps (s_0 the top one off v0) is
+    SVD rounding, which a root eta(W^n)^(1/n) would lift far above eta(W),
+    and counts as 0.  Alone the value is from the values-only SVD, clipped
+    to 1 as a chi^2 coefficient is; with ``among``, (value, vectors) from
+    the SVD with vectors, which rounds differently, unclipped (the Petz
+    floor of an f that is not operator convex can exceed 1).  vectors are
+    the right singular vectors of the top two values above the rule, with
+    ``_phase_fixed``'s phase ``among`` those indices, or, where there are
+    none and every direction attains 0, one unit vector orthogonal to v0:
+    the coordinate vector where v0 is smallest less its v0 component."""
+    v0 = v0 / np.linalg.norm(v0)
+    off = T - np.outer(T @ v0, v0)
+    eps = max(off.shape) * np.finfo(float).eps
+    if among is None:
+        s0 = np.linalg.svd(off, compute_uv=False)[0]
+        return float(min(s0**2, 1.0)) if s0 > max(s0, 1.0) * eps else 0.0
+    _, s, vh = np.linalg.svd(off, full_matrices=False)
+    live = s[:2] > max(s[0], 1.0) * eps
+    vectors = [_phase_fixed(v, among) for v in vh[:2][live].conj()]
+    if not vectors:
+        i = int(np.argmin(np.abs(v0)))
+        v = -v0[i] * v0
+        v[i] += 1.0
+        vectors = [_phase_fixed(v / np.linalg.norm(v), among)]
+    return (float(s[0] ** 2) if live[0] else 0.0), vectors
 
 
 def _phase_fixed(v: np.ndarray, among=slice(None)) -> np.ndarray:
@@ -162,19 +162,17 @@ def _chi2_estimates(Ws: list[np.ndarray], q: np.ndarray, eta1: float | None = No
     """``eta_f_estimate(W, q, g)`` of a quadratic g for every validated
     channel W of ``Ws``: the exact eta_chi2(W, q), ``eta1`` for Ws[0] when
     given.  Only Ws[0] gets a witness (None for the others): p = q + t X
-    with X = sqrt(q) v2 on supp q, v2 the second right singular vector of
-    the normalized joint orthogonal to its top one sqrt(q) (see
-    ``_second_right_vector``), whose chi^2 ratio is eta_chi2 for every t;
-    t is half the largest step that keeps p >= 0.  A reference with one
-    symbol of mass gives (0, None) and the warning of eta_chi2."""
+    with X = sqrt(q) v on supp q, v the normalized joint's right singular
+    vector off sqrt(q) (``_metric_eta``), whose chi^2 ratio is eta_chi2 for
+    every t; t is half the largest step that keeps p >= 0.  A reference
+    with one symbol of mass gives (0, None) and the warning of eta_chi2."""
     etas = [eta1 if eta1 is not None else _eta_chi2(Ws[0], q)]
     etas += [_eta_chi2(W, q) for W in Ws[1:]]
     witness = None
     if int(np.sum(q > 0.0)) > 1:
-        M, x_keep = _normalized_joint(Ws[0], q)
-        root = np.sqrt(q[x_keep])
+        M, root, x_keep = _normalized_joint(Ws[0], q)
         X = np.zeros_like(q)
-        X[x_keep] = root * _second_right_vector(M, off=root)
+        X[x_keep] = root * _metric_eta(M, root, slice(None))[1][0]
         down = X < 0.0
         witness = q + 0.5 * float(np.min(q[down] / -X[down])) * X
         witness /= witness.sum()

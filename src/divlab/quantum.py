@@ -16,7 +16,9 @@ that exact one too; other contraction coefficients are sampled lower
 estimates, scored net of their rounding bound.  One form builder serves
 both: the exact coefficient with the chi^2 weights, and with the weights of
 the Petz D_f's second-order form the exact local floor under eta_f, along
-whose directions the sampled estimates are seeded.
+whose directions the sampled estimates are seeded, both from the classical
+engine ``contraction._metric_eta``; one builder turns its singular vectors
+into states: the seeds and the quadratic witness.
 """
 
 from __future__ import annotations
@@ -38,12 +40,10 @@ from .contraction import (
     _climbs,
     _empirical_mixing,
     _linear_coeff,
+    _metric_eta,
     _mixing_times,
-    _phase_fixed,
     _quadratic,
     _ratio_scores,
-    _second_right_vector,
-    _second_singular_value_sq,
     _upper_bounds,
 )
 from .divergence import SUPPORT_EPSILON, _as_count, _divergence_rows
@@ -690,8 +690,8 @@ def quantum_eta_estimate(
 
     For a quadratic generator (f'' constant and positive) the value is
     exact: ``petz_eta_chi2(channel, sigma)`` bit for bit, with the witness
-    sigma + t H along the second singular direction (see ``_petz_witness``);
-    the budget is not used.
+    sigma + t H along its singular direction, at 1/2 of the positivity
+    limit (``_along``); the budget is not used.
 
     Otherwise it is sampled: it scores D_f(E(rho) || E(sigma)) /
     D_f(rho || sigma) on NS rows with the classical scorer, net of its
@@ -717,8 +717,13 @@ def _eta_estimate(channel: KrausChannel, sigma: np.ndarray, g: Generator, budget
     """``quantum_eta_estimate`` of a checked state, unchecked."""
     refs = _spectral(sigma), _spectral(_apply(channel, sigma))
     if _quadratic(g):
-        T, e_in, l_in = _petz_form(channel, refs, _chi2_weights)
-        return _second_singular_value_sq(T), _petz_witness(sigma, T, e_in, l_in)
+        T, e_in, l_in, v0 = _petz_form(channel, refs, _chi2_weights)
+        eta, k = _metric_eta(T, v0), e_in.shape[1]
+        if k < 2:
+            warnings.warn("no feasible input found; estimate 0")
+            return eta, None
+        Z = _metric_eta(T, v0, _upper(k))[1][0].reshape(k, k)
+        return eta, _along(sigma, Z, e_in, l_in.reshape(k, k), (0.5,))[0]
     ref_in, ref_out = refs
 
     def scores(states: np.ndarray, lam=None) -> np.ndarray:
@@ -758,7 +763,8 @@ def petz_eta_chi2(channel: KrausChannel, sigma) -> float:
     eigenbasis of sigma with entries (1/mu_i + 1/mu_j) / 2 (L_in).  With S
     the channel from supp sigma to supp E(sigma) in the two eigenbases, the
     coefficient is the squared second singular value of
-    L_out^(1/2) S L_in^(-1/2); the top one, 1, belongs to X = sigma.
+    L_out^(1/2) S L_in^(-1/2); the top one, 1, belongs to X = sigma
+    (``contraction._metric_eta``, 0 at rounding level).
     """
     return _petz_eta_chi2(channel, *_states(sigma, channel=channel))
 
@@ -766,7 +772,8 @@ def petz_eta_chi2(channel: KrausChannel, sigma) -> float:
 def _petz_eta_chi2(channel: KrausChannel, sigma: np.ndarray) -> float:
     """``petz_eta_chi2`` of a checked state, unchecked."""
     refs = _spectral(sigma), _spectral(_apply(channel, sigma))
-    return _second_singular_value_sq(_petz_form(channel, refs, _chi2_weights)[0])
+    T, _, _, v0 = _petz_form(channel, refs, _chi2_weights)
+    return _metric_eta(T, v0)
 
 
 def _chi2_weights(mu: np.ndarray) -> np.ndarray:
@@ -794,63 +801,58 @@ def _f_weights(g: Generator, mu: np.ndarray) -> np.ndarray:
 
 
 def _petz_form(channel: KrausChannel, refs, weights):
-    """(T, e_in, l_in): T = L_out^(1/2) S L_in^(-1/2), with S the channel
-    from supp sigma to supp E(sigma) in their eigenbases, refs the
+    """(T, e_in, l_in, v0): T = L_out^(1/2) S L_in^(-1/2), with S the
+    channel from supp sigma to supp E(sigma) in their eigenbases, refs the
     ``_spectral`` pairs of sigma and E(sigma) and L = ``weights(mu)`` of
     each support's spectrum mu (``_chi2_weights`` for ``petz_eta_chi2``);
-    the eigenvectors e_in of supp sigma and the weights L_in, whose entry
-    (i, j) in row-major order weighs X_ij of X = e_in Y e_in^dag.  None
-    where a weight is not finite and positive."""
+    the eigenvectors e_in of supp sigma, the weights L_in, whose entry
+    (i, j) in row-major order weighs X_ij of X = e_in Y e_in^dag, and
+    sigma's vector L_in^(1/2) vec(diag mu), of value 1 for every weight
+    rule (unnormalised).  None where a weight is not finite and positive."""
 
     def support(ref):
         eigs, vecs = ref
         keep = eigs > 0.0
-        return vecs[:, keep], weights(eigs[keep]).ravel()
+        return vecs[:, keep], weights(eigs[keep]).ravel(), eigs[keep]
 
-    (e_in, l_in), (e_out, l_out) = support(refs[0]), support(refs[1])
+    (e_in, l_in, mu), (e_out, l_out, _) = support(refs[0]), support(refs[1])
     if not all(np.all(np.isfinite(l) & (l > 0.0)) for l in (l_in, l_out)):
         return None
     # kron(A K B, conj(A K B)) = kron(A, conj A) kron(K, conj K) kron(B, conj B)
     left, right = np.kron(e_out.conj().T, e_out.T), np.kron(e_in, e_in.conj())
     S = left @ channel.superoperator() @ right
-    return np.sqrt(l_out)[:, np.newaxis] * S / np.sqrt(l_in), e_in, l_in
+    T = np.sqrt(l_out)[:, np.newaxis] * S / np.sqrt(l_in)
+    return T, e_in, l_in, np.sqrt(l_in) * np.diag(mu).ravel()
 
 
-def _petz_direction(Z: np.ndarray, L: np.ndarray):
-    """(Y, root): a right singular vector Z of a ``_petz_form`` T, as a
-    k x k matrix in the coordinates of supp sigma, mapped back through its
-    weights L, scaled so that L_ii = 1/mu_i.  As the channel and the
-    weights commute with Y -> Y^dag, the Hermitian part of Z and its
-    anti-Hermitian part over i share its singular value; Y is the larger
-    one less its sigma component (Tr Y = 0), and root = sqrt(diag L).  The
-    state sigma + t e_in Y e_in^dag is positive exactly where 1 + t lambda
-    >= 0 at every eigenvalue lambda of root Y root."""
+def _upper(k: int) -> np.ndarray:
+    """The row-major indices of the upper triangle of a k x k matrix, which
+    fix a direction's phase, as |Z_ij| = |Z_ji| up to rounding."""
+    return np.flatnonzero(np.triu(np.ones((k, k))))
+
+
+def _along(sigma: np.ndarray, Z: np.ndarray, e_in: np.ndarray, L: np.ndarray, fractions):
+    """The states sigma + t H, t at each of ``fractions`` of the positivity
+    limit on the + side, then on the - side, along a right singular vector
+    Z of a ``_petz_form`` T as a k x k matrix on supp sigma, with weights L
+    scaled so that L_ii = 1/mu_i.  The channel and the weights commute with
+    Y -> Y^dag, so Z's Hermitian part and its anti-Hermitian part over i
+    share its value: H = e_in Y e_in^dag, Y the larger one through L less
+    its sigma component (Tr Y = 0), and a state is positive where 1 + t lam
+    >= 0 at each eigenvalue lam of D^(-1/2) Y D^(-1/2), D = diag(mu)."""
     parts = (0.5 * (Z + Z.conj().T), -0.5j * (Z - Z.conj().T))
     Y = max(parts, key=np.linalg.norm) / np.sqrt(L)
     mu = 1.0 / np.diag(L)  # L_ii = 1 / mu_i
     Y -= np.trace(Y).real / mu.sum() * np.diag(mu)
-    return Y, np.sqrt(np.diag(L))
-
-
-def _petz_witness(sigma: np.ndarray, T: np.ndarray, e_in: np.ndarray, l_in: np.ndarray):
-    """A state sigma + t H whose Petz chi^2 ratio is the squared second
-    singular value of T (``_petz_form`` with ``_chi2_weights``), or None
-    with a warning when sigma is pure.  H = e_in Y e_in^dag with Y the
-    ``_petz_direction`` of the second right singular vector.  The ratio
-    does not depend on t, taken as half the largest step that keeps the
-    state positive: with D = diag(mu) of supp sigma, t = 1 / (2
-    lambda_max(-D^(-1/2) Y D^(-1/2)))."""
-    k = e_in.shape[1]
-    if k < 2:
-        warnings.warn("no feasible input found; estimate 0")
-        return None
-    # the phase from the upper triangle, as |Z_ij| = |Z_ji| up to rounding
-    # when the singular value is simple
-    Z = _second_right_vector(T, np.flatnonzero(np.triu(np.ones((k, k))))).reshape(k, k)
-    Y, root = _petz_direction(Z, l_in.reshape(k, k))
-    t = 0.5 / np.linalg.eigvalsh(-root[:, np.newaxis] * Y * root)[-1]
+    root = np.sqrt(np.diag(L))
+    # Y != 0 and Tr Y = 0: lo < 0 < hi up to rounding
+    lo, hi = np.linalg.eigvalsh(root[:, np.newaxis] * Y * root)[[0, -1]]
+    if not lo < 0.0 < hi:
+        return np.empty((0,) + sigma.shape, dtype=complex)
+    f = np.asarray(fractions)[:, np.newaxis, np.newaxis]
+    t = np.concatenate([f / -lo, f / -hi])
     rho = sigma + t * (e_in @ Y @ e_in.conj().T)
-    return 0.5 * (rho + rho.conj().T)
+    return 0.5 * (rho + np.swapaxes(rho, -1, -2).conj())
 
 
 def _floor_seeds(sigma: np.ndarray, channel: KrausChannel, refs, g: Generator):
@@ -858,46 +860,27 @@ def _floor_seeds(sigma: np.ndarray, channel: KrausChannel, refs, g: Generator):
     the candidate states along its two leading directions.
 
     With T = ``_petz_form`` of the f weights (``_f_weights``), sigma's
-    vector v0 = L_in^(1/2) vec(sigma) is a right singular vector of T of
-    value 1 for every f, and the ratio D_f(E(rho) || E(sigma)) /
-    D_f(rho || sigma) tends, as rho -> sigma along X = rho - sigma (Tr X =
-    0), to |T x|^2 / |x|^2, x = L_in^(1/2) vec(X).  So the sup of these
-    limits, the floor under eta_f, is the squared top singular value of T
-    off v0 (the squared second one of T when v0's value 1 is the top).
-    Each of its two leading right singular vectors gives a direction H
-    (``_petz_direction``) and the seeds sigma + t H and sigma - t H, t at
-    each of _SEED_FRACTIONS of the positivity limit on that side.  A pure
-    sigma, or an f whose weights are not all finite and positive (f''(1) =
-    0 or inf), gives (None, no seeds)."""
+    vector v0 is a right singular vector of T of value 1 for every f, and
+    the ratio D_f(E(rho) || E(sigma)) / D_f(rho || sigma) tends, as rho ->
+    sigma along X = rho - sigma (Tr X = 0), to |T x|^2 / |x|^2, x =
+    L_in^(1/2) vec(X).  So the sup of these limits, the floor under eta_f,
+    is the squared top singular value of T off v0 (``_metric_eta``).  Each
+    of its two leading right singular vectors gives the seeds sigma +- t H,
+    t at each of _SEED_FRACTIONS of the positivity limit on that side
+    (``_along``); a floor of 0 gives none.  A pure sigma, or an f whose
+    weights are not all finite and positive (f''(1) = 0 or inf), gives
+    (None, no seeds)."""
     none = np.empty((0,) + sigma.shape, dtype=complex)
-    mu = refs[0][0][refs[0][0] > 0.0]
-    k = mu.size
+    k = int(np.sum(refs[0][0] > 0.0))
     form = _petz_form(channel, refs, partial(_f_weights, g)) if k > 1 else None
     if form is None:
         return None, none
-    T, e_in, l_in = form
-    v0 = np.sqrt(l_in) * np.diag(mu).ravel()
-    v0 /= np.linalg.norm(v0)
-    off = T - np.outer(T @ v0, v0)
-    # at most min(off.shape) values: one where supp E(sigma) has one dimension
-    _, s, vh = np.linalg.svd(off, full_matrices=False)
-    # v0 and every other vector of T's kernel have value 0 off v0: only the
-    # vectors of values above numpy's rank tolerance at T's own scale
-    # (|T v0| = 1) are directions
-    live = s[:2] > max(s[0], 1.0) * max(off.shape) * np.finfo(float).eps
-    among = np.flatnonzero(np.triu(np.ones((k, k))))
+    T, e_in, l_in, v0 = form
+    floor, vectors = _metric_eta(T, v0, _upper(k))
     L = l_in.reshape(k, k) / (0.5 * float(g.f2(1.0)))  # L_ii = 1 / mu_i
-    fractions = np.asarray(_SEED_FRACTIONS)
-    seeds = [none]
-    for z in vh[:2][live].conj():
-        Y, root = _petz_direction(_phase_fixed(z, among).reshape(k, k), L)
-        # Y != 0 and Tr Y = 0: lo < 0 < hi up to rounding
-        lo, hi = np.linalg.eigvalsh(root[:, np.newaxis] * Y * root)[[0, -1]]
-        if lo < 0.0 < hi:
-            t = np.concatenate([fractions / -lo, fractions / -hi])[:, np.newaxis, np.newaxis]
-            rho = sigma + t * (e_in @ Y @ e_in.conj().T)
-            seeds.append(0.5 * (rho + np.swapaxes(rho, -1, -2).conj()))
-    return float(s[0] ** 2), np.concatenate(seeds)
+    seeds = [_along(sigma, z.reshape(k, k), e_in, L, _SEED_FRACTIONS)
+             for z in (vectors if floor > 0.0 else ())]
+    return floor, np.concatenate([none] + seeds)
 
 
 def quantum_eta_bounds(

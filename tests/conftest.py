@@ -58,3 +58,23 @@ def operator_convex_registry(registry):
         make_generator("renyi_gain", alpha=-1.0),
         make_generator("hellinger", alpha=0.75),
     ]
+
+
+def check_against_values_only_route(eta, T):
+    """An exact coefficient eta of ``contraction._metric_eta`` against the
+    values-only route it replaced: the squared second singular value of T,
+    0 at or below s_1 max(T.shape) eps.  sqrt(eta) is within 16 eps of that
+    second value, and both give the same zero or non-zero verdict, except
+    where the value lies within a factor 2 of either rule's tolerance (s_1
+    max(T.shape) eps, against max(s_0, 1) max(T.shape) eps off T's top
+    vector, s_0 <= 1)."""
+    eps = np.finfo(float).eps
+    s = np.linalg.svd(T, compute_uv=False)
+    second = s[1] if s.size > 1 else 0.0
+    tol = s[0] * max(T.shape) * eps
+    old = min(second, 1.0) if second > tol else 0.0
+    new = np.sqrt(eta)
+    if (old == 0.0) == (new == 0.0):
+        assert abs(new - old) <= 16 * eps, (new, old)
+    else:
+        assert max(new, second) <= 2.0 * max(tol, max(T.shape) * eps), (new, second, tol)

@@ -590,7 +590,7 @@ def test_report_round_trips_losslessly(bsc_csv, capsys):
     report = _load_json(capsys.readouterr().out)
     # 17 significant digits round-trip float64 exactly
     value = report["results"]["contraction"]["eta_chi2"]["value"]
-    assert value == 0.15999999999999992
+    assert value == 0.15999999999999998
 
 
 def test_dumps_report_formats():
@@ -710,11 +710,11 @@ def _sparse_chain_csv(seed: int, n: int) -> str:
 GOLDEN_REPORTS = {
     "bsc03-kl": (
         "0.7,0.3\n0.3,0.7\n", "kl",
-        "afacc5307efec933c70ee84791ac02414eea15c91c3e94675b4bc293da0162f6",
+        "21c4b7afdfb45939d514e51f33364566859affe11fc581bf7c418024651d010f",
     ),
     "asym-pearson": (
         "0.7,0.4\n0.3,0.6\n", "pearson_chi2",
-        "70574566d2cfc3696cb48c6a088c9e767df9251d43b09de82b5714416b1de184",
+        "97bd0a8a119d27f1f6ac71d88dd16a485707f41e36bd420b3fed9f2de87fcc57",
     ),
     "zero-pi-kl": (
         "0.5,0,0\n0.5,0.6,0.3\n0,0.4,0.7\n", "kl",
@@ -722,12 +722,12 @@ GOLDEN_REPORTS = {
     ),
     "typewriter-hellinger": (
         "0.5,0.5,0,0\n0,0.5,0.5,0\n0,0,0.5,0.5\n0.5,0,0,0.5\n", "squared_hellinger",
-        "9dfda4bdf83cd222174c1c45efec4a15fcc785a1124b530be4bc1275b12a837a",
+        "a7ffc48c6e8a014337cfc5590be76788016cbb7b00abec4bfa50222b2b7db055",
     ),
     # f(0+) = +inf: the grid endpoints take the boundary path on short rows
     "asym-reverse-kl": (
         "0.8,0.25\n0.2,0.75\n", "reverse_kl",
-        "fe2671de3dcd59d2f778a969dafbc1991b5368dc0b2242674c8c4d0e7deac937",
+        "5d8818bbd892e3153f6ff4604dc63583f22f019c842df56493d442b104c1b321",
     ),
     # 64 states: 64-wide score blocks, climb windows that start at vertices
     # (zeros in P) and mixing scans of many steps
@@ -788,13 +788,13 @@ GOLDEN_QUANTUM_REPORTS = {
     ),
     "isometry4-reverse-kl": (
         lambda: _seeded_isometry(11, 4, 3), "reverse_kl",
-        "a2acf42e51fc19023d6d60a4bc5fc20bf6ed0d5dd27b9411917a0776331e3353",
+        "f8b7deb00387ce1db927ae8bf4e6853e65fc0d711623c04195279a00528308df",
     ),
     # f(0+) = +inf on a maximally mixed fixed point: NS rows with zeros take
     # the kernel's masked path
     "depolarizing4-reverse-kl": (
         lambda: list(depolarizing_channel(4, 0.5).kraus), "reverse_kl",
-        "5542b72d3c47ecb0945382c16a730f86371d2114d22959ce74cb31790d92e6ab",
+        "02d3e96d0f58c254aa06284d55a31ede6843fba0104306db0d43b3f05df53be4",
     ),
 }
 
@@ -835,14 +835,14 @@ def _blank_sampled(node, key=None):
 # change to how the estimates sample is checked against all the rest
 MASKED_GOLDEN_DIGESTS = {
     "asym-pearson": "cc225ed753dca60f0cb059f5329af97fff6bdf4e67fa5f034972007fac377a4c",
-    "asym-reverse-kl": "89a13d833556744a723d4225b64eb1c736cf9da1bc9d3eda1f29314801a069bf",
-    "bsc03-kl": "31edb4e8fdafe68f552bff1a38d4e609d8d00183d725710af2a16a071072ffaa",
+    "asym-reverse-kl": "0c1c6fd041785e79604efae286aa04690104c2d7722742ad13ecb541a77e40c4",
+    "bsc03-kl": "fa0c70f96a99e9a32774364eb7de5f07eca272543d48f7d63c6f1eac2687f5db",
     "sparse64-kl": "18feae150c102550a04516a5898e531050c92a3154c04dd2db98564173feb569",
-    "typewriter-hellinger": "1d005b5aac1aede016bf73c7857dadeba6c6c190ce5ed81763dfb7d7a68435dd",
+    "typewriter-hellinger": "21e3f0ff970e443e3af870716e66125fa91e91a201c6a29201544024e42b40ef",
     "zero-pi-kl": "f7c7657adee362cfddbcb5ec41e042dd2d1a0c3889f12b789b67f7a117c4190c",
     "amplitude-damping-kl": "af4af76e83b0907d39715ec3319be722d9acc4dff5338bd8324c2bfff7010091",
-    "depolarizing4-reverse-kl": "b755d95520814131fa28fe65280020fd150a507f5e93b901fac3c6b3623d9505",
-    "isometry4-reverse-kl": "b911926838be4d3bf153f467e771f754a3d6f66427a287bc8ffa81536ce280b7",
+    "depolarizing4-reverse-kl": "2b7dfdff52d646c7815aeff556ff4c33483bdf54a3ab6c7f59f9fb0a81c23e3d",
+    "isometry4-reverse-kl": "74c64ef0f3f666e08fb73259adcc5b64164fe979818834a4ab097c415960df2d",
 }
 
 

@@ -24,9 +24,14 @@ from divlab.contraction import (
 )
 from divlab.divergence import _clamp, _divergence_rows, as_prob_vec, chi_squared, f_divergence
 from divlab.generators import default_registry, make_generator
-from divlab.markov import as_channel, bsc, stationary_distribution
+from divlab.markov import _channel, as_channel, bsc, stationary_distribution
 
-from conftest import bump_generator, sampled_twin, singular_bump_generator
+from conftest import (
+    bump_generator,
+    check_against_values_only_route,
+    sampled_twin,
+    singular_bump_generator,
+)
 
 UNIFORM2 = np.array([0.5, 0.5])
 FAST = SampleBudget(n_samples=100, refine_steps=40)
@@ -1098,6 +1103,56 @@ def test_quadratic_witness_when_the_top_singular_value_repeats(chain, name):
     assert not np.allclose(witness, q)
     ratio = chi_squared(W @ witness, W @ q) / chi_squared(witness, q)
     assert abs(ratio - value) <= 1e-12
+
+
+@given(
+    n=st.sampled_from([2, 3, 8, 64]),
+    kind=st.sampled_from(["square", "rectangular", "zero-entry", "rank-one-power", "reducible"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=80, deadline=None)
+def test_metric_eta_chi2_matches_the_values_only_route(n, kind, seed):
+    # eta_chi2 off sqrt(q) by deflation against the second singular value
+    # of the normalized joint, on square and rectangular channels, a
+    # reference with a zero entry, powers that are rank one to rounding and
+    # reducible chains, whose top value 1 repeats
+    rng = np.random.default_rng(seed)
+    outputs = n + int(rng.choice([-1, 1])) if kind == "rectangular" else n
+    W = rng.dirichlet(np.ones(outputs), size=n).T
+    q = rng.dirichlet(np.ones(n))
+    if kind == "zero-entry":
+        q[rng.integers(n)] = 0.0
+        q /= q.sum()
+        assume(np.count_nonzero(q) > 1)
+    elif kind == "rank-one-power":
+        W = np.linalg.matrix_power(W, int(rng.integers(20, 60)))
+    elif kind == "reducible":
+        k = int(rng.integers(1, n))
+        W = np.zeros((n, n))
+        W[:k, :k] = rng.dirichlet(np.ones(k), size=k).T
+        W[k:, k:] = rng.dirichlet(np.ones(n - k), size=n - k).T
+    M = contraction._normalized_joint(*_channel(W, q))[0]
+    check_against_values_only_route(eta_chi2(W, q), M)
+
+
+# eta_chi2 = 0 at a reference of two or more symbols: every direction off
+# sqrt(q) attains it, so the witness is one of them
+_ETA_ZERO = {
+    "rank-one": (np.outer([0.2, 0.5, 0.3], np.ones(4)), np.array([0.4, 0.0, 0.35, 0.25])),
+    "one-output": (np.ones((1, 3)), np.array([0.5, 0.3, 0.2])),
+}
+
+
+@pytest.mark.parametrize("chain", sorted(_ETA_ZERO))
+def test_metric_zero_eta_chi2_has_a_valid_witness(chain):
+    W, q = _ETA_ZERO[chain]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value, witness = eta_f_estimate(W, q, _QUADRATIC["pearson_chi2"])
+    assert value == eta_chi2(W, q) == 0.0
+    assert np.all(witness >= 0.0) and abs(witness.sum() - 1.0) <= 1e-12
+    assert np.all(witness[q == 0.0] == 0.0) and not np.allclose(witness, q)
+    assert chi_squared(W @ witness, W @ q) / chi_squared(witness, q) <= 1e-12
 
 
 @pytest.mark.parametrize("name", sorted(_QUADRATIC))

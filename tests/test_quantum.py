@@ -51,7 +51,7 @@ from divlab.quantum import (
     _supported,
 )
 
-from conftest import sampled_twin
+from conftest import check_against_values_only_route, sampled_twin
 
 PLUS = np.full((2, 2), 0.5, dtype=complex)
 MAXMIX2 = np.eye(2, dtype=complex) / 2
@@ -1107,6 +1107,41 @@ def test_floor_of_a_classical_embedding_is_eta_chi2(seed, n, name):
     channel, sigma = classical_embedding(W), np.diag(pi).astype(complex)
     floor, _ = _floor_seeds(sigma, channel, floor_refs(channel, sigma), from_spec(name))
     assert floor == pytest.approx(classical_eta_chi2(W, pi), rel=0.0, abs=1e-14)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.sampled_from([1, 2, 3, 4]),
+    kind=st.sampled_from(["full", "deficient", "near"]),
+)
+@settings(max_examples=60, deadline=None)
+def test_metric_petz_eta_chi2_matches_the_values_only_route(seed, d, kind):
+    # petz_eta_chi2 off sigma's vector by deflation against the second
+    # singular value of the chi^2 form, at full-rank, rank-deficient (pure
+    # at d = 2) and nearly degenerate sigma
+    rng = np.random.default_rng(seed)
+    channel = random_kraus(rng, d, int(rng.integers(1, 4)))
+    sigma = floor_sigma(rng, d, "full" if d == 1 else kind)
+    T = _petz_form(channel, floor_refs(channel, sigma), _chi2_weights)[0]
+    check_against_values_only_route(petz_eta_chi2(channel, sigma), T)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_metric_zero_petz_eta_chi2_has_a_valid_witness(d):
+    # a replacer to a full-rank state at a full-rank sigma: eta = 0, and
+    # every direction off sigma attains it, so the witness is one of them
+    rng = np.random.default_rng(d)
+    channel, sigma = replacer_channel(random_state(rng, d)), random_state(rng, d)
+    g = make_generator("pearson_chi2")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value, rho = quantum_eta_estimate(channel, sigma, g)
+    assert value == petz_eta_chi2(channel, sigma) == 0.0
+    rho = check_density_matrix(rho)
+    assert petz_chi2(rho, sigma) < math.inf and not np.allclose(rho, sigma)
+    ratio = petz_f_divergence(g, apply_channel(channel, rho), apply_channel(channel, sigma)) / (
+        petz_f_divergence(g, rho, sigma))
+    assert ratio <= 1e-12
 
 
 @pytest.mark.parametrize("name", ["kl", "one_sided_chi2", "lins:theta=0", "chi_alpha:alpha=1.5"])
