@@ -9,11 +9,11 @@ Any other eta_f is estimated from below by sampling the simplex (exhaustive
 1-D grid on binary alphabets).  Every eta_f is bounded from above by the
 nonlinear kappa-based bound and, for generators with (f(t)-f(0))/t concave,
 the linear bound, whose kappa sup is a maximum over simplex vertices.  All
-sampling is driven by a root seed and is deterministic.  Estimates against
-one reference share one estimate context (the candidate cloud, its
-denominators and the refine stream), and the sections of one chain report
-share one chain context (structure, pi, eta_chi2 and that estimate
-context), so a report computes each of them once.
+sampling is driven by a root seed and is deterministic, and one engine,
+``_sampled``, samples for chains and for the Petz estimates of channels.
+The estimates of one chain report share one cloud and refine stream, and
+its sections one chain context (structure, pi, eta_chi2 and its joint
+matrix), so a report computes each of them once.
 """
 
 from __future__ import annotations
@@ -88,12 +88,13 @@ def eta_chi2(W, q) -> float:
     return _eta_chi2(*_channel(W, q))
 
 
-def _eta_chi2(W: np.ndarray, q: np.ndarray) -> float:
-    """``eta_chi2`` of a validated channel and reference, unchecked."""
+def _eta_chi2(W: np.ndarray, q: np.ndarray, joint=None) -> float:
+    """``eta_chi2`` of a validated channel and reference, unchecked;
+    ``joint()`` gives their ``_normalized_joint`` where a caller keeps it."""
     if int(np.sum(q > 0.0)) <= 1:
         warnings.warn("degenerate reference (all mass on one symbol); eta = 0")
         return 0.0
-    return _metric_eta(*_normalized_joint(W, q)[:2])
+    return _metric_eta(*(joint or partial(_normalized_joint, W, q))()[:2])
 
 
 def _normalized_joint(W: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -158,10 +159,12 @@ def _quadratic(g: Generator) -> bool:
     return g.f2_monotonicity == CONSTANT and float(g.f2(1.0)) > 0.0
 
 
-def _chi2_estimates(Ws: list[np.ndarray], q: np.ndarray, eta1: float | None = None):
+def _chi2_estimates(Ws: list[np.ndarray], q: np.ndarray, eta1: float | None = None,
+                    joint=None):
     """``eta_f_estimate(W, q, g)`` of a quadratic g for every validated
-    channel W of ``Ws``: the exact eta_chi2(W, q), ``eta1`` for Ws[0] when
-    given.  Only Ws[0] gets a witness (None for the others): p = q + t X
+    channel W of ``Ws``: the exact eta_chi2(W, q), ``eta1`` for Ws[0] and
+    its ``_normalized_joint`` ``joint`` where a caller keeps them.  Only
+    Ws[0] gets a witness (None for the others): p = q + t X
     with X = sqrt(q) v on supp q, v the normalized joint's right singular
     vector off sqrt(q) (``_metric_eta``), whose chi^2 ratio is eta_chi2 for
     every t; t is half the largest step that keeps p >= 0.  A reference
@@ -170,7 +173,7 @@ def _chi2_estimates(Ws: list[np.ndarray], q: np.ndarray, eta1: float | None = No
     etas += [_eta_chi2(W, q) for W in Ws[1:]]
     witness = None
     if int(np.sum(q > 0.0)) > 1:
-        M, root, x_keep = _normalized_joint(Ws[0], q)
+        M, root, x_keep = joint or _normalized_joint(Ws[0], q)
         X = np.zeros_like(q)
         X[x_keep] = root * _metric_eta(M, root, slice(None))[1][0]
         down = X < 0.0
@@ -199,24 +202,6 @@ def _candidate_inputs(n: int, q: np.ndarray, budget: SampleBudget) -> np.ndarray
 # this level are indistinguishable from zero and counted as zero to keep the
 # estimate a genuine lower bound
 NUMERATOR_NOISE_FLOOR = 1e-13
-
-
-def _pair_scores(g: Generator, P, WP, refs) -> np.ndarray:
-    """Scores of D_f(WP[k] || refs[m + k]) / D_f(P[k] || refs[k]) for the m
-    rows of P and WP, ``refs`` holding 2m clamped reference rows.  One
-    kernel call scores the denominators and the numerators."""
-    m = len(P)
-    rows = _clamp(np.concatenate([P, WP]))
-    value, error = _divergence_rows(g, rows, refs, rounding_error=True)
-    return _scores((value[m:], error[m:]), (value[:m], error[:m]))
-
-
-def _ratio_scores(g: Generator, den, num_rows) -> np.ndarray:
-    """Scores of D_f(num_rows[k]) / den[k] for every row k (see ``_scores``):
-    ``den`` is the (value, rounding bound) pair of ``_divergence_rows`` with
-    ``rounding_error``, ``num_rows`` a (P, Q) pair of rows for the unclamped
-    kernel body."""
-    return _scores(_divergence_rows(g, *num_rows, rounding_error=True), den)
 
 
 def _scores(num, den) -> np.ndarray:
@@ -286,75 +271,80 @@ def _build_moves(P: np.ndarray, draws, scales: np.ndarray) -> np.ndarray:
     return P
 
 
-class _EstimateContext:
-    """What every eta_f estimate against one reference q under one budget
-    shares: the candidate cloud in blocks, the cloud's denominators
-    D_f(p || q) with their rounding bounds (valued block by block), and
-    the refine stream.  An estimate on a channel then scores only its
-    numerators."""
+def _chain_estimates(g: Generator, q: np.ndarray, Ws: list[np.ndarray], budget: SampleBudget):
+    """``eta_f_estimate(W, q, g, budget)`` for every validated channel W of
+    ``Ws`` (see ``_sampled``), on clamped rows, padded to one width where W
+    is rectangular.  A window's Wp are one-row products, bit-equal to
+    scoring p alone, where a product over all rows may round otherwise."""
+    n = q.shape[0]
+    cloud = _candidate_inputs(n, q, budget)
+    block = _block_rows(cloud)
+    blocks = [cloud[s : s + block] for s in range(0, len(cloud), block)]
+    width = max(n, Ws[0].shape[0])
+    # row 0 is q, row k + 1 is Ws[k] q
+    refs = np.stack([_pad(_clamp(q), width)] + [_pad(_clamp(W @ q), width) for W in Ws])
 
-    def __init__(self, g: Generator, q: np.ndarray, budget: SampleBudget):
-        n = q.shape[0]
-        self.g, self.q = g, q
-        self.cloud = _candidate_inputs(n, q, budget)
-        block = _block_rows(self.cloud)
-        self.blocks = [self.cloud[s : s + block] for s in range(0, len(self.cloud), block)]
-        dens = [
-            _divergence_rows(g, _clamp(P), _clamp(q), rounding_error=True)
-            for P in self.blocks
-        ]
-        self.den = tuple(np.concatenate(part) for part in zip(*dens))  # (values, bounds)
-        rng = np.random.default_rng(budget.seed + 1)
-        self.draws = _draw_moves(rng, n, budget.refine_steps)
+    def cloud_rows():
+        for W, Wq in zip(Ws, refs[1:]):
+            yield _pad(np.concatenate([_clamp(P @ W.T) for P in blocks]), width), Wq
 
-    def estimates(self, Ws: list[np.ndarray]) -> list[tuple[float, np.ndarray | None]]:
-        """``eta_f_estimate(W, q, g, budget)`` for every validated channel W
-        of ``Ws``; the climbs run side by side (see ``_climbs``)."""
-        g, block = self.g, len(self.blocks[0])
-        zeros = np.zeros(block, dtype=np.intp)
-        width = max(self.q.size, Ws[0].shape[0])
-        Wqs = [_pad(_clamp(W @ self.q), width) for W in Ws]
-        refs = np.stack([_pad(_clamp(self.q), width)] + Wqs)  # row 0 is q, row k + 1 is Ws[k] q
+    def window(P, segments):
+        X, ref_rows = np.zeros((2, len(P), width)), np.zeros((2, len(P)), dtype=np.intp)
+        X[0, :, :n] = P
+        for k, a, b in segments:
+            X[1, a:b, : Ws[k].shape[0]] = (P[a:b, np.newaxis, :] @ Ws[k].T)[:, 0]
+            ref_rows[1, a:b] = k + 1
+        return _clamp(X), refs[ref_rows]
 
-        def window_scores(P, segments):
-            # each Wp a one-row product, bit-equal to scoring p alone; the
-            # product over all rows at once may round differently
-            WP = np.empty((len(P), Ws[0].shape[0]))
-            ref_rows = np.empty(len(P), dtype=np.intp)
-            for k, a, b in segments:
-                WP[a:b] = (P[a:b, np.newaxis, :] @ Ws[k].T)[:, 0]
-                ref_rows[a:b] = k + 1
-            # a block of proposals per kernel call keeps its temporaries small
-            scores = []
-            for a in range(0, len(P), block):
-                b = min(a + block, len(P))
-                rows = np.concatenate([zeros[: b - a], ref_rows[a:b]])
-                scores.append(
-                    _pair_scores(g, _pad(P[a:b], width), _pad(WP[a:b], width), refs[rows])
-                )
-            return np.concatenate(scores)
+    den = [_divergence_rows(g, _clamp(P), _clamp(q), rounding_error=True) for P in blocks]
+    draws = _draw_moves(np.random.default_rng(budget.seed + 1), n, budget.refine_steps)
+    return _sampled(g, cloud, den, cloud_rows(), window, draws, _build_moves, 0.25)
 
-        starts = [self._cloud_start(W, Wq, width) for W, Wq in zip(Ws, Wqs)]
-        return _climbs(self.cloud, starts, self.draws, _build_moves, window_scores, 0.25)
 
-    def _cloud_start(self, W: np.ndarray, Wq: np.ndarray, width: int) -> tuple[float, int]:
-        """The best score of the cloud on W and its first index, Wq = W q
-        clamped and padded to ``width``: the numerators are valued block by
-        block without their rounding bounds, and only the rows whose raw
-        ratio can reach the maximum are scored in full (``_lazy_start``),
-        on the same numerator rows.  Bit for bit the ``np.max`` and
-        ``np.argmax`` of ``_ratio_scores`` over every block."""
-        rows = np.concatenate([_pad(_clamp(P @ W.T), width) for P in self.blocks])
-        block = len(self.blocks[0])
-        num = np.concatenate([
-            _divergence_rows(self.g, rows[s : s + block], Wq)
-            for s in range(0, len(rows), block)
-        ])
-        feasible, r, _ = _raw_ratios(num, self.den[0])
-        return _lazy_start(
-            np.where(feasible, r, -math.inf),
-            lambda k: _ratio_scores(self.g, (self.den[0][k], self.den[1][k]), (rows[k], Wq)),
-        )
+def _sampled(g: Generator, cloud, den, cloud_rows, window, draws, build, scale):
+    """The sampling engine of every non-quadratic eta_f, of chains and of
+    channels: per channel, the best score (``_scores``) of D_f(output) /
+    D_f(input) climbed to from the best row of ``cloud``.  A domain supplies
+    ``den``, the (value, rounding bound) pairs of the cloud's denominators
+    per block of rows it values together; ``cloud_rows``, yielding each
+    channel's numerator rows (X, Y) over the cloud in turn, Y a stack or
+    one row for all; ``window(P, segments)``, the rows (X, Y) of a block of
+    a round's proposals P, each (2, len(P), width): denominators, then
+    numerators; and ``draws``, ``build`` and ``scale`` (see ``_climbs``).
+    A start is ``_lazy_start`` on den's blocks: bit for bit ``np.max`` and
+    ``np.argmax`` of every cloud row's score."""
+    cuts = np.cumsum([0] + [len(value) for value, _ in den])
+    den, block = np.concatenate(den, axis=1), _block_rows(cloud)
+
+    def start(rows):
+        X, Y = rows
+        num = np.concatenate([_divergence_rows(g, X[a:b], Y if Y.ndim == 1 else Y[a:b])
+                              for a, b in zip(cuts[:-1], cuts[1:])])
+        feasible, r, _ = _raw_ratios(num, den[0])
+
+        def exact(k):
+            num = _divergence_rows(g, X[k], Y if Y.ndim == 1 else Y[k], rounding_error=True)
+            return _scores(num, (den[0][k], den[1][k]))
+
+        return _lazy_start(np.where(feasible, r, -math.inf), exact)
+
+    # map holds no channel's rows past its start: one channel's are alive
+    starts = list(map(start, cloud_rows))
+
+    def window_scores(P, segments):
+        scores = []
+        for a in range(0, len(P), block):
+            # proposals a:b, their denominators and numerators in one call
+            b = min(a + block, len(P))
+            inside = [(k, max(s, a) - a, min(e, b) - a)
+                      for k, s, e in segments if s < b and a < e]
+            X, Y = (A.reshape(-1, A.shape[-1]) for A in window(P[a:b], inside))
+            value, error = _divergence_rows(g, X, Y, rounding_error=True)
+            m = b - a
+            scores.append(_scores((value[m:], error[m:]), (value[:m], error[:m])))
+        return np.concatenate(scores)
+
+    return _climbs(cloud, starts, draws, build, window_scores, scale)
 
 
 def _pad(A: np.ndarray, width: int) -> np.ndarray:
@@ -381,12 +371,13 @@ def eta_f_estimate(
     step k of the refine stream, two block draws of a generator seeded
     ``budget.seed + 1`` (see ``_draw_moves``), and moves a share u of p_i,
     at most the step's scale, to p_j; a step with i == j is skipped.
-    Ratios are scored net of their rounding bound (see ``_ratio_scores``).
+    Ratios are scored net of their rounding bound (see ``_scores``) by the
+    sampling engine of chains and channels (see ``_sampled``).
     """
     W, q = _channel(W, q)
     if _quadratic(g):
         return _chi2_estimates([W], q)[0]
-    return _EstimateContext(g, q, budget or SampleBudget()).estimates([W])[0]
+    return _chain_estimates(g, q, [W], budget or SampleBudget())[0]
 
 
 def _block_rows(cloud: np.ndarray) -> int:
@@ -717,8 +708,8 @@ def _mixing_report(W, delta, g, pi, unique, eta=None) -> MixingTimeReport:
 class _ChainContext:
     """The pieces that the sections of one chain report share, each made on
     first use and kept only as long as the object: structure(W), eta_chi2
-    at its stationary pi, the estimate context at pi, the estimates on W
-    and its powers and the kappa_up sup of each power.  W is a validated
+    at its stationary pi and the normalized joint behind it, the estimates
+    on W and its powers and the kappa_up sup of each power.  W is a validated
     channel; ``profile_n`` is the n_max of the rate profile the report asks
     for, so that the estimates on W, W^2, ..., W^profile_n climb side by
     side."""
@@ -732,12 +723,13 @@ class _ChainContext:
         return _structure(self.W)
 
     @cached_property
-    def eta2(self) -> float:
-        return _eta_chi2(self.W, _clamp(self.info.stationary))
+    def joint(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """W's ``_normalized_joint`` at pi, for eta2 and a witness."""
+        return _normalized_joint(self.W, _clamp(self.info.stationary))
 
     @cached_property
-    def context(self) -> _EstimateContext:
-        return _EstimateContext(self.g, self.info.stationary, self.budget)
+    def eta2(self) -> float:
+        return _eta_chi2(self.W, _clamp(self.info.stationary), lambda: self.joint)
 
     @cached_property
     def estimate(self) -> tuple[float, np.ndarray | None]:
@@ -751,8 +743,8 @@ class _ChainContext:
         of W being ``eta2``."""
         Ws = self.powers[0] if self._profile_error() is None else [self.W]
         if _quadratic(self.g):
-            return _chi2_estimates(Ws, _clamp(self.info.stationary), self.eta2)
-        return self.context.estimates(Ws)
+            return _chi2_estimates(Ws, _clamp(self.info.stationary), self.eta2, self.joint)
+        return _chain_estimates(self.g, self.info.stationary, Ws, self.budget)
 
     @cached_property
     def powers(self) -> tuple[list[np.ndarray], str | None]:

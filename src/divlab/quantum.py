@@ -13,7 +13,8 @@ contraction coefficient is exact, and the bounds built on it sample
 nothing.  A quadratic generator (f'' constant and positive) has Petz
 divergence f''(1)/2 times the Petz chi^2, so its contraction coefficient is
 that exact one too; other contraction coefficients are sampled lower
-estimates, scored net of their rounding bound.  One form builder serves
+estimates on NS rows by the classical sampling engine
+``contraction._sampled``.  One form builder serves
 both: the exact coefficient with the chi^2 weights, and with the weights of
 the Petz D_f's second-order form the exact local floor under eta_f, along
 whose directions the sampled estimates are seeded, both from the classical
@@ -34,20 +35,20 @@ from .chi2bounds import _kappa_pair
 from .contraction import (
     BLEND_WEIGHTS,
     SampleBudget,
-    _certified_constant,
     _block_rows,
+    _certified_constant,
     _check_delta,
-    _climbs,
     _empirical_mixing,
     _linear_coeff,
     _metric_eta,
     _mixing_times,
+    _pad,
     _quadratic,
-    _ratio_scores,
+    _sampled,
     _upper_bounds,
 )
 from .divergence import SUPPORT_EPSILON, _as_count, _divergence_rows
-from .generators import Generator
+from .generators import CONSTANT, Generator
 from .markov import _channel
 
 __all__ = [
@@ -617,6 +618,9 @@ _SEEDED_BLEND_WEIGHTS = (0.3, 0.7)
 _SEED_FRACTIONS = (0.001, 0.01, 0.05, 0.15, 0.3, 0.5, 0.7, 0.9, 0.99)
 # relative eigenvalue gap below which an f weight takes its series limit
 _SERIES_GAP = 1e-4
+# the warning of a positive sampled Petz estimate where f''(1) = 0
+UNBOUNDED_WARNING = ("Petz eta_f can be infinite where f''(1) = 0; the estimate is set by "
+                     "how near sigma the candidate cloud reaches")
 
 
 def _pure_states(raw: np.ndarray) -> np.ndarray:
@@ -656,15 +660,8 @@ def _candidate_states(sigma: np.ndarray, budget: QuantumBudget, seeds: np.ndarra
     reachable.  A segment state is diagonal in f by construction, so its
     spectrum is a e_i + (1 - a) e_j with eigenvectors f, rank-deficient or
     degenerate sigma included: lam holds these rows, one per segment state,
-    for the last len(lam) states of the stack.
-
-    Next to the seeds no pure state supplied a winning start in 192
-    measured estimates (d = 2 to 4, four generators), and the two blends
-    kept lowered none by more than 1.3 % against all nine.  Without seeds
-    the two blends alone lowered final estimates by 1.7 to 5.0 % on
-    average (chi_alpha at alpha = 1.5 and one_sided_chi2 on isometries;
-    jensen_shannon, squared_hellinger and reverse_kl at a pure sigma), well
-    beyond the climb's own spread, so that cloud keeps psi and all nine."""
+    for the last len(lam) states of the stack.  README.md gives the
+    measurements behind the blend weights of both kinds of stack."""
     d = sigma.shape[0]
     rng = np.random.default_rng(budget.seed)
     pure = _pure_states(rng.normal(size=(budget.n_samples, 2, d)))[:, np.newaxis]
@@ -693,10 +690,11 @@ def quantum_eta_estimate(
     sigma + t H along its singular direction, at 1/2 of the positivity
     limit (``_along``); the budget is not used.
 
-    Otherwise it is sampled: it scores D_f(E(rho) || E(sigma)) /
-    D_f(rho || sigma) on NS rows with the classical scorer, net of its
-    rounding bound, over the candidate stack block by block and then per
-    window of refine proposals (see ``_climbs``).  The stack holds seeds
+    Otherwise it is sampled by the classical engine ``_sampled`` on NS
+    rows, padded to one width where d_in != d_out.  Where f''(1) = 0 (f''
+    not flagged constant) the Petz eta_f can be infinite, and a positive
+    estimate, set by how near sigma the stack reaches, comes with
+    UNBOUNDED_WARNING.  The stack holds seeds
     sigma +- t H along the two leading directions of the exact local floor
     of eta_f (``_floor_seeds``), so where f''(1) is finite and positive and
     sigma is not pure the estimate is at least that floor less the seeds'
@@ -725,13 +723,16 @@ def _eta_estimate(channel: KrausChannel, sigma: np.ndarray, g: Generator, budget
         Z = _metric_eta(T, v0, _upper(k))[1][0].reshape(k, k)
         return eta, _along(sigma, Z, e_in, l_in.reshape(k, k), (0.5,))[0]
     ref_in, ref_out = refs
+    # the NS rows of inputs and outputs share one width, for one kernel call
+    width = max(channel.dim_in, channel.dim_out) ** 2
 
-    def scores(states: np.ndarray, lam=None) -> np.ndarray:
-        # lam: the spectra of states diagonal in sigma's eigenbasis
+    def ns_rows(states: np.ndarray, lam=None):
+        # [(P, Q) of the inputs, (P, Q) of the outputs]; lam: the spectra
+        # of states diagonal in sigma's eigenbasis
         spec = _spectral(states) if lam is None else (lam, ref_in[1])
-        den = _divergence_rows(g, *_ns_rows(spec, ref_in), rounding_error=True)
         outputs = _spectral(_apply(channel, states))
-        return _ratio_scores(g, den, _ns_rows(outputs, ref_out))
+        return [[_pad(A, width) for A in _ns_rows(*pair)]
+                for pair in ((spec, ref_in), (outputs, ref_out))]
 
     def build(current, draws, weights):
         u, psi = draws
@@ -742,17 +743,23 @@ def _eta_estimate(channel: KrausChannel, sigma: np.ndarray, g: Generator, budget
         return prop + (1.0 - trace)[:, np.newaxis, np.newaxis] * psi
 
     cloud, seg_lam = _candidate_states(sigma, budget, _floor_seeds(sigma, channel, refs, g)[1])
+    # the Haar blocks, then the segment blocks, whose zeros take the kernel's masks
     block, haar = _block_rows(cloud), len(cloud) - len(seg_lam)
-    cloud_scores = np.concatenate(
-        [scores(cloud[s : min(s + block, haar)]) for s in range(0, haar, block)]
-        + [scores(cloud[haar + s : haar + s + block], seg_lam[s : s + block])
-           for s in range(0, len(seg_lam), block)]
-    )
+    blocks = [ns_rows(cloud[s : min(s + block, haar)]) for s in range(0, haar, block)]
+    blocks += [ns_rows(cloud[haar + s : haar + s + block], seg_lam[s : s + block])
+               for s in range(0, len(seg_lam), block)]
+    den = [_divergence_rows(g, *ins, rounding_error=True) for ins, _ in blocks]
+    num_rows = [np.concatenate(rows) for rows in zip(*(outs for _, outs in blocks))]
     u, raw = _refine_draws(np.random.default_rng(budget.seed + 1), budget.refine_steps,
                            sigma.shape[0])
-    top = int(np.argmax(cloud_scores))
-    return _climbs(cloud, [(float(cloud_scores[top]), top)], (u, _pure_states(raw)), build,
-                   lambda P, _: scores(P), 0.3)[0]
+    est = _sampled(g, cloud, den, [num_rows],
+                   lambda P, _: [np.stack(side) for side in zip(*ns_rows(P))],
+                   (u, _pure_states(raw)), build, 0.3)[0]
+    with np.errstate(all="ignore"):  # f''(1) can be infinite
+        flat = g.f2_monotonicity != CONSTANT and float(g.f2(1.0)) == 0.0
+    if flat and est[0] > 0.0:
+        warnings.warn(UNBOUNDED_WARNING)
+    return est
 
 
 def petz_eta_chi2(channel: KrausChannel, sigma) -> float:

@@ -2,8 +2,18 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
+from divlab.contraction import _scores
+from divlab.divergence import _divergence_rows
 from divlab.generators import UNKNOWN, custom_generator, default_registry, make_generator
+from divlab.quantum import KrausChannel
+
+# every property test draws the same examples on every run, so that a
+# failure shows on each run and two commits are compared on the same
+# draws; each test keeps its own max_examples and deadline
+settings.register_profile("derandomized", derandomize=True)
+settings.load_profile("derandomized")
 
 
 @pytest.fixture(scope="session")
@@ -24,6 +34,23 @@ def random_prob_pairs(rng, n_pairs, dim, interior=True):
     return p, q
 
 
+def random_state(rng, d, rank=None):
+    """A random d x d state of the given rank (d by default)."""
+    rank = rank or d
+    A = rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank))
+    rho = A @ A.conj().T
+    return rho / np.trace(rho).real
+
+
+def random_kraus(rng, d, k=3, d_out=None):
+    """The channel of a random isometry C^d -> C^(k d_out), split into k
+    Kraus operators of shape d_out x d (d_out = d by default)."""
+    d_out = d_out or d
+    A = rng.normal(size=(k * d_out, d)) + 1j * rng.normal(size=(k * d_out, d))
+    Q, _ = np.linalg.qr(A)
+    return KrausChannel(kraus=tuple(Q[i * d_out : (i + 1) * d_out, :] for i in range(k)))
+
+
 def bump_generator():
     """f'' = 1 + (t-1)^2 has its minimum at t = 1: not monotone."""
     return custom_generator(
@@ -42,6 +69,13 @@ def singular_bump_generator():
         "bump_singular", lambda t: t * np.log(t), lambda t: np.log(t) + 1.0,
         lambda t: 1.0 / t + (t - 1.0) ** 2,
     )
+
+
+def ratio_scores(g, den, num_rows):
+    """Scores of D_f(num_rows[k]) / den[k] for every row k, as the sampling
+    engine scores a ratio (``contraction._scores``): ``den`` a (value,
+    rounding bound) pair of the kernel, ``num_rows`` a (P, Q) pair of rows."""
+    return _scores(_divergence_rows(g, *num_rows, rounding_error=True), den)
 
 
 def sampled_twin(g):

@@ -22,7 +22,9 @@ from divlab.cli import (
     parse_matrix,
     run,
 )
-from divlab.quantum import depolarizing_channel, replacer_channel
+from divlab.quantum import UNBOUNDED_WARNING, depolarizing_channel, replacer_channel
+
+from conftest import random_kraus
 
 
 @pytest.fixture()
@@ -981,9 +983,9 @@ def _count_calls(monkeypatch, originals: dict) -> dict:
 
 
 def test_analyze_chain_solves_shared_pieces_once(tmp_path, capsys, monkeypatch):
-    # one structure(), one stationary solve, one eta_chi2, one estimate
-    # context and one refine stream per report, although the report runs
-    # six estimates
+    # one structure(), one stationary solve, one eta_chi2, one run of the
+    # chain estimates (one cloud) and one refine stream per report, although
+    # the report runs six estimates
     from divlab import contraction, markov
 
     calls = _count_calls(monkeypatch, {
@@ -991,7 +993,7 @@ def test_analyze_chain_solves_shared_pieces_once(tmp_path, capsys, monkeypatch):
         "_stationary": markov._stationary,
         "_eta_chi2": contraction._eta_chi2,
         "_draw_moves": contraction._draw_moves,
-        "_EstimateContext": contraction._EstimateContext,
+        "_chain_estimates": contraction._chain_estimates,
     })
     path = tmp_path / "asym.csv"
     path.write_text("0.7,0.4\n0.3,0.6\n")
@@ -1018,7 +1020,7 @@ def test_analyze_chain_quadratic_generator_on_a_periodic_swap(tmp_path, capsys):
 def test_analyze_chain_quadratic_generator_samples_nothing(tmp_path, capsys, monkeypatch):
     # pearson_chi2 is quadratic: its six estimates are eta_chi2 of the
     # powers, the one of W shared with the report's eta_chi2, with no
-    # estimate context and no refine draws
+    # sampled chain estimates and no refine draws
     from divlab import contraction, markov
 
     calls = _count_calls(monkeypatch, {
@@ -1026,15 +1028,18 @@ def test_analyze_chain_quadratic_generator_samples_nothing(tmp_path, capsys, mon
         "_stationary": markov._stationary,
         "_eta_chi2": contraction._eta_chi2,
         "_draw_moves": contraction._draw_moves,
-        "_EstimateContext": contraction._EstimateContext,
+        "_chain_estimates": contraction._chain_estimates,
+        "_normalized_joint": contraction._normalized_joint,
     })
     path = tmp_path / "asym.csv"
     path.write_text("0.7,0.4\n0.3,0.6\n")
     code = run(["analyze-chain", "--matrix", str(path), "--generator", "pearson_chi2"])
     report = _load_json(capsys.readouterr().out)
     assert code == 0
+    # one normalized joint per channel: the one of W serves eta_chi2 and
+    # the witness
     assert calls == {"_structure": 1, "_stationary": 1, "_eta_chi2": 6,
-                     "_draw_moves": 0, "_EstimateContext": 0}
+                     "_draw_moves": 0, "_chain_estimates": 0, "_normalized_joint": 6}
     con = report["results"]["contraction"]
     assert con["eta_f_estimate"]["bound_id"] == "eta-f-exact-chi2"
     assert con["eta_f_estimate"]["value"] == con["eta_chi2"]["value"]
@@ -1081,6 +1086,19 @@ def test_quantum_analyze_quadratic_generator_samples_nothing(embedded_bsc_json, 
     est = report["results"]["contraction"]["eta_f_estimate"]
     assert est["bound_id"] == "petz-eta-f-exact-chi2" and est["estimate_based"] is False
     assert est["value"] == report["results"]["mixing_time"]["eta_chi2_estimate"]
+
+
+def test_quantum_analyze_reports_that_petz_eta_f_can_be_infinite(tmp_path, capsys):
+    # chi_alpha at alpha = 2.5 has f''(1) = 0, and on a random qubit
+    # isometry its Petz eta_f is infinite: the report's warnings say so,
+    # next to the finite sampled value; a kl report's do not
+    path = _kraus_file(tmp_path, random_kraus(np.random.default_rng(4), 2).kraus)
+    for generator, warned in (("chi_alpha:alpha=2.5", True), ("kl", False)):
+        code = run(["quantum-analyze", "--channel", path, "--generator", generator])
+        report = _load_json(capsys.readouterr().out)
+        assert code == 0
+        assert (UNBOUNDED_WARNING in report["warnings"]) is warned, generator
+        assert report["results"]["contraction"]["eta_f_estimate"]["value"] > 0.0
 
 
 @pytest.mark.parametrize("profile_n", [2, 4])

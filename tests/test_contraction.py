@@ -13,8 +13,6 @@ from divlab.contraction import (
     SampleBudget,
     _candidate_inputs,
     _kappa_up_sup,
-    _pair_scores,
-    _ratio_scores,
     contraction_rate_profile,
     convergence_bound,
     eta_chi2,
@@ -29,6 +27,9 @@ from divlab.markov import _channel, as_channel, bsc, stationary_distribution
 from conftest import (
     bump_generator,
     check_against_values_only_route,
+    random_kraus,
+    random_state,
+    ratio_scores,
     sampled_twin,
     singular_bump_generator,
 )
@@ -45,8 +46,11 @@ def _ratios(g, W, q, P):
     def pad(A):
         return np.pad(A, [(0, 0)] * (A.ndim - 1) + [(0, width - A.shape[-1])])
 
-    refs = np.repeat(np.stack([pad(_clamp(q)), pad(_clamp(W @ q))]), len(P), axis=0)
-    return _pair_scores(g, pad(P), pad(P @ W.T), refs)
+    m = len(P)
+    refs = np.repeat(np.stack([pad(_clamp(q)), pad(_clamp(W @ q))]), m, axis=0)
+    rows = _clamp(np.concatenate([pad(P), pad(P @ W.T)]))
+    value, error = _divergence_rows(g, rows, refs, rounding_error=True)
+    return contraction._scores((value[m:], error[m:]), (value[:m], error[:m]))
 
 
 def constant_channel(n, target=0):
@@ -606,33 +610,29 @@ def eta_f_estimate_sequential(W, q, g, budget, accepted=None):
     return hill_climb_sequential(scores, cloud, propose, budget, 0.25)
 
 
-def quantum_eta_estimate_sequential(channel, sigma, g, budget):
+def _petz_cloud_scores(channel, sigma, g, budget):
+    """The scorer of the Petz estimate's ratios, one stack of states at a
+    time, and the candidate cloud with the scores of all its rows.  NS rows
+    of inputs and outputs are padded to one width."""
     sigma = quantum.check_density_matrix(sigma)
     sigma_out = quantum.apply_channel(channel, sigma)
     d = sigma.shape[0]
     spectral = quantum._spectral
+    width = max(channel.dim_in, channel.dim_out) ** 2
+
+    def padded(rows):
+        return [np.pad(A, [(0, 0), (0, width - A.shape[1])]) for A in rows]
 
     def scores(states, spec=None):
         outputs = quantum.apply_channel(channel, states)
         # the references diagonalised on every call: the estimate's single
         # eigh of each must give the same bits
         den = _divergence_rows(
-            g, *quantum._ns_rows(spec or spectral(states), spectral(sigma)), rounding_error=True
+            g, *padded(quantum._ns_rows(spec or spectral(states), spectral(sigma))),
+            rounding_error=True,
         )
-        return _ratio_scores(g, den, quantum._ns_rows(spectral(outputs), spectral(sigma_out)))
-
-    stream = None
-
-    def propose(current, rng, weight):
-        # step k reads share k and Haar state k, drawn as two blocks
-        nonlocal stream
-        if stream is None:
-            steps = budget.refine_steps
-            stream = zip(rng.random(steps), rng.normal(size=(steps, 1, 2, d)))
-        u, raw = next(stream)
-        prop = (1.0 - weight * u) * current
-        psi = quantum._pure_states(raw)[0]
-        return prop + (1.0 - np.trace(prop).real) * psi
+        return ratio_scores(
+            g, den, padded(quantum._ns_rows(spectral(outputs), spectral(sigma_out))))
 
     refs = spectral(sigma), spectral(sigma_out)
     cloud, _ = quantum._candidate_states(
@@ -653,6 +653,25 @@ def quantum_eta_estimate_sequential(channel, sigma, g, budget):
         scores(cloud[:haar]),
         scores(cloud[haar:], (np.array(lam).reshape(-1, d), spectral(sigma)[1])),
     ])
+    return scores, cloud, all_scores
+
+
+def quantum_eta_estimate_sequential(channel, sigma, g, budget):
+    d = channel.dim_in
+    stream = None
+
+    def propose(current, rng, weight):
+        # step k reads share k and Haar state k, drawn as two blocks
+        nonlocal stream
+        if stream is None:
+            steps = budget.refine_steps
+            stream = zip(rng.random(steps), rng.normal(size=(steps, 1, 2, d)))
+        u, raw = next(stream)
+        prop = (1.0 - weight * u) * current
+        psi = quantum._pure_states(raw)[0]
+        return prop + (1.0 - np.trace(prop).real) * psi
+
+    scores, cloud, all_scores = _petz_cloud_scores(channel, sigma, g, budget)
     return hill_climb_sequential(scores, cloud, propose, budget, 0.3, all_scores)
 
 
@@ -771,20 +790,19 @@ def test_climb_window_width_adapts(monkeypatch):
 
 @given(
     d=st.sampled_from([2, 3]),
+    d_out=st.sampled_from(["square", "wider", "narrower"]),
     rank=st.sampled_from(["full", "deficient", "pure"]),
     name=st.sampled_from(["kl", "hellinger"]),
     refine_steps=st.sampled_from([0, 1, 120]),
     seed=st.integers(0, 2**32 - 1),
 )
 @settings(max_examples=25, deadline=None)
-def test_batched_quantum_climb_matches_sequential(d, rank, name, refine_steps, seed):
+def test_batched_quantum_climb_matches_sequential(d, d_out, rank, name, refine_steps, seed):
+    # rectangular channels pad the NS rows of inputs and outputs to one width
     rng = np.random.default_rng(seed)
-    r = {"full": d, "deficient": d - 1, "pure": 1}[rank]
-    A = rng.normal(size=(d, r)) + 1j * rng.normal(size=(d, r))
-    sigma = A @ A.conj().T
-    sigma /= np.trace(sigma).real
-    U = np.linalg.qr(rng.normal(size=(2 * d, d)) + 1j * rng.normal(size=(2 * d, d)))[0]
-    channel = quantum.KrausChannel(kraus=(U[:d], U[d:]))
+    sigma = random_state(rng, d, {"full": d, "deficient": d - 1, "pure": 1}[rank])
+    d_out = d + {"square": 0, "wider": 1, "narrower": -1}[d_out]
+    channel = random_kraus(rng, d, k=2, d_out=d_out)
     budget = quantum.QuantumBudget(n_samples=100, seed=int(rng.integers(1 << 31)),
                                    refine_steps=refine_steps)
     g = _CLIMB_GENERATORS[name]
@@ -868,9 +886,9 @@ def test_lazy_start_is_the_first_maximum_of_the_scores(rows):
 )
 @settings(max_examples=100, deadline=None)
 def test_cloud_start_is_the_first_maximum_of_ratio_scores(n, name, reference, channel, seed):
-    # one block (3 and 8 states) and many (2 states: 2 blocks, 64 states:
-    # 17); the identity ties every ratio at 1, a constant channel leaves
-    # every numerator at zero
+    # the chain cloud in one block (3 and 8 states) and many (2 states: 2
+    # blocks, 64 states: 17); the identity ties every ratio at 1, a
+    # constant channel leaves every numerator at zero
     rng = np.random.default_rng(seed)
     W = {"identity": np.eye(n), "constant": constant_channel(n)}.get(channel)
     if W is None:
@@ -882,15 +900,59 @@ def test_cloud_start_is_the_first_maximum_of_ratio_scores(n, name, reference, ch
     elif reference == "point-mass":
         q = np.eye(n)[rng.integers(n)]
     g = _CLIMB_GENERATORS[name]
-    context = contraction._EstimateContext(g, q, SampleBudget(seed=int(rng.integers(1 << 31))))
-    Wq = _clamp(W @ q)
-    scores = np.concatenate([
-        _ratio_scores(g, _divergence_rows(g, _clamp(P), _clamp(q), rounding_error=True),
-                      (_clamp(P @ W.T), Wq))
-        for P in context.blocks
-    ])
-    top = int(np.argmax(scores))
-    assert context._cloud_start(W, Wq, n) == (float(scores[top]), top)
+    budget = SampleBudget(seed=int(rng.integers(1 << 31)), refine_steps=0)
+    (cloud, starts), = _engine_starts(lambda: eta_f_estimate(W, q, g, budget))
+    # the block products of the cloud, which a product over all rows at
+    # once may round differently from
+    block = contraction._block_rows(cloud)
+    WP = np.concatenate([cloud[s : s + block] @ W.T for s in range(0, len(cloud), block)])
+    den = _divergence_rows(g, _clamp(cloud), _clamp(q), rounding_error=True)
+    scores = ratio_scores(g, den, (_clamp(WP), _clamp(W @ q)))
+    assert np.array_equal(cloud, _candidate_inputs(n, q, budget))
+    assert starts == [(float(np.max(scores)), int(np.argmax(scores)))]
+
+
+@given(
+    d=st.sampled_from([2, 3, 4]),
+    d_out=st.sampled_from(["square", "wider"]),
+    rank=st.sampled_from(["full", "deficient", "pure"]),
+    name=st.sampled_from(sorted(_CLIMB_GENERATORS)),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_petz_cloud_start_is_the_first_maximum_of_ratio_scores(d, d_out, rank, name, seed):
+    # the Petz cloud, floor seeds and sigma-eigenbasis segments included,
+    # at full-rank, rank-deficient and pure sigma
+    rng = np.random.default_rng(seed)
+    sigma = random_state(rng, d, {"full": d, "deficient": d - 1, "pure": 1}[rank])
+    channel = random_kraus(rng, d, k=2, d_out=d + (d_out == "wider"))
+    budget = quantum.QuantumBudget(n_samples=100, seed=int(rng.integers(1 << 31)),
+                                   refine_steps=0)
+    g = _CLIMB_GENERATORS[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        (cloud, starts), = _engine_starts(
+            lambda: quantum.quantum_eta_estimate(channel, sigma, g, budget))
+    _, expected, scores = _petz_cloud_scores(channel, sigma, g, budget)
+    assert np.array_equal(cloud, expected)
+    assert starts == [(float(np.max(scores)), int(np.argmax(scores)))]
+
+
+def _engine_starts(call):
+    """The (cloud, starts) that the sampling engine hands each ``_climbs``
+    call in ``call()``."""
+    seen, climbs = [], contraction._climbs
+
+    def recording(cloud, starts, *rest):
+        seen.append((cloud, starts))
+        return climbs(cloud, starts, *rest)
+
+    contraction._climbs = recording
+    try:
+        call()
+    finally:
+        contraction._climbs = climbs
+    return seen
 
 
 def test_scores_of_certified_generators_cannot_be_nan():
@@ -934,7 +996,7 @@ def test_draw_moves_matches_block_draws(n, steps, seed):
 
 
 # ---------------------------------------------------------------------------
-# one estimate context per chain report
+# one cloud and one refine stream per chain report
 
 
 @given(
@@ -982,7 +1044,8 @@ def test_chain_context_matches_independent_estimates(
         if k > 1:
             Wn = Wn @ chain.W
         assert_same_climb(
-            lambda: chain.context.estimates([Wn])[0], lambda: eta_f_estimate(Wn, pi, g, budget)
+            lambda: contraction._chain_estimates(g, pi, [Wn], budget)[0],
+            lambda: eta_f_estimate(Wn, pi, g, budget),
         )
         est, _ = eta_f_estimate(Wn, pi, g, budget)
         roots.append(est ** (1.0 / k) if est > 0.0 else 0.0)

@@ -8,13 +8,14 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from divlab.contraction import BLEND_WEIGHTS, _ratio_scores
+from divlab.contraction import BLEND_WEIGHTS
 from divlab.contraction import eta_chi2 as classical_eta_chi2
 from divlab.divergence import _divergence_rows, f_divergence, total_variation
 from divlab.generators import from_spec, make_generator, registry_names
 from divlab.markov import bsc, stationary_distribution
 from divlab.quantum import (
     EIG_CLAMP,
+    UNBOUNDED_WARNING,
     KrausChannel,
     QuantumBudget,
     apply_channel,
@@ -51,24 +52,17 @@ from divlab.quantum import (
     _supported,
 )
 
-from conftest import check_against_values_only_route, sampled_twin
+from conftest import (
+    check_against_values_only_route,
+    random_kraus,
+    random_state,
+    ratio_scores,
+    sampled_twin,
+)
 
 PLUS = np.full((2, 2), 0.5, dtype=complex)
 MAXMIX2 = np.eye(2, dtype=complex) / 2
 FAST = QuantumBudget(n_samples=100, refine_steps=40)
-
-
-def random_state(rng, d, rank=None):
-    rank = rank or d
-    A = rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank))
-    rho = A @ A.conj().T
-    return rho / np.trace(rho).real
-
-
-def random_kraus(rng, d, k=3):
-    A = rng.normal(size=(k * d, d)) + 1j * rng.normal(size=(k * d, d))
-    Q, _ = np.linalg.qr(A)
-    return KrausChannel(kraus=tuple(Q[i * d : (i + 1) * d, :] for i in range(k)))
 
 
 def petz_spectral_sum(g, rho, sigma):
@@ -822,14 +816,14 @@ def test_batched_quantum_scores_match_single_rows(registry):
     for g in registry:
         P, Q = _ns_rows(_spectral(states), _spectral(sigma))
         values = _divergence_rows(g, P, Q)
-        scores = _ratio_scores(
+        scores = ratio_scores(
             g,
             _divergence_rows(g, P, Q, rounding_error=True),
             _ns_rows(_spectral(outputs), _spectral(sigma_out)),
         )
         for k, rho in enumerate(states):
             ns = _ns_rows(_spectral(rho), _spectral(sigma))
-            one = _ratio_scores(
+            one = ratio_scores(
                 g,
                 _divergence_rows(g, *ns, rounding_error=True),
                 _ns_rows(_spectral(apply_channel(channel, rho)), _spectral(sigma_out)),
@@ -855,6 +849,36 @@ def test_petz_chi2_estimate_not_above_exact_depolarizing(d):
         assert est <= exact + 1e-9, (lam, est, exact)
         assert est == pytest.approx((1.0 - lam) ** 2, rel=1e-9)
         assert quantum_eta_estimate(channel, sigma, pc, FAST)[0] == exact
+
+
+def test_petz_estimate_warns_where_eta_f_can_be_infinite():
+    # chi_alpha at alpha = 2.5 has f''(1) = 0: along sigma + t (P0 - P1),
+    # P_k sigma's eigenprojectors, the input divergence is O(t^2.5) and the
+    # output's O(t^2), so the ratio grows without bound as t -> 0 and any
+    # finite estimate is set by how near sigma the cloud reaches.  kl and
+    # lins at theta = 0 (f'' = 0 flagged constant: D_f = 0) do not warn
+    channel = random_kraus(np.random.default_rng(4), 2)
+    sigma = channel_structure(channel).fixed_point
+    chi = make_generator("chi_alpha", alpha=2.5)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        est, _ = quantum_eta_estimate(channel, sigma, chi)
+    assert [str(w.message) for w in caught] == [UNBOUNDED_WARNING]
+    _, f = np.linalg.eigh(sigma)
+    direction = np.outer(f[:, 0], f[:, 0].conj()) - np.outer(f[:, 1], f[:, 1].conj())
+    ratios = []
+    for t in (1e-2, 1e-3, 1e-4, 1e-5):
+        rho = sigma + t * direction
+        out = petz_f_divergence(chi, apply_channel(channel, rho), apply_channel(channel, sigma))
+        ratios.append(out / petz_f_divergence(chi, rho, sigma))
+    assert np.all(np.diff(ratios) > 0.0) and ratios[-1] > 2.0 * est > 0.0
+    lins0 = make_generator("lins", theta=0.0)
+    for g, expected in ((make_generator("kl"), []),
+                        (lins0, ["no feasible input found; estimate 0"])):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            quantum_eta_estimate(channel, sigma, g)
+        assert [str(w.message) for w in caught] == expected, g.label
 
 
 # every registry generator whose f'' is a positive constant
