@@ -236,13 +236,21 @@ def _lazy_start(ratios: np.ndarray, exact) -> tuple[float, int]:
 
     A score is r less a non-negative rounding bound, so at most r, and -inf
     where r is.  The row of largest r is scored first, giving s0; only the
-    rows with r >= s0 can reach the maximum, and they alone are scored.
-    The bounds are finite where f and f' are at the ratios of the rows,
-    so no score is NaN; an s0 that is NaN would score every row."""
+    other rows with r >= s0 can reach the maximum, and they alone are
+    scored next, in one call skipped where there are none.  The bounds are
+    finite where f and f' are at the ratios of the rows, so no score is
+    NaN; an s0 that is NaN would score every row."""
     top = int(np.argmax(ratios))
-    s0 = exact(np.array([top]))[0]
-    rows = np.flatnonzero(~(ratios < s0))
+    rows = np.array([top])
     scores = exact(rows)
+    others = np.flatnonzero(~(ratios < scores[0]))
+    others = others[others != top]
+    if others.size:
+        # top back in its place among the rows, by slices: np.insert would
+        # add about 20 us to each start
+        rest, at = exact(others), np.searchsorted(others, top)
+        scores = np.concatenate((rest[:at], scores, rest[at:]))
+        rows = np.concatenate((others[:at], rows, others[at:]))
     k = int(np.argmax(scores))
     return float(scores[k]), int(rows[k])
 

@@ -31,7 +31,7 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .chi2bounds import _kappa_pair
+from .chi2bounds import _f2_monotone, _kappa_pair
 from .contraction import (
     BLEND_WEIGHTS,
     SampleBudget,
@@ -48,7 +48,7 @@ from .contraction import (
     _upper_bounds,
 )
 from .divergence import SUPPORT_EPSILON, _as_count, _divergence_rows
-from .generators import CONSTANT, Generator
+from .generators import Generator
 from .markov import _channel
 
 __all__ = [
@@ -518,76 +518,54 @@ def _skip(bound_id: str, note: str) -> BoundCheck:
 
 def petz_bounds_report(g: Generator, rho, sigma) -> PetzBoundsReport:
     """Evaluate and check the Petz sandwich, quantum Pinsker, chi-squared vs
-    trace-distance, and NS reverse-Pinsker bounds for one state pair."""
+    trace-distance, and NS reverse-Pinsker bounds for one state pair.
+
+    A check applies wherever its quantities are defined, as on the classical
+    twins ``chi2_sandwich`` and ``reverse_pinsker``: every check but quantum
+    Pinsker bounds chi^2 or reads chi^2, kappa or q_min and needs rho <<
+    sigma, the two that read the certified constant L need an
+    operator-convex f with one, and an infinite kappa_up gives a +inf right
+    side, never inf * 0 = NaN."""
     rho, sigma = _states(rho, sigma)
-    rho_spec, sigma_spec = _spectral(rho), _spectral(sigma)
-    P, Q = _ns_rows(rho_spec, sigma_spec)
+    sigma_spec = _spectral(sigma)
+    P, Q = _ns_rows(_spectral(rho), sigma_spec)
     value = float(_divergence_rows(g, P, Q)[0])
     chi2 = _petz_chi2(rho, sigma, sigma_spec)
     td = _trace_distance(rho, sigma)
-    ns = NSPair(p_xy=P[0], q_xy=Q[0])
-    checks: list[BoundCheck] = []
-
-    dominated = math.isfinite(chi2)
-    sigma_dom_rho = _supported(sigma, rho_spec)
-    # kappa, q_min and TV read the NS rows unclamped, as the divergence does
-    # (rho << sigma is decided by petz_chi2)
-    kp = _kappa_pair(g, ns.p_xy, ns.q_xy) if dominated else None
-    if dominated and (g.f2_at_zero_finite or sigma_dom_rho):
-        checks.append(_check("petz-sandwich-lower", 0.5 * kp.kappa_down * chi2, value))
-        upper = 0.5 * kp.kappa_up * chi2 if math.isfinite(kp.kappa_up) else math.inf
-        checks.append(_check("petz-sandwich-upper", value, upper))
-    else:
-        checks.append(_skip("petz-sandwich-lower", "needs rho << sigma and finite kappa"))
-        checks.append(_skip("petz-sandwich-upper", "needs rho << sigma and finite kappa"))
-
-    if g.operator_convex and g.pinsker_constant is not None:
-        checks.append(
-            _check("quantum-pinsker", 0.5 * g.pinsker_constant * td**2, value)
-        )
-    else:
-        checks.append(_skip("quantum-pinsker", "needs operator-convex f"))
-
-    if dominated:
+    dominated = math.isfinite(chi2)  # rho << sigma, as petz_chi2 decides it
+    convex = g.operator_convex and g.pinsker_constant is not None
+    if dominated:  # the quantities only the checks that need rho << sigma read
+        # kappa, q_min and TV read the NS rows unclamped, as the divergence does
+        kp = _kappa_pair(g, P[0], Q[0])
+        up = math.isfinite(kp.kappa_up)
         lmin = _min_positive(np.linalg.eigvalsh(sigma))
         diff = rho - sigma
         l2 = float(np.real(np.trace(diff.conj().T @ diff)))
-        checks.append(_check("petz-chi2-l2", chi2, l2 / lmin))
-        checks.append(_check("petz-chi2-td", l2 / lmin, 4.0 * td**2 / lmin))
-        if g.operator_convex and g.pinsker_constant is not None:
-            checks.append(
-                _check(
-                    "petz-f-lower-chi2",
-                    g.pinsker_constant * lmin / 8.0 * chi2,
-                    value,
-                )
-            )
-        else:
-            checks.append(_skip("petz-f-lower-chi2", "needs operator-convex f"))
-        if math.isfinite(kp.kappa_up):
-            qmin = float(ns.q_xy[ns.q_xy > 0.0].min())
-            dns = ns.p_xy - ns.q_xy
-            l2_ns = float(np.dot(dns, dns))
-            checks.append(
-                _check("ns-reverse-pinsker-l2", value, kp.kappa_up / (2 * qmin) * l2_ns)
-            )
-            tv_ns = 0.5 * float(np.abs(dns).sum())
-            checks.append(
-                _check(
-                    "ns-reverse-pinsker-tv", value, 2.0 * kp.kappa_up / qmin * tv_ns**2
-                )
-            )
-        else:
-            checks.append(_skip("ns-reverse-pinsker-l2", "kappa_up infinite"))
-            checks.append(_skip("ns-reverse-pinsker-tv", "kappa_up infinite"))
-    else:
-        for name in ("petz-chi2-l2", "petz-chi2-td", "petz-f-lower-chi2",
-                     "ns-reverse-pinsker-l2", "ns-reverse-pinsker-tv"):
-            checks.append(_skip(name, "rho not dominated by sigma"))
-
-    return PetzBoundsReport(
-        checks=tuple(checks), divergence=value, chi2=chi2, td=td
+        qmin = float(Q[0][Q[0] > 0.0].min())
+        dns = P[0] - Q[0]
+        l2_ns, tv_ns = float(np.dot(dns, dns)), 0.5 * float(np.abs(dns).sum())
+    # (bound id, needs rho << sigma, needs convex, its (lhs, rhs)), in report order
+    table = (
+        ("petz-sandwich-lower", True, False, lambda: (0.5 * kp.kappa_down * chi2, value)),
+        ("petz-sandwich-upper", True, False,
+         lambda: (value, 0.5 * kp.kappa_up * chi2 if up else math.inf)),
+        ("quantum-pinsker", False, True, lambda: (0.5 * g.pinsker_constant * td**2, value)),
+        ("petz-chi2-l2", True, False, lambda: (chi2, l2 / lmin)),
+        ("petz-chi2-td", True, False, lambda: (l2 / lmin, 4.0 * td**2 / lmin)),
+        ("petz-f-lower-chi2", True, True,
+         lambda: (g.pinsker_constant * lmin / 8.0 * chi2, value)),
+        ("ns-reverse-pinsker-l2", True, False,
+         lambda: (value, kp.kappa_up / (2 * qmin) * l2_ns if up else math.inf)),
+        ("ns-reverse-pinsker-tv", True, False,
+         lambda: (value, 2.0 * kp.kappa_up / qmin * tv_ns**2 if up else math.inf)),
     )
+    checks = tuple(
+        _skip(name, "rho not dominated by sigma") if needs_dom and not dominated
+        else _skip(name, "needs operator-convex f") if needs_convex and not convex
+        else _check(name, *sides())
+        for name, needs_dom, needs_convex, sides in table
+    )
+    return PetzBoundsReport(checks=checks, divergence=value, chi2=chi2, td=td)
 
 
 # ---------------------------------------------------------------------------
@@ -691,14 +669,15 @@ def quantum_eta_estimate(
     limit (``_along``); the budget is not used.
 
     Otherwise it is sampled by the classical engine ``_sampled`` on NS
-    rows, padded to one width where d_in != d_out.  Where f''(1) = 0 (f''
-    not flagged constant) the Petz eta_f can be infinite, and a positive
-    estimate, set by how near sigma the stack reaches, comes with
-    UNBOUNDED_WARNING.  The stack holds seeds
-    sigma +- t H along the two leading directions of the exact local floor
-    of eta_f (``_floor_seeds``), so where f''(1) is finite and positive and
-    sigma is not pure the estimate is at least that floor less the seeds'
-    O(t) and rounding losses (in tests, above 1 - 1e-4 of it).  Every input
+    rows, padded to one width where d_in != d_out.  Where f''(1) = 0 and
+    f'' is not flagged monotone (a monotone one vanishes on one side of 1
+    only) the Petz eta_f can be infinite, and a positive estimate, set by
+    how near sigma the stack reaches, comes with UNBOUNDED_WARNING.  The
+    stack holds seeds sigma +- t H along the two leading directions of the
+    exact local floor of eta_f (``_floor_seeds``), so where f''(1) is finite
+    and positive and sigma is not pure the estimate is at least that floor
+    less the seeds' O(t) and rounding losses (in tests, above 1 - 1e-4 of
+    it).  Every input
     and output is diagonalised for its NS rows, except the sigma-eigenbasis
     segments of the stack, whose spectra ``_candidate_states`` gives in
     closed form; where such a state wins, the value is that of its exact
@@ -742,21 +721,28 @@ def _eta_estimate(channel: KrausChannel, sigma: np.ndarray, g: Generator, budget
         # no rebuild needed, _spectral clips the rounding below EIG_CLAMP
         return prop + (1.0 - trace)[:, np.newaxis, np.newaxis] * psi
 
+    def block_rows(states, lam=None):
+        # a block's denominators, valued as its rows are built, and its
+        # numerator rows: only these outlive the block
+        ins, outs = ns_rows(states, lam)
+        return _divergence_rows(g, *ins, rounding_error=True), outs
+
     cloud, seg_lam = _candidate_states(sigma, budget, _floor_seeds(sigma, channel, refs, g)[1])
     # the Haar blocks, then the segment blocks, whose zeros take the kernel's masks
     block, haar = _block_rows(cloud), len(cloud) - len(seg_lam)
-    blocks = [ns_rows(cloud[s : min(s + block, haar)]) for s in range(0, haar, block)]
-    blocks += [ns_rows(cloud[haar + s : haar + s + block], seg_lam[s : s + block])
-               for s in range(0, len(seg_lam), block)]
-    den = [_divergence_rows(g, *ins, rounding_error=True) for ins, _ in blocks]
-    num_rows = [np.concatenate(rows) for rows in zip(*(outs for _, outs in blocks))]
+    den, outs = zip(*[block_rows(cloud[s : min(s + block, haar)]) for s in range(0, haar, block)]
+                    + [block_rows(cloud[haar + s : haar + s + block], seg_lam[s : s + block])
+                       for s in range(0, len(seg_lam), block)])
+    # an iterator, so the numerator rows die once the engine takes their start
+    num_rows = iter([[np.concatenate(rows) for rows in zip(*outs)]])
+    del outs
     u, raw = _refine_draws(np.random.default_rng(budget.seed + 1), budget.refine_steps,
                            sigma.shape[0])
-    est = _sampled(g, cloud, den, [num_rows],
+    est = _sampled(g, cloud, den, num_rows,
                    lambda P, _: [np.stack(side) for side in zip(*ns_rows(P))],
                    (u, _pure_states(raw)), build, 0.3)[0]
     with np.errstate(all="ignore"):  # f''(1) can be infinite
-        flat = g.f2_monotonicity != CONSTANT and float(g.f2(1.0)) == 0.0
+        flat = not _f2_monotone(g) and float(g.f2(1.0)) == 0.0
     if flat and est[0] > 0.0:
         warnings.warn(UNBOUNDED_WARNING)
     return est

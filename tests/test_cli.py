@@ -1091,9 +1091,11 @@ def test_quantum_analyze_quadratic_generator_samples_nothing(embedded_bsc_json, 
 def test_quantum_analyze_reports_that_petz_eta_f_can_be_infinite(tmp_path, capsys):
     # chi_alpha at alpha = 2.5 has f''(1) = 0, and on a random qubit
     # isometry its Petz eta_f is infinite: the report's warnings say so,
-    # next to the finite sampled value; a kl report's do not
+    # next to the finite sampled value; a kl report's do not, nor does a
+    # one_sided_chi2 report's, whose f''(1) = 0 but f'' = 2 below 1
     path = _kraus_file(tmp_path, random_kraus(np.random.default_rng(4), 2).kraus)
-    for generator, warned in (("chi_alpha:alpha=2.5", True), ("kl", False)):
+    for generator, warned in (("chi_alpha:alpha=2.5", True), ("kl", False),
+                              ("one_sided_chi2", False)):
         code = run(["quantum-analyze", "--channel", path, "--generator", generator])
         report = _load_json(capsys.readouterr().out)
         assert code == 0

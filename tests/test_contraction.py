@@ -865,16 +865,25 @@ _EDGE_ERRORS = [0.0, 1e-16, 1e-3]
 @settings(max_examples=300, deadline=None)
 def test_lazy_start_is_the_first_maximum_of_the_scores(rows):
     # ties, rows of -inf, numerators below the noise floor and denominators
-    # at most 1e-12: the lazy start is np.max and np.argmax of the scores
+    # at most 1e-12: the lazy start is np.max and np.argmax of the scores.
+    # The row of largest ratio is scored alone first; a second call scores
+    # the other rows whose ratio reaches its score, and no row twice
     num, e_num, den, e_den = map(np.array, zip(*rows))
     scores = contraction._scores((num, e_num), (den, e_den))
     feasible, r, _ = contraction._raw_ratios(num, den)
-    start = contraction._lazy_start(
-        np.where(feasible, r, -math.inf),
-        lambda k: contraction._scores((num[k], e_num[k]), (den[k], e_den[k])),
-    )
+    ratios = np.where(feasible, r, -math.inf)
+    calls = []
+
+    def exact(k):
+        calls.append(k.tolist())
+        return contraction._scores((num[k], e_num[k]), (den[k], e_den[k]))
+
+    start = contraction._lazy_start(ratios, exact)
     top = int(np.argmax(scores))
     assert start == (float(scores[top]), top)
+    first = int(np.argmax(ratios))
+    others = [i for i in np.flatnonzero(~(ratios < scores[first])) if i != first]
+    assert calls == [[first]] + ([others] if others else [])
 
 
 @given(

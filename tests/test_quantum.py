@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import warnings
@@ -8,6 +9,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from divlab.chi2bounds import _kappa_pair
 from divlab.contraction import BLEND_WEIGHTS
 from divlab.contraction import eta_chi2 as classical_eta_chi2
 from divlab.divergence import _divergence_rows, f_divergence, total_variation
@@ -17,6 +19,8 @@ from divlab.quantum import (
     EIG_CLAMP,
     UNBOUNDED_WARNING,
     KrausChannel,
+    NSPair,
+    PetzBoundsReport,
     QuantumBudget,
     apply_channel,
     channel_structure,
@@ -40,16 +44,21 @@ from divlab.quantum import (
     _SEEDED_BLEND_WEIGHTS,
     _SERIES_GAP,
     _candidate_states,
+    _check,
     _chi2_weights,
     _f_weights,
     _floor_seeds,
+    _min_positive,
     _ns_rows,
     _petz_form,
     _pure_states,
     _refine_draws,
     _petz_chi2,
+    _skip,
     _spectral,
+    _states,
     _supported,
+    _trace_distance,
 )
 
 from conftest import (
@@ -346,8 +355,8 @@ def test_channel_structure_embedded_constant():
 @given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 5), data=st.data())
 @settings(max_examples=60, deadline=None)
 def test_support_test_is_the_finiteness_of_petz_chi2(seed, d, data):
-    # petz_bounds_report reads sigma << rho from the support test alone;
-    # it is the boolean that a whole reverse Petz chi^2 gave
+    # the support test is the finiteness of the Petz chi^2: _petz_chi2
+    # reads rho << sigma from it, and petz_bounds_report from that finiteness
     rng = np.random.default_rng(seed)
     rho = random_state(rng, d, data.draw(st.integers(1, d)))
     sigma = random_state(rng, d, data.draw(st.integers(1, d)))
@@ -441,6 +450,120 @@ def test_petz_bounds_report_validates_and_diagonalises_once(ranks, registry, mon
         rep = petz_bounds_report(g, rho, sigma)
         assert calls == {"_states": 1, "eigh": 2}, g.label
         assert (rep.chi2, rep.divergence) == (chi2, value), g.label
+
+
+def _petz_bounds_oracle(g, rho, sigma) -> PetzBoundsReport:
+    """The Petz bounds report before its checks became one table: the
+    sandwich also asked for sigma << rho where f''(0+) is infinite, and the
+    NS reverse-Pinsker checks were skipped where kappa_up is infinite."""
+    rho, sigma = _states(rho, sigma)
+    rho_spec, sigma_spec = _spectral(rho), _spectral(sigma)
+    P, Q = _ns_rows(rho_spec, sigma_spec)
+    value = float(_divergence_rows(g, P, Q)[0])
+    chi2 = _petz_chi2(rho, sigma, sigma_spec)
+    td = _trace_distance(rho, sigma)
+    ns = NSPair(p_xy=P[0], q_xy=Q[0])
+    checks = []
+
+    dominated = math.isfinite(chi2)
+    sigma_dom_rho = _supported(sigma, rho_spec)
+    kp = _kappa_pair(g, ns.p_xy, ns.q_xy) if dominated else None
+    if dominated and (g.f2_at_zero_finite or sigma_dom_rho):
+        checks.append(_check("petz-sandwich-lower", 0.5 * kp.kappa_down * chi2, value))
+        upper = 0.5 * kp.kappa_up * chi2 if math.isfinite(kp.kappa_up) else math.inf
+        checks.append(_check("petz-sandwich-upper", value, upper))
+    else:
+        checks.append(_skip("petz-sandwich-lower", "needs rho << sigma and finite kappa"))
+        checks.append(_skip("petz-sandwich-upper", "needs rho << sigma and finite kappa"))
+
+    if g.operator_convex and g.pinsker_constant is not None:
+        checks.append(_check("quantum-pinsker", 0.5 * g.pinsker_constant * td**2, value))
+    else:
+        checks.append(_skip("quantum-pinsker", "needs operator-convex f"))
+
+    if dominated:
+        lmin = _min_positive(np.linalg.eigvalsh(sigma))
+        diff = rho - sigma
+        l2 = float(np.real(np.trace(diff.conj().T @ diff)))
+        checks.append(_check("petz-chi2-l2", chi2, l2 / lmin))
+        checks.append(_check("petz-chi2-td", l2 / lmin, 4.0 * td**2 / lmin))
+        if g.operator_convex and g.pinsker_constant is not None:
+            checks.append(
+                _check("petz-f-lower-chi2", g.pinsker_constant * lmin / 8.0 * chi2, value))
+        else:
+            checks.append(_skip("petz-f-lower-chi2", "needs operator-convex f"))
+        if math.isfinite(kp.kappa_up):
+            qmin = float(ns.q_xy[ns.q_xy > 0.0].min())
+            dns = ns.p_xy - ns.q_xy
+            l2_ns = float(np.dot(dns, dns))
+            checks.append(
+                _check("ns-reverse-pinsker-l2", value, kp.kappa_up / (2 * qmin) * l2_ns))
+            tv_ns = 0.5 * float(np.abs(dns).sum())
+            checks.append(
+                _check("ns-reverse-pinsker-tv", value, 2.0 * kp.kappa_up / qmin * tv_ns**2))
+        else:
+            checks.append(_skip("ns-reverse-pinsker-l2", "kappa_up infinite"))
+            checks.append(_skip("ns-reverse-pinsker-tv", "kappa_up infinite"))
+    else:
+        for name in ("petz-chi2-l2", "petz-chi2-td", "petz-f-lower-chi2",
+                     "ns-reverse-pinsker-l2", "ns-reverse-pinsker-tv"):
+            checks.append(_skip(name, "rho not dominated by sigma"))
+
+    return PetzBoundsReport(checks=tuple(checks), divergence=value, chi2=chi2, td=td)
+
+
+def _state_pair(rng, d, kind):
+    """A full-rank pair, a rank-deficient rho inside a full-rank sigma, a
+    full-rank rho outside a rank-deficient sigma, or a pure rho inside a
+    sigma of rank d - 1 (at d = 2 sigma itself)."""
+    low = max(1, d // 2)
+    if kind == "full":
+        return random_state(rng, d), random_state(rng, d)
+    if kind == "rho-deficient":
+        return random_state(rng, d, low), random_state(rng, d)
+    if kind == "sigma-deficient":
+        return random_state(rng, d), random_state(rng, d, low)
+    sigma = random_state(rng, d, d - 1)
+    e = _spectral(sigma)[1][:, _spectral(sigma)[0] > 0.0]
+    rho = e @ (e.conj().T @ random_state(rng, d, 1) @ e) @ e.conj().T
+    return 0.5 * (rho + rho.conj().T) / np.trace(rho).real, sigma
+
+
+def _same(a, b) -> bool:
+    return a == b or (isinstance(a, float) and math.isnan(a) and math.isnan(b))
+
+
+@pytest.mark.parametrize("kind", ["full", "rho-deficient", "sigma-deficient", "nested"])
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_petz_bounds_report_keeps_every_check_of_the_oracle(kind, d, registry):
+    # every check the oracle applies keeps its bits; the sandwich and the NS
+    # reverse-Pinsker checks it skipped for sigma !<< rho or an infinite
+    # kappa_up now apply and hold, with a right side that is +inf, never NaN,
+    # where kappa_up is infinite.  A left side is finite, or the divergence
+    # at +inf (f(0+) = +inf on a rho without sigma's support)
+    generators = registry + [make_generator("chi_alpha", alpha=2.5),
+                             make_generator("one_sided_chi2")]
+    rng = np.random.default_rng(100 * d + len(kind))
+    newly = 0
+    for _ in range(4):
+        rho, sigma = _state_pair(rng, d, kind)
+        for g in generators:
+            old, new = _petz_bounds_oracle(g, rho, sigma), petz_bounds_report(g, rho, sigma)
+            assert (new.divergence, new.chi2, new.td) == (old.divergence, old.chi2, old.td)
+            assert [c.bound_id for c in new.checks] == [c.bound_id for c in old.checks]
+            for was, now in zip(old.checks, new.checks):
+                fields = zip(dataclasses.astuple(was), dataclasses.astuple(now))
+                if was.applicable:
+                    assert all(_same(a, b) for a, b in fields), (g.label, was, now)
+                elif now.applicable:
+                    newly += 1
+                    assert now.holds and not math.isnan(now.rhs), (g.label, now)
+                    assert math.isfinite(now.lhs) or now.lhs == new.divergence == math.inf
+                else:
+                    renamed = was.note == "needs rho << sigma and finite kappa"
+                    assert now.note == ("rho not dominated by sigma" if renamed else was.note)
+    # rho inside a larger supp sigma: sigma !<< rho, so kl's kappa_up is infinite
+    assert (newly > 0) == (kind == "rho-deficient" or kind == "nested" and d > 2), newly
 
 
 def test_quantum_dpi_spot_check(operator_convex_registry):
@@ -879,6 +1002,64 @@ def test_petz_estimate_warns_where_eta_f_can_be_infinite():
             warnings.simplefilter("always")
             quantum_eta_estimate(channel, sigma, g)
         assert [str(w.message) for w in caught] == expected, g.label
+
+
+@pytest.mark.parametrize("name, warned", [
+    ("chi_alpha:alpha=2.5", True), ("chi_alpha:alpha=3", True), ("one_sided_chi2", False),
+])
+def test_petz_estimate_warns_only_where_f2_is_not_monotone(name, warned):
+    # f''(1) = 0 in all three; a monotone f'' that is 0 at 1 vanishes on
+    # one side of 1 only, and one_sided_chi2's is 2 below 1, where the
+    # input divergence stays second order: its ratio along
+    # sigma +- t (P0 - P1) stays bounded as t -> 0, and it does not warn
+    channel = random_kraus(np.random.default_rng(4), 2)
+    sigma = channel_structure(channel).fixed_point
+    g = from_spec(name)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        est, _ = quantum_eta_estimate(channel, sigma, g)
+    assert est > 0.0
+    assert [str(w.message) for w in caught] == ([UNBOUNDED_WARNING] if warned else [])
+    if not warned:
+        _, f = np.linalg.eigh(sigma)
+        direction = np.outer(f[:, 0], f[:, 0].conj()) - np.outer(f[:, 1], f[:, 1].conj())
+        ratios = [petz_f_divergence(g, apply_channel(channel, rho), apply_channel(channel, sigma))
+                  / petz_f_divergence(g, rho, sigma)
+                  for t in (1e-2, 1e-3, 1e-4, 1e-5) for rho in (sigma + t * direction,
+                                                                sigma - t * direction)]
+        assert max(ratios) < 0.25
+
+
+@pytest.mark.parametrize("name", ["kl", "reverse_kl"])
+def test_petz_estimate_keeps_no_cloud_ns_rows_through_the_climb(name, monkeypatch):
+    # the cloud's NS rows, inputs and outputs, are 4 d^2 floats per state
+    # against the state's d^2 complex entries: at the climb's start only the
+    # cloud, its denominators and the refine draws may still be traced,
+    # under twice the cloud (1.45 times it here; all rows kept read 4.5)
+    import tracemalloc
+
+    from divlab import contraction
+
+    rng = np.random.default_rng(201)
+    channel = random_kraus(rng, 4)
+    sigma = channel_structure(channel).fixed_point
+    g = make_generator(name)
+    seen, climbs = [], contraction._climbs
+
+    def traced(cloud, *rest):
+        seen.append((tracemalloc.get_traced_memory()[0], cloud.nbytes))
+        return climbs(cloud, *rest)
+
+    monkeypatch.setattr(contraction, "_climbs", traced)
+    quantum_eta_estimate(channel, sigma, g)  # builds the channel's caches
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        quantum_eta_estimate(channel, sigma, g)
+    finally:
+        tracemalloc.stop()
+    (alive, cloud_bytes), = seen[1:]
+    assert alive - base < 2 * cloud_bytes, (alive - base, cloud_bytes)
 
 
 # every registry generator whose f'' is a positive constant
