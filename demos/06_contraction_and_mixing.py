@@ -12,7 +12,6 @@ same coefficient.
 import numpy as np
 
 from divlab import (
-    SampleBudget,
     bsc,
     contraction_rate_profile,
     eta_chi2,
@@ -23,7 +22,7 @@ from divlab import (
 )
 
 UNIFORM = np.array([0.5, 0.5])
-BUDGET = SampleBudget(n_samples=200, seed=7, refine_steps=100)
+SEED = 7
 
 print("=" * 78)
 print("The BSC closed form: eta_chi2(BSC(p), uniform) = (1-2p)^2")
@@ -35,7 +34,7 @@ for p in (0.05, 0.1, 0.25, 0.3, 0.45):
 print()
 print("Estimates and upper bounds for KL on BSC(0.25):")
 kl = make_generator("kl")
-est, witness = eta_f_estimate(bsc(0.25), UNIFORM, kl, BUDGET)
+est, witness = eta_f_estimate(bsc(0.25), UNIFORM, kl, SEED)
 nonlinear, linear = eta_f_upper_bounds(bsc(0.25), UNIFORM, kl)
 print(f"  eta_chi2         = {eta_chi2(bsc(0.25), UNIFORM):.6f}")
 print(f"  eta_kl estimate  = {est:.6f}  (witness {np.round(witness, 4)})")
@@ -54,7 +53,7 @@ for alpha in (1.25, 1.5, 1.75):
 
 print()
 print("Root-rate profile for KL on BSC(0.3): eta_f(W^n, pi)^(1/n) vs 0.16")
-profile = contraction_rate_profile(bsc(0.3), kl, 8, BUDGET)
+profile = contraction_rate_profile(bsc(0.3), kl, 8, SEED)
 for pt in profile:
     print(f"  n={pt.n:<2} root={pt.eta_f_root:.8f}  envelope={pt.envelope:.6f}")
 

@@ -17,7 +17,6 @@ import math
 import numpy as np
 
 from divlab import (
-    QuantumBudget,
     bsc,
     channel_structure,
     classical_embedding,
@@ -34,7 +33,7 @@ from divlab import (
 
 PLUS = np.full((2, 2), 0.5, dtype=complex)
 MAXMIX = np.eye(2, dtype=complex) / 2
-BUDGET = QuantumBudget(n_samples=100, seed=7, refine_steps=40)
+SEED = 7
 kl = make_generator("kl")
 pc = make_generator("pearson_chi2")
 
@@ -79,8 +78,8 @@ print("pearson_chi2 is quadratic, so its eta is the exact Petz eta_chi2; KL is")
 print("sampled, a lower estimate of its eta, which is (1-2p)^2 here too:")
 for p in (0.1, 0.3):
     E = classical_embedding(bsc(p))
-    exact, _ = quantum_eta_estimate(E, MAXMIX, pc, BUDGET)
-    est, _ = quantum_eta_estimate(E, MAXMIX, kl, BUDGET)
+    exact, _ = quantum_eta_estimate(E, MAXMIX, pc, SEED)
+    est, _ = quantum_eta_estimate(E, MAXMIX, kl, SEED)
     print(f"  embedded BSC({p}): chi2 eta = {exact:.8f} (exact)  KL estimate = {est:.8f}  "
           f"((1-2p)^2 = {(1 - 2 * p) ** 2})")
 

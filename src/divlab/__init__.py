@@ -26,7 +26,6 @@ from .chi2bounds import (
     reverse_pinsker,
 )
 from .contraction import (
-    SampleBudget,
     contraction_rate_profile,
     convergence_bound,
     eta_chi2,
@@ -72,7 +71,6 @@ from .pinsker import (
 )
 from .quantum import (
     KrausChannel,
-    QuantumBudget,
     apply_channel,
     channel_structure,
     check_density_matrix,

@@ -28,9 +28,7 @@ import warnings
 import numpy as np
 
 from . import __version__
-from .contraction import (
-    SampleBudget, _ChainContext, _check_delta, _mixing_time, _quadratic, _usable_constant,
-)
+from .contraction import _ChainContext, _check_delta, _mixing_time, _quadratic, _usable_constant
 from .divergence import (
     SUPPORT_EPSILON, _as_count, _chi_squared, _f_divergence, _total_variation, _vectors,
 )
@@ -39,7 +37,6 @@ from .markov import _channel, _stationary_of
 from .pinsker import _certify
 from .quantum import (
     KrausChannel,
-    QuantumBudget,
     _channel_structure,
     _eta_estimate,
     _petz_eta_chi2,
@@ -357,7 +354,7 @@ def _cmd_analyze_chain(args) -> dict:
     seed = _resolve_seed(args)
     W = parse_matrix(args.matrix)
     g = from_spec(args.generator)
-    chain = _ChainContext(W, g, SampleBudget(seed=seed), args.profile_n)
+    chain = _ChainContext(W, g, _as_count(seed, "seed"), args.profile_n)
     warnings_list: list[str] = []
     violations: list[str] = []
 
@@ -430,7 +427,7 @@ def _cmd_quantum_analyze(args) -> dict:
     seed = _resolve_seed(args)
     channel = parse_kraus(args.channel)
     g = from_spec(args.generator)
-    budget = QuantumBudget(seed=seed)
+    seed = _as_count(seed, "seed")
     warnings_list: list[str] = []
     violations: list[str] = []
 
@@ -444,7 +441,7 @@ def _cmd_quantum_analyze(args) -> dict:
         # one exact Petz eta_chi2
         eta = _petz_eta_chi2(channel, pi)
         exact = _quadratic(g)
-        est = eta if exact else _eta_estimate(channel, pi, g, budget)[0]
+        est = eta if exact else _eta_estimate(channel, pi, g, seed)[0]
         results["contraction"] = {
             "eta_f_estimate": {
                 "bound_id": "petz-eta-f-exact-chi2" if exact

@@ -47,7 +47,6 @@ from .markov import (
 )
 
 __all__ = [
-    "SampleBudget",
     "eta_chi2",
     "eta_f_estimate",
     "eta_f_upper_bounds",
@@ -62,20 +61,10 @@ BINARY_GRID_N = 4096
 # weights w of the blends (1 - w) v + w q of each vertex v toward the
 # reference q in the candidate cloud
 BLEND_WEIGHTS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
-
-
-@dataclass(frozen=True)
-class SampleBudget:
-    """Sampling configuration for contraction estimates."""
-
-    n_samples: int = 400
-    seed: int = 0
-    refine_steps: int = 200
-
-    def __post_init__(self):
-        _as_count(self.n_samples, "n_samples", 100)
-        _as_count(self.seed, "seed")
-        _as_count(self.refine_steps, "refine_steps")
+# Dirichlet samples in the cloud of three or more symbols, and the refine
+# steps of every climb from it (README.md gives the measurements behind them)
+_N_SAMPLES = 400
+_REFINE_STEPS = 200
 
 
 def eta_chi2(W, q) -> float:
@@ -182,14 +171,15 @@ def _chi2_estimates(Ws: list[np.ndarray], q: np.ndarray, eta1: float | None = No
     return [(etas[0], witness)] + [(eta, None) for eta in etas[1:]]
 
 
-def _candidate_inputs(n: int, q: np.ndarray, budget: SampleBudget) -> np.ndarray:
+def _candidate_inputs(n: int, q: np.ndarray, seed: int) -> np.ndarray:
     """Deterministic candidate cloud: exhaustive grid in 1-D, otherwise
-    Dirichlet samples plus vertices blended toward the reference."""
+    _N_SAMPLES Dirichlet samples drawn with ``seed`` plus vertices blended
+    toward the reference."""
     if n == 2:
         a = np.linspace(0.0, 1.0, BINARY_GRID_N)
         return np.column_stack([a, 1.0 - a])
-    rng = np.random.default_rng(budget.seed)
-    cloud = [rng.dirichlet(np.ones(n), size=budget.n_samples)]
+    rng = np.random.default_rng(seed)
+    cloud = [rng.dirichlet(np.ones(n), size=_N_SAMPLES)]
     vertices = np.eye(n)
     cloud.append(vertices)
     for w in BLEND_WEIGHTS:
@@ -279,13 +269,14 @@ def _build_moves(P: np.ndarray, draws, scales: np.ndarray) -> np.ndarray:
     return P
 
 
-def _chain_estimates(g: Generator, q: np.ndarray, Ws: list[np.ndarray], budget: SampleBudget):
-    """``eta_f_estimate(W, q, g, budget)`` for every validated channel W of
-    ``Ws`` (see ``_sampled``), on clamped rows, padded to one width where W
+def _chain_estimates(g: Generator, q: np.ndarray, Ws: list[np.ndarray], seed: int):
+    """``eta_f_estimate(W, q, g, seed)`` for every validated channel W of
+    ``Ws`` (see ``_sampled``): the cloud drawn with ``seed``, the refine
+    stream with seed + 1.  On clamped rows, padded to one width where W
     is rectangular.  A window's Wp are one-row products, bit-equal to
     scoring p alone, where a product over all rows may round otherwise."""
     n = q.shape[0]
-    cloud = _candidate_inputs(n, q, budget)
+    cloud = _candidate_inputs(n, q, seed)
     block = _block_rows(cloud)
     blocks = [cloud[s : s + block] for s in range(0, len(cloud), block)]
     width = max(n, Ws[0].shape[0])
@@ -305,7 +296,7 @@ def _chain_estimates(g: Generator, q: np.ndarray, Ws: list[np.ndarray], budget: 
         return _clamp(X), refs[ref_rows]
 
     den = [_divergence_rows(g, _clamp(P), _clamp(q), rounding_error=True) for P in blocks]
-    draws = _draw_moves(np.random.default_rng(budget.seed + 1), n, budget.refine_steps)
+    draws = _draw_moves(np.random.default_rng(seed + 1), n, _REFINE_STEPS)
     return _sampled(g, cloud, den, cloud_rows(), window, draws, _build_moves, 0.25)
 
 
@@ -363,29 +354,29 @@ def _pad(A: np.ndarray, width: int) -> np.ndarray:
     return A if extra == 0 else np.pad(A, [(0, 0)] * (A.ndim - 1) + [(0, extra)])
 
 
-def eta_f_estimate(
-    W, q, g: Generator, budget: SampleBudget | None = None
-) -> tuple[float, np.ndarray | None]:
+def eta_f_estimate(W, q, g: Generator, seed: int = 0) -> tuple[float, np.ndarray | None]:
     """Certified lower estimate of eta_f(W, q) with its witness input.
 
     For a quadratic generator (f'' constant and positive: pearson_chi2,
     hellinger and renyi_gain at alpha = 2) the value is exact: eta_f equals
     eta_chi2(W, q), bit for bit, and the witness is q moved along the second
-    singular direction (see ``_chi2_estimates``); the budget is not used.
+    singular direction (see ``_chi2_estimates``); the seed is not used.
 
-    Otherwise it samples the simplex, excludes infeasible inputs (divergence
-    zero or infinite), and refines the best candidate by coordinate
-    hill-climbing: refine step k reads the pair (i, j) and the share u of
-    step k of the refine stream, two block draws of a generator seeded
-    ``budget.seed + 1`` (see ``_draw_moves``), and moves a share u of p_i,
+    Otherwise it samples the simplex (a cloud drawn with ``seed``, see
+    ``_candidate_inputs``), excludes infeasible inputs (divergence zero or
+    infinite), and refines the best candidate by _REFINE_STEPS steps of
+    coordinate hill-climbing: refine step k reads the pair (i, j) and the
+    share u of step k of the refine stream, two block draws of a generator
+    seeded ``seed + 1`` (see ``_draw_moves``), and moves a share u of p_i,
     at most the step's scale, to p_j; a step with i == j is skipped.
     Ratios are scored net of their rounding bound (see ``_scores``) by the
     sampling engine of chains and channels (see ``_sampled``).
     """
     W, q = _channel(W, q)
+    seed = _as_count(seed, "seed")
     if _quadratic(g):
         return _chi2_estimates([W], q)[0]
-    return _chain_estimates(g, q, [W], budget or SampleBudget())[0]
+    return _chain_estimates(g, q, [W], seed)[0]
 
 
 def _block_rows(cloud: np.ndarray) -> int:
@@ -545,18 +536,18 @@ class RatePoint:
     within_envelope: bool
 
 
-def contraction_rate_profile(
-    W, g: Generator, n_max: int, budget: SampleBudget | None = None
-) -> list[RatePoint]:
+def contraction_rate_profile(W, g: Generator, n_max: int, seed: int = 0) -> list[RatePoint]:
     """Root-rate profile of eta_f(W^n, pi) against the chi-squared rate.
 
     Requires a unique stationary distribution and one of: irreducible and
     aperiodic; scrambling with full-support pi or f'(inf) = inf;
     indecomposable with full-support pi.  Also requires |f''(0)| < inf or an
-    eventual-positivity index so the kappa terms stay finite.
+    eventual-positivity index so the kappa terms stay finite.  A sampled
+    root reads the estimates of ``eta_f_estimate(W^n, pi, g, seed)``.
     """
     W = _channel(W, square=True)
-    return _ChainContext(W, g, budget or SampleBudget(), _as_count(n_max, "n_max")).profile()
+    n_max = _as_count(n_max, "n_max")
+    return _ChainContext(W, g, _as_count(seed, "seed"), n_max).profile()
 
 
 def convergence_bound(W, pi, p, n: int) -> tuple[float, float, float]:
@@ -636,18 +627,15 @@ def _mixing_times(masses, targets, coeff, eta, delta, step, probes, distance, f_
     if eta >= 1.0 - 1e-12:
         raise ValueError("eta_chi2 >= 1: no finite mixing bound")
     a, b = targets
-    log_bound = -(math.log(a * least) + 2.0 * math.log(delta))
-    log_targets = [(log_bound, int(log_bound > 0.0))]
+    log_targets = [-(math.log(a * least) + 2.0 * math.log(delta))]
     dists = [distance]
     if coeff is not None:
-        log_targets.append((math.log(b * coeff) - math.log(delta) - math.log(least), 1))
+        log_targets.append(math.log(b * coeff) - math.log(delta) - math.log(least))
         dists.append(f_distance)
-    bounds, empirical = [None, None], [None, None]
-    for k, (log_target, at_zero) in enumerate(log_targets):
-        bounds[k] = at_zero
-        if eta > 0.0:
-            bounds[k] = max(0, math.ceil(log_target / math.log(1.0 / eta) - 1e-12))
-    caps = [max(2 * bound, 64) for bound in bounds[: len(dists)]]
+    bounds = [max(0, math.ceil(t / math.log(1.0 / eta) - 1e-12)) if eta > 0.0 else int(t > 0.0)
+              for t in log_targets]
+    empirical = [None, None]
+    caps = [max(2 * bound, 64) for bound in bounds]
     n = -1
 
     def settled(X):
@@ -666,7 +654,8 @@ def _mixing_times(masses, targets, coeff, eta, delta, step, probes, distance, f_
     if scan:
         _empirical_mixing(step, probes, settled, max(caps))
     within = not scan or (empirical[0] is not None and empirical[0] <= bounds[0])
-    return bounds[0], bounds[1], empirical[0], empirical[1], eta, least, within
+    f_bound = bounds[1] if coeff is not None else None
+    return bounds[0], f_bound, empirical[0], empirical[1], eta, least, within
 
 
 def mixing_time_bounds(W, delta: float, g: Generator | None = None) -> MixingTimeReport:
@@ -718,12 +707,12 @@ class _ChainContext:
     first use and kept only as long as the object: structure(W), eta_chi2
     at its stationary pi and the normalized joint behind it, the estimates
     on W and its powers and the kappa_up sup of each power.  W is a validated
-    channel; ``profile_n`` is the n_max of the rate profile the report asks
-    for, so that the estimates on W, W^2, ..., W^profile_n climb side by
-    side."""
+    channel and ``seed`` a checked seed of the estimates; ``profile_n`` is
+    the n_max of the rate profile the report asks for, so that the
+    estimates on W, W^2, ..., W^profile_n climb side by side."""
 
-    def __init__(self, W: np.ndarray, g: Generator, budget: SampleBudget, profile_n: int = 1):
-        self.W, self.g, self.budget, self.profile_n = W, g, budget, profile_n
+    def __init__(self, W: np.ndarray, g: Generator, seed: int, profile_n: int = 1):
+        self.W, self.g, self.seed, self.profile_n = W, g, seed, profile_n
         self._kappa_sups: dict[int, float] = {}
 
     @cached_property
@@ -752,7 +741,7 @@ class _ChainContext:
         Ws = self.powers[0] if self._profile_error() is None else [self.W]
         if _quadratic(self.g):
             return _chi2_estimates(Ws, _clamp(self.info.stationary), self.eta2, self.joint)
-        return _chain_estimates(self.g, self.info.stationary, Ws, self.budget)
+        return _chain_estimates(self.g, self.info.stationary, Ws, self.seed)
 
     @cached_property
     def powers(self) -> tuple[list[np.ndarray], str | None]:
@@ -809,7 +798,7 @@ class _ChainContext:
         return _mixing_report(self.W, delta, g, info.stationary, info.stationary_unique, eta)
 
     def profile(self) -> list[RatePoint]:
-        """``contraction_rate_profile(W, g, profile_n, budget)``; the n = 1
+        """``contraction_rate_profile(W, g, profile_n, seed)``; the n = 1
         point is the estimate on W, as I @ W equals W bit for bit."""
         error = self._profile_error()
         if error is not None:

@@ -277,8 +277,9 @@ def integral_representation(g: Generator, p, q) -> float:
     # nodes in chunks of 2^k rows, 8 <= 2^k <= 128, at most _CHUNK_ENTRIES
     # entries where 8 rows fit: the chunks split the nodes evenly, in
     # multiples of the matrix-vector kernel's row blocks at one and two
-    # threads, so each node's sum has the bits of the one product
-    rows = 1 << max(3, min(7, (_CHUNK_ENTRIES // ratios.size).bit_length() - 1))
+    # threads, so each node's sum has the bits of the one product; an empty
+    # support gives the empty sum 0
+    rows = 1 << max(3, min(7, (_CHUNK_ENTRIES // max(ratios.size, 1)).bit_length() - 1))
     vals = np.empty(_QUAD_NODES)
     for a in range(0, _QUAD_NODES, rows):
         args = 1.0 + np.outer(t[a : a + rows], ratios - 1.0)

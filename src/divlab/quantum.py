@@ -34,7 +34,6 @@ import numpy as np
 from .chi2bounds import _f2_monotone, _kappa_pair
 from .contraction import (
     BLEND_WEIGHTS,
-    SampleBudget,
     _block_rows,
     _certified_constant,
     _check_delta,
@@ -73,7 +72,6 @@ __all__ = [
     "BoundCheck",
     "petz_bounds_report",
     "PetzBoundsReport",
-    "QuantumBudget",
     "petz_eta_chi2",
     "quantum_eta_estimate",
     "quantum_eta_bounds",
@@ -196,9 +194,9 @@ def _ns_rows(spec, ref):
     lam, e = spec
     mu, f = ref
     d = f.shape[-1]
-    eh = np.swapaxes(e, -1, -2).conj().reshape(-1, d)  # rows <e_x|
-    overlap = (np.abs(eh @ f) ** 2).reshape(e.shape)  # overlap[..., x, y]
-    overlap = np.where(overlap < _OVERLAP_FLOOR, 0.0, overlap)
+    # rows <e_x| times f, each temporary freed as soon as it is used
+    overlap = (np.abs(np.swapaxes(e, -1, -2).conj().reshape(-1, d) @ f) ** 2).reshape(e.shape)
+    overlap[overlap < _OVERLAP_FLOOR] = 0.0  # overlap[..., x, y]
     overlap = np.broadcast_to(overlap, lam.shape + (d,))  # a shared eigenbasis
     P = lam[..., :, np.newaxis] * overlap
     Q = mu[np.newaxis, :] * overlap
@@ -572,19 +570,10 @@ def petz_bounds_report(g: Generator, rho, sigma) -> PetzBoundsReport:
 # contraction estimation
 
 
-@dataclass(frozen=True)
-class QuantumBudget(SampleBudget):
-    """Sampling configuration for quantum contraction estimates: the
-    classical budget with smaller defaults.  ``n_samples`` Haar pure states
-    (at least 100) enter the candidate cloud, each through its blends toward
-    sigma (see ``_candidate_states``); ``refine_steps`` proposals refine the
-    best candidate; ``seed`` seeds the cloud's draws and ``seed + 1`` the
-    refine stream."""
-
-    n_samples: int = 200
-    refine_steps: int = 120
-
-
+# Haar pure states in the cloud, each through its blends toward sigma, and
+# the refine steps of the climb from it (README.md gives the measurements)
+_N_HAAR = 200
+_REFINE_STEPS = 120
 # points per segment between two sigma-eigenbasis projectors in the cloud
 _EIGENBASIS_GRID = 33
 # weights w of the blends (1 - w) psi + w sigma of each Haar pure state psi
@@ -624,12 +613,12 @@ def _refine_draws(rng: np.random.Generator, steps: int, d: int):
     return rng.random(steps), rng.normal(size=(steps, 2, d))
 
 
-def _candidate_states(sigma: np.ndarray, budget: QuantumBudget, seeds: np.ndarray):
+def _candidate_states(sigma: np.ndarray, seed: int, seeds: np.ndarray):
     """(states, lam): the candidate stack and the spectra of its tail.
 
-    The stack holds the blends (1 - w) psi + w sigma of ``budget.n_samples``
-    Haar pure states psi (d real then d imaginary normals each, from one
-    draw seeded with the budget's seed), each psi's blends in turn: at w in
+    The stack holds the blends (1 - w) psi + w sigma of _N_HAAR Haar pure
+    states psi (d real then d imaginary normals each, from one draw seeded
+    with ``seed``), each psi's blends in turn: at w in
     _SEEDED_BLEND_WEIGHTS where there are ``seeds``, else psi itself and
     its blends at every one of BLEND_WEIGHTS.  Then come the ``seeds`` (a
     stack of states, see ``_floor_seeds``), then the _EIGENBASIS_GRID-point
@@ -641,8 +630,8 @@ def _candidate_states(sigma: np.ndarray, budget: QuantumBudget, seeds: np.ndarra
     for the last len(lam) states of the stack.  README.md gives the
     measurements behind the blend weights of both kinds of stack."""
     d = sigma.shape[0]
-    rng = np.random.default_rng(budget.seed)
-    pure = _pure_states(rng.normal(size=(budget.n_samples, 2, d)))[:, np.newaxis]
+    rng = np.random.default_rng(seed)
+    pure = _pure_states(rng.normal(size=(_N_HAAR, 2, d)))[:, np.newaxis]
     weights = _SEEDED_BLEND_WEIGHTS if len(seeds) else (0.0,) + BLEND_WEIGHTS
     w = np.asarray(weights)[:, np.newaxis, np.newaxis]
     # each pure state's blends in turn (w = 0 is the pure state)
@@ -658,7 +647,7 @@ def _candidate_states(sigma: np.ndarray, budget: QuantumBudget, seeds: np.ndarra
 
 
 def quantum_eta_estimate(
-    channel: KrausChannel, sigma, g: Generator, budget: QuantumBudget | None = None
+    channel: KrausChannel, sigma, g: Generator, seed: int = 0
 ) -> tuple[float, np.ndarray | None]:
     """Lower estimate of the Petz input-dependent contraction coefficient,
     with its witness state.
@@ -666,7 +655,7 @@ def quantum_eta_estimate(
     For a quadratic generator (f'' constant and positive) the value is
     exact: ``petz_eta_chi2(channel, sigma)`` bit for bit, with the witness
     sigma + t H along its singular direction, at 1/2 of the positivity
-    limit (``_along``); the budget is not used.
+    limit (``_along``); the seed is not used.
 
     Otherwise it is sampled by the classical engine ``_sampled`` on NS
     rows, padded to one width where d_in != d_out.  Where f''(1) = 0 and
@@ -682,15 +671,16 @@ def quantum_eta_estimate(
     segments of the stack, whose spectra ``_candidate_states`` gives in
     closed form; where such a state wins, the value is that of its exact
     spectrum, which can differ from an eigh of the state in the last bits.
-    Refine step k reads share u_k and Haar pure state psi_k of the stream
+    The stack's Haar states are drawn with ``seed``.  Each of _REFINE_STEPS
+    refine steps k reads share u_k and Haar pure state psi_k of the stream
     seeded with seed + 1 (see ``_refine_draws``) and proposes the state
     (1 - w u_k) rho + (1 - Tr[(1 - w u_k) rho]) psi_k for the step's
     weight w.
     """
-    return _eta_estimate(channel, *_states(sigma, channel=channel), g, budget or QuantumBudget())
+    return _eta_estimate(channel, *_states(sigma, channel=channel), g, _as_count(seed, "seed"))
 
 
-def _eta_estimate(channel: KrausChannel, sigma: np.ndarray, g: Generator, budget):
+def _eta_estimate(channel: KrausChannel, sigma: np.ndarray, g: Generator, seed: int):
     """``quantum_eta_estimate`` of a checked state, unchecked."""
     refs = _spectral(sigma), _spectral(_apply(channel, sigma))
     if _quadratic(g):
@@ -705,13 +695,9 @@ def _eta_estimate(channel: KrausChannel, sigma: np.ndarray, g: Generator, budget
     # the NS rows of inputs and outputs share one width, for one kernel call
     width = max(channel.dim_in, channel.dim_out) ** 2
 
-    def ns_rows(states: np.ndarray, lam=None):
-        # [(P, Q) of the inputs, (P, Q) of the outputs]; lam: the spectra
-        # of states diagonal in sigma's eigenbasis
-        spec = _spectral(states) if lam is None else (lam, ref_in[1])
-        outputs = _spectral(_apply(channel, states))
-        return [[_pad(A, width) for A in _ns_rows(*pair)]
-                for pair in ((spec, ref_in), (outputs, ref_out))]
+    def ns_rows(spec, ref):
+        # the NS rows (P, Q) against ref of states given by their spectra
+        return [_pad(A, width) for A in _ns_rows(spec, ref)]
 
     def build(current, draws, weights):
         u, psi = draws
@@ -721,26 +707,37 @@ def _eta_estimate(channel: KrausChannel, sigma: np.ndarray, g: Generator, budget
         # no rebuild needed, _spectral clips the rounding below EIG_CLAMP
         return prop + (1.0 - trace)[:, np.newaxis, np.newaxis] * psi
 
-    def block_rows(states, lam=None):
-        # a block's denominators, valued as its rows are built, and its
-        # numerator rows: only these outlive the block
-        ins, outs = ns_rows(states, lam)
-        return _divergence_rows(g, *ins, rounding_error=True), outs
+    cloud, seg_lam = _candidate_states(sigma, seed, _floor_seeds(sigma, channel, refs, g)[1])
+    # the Haar blocks, then the segment blocks, whose zeros take the kernel's
+    # masks; half the kernel's rows each, as a block's eigh vectors and NS
+    # overlaps ride on its rows, so the build peaks no higher than the engine
+    block, haar = max(1, _block_rows(cloud) // 2), len(cloud) - len(seg_lam)
+    cuts = [*range(0, haar, block), *range(haar, len(cloud), block), len(cloud)]
+    num = np.empty((2, len(cloud), width))
 
-    cloud, seg_lam = _candidate_states(sigma, budget, _floor_seeds(sigma, channel, refs, g)[1])
-    # the Haar blocks, then the segment blocks, whose zeros take the kernel's masks
-    block, haar = _block_rows(cloud), len(cloud) - len(seg_lam)
-    den, outs = zip(*[block_rows(cloud[s : min(s + block, haar)]) for s in range(0, haar, block)]
-                    + [block_rows(cloud[haar + s : haar + s + block], seg_lam[s : s + block])
-                       for s in range(0, len(seg_lam), block)])
+    def in_spectra(a, b):
+        # the segment states' spectra in closed form, the others' by eigh
+        return (seg_lam[a - haar : b - haar], ref_in[1]) if a >= haar else _spectral(cloud[a:b])
+
+    def block_rows(a, b):
+        # a block's denominators, valued before its outputs are built; its
+        # numerator rows go into num, and nothing else outlives the block
+        den = _divergence_rows(g, *ns_rows(in_spectra(a, b), ref_in), rounding_error=True)
+        num[0, a:b], num[1, a:b] = ns_rows(_spectral(_apply(channel, cloud[a:b])), ref_out)
+        return den
+
+    den = [block_rows(a, b) for a, b in zip(cuts[:-1], cuts[1:])]
     # an iterator, so the numerator rows die once the engine takes their start
-    num_rows = iter([[np.concatenate(rows) for rows in zip(*outs)]])
-    del outs
-    u, raw = _refine_draws(np.random.default_rng(budget.seed + 1), budget.refine_steps,
-                           sigma.shape[0])
-    est = _sampled(g, cloud, den, num_rows,
-                   lambda P, _: [np.stack(side) for side in zip(*ns_rows(P))],
-                   (u, _pure_states(raw)), build, 0.3)[0]
+    num_rows = iter([num])
+    del num
+    u, raw = _refine_draws(np.random.default_rng(seed + 1), _REFINE_STEPS, sigma.shape[0])
+
+    def window(P, _):
+        # each side stacks the denominators' rows, then the numerators'
+        rows = ns_rows(_spectral(P), ref_in), ns_rows(_spectral(_apply(channel, P)), ref_out)
+        return [np.stack(side) for side in zip(*rows)]
+
+    est = _sampled(g, cloud, den, num_rows, window, (u, _pure_states(raw)), build, 0.3)[0]
     with np.errstate(all="ignore"):  # f''(1) can be infinite
         flat = not _f2_monotone(g) and float(g.f2(1.0)) == 0.0
     if flat and est[0] > 0.0:

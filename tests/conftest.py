@@ -1,9 +1,11 @@
+import contextlib
 import dataclasses
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
+from divlab import contraction, quantum
 from divlab.contraction import _scores
 from divlab.divergence import _divergence_rows
 from divlab.generators import UNKNOWN, custom_generator, default_registry, make_generator
@@ -14,6 +16,22 @@ from divlab.quantum import KrausChannel
 # draws; each test keeps its own max_examples and deadline
 settings.register_profile("derandomized", derandomize=True)
 settings.load_profile("derandomized")
+
+
+@contextlib.contextmanager
+def sample_sizes(n_samples=None, refine_steps=None, n_haar=None, petz_refine_steps=None):
+    """The sampling sizes set for the body, each where given: the chain
+    cloud's Dirichlet samples and its refine steps (``contraction``), and
+    the Petz cloud's Haar states and its refine steps (``quantum``).  A
+    ``pytest.MonkeyPatch`` context of its own, so it also serves ``@given``
+    bodies, and a decorator of a whole test."""
+    sizes = {(contraction, "_N_SAMPLES"): n_samples, (contraction, "_REFINE_STEPS"): refine_steps,
+             (quantum, "_N_HAAR"): n_haar, (quantum, "_REFINE_STEPS"): petz_refine_steps}
+    with pytest.MonkeyPatch.context() as patch:
+        for (module, name), value in sizes.items():
+            if value is not None:
+                patch.setattr(module, name, value)
+        yield
 
 
 @pytest.fixture(scope="session")

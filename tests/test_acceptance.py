@@ -17,7 +17,6 @@ from divlab.bregman import (
 )
 from divlab.chi2bounds import chi2_sandwich, chi2_tv_upper, f_lower_by_chi2, reverse_pinsker
 from divlab.contraction import (
-    SampleBudget,
     contraction_rate_profile,
     eta_chi2,
     eta_f_estimate,
@@ -29,7 +28,6 @@ from divlab.generators import default_registry, make_generator
 from divlab.markov import bsc
 from divlab.pinsker import certify_constant
 from divlab.quantum import (
-    QuantumBudget,
     classical_embedding,
     petz_bounds_report,
     petz_chi2,
@@ -37,8 +35,11 @@ from divlab.quantum import (
     quantum_eta_estimate,
 )
 
-BUDGET = SampleBudget(n_samples=200, seed=2024, refine_steps=100)
-QBUDGET = QuantumBudget(n_samples=100, seed=2024, refine_steps=40)
+from conftest import sample_sizes
+
+# the seed of every sampled estimate, and the sizes of the chain estimates
+SEED = 2024
+SIZES = {"n_samples": 200, "refine_steps": 100}
 
 # beyond the tightness list, every Tables-1-2 entry attains its constant; the
 # piecewise generator is certified against an infimum approached at the corner
@@ -104,6 +105,7 @@ def test_criterion_2_bsc_contraction():
     _report(2, ok, f"eta_chi2(BSC) worst error {worst:.2e} in {elapsed:.2f}s")
 
 
+@sample_sizes(**SIZES)
 def test_criterion_3_hellinger_linear_bound():
     uniform = np.array([0.5, 0.5])
     worst_eq = 0.0
@@ -116,7 +118,7 @@ def test_criterion_3_hellinger_linear_bound():
             # valid for alpha in (1, 2) since the certified constant is 4 alpha
             _, linear = eta_f_upper_bounds(W, uniform, g, pinsker_constant=4.0)
             worst_eq = max(worst_eq, abs(linear - 2.0 * (1.0 - 2.0 * p) ** 2))
-            est, _ = eta_f_estimate(W, uniform, g, BUDGET)
+            est, _ = eta_f_estimate(W, uniform, g, SEED)
             ok &= est <= linear + 1e-9
             # the per-alpha certified constant gives the tighter valid bound
             _, tight_linear = eta_f_upper_bounds(W, uniform, g)
@@ -126,12 +128,13 @@ def test_criterion_3_hellinger_linear_bound():
                    "dominates the exhaustive-grid estimate")
 
 
+@sample_sizes(**SIZES)
 def test_criterion_4_rate_convergence():
     start = time.perf_counter()
     failures = []
     for name in ("kl", "squared_hellinger", "jensen_shannon"):
         g = make_generator(name)
-        profile = contraction_rate_profile(bsc(0.3), g, 12, BUDGET)
+        profile = contraction_rate_profile(bsc(0.3), g, 12, SEED)
         roots = [pt.eta_f_root for pt in profile]
         final_err = abs(roots[-1] - 0.16)
         if final_err > 0.05:
@@ -278,7 +281,8 @@ def test_criterion_8_quantum_reductions():
     worst_embed = 0.0
     sigma = np.eye(2, dtype=complex) / 2
     for p in (0.05, 0.1, 0.25, 0.3, 0.45):
-        est, _ = quantum_eta_estimate(classical_embedding(bsc(p)), sigma, pc, QBUDGET)
+        # pearson_chi2 is quadratic: the estimate is exact and samples nothing
+        est, _ = quantum_eta_estimate(classical_embedding(bsc(p)), sigma, pc, SEED)
         worst_embed = max(worst_embed, abs(est - (1.0 - 2.0 * p) ** 2))
     ok &= worst_embed <= 1e-6
     _report(

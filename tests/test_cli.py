@@ -494,6 +494,24 @@ def test_env_seed_override(bsc_csv, capsys, monkeypatch):
     assert report["seed"] == 99
 
 
+@pytest.mark.parametrize("command", ["analyze-chain", "quantum-analyze"])
+@pytest.mark.parametrize("source", ["flag", "env"])
+def test_negative_seed_is_an_input_error(command, source, bsc_csv, embedded_bsc_json, capsys,
+                                         monkeypatch):
+    # the seed is gated where the report starts sampling, from --seed or
+    # DIVLAB_SEED alike
+    argv = {"analyze-chain": ["--matrix", bsc_csv], "quantum-analyze": ["--channel",
+                                                                        embedded_bsc_json]}
+    argv = [command, *argv[command], "--generator", "kl"]
+    if source == "env":
+        monkeypatch.setenv("DIVLAB_SEED", "-1")
+    else:
+        argv += ["--seed", "-1"]
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: seed must be at least 0\n")
+
+
 def test_unused_flags_are_rejected(bsc_csv, capsys, monkeypatch):
     # --bits relabelled no analyze-chain value; the other three sample nothing
     for argv in (

@@ -1,7 +1,7 @@
 """The input contract of the public API.
 
 Every public callable of divlab (the union of the modules' ``__all__``
-plus the validating constructors), drawn on edge inputs, either returns
+plus the validating constructor of KrausChannel), drawn on edge inputs, either returns
 well-typed values without NaN that meet the relations of its docstring, or
 raises ValueError.  The CLI twin writes the same edge inputs to files and
 flags: every subcommand exits 0, 1 or 2 without a traceback, and prints
@@ -28,9 +28,11 @@ from hypothesis import strategies as st
 
 import divlab
 from divlab import cli, divergence, markov, quantum
-from divlab.contraction import SampleBudget, _quadratic
+from divlab.contraction import _quadratic
 from divlab.generators import Generator, make_generator
-from divlab.quantum import KrausChannel, QuantumBudget
+from divlab.quantum import KrausChannel
+
+from conftest import sample_sizes
 
 MODULES = ("bregman", "chi2bounds", "contraction", "divergence", "generators",
            "markov", "pinsker", "quantum")
@@ -39,7 +41,7 @@ SRC = pathlib.Path(divlab.__file__).parent
 
 def _public_callables() -> dict:
     """The public functions of every module's ``__all__`` and the
-    validating constructors."""
+    validating constructor of KrausChannel."""
     out = {}
     for name in MODULES:
         module = importlib.import_module(f"divlab.{name}")
@@ -47,8 +49,7 @@ def _public_callables() -> dict:
             obj = getattr(module, attr)
             if inspect.isfunction(obj):
                 out[attr] = obj
-    out.update(KrausChannel=KrausChannel, SampleBudget=SampleBudget,
-               QuantumBudget=QuantumBudget)
+    out.update(KrausChannel=KrausChannel)
     return out
 
 
@@ -273,8 +274,12 @@ KRAUS_LISTS = (
 SCALARS = (0.0, 0.25, 0.5, 1.0, -0.5, 1.5, NAN, INF, -INF)
 COUNTS = (0, 1, 2, 3, 2.5, -1, 16, 15, 17.0, np.int64(2))
 DELTAS = (0.01, 1e-320, 0.0, -1.0, NAN, INF)
-BUDGETS = (None, SampleBudget(n_samples=100, refine_steps=5))
-QBUDGETS = (None, QuantumBudget(n_samples=100, refine_steps=5))
+# the seeds of the sampled estimates, all valid: test_seed_validation and
+# the input-error rows check bad ones
+SEEDS = (0, 7)
+# the quick sampling sizes; the sampled estimates draw these or the
+# library's beside their arguments
+SAMPLE_SIZES = {"n_samples": 100, "refine_steps": 5, "n_haar": 100, "petz_refine_steps": 5}
 gens = st.sampled_from(GENERATORS)
 scalars = st.sampled_from(SCALARS)
 counts = st.sampled_from(COUNTS)
@@ -294,6 +299,13 @@ def bregman_args(draw):
 
 def _args(*strategies):
     return st.tuples(*strategies)
+
+
+def _sized(strategy):
+    """A sampled estimate's draws: its arguments and the sampling sizes it
+    runs at, the library's (None) or SAMPLE_SIZES."""
+    return st.tuples(strategy, st.sampled_from((None, SAMPLE_SIZES))).map(
+        lambda a: (tuple(a[0]), {}, a[1]))
 
 
 STRATEGIES = {
@@ -352,17 +364,15 @@ STRATEGIES = {
     "iterate": st.tuples(chain_inputs(1), counts).map(lambda a: (*a[0], a[1])),
     # contraction
     "eta_chi2": chain_inputs(1),
-    "eta_f_estimate": st.tuples(chain_inputs(1, small=True), gens,
-                                st.sampled_from(BUDGETS)).map(lambda a: (*a[0], *a[1:])),
+    "eta_f_estimate": _sized(st.tuples(chain_inputs(1, small=True), gens,
+                                       st.sampled_from(SEEDS)).map(lambda a: (*a[0], *a[1:]))),
     "eta_f_upper_bounds": st.tuples(chain_inputs(1), gens).map(lambda a: (*a[0], a[1])),
-    "contraction_rate_profile": _args(chains(small=True), gens,
-                                      st.sampled_from((2, 3, 1, 2.5)),
-                                      st.sampled_from(BUDGETS)),
+    "contraction_rate_profile": _sized(_args(chains(small=True), gens,
+                                             st.sampled_from((2, 3, 1, 2.5)),
+                                             st.sampled_from(SEEDS))),
     "convergence_bound": st.tuples(stationary_inputs(), counts).map(lambda a: (*a[0], a[1])),
     "mixing_time_bounds": _args(chains(), st.sampled_from(DELTAS),
                                 st.sampled_from((None, KL, PC, make_generator("reverse_kl")))),
-    "SampleBudget": _args(st.sampled_from((100, 99, 100.5, 400)), st.sampled_from((0, -1, 2.5)),
-                          st.sampled_from((0, 5, -1, 2.5))),
     # quantum
     "check_density_matrix": _args(states()),
     "trace_distance": state_pairs(),
@@ -381,11 +391,9 @@ STRATEGIES = {
     "compose": _args(channels(), channels()),
     "channel_structure": _args(channels()),
     "petz_bounds_report": st.tuples(gens, state_pairs()).map(lambda a: (a[0], *a[1])),
-    "QuantumBudget": _args(st.sampled_from((100, 99, 100.5)), st.sampled_from((0, -1, 2.5)),
-                           st.sampled_from((0, 5, -1))),
     "petz_eta_chi2": channel_states(),
-    "quantum_eta_estimate": st.tuples(channel_states(), gens,
-                                      st.sampled_from(QBUDGETS)).map(lambda a: (*a[0], *a[1:])),
+    "quantum_eta_estimate": _sized(st.tuples(channel_states(), gens,
+                                             st.sampled_from(SEEDS)).map(lambda a: (*a[0], *a[1:]))),
     "quantum_eta_bounds": st.tuples(channel_states(), gens).map(lambda a: (*a[0], a[1])),
     "quantum_mixing_time_bounds": _args(channels(), st.sampled_from(DELTAS),
                                         st.sampled_from((None, KL, PC, JS))),
@@ -515,8 +523,6 @@ def _relations(name, args, kwargs, out):
         assert out[0] <= out[1] + 1e-9 and out[0] <= out[2] + 1e-9
     elif name == "mixing_time_bounds":
         assert out.tv_bound >= 0 and out.empirical_within_bound
-    elif name in ("SampleBudget", "QuantumBudget"):
-        assert out.n_samples >= 100 and out.seed >= 0 and out.refine_steps >= 0
     elif name == "check_density_matrix":
         assert _is_state(out)
     elif name == "trace_distance":
@@ -559,10 +565,12 @@ def test_every_public_callable_has_a_strategy():
 
 
 def _split(drawn):
-    """A drawn case as (args, kwargs)."""
-    if len(drawn) == 2 and isinstance(drawn[0], tuple) and isinstance(drawn[1], dict):
+    """A drawn case as (args, kwargs, sampling sizes or None)."""
+    if len(drawn) == 3 and isinstance(drawn[0], tuple) and isinstance(drawn[1], dict):
         return drawn
-    return tuple(drawn), {}
+    if len(drawn) == 2 and isinstance(drawn[0], tuple) and isinstance(drawn[1], dict):
+        return (*drawn, None)
+    return tuple(drawn), {}, None
 
 
 @pytest.mark.parametrize("name", sorted(STRATEGIES))
@@ -573,9 +581,10 @@ def test_public_call_returns_or_raises_value_error(name):
               suppress_health_check=list(HealthCheck))
     @given(STRATEGIES[name])
     def check(drawn):
-        args, kwargs = _split(drawn)
+        args, kwargs, sizes = _split(drawn)
         try:
-            out = call(*args, **kwargs)
+            with sample_sizes(**(sizes or {})):
+                out = call(*args, **kwargs)
         except ValueError:
             return
         _nan_free(out)
@@ -622,8 +631,10 @@ NAN2 = np.full((2, 2), NAN)
     _raises(divlab.shift_generator, KL, NAN, match="shift must be finite"),
     _raises(divlab.certify_constant, KL, None, 16, NAN, match="claimed constant"),
     _raises(divlab.certify_constant, KL, None, 16.5, match="grid_n must be an integer"),
-    _raises(SampleBudget, 100.5, match="n_samples must be an integer"),
-    _raises(QuantumBudget, 200, -1, match="seed must be at least 0"),
+    _raises(divlab.eta_f_estimate, divlab.bsc(0.1), [0.5, 0.5], KL, 2.5,
+            match="seed must be an integer"),
+    _raises(divlab.quantum_eta_estimate, divlab.depolarizing_channel(2, 0.5), EYE2, KL, -1,
+            match="seed must be at least 0"),
     _raises(divlab.quadratic_fn, [[NAN, 0.0], [0.0, 1.0]], match="finite"),
     _raises(divlab.neg_entropy_fn, 0, match="dim must be at least 1"),
     _raises(KrausChannel, (np.ones(2),), match="2-D"),
@@ -845,7 +856,6 @@ W3 = CHAINS["random-3"]
 PI3 = divlab.stationary_distribution(W3)[0]
 RHO, SIGMA = _state(2, "full"), np.eye(2) / 2
 CHAN = CHANNELS["isometry-2"]
-FAST = SampleBudget(n_samples=100, refine_steps=5)
 VALID = {
     "as_weight_vec": (P,), "as_prob_vec": (P,), "f_divergence": (KL, P, Q),
     "f_divergence_rows": (KL, [P, Q], Q), "total_variation": (P, Q), "chi_squared": (P, Q),
@@ -859,18 +869,18 @@ VALID = {
     "generator_values": (KL, 2.0), "shift_generator": (KL, 0.5), "registry_names": (),
     "default_registry": (), "from_spec": ("kl",), "as_channel": (W3,), "bsc": (0.1,),
     "noisy_typewriter": (), "stationary_distribution": (W3,), "structure": (W3,),
-    "iterate": (W3, P, 3), "eta_chi2": (W3, PI3), "eta_f_estimate": (W3, PI3, KL, FAST),
-    "eta_f_upper_bounds": (W3, PI3, KL), "contraction_rate_profile": (W3, KL, 3, FAST),
+    "iterate": (W3, P, 3), "eta_chi2": (W3, PI3), "eta_f_estimate": (W3, PI3, KL, 1),
+    "eta_f_upper_bounds": (W3, PI3, KL), "contraction_rate_profile": (W3, KL, 3, 1),
     "convergence_bound": (W3, PI3, P, 3), "mixing_time_bounds": (W3, 0.01, KL),
-    "SampleBudget": (100, 0, 5), "check_density_matrix": (RHO,),
+    "check_density_matrix": (RHO,),
     "trace_distance": (RHO, SIGMA), "hs_norm_sq": (RHO,), "min_positive_eigenvalue": (RHO,),
     "ns_distributions": (RHO, SIGMA), "petz_f_divergence": (KL, RHO, SIGMA),
     "petz_chi2": (RHO, SIGMA), "KrausChannel": ((np.eye(2),),), "identity_channel": (2,),
     "depolarizing_channel": (2, 0.5), "dephasing_channel": (2,),
     "replacer_channel": (RHO,), "classical_embedding": (W3,), "apply_channel": (CHAN, RHO),
     "compose": (CHAN, CHAN), "channel_structure": (CHAN,),
-    "petz_bounds_report": (KL, RHO, SIGMA), "QuantumBudget": (100, 0, 5),
-    "petz_eta_chi2": (CHAN, SIGMA), "quantum_eta_estimate": (CHAN, SIGMA, KL, QBUDGETS[1]),
+    "petz_bounds_report": (KL, RHO, SIGMA),
+    "petz_eta_chi2": (CHAN, SIGMA), "quantum_eta_estimate": (CHAN, SIGMA, KL, 1),
     "quantum_eta_bounds": (CHAN, SIGMA, KL),
     "quantum_mixing_time_bounds": (divlab.depolarizing_channel(2, 0.5), 0.01, KL),
     "quadratic_fn": (np.eye(2),), "neg_entropy_fn": (2,),
@@ -883,20 +893,21 @@ VALID = {
 @pytest.mark.parametrize("name", sorted(VALID))
 def test_public_call_runs_each_gate_at_most_once(name, gate_calls):
     # a gate validates every argument of its kind, so one call per gate is
-    # one validation per argument; a budget has three counts
+    # one validation per argument; the rate profile has two counts, n_max
+    # and the seed
     assert set(VALID) == set(PUBLIC)
-    PUBLIC[name](*VALID[name])
-    counts = {"_as_count": 3} if name.endswith("Budget") else {}
+    with sample_sizes(**SAMPLE_SIZES):
+        PUBLIC[name](*VALID[name])
+    counts = {"_as_count": 2} if name == "contraction_rate_profile" else {}
     assert all(n == counts.get(gate, 1) for gate, n in gate_calls.items()), gate_calls
 
 
-# the budgets of the two sampling reports check their three counts, the
-# seed among them
+# the two sampling reports check their seed
 @pytest.mark.parametrize("command,gates", [
-    ("analyze-chain", {"_channel": 1, "_as_count": 3}),
+    ("analyze-chain", {"_channel": 1, "_as_count": 1}),
     ("mixing-time", {"_channel": 1}),
     ("divergence", {"_vectors": 1}),
-    ("quantum-analyze", {"KrausChannel": 1, "_as_count": 3}),
+    ("quantum-analyze", {"KrausChannel": 1, "_as_count": 1}),
     ("verify-constants", {"_as_count": 1}),
 ])
 def test_cli_report_validates_each_argument_once(command, gates, tmp_path, gate_calls):

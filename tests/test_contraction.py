@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import types
 import warnings
 
 import numpy as np
@@ -10,7 +11,6 @@ from hypothesis import strategies as st
 from divlab import chi2bounds, contraction, quantum
 from divlab.chi2bounds import kappa_bounds
 from divlab.contraction import (
-    SampleBudget,
     _candidate_inputs,
     _kappa_up_sup,
     contraction_rate_profile,
@@ -30,12 +30,14 @@ from conftest import (
     random_kraus,
     random_state,
     ratio_scores,
+    sample_sizes,
     sampled_twin,
     singular_bump_generator,
 )
 
 UNIFORM2 = np.array([0.5, 0.5])
-FAST = SampleBudget(n_samples=100, refine_steps=40)
+# the sampling sizes of the quick tests
+FAST = {"n_samples": 100, "refine_steps": 40}
 
 
 def _ratios(g, W, q, P):
@@ -113,25 +115,27 @@ def test_eta_chi2_below_one_for_scrambling_instances():
         assert eta_chi2(W, q) < 1.0 - 1e-6
 
 
+@sample_sizes(**FAST)
 def test_eta_f_estimate_identity_and_constant():
     kl = make_generator("kl")
-    est, _ = eta_f_estimate(np.eye(2), UNIFORM2, kl, FAST)
+    est, _ = eta_f_estimate(np.eye(2), UNIFORM2, kl)
     assert est == pytest.approx(1.0, abs=1e-9)
     with pytest.warns(UserWarning):
-        est, _ = eta_f_estimate(constant_channel(2), np.array([1.0, 0.0]), kl, FAST)
+        est, _ = eta_f_estimate(constant_channel(2), np.array([1.0, 0.0]), kl)
     assert est == 0.0
     # constant channel with interior reference: ratio is zero everywhere
-    est, _ = eta_f_estimate(constant_channel(2), UNIFORM2, kl, FAST)
+    est, _ = eta_f_estimate(constant_channel(2), UNIFORM2, kl)
     assert est == pytest.approx(0.0, abs=1e-12)
 
 
 def test_eta_f_estimate_pearson_matches_exact():
     pc = make_generator("pearson_chi2")
-    est, witness = eta_f_estimate(bsc(0.3), UNIFORM2, pc, FAST)
+    est, witness = eta_f_estimate(bsc(0.3), UNIFORM2, pc)
     assert est == pytest.approx(0.16, abs=1e-6)
     assert witness is not None
 
 
+@sample_sizes(**FAST)
 def test_eta_f_at_least_eta_chi2_on_binary_grid(registry):
     # exhaustive grid on the binary simplex makes the estimate essentially
     # exact; generators with f''(1) > 0 dominate the chi-squared coefficient
@@ -140,14 +144,15 @@ def test_eta_f_at_least_eta_chi2_on_binary_grid(registry):
     for g in registry:
         if float(g.f2(1.0)) <= 0.0:
             continue
-        est, _ = eta_f_estimate(W, UNIFORM2, g, FAST)
+        est, _ = eta_f_estimate(W, UNIFORM2, g)
         assert est >= exact - 1e-6, g.label
 
 
+@sample_sizes(**FAST)
 def test_eta_f_upper_bounds_dominate_estimate():
     kl = make_generator("kl")
     W = bsc(0.25)
-    est, _ = eta_f_estimate(W, UNIFORM2, kl, FAST)
+    est, _ = eta_f_estimate(W, UNIFORM2, kl)
     nonlinear, linear = eta_f_upper_bounds(W, UNIFORM2, kl)
     assert est <= nonlinear + 1e-9
     assert linear is not None and est <= linear + 1e-9
@@ -182,28 +187,30 @@ def test_nonlinear_bound_dominates_exact_chi2():
         assert nonlinear >= eta_chi2(W, q) - 1e-9
 
 
+@sample_sizes(**FAST)
 def test_submultiplicativity_binary():
     kl = make_generator("kl")
     W = bsc(0.2)
     q = np.array([0.35, 0.65])
-    est_sq, _ = eta_f_estimate(W @ W, q, kl, FAST)
-    est_1, _ = eta_f_estimate(W, q, kl, FAST)
-    est_2, _ = eta_f_estimate(W, W @ q, kl, FAST)
+    est_sq, _ = eta_f_estimate(W @ W, q, kl)
+    est_1, _ = eta_f_estimate(W, q, kl)
+    est_2, _ = eta_f_estimate(W, W @ q, kl)
     assert est_sq <= est_2 * est_1 + 1e-3
 
 
 def test_rate_profile_reversible_pearson_is_flat():
     pc = make_generator("pearson_chi2")
-    profile = contraction_rate_profile(bsc(0.3), pc, 6, FAST)
+    profile = contraction_rate_profile(bsc(0.3), pc, 6)
     for pt in profile:
         assert pt.eta_f_root == pytest.approx(0.16, abs=1e-4)
         assert pt.within_envelope
 
 
+@sample_sizes(**FAST)
 def test_rate_profile_constant_channel_is_zero():
     kl = make_generator("kl")
     with pytest.warns(UserWarning):
-        profile = contraction_rate_profile(constant_channel(3), kl, 3, FAST)
+        profile = contraction_rate_profile(constant_channel(3), kl, 3)
     for pt in profile:
         assert pt.eta_f_root == 0.0
 
@@ -211,12 +218,12 @@ def test_rate_profile_constant_channel_is_zero():
 def test_rate_profile_preconditions():
     kl = make_generator("kl")
     with pytest.raises(ValueError):
-        contraction_rate_profile(bsc(0.3), kl, 1, FAST)
+        contraction_rate_profile(bsc(0.3), kl, 1)
     two_cycle = np.array([[0.0, 1.0], [1.0, 0.0]])
     with pytest.raises(ValueError):
-        contraction_rate_profile(two_cycle, kl, 4, FAST)
+        contraction_rate_profile(two_cycle, kl, 4)
     with pytest.raises(ValueError):
-        contraction_rate_profile(np.eye(3), kl, 4, FAST)
+        contraction_rate_profile(np.eye(3), kl, 4)
 
 
 def test_convergence_bound_bsc_example():
@@ -284,6 +291,25 @@ def test_mixing_time_large_delta_floors_at_zero():
     report = mixing_time_bounds(bsc(0.25), 1.5)
     assert report.tv_bound == 0
     assert report.empirical_tv == 0
+
+
+@pytest.mark.parametrize("delta, f_bound", [(5.0, 0), (3.0, 1)])
+def test_mixing_f_bound_at_eta_zero_reads_its_target(delta, f_bound):
+    # a rank-one chain (pi = (1/2, 1/2)) and the replacer channel of I/2 have
+    # eta_chi2 = 0: a bound is 1, or 0 where its log target is not positive,
+    # as with eta = 1e-12.  KL's f target is ln(4 / delta) for the chain and
+    # ln(8 / delta) for the channel, the TV and td targets negative at both
+    # deltas
+    kl = make_generator("kl")
+    chain = mixing_time_bounds(np.outer([0.5, 0.5], [1.0, 1.0]), delta, kl)
+    channel = quantum.quantum_mixing_time_bounds(
+        quantum.replacer_channel(np.eye(2) / 2), 9.0 if f_bound == 0 else 5.0, kl)
+    for report in (chain, channel):
+        assert report.eta_chi2 == 0.0
+        bound, f_bound_read, _, empirical_f = dataclasses.astuple(report)[:4]
+        assert (bound, f_bound_read, empirical_f) == (0, f_bound, 0)
+    W = np.array([[0.5 + 1e-6, 0.5 - 1e-6], [0.5 - 1e-6, 0.5 + 1e-6]])  # eta = 4e-12
+    assert mixing_time_bounds(W, delta, kl).f_bound == f_bound
 
 
 def test_mixing_time_tiny_delta_gets_finite_bounds():
@@ -387,20 +413,33 @@ def test_mixing_engine_bounds_hold_for_chains_and_channels(chain, channel, delta
         assert report.empirical_within_bound == (empirical is not None and empirical <= bound)
 
 
-def test_budget_validation():
-    with pytest.raises(ValueError):
-        SampleBudget(n_samples=10)
+@pytest.mark.parametrize("seed, match", [
+    (-1, "seed must be at least 0"),
+    (2.5, "seed must be an integer"),
+    # a budget object, which the estimates once took in place of a seed
+    (types.SimpleNamespace(n_samples=400, seed=0, refine_steps=200), "seed must be an integer"),
+])
+def test_seed_validation(seed, match):
+    # every sampled estimate gates its seed at the boundary, on the exact
+    # route of a quadratic generator too
+    channel, sigma = quantum.depolarizing_channel(2, 0.5), np.eye(2) / 2
+    for g in (make_generator("kl"), make_generator("pearson_chi2")):
+        for call in (lambda: eta_f_estimate(bsc(0.3), UNIFORM2, g, seed),
+                     lambda: contraction_rate_profile(bsc(0.3), g, 2, seed),
+                     lambda: quantum.quantum_eta_estimate(channel, sigma, g, seed)):
+            with pytest.raises(ValueError, match=match):
+                call()
 
 
+@sample_sizes(n_samples=150, refine_steps=30)
 def test_determinism_same_seed():
     kl = make_generator("kl")
     W = np.array(
         [[0.6, 0.3, 0.1], [0.2, 0.5, 0.3], [0.2, 0.2, 0.6]]
     )
     q = np.array([0.3, 0.4, 0.3])
-    budget = SampleBudget(n_samples=150, seed=42, refine_steps=30)
-    a = eta_f_estimate(W, q, kl, budget)
-    b = eta_f_estimate(W, q, kl, budget)
+    a = eta_f_estimate(W, q, kl, 42)
+    b = eta_f_estimate(W, q, kl, 42)
     assert a[0] == b[0]
     assert np.array_equal(a[1], b[1])
 
@@ -422,14 +461,15 @@ def _kappa_generators(registry):
     return registry + [make_generator("chi_alpha", alpha=2.5), bump_generator()]
 
 
-def _check_kappa_parity(g, W, q, budget):
+def _check_kappa_parity(g, W, q):
     # the vertex maximum against the loop over the sampled candidate cloud,
     # restricted to the inputs p << q that the bounds range over
-    cloud = _candidate_inputs(q.shape[0], q, budget)
+    cloud = _candidate_inputs(q.shape[0], q, 0)
     cloud = cloud[cloud[:, q <= 0.0].sum(axis=1) == 0.0]
     assert _kappa_up_sup(g, W, q) == _loop_kappa_sup(g, cloud @ W.T, W @ q), g.label
 
 
+@sample_sizes(**FAST)
 def test_kappa_sup_matches_kappa_bounds_loop(registry):
     rng = np.random.default_rng(31)
     for n in (2, 3, 5):
@@ -439,12 +479,13 @@ def test_kappa_sup_matches_kappa_bounds_loop(registry):
         q_zero[-1] = 0.0
         q_zero /= q_zero.sum()
         for g in _kappa_generators(registry):
-            _check_kappa_parity(g, W, q, FAST)
+            _check_kappa_parity(g, W, q)
             # W maps the last input only to the last output, which Wq misses;
             # that input is outside supp q, so it does not count
-            _check_kappa_parity(g, np.eye(n), q_zero, FAST)
+            _check_kappa_parity(g, np.eye(n), q_zero)
 
 
+@sample_sizes(**FAST)
 def test_kappa_sup_chunked_non_monotone(monkeypatch):
     # one candidate row per block of the 1025-point t-grid
     monkeypatch.setattr(chi2bounds, "_KAPPA_BLOCK", 4000)
@@ -452,10 +493,10 @@ def test_kappa_sup_chunked_non_monotone(monkeypatch):
     W = rng.dirichlet(np.ones(3), size=3).T
     q = np.array([0.2, 0.3, 0.5])
     for g in (make_generator("chi_alpha", alpha=2.5), bump_generator()):
-        _check_kappa_parity(g, W, q, FAST)
+        _check_kappa_parity(g, W, q)
     # f''(0+) = inf with a zero output ratio gives +inf, as in kappa_bounds
     sing = singular_bump_generator()
-    _check_kappa_parity(sing, np.eye(3), q, FAST)
+    _check_kappa_parity(sing, np.eye(3), q)
     assert _kappa_up_sup(sing, np.eye(3), q) == math.inf
 
 
@@ -526,13 +567,14 @@ def _longdouble_divergence(g, f, P, q):
     np.finfo(np.longdouble).eps == np.finfo(float).eps,
     reason="longdouble is no wider than float64 on this platform",
 )
+@sample_sizes(**FAST)
 def test_ratio_scores_below_longdouble_oracle():
     rng = np.random.default_rng(43)
     for n in (2, 3, 8):
         W = rng.dirichlet(np.ones(n), size=n).T
         q = 0.9 * rng.dirichlet(3.0 * np.ones(n)) + 0.1 / n
         near = [q + d * (np.eye(n)[i] - q) for d in 10.0 ** -np.arange(2, 8) for i in range(n)]
-        P = np.vstack([_candidate_inputs(n, q, FAST)] + near)
+        P = np.vstack([_candidate_inputs(n, q, 0)] + near)
         Wl, ql, Pl = (x.astype(np.longdouble) for x in (W, q, P))
         for name, f in _LONGDOUBLE_F.items():
             g = make_generator(name)
@@ -548,9 +590,10 @@ def test_ratio_scores_below_longdouble_oracle():
 # the batched refine against the step-by-step climb
 
 
-def hill_climb_sequential(scores, cloud, propose, budget, scale, all_scores=None):
+def hill_climb_sequential(scores, cloud, propose, seed, steps, scale, all_scores=None):
     """Oracle for ``_climbs``: the climb that scores one proposal per
-    call.  ``propose(current, rng, scale)`` moves the best input so far or
+    call, ``steps`` times from a generator seeded ``seed + 1``.
+    ``propose(current, rng, scale)`` moves the best input so far or
     returns None, and the scale shrinks by 0.98 per move.  The cloud is
     scored block by block unless its scores are given."""
     if all_scores is None:
@@ -563,9 +606,9 @@ def hill_climb_sequential(scores, cloud, propose, budget, scale, all_scores=None
     if best == -math.inf:
         warnings.warn("no feasible input found; estimate 0")
         return 0.0, None
-    rng = np.random.default_rng(budget.seed + 1)
+    rng = np.random.default_rng(seed + 1)
     current = cloud[k].copy()
-    for _ in range(budget.refine_steps):
+    for _ in range(steps):
         prop = propose(current, rng, scale)
         if prop is None:
             continue
@@ -576,17 +619,17 @@ def hill_climb_sequential(scores, cloud, propose, budget, scale, all_scores=None
     return max(best, 0.0), current
 
 
-def eta_f_estimate_sequential(W, q, g, budget, accepted=None):
-    """``eta_f_estimate`` through the step-by-step climb; ``accepted``
-    collects the refine scores that beat the best so far."""
+def eta_f_estimate_sequential(W, q, g, seed, accepted=None):
+    """``eta_f_estimate`` through the step-by-step climb, at the sizes of
+    the module constants; ``accepted`` collects the refine scores that beat
+    the best so far."""
     W, q = as_channel(W), as_prob_vec(q)
-    n, stream = q.shape[0], None
+    n, stream, steps = q.shape[0], None, contraction._REFINE_STEPS
 
     def propose(current, rng, scale):
         # step k reads row k of the pairs and share k, drawn as two blocks
         nonlocal stream
         if stream is None:
-            steps = budget.refine_steps
             stream = zip(rng.integers(0, n, size=(steps, 2)), rng.random(steps))
         (i, j), u = next(stream)
         if i == j:
@@ -604,13 +647,13 @@ def eta_f_estimate_sequential(W, q, g, budget, accepted=None):
             accepted.append(float(out[0]))
         return out
 
-    cloud = _candidate_inputs(n, q, budget)
+    cloud = _candidate_inputs(n, q, seed)
     if accepted is not None:
         accepted.append(float(np.max(_ratios(g, W, q, cloud))))
-    return hill_climb_sequential(scores, cloud, propose, budget, 0.25)
+    return hill_climb_sequential(scores, cloud, propose, seed, steps, 0.25)
 
 
-def _petz_cloud_scores(channel, sigma, g, budget):
+def _petz_cloud_scores(channel, sigma, g, seed):
     """The scorer of the Petz estimate's ratios, one stack of states at a
     time, and the candidate cloud with the scores of all its rows.  NS rows
     of inputs and outputs are padded to one width."""
@@ -636,7 +679,7 @@ def _petz_cloud_scores(channel, sigma, g, budget):
 
     refs = spectral(sigma), spectral(sigma_out)
     cloud, _ = quantum._candidate_states(
-        sigma, budget, quantum._floor_seeds(sigma, channel, refs, g)[1])
+        sigma, seed, quantum._floor_seeds(sigma, channel, refs, g)[1])
     # each segment a |f_i><f_i| + (1 - a) |f_j><f_j| between sigma's
     # eigenvectors f is scored from its spectrum a e_i + (1 - a) e_j; the
     # states before them through eigh
@@ -656,23 +699,21 @@ def _petz_cloud_scores(channel, sigma, g, budget):
     return scores, cloud, all_scores
 
 
-def quantum_eta_estimate_sequential(channel, sigma, g, budget):
-    d = channel.dim_in
-    stream = None
+def quantum_eta_estimate_sequential(channel, sigma, g, seed):
+    d, stream, steps = channel.dim_in, None, quantum._REFINE_STEPS
 
     def propose(current, rng, weight):
         # step k reads share k and Haar state k, drawn as two blocks
         nonlocal stream
         if stream is None:
-            steps = budget.refine_steps
             stream = zip(rng.random(steps), rng.normal(size=(steps, 1, 2, d)))
         u, raw = next(stream)
         prop = (1.0 - weight * u) * current
         psi = quantum._pure_states(raw)[0]
         return prop + (1.0 - np.trace(prop).real) * psi
 
-    scores, cloud, all_scores = _petz_cloud_scores(channel, sigma, g, budget)
-    return hill_climb_sequential(scores, cloud, propose, budget, 0.3, all_scores)
+    scores, cloud, all_scores = _petz_cloud_scores(channel, sigma, g, seed)
+    return hill_climb_sequential(scores, cloud, propose, seed, steps, 0.3, all_scores)
 
 
 def assert_same_climb(batched, sequential):
@@ -730,13 +771,13 @@ def test_batched_climb_matches_sequential(n, name, reference, sparse, refine_ste
         q /= q.sum()
     elif reference == "point-mass":
         q = np.eye(n)[rng.integers(n)]
-    budget = SampleBudget(n_samples=100, seed=int(rng.integers(1 << 31)),
-                          refine_steps=refine_steps)
+    seed = int(rng.integers(1 << 31))
     g = _CLIMB_GENERATORS[name]
-    assert_same_climb(
-        lambda: eta_f_estimate(W, q, g, budget),
-        lambda: eta_f_estimate_sequential(W, q, g, budget),
-    )
+    with sample_sizes(n_samples=100, refine_steps=refine_steps):
+        assert_same_climb(
+            lambda: eta_f_estimate(W, q, g, seed),
+            lambda: eta_f_estimate_sequential(W, q, g, seed),
+        )
 
 
 @pytest.mark.parametrize(
@@ -750,11 +791,10 @@ def test_batched_climb_matches_sequential_across_windows(n, sparse, name, seed):
     W = _random_chain(rng, n, sparse)
     pi, _ = stationary_distribution(W)
     g = _CLIMB_GENERATORS[name]
-    budget = SampleBudget(seed=5)
     accepted = []
     assert_same_climb(
-        lambda: eta_f_estimate(W, pi, g, budget),
-        lambda: eta_f_estimate_sequential(W, pi, g, budget, accepted),
+        lambda: eta_f_estimate(W, pi, g, 5),
+        lambda: eta_f_estimate_sequential(W, pi, g, 5, accepted),
     )
     assert len(accepted) >= 3  # the cloud's best and at least two moves
 
@@ -768,7 +808,6 @@ def test_climb_window_width_adapts(monkeypatch):
     W = _random_chain(rng, 64, True)
     pi, _ = stationary_distribution(W)
     g = _CLIMB_GENERATORS["hellinger"]
-    budget = SampleBudget(seed=5)
     widths = []
     build = contraction._build_moves
 
@@ -779,8 +818,8 @@ def test_climb_window_width_adapts(monkeypatch):
 
     monkeypatch.setattr(contraction, "_build_moves", recording)
     assert_same_climb(
-        lambda: eta_f_estimate(W, pi, g, budget),
-        lambda: eta_f_estimate_sequential(W, pi, g, budget),
+        lambda: eta_f_estimate(W, pi, g, 5),
+        lambda: eta_f_estimate_sequential(W, pi, g, 5),
     )
     assert widths[0] == 64
     # only windows cut short by the end of the stream hold fewer than 8
@@ -803,13 +842,13 @@ def test_batched_quantum_climb_matches_sequential(d, d_out, rank, name, refine_s
     sigma = random_state(rng, d, {"full": d, "deficient": d - 1, "pure": 1}[rank])
     d_out = d + {"square": 0, "wider": 1, "narrower": -1}[d_out]
     channel = random_kraus(rng, d, k=2, d_out=d_out)
-    budget = quantum.QuantumBudget(n_samples=100, seed=int(rng.integers(1 << 31)),
-                                   refine_steps=refine_steps)
+    seed = int(rng.integers(1 << 31))
     g = _CLIMB_GENERATORS[name]
-    assert_same_climb(
-        lambda: quantum.quantum_eta_estimate(channel, sigma, g, budget),
-        lambda: quantum_eta_estimate_sequential(channel, sigma, g, budget),
-    )
+    with sample_sizes(n_haar=100, petz_refine_steps=refine_steps):
+        assert_same_climb(
+            lambda: quantum.quantum_eta_estimate(channel, sigma, g, seed),
+            lambda: quantum_eta_estimate_sequential(channel, sigma, g, seed),
+        )
 
 
 @given(seed=st.integers(0, 2**32 - 1), refine_steps=st.integers(0, 60))
@@ -833,7 +872,6 @@ def test_climbs_narrow_windows(seed, refine_steps):
     def build(current, draws, scales):
         return current + (scales * (draws[0] - 0.5))[:, np.newaxis] * direction
 
-    budget = SampleBudget(n_samples=100, seed=seed, refine_steps=refine_steps)
     stream = np.random.default_rng(seed + 1)
     draws = (np.array([stream.random() for _ in range(refine_steps)]),)
     top = int(np.argmax(scores(cloud)))
@@ -841,7 +879,7 @@ def test_climbs_narrow_windows(seed, refine_steps):
         lambda: contraction._climbs(
             cloud, [(float(scores(cloud)[top]), top)], draws, build, lambda P, _: scores(P), 0.5
         )[0],
-        lambda: hill_climb_sequential(scores, cloud, propose, budget, 0.5),
+        lambda: hill_climb_sequential(scores, cloud, propose, seed, refine_steps, 0.5),
     )
 
 
@@ -909,15 +947,16 @@ def test_cloud_start_is_the_first_maximum_of_ratio_scores(n, name, reference, ch
     elif reference == "point-mass":
         q = np.eye(n)[rng.integers(n)]
     g = _CLIMB_GENERATORS[name]
-    budget = SampleBudget(seed=int(rng.integers(1 << 31)), refine_steps=0)
-    (cloud, starts), = _engine_starts(lambda: eta_f_estimate(W, q, g, budget))
+    seed = int(rng.integers(1 << 31))
+    with sample_sizes(refine_steps=0):
+        (cloud, starts), = _engine_starts(lambda: eta_f_estimate(W, q, g, seed))
     # the block products of the cloud, which a product over all rows at
     # once may round differently from
     block = contraction._block_rows(cloud)
     WP = np.concatenate([cloud[s : s + block] @ W.T for s in range(0, len(cloud), block)])
     den = _divergence_rows(g, _clamp(cloud), _clamp(q), rounding_error=True)
     scores = ratio_scores(g, den, (_clamp(WP), _clamp(W @ q)))
-    assert np.array_equal(cloud, _candidate_inputs(n, q, budget))
+    assert np.array_equal(cloud, _candidate_inputs(n, q, seed))
     assert starts == [(float(np.max(scores)), int(np.argmax(scores)))]
 
 
@@ -935,14 +974,14 @@ def test_petz_cloud_start_is_the_first_maximum_of_ratio_scores(d, d_out, rank, n
     rng = np.random.default_rng(seed)
     sigma = random_state(rng, d, {"full": d, "deficient": d - 1, "pure": 1}[rank])
     channel = random_kraus(rng, d, k=2, d_out=d + (d_out == "wider"))
-    budget = quantum.QuantumBudget(n_samples=100, seed=int(rng.integers(1 << 31)),
-                                   refine_steps=0)
+    seed = int(rng.integers(1 << 31))
     g = _CLIMB_GENERATORS[name]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        (cloud, starts), = _engine_starts(
-            lambda: quantum.quantum_eta_estimate(channel, sigma, g, budget))
-    _, expected, scores = _petz_cloud_scores(channel, sigma, g, budget)
+    with sample_sizes(n_haar=100, petz_refine_steps=0):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            (cloud, starts), = _engine_starts(
+                lambda: quantum.quantum_eta_estimate(channel, sigma, g, seed))
+        _, expected, scores = _petz_cloud_scores(channel, sigma, g, seed)
     assert np.array_equal(cloud, expected)
     assert starts == [(float(np.max(scores)), int(np.argmax(scores)))]
 
@@ -1029,44 +1068,44 @@ def test_chain_context_matches_independent_estimates(
         W[0] = 0.0
         W /= W.sum(axis=0)
     g = _CLIMB_GENERATORS[name]
-    budget = SampleBudget(n_samples=100, seed=int(rng.integers(1 << 31)),
-                          refine_steps=refine_steps)
-    chain = contraction._ChainContext(as_channel(W), g, budget, profile_n)
-    pi = chain.info.stationary
-    n_max = 3
-    powers = [chain.W, chain.W @ chain.W, chain.W @ chain.W @ chain.W]
-    # the report's estimates, on W alone or on W, W^2, W^3 side by side,
-    # against independent ones, warnings included
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        ests = chain._estimates
-    with warnings.catch_warnings(record=True) as caught_alone:
-        warnings.simplefilter("always")
-        alone = [eta_f_estimate(Wn, pi, g, budget) for Wn in powers[: len(ests)]]
-    assert [str(w.message) for w in caught] == [str(w.message) for w in caught_alone]
-    for est, one in zip(ests, alone):
-        assert_same_climb(lambda: est, lambda: one)
-    assert chain.estimate is ests[0]
+    seed = int(rng.integers(1 << 31))
+    with sample_sizes(n_samples=100, refine_steps=refine_steps):
+        chain = contraction._ChainContext(as_channel(W), g, seed, profile_n)
+        pi = chain.info.stationary
+        n_max = 3
+        powers = [chain.W, chain.W @ chain.W, chain.W @ chain.W @ chain.W]
+        # the report's estimates, on W alone or on W, W^2, W^3 side by side,
+        # against independent ones, warnings included
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            ests = chain._estimates
+        with warnings.catch_warnings(record=True) as caught_alone:
+            warnings.simplefilter("always")
+            alone = [eta_f_estimate(Wn, pi, g, seed) for Wn in powers[: len(ests)]]
+        assert [str(w.message) for w in caught] == [str(w.message) for w in caught_alone]
+        for est, one in zip(ests, alone):
+            assert_same_climb(lambda: est, lambda: one)
+        assert chain.estimate is ests[0]
 
-    roots, Wn = [], chain.W
-    for k in range(1, n_max + 1):
-        if k > 1:
-            Wn = Wn @ chain.W
-        assert_same_climb(
-            lambda: contraction._chain_estimates(g, pi, [Wn], budget)[0],
-            lambda: eta_f_estimate(Wn, pi, g, budget),
-        )
-        est, _ = eta_f_estimate(Wn, pi, g, budget)
-        roots.append(est ** (1.0 / k) if est > 0.0 else 0.0)
-    if profile_n != n_max:
-        chain = contraction._ChainContext(as_channel(W), g, budget, n_max)
-    try:
-        points = chain.profile()
-    except ValueError:  # chi_alpha has no certified constant
-        assert name == "chi_alpha"
-        return
-    assert [pt.eta_f_root for pt in points] == roots
-    assert points[0].eta_f_root == chain.estimate[0]
+        roots, Wn = [], chain.W
+        for k in range(1, n_max + 1):
+            if k > 1:
+                Wn = Wn @ chain.W
+            assert_same_climb(
+                lambda: contraction._chain_estimates(g, pi, [Wn], seed)[0],
+                lambda: eta_f_estimate(Wn, pi, g, seed),
+            )
+            est, _ = eta_f_estimate(Wn, pi, g, seed)
+            roots.append(est ** (1.0 / k) if est > 0.0 else 0.0)
+        if profile_n != n_max:
+            chain = contraction._ChainContext(as_channel(W), g, seed, n_max)
+        try:
+            points = chain.profile()
+        except ValueError:  # chi_alpha has no certified constant
+            assert name == "chi_alpha"
+            return
+        assert [pt.eta_f_root for pt in points] == roots
+        assert points[0].eta_f_root == chain.estimate[0]
 
 
 # ---------------------------------------------------------------------------
@@ -1123,10 +1162,10 @@ def test_quadratic_estimate_is_exact_eta_chi2(n, name, reference, outputs, seed)
     elif reference == "point-mass":
         q = np.eye(n)[rng.integers(n)]
     g = _QUADRATIC[name]
-    budget = SampleBudget(n_samples=100, seed=int(rng.integers(1 << 31)), refine_steps=40)
+    seed = int(rng.integers(1 << 31))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        value, witness = eta_f_estimate(W, q, g, budget)
+        value, witness = eta_f_estimate(W, q, g, seed)
         exact = eta_chi2(W, q)
     assert value == exact
     if np.count_nonzero(q) < 2:  # a point mass, or a zero entry at n = 2
@@ -1139,7 +1178,8 @@ def test_quadratic_estimate_is_exact_eta_chi2(n, name, reference, outputs, seed)
     assert abs(witness.sum() - 1.0) <= 1e-12 and np.all(witness[q == 0.0] == 0.0)
     ratio, rounding = _ratio_with_rounding(g, W, q, witness)
     assert abs(ratio - value) <= 1e-9 * value + rounding, (ratio, value)
-    sampled, _ = eta_f_estimate_sequential(W, q, g, budget)
+    with sample_sizes(**FAST):
+        sampled, _ = eta_f_estimate_sequential(W, q, g, seed)
     assert sampled <= value + 1e-9
 
 
@@ -1234,7 +1274,7 @@ def test_quadratic_profile_reads_eta_chi2_of_the_powers(name):
     rng = np.random.default_rng(7)
     W = _random_chain(rng, 8, sparse=True)
     g = _QUADRATIC[name]
-    chain = contraction._ChainContext(as_channel(W), g, SampleBudget(), 4)
+    chain = contraction._ChainContext(as_channel(W), g, 0, 4)
     points = chain.profile()
     pi = chain.info.stationary
     assert chain.estimate[0] == chain.eta2 == eta_chi2(W, pi)
@@ -1280,7 +1320,7 @@ def test_unusable_pinsker_constant_gives_no_bounds(L):
         quantum.quantum_eta_bounds(quantum.depolarizing_channel(2, 0.5), np.eye(2) / 2, g)
     with pytest.raises(ValueError, match="profile requires a positive certified constant"):
         contraction_rate_profile(bsc(0.2), g, 2)
-    assert contraction._ChainContext(as_channel(bsc(0.2)), g, SampleBudget()).upper_bounds() is None
+    assert contraction._ChainContext(as_channel(bsc(0.2)), g, 0).upper_bounds() is None
 
 
 def test_profile_rejects_drifting_power_but_keeps_the_estimate():
@@ -1291,7 +1331,7 @@ def test_profile_rejects_drifting_power_but_keeps_the_estimate():
     kl = make_generator("kl")
     with pytest.raises(ValueError, match="columns must sum to one"):
         contraction_rate_profile(W, kl, 3)
-    chain = contraction._ChainContext(as_channel(W), kl, SampleBudget(), 3)
+    chain = contraction._ChainContext(as_channel(W), kl, 0, 3)
     assert len(chain._estimates) == 1
     assert chain.estimate[0] == 0.09066680103164763
     with pytest.raises(ValueError, match="columns must sum to one"):

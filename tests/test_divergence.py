@@ -347,6 +347,13 @@ def test_integral_representation_zero_displacement(monkeypatch):
         assert integral_representation(kl, p, p) == pytest.approx(0.0, abs=1e-15)
 
 
+def test_integral_representation_of_zero_weights_is_the_empty_sum():
+    # an empty support has no chunk to size: the remainder is 0, as D_f is
+    kl = make_generator("kl")
+    for zeros in ([0.0], [0.0, 0.0]):
+        assert integral_representation(kl, zeros, zeros) == f_divergence(kl, zeros, zeros) == 0.0
+
+
 def test_integral_representation_kl_example():
     kl = make_generator("kl")
     value = integral_representation(kl, [0.6, 0.4], [0.5, 0.5])

@@ -9,6 +9,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from divlab import quantum
 from divlab.chi2bounds import _kappa_pair
 from divlab.contraction import BLEND_WEIGHTS
 from divlab.contraction import eta_chi2 as classical_eta_chi2
@@ -21,7 +22,6 @@ from divlab.quantum import (
     KrausChannel,
     NSPair,
     PetzBoundsReport,
-    QuantumBudget,
     apply_channel,
     channel_structure,
     check_density_matrix,
@@ -66,12 +66,14 @@ from conftest import (
     random_kraus,
     random_state,
     ratio_scores,
+    sample_sizes,
     sampled_twin,
 )
 
 PLUS = np.full((2, 2), 0.5, dtype=complex)
 MAXMIX2 = np.eye(2, dtype=complex) / 2
-FAST = QuantumBudget(n_samples=100, refine_steps=40)
+# the sampling sizes of the quick tests
+FAST = {"n_haar": 100, "petz_refine_steps": 40}
 
 
 def petz_spectral_sum(g, rho, sigma):
@@ -427,8 +429,6 @@ def test_petz_bounds_report_validates_and_diagonalises_once(ranks, registry, mon
     # the pair passes the state gate once, each state is diagonalised by
     # eigh once, and the report's chi2 and divergence keep the bits of the
     # public calls
-    from divlab import quantum
-
     rng = np.random.default_rng(29)
     rho, sigma = (random_state(rng, 3, rank=r) for r in ranks)
     expected = [(petz_chi2(rho, sigma), petz_f_divergence(g, rho, sigma)) for g in registry]
@@ -590,15 +590,15 @@ def haar_pure_sequential(d, rng):
     return np.outer(v, v.conj())
 
 
-def candidate_states_sequential(sigma, budget, seeds):
-    """Oracle for ``_candidate_states``: one Haar draw per pure state, then
-    its blends toward sigma (the pure state itself and all of BLEND_WEIGHTS
-    where there are no seeds)."""
+def candidate_states_sequential(sigma, seed, seeds):
+    """Oracle for ``_candidate_states``: one Haar draw per pure state, as
+    many as the module's size, then its blends toward sigma (the pure state
+    itself and all of BLEND_WEIGHTS where there are no seeds)."""
     d = sigma.shape[0]
-    rng = np.random.default_rng(budget.seed)
+    rng = np.random.default_rng(seed)
     weights = _SEEDED_BLEND_WEIGHTS if len(seeds) else (0.0,) + BLEND_WEIGHTS
     out = []
-    for _ in range(budget.n_samples):
+    for _ in range(quantum._N_HAAR):
         pure = haar_pure_sequential(d, rng)
         out += [((1.0 - w) * pure + w * sigma)[np.newaxis] for w in weights]
     out.append(seeds)
@@ -616,9 +616,8 @@ def test_candidate_states_match_sequential_draws(d, rank):
         rng = np.random.default_rng(seed)
         sigma = random_state(rng, d, rank=d if rank == "full" else d - 1)
         seeds = np.array([random_state(rng, d) for _ in range(n_seeds)]).reshape(-1, d, d)
-        budget = QuantumBudget(seed=seed)
-        states, lam = _candidate_states(sigma, budget, seeds)
-        assert np.array_equal(states, candidate_states_sequential(sigma, budget, seeds))
+        states, lam = _candidate_states(sigma, seed, seeds)
+        assert np.array_equal(states, candidate_states_sequential(sigma, seed, seeds))
         assert lam.shape == (d * (d - 1) // 2 * _EIGENBASIS_GRID, d)
         # the refine stream: every step's share, then every step's Haar state
         u, raw = _refine_draws(np.random.default_rng(seed + 1), 8, d)
@@ -649,7 +648,8 @@ def test_segment_spectra_match_eigh(d, kind, registry):
         sigma = np.eye(d, dtype=complex) / d
     else:
         sigma = random_state(rng, d, rank=d if kind == "full" else d - 1)
-    states, lam = _candidate_states(sigma, QuantumBudget(n_samples=100), np.empty((0, d, d)))
+    with sample_sizes(n_haar=100):
+        states, lam = _candidate_states(sigma, 0, np.empty((0, d, d)))
     segments = states[len(states) - len(lam):]
     ref = _spectral(sigma)
     closed = _ns_rows((lam, ref[1]), ref)
@@ -686,14 +686,13 @@ def test_ns_overlaps_match_the_stacked_product(d, n, stacked, seed):
     assert np.array_equal(Q, (mu[np.newaxis, :] * overlap).reshape(-1, d * d))
 
 
+@sample_sizes(**FAST)
 def test_quantum_eta_identity_and_replacer():
     kl = make_generator("kl")
-    est, _ = quantum_eta_estimate(identity_channel(2), MAXMIX2, kl, FAST)
+    est, _ = quantum_eta_estimate(identity_channel(2), MAXMIX2, kl)
     assert est == pytest.approx(1.0, abs=1e-9)
     rep = replacer_channel(MAXMIX2)
-    est, _ = quantum_eta_estimate(
-        rep, np.diag([0.7, 0.3]).astype(complex), kl, FAST
-    )
+    est, _ = quantum_eta_estimate(rep, np.diag([0.7, 0.3]).astype(complex), kl)
     assert est <= 1e-9
 
 
@@ -702,32 +701,33 @@ def test_quantum_eta_closed_form_channels():
     # depolarizing: E(rho) - I/2 = (1-lam)(rho - I/2), so every feasible state
     # achieves exactly (1-lam)^2
     for lam in (0.3, 0.6):
-        est, _ = quantum_eta_estimate(depolarizing_channel(2, lam), MAXMIX2, pc, FAST)
+        est, _ = quantum_eta_estimate(depolarizing_channel(2, lam), MAXMIX2, pc)
         assert est == pytest.approx((1.0 - lam) ** 2, abs=1e-9)
     # dephasing keeps the z component of the Bloch vector: the sup is 1,
     # attained by any diagonal input
-    est, _ = quantum_eta_estimate(dephasing_channel(2), MAXMIX2, pc, FAST)
+    est, _ = quantum_eta_estimate(dephasing_channel(2), MAXMIX2, pc)
     assert est == pytest.approx(1.0, abs=1e-9)
 
 
 def test_quantum_eta_embedded_bsc_matches_classical():
     pc = make_generator("pearson_chi2")
     channel = classical_embedding(bsc(0.3))
-    est, _ = quantum_eta_estimate(channel, MAXMIX2, pc, FAST)
+    est, _ = quantum_eta_estimate(channel, MAXMIX2, pc)
     exact = classical_eta_chi2(bsc(0.3), np.array([0.5, 0.5]))
     assert est == pytest.approx(exact, abs=1e-6)
 
 
+@sample_sizes(**FAST)
 def test_quantum_eta_bounds_dominate_estimate():
     kl = make_generator("kl")
     channel = classical_embedding(bsc(0.25))
-    est, _ = quantum_eta_estimate(channel, MAXMIX2, kl, FAST)
+    est, _ = quantum_eta_estimate(channel, MAXMIX2, kl)
     nonlinear, linear = quantum_eta_bounds(channel, MAXMIX2, kl)
     assert math.isinf(nonlinear)  # KL has f''(0+) = inf
     assert linear is not None and est <= linear + 1e-9
     pc = make_generator("pearson_chi2")
     nonlinear, linear = quantum_eta_bounds(channel, MAXMIX2, pc)
-    est_pc, _ = quantum_eta_estimate(channel, MAXMIX2, pc, FAST)
+    est_pc, _ = quantum_eta_estimate(channel, MAXMIX2, pc)
     assert math.isfinite(nonlinear) and est_pc <= nonlinear + 1e-9
     assert est_pc <= linear + 1e-9
     with pytest.raises(ValueError):
@@ -741,12 +741,13 @@ def test_quantum_submultiplicativity_embedded():
     EE = classical_embedding(W @ W)
     sigma = np.diag([0.4, 0.6]).astype(complex)
     sigma_out = np.diag(W @ np.array([0.4, 0.6])).astype(complex)
-    est_sq, _ = quantum_eta_estimate(EE, sigma, pc, FAST)
-    est_1, _ = quantum_eta_estimate(E, sigma, pc, FAST)
-    est_2, _ = quantum_eta_estimate(E, sigma_out, pc, FAST)
+    est_sq, _ = quantum_eta_estimate(EE, sigma, pc)
+    est_1, _ = quantum_eta_estimate(E, sigma, pc)
+    est_2, _ = quantum_eta_estimate(E, sigma_out, pc)
     assert est_sq <= est_1 * est_2 + 1e-3
 
 
+@sample_sizes(**FAST)
 def test_quantum_rate_profile_depolarizing():
     # eta for the n-fold depolarizing channel is exactly ((1-lam)^2)^n, so the
     # root profile sits at the single-step coefficient within the envelope
@@ -756,7 +757,7 @@ def test_quantum_rate_profile_depolarizing():
     for n in (1, 2, 3):
         effective = 1.0 - (1.0 - lam) ** n
         En = depolarizing_channel(2, effective)
-        est, _ = quantum_eta_estimate(En, MAXMIX2, kl, FAST)
+        est, _ = quantum_eta_estimate(En, MAXMIX2, kl)
         root = est ** (1.0 / n)
         assert root <= eta_one + 0.05
         assert root >= eta_one - 0.05
@@ -958,6 +959,7 @@ def test_batched_quantum_scores_match_single_rows(registry):
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
+@sample_sizes(**FAST)
 def test_petz_chi2_estimate_not_above_exact_depolarizing(d):
     # every feasible input of depolarizing(lam) has ratio exactly (1-lam)^2;
     # rounding noise in the sampled ratios must not lift the estimate above
@@ -965,13 +967,13 @@ def test_petz_chi2_estimate_not_above_exact_depolarizing(d):
     pc = make_generator("pearson_chi2")
     for lam in (0.1, 0.3, 0.5, 0.7, 0.9):
         channel, sigma = depolarizing_channel(d, lam), np.eye(d) / d
-        est, _ = quantum_eta_estimate(channel, sigma, sampled_twin(pc), FAST)
+        est, _ = quantum_eta_estimate(channel, sigma, sampled_twin(pc))
         exact = petz_eta_chi2(channel, sigma)
         assert exact == pytest.approx((1.0 - lam) ** 2, abs=1e-12)
         assert est <= (1.0 - lam) ** 2, (lam, est)
         assert est <= exact + 1e-9, (lam, est, exact)
         assert est == pytest.approx((1.0 - lam) ** 2, rel=1e-9)
-        assert quantum_eta_estimate(channel, sigma, pc, FAST)[0] == exact
+        assert quantum_eta_estimate(channel, sigma, pc)[0] == exact
 
 
 def test_petz_estimate_warns_where_eta_f_can_be_infinite():
@@ -1035,7 +1037,12 @@ def test_petz_estimate_keeps_no_cloud_ns_rows_through_the_climb(name, monkeypatc
     # the cloud's NS rows, inputs and outputs, are 4 d^2 floats per state
     # against the state's d^2 complex entries: at the climb's start only the
     # cloud, its denominators and the refine draws may still be traced,
-    # under twice the cloud (1.45 times it here; all rows kept read 4.5)
+    # under twice the cloud (1.45 times it here; all rows kept read 4.5).
+    # The build values a block of half the kernel's rows at a time, its
+    # inputs before its outputs, whose rows go into one array, so its traced
+    # peak, one block's temporaries over the cloud and that array, is no
+    # higher than the engine's (0.99 times it here; 1.085 with blocks of
+    # the kernel's rows, 1.133 with both sides of a block alive at once)
     import tracemalloc
 
     from divlab import contraction
@@ -1044,13 +1051,22 @@ def test_petz_estimate_keeps_no_cloud_ns_rows_through_the_climb(name, monkeypatc
     channel = random_kraus(rng, 4)
     sigma = channel_structure(channel).fixed_point
     g = make_generator(name)
-    seen, climbs = [], contraction._climbs
+    seen, peaks, climbs, sampled = [], [], contraction._climbs, quantum._sampled
 
     def traced(cloud, *rest):
         seen.append((tracemalloc.get_traced_memory()[0], cloud.nbytes))
         return climbs(cloud, *rest)
 
+    def engine(*args):
+        # the peak so far, then the peak of the engine's own run
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.reset_peak()
+        out = sampled(*args)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        return out
+
     monkeypatch.setattr(contraction, "_climbs", traced)
+    monkeypatch.setattr(quantum, "_sampled", engine)
     quantum_eta_estimate(channel, sigma, g)  # builds the channel's caches
     tracemalloc.start()
     try:
@@ -1060,6 +1076,8 @@ def test_petz_estimate_keeps_no_cloud_ns_rows_through_the_climb(name, monkeypatc
         tracemalloc.stop()
     (alive, cloud_bytes), = seen[1:]
     assert alive - base < 2 * cloud_bytes, (alive - base, cloud_bytes)
+    before, inside = (peak - base for peak in peaks[2:])
+    assert before <= inside, (before, inside)
 
 
 # every registry generator whose f'' is a positive constant
@@ -1083,7 +1101,7 @@ def test_quadratic_petz_estimate_is_exact(seed, d, kind, spec):
     g = from_spec(spec)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        value, rho = quantum_eta_estimate(channel, sigma, g, FAST)
+        value, rho = quantum_eta_estimate(channel, sigma, g)
     assert value == petz_eta_chi2(channel, sigma)
     if rank == 1:
         assert value == 0.0 and rho is None
@@ -1141,10 +1159,10 @@ def test_petz_eta_chi2_matches_generalized_eigenproblem(seed, d, k, kind):
     exact = petz_eta_chi2(channel, sigma)
     assert exact == pytest.approx(petz_eta_chi2_oracle(channel, sigma), abs=1e-10)
     pc = make_generator("pearson_chi2")
-    with warnings.catch_warnings():
+    with warnings.catch_warnings(), sample_sizes(**FAST):
         warnings.simplefilter("ignore")  # a pure sigma has no feasible input
-        est, _ = quantum_eta_estimate(channel, sigma, sampled_twin(pc), FAST)
-        assert quantum_eta_estimate(channel, sigma, pc, FAST)[0] == exact
+        est, _ = quantum_eta_estimate(channel, sigma, sampled_twin(pc))
+        assert quantum_eta_estimate(channel, sigma, pc)[0] == exact
     assert est <= exact + 1e-9
     # a classical channel embedded as Kraus operators keeps its coefficient
     W = rng.dirichlet(np.ones(d), size=d).T
@@ -1366,6 +1384,7 @@ def test_floor_no_seeds_for_a_pure_sigma_or_f2_at_one_zero_or_infinite(name, d):
 
 @pytest.mark.parametrize("kind", ["trace", "pure-replacer", "full-damping"])
 @pytest.mark.parametrize("name", ["kl", "reverse_kl", "jensen_shannon"])
+@sample_sizes(**FAST)
 def test_floor_no_seeds_for_a_one_dimensional_output_support(kind, name):
     # supp E(sigma) of dimension 1: T is a single row along sigma's own
     # vector, so its value off that vector is rounding (below 1e-30 here),
@@ -1384,7 +1403,7 @@ def test_floor_no_seeds_for_a_one_dimensional_output_support(kind, name):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         floor, seeds = _floor_seeds(sigma, channel, floor_refs(channel, sigma), from_spec(name))
-        est, _ = quantum_eta_estimate(channel, sigma, from_spec(name), FAST)
+        est, _ = quantum_eta_estimate(channel, sigma, from_spec(name))
     assert 0.0 <= floor < 1e-30 and seeds.shape == (0, d, d)
     assert est == 0.0
 
@@ -1403,7 +1422,8 @@ def test_floor_under_the_sampled_estimate_and_upper_bounds_over_it(seed, d, kind
     sigma = floor_sigma(rng, d, "full" if kind == "deficient" and d == 2 else kind)
     g = from_spec(name)
     floor, _ = _floor_seeds(sigma, channel, floor_refs(channel, sigma), g)
-    est, witness = quantum_eta_estimate(channel, sigma, g, FAST)
+    with sample_sizes(**FAST):
+        est, witness = quantum_eta_estimate(channel, sigma, g)
     assert est >= (1.0 - 1e-4) * floor
     check_density_matrix(witness)
     if g.operator_convex and g.pinsker_constant is not None:
