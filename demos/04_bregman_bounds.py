@@ -50,12 +50,16 @@ print("Any generator induces a separable potential with the same divergence:")
 g = make_generator("jensen_shannon")
 from divlab.bregman import SmoothConvexFn
 
+# F and grad take one point; hess and in_domain take an (m, 3) stack of the
+# segment's points, one call per chunk of the walk
 fq = SmoothConvexFn(
     dim=3,
     F=lambda x: float(np.sum(q * g.f(x / q))),
     grad=lambda x: g.f1(x / q),
-    hess=lambda x: g.f2(x / q) / q,  # a diagonal Hessian, given as its diagonal
-    in_domain=lambda x: bool(np.all(np.asarray(x) > 0)),
+    hess=lambda X: g.f2(X / q) / q,  # (m, 3): diagonal Hessians, given as diagonals
+    in_domain=lambda X: (X > 0).all(axis=1),  # m booleans
 )
 print(f"  B_(f_q)(p||q) = {bregman_divergence(fq, p, q):.10f}")
 print(f"  D_js(p||q)    = {f_divergence(g, p, q):.10f}")
+res = bregman_sandwich(fq, p, q)
+print(f"  gamma range [{res.gamma_down:.4f}, {res.gamma_up:.4f}]  holds={res.holds}")

@@ -18,11 +18,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .divergence import (
+    _CHUNK_ENTRIES,
     SUPPORT_EPSILON,
     _chi_squared,
     _clamp,
     _f_divergence,
     _no_first_order_term,
+    _square,
+    _unless_overflow,
     _total_variation,
     _vectors,
 )
@@ -41,8 +44,6 @@ __all__ = [
 _TINY = 1e-300
 # t-grid size for non-monotone f''
 _T_GRID_N = 1025
-# rows per block of _segment_f2 keep a block near this many f'' evaluations
-_KAPPA_BLOCK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -92,11 +93,11 @@ def _segment_f2(g: Generator, P: np.ndarray, Q: np.ndarray):
     row shared by all rows of P or a matrix of P's shape.
 
     Monotone f'' takes its extremes at the endpoints, so ts = (0, 1);
-    otherwise ts is the _T_GRID_N-point grid.  A block holds about
-    _KAPPA_BLOCK values, or one row, so memory does not grow with the number
-    of rows.  Off supp Q the ratio is 1 and the segment the point f''(1).  A
-    zero ratio with f'' singular at zero runs into f''(0+) = +inf: its V is
-    f''(1) at t = 0 and +inf beyond.
+    otherwise ts is the _T_GRID_N-point grid.  A block holds at most
+    _CHUNK_ENTRIES values, or one row, so memory does not grow with the
+    number of rows.  Off supp Q the ratio is 1 and the segment the point
+    f''(1).  A zero ratio with f'' singular at zero runs into f''(0+) =
+    +inf: its V is f''(1) at t = 0 and +inf beyond.
     """
     # column-major, so that the reductions over each row sweep whole columns
     R, singular = _segment_ends(g, np.asfortranarray(P), Q)
@@ -105,7 +106,7 @@ def _segment_f2(g: Generator, P: np.ndarray, Q: np.ndarray):
         ts, f2_at_one = np.array([0.0, 1.0]), float(g.f2(1.0))
     else:
         ts = np.linspace(0.0, 1.0, _T_GRID_N)
-    block = max(1, _KAPPA_BLOCK // (R.shape[1] * ts.size))
+    block = max(1, _CHUNK_ENTRIES // (R.shape[1] * ts.size))
     for s in range(0, R.shape[0], block):
         r = R[s : s + block, :, np.newaxis]
         if monotone:
@@ -180,9 +181,10 @@ def chi2_sandwich(g: Generator, p, q):
     that differ within that rule's 1e-9 leave the first-order term
     f'(1)(sum p - sum q) in D_f, and the check's slack takes it in."""
     p, q = _vectors(p, q, dominated=True, q_support=True)
-    gap = _no_first_order_term(g, p, q)
+    gap, scale = _no_first_order_term(g, p, q)
     kp = _kappa_pair(g, p, q)
-    chi2 = _chi_squared(p, q)
+    # chi^2 of dominated vectors is finite but for overflow
+    chi2 = _unless_overflow(_chi_squared, scale, "chi^2", p, q)
     value = _f_divergence(g, p, q)
     lower = 0.5 * kp.kappa_down * chi2
     upper = 0.5 * kp.kappa_up * chi2 if math.isfinite(kp.kappa_up) else math.inf
@@ -204,15 +206,17 @@ def reverse_pinsker(g: Generator, p, q) -> tuple[float, float]:
     it where it is positive.
     """
     p, q = _vectors(p, q, dominated=True, q_support=True)
-    gap = _no_first_order_term(g, p, q)
+    gap, scale = _no_first_order_term(g, p, q)
     kp = _kappa_pair(g, p, q)
     qmin = _q_min(q)
     if not math.isfinite(kp.kappa_up):
         return math.inf, math.inf
     d = p - q
+    l2sq = float(_unless_overflow(np.dot, scale, "||p - q||^2", d, d))
+    tv2 = _square(_total_variation(p, q), "TV^2")
     first = max(0.0, float(g.f1(1.0)) * gap) if gap else 0.0
-    l2_bound = kp.kappa_up / (2.0 * qmin) * float(np.dot(d, d)) + first
-    tv_bound = 2.0 * kp.kappa_up / qmin * _total_variation(p, q) ** 2 + first
+    l2_bound = kp.kappa_up / (2.0 * qmin) * l2sq + first
+    tv_bound = 2.0 * kp.kappa_up / qmin * tv2 + first
     return l2_bound, tv_bound
 
 

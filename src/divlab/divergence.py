@@ -30,9 +30,11 @@ __all__ = [
 SUPPORT_EPSILON = 1e-12
 # Gauss-Legendre nodes of integral_representation, a power of two
 _QUAD_NODES = 128
-# entries per chunk of the dense walks (integral_representation's nodes
-# and the certificate grid's rows), which bounds their temporaries
-_CHUNK_ENTRIES = 1 << 17
+# entries per chunk of every dense walk: integral_representation's nodes,
+# the certificate grid's rows, the kappa t-grid's rows and the Bregman
+# segment's points.  A chunk of doubles is 128 KiB, and measured fastest
+# (README, "Chunk size")
+_CHUNK_ENTRIES = 1 << 14
 
 
 def as_weight_vec(v) -> np.ndarray:
@@ -86,6 +88,38 @@ def _weigh(a: np.ndarray, prob: bool) -> None:
         a[a < SUPPORT_EPSILON] = 0.0
     if prob and abs(a.sum() - 1.0) > 1e-10:
         raise ValueError(f"probability vector must sum to one, got {a.sum()!r}")
+
+
+def _finite(x: float, what: str) -> float:
+    """x, which finite inputs gave; an infinity or NaN is their overflow."""
+    if not math.isfinite(x):
+        raise ValueError(f"the inputs overflow double precision in {what}")
+    return x
+
+
+# for non-negative p and q of sums up to this bound, sum (p - q)^2 / q over
+# the entries q >= SUPPORT_EPSILON is at most (2e147)^2 / 1e-12 = 4e306
+_SAFE_SCALE = 1e147
+
+
+def _unless_overflow(f, scale: float, what: str, *args):
+    """f(*args), a sum of squares of non-negative vectors of sums up to
+    ``scale``.  Past _SAFE_SCALE it may overflow, which numpy would warn of:
+    there it runs under ``np.errstate`` and overflow is a ValueError.  Below,
+    it runs bare, as ``np.errstate`` costs about 2 us."""
+    if scale <= _SAFE_SCALE:
+        return f(*args)
+    with np.errstate(over="ignore"):
+        return _finite(f(*args), what)
+
+
+def _square(x: float, what: str) -> float:
+    """x ** 2, the bits of libm's pow (x * x differs in about one square in
+    a thousand), with its overflow a ValueError."""
+    try:
+        return x**2
+    except OverflowError:
+        raise ValueError(f"the inputs overflow double precision in {what}") from None
 
 
 def _as_count(n, name: str, least: int = 0) -> int:
@@ -235,14 +269,15 @@ def _chi_squared(p: np.ndarray, q: np.ndarray) -> float:
     return float(np.sum(d * d / q[pos]))
 
 
-def _no_first_order_term(g: Generator, p: np.ndarray, q: np.ndarray) -> float:
+def _no_first_order_term(g: Generator, p: np.ndarray, q: np.ndarray) -> tuple[float, float]:
     """The condition of the second-order forms of D_f: the first-order term
     f'(1)(sum p - sum q) vanishes, the sums being equal (to 1e-9) or f'(1) =
-    0.  Returns sum p - sum q."""
-    gap = float(p.sum() - q.sum())
-    if abs(gap) > 1e-9 and abs(float(g.f1(1.0))) > 1e-12:
+    0.  Returns sum p - sum q and the larger sum, which bounds every entry
+    (see ``_unless_overflow``)."""
+    sp, sq = float(p.sum()), float(q.sum())
+    if abs(sp - sq) > 1e-9 and abs(float(g.f1(1.0))) > 1e-12:
         raise ValueError("requires equal sums or f'(1) = 0")
-    return gap
+    return sp - sq, max(sp, sq)
 
 
 @lru_cache(maxsize=16)

@@ -16,7 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divergence import _CHUNK_ENTRIES, _as_count, _f_divergence, _total_variation, _vectors
+from .divergence import (
+    _CHUNK_ENTRIES,
+    _as_count,
+    _f_divergence,
+    _square,
+    _total_variation,
+    _vectors,
+)
 from .generators import Generator
 
 __all__ = [
@@ -196,7 +203,7 @@ def check_pinsker(g: Generator, p, q) -> tuple[float, float, bool]:
     if g.pinsker_constant is None:
         raise ValueError(f"{g.label} carries no certified constant")
     lhs = _f_divergence(g, p, q)
-    rhs = g.pinsker_constant / (2.0 * c) * _total_variation(p, q) ** 2
+    rhs = g.pinsker_constant / (2.0 * c) * _square(_total_variation(p, q), "TV^2")
     return lhs, rhs, lhs >= rhs - 1e-10
 
 

@@ -1,10 +1,12 @@
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from divlab import bregman
 from divlab.bregman import (
     BregmanSandwich,
     SmoothConvexFn,
@@ -24,9 +26,24 @@ def _random_interior(rng, dim):
     return 0.9 * x + 0.1 / dim
 
 
-def _dense(H):
-    # a Hessian given as its diagonal, as the matrix
-    return np.diag(H) if np.ndim(H) == 1 else H
+def _hessian(fd, x):
+    # the Hessian at the one point x, from a stack of one point; a Hessian
+    # given as its diagonal, as the matrix
+    H = np.asarray(fd.hess(x[np.newaxis]), dtype=float)[0]
+    return np.diag(H) if H.ndim == 1 else H
+
+
+def _inside(fd, x):
+    # in_domain at the one point x
+    return bool(fd.in_domain(x[np.newaxis])[0])
+
+
+def _diagonal_matrices(D):
+    # the rows of D as a stack of diagonal matrices, each as np.diag builds it
+    n = D.shape[-1]
+    H = np.zeros((*D.shape, n))
+    H[:, np.arange(n), np.arange(n)] = D
+    return H
 
 
 def test_gradient_and_hessian_consistency():
@@ -43,7 +60,7 @@ def test_gradient_and_hessian_consistency():
             x = point_gen()
             grad = fd.grad(x)
             h = 1e-6
-            H = _dense(fd.hess(x))
+            H = _hessian(fd, x)
             for i in range(fd.dim):
                 e = np.zeros(fd.dim)
                 e[i] = h
@@ -127,8 +144,8 @@ def test_generator_induced_bregman_reproduces_f_divergence(registry):
             dim=3,
             F=lambda x, g=g: float(np.sum(q * g.f(x / q))),
             grad=lambda x, g=g: g.f1(x / q),
-            hess=lambda x, g=g: np.diag(g.f2(x / q) / q),
-            in_domain=lambda x: bool(np.all(np.asarray(x) > 0.0)),
+            hess=lambda X, g=g: _diagonal_matrices(g.f2(X / q) / q),
+            in_domain=lambda X: (X > 0.0).all(axis=1),
         )
         for _ in range(5):
             p = _random_interior(rng, 3)
@@ -186,8 +203,9 @@ def test_tv_lower_link_with_sparse_difference():
 
 
 def bregman_sandwich_loop(fd, x, y):
-    """``bregman_sandwich`` with one ``eigvalsh`` per grid point: the
-    reference the chunked walk must match bit for bit."""
+    """``bregman_sandwich`` with one ``eigvalsh`` per grid point, and
+    ``in_domain`` and ``hess`` called on one point at a time: the reference
+    the chunked walk must match bit for bit."""
     x = _check_point(fd, x)
     y = _check_point(fd, y)
     d = x - y
@@ -195,9 +213,9 @@ def bregman_sandwich_loop(fd, x, y):
     gamma_down = np.inf
     for t in np.linspace(0.0, 1.0, 257):
         lam = (1.0 - t) * y + t * x
-        if not fd.in_domain(lam):
+        if not _inside(fd, lam):
             raise ValueError("segment leaves the domain of F")
-        H = np.asarray(_dense(fd.hess(lam)), dtype=float)
+        H = _hessian(fd, lam)
         H = 0.5 * (H + H.T)
         eig = np.linalg.eigvalsh(H)
         gamma_down = min(gamma_down, float(eig[0]))
@@ -209,9 +227,9 @@ def bregman_sandwich_loop(fd, x, y):
     integral_value = 0.0
     for tk, wk in zip(0.5 * (nodes + 1.0), 0.5 * weights):
         lam = (1.0 - tk) * y + tk * x
-        if not fd.in_domain(lam):
+        if not _inside(fd, lam):
             raise ValueError("segment leaves the domain of F")
-        integral_value += wk * (1.0 - tk) * float(d @ _dense(fd.hess(lam)) @ d)
+        integral_value += wk * (1.0 - tk) * float(d @ _hessian(fd, lam) @ d)
     l2sq = float(np.dot(d, d))
     tv = 0.5 * float(np.abs(d).sum())
     supp = int(np.sum(np.abs(d) > 1e-12 * max(1.0, np.abs(d).max())))
@@ -240,8 +258,8 @@ def _separable_fn(g, q):
         dim=len(q),
         F=lambda x: float(np.sum(q * g.f(x / q))),
         grad=lambda x: g.f1(x / q),
-        hess=lambda x: np.diag(g.f2(x / q) / q),
-        in_domain=lambda x: bool(np.all(np.asarray(x) > 0.0)),
+        hess=lambda X: _diagonal_matrices(g.f2(X / q) / q),
+        in_domain=lambda X: (X > 0.0).all(axis=1),
         name=g.label,
     )
 
@@ -253,7 +271,7 @@ def _entropy_plus_quadratic(Q):
         dim=Q.shape[0],
         F=lambda x: ent.F(x) + 0.5 * float(x @ Q @ x),
         grad=lambda x: ent.grad(x) + Q @ x,
-        hess=lambda x: np.diag(1.0 / x) + Q,
+        hess=lambda X: _diagonal_matrices(1.0 / X) + Q,
         in_domain=ent.in_domain,
         name="neg_entropy+quadratic",
     )
@@ -302,34 +320,54 @@ def test_sandwich_matches_per_point_loop(n, kind, seed, alpha):
 
 
 def _recording(fd, bad):
-    """fd with every in_domain and hess call recorded; in_domain fails where
-    bad(x) holds."""
-    calls = []
+    """fd with the points of every hess call recorded, in order; in_domain
+    fails where bad(x) holds."""
+    points = []
 
-    def in_domain(x):
-        calls.append(("in_domain", x.tobytes()))
-        return not bad(x) and fd.in_domain(x)
+    def in_domain(X):
+        return fd.in_domain(X) & ~np.array([bad(x) for x in X], dtype=bool)
 
-    def hess(x):
-        calls.append(("hess", x.tobytes()))
-        return fd.hess(x)
+    def hess(X):
+        points.extend(x.tobytes() for x in X)
+        return fd.hess(X)
 
-    return dataclasses.replace(fd, in_domain=in_domain, hess=hess), calls
+    return dataclasses.replace(fd, in_domain=in_domain, hess=hess), points
 
 
-@pytest.mark.parametrize("cut", [0.05, 0.3, 0.7, 0.89])
-def test_domain_error_at_the_same_first_point(cut):
-    # the segment leaves the domain where x_0 first exceeds the cut: same
-    # message, after the same in_domain and hess calls
+def _domain_error_outcomes(cut):
+    """The points hess was taken at, in order, and the error, of the loop
+    and of the sandwich, on a segment that leaves the domain where x_0 first
+    exceeds the cut."""
     fd = neg_entropy_fn(3)
     x, y = np.array([0.9, 0.05, 0.05]), np.array([0.02, 0.49, 0.49])
     outcomes = []
     for sandwich in (bregman_sandwich_loop, bregman_sandwich):
-        rec, calls = _recording(fd, lambda z: z[0] > cut and not (z == x).all())
-        with pytest.raises(ValueError, match="segment leaves the domain of F"):
+        rec, points = _recording(fd, lambda z: z[0] > cut and not (z == x).all())
+        with pytest.raises(ValueError) as err:
             sandwich(rec, x, y)
-        outcomes.append(calls)
-    assert outcomes[0] == outcomes[1]
+        outcomes.append((points, str(err.value)))
+    return outcomes
+
+
+@pytest.mark.parametrize("cut", [0.05, 0.3, 0.7, 0.89])
+def test_domain_error_at_the_same_first_point(cut):
+    # hess is taken at the loop's points, in its order, none at or past the
+    # first point outside the domain, and the error is the loop's
+    loop, chunked = _domain_error_outcomes(cut)
+    assert chunked == loop
+    assert loop[0] and loop[1] == "segment leaves the domain of F"
+
+
+@pytest.mark.parametrize("chunk", [4 * 9, 9], ids=["36-entries", "9-entries"])
+@pytest.mark.parametrize("cut", [0.05, 0.3, 0.7, 0.89])
+def test_domain_error_at_the_same_first_point_in_small_chunks(cut, chunk):
+    # the same in small chunks: a first chunk of 4 points or of one, then
+    # 12 or 3, so that the first point outside the domain can fall first in
+    # a chunk
+    with mock.patch.object(bregman, "_CHUNK_ENTRIES", chunk):
+        loop, chunked = _domain_error_outcomes(cut)
+    assert chunked == loop
+    assert loop[0] and loop[1] == "segment leaves the domain of F"
 
 
 def test_domain_error_at_a_quadrature_node():
@@ -351,7 +389,7 @@ def test_domain_error_at_a_quadrature_node():
         (quadratic_fn(np.array([[1.0, 2.0], [2.0, 1.0]])), [1.0, 0.0], [0.0, 1.0]),
         # Hessian diag(x): convex only where every coordinate is positive
         (SmoothConvexFn(dim=2, F=lambda z: float(np.sum(z**3)) / 6.0,
-                        grad=lambda z: z**2 / 2.0, hess=np.diag), [1.0, -0.5], [0.2, 0.3]),
+                        grad=lambda z: z**2 / 2.0, hess=_diagonal_matrices), [1.0, -0.5], [0.2, 0.3]),
     ],
 )
 def test_nonconvexity_error_matches_per_point_loop(fd, x, y):
@@ -388,7 +426,7 @@ def test_eigvalsh_matrices_per_sandwich(fd, matrices, monkeypatch):
 
 def _scaled_cubic(c):
     # F(x) = sum c_i (x_i^2/2 + x_i^3/6): its Hessian, the diagonal c(1 + x),
-    # returned as a vector, varies along the segment
+    # returned as a stack of vectors, varies along the segment
     return SmoothConvexFn(
         dim=len(c),
         F=lambda z: float(np.sum(c * (z**2 / 2.0 + z**3 / 6.0))),
@@ -410,15 +448,55 @@ def test_diagonal_hessians_outside_lapack_range(scale):
             assert _bits(bregman_sandwich(fd, x, y)) == _bits(bregman_sandwich_loop(fd, x, y))
 
 
-@pytest.mark.parametrize("shape", [(), (4,), (3, 2), (2, 3), (1, 3, 3), (3, 3, 1)])
+_WRONG_SHAPES = [(), (4,), (3, 2), (2, 3), (1, 3, 3), (3, 3, 1)]
+
+
+@pytest.mark.parametrize("shape", [*(("m", *s) for s in _WRONG_SHAPES), *_WRONG_SHAPES,
+                                   (3, 3), (3,), ("m+1", 3, 3)])
 def test_hessian_of_the_wrong_shape_is_an_input_error(shape):
-    # at n = 3 a Hessian is 3 x 3 or its length-3 diagonal, nothing else
-    fd = SmoothConvexFn(dim=3, F=lambda z: 0.0, grad=np.zeros_like,
-                        hess=lambda z: np.ones(shape))
+    # at n = 3 a Hessian is 3 x 3 or its length-3 diagonal, nothing else,
+    # and m points ("m") take a stack of m of them: one Hessian unstacked,
+    # a single point's shapes included, is not a stack
+    def hess(Z):
+        return np.ones([{"m": len(Z), "m+1": len(Z) + 1}.get(k, k) for k in shape])
+
+    fd = SmoothConvexFn(dim=3, F=lambda z: 0.0, grad=np.zeros_like, hess=hess)
     x, y = np.array([0.5, 0.3, 0.2]), np.array([0.2, 0.3, 0.5])
     for call in (bregman_sandwich, bregman_integral):
         with pytest.raises(ValueError, match=r"Hessian must be n x n or its diagonal, n = 3"):
             call(fd, x, y)
+
+
+@pytest.mark.parametrize("in_domain", [
+    lambda X: True,
+    lambda X: np.ones(1, dtype=bool),  # passes the endpoints' check, fails the walk
+    lambda X: np.ones((len(X), 1), dtype=bool),
+], ids=["scalar", "one", "column"])
+def test_in_domain_gives_one_boolean_per_point(in_domain):
+    # in_domain of m points is m booleans, anything else an input error
+    fd = dataclasses.replace(quadratic_fn(np.eye(2)), in_domain=in_domain)
+    for call in (bregman_sandwich, bregman_integral):
+        with pytest.raises(ValueError, match="in_domain must give one boolean per point"):
+            call(fd, np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+
+
+@given(
+    st.sampled_from([1, 3, 8]),
+    st.sampled_from(_KINDS),
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 1 << 14),
+)
+@settings(max_examples=30, deadline=None)
+def test_walk_chunks_are_bit_exact(n, kind, seed, chunk):
+    # every chunk size, from one point to the whole grid, gives the bits of
+    # the per-point loop
+    rng = np.random.default_rng(seed)
+    x = rng.dirichlet(0.1 * np.ones(n)) + 1e-9
+    y = rng.dirichlet(0.1 * np.ones(n)) + 1e-9
+    fd = _potential(kind, n, rng, y)
+    expected = bregman_sandwich_loop(fd, x, y)
+    with mock.patch.object(bregman, "_CHUNK_ENTRIES", chunk):
+        assert _bits(bregman_sandwich(fd, x, y)) == _bits(expected)
 
 
 def test_vector_and_matrix_diagonals_agree(registry):
@@ -428,7 +506,7 @@ def test_vector_and_matrix_diagonals_agree(registry):
     for g in registry:
         x, y = rng.dirichlet(0.05 * np.ones(8)) + 1e-9, rng.dirichlet(0.05 * np.ones(8)) + 1e-9
         matrix = _separable_fn(g, y)
-        vector = dataclasses.replace(matrix, hess=lambda z, g=g: g.f2(z / y) / y)
+        vector = dataclasses.replace(matrix, hess=lambda Z, g=g: g.f2(Z / y) / y)
         expected = _bits(bregman_sandwich_loop(matrix, x, y))
         assert _bits(bregman_sandwich(matrix, x, y)) == expected, g.label
         assert _bits(bregman_sandwich(vector, x, y)) == expected, g.label

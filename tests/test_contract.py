@@ -28,6 +28,7 @@ from hypothesis import strategies as st
 
 import divlab
 from divlab import cli, divergence, markov, quantum
+from divlab.bregman import BregmanSandwich
 from divlab.contraction import _quadratic
 from divlab.generators import Generator, make_generator
 from divlab.quantum import KrausChannel
@@ -603,6 +604,7 @@ def _raises(call, *args, match=""):
 
 EYE2 = np.eye(2) / 2
 NAN2 = np.full((2, 2), NAN)
+OVERFLOW = "the inputs overflow double precision"
 
 
 @pytest.mark.parametrize("call,args,match", [
@@ -646,10 +648,133 @@ NAN2 = np.full((2, 2), NAN)
     _raises(divlab.reverse_pinsker, KL, [1.0, 1.0], [0.5, 0.5], match="equal sums"),
     _raises(divlab.f_lower_by_chi2, JS, [0.5, 0.5], [1.0, 0.0], match="requires p << q"),
     _raises(divlab.f_lower_by_chi2, KL, [1.0, 1.0], [0.5, 0.5], match="sum to one"),
+    # finite inputs whose squares overflow: OverflowError, NaN or a false
+    # holds=False before (chi^2 = inf put (kappa_down/2) chi^2 above D_f)
+    _raises(divlab.reverse_pinsker, KL, [1e200, 1.0], [1.0, 1e200], match=OVERFLOW),
+    _raises(divlab.check_pinsker, KL, [1e200, 1.0], [1.0, 1e200], match=OVERFLOW),
+    _raises(divlab.chi2_sandwich, KL, [1e200, 1.0], [1.0, 1e200], match=OVERFLOW),
+    _raises(divlab.bregman_sandwich, divlab.neg_entropy_fn(2), [1e160, 1.0], [1.0, 1e160],
+            match=OVERFLOW),
+    _raises(divlab.bregman_divergence, divlab.quadratic_fn(np.eye(2)), [1e200, 0.0],
+            [0.0, 1e200], match=OVERFLOW),
+    _raises(divlab.bregman_integral, divlab.quadratic_fn(np.eye(2)), [1e200, 0.0],
+            [0.0, 1e200], match=OVERFLOW),
+    _raises(divlab.bregman_sandwich, divlab.quadratic_fn(np.eye(2)), [1e200, 0.0],
+            [0.0, 1e200], match=OVERFLOW),
 ])
 def test_input_errors_are_value_errors(call, args, match):
     with pytest.raises(ValueError, match=match):
         call(*args)
+
+
+def test_squares_below_overflow_keep_their_bits():
+    # TV^2 is libm's pow, as before the overflow check; here tv * tv differs
+    # from it in the last bit
+    p, q = [0.43, 1.0 - 0.43], [0.055, 1.0 - 0.055]
+    tv = divlab.total_variation(p, q)
+    assert tv**2 != tv * tv
+    assert divlab.check_pinsker(KL, p, q)[1] == KL.pinsker_constant / (2.0 * sum(p)) * tv**2
+    kp = divlab.kappa_bounds(KL, p, q)
+    assert divlab.reverse_pinsker(KL, p, q)[1] == 2.0 * kp.kappa_up / min(q) * tv**2
+
+
+# ---------------------------------------------------------------------------
+# edge pairs the strategies draw only by chance: each through every
+# pair-taking public call, with the value or the ValueError of the contract
+
+QUAD = divlab.quadratic_fn(np.eye(2))
+ENTROPY = divlab.neg_entropy_fn(2)
+PAIR_CALLS = {
+    "f_divergence": lambda p, q: divlab.f_divergence(KL, p, q),
+    "chi2_sandwich": lambda p, q: divlab.chi2_sandwich(KL, p, q),
+    "reverse_pinsker": lambda p, q: divlab.reverse_pinsker(KL, p, q),
+    "check_pinsker": lambda p, q: divlab.check_pinsker(KL, p, q),
+    "integral_representation": lambda p, q: divlab.integral_representation(KL, p, q),
+    "kappa_bounds": lambda p, q: divlab.kappa_bounds(KL, p, q),
+    "chi2_tv_upper": divlab.chi2_tv_upper,
+    "f_lower_by_chi2": lambda p, q: divlab.f_lower_by_chi2(KL, p, q),
+    "total_variation": divlab.total_variation,
+    "chi_squared": divlab.chi_squared,
+    "bregman_divergence": lambda p, q: divlab.bregman_divergence(QUAD, p, q),
+    "bregman_integral": lambda p, q: divlab.bregman_integral(QUAD, p, q),
+    "bregman_sandwich": lambda p, q: divlab.bregman_sandwich(QUAD, p, q),
+    # a zero coordinate lies outside the positive orthant
+    "bregman_divergence-neg_entropy": lambda p, q: divlab.bregman_divergence(ENTROPY, p, q),
+    "bregman_integral-neg_entropy": lambda p, q: divlab.bregman_integral(ENTROPY, p, q),
+    "bregman_sandwich-neg_entropy": lambda p, q: divlab.bregman_sandwich(ENTROPY, p, q),
+}
+EDGE_PAIRS = {
+    "all-zero": ([0.0, 0.0], [0.0, 0.0]),
+    "zero-p": ([0.0, 0.0], [0.5, 0.5]),
+    "empty-q-support": ([0.5, 0.5], [0.0, 0.0]),
+    "disjoint-one-hot": ([1.0, 0.0], [0.0, 1.0]),
+}
+
+
+class Err(str):
+    """The expected ValueError's message, a regular expression."""
+
+
+EMPTY_Q = Err("q has empty support")
+NOT_DOMINATED = Err("requires p << q")
+EQUAL_SUMS = Err(r"requires equal sums or f'\(1\) = 0")
+POSITIVE_SUMS = Err("equal positive sums")
+UNIT_SUM = Err("sum to one")
+OUTSIDE = Err("point outside the domain of F")
+
+
+def _sandwich(tv_lower, l2, tv_upper):
+    # the quadratic potential's sandwich: gamma = 1, B_F = |x - y|^2 / 2
+    return BregmanSandwich(1.0, 1.0, tv_lower, l2, l2, l2, tv_upper, l2, True)
+
+
+# per pair: f_divergence, chi2_sandwich, reverse_pinsker, check_pinsker,
+# integral_representation, kappa_bounds, chi2_tv_upper, f_lower_by_chi2,
+# total_variation, chi_squared, then the quadratic potential's three calls
+EDGE_EXPECTED = {
+    "all-zero": (0.0, EMPTY_Q, EMPTY_Q, POSITIVE_SUMS, 0.0, EMPTY_Q, EMPTY_Q, UNIT_SUM,
+                 0.0, 0.0, 0.0, 0.0, _sandwich(0.0, 0.0, 0.0)),
+    # f(0+) = 0 for KL; unequal sums leave the second-order forms out, and
+    # kappa_up runs into f''(0+) = inf at the last coordinate
+    "zero-p": (0.0, EQUAL_SUMS, EQUAL_SUMS, POSITIVE_SUMS, EQUAL_SUMS,
+               divlab.KappaPair(math.inf, 1.0, (1, 1.0), (0, 0.0), False), (1.0, None),
+               UNIT_SUM, 0.5, 1.0, 0.25, 0.25, _sandwich(0.125, 0.25, 0.5)),
+    "empty-q-support": (INF, NOT_DOMINATED, NOT_DOMINATED, POSITIVE_SUMS, NOT_DOMINATED,
+                        NOT_DOMINATED, NOT_DOMINATED, UNIT_SUM, 0.5, INF, 0.25, 0.25,
+                        _sandwich(0.125, 0.25, 0.5)),
+    # KL's constant 4: L / 2 TV^2 = 2
+    "disjoint-one-hot": (INF, NOT_DOMINATED, NOT_DOMINATED, (INF, 2.0, True), NOT_DOMINATED,
+                         NOT_DOMINATED, NOT_DOMINATED, NOT_DOMINATED, 1.0, INF, 1.0, 1.0,
+                         _sandwich(0.5, 1.0, 2.0)),
+}
+
+
+def _edge_cases():
+    for pair, expected in EDGE_EXPECTED.items():
+        expected = (*expected, OUTSIDE, OUTSIDE, OUTSIDE)
+        for name, want in zip(PAIR_CALLS, expected, strict=True):
+            yield pytest.param(pair, name, want, id=f"{name}-{pair}")
+
+
+def _close(got, want) -> bool:
+    """Equal, floats to 1e-12 (the quadrature's last bits), field by field."""
+    if dataclasses.is_dataclass(want):
+        got, want = dataclasses.astuple(got), dataclasses.astuple(want)
+    if isinstance(want, tuple):
+        return len(got) == len(want) and all(map(_close, got, want))
+    if isinstance(want, float):
+        return type(got) is float and math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-15)
+    return got == want and type(got) is type(want)
+
+
+@pytest.mark.parametrize("pair,name,want", _edge_cases())
+def test_edge_pairs_through_every_pair_call(pair, name, want):
+    call, (p, q) = PAIR_CALLS[name], EDGE_PAIRS[pair]
+    if isinstance(want, Err):
+        with pytest.raises(ValueError, match=want):
+            call(p, q)
+    else:
+        assert _close(call(p, q), want)
 
 
 @pytest.mark.parametrize("g", [KL, PC], ids=["kl", "pearson_chi2"])

@@ -488,7 +488,7 @@ def test_kappa_sup_matches_kappa_bounds_loop(registry):
 @sample_sizes(**FAST)
 def test_kappa_sup_chunked_non_monotone(monkeypatch):
     # one candidate row per block of the 1025-point t-grid
-    monkeypatch.setattr(chi2bounds, "_KAPPA_BLOCK", 4000)
+    monkeypatch.setattr(chi2bounds, "_CHUNK_ENTRIES", 4000)
     rng = np.random.default_rng(37)
     W = rng.dirichlet(np.ones(3), size=3).T
     q = np.array([0.2, 0.3, 0.5])

@@ -413,7 +413,8 @@ def test_integral_representation_node_chunks_are_bit_exact(n, chunk, index, seed
 
 def test_integral_representation_memory_is_bounded():
     # one product over all 128 nodes held 128 x |X| arrays, a 401 MiB peak
-    # at |X| = 200,000; node chunks hold 8 x |X|
+    # at |X| = 200,000; node chunks hold 8 x |X|, the fewest nodes a chunk
+    # takes, past the 2^14 entries of _CHUNK_ENTRIES: a 36 MiB peak
     n = 200_000
     ps, qs = random_prob_pairs(np.random.default_rng(5), 1, n)
     tracemalloc.start()
